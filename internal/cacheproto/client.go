@@ -62,8 +62,8 @@ func DialTimeout(addr string, opTimeout time.Duration) (*Client, error) {
 	}
 	return &Client{
 		conn:      conn,
-		r:         bufio.NewReader(conn),
-		w:         bufio.NewWriter(conn),
+		r:         bufio.NewReaderSize(conn, connBufBytes),
+		w:         bufio.NewWriterSize(conn, connBufBytes),
 		addr:      addr,
 		opTimeout: opTimeout,
 		fields:    make([][]byte, 0, 8),
@@ -192,6 +192,15 @@ func (c *Client) fetch(withCas bool, key string) (val []byte, cas uint64, found 
 	if err := c.sendLine(b, nil); err != nil {
 		return nil, 0, false, c.fail(err)
 	}
+	return c.readValue()
+}
+
+// readValue parses one get/gets reply: VALUE blocks up to the closing END
+// (none on a miss). Caller holds c.mu and has sent the request; any error
+// has already poisoned the connection.
+//
+//genie:deadlinearmed every caller arms the per-op deadline before the exchange
+func (c *Client) readValue() (val []byte, cas uint64, found bool, err error) {
 	for {
 		line, err := c.readLine()
 		if err != nil {
@@ -292,21 +301,34 @@ func (c *Client) Add(key string, value []byte, ttl time.Duration) bool {
 func (c *Client) cas(key string, value []byte, ttl time.Duration, cas uint64) (kvcache.CasResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := c.appendStoreCmd(c.cmd(), "cas", key, ttl, len(value))
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, cas, 10)
-	line, err := c.roundTrip(b, value)
+	line, err := c.roundTrip(c.appendCasCmd(c.cmd(), key, ttl, len(value), cas), value)
 	if err != nil {
 		return kvcache.CasNotFound, err
 	}
+	return parseCasReply(line), nil
+}
+
+// appendCasCmd builds "cas <key> 0 <exptime> <bytes> <cas>".
+//
+//genie:hotpath
+func (c *Client) appendCasCmd(b []byte, key string, ttl time.Duration, size int, cas uint64) []byte {
+	b = c.appendStoreCmd(b, "cas", key, ttl, size)
+	b = append(b, ' ')
+	return strconv.AppendUint(b, cas, 10)
+}
+
+// parseCasReply maps a cas reply line to its outcome; anything but STORED
+// and EXISTS (NOT_FOUND, a refusal) reads as not found.
+//
+//genie:hotpath
+func parseCasReply(line []byte) kvcache.CasResult {
 	switch string(line) {
 	case "STORED":
-		return kvcache.CasStored, nil
+		return kvcache.CasStored
 	case "EXISTS":
-		return kvcache.CasConflict, nil
-	default:
-		return kvcache.CasNotFound, nil
+		return kvcache.CasConflict
 	}
+	return kvcache.CasNotFound
 }
 
 // Cas implements kvcache.Cache.
@@ -381,8 +403,8 @@ var _ kvcache.BatchApplier = (*Client)(nil)
 // ApplyBatch implements kvcache.BatchApplier over the pipelined mop command:
 // every op in the batch is written in one flush and all results are read
 // back together, so the batch costs a single network round trip instead of
-// one per op. Network errors surface as zero-valued results (not-found /
-// not-stored), mirroring the per-op methods' degraded behaviour.
+// one per op. Network errors surface as kvcache.FailedBatch results
+// (not-found / not-stored), mirroring the per-op methods' degraded behaviour.
 func (c *Client) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	out, _ := c.applyBatch(ops)
 	return out
@@ -392,25 +414,18 @@ func (c *Client) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 // can discard a conn whose mop exchange broke mid-stream.
 //
 // Ops the server is guaranteed to refuse (a value over its size cap) are
-// skipped client-side — their result stays zero-valued — instead of being
-// pipelined: the server answers an oversized set by aborting the whole
+// skipped client-side — their result stays the failed one — instead of being
+// pipelined: the server answers an oversized set or cas by aborting the whole
 // batch, which would throw away every other op flushed with it (an
 // invalidation bus batch coalesces unrelated deletes into the same mop; one
 // bad set must not cancel those).
 func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error) {
-	out := make([]kvcache.BatchResult, len(ops))
-	if len(ops) == 0 {
-		return out, nil
-	}
+	out := kvcache.FailedBatch(ops)
 	send := make([]int, 0, len(ops)) // indices of ops actually pipelined
-	for i, op := range ops {
-		if !validKey(op.Key) {
-			continue
+	for i := range ops {
+		if validKey(ops[i].Key) && len(ops[i].Value) <= maxValueBytes {
+			send = append(send, i)
 		}
-		if (op.Kind == kvcache.BatchSet || op.Kind == kvcache.BatchAdd) && len(op.Value) > maxValueBytes {
-			continue
-		}
-		send = append(send, i)
 	}
 	if len(send) == 0 {
 		return out, nil
@@ -426,38 +441,20 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 	b = append(b, '\r', '\n')
 	c.w.Write(b)
 	for _, i := range send {
-		op := &ops[i]
-		b = c.wbuf[:0]
-		switch op.Kind {
-		case kvcache.BatchSet, kvcache.BatchAdd:
-			verb := "set"
-			if op.Kind == kvcache.BatchAdd {
-				verb = "add"
-			}
-			b = c.appendStoreCmd(b, verb, op.Key, op.TTL, len(op.Value))
-			b = append(b, '\r', '\n')
-			c.w.Write(b)
-			c.w.Write(op.Value)
-			c.w.WriteString("\r\n")
-		case kvcache.BatchIncr:
-			b = append(b, "incr "...)
-			b = append(b, op.Key...)
-			b = append(b, ' ')
-			b = strconv.AppendInt(b, op.Delta, 10)
-			b = append(b, '\r', '\n')
-			c.w.Write(b)
-		default:
-			b = append(b, "delete "...)
-			b = append(b, op.Key...)
-			b = append(b, '\r', '\n')
-			c.w.Write(b)
-		}
-		c.wbuf = b
+		c.writeSubCommand(&ops[i])
 	}
 	if err := c.w.Flush(); err != nil {
 		return out, c.fail(err)
 	}
 	for n, i := range send {
+		if ops[i].Kind == kvcache.BatchGets {
+			v, cas, found, err := c.readValue()
+			if err != nil {
+				return out, err
+			}
+			out[i] = kvcache.BatchResult{Found: found, Data: v, Cas: cas}
+			continue
+		}
 		line, err := c.readLine()
 		if err != nil {
 			return out, c.fail(err)
@@ -472,13 +469,16 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 		}
 		switch ops[i].Kind {
 		case kvcache.BatchSet, kvcache.BatchAdd:
-			out[i] = kvcache.BatchResult{Found: string(line) == "STORED"}
+			out[i].Found = string(line) == "STORED"
+		case kvcache.BatchCas:
+			r := parseCasReply(line)
+			out[i] = kvcache.BatchResult{Found: r == kvcache.CasStored, CasResult: r}
 		case kvcache.BatchIncr:
 			if n, ok := atoi(line); ok {
 				out[i] = kvcache.BatchResult{Found: true, Value: n}
 			}
 		default:
-			out[i] = kvcache.BatchResult{Found: string(line) == "DELETED"}
+			out[i].Found = string(line) == "DELETED"
 		}
 	}
 	// Trailing END frames the batch response.
@@ -490,6 +490,38 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 		return out, c.fail(fmt.Errorf("cacheproto: mop response unframed: %q", line))
 	}
 	return out, nil
+}
+
+// writeSubCommand appends one mop sub-command, data block included, to the
+// write buffer. Caller holds c.mu; write errors surface on the batch's Flush.
+//
+//genie:deadlinearmed applyBatch arms the per-op deadline before the exchange
+//genie:hotpath
+func (c *Client) writeSubCommand(op *kvcache.BatchOp) {
+	b := c.cmd()
+	hasData := false
+	switch op.Kind {
+	case kvcache.BatchSet:
+		b, hasData = c.appendStoreCmd(b, "set", op.Key, op.TTL, len(op.Value)), true
+	case kvcache.BatchAdd:
+		b, hasData = c.appendStoreCmd(b, "add", op.Key, op.TTL, len(op.Value)), true
+	case kvcache.BatchCas:
+		b, hasData = c.appendCasCmd(b, op.Key, op.TTL, len(op.Value), op.Cas), true
+	case kvcache.BatchGets:
+		b = append(append(b, "gets "...), op.Key...)
+	case kvcache.BatchIncr:
+		b = append(append(b, "incr "...), op.Key...)
+		b = strconv.AppendInt(append(b, ' '), op.Delta, 10)
+	default:
+		b = append(append(b, "delete "...), op.Key...)
+	}
+	b = append(b, '\r', '\n')
+	c.wbuf = b
+	c.w.Write(b)
+	if hasData {
+		c.w.Write(op.Value)
+		c.w.WriteString("\r\n")
+	}
 }
 
 // Error-reply prefixes, hoisted so response classification on the hot path

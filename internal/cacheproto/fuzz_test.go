@@ -26,6 +26,8 @@ func FuzzServerInput(f *testing.F) {
 		"delete k\r\n",
 		"incr n 5\r\n",
 		"mop 2\r\nget k\r\ndelete k\r\n",
+		"mop 3\r\ngets k\r\ngets missing\r\nincr n 1\r\n",
+		"mop 2\r\ncas k 0 0 2 1\r\nhi\r\ncas missing 0 0 2 1\r\nhi\r\n",
 		"stats\r\nkeys\r\nflush_all\r\nquit\r\n",
 		// The malformed-input table from TestServerMalformedInput.
 		"frobnicate key\r\n",
@@ -35,6 +37,11 @@ func FuzzServerInput(f *testing.F) {
 		"mop banana\r\n",
 		"mop 3\r\ndelete k\r\n",
 		"mop 1\r\nflush_all\r\n",
+		"mop 1\r\nget k\r\n",
+		"mop 2\r\ngets\r\ndelete k\r\n",
+		"mop 2\r\ncas k 0 0 11 notanumber\r\nflush_all\r\n\r\nflush_all\r\n",
+		"mop 1\r\ncas k 0 0 2\r\nhi\r\n",
+		"mop 1\r\ncas k 0 0 100 7\r\nonly-ten-b",
 		"set k 0 0 100\r\nonly-ten-b",
 		"set k 0 0 2\r\nhiXX",
 		"cas k 0 0 11 notanumber\r\nflush_all\r\n\r\n",

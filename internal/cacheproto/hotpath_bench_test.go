@@ -92,6 +92,44 @@ func BenchmarkServerHotPathMop(b *testing.B) {
 	runRequest(b, c, rd, br, req)
 }
 
+// BenchmarkServerHotPathMopGetsCas is the write-set's exchange shape: a mop
+// that reads a key's value and token and one that swaps against it. Every cas
+// must store, so the request carries the token zero-padded to a fixed width
+// and the loop rewrites those digits in place with the token the previous
+// swap left behind.
+func BenchmarkServerHotPathMopGetsCas(b *testing.B) {
+	store := kvcache.New(0)
+	val := string(bytes.Repeat([]byte("v"), 64))
+	store.Set("seed", []byte(val), 0)
+	store.Set("ctr", []byte("0"), 0)
+	_, tok, _ := store.Gets("ctr") // the newest token; the first swap bumps it once more
+	c, rd, br := benchConn(NewServer(store))
+	const width = 20
+	head := "mop 4\r\ngets seed\r\ngets absent\r\nincr ctr 1\r\ncas seed 0 0 64 "
+	req := []byte(head + string(make([]byte, width)) + "\r\n" + val + "\r\n")
+	digits := req[len(head) : len(head)+width]
+	// Prime with a plain set so the timed loop's first cas overwrites too.
+	store.Set("seed", []byte(val), 0)
+	tok++
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, n := width-1, tok; j >= 0; j, n = j-1, n/10 {
+			digits[j] = byte('0' + n%10)
+		}
+		tok += 2 // the incr and the cas each take a token
+		rd.Reset(req)
+		br.Reset(rd)
+		if !c.serveOne() {
+			b.Fatal("connection state died mid-benchmark")
+		}
+	}
+	b.StopTimer()
+	if st := store.Stats(); st.CasConflicts != 0 {
+		b.Fatalf("%d of %d swaps conflicted: the benchmark measured the refusal path", st.CasConflicts, b.N)
+	}
+}
+
 // BenchmarkLoopbackGet measures a full client->server->client round trip on
 // loopback TCP. The remaining allocations are the fetched value returned to
 // the caller (it must survive the next op) — the request/response machinery

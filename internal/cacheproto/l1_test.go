@@ -122,6 +122,32 @@ func TestL1ApplyBatchInvalidates(t *testing.T) {
 	}
 }
 
+// TestL1BatchedGetsLeavesEntryBatchedCasDropsIt: a write-set flush reads its
+// keys with a batch of gets before it writes any of them; the read must not
+// cost the near-cache the entry (most of those keys are never written), and
+// the cas that follows must.
+func TestL1BatchedGetsLeavesEntryBatchedCasDropsIt(t *testing.T) {
+	_, pool := newL1PoolPair(t, 1024, time.Minute)
+	pool.Set("k", []byte("v"), 0)
+	if _, ok := pool.Get("k"); !ok {
+		t.Fatal("Get missed")
+	}
+	read := pool.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchGets, Key: "k"}})
+	if !read[0].Found || string(read[0].Data) != "v" {
+		t.Fatalf("batched gets = %+v", read)
+	}
+	if st := pool.L1Stats(); st.Invalidations != 0 || st.Items != 1 {
+		t.Fatalf("a read-only batch invalidated the near-cache: %+v", st)
+	}
+	res := pool.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchCas, Key: "k", Value: []byte("w"), Cas: read[0].Cas}})
+	if !res[0].Found {
+		t.Fatalf("batched cas = %+v", res)
+	}
+	if v, ok := pool.Get("k"); !ok || string(v) != "w" {
+		t.Fatalf("Get after batched cas = %q, %v; want the swapped value from the server", v, ok)
+	}
+}
+
 // TestL1FlushAllOrphansEverything: FlushAll must take the near-cache with
 // it, immediately.
 func TestL1FlushAllOrphansEverything(t *testing.T) {

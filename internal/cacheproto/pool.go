@@ -608,7 +608,9 @@ func (p *Pool) FlushAll() {
 
 // ApplyBatch implements kvcache.BatchApplier: the whole batch runs as one
 // pipelined mop exchange on a single checked-out connection, so it costs one
-// round trip while other operations proceed on other connections.
+// round trip while other operations proceed on other connections. A batched
+// gets always reads the server — its token is only good there — so the
+// near-cache neither serves nor learns from it.
 func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	if len(ops) == 0 {
 		return nil
@@ -617,14 +619,16 @@ func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 		// Every batched mutation invalidates its near-cache entry — batches
 		// are exactly how the invalidation bus delivers trigger maintenance.
 		for i := range ops {
-			p.l1.invalidate(ops[i].Key)
+			if ops[i].Kind != kvcache.BatchGets {
+				p.l1.invalidate(ops[i].Key)
+			}
 		}
 	}
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {
 		p.done(opMop, start, err)
-		return make([]kvcache.BatchResult, len(ops))
+		return kvcache.FailedBatch(ops)
 	}
 	res, err := c.applyBatch(ops)
 	p.put(c, err)
@@ -632,7 +636,7 @@ func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	if err != nil {
 		// A batch that broke mid-stream has partially-trustworthy results at
 		// best; report all-failed so callers treat it as a lost flush.
-		return make([]kvcache.BatchResult, len(ops))
+		return kvcache.FailedBatch(ops)
 	}
 	return res
 }

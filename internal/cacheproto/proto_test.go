@@ -2,6 +2,7 @@ package cacheproto
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -223,7 +224,7 @@ func TestClientApplyBatchPipelinedRoundTrip(t *testing.T) {
 		{Found: false},
 	}
 	for i, w := range want {
-		if res[i] != w {
+		if !reflect.DeepEqual(res[i], w) {
 			t.Fatalf("op %d: result %+v, want %+v", i, res[i], w)
 		}
 	}
@@ -236,6 +237,71 @@ func TestClientApplyBatchPipelinedRoundTrip(t *testing.T) {
 	// The connection stays framed: a normal op after a batch still works.
 	cli.Set("after", []byte("ok"), 0)
 	if v, ok := cli.Get("after"); !ok || string(v) != "ok" {
+		t.Fatalf("connection desynced after batch: %q %v", v, ok)
+	}
+}
+
+// TestClientApplyBatchGetsCas round-trips the read-dependent sub-commands:
+// one mop of gets (hit, miss), then one of cas (stored, conflict, not found)
+// mixed with the plain mutations a write-set flush carries, and an oversized
+// cas value that must be skipped client-side without costing the batch.
+func TestClientApplyBatchGetsCas(t *testing.T) {
+	store, cli := newPair(t)
+	for _, k := range []string{"win", "lose", "gone", "big"} {
+		store.Set(k, []byte("old-"+k+"\r\nEND"), 0)
+	}
+	store.Set("ctr", []byte("1"), 0)
+	read := cli.ApplyBatch([]kvcache.BatchOp{
+		{Kind: kvcache.BatchGets, Key: "win"},
+		{Kind: kvcache.BatchGets, Key: "absent"},
+		{Kind: kvcache.BatchGets, Key: "lose"},
+		{Kind: kvcache.BatchGets, Key: "gone"},
+		{Kind: kvcache.BatchGets, Key: "big"},
+	})
+	for i, k := range []string{"win", "", "lose", "gone", "big"} {
+		if k == "" {
+			if read[i].Found || read[i].Data != nil {
+				t.Fatalf("gets of an absent key = %+v", read[i])
+			}
+			continue
+		}
+		_, tok, _ := store.Gets(k)
+		if !read[i].Found || string(read[i].Data) != "old-"+k+"\r\nEND" || read[i].Cas != tok {
+			t.Fatalf("gets %s = %+v (store token %d)", k, read[i], tok)
+		}
+	}
+	store.Set("lose", []byte("raced"), 0)
+	store.Delete("gone")
+	got := cli.ApplyBatch([]kvcache.BatchOp{
+		{Kind: kvcache.BatchCas, Key: "win", Value: []byte("new"), Cas: read[0].Cas},
+		{Kind: kvcache.BatchCas, Key: "big", Value: make([]byte, maxValueBytes+1), Cas: read[4].Cas},
+		{Kind: kvcache.BatchCas, Key: "lose", Value: []byte("new"), Cas: read[2].Cas},
+		{Kind: kvcache.BatchIncr, Key: "ctr", Delta: 2},
+		{Kind: kvcache.BatchCas, Key: "gone", Value: []byte("new"), Cas: read[3].Cas},
+		{Kind: kvcache.BatchDelete, Key: "ctr"},
+	})
+	want := []kvcache.BatchResult{
+		{Found: true, CasResult: kvcache.CasStored},
+		{CasResult: kvcache.CasNotFound}, // never sent
+		{CasResult: kvcache.CasConflict},
+		{Found: true, Value: 3},
+		{CasResult: kvcache.CasNotFound},
+		{Found: true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("results %+v, want %+v", got, want)
+	}
+	if v, _ := store.Get("win"); string(v) != "new" {
+		t.Fatalf("win = %q", v)
+	}
+	if v, _ := store.Get("lose"); string(v) != "raced" {
+		t.Fatalf("a conflicting cas overwrote the racing write: %q", v)
+	}
+	if v, _ := store.Get("big"); string(v) != "old-big\r\nEND" {
+		t.Fatalf("the skipped oversized cas touched its key: %q", v)
+	}
+	// The connection stays framed after both batches.
+	if v, ok := cli.Get("win"); !ok || string(v) != "new" {
 		t.Fatalf("connection desynced after batch: %q %v", v, ok)
 	}
 }

@@ -98,6 +98,34 @@ func TestServerMalformedInput(t *testing.T) {
 			wantPrefix: "CLIENT_ERROR",
 		},
 		{
+			// Only the write-set's read is batchable; a plain get is not.
+			name:       "get inside mop",
+			send:       "mop 1\r\nget k\r\n",
+			wantPrefix: "CLIENT_ERROR",
+		},
+		{
+			name:       "keyless gets inside mop",
+			send:       "mop 2\r\ngets\r\ndelete k\r\n",
+			wantPrefix: "CLIENT_ERROR",
+		},
+		{
+			// As at top level the refusal follows the data block, and the
+			// aborted batch takes the connection with it: neither the
+			// payload nor the rest of the batch may run as commands.
+			name:       "bad cas id inside mop",
+			send:       "mop 2\r\ncas k 0 0 11 notanumber\r\nflush_all\r\n\r\nflush_all\r\n",
+			wantPrefix: "CLIENT_ERROR",
+		},
+		{
+			name:       "cas missing its token inside mop",
+			send:       "mop 1\r\ncas k 0 0 2\r\nhi\r\n",
+			wantPrefix: "CLIENT_ERROR",
+		},
+		{
+			name: "truncated cas data inside mop",
+			send: "mop 1\r\ncas k 0 0 100 7\r\nonly-ten-b",
+		},
+		{
 			name: "truncated mop frame",
 			// Announces 3 sub-commands, sends 1, then the stream ends. The
 			// server can only give up on this connection.
@@ -173,6 +201,27 @@ func TestServerMalformedInput(t *testing.T) {
 				t.Fatalf("server unhealthy after %q: %q, %v", tc.name, v, ok)
 			}
 		})
+	}
+}
+
+// TestMopAbortedByCasRunsNothingAfter pins the abort rule down for the
+// sub-command that carries a data block: a cas refused inside a mop closes
+// the connection, so neither its payload nor the batch's remaining
+// sub-commands (both "flush_all" here) ever execute.
+func TestMopAbortedByCasRunsNothingAfter(t *testing.T) {
+	addr, store := rawServer(t)
+	store.Set("survivor", []byte("v"), 0)
+	conn, r := rawDial(t, addr)
+	fmt.Fprint(conn, "mop 2\r\ncas k 0 0 11 notanumber\r\nflush_all\r\n\r\nflush_all\r\n")
+	line, err := r.ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, "CLIENT_ERROR") {
+		t.Fatalf("refused cas inside mop: %q, %v", line, err)
+	}
+	if rest, err := r.ReadString('\n'); err == nil {
+		t.Fatalf("connection survived the aborted batch and answered %q", rest)
+	}
+	if _, ok := store.Get("survivor"); !ok {
+		t.Fatal("bytes after the refused cas ran as a command and flushed the store")
 	}
 }
 

@@ -18,15 +18,30 @@
 //	keys\r\n  (KEY <key> per live key then END; cluster key handoff uses it)
 //	quit\r\n
 //
-// Plus one extension beyond memcached's command set, used by the
-// invalidation bus (internal/invbus) to flush coalesced batches in a single
-// round trip:
+// Plus one extension beyond memcached's command set, which turns any run of
+// single-key commands into one network round trip:
 //
 //	mop <count>\r\n
-//	<count> sub-commands (set / add / delete / incr, standard form)
+//	<count> sub-commands (gets / set / add / cas / delete / incr, standard
+//	form, data blocks included)
 //
-// The server buffers one result line per sub-command and flushes them with a
-// trailing END\r\n, so the whole batch costs one network round trip.
+// The server executes the sub-commands in order and buffers each one's
+// standard reply — a gets answers VALUE <key> 0 <bytes> <casid>, the data
+// block and END on a hit and a bare END on a miss; a cas answers STORED,
+// EXISTS or NOT_FOUND; the others answer their usual single line — then
+// closes the batch with one more END\r\n and flushes. A sub-command outside
+// that list, or one that is malformed, aborts the batch with CLIENT_ERROR in
+// place of the remaining replies and closes the connection: the rest of the
+// pipelined batch is already in the stream and must not run as top-level
+// commands.
+//
+// Two callers batch this way. The invalidation bus (internal/invbus) flushes
+// coalesced delete / set / incr ops. The Genie's statement write-set
+// (internal/core) sends one write statement's trigger maintenance as two
+// batches per node: the gets for every list it is about to edit, then the
+// cas writes computed from them together with the statement's incr and
+// delete ops. A cas answered EXISTS lost a race between the two batches and
+// is retried alone.
 //
 // The request path is allocation-free in steady state: command lines are
 // read with a reusable buffer and split into byte-slice fields in place,
@@ -57,9 +72,18 @@ import (
 // without the bound a hostile byte count would make the server allocate it.
 const maxValueBytes = 1 << 20
 
-// maxMopOps bounds one pipelined batch. The invalidation bus flushes far
-// smaller batches; anything larger is a protocol error, not a workload.
+// maxMopOps bounds one pipelined batch. The invalidation bus and the
+// statement write-set flush far smaller batches; anything larger is a
+// protocol error, not a workload.
 const maxMopOps = 1 << 16
+
+// connBufBytes sizes the bufio reader and writer on both ends of a
+// connection. A pipelined exchange is one exchange only while each direction
+// fits its writer: past that bufio flushes mid-request, the peer wakes on a
+// fragment and goes back to sleep, and a mop carrying a few cached row lists
+// (several KB each) paid that several times per batch at bufio's 4 KB
+// default.
+const connBufBytes = 16 << 10
 
 // retainedValueBuf caps the per-connection value buffer kept between
 // requests; a one-off near-limit value doesn't pin its memory forever.
@@ -235,7 +259,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.m.ConnsOpened.Inc()
 	s.m.ActiveConns.Add(1)
 	defer s.m.ActiveConns.Add(-1)
-	c := s.newServerConn(bufio.NewReader(conn), bufio.NewWriter(conn))
+	c := s.newServerConn(bufio.NewReaderSize(conn, connBufBytes), bufio.NewWriterSize(conn, connBufBytes))
 	c.conn = conn
 	c.ioTimeout = s.IOTimeout
 	for {
@@ -629,8 +653,8 @@ func (c *serverConn) dispatch(fields [][]byte) (quit bool, err error) {
 				return true, errors.New("empty mop sub-command")
 			}
 			switch string(sub[0]) {
-			case "set", "add", "delete", "incr":
-				// One result line each; errors abort the batch AND the
+			case "gets", "set", "add", "cas", "delete", "incr":
+				// One standard reply each; errors abort the batch AND the
 				// connection: the batch arrives as one pipelined flush, so
 				// after an abort the remaining sub-commands are already in
 				// the stream and indistinguishable from fresh top-level

@@ -626,10 +626,10 @@ var _ kvcache.BatchApplier = (*Ring)(nil)
 // ApplyBatch implements kvcache.BatchApplier: one logical batch fans out as
 // one sub-batch per owning node, preserving the batch's relative op order
 // within each node and reassembling results in input order. The sub-batches
-// run concurrently, one goroutine per owning node, so a batch that spans the
-// ring costs the slowest node's round trip rather than the sum of all of
-// them — with remote nodes this is what keeps invalidation-bus flush latency
-// flat as the ring grows.
+// run concurrently, so a batch that spans the ring costs the slowest node's
+// round trip rather than the sum of all of them — with remote nodes this is
+// what keeps invalidation-bus and write-set flush latency flat as the ring
+// grows.
 func (r *Ring) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	if len(ops) == 0 {
 		return nil
@@ -649,80 +649,92 @@ func (r *Ring) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	if single {
 		return kvcache.ApplyBatchOn(r.nodes[first], ops)
 	}
-	byNode := make(map[int][]int)
+	subs := make(map[int][]int)
 	for i, op := range ops {
 		n := r.NodeFor(op.Key)
-		byNode[n] = append(byNode[n], i)
+		subs[n] = append(subs[n], i)
 	}
+	results := r.applySubBatches(ops, subs)
 	out := make([]kvcache.BatchResult, len(ops))
-	var wg sync.WaitGroup
-	for n, idxs := range byNode {
-		wg.Add(1)
-		go func(n int, idxs []int) {
-			defer wg.Done()
-			sub := make([]kvcache.BatchOp, len(idxs))
-			for j, i := range idxs {
-				sub[j] = ops[i]
-			}
-			res := kvcache.ApplyBatchOn(r.nodes[n], sub)
-			// idxs are disjoint across nodes, so writes into out don't race.
-			for j, i := range idxs {
-				out[i] = res[j]
-			}
-		}(n, idxs)
+	for n, idxs := range subs {
+		for j, i := range idxs {
+			out[i] = results[n][j]
+		}
 	}
-	wg.Wait()
 	return out
 }
 
-// applyBatchReplicated fans each op out to its key's whole replica set: one
-// sub-batch per node carrying every op whose replica set contains that node,
-// applied concurrently (max-node cost, as in the single-owner path). An op's
-// relative order is preserved inside every node's sub-batch, so per-key
-// ordering — the invalidation bus's contract — holds on every replica. Each
-// op reports the result from the first replica that was healthy when the
-// batch was routed; delete results additionally OR across replicas so
-// "found" means "some replica held it", matching Ring.Delete.
+// applySubBatches sends node n the ops whose indices subs[n] lists, in that
+// order, every node concurrently (the last one on the calling goroutine), and
+// returns each node's results indexed by node.
+func (r *Ring) applySubBatches(ops []kvcache.BatchOp, subs map[int][]int) [][]kvcache.BatchResult {
+	results := make([][]kvcache.BatchResult, len(r.nodes))
+	apply := func(n int, idxs []int) {
+		sub := make([]kvcache.BatchOp, len(idxs))
+		for j, i := range idxs {
+			sub[j] = ops[i]
+		}
+		// Each node writes its own slot, so the writes don't race.
+		results[n] = kvcache.ApplyBatchOn(r.nodes[n], sub)
+	}
+	var wg sync.WaitGroup
+	left := len(subs)
+	for n, idxs := range subs {
+		if left--; left == 0 {
+			apply(n, idxs)
+			break
+		}
+		wg.Add(1)
+		go func(n int, idxs []int) {
+			defer wg.Done()
+			apply(n, idxs)
+		}(n, idxs)
+	}
+	wg.Wait()
+	return results
+}
+
+// applyBatchReplicated fans each mutation out to its key's whole replica
+// set: one sub-batch per node carrying every op whose replica set contains
+// that node, applied concurrently (max-node cost, as in the single-owner
+// path). An op's relative order is preserved inside every node's sub-batch,
+// so per-key ordering — the invalidation bus's contract — holds on every
+// replica. Each op reports the result from the first replica that was healthy
+// when the batch was routed; delete results additionally OR across replicas
+// so "found" means "some replica held it", matching Ring.Delete.
+//
+// Gets and cas ops go to that first healthy replica only, matching Ring.Gets
+// and Ring.Cas: a token is only meaningful on the node that issued it. A
+// stored cas then propagates to the key's other replicas as a plain set, in
+// one more concurrent round.
 func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	healthyNode := make([]bool, len(r.nodes))
 	for i, n := range r.nodes {
 		healthyNode[i] = nodeHealthy(n)
 	}
-	byNode := make(map[int][]int)
+	subs := make(map[int][]int)
 	decider := make([]int, len(ops))
 	var buf [maxStackReplicas]int
 	for i := range ops {
 		set := r.replicasAppend(ops[i].Key, buf[:0])
 		decider[i] = set[0]
-		chosen := false
 		for _, ni := range set {
-			byNode[ni] = append(byNode[ni], i)
-			if !chosen && healthyNode[ni] {
+			if healthyNode[ni] {
 				decider[i] = ni
-				chosen = true
+				break
 			}
 		}
+		if k := ops[i].Kind; k == kvcache.BatchGets || k == kvcache.BatchCas {
+			subs[decider[i]] = append(subs[decider[i]], i)
+			continue
+		}
+		for _, ni := range set {
+			subs[ni] = append(subs[ni], i)
+		}
 	}
+	results := r.applySubBatches(ops, subs)
 	out := make([]kvcache.BatchResult, len(ops))
-	results := make(map[int][]kvcache.BatchResult, len(byNode))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for n, idxs := range byNode {
-		wg.Add(1)
-		go func(n int, idxs []int) {
-			defer wg.Done()
-			sub := make([]kvcache.BatchOp, len(idxs))
-			for j, i := range idxs {
-				sub[j] = ops[i]
-			}
-			res := kvcache.ApplyBatchOn(r.nodes[n], sub)
-			mu.Lock()
-			results[n] = res
-			mu.Unlock()
-		}(n, idxs)
-	}
-	wg.Wait()
-	for n, idxs := range byNode {
+	for n, idxs := range subs {
 		res := results[n]
 		for j, i := range idxs {
 			if decider[i] == n {
@@ -735,6 +747,22 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 				out[i].Found = true
 			}
 		}
+	}
+	var sets []kvcache.BatchOp
+	setSubs := make(map[int][]int)
+	for i := range ops {
+		if ops[i].Kind != kvcache.BatchCas || !out[i].Found {
+			continue
+		}
+		for _, ni := range r.replicasAppend(ops[i].Key, buf[:0]) {
+			if ni != decider[i] {
+				setSubs[ni] = append(setSubs[ni], len(sets))
+			}
+		}
+		sets = append(sets, kvcache.BatchOp{Kind: kvcache.BatchSet, Key: ops[i].Key, Value: ops[i].Value, TTL: ops[i].TTL})
+	}
+	if len(setSubs) > 0 {
+		r.applySubBatches(sets, setSubs)
 	}
 	return out
 }

@@ -203,6 +203,111 @@ type flakyNode struct {
 
 func (f *flakyNode) Healthy() bool { return f.healthy.Load() }
 
+// batchLog is a flakyNode that records every batch it is sent, one "kind key"
+// string per op.
+type batchLog struct {
+	flakyNode
+	mu      sync.Mutex
+	batches [][]string
+}
+
+func (n *batchLog) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
+	batch := make([]string, len(ops))
+	for i, op := range ops {
+		batch[i] = op.Kind.String() + " " + op.Key
+	}
+	n.mu.Lock()
+	n.batches = append(n.batches, batch)
+	n.mu.Unlock()
+	return kvcache.ApplyBatchOn(n.Cache, ops)
+}
+
+// take returns the batches received since the last call.
+func (n *batchLog) take() string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := fmt.Sprint(n.batches)
+	n.batches = nil
+	return out
+}
+
+// TestReplicatedBatchGetsCasRouting: at R = 2 a batch's gets and cas ops
+// reach only the key's first healthy replica — a token means nothing anywhere
+// else — a stored cas lands on the other replica as a plain set in a
+// follow-up round, every other op still fans out to both, and with the
+// preferred replica down both the read and the swap go to the survivor.
+func TestReplicatedBatchGetsCasRouting(t *testing.T) {
+	stores := []*kvcache.Store{kvcache.New(0), kvcache.New(0)}
+	nodes := []*batchLog{{flakyNode: flakyNode{Cache: stores[0]}}, {flakyNode: flakyNode{Cache: stores[1]}}}
+	nodes[0].healthy.Store(true)
+	nodes[1].healthy.Store(true)
+	r, err := NewRing([]kvcache.Cache{nodes[0], nodes[1]}, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One key preferring each node.
+	var keys [2]string
+	for i := 0; keys[0] == "" || keys[1] == ""; i++ {
+		k := fmt.Sprintf("routed-%d", i)
+		keys[r.NodeFor(k)] = k
+	}
+	a, b := keys[0], keys[1]
+	r.Set(a, []byte("a1"), 0)
+	r.Set(b, []byte("b1"), 0)
+	r.Set("ctr", []byte("0"), 0)
+
+	read := r.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchGets, Key: a}, {Kind: kvcache.BatchGets, Key: b}})
+	if string(read[0].Data) != "a1" || string(read[1].Data) != "b1" {
+		t.Fatalf("batched gets = %+v", read)
+	}
+	if got, want := nodes[0].take(), fmt.Sprintf("[[gets %s]]", a); got != want {
+		t.Fatalf("node 0 received %s, want %s", got, want)
+	}
+	if got, want := nodes[1].take(), fmt.Sprintf("[[gets %s]]", b); got != want {
+		t.Fatalf("node 1 received %s, want %s", got, want)
+	}
+
+	res := r.ApplyBatch([]kvcache.BatchOp{
+		{Kind: kvcache.BatchCas, Key: a, Value: []byte("a2"), Cas: read[0].Cas},
+		{Kind: kvcache.BatchCas, Key: b, Value: []byte("b2"), Cas: read[1].Cas + 1000}, // stale: must not propagate
+		{Kind: kvcache.BatchIncr, Key: "ctr", Delta: 1},
+	})
+	if !res[0].Found || res[1].CasResult != kvcache.CasConflict || !res[2].Found {
+		t.Fatalf("cas batch results = %+v", res)
+	}
+	if got, want := nodes[0].take(), fmt.Sprintf("[[cas %s incr ctr]]", a); got != want {
+		t.Fatalf("node 0 received %s, want %s", got, want)
+	}
+	if got, want := nodes[1].take(), fmt.Sprintf("[[cas %s incr ctr] [set %s]]", b, a); got != want {
+		t.Fatalf("node 1 received %s, want %s", got, want)
+	}
+	for ni, s := range stores {
+		if v, _ := s.GetQuiet(a); string(v) != "a2" {
+			t.Fatalf("%s on node %d = %q, want the swapped value", a, ni, v)
+		}
+		if v, _ := s.GetQuiet(b); string(v) != "b1" {
+			t.Fatalf("%s on node %d = %q, want the conflicting cas refused", b, ni, v)
+		}
+	}
+
+	// Preferred replica of a goes down: both batches route to the survivor.
+	nodes[0].healthy.Store(false)
+	read = r.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchGets, Key: a}})
+	if string(read[0].Data) != "a2" {
+		t.Fatalf("gets with the preferred replica down = %+v", read)
+	}
+	res = r.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchCas, Key: a, Value: []byte("a3"), Cas: read[0].Cas}})
+	if !res[0].Found {
+		t.Fatalf("cas with the survivor's token = %+v", res)
+	}
+	if got, want := nodes[1].take(), fmt.Sprintf("[[gets %s] [cas %s]]", a, a); got != want {
+		t.Fatalf("survivor received %s, want %s", got, want)
+	}
+	if got, want := nodes[0].take(), fmt.Sprintf("[[set %s]]", a); got != want {
+		t.Fatalf("downed replica received %s, want only the propagated %s", got, want)
+	}
+}
+
 // TestBreakerAwareFailoverAndReadRepair drives the read path through both
 // failover shapes: an unhealthy preferred replica is skipped before any
 // lookup (no repair attempted at it while its breaker is open), and a

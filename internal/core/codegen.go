@@ -9,7 +9,9 @@ import (
 
 // This file renders each generated trigger as a human-readable program in
 // the style of the paper's PL/Python listing (§3.2). The engine executes the
-// compiled Go closures in triggers.go; these listings exist so that the
+// compiled Go closures in triggers.go, which record their cache effects in
+// the firing statement's write-set (writeset.go) the way the listings'
+// ws.* calls do; these listings exist so that the
 // paper's programmer-effort accounting (§5.2: 48 triggers, ~1720 lines of
 // generated trigger code for 14 cached objects) is measurable on this
 // implementation, and so operators can audit what a cached object does.
@@ -49,6 +51,10 @@ func (co *CachedObject) triggerSource(table string, op sqldb.TriggerOp) string {
 	p("    # One connection per backend session; re-established on failure.")
 	p("    SD['cache'] = memcache.Client(cg.CACHE_SERVERS, cas=True)")
 	p("cache = SD['cache']")
+	p("# Cache effects are recorded in the firing statement's write-set, which")
+	p("# flushes them in at most two batches per cache node when the statement")
+	p("# ends; a statement that fails flushes nothing.")
+	p("ws = cg.write_set(plpy, cache)")
 	p("old_row = trigger_data.get('old')")
 	p("new_row = trigger_data.get('new')")
 	p("if trigger_data['event'] != 'AFTER %s':", opName)
@@ -60,9 +66,6 @@ func (co *CachedObject) triggerSource(table string, op sqldb.TriggerOp) string {
 	p("def key_values(row):")
 	p("    # Lookup values of this cached object, in WhereFields order.")
 	p("    return [row['%s']]", strings.Join(co.spec.WhereFields, "'], row['"))
-	p("")
-	p("def log_skip(key):")
-	p("    cg.stats.bump('%s', 'trigger_skips')", co.spec.Name)
 	p("")
 
 	keyExpr := func(rowVar string) string {
@@ -77,24 +80,26 @@ func (co *CachedObject) triggerSource(table string, op sqldb.TriggerOp) string {
 		switch op {
 		case sqldb.TrigInsert:
 			p("cache_key = %s", keyExpr("new_row"))
-			p("cache.delete(cache_key)")
+			p("ws.delete(cache_key)")
 		case sqldb.TrigDelete:
 			p("cache_key = %s", keyExpr("old_row"))
-			p("cache.delete(cache_key)")
+			p("ws.delete(cache_key)")
 		case sqldb.TrigUpdate:
 			p("old_key = %s", keyExpr("old_row"))
 			p("new_key = %s", keyExpr("new_row"))
-			p("cache.delete(old_key)")
+			p("ws.delete(old_key)")
 			p("if new_key != old_key:")
-			p("    cache.delete(new_key)")
+			p("    ws.delete(new_key)")
 		}
 		if co.spec.Class == LinkQuery && table == co.model.Table {
 			l := co.spec.Link
-			p("# reverse-map the %s row to affected source lists", co.model.Table)
-			p("rows = plpy.execute(\"SELECT %s FROM %s WHERE %s = $1\", [row['%s']])",
+			p("# reverse-map the %s row to affected source lists; an UPDATE that", co.model.Table)
+			p("# changed the join column affects the old sources and the new ones")
+			p("for row in filter(None, (old_row, new_row)):")
+			p("    rows = plpy.execute(\"SELECT %s FROM %s WHERE %s = $1\", [row['%s']])",
 				l.SourceField, co.linkThrough.Table, l.JoinField, l.TargetField)
-			p("for r in rows:")
-			p("    cache.delete('cg:%s:' + str(r['%s']))", co.spec.Name, l.SourceField)
+			p("    for r in rows:")
+			p("        ws.delete('cg:%s:' + str(r['%s']))", co.spec.Name, l.SourceField)
 		}
 		return b.String()
 	}
@@ -114,40 +119,33 @@ func (co *CachedObject) triggerSource(table string, op sqldb.TriggerOp) string {
 
 type pf func(format string, args ...any)
 
-func casLoopLines(p pf, body func()) {
-	p("for attempt in range(%d):", maxCasRetries)
-	p("    (cached_rows, cas_token) = cache.gets(cache_key)")
-	p("    if cached_rows is None:")
-	p("        # Not cached: the entry is repopulated on the next read miss")
-	p("        # (paper §3.2: 'If not present, the trigger quits').")
-	p("        log_skip(cache_key)")
-	p("        break")
+// editListLines renders one in-place list edit: body holds the statements
+// that change cached_rows.
+func editListLines(p pf, body func()) {
+	p("def edit(cached_rows):")
 	body()
-	p("    result = cache.cas(cache_key, cached_rows, cas_token)")
-	p("    if result == cg.CAS_STORED:")
-	p("        cg.stats.bump_update()")
-	p("        break")
-	p("    if result == cg.CAS_NOT_FOUND:")
-	p("        log_skip(cache_key)")
-	p("        break")
-	p("    # CAS_EXISTS: a concurrent writer won; re-read and retry.")
-	p("    cg.stats.bump_cas_retry()")
-	p("else:")
-	p("    # Persistent CAS conflict: invalidating is always safe.")
-	p("    cache.delete(cache_key)")
+	p("    return cached_rows")
+	p("# Recorded, not sent. The flush composes every edit the statement made to")
+	p("# cache_key, reads the list and its token in the statement's one batch of")
+	p("# gets, and, if the key was cached at all (paper §3.2: 'If not present, the")
+	p("# trigger quits'), swaps the edited list in with the statement's one")
+	p("# batch of cas. A cas answered CAS_EXISTS lost a race between the two")
+	p("# batches: that key alone re-runs gets -> edit -> cas, up to %d times,", maxCasRetries)
+	p("# and is then deleted, which is always safe.")
+	p("ws.edit_list(cache_key, edit)")
 }
 
 func (co *CachedObject) featureSource(p pf, keyExpr func(string) string, op sqldb.TriggerOp) {
 	switch op {
 	case sqldb.TrigInsert:
 		p("cache_key = %s", keyExpr("new_row"))
-		casLoopLines(p, func() {
+		editListLines(p, func() {
 			p("    if new_row['id'] not in [r['id'] for r in cached_rows]:")
 			p("        cached_rows.append(new_row)")
 		})
 	case sqldb.TrigDelete:
 		p("cache_key = %s", keyExpr("old_row"))
-		casLoopLines(p, func() {
+		editListLines(p, func() {
 			p("    cached_rows = [r for r in cached_rows if r['id'] != old_row['id']]")
 		})
 	case sqldb.TrigUpdate:
@@ -155,13 +153,13 @@ func (co *CachedObject) featureSource(p pf, keyExpr func(string) string, op sqld
 		p("new_key = %s", keyExpr("new_row"))
 		p("if old_key == new_key:")
 		p("    cache_key = new_key")
-		casLoopLines(p, func() {
+		editListLines(p, func() {
 			p("    cached_rows = [new_row if r['id'] == new_row['id'] else r")
 			p("                   for r in cached_rows]")
 		})
 		p("if old_key != new_key:")
-		p("    remove_row_from_list(cache, old_key, old_row)")
-		p("    append_row_to_list(cache, new_key, new_row)")
+		p("    remove_row_from_list(ws, old_key, old_row)")
+		p("    append_row_to_list(ws, new_key, new_row)")
 	}
 }
 
@@ -169,16 +167,16 @@ func (co *CachedObject) countSource(p pf, keyExpr func(string) string, op sqldb.
 	switch op {
 	case sqldb.TrigInsert:
 		p("cache_key = %s", keyExpr("new_row"))
-		p("cache.incr(cache_key, 1)  # no-op when key is absent")
+		p("ws.incr(cache_key, 1)  # summed per key at flush; no-op when key is absent")
 	case sqldb.TrigDelete:
 		p("cache_key = %s", keyExpr("old_row"))
-		p("cache.decr(cache_key, 1)")
+		p("ws.incr(cache_key, -1)")
 	case sqldb.TrigUpdate:
 		p("old_key = %s", keyExpr("old_row"))
 		p("new_key = %s", keyExpr("new_row"))
 		p("if old_key != new_key:")
-		p("    cache.decr(old_key, 1)")
-		p("    cache.incr(new_key, 1)")
+		p("    ws.incr(old_key, -1)")
+		p("    ws.incr(new_key, 1)")
 	}
 }
 
@@ -192,7 +190,7 @@ func (co *CachedObject) topkSource(p pf, keyExpr func(string) string, op sqldb.T
 	case sqldb.TrigInsert:
 		p("cache_key = %s", keyExpr("new_row"))
 		p("new_sort_val = new_row['%s']", co.spec.SortField)
-		casLoopLines(p, func() {
+		editListLines(p, func() {
 			p("    insert_pos = 0")
 			p("    for row in cached_rows:")
 			p("        if new_sort_val %s row['%s']:", cmp, co.spec.SortField)
@@ -204,14 +202,14 @@ func (co *CachedObject) topkSource(p pf, keyExpr func(string) string, op sqldb.T
 		})
 	case sqldb.TrigDelete:
 		p("cache_key = %s", keyExpr("old_row"))
-		casLoopLines(p, func() {
+		editListLines(p, func() {
 			p("    cached_rows = [r for r in cached_rows if r['id'] != old_row['id']]")
-			p("    if len(cached_rows) < %d:  # reserve exhausted", co.spec.K)
+			p("    if len(cached_rows) < %d:  # reserve exhausted: recompute, at flush time", co.spec.K)
 			p("        cached_rows = plpy.execute(QUERY_TEMPLATE, key_values(old_row))")
 		})
 	case sqldb.TrigUpdate:
 		p("cache_key = %s", keyExpr("new_row"))
-		casLoopLines(p, func() {
+		editListLines(p, func() {
 			p("    for i, row in enumerate(cached_rows):")
 			p("        if row['id'] == new_row['id']:")
 			p("            cached_rows[i] = new_row  # re-sort if sort field changed")
@@ -229,38 +227,45 @@ func (co *CachedObject) linkSource(p pf, op sqldb.TriggerOp, table string) {
 			p("cache_key = 'cg:%s:' + str(new_row['%s'])", co.spec.Name, l.SourceField)
 			p("target = plpy.execute(\"SELECT * FROM %s WHERE %s = $1\", [new_row['%s']])",
 				co.model.Table, l.TargetField, l.JoinField)
-			casLoopLines(p, func() {
+			editListLines(p, func() {
 				p("    cached_rows.extend(target)")
 			})
 		case sqldb.TrigDelete:
 			p("cache_key = 'cg:%s:' + str(old_row['%s'])", co.spec.Name, l.SourceField)
-			casLoopLines(p, func() {
+			editListLines(p, func() {
 				p("    cached_rows = remove_first(cached_rows,")
 				p("        lambda r: r['%s'] == old_row['%s'])", l.TargetField, l.JoinField)
 			})
 		case sqldb.TrigUpdate:
 			p("if (old_row['%s'], old_row['%s']) != (new_row['%s'], new_row['%s']):",
 				l.SourceField, l.JoinField, l.SourceField, l.JoinField)
-			p("    remove_link(cache, old_row)")
-			p("    add_link(cache, plpy, new_row)")
+			p("    remove_link(ws, old_row)")
+			p("    add_link(ws, plpy, new_row)")
 		}
 		return
 	}
 	p("# reverse-map the %s row to affected source lists", co.model.Table)
-	rowVar := "new_row"
-	if op != sqldb.TrigInsert {
-		rowVar = "old_row"
-	}
-	p("sources = plpy.execute(\"SELECT %s FROM %s WHERE %s = $1\", [%s['%s']])",
-		l.SourceField, co.linkThrough.Table, l.JoinField, rowVar, l.TargetField)
-	p("for src in sources:")
-	p("    cache_key = 'cg:%s:' + str(src['%s'])", co.spec.Name, l.SourceField)
+	p("def source_keys(row):")
+	p("    sources = plpy.execute(\"SELECT %s FROM %s WHERE %s = $1\", [row['%s']])",
+		l.SourceField, co.linkThrough.Table, l.JoinField, l.TargetField)
+	p("    return set('cg:%s:' + str(src['%s']) for src in sources)", co.spec.Name, l.SourceField)
 	switch op {
 	case sqldb.TrigInsert:
-		p("    append_row_to_list(cache, cache_key, new_row)")
+		p("for cache_key in source_keys(new_row):")
+		p("    append_row_to_list(ws, cache_key, new_row)")
 	case sqldb.TrigUpdate:
-		p("    replace_row_in_list(cache, cache_key, new_row)")
+		p("if old_row['%s'] == new_row['%s']:", l.TargetField, l.TargetField)
+		p("    for cache_key in source_keys(new_row):")
+		p("        replace_row_in_list(ws, cache_key, new_row)")
+		p("else:")
+		p("    # The join column changed: the row leaves the old sources' lists")
+		p("    # and enters the new sources'.")
+		p("    for cache_key in source_keys(old_row):")
+		p("        remove_row_from_list(ws, cache_key, old_row)")
+		p("    for cache_key in source_keys(new_row):")
+		p("        append_row_to_list(ws, cache_key, new_row)")
 	case sqldb.TrigDelete:
-		p("    remove_row_from_list(cache, cache_key, old_row)")
+		p("for cache_key in source_keys(old_row):")
+		p("    remove_row_from_list(ws, cache_key, old_row)")
 	}
 }

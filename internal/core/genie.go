@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"cachegenie/internal/invbus"
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/latency"
+	"cachegenie/internal/obs"
 	"cachegenie/internal/orm"
 	"cachegenie/internal/sqldb"
 )
@@ -27,10 +29,11 @@ type Config struct {
 	// cluster ring).
 	Cache kvcache.Cache
 
-	// TriggerConnectCost models opening a fresh connection from a trigger
-	// to the cache, the dominant trigger overhead the paper measures
-	// (§5.3: connection setup doubles INSERT latency). Charged once per
-	// trigger firing unless ReuseTriggerConnections is set.
+	// TriggerConnectCost models opening a fresh connection from the
+	// database to the cache, the dominant trigger overhead the paper
+	// measures (§5.3: connection setup doubles INSERT latency). Charged once
+	// per write statement whose triggers touched the cache — its write-set
+	// flush is the one conversation — unless ReuseTriggerConnections is set.
 	TriggerConnectCost time.Duration
 	// ReuseTriggerConnections enables the paper's proposed optimization of
 	// keeping trigger->cache connections open (§5.3 future work); it
@@ -42,10 +45,11 @@ type Config struct {
 	// AsyncInvalidation routes all trigger→cache maintenance (and read-path
 	// repopulation, so per-key ordering holds between the two) through the
 	// asynchronous batching invalidation bus (internal/invbus) instead of
-	// one synchronous round trip per cache op. Writes stop waiting on cache
-	// maintenance; in exchange the cache may lag the database by a bounded
-	// staleness window of roughly BatchWindow plus queueing delay. Call
-	// FlushInvalidations to drain when read-your-triggered-writes matters.
+	// flushing each statement's write-set synchronously before it returns.
+	// Writes stop waiting on cache maintenance; in exchange the cache may
+	// lag the database by a bounded staleness window of roughly BatchWindow
+	// plus queueing delay. Call FlushInvalidations to drain when
+	// read-your-triggered-writes matters.
 	AsyncInvalidation bool
 	// BatchWindow is how long a bus worker coalesces ops before flushing
 	// (0 = the bus default, 1ms). Only meaningful with AsyncInvalidation.
@@ -88,12 +92,16 @@ type Genie struct {
 	cache   kvcache.Cache
 	sleeper latency.Sleeper
 	cfg     Config
-	// bus is non-nil in async mode; triggers and repopulation publish to it
-	// instead of issuing per-op cache round trips.
+	// bus is non-nil in async mode; write-set flushes and repopulation
+	// publish to it instead of talking to the cache themselves.
 	bus *invbus.Bus
 	// flights is non-nil with Config.SingleFlight; miss loads coalesce
 	// through it.
 	flights *flightGroup
+	// newWriteSet makes the write-set a statement's first trigger firing
+	// attaches to it (sqldb.StatementScope); built once so firings don't
+	// allocate a closure each.
+	newWriteSet func() sqldb.StatementHook
 
 	mu      sync.Mutex
 	objects map[string]*CachedObject
@@ -111,6 +119,11 @@ type Genie struct {
 	populateRefused atomic.Int64
 	flightLeads     atomic.Int64
 	flightShared    atomic.Int64
+	// casFallbacks counts keys a write-set flush had to converge on their own
+	// after losing a race between its two batches; flushOps is the number of
+	// cache ops each synchronous flush carried in them.
+	casFallbacks atomic.Int64
+	flushOps     obs.Histogram
 }
 
 // New creates a Genie and installs it as the registry's read interceptor
@@ -131,6 +144,7 @@ func New(cfg Config) (*Genie, error) {
 		objects: make(map[string]*CachedObject),
 		byModel: make(map[string][]*CachedObject),
 	}
+	g.newWriteSet = func() sqldb.StatementHook { return &writeSet{g: g} }
 	if cfg.SingleFlight {
 		g.flights = newFlightGroup()
 	}
@@ -229,7 +243,7 @@ func (g *Genie) Objects() []*CachedObject {
 	return out
 }
 
-// chargeTriggerConnect models the trigger opening its cache connection.
+// chargeTriggerConnect models a write-set flush opening its cache connection.
 func (g *Genie) chargeTriggerConnect() {
 	if !g.cfg.ReuseTriggerConnections && g.cfg.TriggerConnectCost > 0 {
 		g.sleeper.Sleep(g.cfg.TriggerConnectCost)
@@ -294,6 +308,9 @@ type CachedObject struct {
 	throughIdx map[string]int
 	// sql is the derived query template (paper: "query generation").
 	sql string
+	// linkTargetSQL and linkSourcesSQL are the lookups LinkQuery triggers
+	// issue (buildLinkQueries).
+	linkTargetSQL, linkSourcesSQL string
 	// triggers are the generated triggers (installed in the DB).
 	triggers []sqldb.Trigger
 }
@@ -368,6 +385,9 @@ func (g *Genie) Cacheable(spec Spec) (*CachedObject, error) {
 		}
 	}
 	co.sql = co.buildQueryTemplate()
+	if spec.Class == LinkQuery {
+		co.buildLinkQueries()
+	}
 
 	g.mu.Lock()
 	if _, dup := g.objects[spec.Name]; dup {
@@ -506,7 +526,7 @@ func (co *CachedObject) Count(vals ...sqldb.Value) (int64, error) {
 			return nil, err
 		}
 		n := rs.Rows[0][0].I
-		co.g.populate(key, []byte(fmt.Sprintf("%d", n)), co.ttl())
+		co.g.populate(key, strconv.AppendInt(nil, n, 10), co.ttl())
 		return n, nil
 	})
 	if err != nil {

@@ -21,6 +21,12 @@ type stack struct {
 
 func newStack(t testing.TB) *stack {
 	t.Helper()
+	return newStackOver(t, func(store *kvcache.Store) kvcache.Cache { return store })
+}
+
+// newStackOver builds the stack with the Genie talking to wrap(store).
+func newStackOver(t testing.TB, wrap func(*kvcache.Store) kvcache.Cache) *stack {
+	t.Helper()
 	db := sqldb.MustOpen(sqldb.Config{})
 	reg := orm.NewRegistry(db)
 	reg.MustRegister(&orm.ModelDef{
@@ -62,7 +68,7 @@ func newStack(t testing.TB) *stack {
 		t.Fatal(err)
 	}
 	cache := kvcache.New(0)
-	g, err := New(Config{Registry: reg, DB: db, Cache: cache})
+	g, err := New(Config{Registry: reg, DB: db, Cache: wrap(cache)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,13 @@ func (g *Genie) RegisterMetrics(reg *obs.Registry, labels string) {
 		"CAS conflicts retried", g.casRetries.Load)
 	reg.CounterFunc("cachegenie_genie_populate_refused_total", labels,
 		"populates that lost to a concurrent Add", g.populateRefused.Load)
+	// Batching health of the synchronous write path: flushes shrinking toward
+	// one op, or fallbacks climbing, mean statements are back to paying a
+	// round trip per cache op.
+	reg.RegisterHistogram("cachegenie_genie_writeset_flush_ops", labels,
+		"cache ops one statement's write-set flush carried in its (at most two) batches", obs.UnitNone, &g.flushOps)
+	reg.CounterFunc("cachegenie_genie_cas_fallbacks_total", labels,
+		"keys a write-set flush re-ran through their own gets/cas loop after a conflict between its batches", g.casFallbacks.Load)
 	if g.flights != nil {
 		reg.CounterFunc("cachegenie_singleflight_leads_total", labels,
 			"miss loads that ran the database query", g.flightLeads.Load)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,13 +29,17 @@ func encodePayload(p payload) []byte {
 	} else {
 		out = append(out, 0)
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(p.rows)))
-	out = append(out, tmp[:n]...)
-	for _, r := range p.rows {
-		enc := sqldb.EncodeRow(nil, r)
-		n := binary.PutUvarint(tmp[:], uint64(len(enc)))
-		out = append(out, tmp[:n]...)
+	out = binary.AppendUvarint(out, uint64(len(p.rows)))
+	// A row's length precedes it, so each is encoded aside first, into one
+	// reused buffer. The rows of a list are about the same size: the first
+	// one sizes the output for all of them.
+	var enc []byte
+	for i, r := range p.rows {
+		enc = sqldb.EncodeRow(enc[:0], r)
+		if i == 0 {
+			out = slices.Grow(out, len(p.rows)*(len(enc)+binary.MaxVarintLen32))
+		}
+		out = binary.AppendUvarint(out, uint64(len(enc)))
 		out = append(out, enc...)
 	}
 	return out

@@ -4,15 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"cachegenie/internal/invbus"
-	"cachegenie/internal/kvcache"
 	"cachegenie/internal/sqldb"
 )
-
-// maxCasRetries bounds the gets/cas retry loop in update-in-place triggers.
-// On exhaustion the trigger falls back to invalidating the key, which is
-// always safe.
-const maxCasRetries = 16
 
 // installTriggers generates this object's triggers and installs them in the
 // database engine.
@@ -33,12 +26,12 @@ func (co *CachedObject) generateTriggers() []sqldb.Trigger {
 	if co.spec.Strategy == Expiry {
 		return nil
 	}
-	mk := func(table string, op sqldb.TriggerOp, fn sqldb.TriggerFunc, reads ...string) sqldb.Trigger {
+	mk := func(table string, op sqldb.TriggerOp, body triggerBody, reads ...string) sqldb.Trigger {
 		return sqldb.Trigger{
 			Name:        fmt.Sprintf("cg_%s_%s_%s", co.spec.Name, table, opSuffix(op)),
 			Table:       table,
 			Op:          op,
-			Fn:          fn,
+			Fn:          co.g.recording(body),
 			Source:      co.triggerSource(table, op),
 			ReadsTables: reads,
 		}
@@ -114,82 +107,58 @@ func (co *CachedObject) whereValsFromRow(row sqldb.Row) []sqldb.Value {
 	return vals
 }
 
-// invalidateKey deletes a key (the invalidate strategy's whole job). In
-// async mode the delete rides the invalidation bus; redundant pending
-// deletes of the same key coalesce there into one.
-func (co *CachedObject) invalidateKey(key string) {
-	g := co.g
-	if g.bus != nil {
-		g.bus.Publish(invbus.Op{Kind: invbus.OpDelete, Key: key, Done: func(r invbus.Result) {
-			if r.Found {
-				g.trigDeletes.Add(1)
-			} else {
-				g.trigSkips.Add(1)
-			}
-		}})
-		return
-	}
-	g.chargeTriggerConnect()
-	if g.cache.Delete(key) {
-		g.trigDeletes.Add(1)
-	} else {
-		g.trigSkips.Add(1)
+// triggerBody is a generated trigger's logic. It never talks to the cache:
+// it records its effects in the firing statement's write-set.
+type triggerBody func(ws *writeSet, q sqldb.Queryer, ev sqldb.TriggerEvent) error
+
+// recording wraps a trigger body as the function the engine fires, handing it
+// the write-set of the statement in flight. A Queryer with no statement scope
+// (anything but the engine's own transaction) makes the firing its own scope:
+// the body's effects flush as soon as it returns.
+func (g *Genie) recording(body triggerBody) sqldb.TriggerFunc {
+	return func(q sqldb.Queryer, ev sqldb.TriggerEvent) error {
+		if sc, ok := q.(sqldb.StatementScope); ok {
+			return body(sc.StatementHook(g, g.newWriteSet).(*writeSet), q, ev)
+		}
+		ws := &writeSet{g: g}
+		if err := body(ws, q, ev); err != nil {
+			return err
+		}
+		return ws.EndStatement(q)
 	}
 }
 
-// casMutate applies the paper's gets -> modify -> cas exchange against key:
-// synchronously (after charging the trigger's connection cost), or as a
-// CAS-update descriptor on the invalidation bus in async mode, where the
-// shard worker runs it amortized and in per-key publish order.
-func (co *CachedObject) casMutate(key string, fn func(p *payload) bool) {
-	g := co.g
-	if g.bus != nil {
-		g.bus.Publish(invbus.Op{Kind: invbus.OpCasUpdate, Key: key, Update: func(c kvcache.Cache) {
-			co.casLoop(c, key, fn)
-		}})
+// rowListEdit records, under the object's strategy, a change to the row list
+// cached under key: invalidation, or fn as an in-place edit.
+func (co *CachedObject) rowListEdit(ws *writeSet, key string, fn func(p *payload) bool) {
+	if co.spec.Strategy == Invalidate {
+		ws.invalidate(co, key)
 		return
 	}
-	g.chargeTriggerConnect()
-	co.casLoop(g.cache, key, fn)
+	ws.cas(co, key, fn)
 }
 
-// casLoop is the gets -> modify -> cas retry loop. fn mutates the decoded
-// payload and reports whether anything changed. If the key is absent the
-// trigger quits (the paper's behaviour: uncached entries are repopulated on
-// the next read miss). Retries on CAS conflicts; falls back to invalidation
-// if the conflict persists.
-func (co *CachedObject) casLoop(c kvcache.Cache, key string, fn func(p *payload) bool) {
-	g := co.g
-	for attempt := 0; ; attempt++ {
-		raw, tok, ok := c.Gets(key)
-		if !ok {
-			g.trigSkips.Add(1)
-			return
+// appendRow is the list edit that adds row unless its primary key is already
+// there.
+func appendRow(row sqldb.Row) func(p *payload) bool {
+	return func(p *payload) bool {
+		if findRowByPK(p.rows, rowPK(row)) >= 0 {
+			return false
 		}
-		p, err := decodePayload(raw)
-		if err != nil {
-			c.Delete(key)
-			g.trigDeletes.Add(1)
-			return
+		p.rows = append(p.rows, row)
+		return true
+	}
+}
+
+// removeRow is the list edit that drops the row with row's primary key.
+func removeRow(row sqldb.Row) func(p *payload) bool {
+	return func(p *payload) bool {
+		i := findRowByPK(p.rows, rowPK(row))
+		if i < 0 {
+			return false
 		}
-		if !fn(&p) {
-			return
-		}
-		switch c.Cas(key, encodePayload(p), co.ttl(), tok) {
-		case kvcache.CasStored:
-			g.trigUpdates.Add(1)
-			return
-		case kvcache.CasNotFound:
-			g.trigSkips.Add(1)
-			return
-		case kvcache.CasConflict:
-			g.casRetries.Add(1)
-			if attempt >= maxCasRetries {
-				c.Delete(key)
-				g.trigDeletes.Add(1)
-				return
-			}
-		}
+		p.rows = removeRowAt(p.rows, i)
+		return true
 	}
 }
 
@@ -197,71 +166,28 @@ func (co *CachedObject) casLoop(c kvcache.Cache, key string, fn func(p *payload)
 
 // featureTrigger keeps "rows of M where WhereFields = vals" entries in sync.
 // Feature payloads are always exhaustive, so rows can be edited in place.
-func (co *CachedObject) featureTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc {
-	return func(q sqldb.Queryer, ev sqldb.TriggerEvent) error {
+func (co *CachedObject) featureTrigger(op sqldb.TriggerOp) triggerBody {
+	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
-			key := co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields)
-			if co.spec.Strategy == Invalidate {
-				co.invalidateKey(key)
-				return nil
-			}
-			co.casMutate(key, func(p *payload) bool {
-				if findRowByPK(p.rows, rowPK(ev.New)) >= 0 {
-					return false
-				}
-				p.rows = append(p.rows, ev.New)
-				return true
-			})
+			co.rowListEdit(ws, co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields), appendRow(ev.New))
 		case sqldb.TrigDelete:
-			key := co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields)
-			if co.spec.Strategy == Invalidate {
-				co.invalidateKey(key)
-				return nil
-			}
-			co.casMutate(key, func(p *payload) bool {
-				i := findRowByPK(p.rows, rowPK(ev.Old))
-				if i < 0 {
-					return false
-				}
-				p.rows = removeRowAt(p.rows, i)
-				return true
-			})
+			co.rowListEdit(ws, co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields), removeRow(ev.Old))
 		case sqldb.TrigUpdate:
 			oldKey := co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields)
 			newKey := co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields)
-			if co.spec.Strategy == Invalidate {
-				co.invalidateKey(oldKey)
-				if newKey != oldKey {
-					co.invalidateKey(newKey)
-				}
+			if oldKey != newKey {
+				co.rowListEdit(ws, oldKey, removeRow(ev.Old))
+				co.rowListEdit(ws, newKey, appendRow(ev.New))
 				return nil
 			}
-			if oldKey == newKey {
-				co.casMutate(newKey, func(p *payload) bool {
-					i := findRowByPK(p.rows, rowPK(ev.New))
-					if i < 0 {
-						p.rows = append(p.rows, ev.New)
-					} else {
-						p.rows[i] = ev.New
-					}
-					return true
-				})
-				return nil
-			}
-			co.casMutate(oldKey, func(p *payload) bool {
-				i := findRowByPK(p.rows, rowPK(ev.Old))
+			co.rowListEdit(ws, newKey, func(p *payload) bool {
+				i := findRowByPK(p.rows, rowPK(ev.New))
 				if i < 0 {
-					return false
+					p.rows = append(p.rows, ev.New)
+				} else {
+					p.rows[i] = ev.New
 				}
-				p.rows = removeRowAt(p.rows, i)
-				return true
-			})
-			co.casMutate(newKey, func(p *payload) bool {
-				if findRowByPK(p.rows, rowPK(ev.New)) >= 0 {
-					return false
-				}
-				p.rows = append(p.rows, ev.New)
 				return true
 			})
 		}
@@ -271,45 +197,27 @@ func (co *CachedObject) featureTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc {
 
 // ---------- CountQuery ----------
 
-// countTrigger maintains COUNT(*) entries with atomic increments; counts
-// need no CAS because Incr is atomic at the cache.
-func (co *CachedObject) countTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc {
-	bump := func(key string, delta int64) {
-		g := co.g
+// countTrigger maintains COUNT(*) entries with atomic increments.
+func (co *CachedObject) countTrigger(op sqldb.TriggerOp) triggerBody {
+	bump := func(ws *writeSet, key string, delta int64) {
 		if co.spec.Strategy == Invalidate {
-			co.invalidateKey(key)
+			ws.invalidate(co, key)
 			return
 		}
-		if g.bus != nil {
-			// Adjacent pending increments on the same key merge on the bus.
-			g.bus.Publish(invbus.Op{Kind: invbus.OpIncr, Key: key, Delta: delta, Done: func(r invbus.Result) {
-				if r.Found {
-					g.trigUpdates.Add(1)
-				} else {
-					g.trigSkips.Add(1)
-				}
-			}})
-			return
-		}
-		g.chargeTriggerConnect()
-		if _, ok := g.cache.Incr(key, delta); ok {
-			g.trigUpdates.Add(1)
-		} else {
-			g.trigSkips.Add(1)
-		}
+		ws.incr(co, key, delta)
 	}
-	return func(q sqldb.Queryer, ev sqldb.TriggerEvent) error {
+	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
-			bump(co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields), 1)
+			bump(ws, co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields), 1)
 		case sqldb.TrigDelete:
-			bump(co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields), -1)
+			bump(ws, co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields), -1)
 		case sqldb.TrigUpdate:
 			oldKey := co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields)
 			newKey := co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields)
 			if oldKey != newKey {
-				bump(oldKey, -1)
-				bump(newKey, 1)
+				bump(ws, oldKey, -1)
+				bump(ws, newKey, 1)
 			}
 		}
 		return nil
@@ -359,101 +267,40 @@ func (co *CachedObject) topkInsert(p *payload, row sqldb.Row) bool {
 	return true
 }
 
-// recomputeTopK refreshes the whole list from the database — the paper's
-// fallback when the reserve is exhausted by deletes.
-func (co *CachedObject) recomputeTopK(q sqldb.Queryer, key string, vals []sqldb.Value) {
-	rows, exhaustive, err := co.fetchFromDB(q, vals)
-	if err != nil {
-		// Can't recompute: drop the key so readers repopulate.
-		co.g.cache.Delete(key)
-		co.g.trigDeletes.Add(1)
-		return
-	}
-	co.g.recomputes.Add(1)
-	co.g.cache.Set(key, encodePayload(payload{exhaustive: exhaustive, rows: rows}), co.ttl())
-	co.g.trigUpdates.Add(1)
-}
-
-// topkRemoveAndRepair removes old's row from key's cached list and repairs
-// reserve exhaustion. In sync mode the repair recomputes the list inside the
-// trigger's own transaction (the paper's fallback); in async mode that
-// transaction is gone by the time the bus applies the op, so the key is
-// dropped instead and the next read miss repopulates it.
-func (co *CachedObject) topkRemoveAndRepair(q sqldb.Queryer, key string, old sqldb.Row) {
-	g := co.g
-	remove := func(p *payload, need *bool) bool {
-		i := findRowByPK(p.rows, rowPK(old))
-		if i < 0 {
-			return false
-		}
-		p.rows = removeRowAt(p.rows, i)
-		if len(p.rows) < co.spec.K && !p.exhaustive {
-			*need = true
-		}
-		return true
-	}
-	if g.bus != nil {
-		g.bus.Publish(invbus.Op{Kind: invbus.OpCasUpdate, Key: key, Update: func(c kvcache.Cache) {
-			need := false
-			co.casLoop(c, key, func(p *payload) bool { return remove(p, &need) })
-			if need && c.Delete(key) {
-				g.trigDeletes.Add(1)
+func (co *CachedObject) topkTrigger(op sqldb.TriggerOp) triggerBody {
+	// insert and remove are the two list changes every firing is made of;
+	// under the invalidate strategy each is just the key's deletion.
+	insert := func(ws *writeSet, key string, row sqldb.Row) {
+		co.rowListEdit(ws, key, func(p *payload) bool {
+			if findRowByPK(p.rows, rowPK(row)) >= 0 {
+				return false
 			}
-		}})
-		return
+			return co.topkInsert(p, row)
+		})
 	}
-	g.chargeTriggerConnect()
-	need := false
-	co.casLoop(g.cache, key, func(p *payload) bool { return remove(p, &need) })
-	if need {
-		co.recomputeTopK(q, key, co.whereValsFromRow(old))
+	remove := func(ws *writeSet, key string, row sqldb.Row) {
+		if co.spec.Strategy == Invalidate {
+			ws.invalidate(co, key)
+			return
+		}
+		ws.topkRemove(co, key, row)
 	}
-}
-
-func (co *CachedObject) topkTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc {
-	return func(q sqldb.Queryer, ev sqldb.TriggerEvent) error {
+	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
-			key := co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields)
-			if co.spec.Strategy == Invalidate {
-				co.invalidateKey(key)
-				return nil
-			}
-			co.casMutate(key, func(p *payload) bool {
-				if findRowByPK(p.rows, rowPK(ev.New)) >= 0 {
-					return false
-				}
-				return co.topkInsert(p, ev.New)
-			})
+			insert(ws, co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields), ev.New)
 		case sqldb.TrigDelete:
-			key := co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields)
-			if co.spec.Strategy == Invalidate {
-				co.invalidateKey(key)
-				return nil
-			}
-			co.topkRemoveAndRepair(q, key, ev.Old)
+			remove(ws, co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields), ev.Old)
 		case sqldb.TrigUpdate:
 			oldKey := co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields)
 			newKey := co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields)
-			if co.spec.Strategy == Invalidate {
-				co.invalidateKey(oldKey)
-				if newKey != oldKey {
-					co.invalidateKey(newKey)
-				}
-				return nil
-			}
 			if oldKey != newKey {
 				// Moved between lists: delete from old, insert into new.
-				co.topkRemoveAndRepair(q, oldKey, ev.Old)
-				co.casMutate(newKey, func(p *payload) bool {
-					if findRowByPK(p.rows, rowPK(ev.New)) >= 0 {
-						return false
-					}
-					return co.topkInsert(p, ev.New)
-				})
+				remove(ws, oldKey, ev.Old)
+				insert(ws, newKey, ev.New)
 				return nil
 			}
-			co.casMutate(newKey, func(p *payload) bool {
+			co.rowListEdit(ws, newKey, func(p *payload) bool {
 				i := findRowByPK(p.rows, rowPK(ev.New))
 				if i < 0 {
 					return false
@@ -476,16 +323,22 @@ func (co *CachedObject) topkTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc {
 
 // ---------- LinkQuery ----------
 
+// buildLinkQueries derives the two lookups LinkQuery triggers run inside the
+// firing statement: the target rows joined by a value, and the source values
+// whose lists contain such a row (the reverse map through the relation
+// table).
+func (co *CachedObject) buildLinkQueries() {
+	l := co.spec.Link
+	co.linkTargetSQL = fmt.Sprintf("SELECT %s FROM %s WHERE %s = $1",
+		strings.Join(co.model.FieldNames(), ", "), co.model.Table, l.TargetField)
+	co.linkSourcesSQL = fmt.Sprintf("SELECT %s FROM %s WHERE %s = $1",
+		l.SourceField, co.linkThrough.Table, l.JoinField)
+}
+
 // linkFetchTarget reads the target row(s) joined by joinVal, using the
 // enclosing transaction so locks are shared.
 func (co *CachedObject) linkFetchTarget(q sqldb.Queryer, joinVal sqldb.Value) ([]sqldb.Row, error) {
-	cols := make([]string, 0, len(co.model.Fields)+1)
-	for _, c := range co.model.FieldNames() {
-		cols = append(cols, c)
-	}
-	sql := fmt.Sprintf("SELECT %s FROM %s WHERE %s = $1",
-		strings.Join(cols, ", "), co.model.Table, co.spec.Link.TargetField)
-	rs, err := q.Query(sql, joinVal)
+	rs, err := q.Query(co.linkTargetSQL, joinVal)
 	if err != nil {
 		return nil, err
 	}
@@ -495,10 +348,7 @@ func (co *CachedObject) linkFetchTarget(q sqldb.Queryer, joinVal sqldb.Value) ([
 // linkSources finds the source values whose cached lists contain the target
 // row joined by joinVal (reverse lookup through the relation table).
 func (co *CachedObject) linkSources(q sqldb.Queryer, joinVal sqldb.Value) ([]sqldb.Value, error) {
-	l := co.spec.Link
-	sql := fmt.Sprintf("SELECT %s FROM %s WHERE %s = $1",
-		l.SourceField, co.linkThrough.Table, l.JoinField)
-	rs, err := q.Query(sql, joinVal)
+	rs, err := q.Query(co.linkSourcesSQL, joinVal)
 	if err != nil {
 		return nil, err
 	}
@@ -516,19 +366,19 @@ func (co *CachedObject) targetFieldVal(row sqldb.Row) sqldb.Value {
 
 // linkThroughTrigger reacts to relation-table changes: a membership insert
 // adds the joined target row to the source's cached list.
-func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc {
+func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) triggerBody {
 	l := co.spec.Link
 	srcIdx := func() int { return co.throughIdx[l.SourceField] }
 	jfIdx := func() int { return co.throughIdx[l.JoinField] }
 
-	addTo := func(q sqldb.Queryer, srcVal, joinVal sqldb.Value) error {
+	addTo := func(ws *writeSet, q sqldb.Queryer, srcVal, joinVal sqldb.Value) error {
 		key := co.MakeKey(srcVal)
 		if co.spec.Strategy == Invalidate {
-			co.invalidateKey(key)
+			ws.invalidate(co, key)
 			return nil
 		}
-		// Fetch the joined target row before entering the CAS loop; the
-		// enclosing statement's lock keeps it stable.
+		// Fetch the joined target rows now; the enclosing statement's lock
+		// keeps them stable until the flush.
 		targets, err := co.linkFetchTarget(q, joinVal)
 		if err != nil {
 			return err
@@ -536,21 +386,14 @@ func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc
 		if len(targets) == 0 {
 			return nil // dangling reference; nothing joins
 		}
-		co.casMutate(key, func(p *payload) bool {
-			for _, t := range targets {
-				p.rows = append(p.rows, t)
-			}
-			return len(targets) > 0
+		ws.cas(co, key, func(p *payload) bool {
+			p.rows = append(p.rows, targets...)
+			return true
 		})
 		return nil
 	}
-	removeFrom := func(srcVal, joinVal sqldb.Value) {
-		key := co.MakeKey(srcVal)
-		if co.spec.Strategy == Invalidate {
-			co.invalidateKey(key)
-			return
-		}
-		co.casMutate(key, func(p *payload) bool {
+	removeFrom := func(ws *writeSet, srcVal, joinVal sqldb.Value) {
+		co.rowListEdit(ws, co.MakeKey(srcVal), func(p *payload) bool {
 			for i, r := range p.rows {
 				if sqldb.Equal(co.targetFieldVal(r), joinVal) {
 					p.rows = removeRowAt(p.rows, i)
@@ -561,20 +404,20 @@ func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc
 		})
 	}
 
-	return func(q sqldb.Queryer, ev sqldb.TriggerEvent) error {
+	return func(ws *writeSet, q sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
-			return addTo(q, ev.New[srcIdx()], ev.New[jfIdx()])
+			return addTo(ws, q, ev.New[srcIdx()], ev.New[jfIdx()])
 		case sqldb.TrigDelete:
-			removeFrom(ev.Old[srcIdx()], ev.Old[jfIdx()])
+			removeFrom(ws, ev.Old[srcIdx()], ev.Old[jfIdx()])
 		case sqldb.TrigUpdate:
 			oldSrc, newSrc := ev.Old[srcIdx()], ev.New[srcIdx()]
 			oldJF, newJF := ev.Old[jfIdx()], ev.New[jfIdx()]
 			if sqldb.Compare(oldSrc, newSrc) == 0 && sqldb.Compare(oldJF, newJF) == 0 {
 				return nil
 			}
-			removeFrom(oldSrc, oldJF)
-			return addTo(q, newSrc, newJF)
+			removeFrom(ws, oldSrc, oldJF)
+			return addTo(ws, q, newSrc, newJF)
 		}
 		return nil
 	}
@@ -582,75 +425,71 @@ func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc
 
 // linkTargetTrigger reacts to target-table changes; it reverse-maps the row
 // to affected source lists through the relation table.
-func (co *CachedObject) linkTargetTrigger(op sqldb.TriggerOp) sqldb.TriggerFunc {
-	forEachSource := func(q sqldb.Queryer, joinVal sqldb.Value, apply func(key string)) error {
+func (co *CachedObject) linkTargetTrigger(op sqldb.TriggerOp) triggerBody {
+	// forEachSource records fn against the list of every source joined to
+	// joinVal.
+	forEachSource := func(ws *writeSet, q sqldb.Queryer, joinVal sqldb.Value, fn func(p *payload) bool) error {
 		sources, err := co.linkSources(q, joinVal)
 		if err != nil {
 			return err
 		}
-		seen := map[string]bool{}
+		seen := make(map[string]bool, len(sources))
 		for _, src := range sources {
 			key := co.MakeKey(src)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			apply(key)
+			co.rowListEdit(ws, key, fn)
 		}
 		return nil
 	}
-	return func(q sqldb.Queryer, ev sqldb.TriggerEvent) error {
+	// A list holds a target row once per relation row that joins it to the
+	// source, so edits by primary key touch every copy.
+	replaceAll := func(row sqldb.Row) func(p *payload) bool {
+		return func(p *payload) bool {
+			changed := false
+			for i, r := range p.rows {
+				if rowPK(r) == rowPK(row) {
+					p.rows[i] = row
+					changed = true
+				}
+			}
+			return changed
+		}
+	}
+	removeAll := func(row sqldb.Row) func(p *payload) bool {
+		return func(p *payload) bool {
+			changed := false
+			for i := len(p.rows) - 1; i >= 0; i-- {
+				if rowPK(p.rows[i]) == rowPK(row) {
+					p.rows = removeRowAt(p.rows, i)
+					changed = true
+				}
+			}
+			return changed
+		}
+	}
+	return func(ws *writeSet, q sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
 			// A fresh target row joins any pre-existing relation rows that
 			// reference it (relation inserted before target).
-			return forEachSource(q, co.targetFieldVal(ev.New), func(key string) {
-				if co.spec.Strategy == Invalidate {
-					co.invalidateKey(key)
-					return
-				}
-				co.casMutate(key, func(p *payload) bool {
-					if findRowByPK(p.rows, rowPK(ev.New)) >= 0 {
-						return false
-					}
-					p.rows = append(p.rows, ev.New)
-					return true
-				})
-			})
+			return forEachSource(ws, q, co.targetFieldVal(ev.New), appendRow(ev.New))
 		case sqldb.TrigUpdate:
-			return forEachSource(q, co.targetFieldVal(ev.Old), func(key string) {
-				if co.spec.Strategy == Invalidate {
-					co.invalidateKey(key)
-					return
-				}
-				co.casMutate(key, func(p *payload) bool {
-					changed := false
-					for i, r := range p.rows {
-						if rowPK(r) == rowPK(ev.New) {
-							p.rows[i] = ev.New
-							changed = true
-						}
-					}
-					return changed
-				})
-			})
+			oldJoin, newJoin := co.targetFieldVal(ev.Old), co.targetFieldVal(ev.New)
+			if sqldb.Compare(oldJoin, newJoin) == 0 {
+				return forEachSource(ws, q, newJoin, replaceAll(ev.New))
+			}
+			// The join column changed: the row leaves the lists of the
+			// sources joined to the old value and enters those of the
+			// sources joined to the new one.
+			if err := forEachSource(ws, q, oldJoin, removeAll(ev.Old)); err != nil {
+				return err
+			}
+			return forEachSource(ws, q, newJoin, appendRow(ev.New))
 		case sqldb.TrigDelete:
-			return forEachSource(q, co.targetFieldVal(ev.Old), func(key string) {
-				if co.spec.Strategy == Invalidate {
-					co.invalidateKey(key)
-					return
-				}
-				co.casMutate(key, func(p *payload) bool {
-					changed := false
-					for i := len(p.rows) - 1; i >= 0; i-- {
-						if rowPK(p.rows[i]) == rowPK(ev.Old) {
-							p.rows = removeRowAt(p.rows, i)
-							changed = true
-						}
-					}
-					return changed
-				})
-			})
+			return forEachSource(ws, q, co.targetFieldVal(ev.Old), removeAll(ev.Old))
 		}
 		return nil
 	}

@@ -2,12 +2,15 @@ package kvcache
 
 import "time"
 
-// BatchOpKind discriminates the mutations that can ride in a batch.
+// BatchOpKind discriminates the operations that can ride in a batch.
 type BatchOpKind int
 
-// Batchable mutations. CAS is deliberately absent: a compare-and-swap is
-// read-dependent and must run as its own gets/cas exchange; the invalidation
-// bus executes those individually between batched segments.
+// Batchable operations. A compare-and-swap is read-dependent, so it spans two
+// batches rather than one: a batch of BatchGets reads every value and token a
+// caller is about to modify, and a second batch carries the BatchCas writes
+// computed from them (core's statement write-set flushes exactly that pair).
+// A BatchCas that reports CasConflict lost a race between the two batches;
+// only that key needs a gets/cas retry of its own.
 const (
 	BatchDelete BatchOpKind = iota
 	BatchSet
@@ -17,6 +20,12 @@ const (
 	// share to its new owner without clobbering any fresher value a
 	// concurrent write already landed there.
 	BatchAdd
+	// BatchGets reads the value and CAS token, like Cache.Gets. It is the
+	// only read-only kind.
+	BatchGets
+	// BatchCas stores only if the key's token still equals Cas, like
+	// Cache.Cas.
+	BatchCas
 )
 
 // String implements fmt.Stringer.
@@ -30,33 +39,60 @@ func (k BatchOpKind) String() string {
 		return "incr"
 	case BatchAdd:
 		return "add"
+	case BatchGets:
+		return "gets"
+	case BatchCas:
+		return "cas"
 	}
 	return "unknown"
 }
 
-// BatchOp is one mutation in a batch.
+// BatchOp is one operation in a batch.
 type BatchOp struct {
 	Kind  BatchOpKind
 	Key   string
-	Value []byte        // BatchSet / BatchAdd payload
-	TTL   time.Duration // BatchSet / BatchAdd entry lifetime (0 = no expiry)
+	Value []byte        // BatchSet / BatchAdd / BatchCas payload
+	TTL   time.Duration // BatchSet / BatchAdd / BatchCas entry lifetime (0 = no expiry)
 	Delta int64         // BatchIncr increment (may be negative)
+	Cas   uint64        // BatchCas token, from an earlier BatchGets result
 }
 
 // BatchResult reports one op's outcome, positionally matching the batch.
 type BatchResult struct {
-	// Found is true when a delete removed a live entry or an incr found a
-	// numeric entry; sets always report true.
+	// Found is true when a delete removed a live entry, an incr found a
+	// numeric entry, an add or cas stored, or a gets hit; sets always
+	// report true.
 	Found bool
 	// Value is the post-increment value for BatchIncr.
 	Value int64
+	// Data and Cas are the value and CAS token a BatchGets hit read.
+	Data []byte
+	Cas  uint64
+	// CasResult is a BatchCas outcome (Found mirrors CasStored); it is
+	// meaningless for every other kind.
+	CasResult CasResult
 }
 
-// BatchApplier is implemented by caches that can apply many mutations in a
+// FailedBatch returns the results of a batch that never reached the cache:
+// nothing found, nothing stored, and CasNotFound — not the zero CasResult,
+// which is CasStored — for every BatchCas. Batch appliers start from it so an
+// op they skip or lose reads as a miss, the way the per-op methods degrade.
+func FailedBatch(ops []BatchOp) []BatchResult {
+	out := make([]BatchResult, len(ops))
+	for i := range ops {
+		if ops[i].Kind == BatchCas {
+			out[i].CasResult = CasNotFound
+		}
+	}
+	return out
+}
+
+// BatchApplier is implemented by caches that can apply many operations in a
 // single exchange: the in-process Store (one lock acquisition), the
 // cacheproto client (one pipelined round trip), the cluster ring (one
 // sub-batch per owning node), and the latency wrapper (one round-trip
-// charge). The invalidation bus flushes through this interface.
+// charge). The invalidation bus and core's statement write-set flush through
+// this interface.
 type BatchApplier interface {
 	ApplyBatch(ops []BatchOp) []BatchResult
 }
@@ -78,6 +114,12 @@ func ApplyBatchOn(c Cache, ops []BatchOp) []BatchResult {
 		case BatchIncr:
 			n, ok := c.Incr(op.Key, op.Delta)
 			out[i] = BatchResult{Found: ok, Value: n}
+		case BatchGets:
+			v, tok, ok := c.Gets(op.Key)
+			out[i] = BatchResult{Found: ok, Data: v, Cas: tok}
+		case BatchCas:
+			r := c.Cas(op.Key, op.Value, op.TTL, op.Cas)
+			out[i] = BatchResult{Found: r == CasStored, CasResult: r}
 		default:
 			out[i] = BatchResult{Found: c.Delete(op.Key)}
 		}
@@ -171,6 +213,15 @@ func (s *Store) applyOpLocked(sh *shard, op *BatchOp) BatchResult {
 	case BatchIncr:
 		n, ok := s.incrLocked(sh, op.Key, op.Delta)
 		return BatchResult{Found: ok, Value: n}
+	case BatchGets:
+		e, ok := s.get(sh, op.Key, true)
+		if !ok {
+			return BatchResult{}
+		}
+		return BatchResult{Found: true, Data: exactCopy(e.value), Cas: e.casID}
+	case BatchCas:
+		r := s.casLocked(sh, op.Key, op.Value, op.TTL, op.Cas)
+		return BatchResult{Found: r == CasStored, CasResult: r}
 	default:
 		return BatchResult{Found: s.deleteLocked(sh, op.Key)}
 	}

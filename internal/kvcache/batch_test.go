@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func TestStoreApplyBatch(t *testing.T) {
 		{Found: false},
 	}
 	for i, w := range want {
-		if res[i] != w {
+		if !reflect.DeepEqual(res[i], w) {
 			t.Fatalf("op %d: result %+v, want %+v", i, res[i], w)
 		}
 	}
@@ -53,6 +54,72 @@ func TestApplyBatchOnFallback(t *testing.T) {
 	}
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("k survived")
+	}
+}
+
+// TestBatchGetsThenCas walks the two-batch compare-and-swap through the
+// Store's native entry point and the per-op fallback alike: a batch of gets
+// hands out values and tokens, a second batch's cas ops store against them,
+// lose to a write in between, or find the key gone.
+func TestBatchGetsThenCas(t *testing.T) {
+	for name, wrap := range map[string]func(*Store) Cache{
+		"native":   func(s *Store) Cache { return s },
+		"fallback": func(s *Store) Cache { return plainCache{s} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New(0)
+			c := wrap(s)
+			for _, k := range []string{"win", "lose", "gone"} {
+				s.Set(k, []byte("old-"+k), 0)
+			}
+			keys := []string{"win", "lose", "gone", "absent"}
+			gets := make([]BatchOp, len(keys))
+			for i, k := range keys {
+				gets[i] = BatchOp{Kind: BatchGets, Key: k}
+			}
+			read := ApplyBatchOn(c, gets)
+			for i, k := range keys[:3] {
+				if !read[i].Found || string(read[i].Data) != "old-"+k || read[i].Cas == 0 {
+					t.Fatalf("gets %s = %+v", k, read[i])
+				}
+			}
+			if read[3].Found || read[3].Data != nil {
+				t.Fatalf("gets of an absent key = %+v", read[3])
+			}
+			s.Set("lose", []byte("raced"), 0)
+			s.Delete("gone")
+			conflictsBefore := s.Stats().CasConflicts
+			cas := make([]BatchOp, 3)
+			for i, k := range keys[:3] {
+				cas[i] = BatchOp{Kind: BatchCas, Key: k, Value: []byte("new"), Cas: read[i].Cas}
+			}
+			got := ApplyBatchOn(c, cas)
+			want := []BatchResult{
+				{Found: true, CasResult: CasStored},
+				{CasResult: CasConflict},
+				{CasResult: CasNotFound},
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cas results %+v, want %+v", got, want)
+			}
+			if v, _ := s.Get("win"); string(v) != "new" {
+				t.Fatalf("win = %q", v)
+			}
+			if v, _ := s.Get("lose"); string(v) != "raced" {
+				t.Fatalf("a conflicting cas overwrote the racing write: %q", v)
+			}
+			if n := s.Stats().CasConflicts - conflictsBefore; n != 1 {
+				t.Fatalf("cas conflicts counted = %d, want 1", n)
+			}
+		})
+	}
+}
+
+func TestFailedBatchReportsCasNotFound(t *testing.T) {
+	got := FailedBatch([]BatchOp{{Kind: BatchGets, Key: "a"}, {Kind: BatchCas, Key: "a"}, {Kind: BatchDelete, Key: "a"}})
+	want := []BatchResult{{}, {CasResult: CasNotFound}, {}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("failed batch = %+v, want %+v", got, want)
 	}
 }
 

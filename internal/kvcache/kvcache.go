@@ -597,6 +597,10 @@ func (s *Store) Cas(key string, value []byte, ttl time.Duration, cas uint64) Cas
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return s.casLocked(sh, key, value, ttl, cas)
+}
+
+func (s *Store) casLocked(sh *shard, key string, value []byte, ttl time.Duration, cas uint64) CasResult {
 	e, ok := sh.items[key]
 	if !ok || s.expiredLocked(sh, e) {
 		return CasNotFound

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,25 @@ type Queryer interface {
 // TriggerFunc is the body of a trigger. An error aborts the statement that
 // fired it, exactly like raising an exception inside a Postgres trigger.
 type TriggerFunc func(q Queryer, ev TriggerEvent) error
+
+// StatementHook is state a trigger keeps for the duration of one statement —
+// typically external effects it wants to apply once for all the statement's
+// rows instead of once per firing. EndStatement runs after the statement's
+// last trigger, before the statement returns and with its locks still held;
+// an error aborts the statement exactly like a trigger error. It does not run
+// when the statement itself failed: the hook is dropped unflushed.
+type StatementHook interface {
+	EndStatement(q Queryer) error
+}
+
+// StatementScope is the statement-scoped side of the Queryer triggers
+// receive; *Txn implements it.
+type StatementScope interface {
+	// StatementHook returns the hook owner attached to the statement in
+	// flight, first attaching attach() when there is none yet. Hooks end in
+	// the order they were attached.
+	StatementHook(owner any, attach func() StatementHook) StatementHook
+}
 
 // Trigger is a row-level AFTER trigger.
 type Trigger struct {
@@ -137,6 +157,11 @@ type DB struct {
 	locks  map[string]*tableLock
 	// triggers[table][op] is the ordered trigger list.
 	triggers map[string]map[TriggerOp][]*Trigger
+	// writeLocks[table][op] is the sorted, deduplicated list of tables a
+	// mutating statement locks when triggers are installed for it: the
+	// table itself plus every trigger's ReadsTables. Rebuilt (never edited
+	// in place) whenever that trigger list changes.
+	writeLocks map[string]map[TriggerOp][]string
 
 	model           latency.Model
 	cpuGate         chan struct{}
@@ -213,6 +238,7 @@ func openMem(cfg Config) *DB {
 		tables:      make(map[string]*table),
 		locks:       make(map[string]*tableLock),
 		triggers:    make(map[string]map[TriggerOp][]*Trigger),
+		writeLocks:  make(map[string]map[TriggerOp][]string),
 		model:       cfg.Latency,
 		cpuGate:     make(chan struct{}, cfg.CPUWidth),
 		sleeper:     cfg.Sleeper,
@@ -327,7 +353,23 @@ func (db *DB) CreateTrigger(tr Trigger) error {
 	}
 	cp := tr
 	byOp[tr.Op] = append(byOp[tr.Op], &cp)
+	db.rebuildWriteLocksLocked(tr.Table, tr.Op)
 	return nil
+}
+
+// rebuildWriteLocksLocked recomputes writeLocks[table][op] from the trigger
+// list. Caller holds db.mu.
+func (db *DB) rebuildWriteLocksLocked(table string, op TriggerOp) {
+	names := []string{table}
+	for _, tr := range db.triggers[table][op] {
+		names = append(names, tr.ReadsTables...)
+	}
+	sort.Strings(names)
+	names = slices.Compact(names)
+	if db.writeLocks[table] == nil {
+		db.writeLocks[table] = make(map[TriggerOp][]string)
+	}
+	db.writeLocks[table][op] = names
 }
 
 // DropTrigger removes the named trigger from a table (all ops).
@@ -345,6 +387,7 @@ func (db *DB) DropTrigger(table, name string) bool {
 			keep = append(keep, tr)
 		}
 		db.triggers[table][op] = keep
+		db.rebuildWriteLocksLocked(table, op)
 	}
 	return dropped
 }
@@ -394,21 +437,16 @@ func (db *DB) fireTriggers(tx *Txn, ev TriggerEvent) error {
 // exclusive on the table itself plus shared on every table its triggers
 // declare they read, all in sorted name order to prevent deadlocks.
 func (tx *Txn) lockForWrite(table string, op TriggerOp) error {
-	names := []string{table}
+	var names []string
 	if tx.db.triggersEnabled.Load() {
 		tx.db.mu.RLock()
-		for _, tr := range tx.db.triggers[table][op] {
-			names = append(names, tr.ReadsTables...)
-		}
+		names = tx.db.writeLocks[table][op]
 		tx.db.mu.RUnlock()
 	}
-	sort.Strings(names)
-	prev := ""
+	if names == nil { // no triggers: the table alone
+		return tx.lockTable(table, lockExclusive)
+	}
 	for _, n := range names {
-		if n == prev {
-			continue
-		}
-		prev = n
 		mode := lockShared
 		if n == table {
 			mode = lockExclusive

@@ -495,6 +495,158 @@ func TestDropTrigger(t *testing.T) {
 	}
 }
 
+// rowCounter is a StatementHook that counts its triggers' firings and, at
+// the end of the statement, reports the total through the Queryer it is
+// handed.
+type rowCounter struct {
+	rows  int
+	ended *[]string
+	fail  error
+}
+
+func (h *rowCounter) EndStatement(q Queryer) error {
+	rs, err := q.Query("SELECT COUNT(*) FROM wall")
+	if err != nil {
+		return err
+	}
+	*h.ended = append(*h.ended, fmt.Sprintf("%d firings, %d in table", h.rows, rs.Rows[0][0].I))
+	return h.fail
+}
+
+// countingTrigger attaches one rowCounter per statement under owner.
+func countingTrigger(owner any, ended *[]string, fail error) TriggerFunc {
+	return func(q Queryer, ev TriggerEvent) error {
+		h := q.(StatementScope).StatementHook(owner, func() StatementHook {
+			return &rowCounter{ended: ended, fail: fail}
+		})
+		h.(*rowCounter).rows++
+		return nil
+	}
+}
+
+func TestStatementHookEndsOncePerStatement(t *testing.T) {
+	db := newTestDB(t)
+	setupWall(t, db)
+	var ended []string
+	for _, op := range []TriggerOp{TrigInsert, TrigUpdate} {
+		for _, name := range []string{"first", "second"} {
+			// Two triggers per op share an owner, so they share a hook.
+			if err := db.CreateTrigger(Trigger{Name: name, Table: "wall", Op: op,
+				Fn: countingTrigger("owner", &ended, nil)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		mustExec(t, db, "INSERT INTO wall (user_id, content) VALUES (1, 'a')")
+	}
+	mustExec(t, db, "UPDATE wall SET content = 'b' WHERE user_id = 1")
+	mustExec(t, db, "UPDATE wall SET content = 'c' WHERE user_id = 99") // no rows, no firing, no hook
+	want := []string{
+		"2 firings, 1 in table", "2 firings, 2 in table", "2 firings, 3 in table",
+		"6 firings, 3 in table",
+	}
+	if fmt.Sprint(ended) != fmt.Sprint(want) {
+		t.Fatalf("hooks ended %q, want %q", ended, want)
+	}
+}
+
+func TestStatementHookErrorAbortsStatement(t *testing.T) {
+	db := newTestDB(t)
+	setupWall(t, db)
+	var ended []string
+	vetoed := errors.New("vetoed at statement end")
+	if err := db.CreateTrigger(Trigger{Name: "veto", Table: "wall", Op: TrigInsert,
+		Fn: countingTrigger("owner", &ended, vetoed)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO wall (user_id, content) VALUES (1, 'x')"); !errors.Is(err, vetoed) {
+		t.Fatalf("insert whose statement hook failed returned %v", err)
+	}
+	if rs := mustQuery(t, db, "SELECT COUNT(*) FROM wall"); rs.Rows[0][0].I != 0 {
+		t.Fatal("aborted insert left a row behind")
+	}
+}
+
+func TestStatementHookSkippedWhenStatementFails(t *testing.T) {
+	db := newTestDB(t)
+	setupWall(t, db)
+	var ended []string
+	if err := db.CreateTrigger(Trigger{Name: "count", Table: "wall", Op: TrigUpdate,
+		Fn: countingTrigger("owner", &ended, nil)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTrigger(Trigger{Name: "veto-b", Table: "wall", Op: TrigUpdate,
+		Fn: func(q Queryer, ev TriggerEvent) error {
+			if ev.Old[2].S == "b" {
+				return errors.New("vetoed")
+			}
+			return nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "INSERT INTO wall (user_id, content) VALUES (1, 'a')")
+	mustExec(t, db, "INSERT INTO wall (user_id, content) VALUES (1, 'b')")
+	tx := db.Begin()
+	defer tx.Rollback()
+	if _, err := tx.Exec("UPDATE wall SET sender_id = 7 WHERE user_id = 1"); err == nil {
+		t.Fatal("update with a failing second-row trigger succeeded")
+	}
+	if len(ended) != 0 {
+		t.Fatalf("a failed statement ended its hooks: %q", ended)
+	}
+	// The failed statement's hook is gone: the next statement starts clean.
+	if _, err := tx.Exec("UPDATE wall SET sender_id = 8 WHERE content = 'a'"); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"1 firings, 2 in table"}; fmt.Sprint(ended) != fmt.Sprint(want) {
+		t.Fatalf("hooks ended %q, want %q", ended, want)
+	}
+}
+
+// TestWriteLockListFollowsTriggers: the lock list a mutating statement takes
+// is cached per (table, op) and must track trigger creation and removal.
+func TestWriteLockListFollowsTriggers(t *testing.T) {
+	db := newTestDB(t)
+	setupWall(t, db)
+	mustExec(t, db, "CREATE TABLE friends (id BIGINT PRIMARY KEY, a BIGINT)")
+	mustExec(t, db, "CREATE TABLE audit (id BIGINT PRIMARY KEY, a BIGINT)")
+	locked := func() string {
+		tx := db.Begin()
+		defer tx.Rollback()
+		if _, err := tx.Exec("INSERT INTO wall (user_id) VALUES (1)"); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(tx.locks)
+	}
+	fn := func(q Queryer, ev TriggerEvent) error { return nil }
+	if got, want := locked(), fmt.Sprint(map[string]lockMode{"wall": lockExclusive}); got != want {
+		t.Fatalf("no triggers: locks %s, want %s", got, want)
+	}
+	for name, reads := range map[string][]string{"x": {"friends", "wall"}, "y": {"friends", "audit"}} {
+		if err := db.CreateTrigger(Trigger{Name: name, Table: "wall", Op: TrigInsert, Fn: fn, ReadsTables: reads}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := map[string]lockMode{"audit": lockShared, "friends": lockShared, "wall": lockExclusive}
+	if got, want := locked(), fmt.Sprint(all); got != want {
+		t.Fatalf("two triggers: locks %s, want %s", got, want)
+	}
+	db.SetTriggersEnabled(false)
+	if got, want := locked(), fmt.Sprint(map[string]lockMode{"wall": lockExclusive}); got != want {
+		t.Fatalf("triggers disabled: locks %s, want %s", got, want)
+	}
+	db.SetTriggersEnabled(true)
+	db.DropTrigger("wall", "y")
+	if got, want := locked(), fmt.Sprint(map[string]lockMode{"friends": lockShared, "wall": lockExclusive}); got != want {
+		t.Fatalf("after dropping y: locks %s, want %s", got, want)
+	}
+	db.DropTrigger("wall", "x")
+	if got, want := locked(), fmt.Sprint(map[string]lockMode{"wall": lockExclusive}); got != want {
+		t.Fatalf("after dropping both: locks %s, want %s", got, want)
+	}
+}
+
 func TestConcurrentInsertsDistinctTables(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE a (v INT)")

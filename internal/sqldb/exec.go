@@ -8,11 +8,25 @@ import (
 	"cachegenie/internal/sqlparse"
 )
 
-// execAST routes a parsed statement to its executor.
+// execAST executes a parsed statement and then closes its statement scope
+// (endStatement). A statement a trigger issues belongs to the scope of the
+// statement that fired the trigger, so only the outermost one closes it.
 func (tx *Txn) execAST(st sqlparse.Statement, args ...Value) (Result, error) {
 	if tx.done {
 		return Result{}, ErrTxnDone
 	}
+	res, err := tx.execStatement(st, args)
+	if tx.depth > 0 {
+		return res, err
+	}
+	if err = tx.endStatement(err); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// execStatement routes a parsed statement to its executor.
+func (tx *Txn) execStatement(st sqlparse.Statement, args []Value) (Result, error) {
 	switch s := st.(type) {
 	case *sqlparse.CreateTable:
 		return Result{}, tx.createTable(s)

@@ -127,6 +127,45 @@ type Txn struct {
 	// statement and may issue reads, but their writes do not re-fire
 	// triggers beyond maxTriggerDepth.
 	depth int
+	// stmtHooks are the hooks triggers attached to the statement in flight
+	// (StatementScope), in attachment order; endStatement empties it.
+	stmtHooks []stmtHook
+}
+
+type stmtHook struct {
+	owner any
+	hook  StatementHook
+}
+
+var _ StatementScope = (*Txn)(nil)
+
+// StatementHook implements StatementScope.
+func (tx *Txn) StatementHook(owner any, attach func() StatementHook) StatementHook {
+	for _, h := range tx.stmtHooks {
+		if h.owner == owner {
+			return h.hook
+		}
+	}
+	h := attach()
+	tx.stmtHooks = append(tx.stmtHooks, stmtHook{owner, h})
+	return h
+}
+
+// endStatement closes the statement scope: unless the statement already
+// failed with err it ends every attached hook in order, the first hook error
+// becoming the statement's; either way the hooks are forgotten.
+func (tx *Txn) endStatement(err error) error {
+	hooks := tx.stmtHooks
+	tx.stmtHooks = nil
+	if err != nil {
+		return err
+	}
+	for _, h := range hooks {
+		if err := h.hook.EndStatement(tx); err != nil {
+			return fmt.Errorf("sqldb: statement hook: %w", err)
+		}
+	}
+	return nil
 }
 
 // ID returns the transaction id.
