@@ -447,12 +447,15 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 		return out, c.fail(err)
 	}
 	for n, i := range send {
-		if ops[i].Kind == kvcache.BatchGets {
+		if k := ops[i].Kind; k == kvcache.BatchGets || k == kvcache.BatchGet {
 			v, cas, found, err := c.readValue()
 			if err != nil {
 				return out, err
 			}
-			out[i] = kvcache.BatchResult{Found: found, Data: v, Cas: cas}
+			out[i] = kvcache.BatchResult{Found: found, Data: v}
+			if k == kvcache.BatchGets {
+				out[i].Cas = cas
+			}
 			continue
 		}
 		line, err := c.readLine()
@@ -507,7 +510,8 @@ func (c *Client) writeSubCommand(op *kvcache.BatchOp) {
 		b, hasData = c.appendStoreCmd(b, "add", op.Key, op.TTL, len(op.Value)), true
 	case kvcache.BatchCas:
 		b, hasData = c.appendCasCmd(b, op.Key, op.TTL, len(op.Value), op.Cas), true
-	case kvcache.BatchGets:
+	case kvcache.BatchGets, kvcache.BatchGet:
+		// mop carries no plain get; a BatchGet's token is dropped on receipt.
 		b = append(append(b, "gets "...), op.Key...)
 	case kvcache.BatchIncr:
 		b = append(append(b, "incr "...), op.Key...)

@@ -51,6 +51,9 @@ func FuzzServerInput(f *testing.F) {
 		"get k\nget k\n",
 		"get \x00\r\n",
 		"incr n 99999999999999999999\r\n",
+		// A read wave as the client sends it: one mop of nothing but gets, hits
+		// and misses mixed. (Appended last: seed names are positional.)
+		"mop 7\r\ngets k\r\ngets cg:user_by_id:7\r\ngets n\r\ngets cg:wall:7\r\ngets k\r\ngets missing\r\ngets n\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

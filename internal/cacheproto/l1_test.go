@@ -2,6 +2,7 @@ package cacheproto
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -145,6 +146,61 @@ func TestL1BatchedGetsLeavesEntryBatchedCasDropsIt(t *testing.T) {
 	}
 	if v, ok := pool.Get("k"); !ok || string(v) != "w" {
 		t.Fatalf("Get after batched cas = %q, %v; want the swapped value from the server", v, ok)
+	}
+}
+
+// TestL1BatchedGet: to the near-cache a batched get is a Get. Entries it holds
+// are answered locally — a batch it can answer whole makes no exchange at all
+// — the rest of the batch travels and what the server finds is learned; no
+// entry is invalidated by being read; and a batch that also mutates teaches
+// nothing, since a learned value could predate the mutation.
+func TestL1BatchedGet(t *testing.T) {
+	store, pool := newL1PoolPair(t, 1024, time.Minute)
+	for _, k := range []string{"held", "cold", "other"} {
+		store.Set(k, []byte("v-"+k), 0)
+	}
+	if _, ok := pool.Get("held"); !ok {
+		t.Fatal("Get missed")
+	}
+	store.Set("held", []byte("changed behind the lease"), 0)
+	checkouts := func() int64 { st := pool.Stats(); return st.Dials + st.Reuses }
+
+	before := checkouts()
+	res := pool.ApplyBatch([]kvcache.BatchOp{
+		{Kind: kvcache.BatchGet, Key: "held"},
+		{Kind: kvcache.BatchGet, Key: "cold"},
+		{Kind: kvcache.BatchGet, Key: "absent"},
+	})
+	want := []kvcache.BatchResult{
+		{Found: true, Data: []byte("v-held")}, // the lease-live local copy
+		{Found: true, Data: []byte("v-cold")},
+		{},
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("results %+v, want %+v", res, want)
+	}
+	if n := checkouts() - before; n != 1 {
+		t.Errorf("a partly held batch made %d exchanges, want 1", n)
+	}
+	if st := pool.L1Stats(); st.Invalidations != 0 || st.Items != 2 {
+		t.Errorf("after the batch the near-cache reads %+v, want 2 items (cold learned) and nothing invalidated", st)
+	}
+
+	before = checkouts()
+	res = pool.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: "cold"}, {Kind: kvcache.BatchGet, Key: "held"}})
+	if !res[0].Found || !res[1].Found || checkouts() != before {
+		t.Errorf("a wholly held batch: %+v after %d exchanges, want two hits and none", res, checkouts()-before)
+	}
+
+	res = pool.ApplyBatch([]kvcache.BatchOp{
+		{Kind: kvcache.BatchGet, Key: "other"},
+		{Kind: kvcache.BatchSet, Key: "other", Value: []byte("newer")},
+	})
+	if string(res[0].Data) != "v-other" || !res[1].Found {
+		t.Fatalf("mixed batch = %+v", res)
+	}
+	if v, ok := pool.Get("other"); !ok || string(v) != "newer" {
+		t.Errorf("Get after a get+set batch = %q, %v; the near-cache learned the value the set replaced", v, ok)
 	}
 }
 

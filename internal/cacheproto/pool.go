@@ -608,22 +608,60 @@ func (p *Pool) FlushAll() {
 
 // ApplyBatch implements kvcache.BatchApplier: the whole batch runs as one
 // pipelined mop exchange on a single checked-out connection, so it costs one
-// round trip while other operations proceed on other connections. A batched
-// gets always reads the server — its token is only good there — so the
-// near-cache neither serves nor learns from it.
+// round trip while other operations proceed on other connections.
 func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	if len(ops) == 0 {
 		return nil
 	}
 	if p.l1 != nil {
-		// Every batched mutation invalidates its near-cache entry — batches
-		// are exactly how the invalidation bus delivers trigger maintenance.
-		for i := range ops {
-			if ops[i].Kind != kvcache.BatchGets {
-				p.l1.invalidate(ops[i].Key)
+		return p.applyBatchL1(ops)
+	}
+	return p.exchangeBatch(ops)
+}
+
+// applyBatchL1 is ApplyBatch behind the near-cache. Every batched mutation
+// invalidates its entry — batches are exactly how the invalidation bus
+// delivers trigger maintenance. A BatchGet is a Get: a lease-live entry
+// answers it locally and only the rest of the batch travels (none of it when
+// every op was answered), and the server's hits are learned on the way out
+// unless the batch also mutates, when a learned value could predate a later op
+// on its key. A BatchGets always reads the server — its token is only good
+// there — so the near-cache neither serves nor learns from it.
+func (p *Pool) applyBatchL1(ops []kvcache.BatchOp) []kvcache.BatchResult {
+	now := time.Now().UnixNano()
+	out := kvcache.FailedBatch(ops)
+	send := make([]kvcache.BatchOp, 0, len(ops))
+	at := make([]int, 0, len(ops)) // at[j] is send[j]'s position in ops
+	learn := true
+	for i := range ops {
+		switch ops[i].Kind {
+		case kvcache.BatchGet:
+			if v, ok := p.l1.lookup(ops[i].Key, now); ok {
+				out[i] = kvcache.BatchResult{Found: true, Data: v}
+				continue
 			}
+		case kvcache.BatchGets:
+		default:
+			learn = false
+			p.l1.invalidate(ops[i].Key)
+		}
+		send = append(send, ops[i])
+		at = append(at, i)
+	}
+	if len(send) == 0 {
+		return out
+	}
+	for j, r := range p.exchangeBatch(send) {
+		out[at[j]] = r
+		if learn && r.Found && send[j].Kind == kvcache.BatchGet {
+			p.l1.store(send[j].Key, r.Data, now)
 		}
 	}
+	return out
+}
+
+// exchangeBatch runs ops as one mop exchange on a checked-out connection.
+func (p *Pool) exchangeBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {

@@ -306,6 +306,36 @@ func TestClientApplyBatchGetsCas(t *testing.T) {
 	}
 }
 
+// TestClientApplyBatchGet: a batched get travels as a gets and comes back
+// without its token; an unsendable key is a miss that costs the rest of the
+// batch nothing, and the connection stays framed.
+func TestClientApplyBatchGet(t *testing.T) {
+	store, cli := newPair(t)
+	store.Set("a", []byte("value-a\r\nEND"), 0)
+	store.Set("b", []byte(""), 0)
+	got := cli.ApplyBatch([]kvcache.BatchOp{
+		{Kind: kvcache.BatchGet, Key: "a"},
+		{Kind: kvcache.BatchGet, Key: "absent"},
+		{Kind: kvcache.BatchGet, Key: "bad key"},
+		{Kind: kvcache.BatchGet, Key: "b"},
+		{Kind: kvcache.BatchGets, Key: "a"},
+	})
+	_, tok, _ := store.Gets("a")
+	want := []kvcache.BatchResult{
+		{Found: true, Data: []byte("value-a\r\nEND")},
+		{},
+		{}, // never sent
+		{Found: true, Data: []byte{}},
+		{Found: true, Data: []byte("value-a\r\nEND"), Cas: tok},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("results %+v, want %+v", got, want)
+	}
+	if v, ok := cli.Get("a"); !ok || string(v) != "value-a\r\nEND" {
+		t.Fatalf("connection desynced after batch: %q %v", v, ok)
+	}
+}
+
 func TestClientApplyBatchEmpty(t *testing.T) {
 	_, cli := newPair(t)
 	if res := cli.ApplyBatch(nil); len(res) != 0 {

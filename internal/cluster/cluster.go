@@ -2,6 +2,18 @@
 // consistent hashing, giving CacheGenie the paper's "single logical cache
 // across many cache servers" property (§2, contrast with SI-cache whose
 // per-server caches duplicate data and shrink effective capacity).
+//
+// Batched reads. A kvcache.BatchGet in Ring.ApplyBatch is routed as Get routes:
+// to the key's owner at R = 1; at R > 1 to the first replica in preference
+// order whose HealthReporter says it is worth dialing, or — with hot-key
+// spreading on and the sampler, which every batched get feeds, flagging the
+// key — to the next healthy replica in rotation. It differs from Get in one
+// respect: what that replica answers is the answer. A batched miss does not
+// fail over to the next replica, is not counted as a failover read and repairs
+// nothing; the batch's caller (core's read waves) reloads the key from the
+// database, and its repopulating Add fans out to the whole replica set. Trying
+// the other replicas would cost the batch a second round of exchanges to paper
+// over a divergence the next write heals anyway.
 package cluster
 
 import (
@@ -629,13 +641,22 @@ var _ kvcache.BatchApplier = (*Ring)(nil)
 // run concurrently, so a batch that spans the ring costs the slowest node's
 // round trip rather than the sum of all of them — with remote nodes this is
 // what keeps invalidation-bus and write-set flush latency flat as the ring
-// grows.
+// grows, and what makes a read wave one exchange deep however many nodes its
+// keys land on.
 func (r *Ring) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	if len(ops) == 0 {
 		return nil
 	}
 	if r.replicas > 1 {
 		return r.applyBatchReplicated(ops)
+	}
+	if hr := r.hot; hr != nil {
+		// A batched get feeds the popularity sampler exactly as Get does.
+		for i := range ops {
+			if ops[i].Kind == kvcache.BatchGet {
+				hr.det.Observe(hash64(ops[i].Key))
+			}
+		}
 	}
 	// Fast path: a batch wholly owned by one node forwards as-is.
 	first := r.NodeFor(ops[0].Key)
@@ -707,6 +728,13 @@ func (r *Ring) applySubBatches(ops []kvcache.BatchOp, subs map[int][]int) [][]kv
 // and Ring.Cas: a token is only meaningful on the node that issued it. A
 // stored cas then propagates to the key's other replicas as a plain set, in
 // one more concurrent round.
+//
+// A get goes to the one replica Ring.Get would try first — the first healthy
+// one, or with hot-key spreading the next healthy one in rotation when the
+// sampler (fed here as Get feeds it) flags the key — and what that replica
+// answers is the answer: a batched miss does not fail over to the next
+// replica and repairs nothing. The caller reloads from the database and its
+// populate fans out to the whole replica set.
 func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	healthyNode := make([]bool, len(r.nodes))
 	for i, n := range r.nodes {
@@ -714,9 +742,11 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 	}
 	subs := make(map[int][]int)
 	decider := make([]int, len(ops))
+	var spread []int // gets routed in rotation
 	var buf [maxStackReplicas]int
 	for i := range ops {
-		set := r.replicasAppend(ops[i].Key, buf[:0])
+		h := hash64(ops[i].Key)
+		set := r.replicasAppendHash(h, buf[:0])
 		decider[i] = set[0]
 		for _, ni := range set {
 			if healthyNode[ni] {
@@ -724,12 +754,25 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 				break
 			}
 		}
-		if k := ops[i].Kind; k == kvcache.BatchGets || k == kvcache.BatchCas {
+		switch ops[i].Kind {
+		case kvcache.BatchGet:
+			if hr := r.hot; hr != nil && hr.det.Observe(h) {
+				start := int(hr.rr.Add(1) % uint64(len(set)))
+				for j := range set {
+					if ni := set[(start+j)%len(set)]; healthyNode[ni] {
+						decider[i] = ni
+						break
+					}
+				}
+				spread = append(spread, i)
+			}
 			subs[decider[i]] = append(subs[decider[i]], i)
-			continue
-		}
-		for _, ni := range set {
-			subs[ni] = append(subs[ni], i)
+		case kvcache.BatchGets, kvcache.BatchCas:
+			subs[decider[i]] = append(subs[decider[i]], i)
+		default:
+			for _, ni := range set {
+				subs[ni] = append(subs[ni], i)
+			}
 		}
 	}
 	results := r.applySubBatches(ops, subs)
@@ -746,6 +789,11 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 			} else if ops[i].Kind == kvcache.BatchDelete && res[j].Found {
 				out[i].Found = true
 			}
+		}
+	}
+	for _, i := range spread {
+		if out[i].Found {
+			r.hot.spread.Add(1)
 		}
 	}
 	var sets []kvcache.BatchOp

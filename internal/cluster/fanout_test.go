@@ -11,13 +11,13 @@ import (
 
 // latencyRing builds a ring of n in-process stores each wrapped with a real
 // per-operation round-trip charge, modelling n remote nodes.
-func latencyRing(tb testing.TB, n int, rtt time.Duration) (*Ring, []kvcache.BatchOp) {
+func latencyRing(tb testing.TB, n int, rtt time.Duration, opts ...Option) (*Ring, []kvcache.BatchOp) {
 	tb.Helper()
 	nodes := make([]kvcache.Cache, n)
 	for i := range nodes {
 		nodes[i] = kvcache.WithLatency(kvcache.New(0), rtt, latency.RealSleeper{})
 	}
-	r, err := NewRing(nodes)
+	r, err := NewRing(nodes, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -38,27 +38,54 @@ func latencyRing(tb testing.TB, n int, rtt time.Duration) (*Ring, []kvcache.Batc
 
 // TestApplyBatchFanOutParallel is the remote-tier latency contract: a batch
 // spanning k latency-wrapped nodes must cost ~max-node round trip (the
-// sub-batches run concurrently), not the sum of all k. With 4 nodes at 40ms
-// each, sequential fan-out costs >= 160ms; parallel costs ~40ms. The 100ms
-// threshold leaves a 2.5x scheduling margin while still ruling the
-// sequential shape out.
+// sub-batches run concurrently), not the sum of all k — for every k, two
+// included: the two-node ring is the one every geniebench workload runs, and
+// at R=2 on it every mutation goes to both nodes. With nodes at 40ms each,
+// sequential fan-out costs >= k*40ms; parallel costs ~40ms. The thresholds
+// (60ms for two nodes, 100ms for four) leave a scheduling margin while still
+// ruling the sequential shape out. Read waves (BatchGet) are held to the same
+// contract as mutations.
 func TestApplyBatchFanOutParallel(t *testing.T) {
-	const nodes = 4
 	const rtt = 40 * time.Millisecond
-	r, ops := latencyRing(t, nodes, rtt)
-	start := time.Now()
-	res := r.ApplyBatch(ops)
-	elapsed := time.Since(start)
-	for i, b := range res {
-		if !b.Found {
-			t.Fatalf("op %d not applied", i)
-		}
+	cases := []struct {
+		name     string
+		nodes    int
+		replicas int
+		limit    time.Duration
+	}{
+		{"4 nodes", 4, 1, 100 * time.Millisecond},
+		{"2 nodes", 2, 1, 60 * time.Millisecond},
+		{"2 nodes R=2", 2, 2, 60 * time.Millisecond},
 	}
-	if elapsed >= nodes*rtt {
-		t.Fatalf("ApplyBatch took %v, the sequential sum (%v): fan-out is serialized", elapsed, nodes*rtt)
-	}
-	if elapsed >= 100*time.Millisecond {
-		t.Fatalf("ApplyBatch took %v, want ~%v (max-node, not sum-of-node)", elapsed, rtt)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, ops := latencyRing(t, tc.nodes, rtt, WithReplicas(tc.replicas))
+			gets := make([]kvcache.BatchOp, len(ops))
+			for i, op := range ops {
+				gets[i] = kvcache.BatchOp{Kind: kvcache.BatchGet, Key: op.Key}
+			}
+			// The sets first: the gets read what they stored. A get goes to its
+			// key's preferred replica, so at R=2 the reads still span both nodes.
+			for _, batch := range []struct {
+				kind string
+				ops  []kvcache.BatchOp
+			}{{"sets", ops}, {"gets", gets}} {
+				start := time.Now()
+				res := r.ApplyBatch(batch.ops)
+				elapsed := time.Since(start)
+				for i, b := range res {
+					if !b.Found {
+						t.Fatalf("%s: op %d not applied", batch.kind, i)
+					}
+				}
+				if sum := time.Duration(tc.nodes) * rtt; elapsed >= sum {
+					t.Fatalf("%s took %v, the sequential sum (%v): fan-out is serialized", batch.kind, elapsed, sum)
+				}
+				if elapsed >= tc.limit {
+					t.Fatalf("%s took %v, want ~%v (max-node, not sum-of-node)", batch.kind, elapsed, rtt)
+				}
+			}
+		})
 	}
 }
 

@@ -215,3 +215,67 @@ func TestHotSpreadingConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestHotBatchGetSpreading: batched gets feed the popularity sampler as Get
+// does, and once a key is flagged its batched reads rotate over the replica
+// set, skipping a replica that reports unhealthy.
+func TestHotBatchGetSpreading(t *testing.T) {
+	const waves = 1000
+	r, nodes, _ := newLoggedPair(t, WithReplicas(2),
+		WithHotKeySpreading(hotkey.Config{Window: 1 << 20, Threshold: 64}))
+	hot, cold := "celebrity:bookmarks", "nobody:bookmarks"
+	r.Set(hot, []byte("v"), 0)
+	r.Set(cold, []byte("w"), 0)
+	reads := func(n *batchLog, key string) (count int) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for _, b := range n.batches {
+			for _, op := range b {
+				if op == "get "+key {
+					count++
+				}
+			}
+		}
+		return count
+	}
+	for i := 0; i < waves; i++ {
+		ops := []kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: hot}}
+		if i == 0 {
+			ops = append(ops, kvcache.BatchOp{Kind: kvcache.BatchGet, Key: cold})
+		}
+		if res := r.ApplyBatch(ops); !res[0].Found || string(res[0].Data) != "v" {
+			t.Fatalf("wave %d: %+v", i, res)
+		}
+	}
+	pref, second := r.ReplicasFor(hot)[0], r.ReplicasFor(hot)[1]
+	if on := reads(nodes[second], hot); on < waves/3 {
+		t.Fatalf("second replica served %d of %d batched reads of the hot key (preferred %d)", on, waves, reads(nodes[pref], hot))
+	}
+	if on := reads(nodes[r.ReplicasFor(cold)[1]], cold); on != 0 {
+		t.Fatalf("the cold key was read %d times off its preferred replica", on)
+	}
+	st := r.HotKeyStats()
+	if st.Observed != waves+1 || st.Flagged == 0 || st.SpreadReads == 0 {
+		t.Fatalf("hot-key stats %+v, want %d observed and spread reads counted", st, waves+1)
+	}
+	nodes[second].healthy.Store(false)
+	nodes[pref].take()
+	nodes[second].take()
+	for i := 0; i < 20; i++ {
+		r.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: hot}})
+	}
+	if on, off := reads(nodes[pref], hot), reads(nodes[second], hot); on != 20 || off != 0 {
+		t.Fatalf("with the second replica unhealthy: %d reads on the healthy one, %d on the other", on, off)
+	}
+}
+
+// TestSingleOwnerBatchGetFeedsSampler: at R = 1 reads cannot spread, but the
+// sampler still sees every batched get.
+func TestSingleOwnerBatchGetFeedsSampler(t *testing.T) {
+	r, _ := newHotRing(t, 2, 1, hotkey.Config{Window: 1 << 20, Threshold: 64})
+	ops := []kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: "a"}, {Kind: kvcache.BatchGet, Key: "b"}, {Kind: kvcache.BatchDelete, Key: "c"}}
+	r.ApplyBatch(ops)
+	if st := r.HotKeyStats(); st.Observed != 2 {
+		t.Fatalf("Observed = %d after a batch of two gets and a delete, want 2", st.Observed)
+	}
+}

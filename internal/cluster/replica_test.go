@@ -222,6 +222,20 @@ func (n *batchLog) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	return kvcache.ApplyBatchOn(n.Cache, ops)
 }
 
+// newLoggedPair builds a ring over two healthy batchLog nodes.
+func newLoggedPair(t *testing.T, opts ...Option) (*Ring, []*batchLog, []*kvcache.Store) {
+	t.Helper()
+	stores := []*kvcache.Store{kvcache.New(0), kvcache.New(0)}
+	nodes := []*batchLog{{flakyNode: flakyNode{Cache: stores[0]}}, {flakyNode: flakyNode{Cache: stores[1]}}}
+	nodes[0].healthy.Store(true)
+	nodes[1].healthy.Store(true)
+	r, err := NewRing([]kvcache.Cache{nodes[0], nodes[1]}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, nodes, stores
+}
+
 // take returns the batches received since the last call.
 func (n *batchLog) take() string {
 	n.mu.Lock()
@@ -237,14 +251,7 @@ func (n *batchLog) take() string {
 // follow-up round, every other op still fans out to both, and with the
 // preferred replica down both the read and the swap go to the survivor.
 func TestReplicatedBatchGetsCasRouting(t *testing.T) {
-	stores := []*kvcache.Store{kvcache.New(0), kvcache.New(0)}
-	nodes := []*batchLog{{flakyNode: flakyNode{Cache: stores[0]}}, {flakyNode: flakyNode{Cache: stores[1]}}}
-	nodes[0].healthy.Store(true)
-	nodes[1].healthy.Store(true)
-	r, err := NewRing([]kvcache.Cache{nodes[0], nodes[1]}, WithReplicas(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, nodes, stores := newLoggedPair(t, WithReplicas(2))
 	// One key preferring each node.
 	var keys [2]string
 	for i := 0; keys[0] == "" || keys[1] == ""; i++ {
@@ -462,5 +469,64 @@ func TestReplicatedFailoverKilledNodeRace(t *testing.T) {
 	st := r.ReplicaStats()
 	if st.FailoverReads == 0 {
 		t.Fatalf("no failover reads recorded: %+v", st)
+	}
+}
+
+// TestBatchGetRouting: a batched get reads the one replica Get would try
+// first. At R = 1 that is the owner; at R = 2 the preferred replica, or the
+// survivor when the preferred one reports unhealthy; and what that replica
+// answers stands — a miss there is a miss even though the other replica holds
+// the key, and nothing is repaired.
+func TestBatchGetRouting(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
+			r, nodes, stores := newLoggedPair(t, WithReplicas(replicas))
+			var keys [2]string // one key preferring each node
+			for i := 0; keys[0] == "" || keys[1] == ""; i++ {
+				k := fmt.Sprintf("routed-%d", i)
+				keys[r.NodeFor(k)] = k
+			}
+			a, b := keys[0], keys[1]
+			r.Set(a, []byte("a1"), 0)
+			r.Set(b, []byte("b1"), 0)
+
+			wave := []kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: a}, {Kind: kvcache.BatchGet, Key: b}, {Kind: kvcache.BatchGet, Key: "absent"}}
+			res := r.ApplyBatch(wave)
+			if string(res[0].Data) != "a1" || string(res[1].Data) != "b1" || res[2].Found || res[0].Cas != 0 {
+				t.Fatalf("batched gets = %+v", res)
+			}
+			got := nodes[0].take() + nodes[1].take()
+			absentOn := [2]string{"", ""}
+			absentOn[r.NodeFor("absent")] = " get absent"
+			if want := fmt.Sprintf("[[get %s%s]][[get %s%s]]", a, absentOn[0], b, absentOn[1]); got != want {
+				t.Fatalf("nodes received %s, want %s", got, want)
+			}
+			if replicas == 1 {
+				return
+			}
+
+			// The preferred replica of a lost the key: a miss, no failover, no repair.
+			stores[0].Delete(a)
+			if res := r.ApplyBatch(wave[:2]); res[0].Found || !res[1].Found {
+				t.Fatalf("with %s gone from its preferred replica: %+v", a, res)
+			}
+			if _, ok := stores[0].GetQuiet(a); ok {
+				t.Fatal("a batched miss repaired the preferred replica")
+			}
+			if st := r.ReplicaStats(); st.FailoverReads != 0 || st.ReadRepairs != 0 {
+				t.Fatalf("replica stats after a batched miss: %+v", st)
+			}
+			nodes[0].take()
+			nodes[1].take()
+
+			// The preferred replica reports unhealthy: the survivor is read.
+			nodes[0].healthy.Store(false)
+			if res := r.ApplyBatch(wave[:2]); string(res[0].Data) != "a1" || string(res[1].Data) != "b1" {
+				t.Fatalf("with node 0 unhealthy: %+v", res)
+			}
+			if got, want := nodes[0].take()+nodes[1].take(), fmt.Sprintf("[][[get %s get %s]]", a, b); got != want {
+				t.Fatalf("nodes received %s, want %s", got, want)
+			}
+		})
 	}
 }

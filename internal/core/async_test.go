@@ -13,6 +13,13 @@ import (
 // armed (async trigger propagation).
 func newAsyncStack(t testing.TB, strategy Strategy) *stack {
 	t.Helper()
+	return newAsyncStackWindow(t, strategy, time.Millisecond)
+}
+
+// newAsyncStackWindow is newAsyncStack with the bus's coalescing window given:
+// under a long one nothing reaches the cache until FlushInvalidations.
+func newAsyncStackWindow(t testing.TB, strategy Strategy, window time.Duration) *stack {
+	t.Helper()
 	db := sqldb.MustOpen(sqldb.Config{})
 	reg := orm.NewRegistry(db)
 	reg.MustRegister(&orm.ModelDef{
@@ -40,7 +47,7 @@ func newAsyncStack(t testing.TB, strategy Strategy) *stack {
 	cache := kvcache.New(0)
 	g, err := New(Config{
 		Registry: reg, DB: db, Cache: cache,
-		AsyncInvalidation: true, BatchWindow: time.Millisecond,
+		AsyncInvalidation: true, BatchWindow: window,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +107,56 @@ func TestAsyncUpdateInPlaceConvergesAfterFlush(t *testing.T) {
 	if bs := s.g.InvStats(); bs.Enqueued == 0 || bs.Applied+bs.Coalesced != bs.Enqueued {
 		t.Fatalf("bus stats inconsistent: %+v", bs)
 	}
+}
+
+// While a miss's repopulation is still on the bus, later reads of the key are
+// answered with what it loaded — no second database load, no refused Add — and
+// see what the cache is about to hold. The memo goes when the bus is done with
+// the op: applied, or coalesced away under a later invalidation, after which a
+// read must go back to the database.
+func TestAsyncPendingPopulateAnswersRepeatedMisses(t *testing.T) {
+	s := newAsyncStackWindow(t, Invalidate, time.Hour)
+	if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v1"}); err != nil {
+		t.Fatal(err)
+	}
+	s.g.FlushInvalidations()
+	key := "cg:profile:1"
+	read := func(wantBio string, wantHits, wantMisses int64) {
+		t.Helper()
+		rows, err := s.reg.Objects("Profile").Filter("user_id", 1).All()
+		if err != nil || len(rows) != 1 || rows[0].Str("bio") != wantBio {
+			t.Fatalf("read = %v, %v; want one row with bio %q", rows, err, wantBio)
+		}
+		if st := s.g.Stats(); st.Hits != wantHits || st.Misses != wantMisses {
+			t.Fatalf("hits/misses = %d/%d, want %d/%d", st.Hits, st.Misses, wantHits, wantMisses)
+		}
+	}
+	read("v1", 0, 1) // loads, publishes the populate
+	read("v1", 1, 1) // the populate is pending: no second load
+	if _, ok := s.cache.Get(key); ok {
+		t.Fatal("the populate landed inside an hour-long window; the reads above proved nothing")
+	}
+	s.g.FlushInvalidations()
+	if _, ok := s.cache.Get(key); !ok || s.g.Stats().PopulateRefused != 0 {
+		t.Fatalf("after the drain: cached %v, %d refused populates", ok, s.g.Stats().PopulateRefused)
+	}
+
+	// Invalidate, read (a miss whose populate stays pending), invalidate
+	// again: the second delete coalesces the populate away, and the next read
+	// must not be served the value it carried.
+	update := func(bio string) {
+		t.Helper()
+		if _, err := s.reg.Objects("Profile").Filter("user_id", 1).Update(orm.Fields{"bio": bio}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update("v2")
+	s.g.FlushInvalidations()
+	read("v2", 1, 2)
+	update("v3")
+	read("v2", 2, 2) // as stale as the cache would be, by the bus lag
+	s.g.FlushInvalidations()
+	read("v3", 2, 3)
 }
 
 func TestAsyncCountIncrementsSerializeWithPopulate(t *testing.T) {

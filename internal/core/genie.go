@@ -48,8 +48,11 @@ type Config struct {
 	// flushing each statement's write-set synchronously before it returns.
 	// Writes stop waiting on cache maintenance; in exchange the cache may
 	// lag the database by a bounded staleness window of roughly BatchWindow
-	// plus queueing delay. Call FlushInvalidations to drain when
-	// read-your-triggered-writes matters.
+	// plus queueing delay — and so may a read that misses while the key's
+	// repopulation is still on the bus: it is answered with what that
+	// repopulation loaded, not with a fresh database read (see populate).
+	// Call FlushInvalidations to drain when read-your-triggered-writes
+	// matters.
 	AsyncInvalidation bool
 	// BatchWindow is how long a bus worker coalesces ops before flushing
 	// (0 = the bus default, 1ms). Only meaningful with AsyncInvalidation.
@@ -83,6 +86,8 @@ type Stats struct {
 	PopulateRefused int64 // Add lost to a concurrent populate
 	FlightLeads     int64 // misses that ran the database load (single-flight leader)
 	FlightShared    int64 // misses that waited on a concurrent load and shared its result
+	Waves           int64 // read waves fetched as one batch (two or more distinct keys)
+	WaveKeys        int64 // keys those batches carried
 }
 
 // Genie is the CacheGenie middleware instance.
@@ -106,8 +111,13 @@ type Genie struct {
 	mu      sync.Mutex
 	objects map[string]*CachedObject
 	// byModel indexes transparent cached objects by main model name for
-	// interceptor dispatch.
-	byModel map[string][]*CachedObject
+	// interceptor dispatch. Reads load the current snapshot without a lock;
+	// Cacheable, under mu, publishes a modified copy.
+	byModel atomic.Pointer[map[string][]*CachedObject]
+
+	// pending holds, in async mode, the repopulations published to the bus
+	// and not yet applied or coalesced away: key → encoded entry (populate).
+	pending sync.Map
 
 	hits            atomic.Int64
 	misses          atomic.Int64
@@ -119,6 +129,8 @@ type Genie struct {
 	populateRefused atomic.Int64
 	flightLeads     atomic.Int64
 	flightShared    atomic.Int64
+	waves           atomic.Int64
+	waveKeys        atomic.Int64
 	// casFallbacks counts keys a write-set flush had to converge on their own
 	// after losing a race between its two batches; flushOps is the number of
 	// cache ops each synchronous flush carried in them.
@@ -142,8 +154,8 @@ func New(cfg Config) (*Genie, error) {
 		sleeper: cfg.Sleeper,
 		cfg:     cfg,
 		objects: make(map[string]*CachedObject),
-		byModel: make(map[string][]*CachedObject),
 	}
+	g.byModel.Store(&map[string][]*CachedObject{})
 	g.newWriteSet = func() sqldb.StatementHook { return &writeSet{g: g} }
 	if cfg.SingleFlight {
 		g.flights = newFlightGroup()
@@ -206,6 +218,8 @@ func (g *Genie) Stats() Stats {
 		PopulateRefused: g.populateRefused.Load(),
 		FlightLeads:     g.flightLeads.Load(),
 		FlightShared:    g.flightShared.Load(),
+		Waves:           g.waves.Load(),
+		WaveKeys:        g.waveKeys.Load(),
 	}
 }
 
@@ -254,14 +268,19 @@ func (g *Genie) chargeTriggerConnect() {
 // the Add rides the bus so it serializes after any trigger ops already
 // queued for the key — applying it directly would let a stale queued
 // update land on top of (or a queued incr double-count against) the fresh
-// database-derived value.
+// database-derived value. Until the bus has applied it (or coalesced it away
+// under a later delete) the entry is also kept in g.pending, where a read that
+// misses finds it: a page takes a fraction of the bus window and comes back
+// for a hot key several times within it, and each of those visits would
+// otherwise be another database load and another refused Add.
 func (g *Genie) populate(key string, enc []byte, ttl time.Duration) {
 	if g.bus != nil {
+		g.pending.Store(key, enc)
 		g.bus.Publish(invbus.Op{Kind: invbus.OpCasUpdate, Key: key, Update: func(c kvcache.Cache) {
 			if !c.Add(key, enc, ttl) {
 				g.populateRefused.Add(1)
 			}
-		}})
+		}, Done: func(invbus.Result) { g.pending.Delete(key) }})
 		return
 	}
 	if !g.cache.Add(key, enc, ttl) {
@@ -311,6 +330,9 @@ type CachedObject struct {
 	// linkTargetSQL and linkSourcesSQL are the lookups LinkQuery triggers
 	// issue (buildLinkQueries).
 	linkTargetSQL, linkSourcesSQL string
+	// linkSourceField is the one filter a LinkQuery read carries:
+	// {spec.Link.SourceField}.
+	linkSourceField []string
 	// triggers are the generated triggers (installed in the DB).
 	triggers []sqldb.Trigger
 }
@@ -324,14 +346,19 @@ func (co *CachedObject) QueryTemplate() string { return co.sql }
 // Triggers returns the generated triggers (with Source listings).
 func (co *CachedObject) Triggers() []sqldb.Trigger { return co.triggers }
 
-// MakeKey builds the cache key for the given lookup values.
+// MakeKey builds the cache key for the given lookup values:
+// "cg:<object>:<value>:<value>...". It is assembled in a stack buffer, so a
+// key costs the one allocation of the returned string (keys that outgrow the
+// buffer pay for its growth as well).
 func (co *CachedObject) MakeKey(vals ...sqldb.Value) string {
-	parts := make([]string, 0, len(vals)+2)
-	parts = append(parts, "cg", co.spec.Name)
-	for _, v := range vals {
-		parts = append(parts, keyValue(v))
+	var buf [128]byte
+	b := append(buf[:0], "cg:"...)
+	b = append(b, co.spec.Name...)
+	for i := range vals {
+		b = append(b, ':')
+		b = appendKeyValue(b, vals[i])
 	}
-	return strings.Join(parts, ":")
+	return string(b)
 }
 
 func fieldIndex(m *orm.Model) map[string]int {
@@ -375,6 +402,7 @@ func (g *Genie) Cacheable(spec Spec) (*CachedObject, error) {
 		}
 		co.linkThrough = through
 		co.throughIdx = fieldIndex(through)
+		co.linkSourceField = []string{spec.Link.SourceField}
 		for _, f := range []string{spec.Link.SourceField, spec.Link.JoinField} {
 			if _, ok := co.throughIdx[f]; !ok {
 				return nil, fmt.Errorf("core: %s: through model %s has no field %q", spec.Name, through.Name, f)
@@ -396,7 +424,13 @@ func (g *Genie) Cacheable(spec Spec) (*CachedObject, error) {
 	}
 	g.objects[spec.Name] = co
 	if !spec.Opaque {
-		g.byModel[model.Name] = append(g.byModel[model.Name], co)
+		old := *g.byModel.Load()
+		next := make(map[string][]*CachedObject, len(old)+1)
+		for name, cos := range old {
+			next[name] = cos
+		}
+		next[model.Name] = append(old[model.Name][:len(old[model.Name]):len(old[model.Name])], co)
+		g.byModel.Store(&next)
 	}
 	g.mu.Unlock()
 
@@ -463,6 +497,42 @@ func (co *CachedObject) ttl() time.Duration {
 	return co.g.cfg.DefaultTTL
 }
 
+// lookup is one read of a cached object: the object, its lookup values and
+// key, and — inside a wave — the answer the wave's batched read parked for it.
+type lookup struct {
+	co   *CachedObject
+	vals []sqldb.Value
+	key  string
+	// parked marks raw/hit as this key's answer from the wave's batch, good
+	// for one use: a second lookup of the key in the same wave was not parked
+	// and reads the cache after the first has populated or repaired it.
+	parked bool
+	hit    bool
+	raw    []byte
+}
+
+// get is the lookup's one cache read: the parked answer if there is one, a
+// plain Get otherwise.
+func (l *lookup) get() ([]byte, bool) {
+	g := l.co.g
+	var raw []byte
+	var hit bool
+	if l.parked {
+		raw, hit = l.raw, l.hit
+		l.parked, l.raw = false, nil
+	} else {
+		raw, hit = g.cache.Get(l.key)
+	}
+	if !hit && g.bus != nil {
+		// The entry may be on its way: what an earlier miss loaded and the bus
+		// has yet to apply is what the cache is about to hold.
+		if enc, ok := g.pending.Load(l.key); ok {
+			return enc.([]byte), true
+		}
+	}
+	return raw, hit
+}
+
 // Rows evaluates the cached object for the given lookup values, reading the
 // cache first and populating it from the database on a miss (the paper's
 // evaluate()). Valid for FeatureQuery, LinkQuery and TopKQuery.
@@ -470,8 +540,12 @@ func (co *CachedObject) Rows(vals ...sqldb.Value) ([]sqldb.Row, error) {
 	if co.spec.Class == CountQuery {
 		return nil, fmt.Errorf("core: %s is a CountQuery; call Count", co.spec.Name)
 	}
-	key := co.MakeKey(vals...)
-	if raw, ok := co.g.cache.Get(key); ok {
+	return co.rows(&lookup{co: co, vals: vals, key: co.MakeKey(vals...)})
+}
+
+func (co *CachedObject) rows(l *lookup) ([]sqldb.Row, error) {
+	key, vals := l.key, l.vals
+	if raw, ok := l.get(); ok {
 		p, err := decodePayload(raw)
 		if err == nil {
 			co.g.hits.Add(1)
@@ -509,8 +583,12 @@ func (co *CachedObject) Count(vals ...sqldb.Value) (int64, error) {
 	if co.spec.Class != CountQuery {
 		return 0, fmt.Errorf("core: %s is not a CountQuery", co.spec.Name)
 	}
-	key := co.MakeKey(vals...)
-	if raw, ok := co.g.cache.Get(key); ok {
+	return co.count(&lookup{co: co, vals: vals, key: co.MakeKey(vals...)})
+}
+
+func (co *CachedObject) count(l *lookup) (int64, error) {
+	key, vals := l.key, l.vals
+	if raw, ok := l.get(); ok {
 		if n, ok := parseCount(raw); ok {
 			co.g.hits.Add(1)
 			return n, nil
@@ -578,24 +656,20 @@ func parseCount(b []byte) (int64, bool) {
 
 var _ orm.Interceptor = (*Genie)(nil)
 
-// InterceptRows implements orm.Interceptor: FeatureQuery, TopKQuery and
-// LinkQuery patterns are served from the cache.
-func (g *Genie) InterceptRows(d *orm.QueryDescriptor) ([]sqldb.Row, bool, error) {
-	g.mu.Lock()
-	candidates := g.byModel[d.Model.Name]
-	g.mu.Unlock()
-	for _, co := range candidates {
+// match finds the declared cached object whose pattern d fits and appends the
+// lookup values d carries for it to buf; co is nil when no object answers d.
+func (g *Genie) match(d *orm.QueryDescriptor, buf []sqldb.Value) (co *CachedObject, vals []sqldb.Value) {
+	for _, co := range (*g.byModel.Load())[d.Model.Name] {
+		fields := co.spec.WhereFields
 		switch co.spec.Class {
+		case CountQuery:
+			if d.Kind != orm.KindCount || d.Join != nil {
+				continue
+			}
 		case FeatureQuery:
 			if d.Kind != orm.KindRows || d.Join != nil || len(d.Order) > 0 || d.Limit >= 0 {
 				continue
 			}
-			vals, ok := d.EqFilterValues(co.spec.WhereFields)
-			if !ok {
-				continue
-			}
-			rows, err := co.Rows(vals...)
-			return rows, true, err
 		case TopKQuery:
 			if d.Kind != orm.KindRows || d.Join != nil || d.Limit <= 0 || d.Limit > co.spec.K {
 				continue
@@ -603,15 +677,6 @@ func (g *Genie) InterceptRows(d *orm.QueryDescriptor) ([]sqldb.Row, bool, error)
 			if len(d.Order) != 1 || d.Order[0].Field != co.spec.SortField || d.Order[0].Desc != co.spec.SortDesc {
 				continue
 			}
-			vals, ok := d.EqFilterValues(co.spec.WhereFields)
-			if !ok {
-				continue
-			}
-			rows, err := co.Rows(vals...)
-			if err == nil && len(rows) > d.Limit {
-				rows = rows[:d.Limit]
-			}
-			return rows, true, err
 		case LinkQuery:
 			if d.Kind != orm.KindRows || d.Join == nil || len(d.Order) > 0 || d.Limit >= 0 {
 				continue
@@ -621,32 +686,109 @@ func (g *Genie) InterceptRows(d *orm.QueryDescriptor) ([]sqldb.Row, bool, error)
 				d.Join.JoinField != l.JoinField || d.Join.TargetField != l.TargetField {
 				continue
 			}
-			vals, ok := d.EqFilterValues([]string{l.SourceField})
-			if !ok {
-				continue
-			}
-			rows, err := co.Rows(vals...)
-			return rows, true, err
+			fields = co.linkSourceField
+		}
+		if vals, ok := d.AppendEqFilterValues(buf, fields); ok {
+			return co, vals
 		}
 	}
-	return nil, false, nil
+	return nil, buf
+}
+
+// waveReads is what the Genie keeps in an orm.Wave's State: one lookup per
+// wave descriptor, in Wave.Descriptors order (co nil where no object matched).
+type waveReads []lookup
+
+// resolve returns d's lookup (co nil when no cached object answers d). For a
+// descriptor declared in a wave it is the wave's: the first descriptor to
+// arrive resolves every sibling and fetches all their keys in one batch, and
+// the later ones find their answers parked. Any other descriptor resolves
+// into own, the caller's scratch.
+func (g *Genie) resolve(d *orm.QueryDescriptor, own *lookup) *lookup {
+	// A descriptor its wave does not list, or a State that is not ours, is
+	// answered as if no wave had been declared.
+	if w := d.Wave; w != nil && uint(d.WaveIndex) < uint(len(w.Descriptors)) && w.Descriptors[d.WaveIndex] == d {
+		if w.State == nil {
+			w.State = g.readWave(w.Descriptors)
+		}
+		if reads, ok := w.State.(waveReads); ok && len(reads) == len(w.Descriptors) {
+			return &reads[d.WaveIndex]
+		}
+	}
+	if own.co, own.vals = g.match(d, nil); own.co != nil {
+		own.key = own.co.MakeKey(own.vals...)
+	}
+	return own
+}
+
+// readWave resolves a wave's descriptors and reads their keys as one batch of
+// BatchGet ops — one exchange with each cache node involved instead of one per
+// key. A key two descriptors share is fetched, and parked, once. A wave of a
+// single key is left to that lookup's own Get.
+func (g *Genie) readWave(ds []*orm.QueryDescriptor) waveReads {
+	reads := make(waveReads, len(ds))
+	ops := make([]kvcache.BatchOp, 0, len(ds))
+	vals := make([]sqldb.Value, 0, len(ds)+2) // every lookup's values, back to back; most have one
+	for i, d := range ds {
+		l := &reads[i]
+		from := len(vals)
+		if l.co, vals = g.match(d, vals); l.co == nil {
+			continue
+		}
+		l.vals = vals[from:len(vals):len(vals)]
+		l.key = l.co.MakeKey(l.vals...)
+		l.parked = true
+		for j := range reads[:i] {
+			if reads[j].parked && reads[j].key == l.key {
+				l.parked = false
+				break
+			}
+		}
+		if l.parked {
+			ops = append(ops, kvcache.BatchOp{Kind: kvcache.BatchGet, Key: l.key})
+		}
+	}
+	if len(ops) < 2 {
+		for i := range reads {
+			reads[i].parked = false
+		}
+		return reads
+	}
+	g.waves.Add(1)
+	g.waveKeys.Add(int64(len(ops)))
+	res := kvcache.ApplyBatchOn(g.cache, ops)
+	n := 0
+	for i := range reads {
+		if l := &reads[i]; l.parked {
+			l.hit, l.raw = res[n].Found, res[n].Data
+			n++
+		}
+	}
+	return reads
+}
+
+// InterceptRows implements orm.Interceptor: FeatureQuery, TopKQuery and
+// LinkQuery patterns are served from the cache.
+func (g *Genie) InterceptRows(d *orm.QueryDescriptor) ([]sqldb.Row, bool, error) {
+	var own lookup
+	l := g.resolve(d, &own)
+	if l.co == nil || l.co.spec.Class == CountQuery {
+		return nil, false, nil
+	}
+	rows, err := l.co.rows(l)
+	if l.co.spec.Class == TopKQuery && err == nil && len(rows) > d.Limit {
+		rows = rows[:d.Limit]
+	}
+	return rows, true, err
 }
 
 // InterceptCount implements orm.Interceptor for CountQuery patterns.
 func (g *Genie) InterceptCount(d *orm.QueryDescriptor) (int64, bool, error) {
-	g.mu.Lock()
-	candidates := g.byModel[d.Model.Name]
-	g.mu.Unlock()
-	for _, co := range candidates {
-		if co.spec.Class != CountQuery || d.Join != nil {
-			continue
-		}
-		vals, ok := d.EqFilterValues(co.spec.WhereFields)
-		if !ok {
-			continue
-		}
-		n, err := co.Count(vals...)
-		return n, true, err
+	var own lookup
+	l := g.resolve(d, &own)
+	if l.co == nil || l.co.spec.Class != CountQuery {
+		return 0, false, nil
 	}
-	return 0, false, nil
+	n, err := l.co.count(l)
+	return n, true, err
 }

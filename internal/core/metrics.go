@@ -25,6 +25,12 @@ func (g *Genie) RegisterMetrics(reg *obs.Registry, labels string) {
 		"CAS conflicts retried", g.casRetries.Load)
 	reg.CounterFunc("cachegenie_genie_populate_refused_total", labels,
 		"populates that lost to a concurrent Add", g.populateRefused.Load)
+	// Batching health of the read path: keys per wave falling toward one means
+	// pages are back to one exchange per lookup.
+	reg.CounterFunc("cachegenie_genie_waves_total", labels,
+		"read waves fetched from the cache as one batch", g.waves.Load)
+	reg.CounterFunc("cachegenie_genie_wave_keys_total", labels,
+		"keys carried by read-wave batches", g.waveKeys.Load)
 	// Batching health of the synchronous write path: flushes shrinking toward
 	// one op, or fallbacks climbing, mean statements are back to paying a
 	// round trip per cache op.

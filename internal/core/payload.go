@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"cachegenie/internal/sqldb"
 )
@@ -78,27 +77,31 @@ func decodePayload(b []byte) (payload, error) {
 	return p, nil
 }
 
-// keyEscape makes a value safe for embedding in a cache key.
-func keyEscape(s string) string {
-	s = strings.ReplaceAll(s, "%", "%25")
-	s = strings.ReplaceAll(s, ":", "%3A")
-	s = strings.ReplaceAll(s, " ", "%20")
-	return s
-}
-
-// keyValue renders one lookup value for a cache key.
-func keyValue(v sqldb.Value) string {
+// appendKeyValue renders one lookup value onto a cache key. Strings are
+// escaped so a value can contain neither the key separator nor a space.
+func appendKeyValue(b []byte, v sqldb.Value) []byte {
 	if v.Null {
-		return "~null~"
+		return append(b, "~null~"...)
 	}
 	switch v.Type {
 	case sqldb.TypeInt, sqldb.TypeBool, sqldb.TypeTime:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(b, v.I, 10)
 	case sqldb.TypeFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	default:
-		return keyEscape(v.S)
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
 	}
+	for i := 0; i < len(v.S); i++ {
+		switch c := v.S[i]; c {
+		case '%':
+			b = append(b, "%25"...)
+		case ':':
+			b = append(b, "%3A"...)
+		case ' ':
+			b = append(b, "%20"...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
 // rowPK extracts the primary key from a row in model schema order (the PK is

@@ -20,12 +20,19 @@ const (
 	// share to its new owner without clobbering any fresher value a
 	// concurrent write already landed there.
 	BatchAdd
-	// BatchGets reads the value and CAS token, like Cache.Gets. It is the
-	// only read-only kind.
+	// BatchGets reads the value and CAS token, like Cache.Gets; a cas of the
+	// same key follows, so it always reads the node that will compare the
+	// token.
 	BatchGets
 	// BatchCas stores only if the key's token still equals Cas, like
 	// Cache.Cas.
 	BatchCas
+	// BatchGet reads the value alone, like Cache.Get. Nothing depends on where
+	// it was read, so appliers treat it as Get: a near-cache may serve or learn
+	// it, and a replicated ring reads the one replica Get would try first. On
+	// the wire it is a gets whose token is dropped. core's read waves fetch a
+	// page's independent lookups as one batch of these.
+	BatchGet
 )
 
 // String implements fmt.Stringer.
@@ -43,6 +50,8 @@ func (k BatchOpKind) String() string {
 		return "gets"
 	case BatchCas:
 		return "cas"
+	case BatchGet:
+		return "get"
 	}
 	return "unknown"
 }
@@ -60,12 +69,13 @@ type BatchOp struct {
 // BatchResult reports one op's outcome, positionally matching the batch.
 type BatchResult struct {
 	// Found is true when a delete removed a live entry, an incr found a
-	// numeric entry, an add or cas stored, or a gets hit; sets always
+	// numeric entry, an add or cas stored, or a get or gets hit; sets always
 	// report true.
 	Found bool
 	// Value is the post-increment value for BatchIncr.
 	Value int64
-	// Data and Cas are the value and CAS token a BatchGets hit read.
+	// Data is the value a BatchGet or BatchGets hit read, Cas the token a
+	// BatchGets read with it.
 	Data []byte
 	Cas  uint64
 	// CasResult is a BatchCas outcome (Found mirrors CasStored); it is
@@ -117,6 +127,9 @@ func ApplyBatchOn(c Cache, ops []BatchOp) []BatchResult {
 		case BatchGets:
 			v, tok, ok := c.Gets(op.Key)
 			out[i] = BatchResult{Found: ok, Data: v, Cas: tok}
+		case BatchGet:
+			v, ok := c.Get(op.Key)
+			out[i] = BatchResult{Found: ok, Data: v}
 		case BatchCas:
 			r := c.Cas(op.Key, op.Value, op.TTL, op.Cas)
 			out[i] = BatchResult{Found: r == CasStored, CasResult: r}
@@ -213,12 +226,16 @@ func (s *Store) applyOpLocked(sh *shard, op *BatchOp) BatchResult {
 	case BatchIncr:
 		n, ok := s.incrLocked(sh, op.Key, op.Delta)
 		return BatchResult{Found: ok, Value: n}
-	case BatchGets:
+	case BatchGets, BatchGet:
 		e, ok := s.get(sh, op.Key, true)
 		if !ok {
 			return BatchResult{}
 		}
-		return BatchResult{Found: true, Data: exactCopy(e.value), Cas: e.casID}
+		res := BatchResult{Found: true, Data: exactCopy(e.value)}
+		if op.Kind == BatchGets {
+			res.Cas = e.casID
+		}
+		return res
 	case BatchCas:
 		r := s.casLocked(sh, op.Key, op.Value, op.TTL, op.Cas)
 		return BatchResult{Found: r == CasStored, CasResult: r}

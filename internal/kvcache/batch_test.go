@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -110,6 +111,48 @@ func TestBatchGetsThenCas(t *testing.T) {
 			}
 			if n := s.Stats().CasConflicts - conflictsBefore; n != 1 {
 				t.Fatalf("cas conflicts counted = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// TestBatchGet: a batched get is Cache.Get — value or miss, no token, a hit
+// and a miss on the store's counters, the entry promoted like any read — on
+// the native entry point and the per-op fallback alike, in a batch big enough
+// to take the store's grouped path.
+func TestBatchGet(t *testing.T) {
+	for name, wrap := range map[string]func(*Store) Cache{
+		"native":   func(s *Store) Cache { return s },
+		"fallback": func(s *Store) Cache { return plainCache{s} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New(0, WithShards(4))
+			var ops []BatchOp
+			for i := 0; i < 12; i++ {
+				k := fmt.Sprintf("k%d", i)
+				if i%3 != 0 {
+					s.Set(k, []byte("v-"+k), 0)
+				}
+				ops = append(ops, BatchOp{Kind: BatchGet, Key: k})
+			}
+			before := s.Stats()
+			res := ApplyBatchOn(wrap(s), ops)
+			for i, r := range res {
+				want := BatchResult{}
+				if i%3 != 0 {
+					want = BatchResult{Found: true, Data: []byte("v-" + ops[i].Key)}
+				}
+				if !reflect.DeepEqual(r, want) {
+					t.Errorf("get %s = %+v, want %+v", ops[i].Key, r, want)
+				}
+			}
+			after := s.Stats()
+			if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 8 || misses != 4 {
+				t.Errorf("counted %d hits and %d misses, want 8 and 4", hits, misses)
+			}
+			res[1].Data[0] = 'X'
+			if v, _ := s.Get("k1"); string(v) != "v-k1" {
+				t.Errorf("a batched get handed out the store's own buffer: k1 = %q", v)
 			}
 		})
 	}

@@ -9,6 +9,45 @@
 // of the database (paper §3.1 — "CacheGenie operates as a layer underneath
 // the application, modifying the queries issued by the ORM system to the
 // database, redirecting them to the cache when possible").
+//
+// # Waves
+//
+// A page is rarely a dozen independent lookups: it is two or three dependency
+// waves — everything it can ask knowing only who is signed in, then the
+// details keyed by the rows that came back. A handler that says so lets the
+// interceptor fetch each wave from the cache tier in one exchange per node
+// instead of one per query:
+//
+//	w := reg.Wave()
+//	user := w.Get(reg.Objects("User").Filter("id", uid))
+//	profile := w.OneOrNone(reg.Objects("Profile").Filter("user_id", uid)) // nil if none
+//	posts := w.All(reg.Objects("WallPost").Filter("user_id", uid))
+//	friends := w.Count(reg.Objects("Friendship").Filter("from_user_id", uid))
+//	if err := w.Run(); err != nil { ... }
+//	// *user, *profile, *posts, *friends
+//
+// Run executes the queries in declaration order, each exactly as its QuerySet
+// method would: offered to the interceptor, sent to the database if
+// unanswered, the first error ending the wave. The sequential QuerySet API is
+// unchanged, and a handler that declares nothing behaves as it always has.
+//
+// The wave reaches the interceptor on the descriptors, not through a new
+// method. Every QueryDescriptor of a wave points at its Wave, which lists all
+// the sibling descriptors the interceptor is going to be offered — complete
+// before the first offer — and has one State slot the interceptor owns.
+// CacheGenie, on the first descriptor, resolves every sibling to its cache
+// key, reads all the keys as one batch, and parks the answers in State; each
+// descriptor, first or later, then takes its parked answer where it would
+// have made its own cache read.
+//
+// Decorator contract. An Interceptor that wraps another (a tracer, a counter,
+// a test double) stays transparent by doing what it already does: forward
+// InterceptRows and InterceptCount with the descriptor it was given. It sees
+// every query of every wave, one call each, in order; it needs no new method
+// and no knowledge of waves. One that forwards a copy of the descriptor, or
+// clears Wave, or leaves queries out, merely turns batching off for the
+// queries affected: an interceptor must treat a descriptor whose wave it
+// cannot make sense of as a sequential query, and CacheGenie does.
 package orm
 
 import (

@@ -2,6 +2,7 @@ package orm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -60,30 +61,41 @@ type QueryDescriptor struct {
 	Join    *Join
 	Order   []Order
 	Limit   int // -1 = none
+	// Wave is the wave the query was declared in, nil for a query executed on
+	// its own; WaveIndex is its position in Wave.Descriptors. An interceptor
+	// that ignores both behaves exactly as it does for sequential queries.
+	Wave      *Wave
+	WaveIndex int
 }
 
 // EqFilterValues returns the values of equality filters on exactly the given
 // fields (in that order), or ok=false if the descriptor's filters are not
 // exactly those equality terms.
 func (d *QueryDescriptor) EqFilterValues(fields []string) ([]sqldb.Value, bool) {
+	return d.AppendEqFilterValues(nil, fields)
+}
+
+// AppendEqFilterValues is EqFilterValues appending to dst, so one buffer can
+// hold the values of many descriptors; dst comes back unchanged with ok=false.
+func (d *QueryDescriptor) AppendEqFilterValues(dst []sqldb.Value, fields []string) ([]sqldb.Value, bool) {
 	if len(d.Filters) != len(fields) {
-		return nil, false
+		return dst, false
 	}
-	vals := make([]sqldb.Value, len(fields))
-	for i, f := range fields {
+	out := slices.Grow(dst, len(fields))
+	for _, f := range fields {
 		found := false
 		for _, flt := range d.Filters {
 			if flt.Field == f && flt.Op == "=" {
-				vals[i] = flt.Value
+				out = append(out, flt.Value)
 				found = true
 				break
 			}
 		}
 		if !found {
-			return nil, false
+			return dst, false
 		}
 	}
-	return vals, true
+	return out, true
 }
 
 // Interceptor may satisfy reads from a cache. Implementations return
@@ -182,7 +194,12 @@ func (q *QuerySet) NoCache() *QuerySet {
 }
 
 func (q *QuerySet) descriptor(kind QueryKind) *QueryDescriptor {
-	return &QueryDescriptor{
+	d := q.descriptorValue(kind)
+	return &d
+}
+
+func (q *QuerySet) descriptorValue(kind QueryKind) QueryDescriptor {
+	return QueryDescriptor{
 		Kind:    kind,
 		Model:   q.model,
 		Filters: q.filters,
@@ -285,22 +302,34 @@ func (q *QuerySet) fieldOnThrough(field, throughTable string) bool {
 	return field == "id"
 }
 
+// offered reports whether executing q as kind consults the interceptor.
+func (q *QuerySet) offered(kind QueryKind) bool {
+	return q.err == nil && q.reg.interceptor != nil && !q.noCache && (kind == KindCount || q.offset == 0)
+}
+
 // All executes the query and returns matching objects.
 func (q *QuerySet) All() ([]Object, error) {
+	var d *QueryDescriptor
+	if q.offered(KindRows) {
+		d = q.descriptor(KindRows)
+	}
+	return q.all(d)
+}
+
+// all is All with the descriptor to offer the interceptor already built (nil
+// when it is not consulted); a Wave builds every descriptor before the first
+// is offered.
+func (q *QuerySet) all(d *QueryDescriptor) ([]Object, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	if q.reg.interceptor != nil && !q.noCache && q.offset == 0 {
-		rows, handled, err := q.reg.interceptor.InterceptRows(q.descriptor(KindRows))
+	if d != nil {
+		rows, handled, err := q.reg.interceptor.InterceptRows(d)
 		if err != nil {
 			return nil, err
 		}
 		if handled {
-			out := make([]Object, len(rows))
-			for i, r := range rows {
-				out[i] = q.reg.RowToObject(q.model, r)
-			}
-			return out, nil
+			return q.objects(rows), nil
 		}
 	}
 	sql, args, err := q.buildSelect(false)
@@ -311,11 +340,15 @@ func (q *QuerySet) All() ([]Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Object, len(rs.Rows))
-	for i, r := range rs.Rows {
+	return q.objects(rs.Rows), nil
+}
+
+func (q *QuerySet) objects(rows []sqldb.Row) []Object {
+	out := make([]Object, len(rows))
+	for i, r := range rows {
 		out[i] = q.reg.RowToObject(q.model, r)
 	}
-	return out, nil
+	return out
 }
 
 // Get executes the query and returns exactly one object.
@@ -324,6 +357,11 @@ func (q *QuerySet) Get() (Object, error) {
 	if err != nil {
 		return nil, err
 	}
+	return one(objs)
+}
+
+// one is Get's cardinality rule.
+func one(objs []Object) (Object, error) {
 	switch len(objs) {
 	case 0:
 		return nil, ErrNotFound
@@ -336,11 +374,20 @@ func (q *QuerySet) Get() (Object, error) {
 
 // Count executes the query as COUNT(*).
 func (q *QuerySet) Count() (int64, error) {
+	var d *QueryDescriptor
+	if q.offered(KindCount) {
+		d = q.descriptor(KindCount)
+	}
+	return q.count(d)
+}
+
+// count is Count with the descriptor to offer already built; see all.
+func (q *QuerySet) count(d *QueryDescriptor) (int64, error) {
 	if q.err != nil {
 		return 0, q.err
 	}
-	if q.reg.interceptor != nil && !q.noCache {
-		n, handled, err := q.reg.interceptor.InterceptCount(q.descriptor(KindCount))
+	if d != nil {
+		n, handled, err := q.reg.interceptor.InterceptCount(d)
 		if err != nil {
 			return 0, err
 		}

@@ -39,45 +39,36 @@ func PageTypes() []PageType {
 // (bookmark rows, save counts); real pages paginate the same way.
 const detailFanout = 5
 
-// pageChrome issues the queries every page shares: the signed-in user, her
-// profile, and the header counters (friends, pending invitations, bookmarks)
-// plus the latest wall posts widget. This mirrors how Pinax templates hit
-// the ORM on every request.
-func (a *App) pageChrome(uid int64) error {
-	if _, err := a.Reg.Objects("User").Filter("id", uid).Get(); err != nil {
-		return fmt.Errorf("chrome user %d: %w", uid, err)
-	}
-	if _, err := a.Reg.Objects("Profile").Filter("user_id", uid).Get(); err != nil && !errors.Is(err, orm.ErrNotFound) {
-		return fmt.Errorf("chrome profile %d: %w", uid, err)
-	}
-	if _, err := a.Reg.Objects("Friendship").Filter("from_user_id", uid).Count(); err != nil {
-		return err
-	}
-	if _, err := a.Reg.Objects("FriendInvitation").
-		Filter("to_user_id", uid).Filter("status", InviteStatusPending).Count(); err != nil {
-		return err
-	}
-	if _, err := a.Reg.Objects("BookmarkInstance").Filter("user_id", uid).Count(); err != nil {
-		return err
-	}
-	if _, err := a.Reg.Objects("WallPost").Filter("user_id", uid).
-		OrderBy("-date_posted").Limit(detailFanout).All(); err != nil {
-		return err
-	}
-	return nil
+// pageChrome declares on w the queries every page shares: the signed-in user,
+// her profile, and the header counters (friends, pending invitations,
+// bookmarks) plus the latest wall posts widget. This mirrors how Pinax
+// templates hit the ORM on every request — except that Pinax issues them one
+// by one, and here they all depend on uid alone, so they open the page's first
+// wave; the caller adds whatever else it can ask knowing only uid, then runs
+// it. The wave fails if the user does not exist or has more than one
+// profile; having none is fine.
+func (a *App) pageChrome(w *orm.Wave, uid int64) {
+	w.Get(a.Reg.Objects("User").Filter("id", uid))
+	w.OneOrNone(a.Reg.Objects("Profile").Filter("user_id", uid))
+	w.Count(a.Reg.Objects("Friendship").Filter("from_user_id", uid))
+	w.Count(a.Reg.Objects("FriendInvitation").
+		Filter("to_user_id", uid).Filter("status", InviteStatusPending))
+	w.Count(a.Reg.Objects("BookmarkInstance").Filter("user_id", uid))
+	w.All(a.Reg.Objects("WallPost").Filter("user_id", uid).
+		OrderBy("-date_posted").Limit(detailFanout))
 }
 
 // Login renders the login landing page and records the login (a write, so
 // cached configurations pay trigger overhead here — Table 2 shows Login
 // slower with caching than without).
 func (a *App) Login(uid int64) error {
-	if err := a.pageChrome(uid); err != nil {
-		return err
-	}
+	w := a.Reg.Wave()
+	a.pageChrome(w, uid)
 	// Pending invitations preview.
-	if _, err := a.Reg.Objects("FriendInvitation").
-		Filter("to_user_id", uid).Filter("status", InviteStatusPending).All(); err != nil {
-		return err
+	w.All(a.Reg.Objects("FriendInvitation").
+		Filter("to_user_id", uid).Filter("status", InviteStatusPending))
+	if err := w.Run(); err != nil {
+		return fmt.Errorf("page for user %d: %w", uid, err)
 	}
 	_, err := a.Reg.Objects("User").Filter("id", uid).
 		Update(orm.Fields{"last_login": a.clock()})
@@ -95,60 +86,56 @@ func (a *App) Logout(uid int64) error {
 }
 
 // LookupBM renders "my bookmarks": the user's saved bookmarks with the
-// bookmark details and global save counts (read-only page).
+// bookmark details and global save counts (read-only page). Two waves: the
+// chrome and the list are keyed by uid, the details by the list's rows.
 func (a *App) LookupBM(uid int64) error {
-	if err := a.pageChrome(uid); err != nil {
-		return err
+	w := a.Reg.Wave()
+	a.pageChrome(w, uid)
+	instances := w.All(a.Reg.Objects("BookmarkInstance").
+		Filter("user_id", uid).OrderBy("-saved_at").Limit(TopKBookmarks))
+	if err := w.Run(); err != nil {
+		return fmt.Errorf("page for user %d: %w", uid, err)
 	}
-	instances, err := a.Reg.Objects("BookmarkInstance").
-		Filter("user_id", uid).OrderBy("-saved_at").Limit(TopKBookmarks).All()
-	if err != nil {
-		return err
-	}
-	for i, inst := range instances {
+	details := a.Reg.Wave()
+	for i, inst := range *instances {
 		if i >= detailFanout {
 			break
 		}
 		bid := inst.Int("bookmark_id")
-		if _, err := a.Reg.Objects("Bookmark").Filter("id", bid).Get(); err != nil && !errors.Is(err, orm.ErrNotFound) {
-			return err
-		}
-		if _, err := a.Reg.Objects("BookmarkInstance").Filter("bookmark_id", bid).Count(); err != nil {
-			return err
-		}
+		details.OneOrNone(a.Reg.Objects("Bookmark").Filter("id", bid)) // may have been deleted
+		details.Count(a.Reg.Objects("BookmarkInstance").Filter("bookmark_id", bid))
 	}
-	return nil
+	return details.Run()
 }
 
 // LookupFBM renders "my friends' bookmarks" — the paper's expensive join
 // page, served by the friend_bookmarks LinkQuery when caching is on.
 func (a *App) LookupFBM(uid int64) error {
-	if err := a.pageChrome(uid); err != nil {
-		return err
-	}
-	friendBMs, err := a.Reg.Objects("BookmarkInstance").
+	w := a.Reg.Wave()
+	a.pageChrome(w, uid)
+	friendBMs := w.All(a.Reg.Objects("BookmarkInstance").
 		Via("Friendship", "from_user_id", "to_user_id", "user_id").
-		Filter("from_user_id", uid).All()
-	if err != nil {
-		return err
+		Filter("from_user_id", uid))
+	if err := w.Run(); err != nil {
+		return fmt.Errorf("page for user %d: %w", uid, err)
 	}
-	for i, inst := range friendBMs {
+	details := a.Reg.Wave()
+	for i, inst := range *friendBMs {
 		if i >= detailFanout {
 			break
 		}
-		bid := inst.Int("bookmark_id")
-		if _, err := a.Reg.Objects("Bookmark").Filter("id", bid).Get(); err != nil && !errors.Is(err, orm.ErrNotFound) {
-			return err
-		}
+		details.OneOrNone(a.Reg.Objects("Bookmark").Filter("id", inst.Int("bookmark_id")))
 	}
-	return nil
+	return details.Run()
 }
 
 // CreateBM saves a new bookmark instance for the user. seq must be unique
 // across the run when newURL is true (the workload driver supplies it).
 func (a *App) CreateBM(uid int64, seq int64, newURL bool) error {
-	if err := a.pageChrome(uid); err != nil {
-		return err
+	w := a.Reg.Wave()
+	a.pageChrome(w, uid)
+	if err := w.Run(); err != nil {
+		return fmt.Errorf("page for user %d: %w", uid, err)
 	}
 	var bookmarkID int64
 	if newURL {
@@ -195,19 +182,18 @@ func (a *App) CreateBM(uid int64, seq int64, newURL bool) error {
 // To keep the invitation pool steady over long runs it also sends a new
 // invitation onward (to the accepted friend's id + 1, wrapping).
 func (a *App) AcceptFR(uid int64) error {
-	if err := a.pageChrome(uid); err != nil {
-		return err
+	w := a.Reg.Wave()
+	a.pageChrome(w, uid)
+	invites := w.All(a.Reg.Objects("FriendInvitation").
+		Filter("to_user_id", uid).Filter("status", InviteStatusPending))
+	if err := w.Run(); err != nil {
+		return fmt.Errorf("page for user %d: %w", uid, err)
 	}
-	invites, err := a.Reg.Objects("FriendInvitation").
-		Filter("to_user_id", uid).Filter("status", InviteStatusPending).All()
-	if err != nil {
-		return err
-	}
-	if len(invites) == 0 {
+	if len(*invites) == 0 {
 		// Nothing to accept; the page still rendered (reads above).
 		return nil
 	}
-	inv := invites[0]
+	inv := (*invites)[0]
 	from := inv.Int("from_user_id")
 	if _, err := a.Reg.Objects("FriendInvitation").Filter("id", inv.ID()).
 		Update(orm.Fields{"status": InviteStatusAccepted}); err != nil {
@@ -236,12 +222,11 @@ func (a *App) AcceptFR(uid int64) error {
 			}
 		}
 	}
-	// Re-render the friends list.
-	if _, err := a.Reg.Objects("Friendship").Filter("from_user_id", uid).All(); err != nil {
-		return err
-	}
-	_, err = a.Reg.Objects("Friendship").Filter("from_user_id", uid).Count()
-	return err
+	// Re-render the friends list and its counter.
+	rerender := a.Reg.Wave()
+	rerender.All(a.Reg.Objects("Friendship").Filter("from_user_id", uid))
+	rerender.Count(a.Reg.Objects("Friendship").Filter("from_user_id", uid))
+	return rerender.Run()
 }
 
 // RunPage dispatches a page load by type.
