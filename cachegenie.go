@@ -127,7 +127,10 @@ type (
 	FieldDef = orm.FieldDef
 	// Fields is the write-side value bag for Insert/Update.
 	Fields = orm.Fields
-	// Object is one materialized model instance.
+	// Object is one model instance: a read-only view of its query's row,
+	// read through ID/Int/Str/Bool/Time/Get. Holding one keeps its result
+	// list's decoded payload alive. It is no longer a map (field name ->
+	// Value) as it was before the decode-in-place change; index it with Get.
 	Object = orm.Object
 	// QuerySet is the chainable query builder.
 	QuerySet = orm.QuerySet

@@ -658,61 +658,128 @@ func (r *Ring) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 			}
 		}
 	}
-	// Fast path: a batch wholly owned by one node forwards as-is.
+	// Fast path: a batch wholly owned by one node forwards as-is. Owners are
+	// recorded only once a second node shows up; the partition shares their
+	// allocation.
 	first := r.NodeFor(ops[0].Key)
-	single := true
-	for _, op := range ops[1:] {
-		if r.NodeFor(op.Key) != first {
-			single = false
-			break
+	var buf, nodeOf []int
+	for i := 1; i < len(ops); i++ {
+		n := r.NodeFor(ops[i].Key)
+		if nodeOf == nil {
+			if n == first {
+				continue
+			}
+			buf = make([]int, 2*len(ops)+len(r.nodes)+1)
+			nodeOf = buf[:len(ops)]
+			for j := range i {
+				nodeOf[j] = first
+			}
 		}
+		nodeOf[i] = n
 	}
-	if single {
+	if nodeOf == nil {
 		return kvcache.ApplyBatchOn(r.nodes[first], ops)
 	}
-	subs := make(map[int][]int)
-	for i, op := range ops {
-		n := r.NodeFor(op.Key)
-		subs[n] = append(subs[n], i)
-	}
-	results := r.applySubBatches(ops, subs)
 	out := make([]kvcache.BatchResult, len(ops))
-	for n, idxs := range subs {
-		for j, i := range idxs {
-			out[i] = results[n][j]
-		}
-	}
+	r.applySubBatches(ops, newPartition(len(r.nodes), nodeOf, nil, buf[len(ops):]), out, true)
 	return out
 }
 
-// applySubBatches sends node n the ops whose indices subs[n] lists, in that
-// order, every node concurrently (the last one on the calling goroutine), and
-// returns each node's results indexed by node.
-func (r *Ring) applySubBatches(ops []kvcache.BatchOp, subs map[int][]int) [][]kvcache.BatchResult {
-	results := make([][]kvcache.BatchResult, len(r.nodes))
-	apply := func(n int, idxs []int) {
-		sub := make([]kvcache.BatchOp, len(idxs))
-		for j, i := range idxs {
-			sub[j] = ops[i]
-		}
-		// Each node writes its own slot, so the writes don't race.
-		results[n] = kvcache.ApplyBatchOn(r.nodes[n], sub)
+// partition is a batch's ops grouped by node, without a map: node n's
+// sub-batch is ops[idx[k]] for k in [start[n], start[n+1]), in batch order.
+type partition struct {
+	idx, start []int
+}
+
+// newPartition lays out the routing "op opOf[k] goes to node nodeOf[k]" (op k
+// when opOf is nil), given in batch order, node by node — a counting sort, so
+// each node's ops keep their batch order. The partition lives in buf, which
+// needs room for len(nodeOf)+nodes+1 ints (a nil buf is allocated).
+func newPartition(nodes int, nodeOf, opOf, buf []int) partition {
+	if need := len(nodeOf) + nodes + 1; len(buf) < need {
+		buf = make([]int, need)
 	}
-	var wg sync.WaitGroup
-	left := len(subs)
-	for n, idxs := range subs {
-		if left--; left == 0 {
-			apply(n, idxs)
-			break
-		}
-		wg.Add(1)
-		go func(n int, idxs []int) {
-			defer wg.Done()
-			apply(n, idxs)
-		}(n, idxs)
+	p := partition{idx: buf[:len(nodeOf)], start: buf[len(nodeOf) : len(nodeOf)+nodes+1]}
+	clear(p.start)
+	for _, n := range nodeOf {
+		p.start[n+1]++
 	}
-	wg.Wait()
-	return results
+	for n := 1; n <= nodes; n++ {
+		p.start[n] += p.start[n-1]
+	}
+	// start[n] is node n's fill cursor and ends up where node n+1 begins; the
+	// shift after the fill puts every node's start back.
+	for k, n := range nodeOf {
+		i := k
+		if opOf != nil {
+			i = opOf[k]
+		}
+		p.idx[p.start[n]] = i
+		p.start[n]++
+	}
+	for n := nodes; n > 0; n-- {
+		p.start[n] = p.start[n-1]
+	}
+	p.start[0] = 0
+	return p
+}
+
+// applySubBatches sends every node its sub-batch of p, all nodes concurrently
+// (the last one on the calling goroutine). The result of the op at position k
+// of p.idx lands in out[p.idx[k]] when scatter is set — each op is in one
+// sub-batch — and in out[k] otherwise; a nil out drops the results.
+func (r *Ring) applySubBatches(ops []kvcache.BatchOp, p partition, out []kvcache.BatchResult, scatter bool) {
+	f := &fanout{r: r, p: p, out: out, scatter: scatter, sub: make([]kvcache.BatchOp, len(p.idx))}
+	for k, i := range p.idx {
+		f.sub[k] = ops[i]
+	}
+	last := -1
+	for n := range r.nodes {
+		if p.start[n] == p.start[n+1] {
+			continue
+		}
+		if last >= 0 {
+			f.wg.Add(1)
+			go f.applyAsync(last)
+		}
+		last = n
+	}
+	if last >= 0 {
+		f.apply(last)
+	}
+	f.wg.Wait()
+}
+
+// fanout is one applySubBatches call, shared with the goroutines it starts.
+type fanout struct {
+	wg      sync.WaitGroup
+	r       *Ring
+	p       partition
+	sub     []kvcache.BatchOp // the ops, laid out as p.idx
+	out     []kvcache.BatchResult
+	scatter bool
+}
+
+func (f *fanout) applyAsync(n int) {
+	defer f.wg.Done()
+	f.apply(n)
+}
+
+// apply sends node n its sub-batch and stores the results.
+func (f *fanout) apply(n int) {
+	from, to := f.p.start[n], f.p.start[n+1]
+	res := kvcache.ApplyBatchOn(f.r.nodes[n], f.sub[from:to:to])
+	if f.out == nil {
+		return
+	}
+	// Nodes own disjoint ranges of p.idx, so the writes don't race.
+	for k := from; k < to; k++ {
+		if f.scatter {
+			f.out[f.p.idx[k]] = res[k-from]
+		} else {
+			f.out[k] = res[k-from]
+		}
+	}
 }
 
 // applyBatchReplicated fans each mutation out to its key's whole replica
@@ -740,7 +807,14 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 	for i, n := range r.nodes {
 		healthyNode[i] = nodeHealthy(n)
 	}
-	subs := make(map[int][]int)
+	// The routing, in batch order: op opOf[k] goes to node nodeOf[k]. An op
+	// goes to at most R nodes; the rest of the allocation holds the partition.
+	most := len(ops) * r.replicas
+	route := make([]int, 3*most+len(r.nodes)+1)
+	nodeOf, opOf, parts := route[:0:most], route[most:most:2*most], route[2*most:]
+	send := func(n, i int) {
+		nodeOf, opOf = append(nodeOf, n), append(opOf, i)
+	}
 	decider := make([]int, len(ops))
 	var spread []int // gets routed in rotation
 	var buf [maxStackReplicas]int
@@ -766,27 +840,29 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 				}
 				spread = append(spread, i)
 			}
-			subs[decider[i]] = append(subs[decider[i]], i)
+			send(decider[i], i)
 		case kvcache.BatchGets, kvcache.BatchCas:
-			subs[decider[i]] = append(subs[decider[i]], i)
+			send(decider[i], i)
 		default:
 			for _, ni := range set {
-				subs[ni] = append(subs[ni], i)
+				send(ni, i)
 			}
 		}
 	}
-	results := r.applySubBatches(ops, subs)
+	p := newPartition(len(r.nodes), nodeOf, opOf, parts)
+	results := make([]kvcache.BatchResult, len(p.idx))
+	r.applySubBatches(ops, p, results, false)
 	out := make([]kvcache.BatchResult, len(ops))
-	for n, idxs := range subs {
-		res := results[n]
-		for j, i := range idxs {
+	for n := range r.nodes {
+		for k := p.start[n]; k < p.start[n+1]; k++ {
+			i, res := p.idx[k], results[k]
 			if decider[i] == n {
 				found := out[i].Found // a delete may already have OR-ed in
-				out[i] = res[j]
+				out[i] = res
 				if ops[i].Kind == kvcache.BatchDelete {
 					out[i].Found = out[i].Found || found
 				}
-			} else if ops[i].Kind == kvcache.BatchDelete && res[j].Found {
+			} else if ops[i].Kind == kvcache.BatchDelete && res.Found {
 				out[i].Found = true
 			}
 		}
@@ -797,20 +873,21 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 		}
 	}
 	var sets []kvcache.BatchOp
-	setSubs := make(map[int][]int)
+	nodeOf, opOf = nodeOf[:0], opOf[:0]
 	for i := range ops {
 		if ops[i].Kind != kvcache.BatchCas || !out[i].Found {
 			continue
 		}
 		for _, ni := range r.replicasAppend(ops[i].Key, buf[:0]) {
 			if ni != decider[i] {
-				setSubs[ni] = append(setSubs[ni], len(sets))
+				send(ni, len(sets))
 			}
 		}
 		sets = append(sets, kvcache.BatchOp{Kind: kvcache.BatchSet, Key: ops[i].Key, Value: ops[i].Value, TTL: ops[i].TTL})
 	}
-	if len(setSubs) > 0 {
-		r.applySubBatches(sets, setSubs)
+	if len(nodeOf) > 0 {
+		// p is done with, so the second partition may reuse its space.
+		r.applySubBatches(sets, newPartition(len(r.nodes), nodeOf, opOf, parts), nil, false)
 	}
 	return out
 }

@@ -89,6 +89,68 @@ func TestApplyBatchFanOutParallel(t *testing.T) {
 	}
 }
 
+// TestPartitionKeepsBatchOrderPerNode pins newPartition's layout: node by
+// node, each node's ops in batch order, op indices taken from opOf when given.
+func TestPartitionKeepsBatchOrderPerNode(t *testing.T) {
+	p := newPartition(3, []int{2, 0, 2, 1, 0, 2}, nil, nil)
+	if want := []int{1, 4, 3, 0, 2, 5}; fmt.Sprint(p.idx) != fmt.Sprint(want) {
+		t.Errorf("idx = %v, want %v", p.idx, want)
+	}
+	if want := []int{0, 2, 3, 6}; fmt.Sprint(p.start) != fmt.Sprint(want) {
+		t.Errorf("start = %v, want %v", p.start, want)
+	}
+	p = newPartition(3, []int{1, 1, 1}, []int{7, 3, 9}, make([]int, 9))
+	if fmt.Sprint(p.idx) != "[7 3 9]" || fmt.Sprint(p.start) != "[0 0 3 3]" {
+		t.Errorf("idx %v start %v, want [7 3 9] [0 0 3 3]", p.idx, p.start)
+	}
+}
+
+// answerNode is a node whose batches cost the ring nothing to answer: it
+// hands back one preallocated result per op.
+type answerNode struct {
+	kvcache.Cache // nil; only ApplyBatch is called
+	res           []kvcache.BatchResult
+}
+
+func (a *answerNode) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
+	return a.res[:len(ops)]
+}
+
+// TestApplyBatchAllocs is the ceiling on what Ring.ApplyBatch itself
+// allocates for a six-get batch over two nodes: the owner list with the
+// partition behind it, the fan-out state, the sub-batch array, the result
+// slice and the one goroutine's start — no per-node maps or slices. A batch
+// one node owns costs the ring nothing.
+func TestApplyBatchAllocs(t *testing.T) {
+	nodes := []kvcache.Cache{
+		&answerNode{res: make([]kvcache.BatchResult, 8)},
+		&answerNode{res: make([]kvcache.BatchResult, 8)},
+	}
+	r, err := NewRing(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops, single []kvcache.BatchOp
+	owned := [2]int{}
+	for i := 0; len(ops) < 6 || len(single) < 6; i++ {
+		key := fmt.Sprintf("k%d", i)
+		n := r.NodeFor(key)
+		if len(ops) < 6 && owned[n] < 3 {
+			owned[n]++
+			ops = append(ops, kvcache.BatchOp{Kind: kvcache.BatchGet, Key: key})
+		}
+		if n == 0 && len(single) < 6 {
+			single = append(single, kvcache.BatchOp{Kind: kvcache.BatchGet, Key: key})
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() { r.ApplyBatch(ops) }); n > 5 {
+		t.Errorf("two-node batch: %.0f allocs, want <= 5", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { r.ApplyBatch(single) }); n != 0 {
+		t.Errorf("single-owner batch: %.0f allocs, want 0", n)
+	}
+}
+
 // TestFlushAllFanOutParallel pins the same property for FlushAll.
 func TestFlushAllFanOutParallel(t *testing.T) {
 	const nodes = 4

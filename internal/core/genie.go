@@ -321,10 +321,13 @@ type CachedObject struct {
 	model *orm.Model
 	// linkThrough is set for LinkQuery.
 	linkThrough *orm.Model
-	// colIdx maps field name -> position in the model's schema order.
-	colIdx map[string]int
-	// throughIdx maps through-model field name -> position (LinkQuery).
-	throughIdx map[string]int
+	// whereIdx holds the positions of spec.WhereFields in the main model's
+	// rows (not for LinkQuery, whose lookup field is the through model's);
+	// sortIdx is the top-K sort field's and targetIdx the link target field's.
+	// srcIdx and joinIdx are the link's source and join fields' positions in
+	// the through model's rows.
+	whereIdx                            []int
+	sortIdx, targetIdx, srcIdx, joinIdx int
 	// sql is the derived query template (paper: "query generation").
 	sql string
 	// linkTargetSQL and linkSourcesSQL are the lookups LinkQuery triggers
@@ -361,14 +364,6 @@ func (co *CachedObject) MakeKey(vals ...sqldb.Value) string {
 	return string(b)
 }
 
-func fieldIndex(m *orm.Model) map[string]int {
-	idx := make(map[string]int, len(m.Fields)+1)
-	for i, n := range m.FieldNames() {
-		idx[n] = i
-	}
-	return idx
-}
-
 // Cacheable declares a cached object: it derives the query template,
 // generates and installs the triggers, and (unless the spec is Opaque)
 // arms transparent interception for matching ORM queries. This is the
@@ -381,36 +376,37 @@ func (g *Genie) Cacheable(spec Spec) (*CachedObject, error) {
 	if err != nil {
 		return nil, err
 	}
-	co := &CachedObject{g: g, spec: spec, model: model, colIdx: fieldIndex(model)}
-	for _, f := range spec.WhereFields {
-		if spec.Class == LinkQuery {
-			break // validated against the through model below
+	co := &CachedObject{g: g, spec: spec, model: model}
+	var missing error
+	index := func(m *orm.Model, f string) int {
+		i, ok := m.FieldIndex(f)
+		if !ok && missing == nil {
+			missing = fmt.Errorf("core: %s: model %s has no field %q", spec.Name, m.Name, f)
 		}
-		if _, ok := co.colIdx[f]; !ok {
-			return nil, fmt.Errorf("core: %s: model %s has no field %q", spec.Name, model.Name, f)
-		}
+		return i
 	}
-	if spec.Class == TopKQuery {
-		if _, ok := co.colIdx[spec.SortField]; !ok {
-			return nil, fmt.Errorf("core: %s: model %s has no sort field %q", spec.Name, model.Name, spec.SortField)
-		}
-	}
-	if spec.Class == LinkQuery {
+	switch spec.Class {
+	case LinkQuery:
 		through, err := g.reg.Model(spec.Link.ThroughModel)
 		if err != nil {
 			return nil, err
 		}
 		co.linkThrough = through
-		co.throughIdx = fieldIndex(through)
 		co.linkSourceField = []string{spec.Link.SourceField}
-		for _, f := range []string{spec.Link.SourceField, spec.Link.JoinField} {
-			if _, ok := co.throughIdx[f]; !ok {
-				return nil, fmt.Errorf("core: %s: through model %s has no field %q", spec.Name, through.Name, f)
-			}
+		co.srcIdx = index(through, spec.Link.SourceField)
+		co.joinIdx = index(through, spec.Link.JoinField)
+		co.targetIdx = index(model, spec.Link.TargetField)
+	case TopKQuery:
+		co.sortIdx = index(model, spec.SortField)
+	}
+	if spec.Class != LinkQuery {
+		co.whereIdx = make([]int, len(spec.WhereFields))
+		for i, f := range spec.WhereFields {
+			co.whereIdx[i] = index(model, f)
 		}
-		if _, ok := co.colIdx[spec.Link.TargetField]; !ok {
-			return nil, fmt.Errorf("core: %s: model %s has no field %q", spec.Name, model.Name, spec.Link.TargetField)
-		}
+	}
+	if missing != nil {
+		return nil, missing
 	}
 	co.sql = co.buildQueryTemplate()
 	if spec.Class == LinkQuery {

@@ -44,7 +44,16 @@ func encodePayload(p payload) []byte {
 	return out
 }
 
-// decodePayload parses an encodePayload value.
+// minEncodedRow is the fewest bytes a row takes in a payload: its one-byte
+// length and EncodeRow's four-byte value count.
+const minEncodedRow = 1 + 4
+
+// decodePayload parses an encodePayload value in three allocations whatever
+// the row count: one string copy of b, whose substrings are the text values;
+// one []sqldb.Value holding every row's values back to back; and the row
+// headers, each a capped subslice of that array. The rows share nothing with
+// b, so the caller may reuse b, and an edit to the list (or an append to one
+// of its rows) reaches no other decode of the same bytes.
 func decodePayload(b []byte) (payload, error) {
 	var p payload
 	if len(b) < 2 {
@@ -53,28 +62,61 @@ func decodePayload(b []byte) (payload, error) {
 	if b[0] != payloadVersion {
 		return p, fmt.Errorf("core: payload version %d unsupported", b[0])
 	}
+	if b[1] > 1 {
+		return p, fmt.Errorf("core: bad payload flag %d", b[1])
+	}
 	p.exhaustive = b[1] == 1
-	b = b[2:]
-	count, n := binary.Uvarint(b)
+	count, n := uvarint(b[2:])
 	if n <= 0 {
 		return p, fmt.Errorf("core: bad payload row count")
 	}
-	b = b[n:]
-	p.rows = make([]sqldb.Row, 0, count)
+	start := 2 + n
+	if count > uint64(len(b)-start)/minEncodedRow {
+		return p, fmt.Errorf("core: payload claims %d rows in %d bytes", count, len(b)-start)
+	}
+	// First pass: frame the rows and size the value array.
+	values, off := 0, start
 	for i := uint64(0); i < count; i++ {
-		l, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < l {
+		l, n := uvarint(b[off:])
+		if n <= 0 || uint64(len(b)-off-n) < l || l < 4 {
 			return p, fmt.Errorf("core: truncated payload row %d", i)
 		}
-		b = b[n:]
-		row, err := sqldb.DecodeRow(b[:l])
-		if err != nil {
-			return p, err
+		off += n
+		values += int(binary.LittleEndian.Uint32(b[off:]))
+		off += int(l)
+		if values > len(b)/2 { // a value takes two bytes at least
+			return p, fmt.Errorf("core: payload row %d claims too many values", i)
 		}
-		b = b[l:]
-		p.rows = append(p.rows, row)
+	}
+	if off != len(b) {
+		return p, fmt.Errorf("core: %d bytes after the payload's rows", len(b)-off)
+	}
+	s := string(b)
+	vals := make([]sqldb.Value, 0, values)
+	p.rows = make([]sqldb.Row, 0, count)
+	for i, off := uint64(0), start; i < count; i++ {
+		l, n := uvarint(b[off:])
+		off += n
+		end := off + int(l)
+		from := len(vals)
+		var err error
+		if vals, err = sqldb.DecodeRowInto(vals, b[off:end], s[off:end]); err != nil {
+			return payload{}, err
+		}
+		p.rows = append(p.rows, sqldb.Row(vals[from:len(vals):len(vals)]))
+		off = end
 	}
 	return p, nil
+}
+
+// uvarint is binary.Uvarint that also refuses a non-minimal encoding, so a
+// payload that decodes re-encodes to the same bytes.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // appendKeyValue renders one lookup value onto a cache key. Strings are

@@ -89,20 +89,21 @@ func opSuffix(op sqldb.TriggerOp) string {
 	}
 }
 
-// keyFromRow builds the cache key from a row using the given field index.
-func (co *CachedObject) keyFromRow(row sqldb.Row, idx map[string]int, fields []string) string {
-	vals := make([]sqldb.Value, len(fields))
-	for i, f := range fields {
-		vals[i] = row[idx[f]]
+// keyFromRow builds the key of the cached list a main-model row belongs to.
+func (co *CachedObject) keyFromRow(row sqldb.Row) string {
+	var buf [4]sqldb.Value
+	vals := buf[:0]
+	for _, i := range co.whereIdx {
+		vals = append(vals, row[i])
 	}
 	return co.MakeKey(vals...)
 }
 
 // whereValsFromRow extracts the lookup values from a main-model row.
 func (co *CachedObject) whereValsFromRow(row sqldb.Row) []sqldb.Value {
-	vals := make([]sqldb.Value, len(co.spec.WhereFields))
-	for i, f := range co.spec.WhereFields {
-		vals[i] = row[co.colIdx[f]]
+	vals := make([]sqldb.Value, len(co.whereIdx))
+	for i, ci := range co.whereIdx {
+		vals[i] = row[ci]
 	}
 	return vals
 }
@@ -170,12 +171,12 @@ func (co *CachedObject) featureTrigger(op sqldb.TriggerOp) triggerBody {
 	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
-			co.rowListEdit(ws, co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields), appendRow(ev.New))
+			co.rowListEdit(ws, co.keyFromRow(ev.New), appendRow(ev.New))
 		case sqldb.TrigDelete:
-			co.rowListEdit(ws, co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields), removeRow(ev.Old))
+			co.rowListEdit(ws, co.keyFromRow(ev.Old), removeRow(ev.Old))
 		case sqldb.TrigUpdate:
-			oldKey := co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields)
-			newKey := co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields)
+			oldKey := co.keyFromRow(ev.Old)
+			newKey := co.keyFromRow(ev.New)
 			if oldKey != newKey {
 				co.rowListEdit(ws, oldKey, removeRow(ev.Old))
 				co.rowListEdit(ws, newKey, appendRow(ev.New))
@@ -209,12 +210,12 @@ func (co *CachedObject) countTrigger(op sqldb.TriggerOp) triggerBody {
 	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
-			bump(ws, co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields), 1)
+			bump(ws, co.keyFromRow(ev.New), 1)
 		case sqldb.TrigDelete:
-			bump(ws, co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields), -1)
+			bump(ws, co.keyFromRow(ev.Old), -1)
 		case sqldb.TrigUpdate:
-			oldKey := co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields)
-			newKey := co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields)
+			oldKey := co.keyFromRow(ev.Old)
+			newKey := co.keyFromRow(ev.New)
 			if oldKey != newKey {
 				bump(ws, oldKey, -1)
 				bump(ws, newKey, 1)
@@ -237,7 +238,7 @@ func (co *CachedObject) sortBefore(a, b sqldb.Value) bool {
 }
 
 func (co *CachedObject) sortVal(row sqldb.Row) sqldb.Value {
-	return row[co.colIdx[co.spec.SortField]]
+	return row[co.sortIdx]
 }
 
 // topkInsertLocked inserts row into the ordered list, returning whether the
@@ -288,12 +289,12 @@ func (co *CachedObject) topkTrigger(op sqldb.TriggerOp) triggerBody {
 	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
-			insert(ws, co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields), ev.New)
+			insert(ws, co.keyFromRow(ev.New), ev.New)
 		case sqldb.TrigDelete:
-			remove(ws, co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields), ev.Old)
+			remove(ws, co.keyFromRow(ev.Old), ev.Old)
 		case sqldb.TrigUpdate:
-			oldKey := co.keyFromRow(ev.Old, co.colIdx, co.spec.WhereFields)
-			newKey := co.keyFromRow(ev.New, co.colIdx, co.spec.WhereFields)
+			oldKey := co.keyFromRow(ev.Old)
+			newKey := co.keyFromRow(ev.New)
 			if oldKey != newKey {
 				// Moved between lists: delete from old, insert into new.
 				remove(ws, oldKey, ev.Old)
@@ -361,16 +362,12 @@ func (co *CachedObject) linkSources(q sqldb.Queryer, joinVal sqldb.Value) ([]sql
 
 // targetFieldVal extracts the joined column from a target row.
 func (co *CachedObject) targetFieldVal(row sqldb.Row) sqldb.Value {
-	return row[co.colIdx[co.spec.Link.TargetField]]
+	return row[co.targetIdx]
 }
 
 // linkThroughTrigger reacts to relation-table changes: a membership insert
 // adds the joined target row to the source's cached list.
 func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) triggerBody {
-	l := co.spec.Link
-	srcIdx := func() int { return co.throughIdx[l.SourceField] }
-	jfIdx := func() int { return co.throughIdx[l.JoinField] }
-
 	addTo := func(ws *writeSet, q sqldb.Queryer, srcVal, joinVal sqldb.Value) error {
 		key := co.MakeKey(srcVal)
 		if co.spec.Strategy == Invalidate {
@@ -407,12 +404,12 @@ func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) triggerBody {
 	return func(ws *writeSet, q sqldb.Queryer, ev sqldb.TriggerEvent) error {
 		switch op {
 		case sqldb.TrigInsert:
-			return addTo(ws, q, ev.New[srcIdx()], ev.New[jfIdx()])
+			return addTo(ws, q, ev.New[co.srcIdx], ev.New[co.joinIdx])
 		case sqldb.TrigDelete:
-			removeFrom(ws, ev.Old[srcIdx()], ev.Old[jfIdx()])
+			removeFrom(ws, ev.Old[co.srcIdx], ev.Old[co.joinIdx])
 		case sqldb.TrigUpdate:
-			oldSrc, newSrc := ev.Old[srcIdx()], ev.New[srcIdx()]
-			oldJF, newJF := ev.Old[jfIdx()], ev.New[jfIdx()]
+			oldSrc, newSrc := ev.Old[co.srcIdx], ev.New[co.srcIdx]
+			oldJF, newJF := ev.Old[co.joinIdx], ev.New[co.joinIdx]
 			if sqldb.Compare(oldSrc, newSrc) == 0 && sqldb.Compare(oldJF, newJF) == 0 {
 				return nil
 			}

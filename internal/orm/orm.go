@@ -10,6 +10,19 @@
 // the application, modifying the queries issued by the ORM system to the
 // database, redirecting them to the cache when possible").
 //
+// # Objects are row views
+//
+// CacheGenie caches raw query rows, not objects (§3.1), so every cache hit
+// turns rows back into objects. Here that costs one allocation per result,
+// whatever its length: an Object is a read-only view of its row — the model
+// plus the row, its fields resolved through a name→index table the Model
+// builds once at Register — and a query's Objects view the very rows the
+// interceptor or the database returned. For a cache hit those rows are
+// windows of one decoded payload (one value array, one string holding every
+// text value), so an Object held anywhere keeps its whole list's decoded
+// payload alive. Nothing may write through an Object; ObjectToRow returns a
+// copy to edit.
+//
 // # Waves
 //
 // A page is rarely a dozen independent lookups: it is two or three dependency
@@ -20,7 +33,7 @@
 //
 //	w := reg.Wave()
 //	user := w.Get(reg.Objects("User").Filter("id", uid))
-//	profile := w.OneOrNone(reg.Objects("Profile").Filter("user_id", uid)) // nil if none
+//	profile := w.OneOrNone(reg.Objects("Profile").Filter("user_id", uid)) // zero Object if none
 //	posts := w.All(reg.Objects("WallPost").Filter("user_id", uid))
 //	friends := w.Count(reg.Objects("Friendship").Filter("from_user_id", uid))
 //	if err := w.Run(); err != nil { ... }
@@ -53,6 +66,8 @@ package orm
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -94,35 +109,88 @@ type Model struct {
 	Name   string
 	Table  string
 	Fields []FieldDef
+
+	// names is "id" plus the declared fields in schema order, and index maps
+	// each to its position; both are built once by Register and never change.
+	names []string
+	index map[string]int
 }
 
-// FieldNames returns "id" plus the declared fields, in schema order.
-func (m *Model) FieldNames() []string {
-	out := make([]string, 0, len(m.Fields)+1)
-	out = append(out, "id")
-	for _, f := range m.Fields {
-		out = append(out, f.Name)
+func newModel(def *ModelDef) *Model {
+	m := &Model{Name: def.Name, Table: def.Table, Fields: def.Fields}
+	m.names = make([]string, 0, len(def.Fields)+1)
+	m.names = append(m.names, "id")
+	for _, f := range def.Fields {
+		m.names = append(m.names, f.Name)
 	}
-	return out
+	m.index = make(map[string]int, len(m.names))
+	for i, n := range m.names {
+		m.index[n] = i
+	}
+	return m
 }
 
-// Object is one materialized model instance: field name -> value.
-type Object map[string]sqldb.Value
+// FieldNames returns "id" plus the declared fields, in schema order. The
+// slice is the caller's own.
+func (m *Model) FieldNames() []string { return slices.Clone(m.names) }
+
+// FieldIndex returns the position of field in the model's schema order (the
+// column order of its rows).
+func (m *Model) FieldIndex(field string) (int, bool) {
+	i, ok := m.index[field]
+	return i, ok
+}
+
+// Object is one model instance: a read-only view of its row, in the model's
+// schema order. Objects of one query result share that result's rows — for a
+// cache hit, one decoded payload — so holding any of them keeps the whole
+// list alive. The zero Object is "no object" (Wave.OneOrNone with no match):
+// every field of it reads as absent.
+type Object struct {
+	model *Model
+	row   sqldb.Row
+}
+
+// IsZero reports whether o is the zero Object.
+func (o Object) IsZero() bool { return o.model == nil }
+
+// Get returns the value of field, with ok=false when the model has no such
+// field (or o is the zero Object).
+func (o Object) Get(field string) (v sqldb.Value, ok bool) {
+	if o.model == nil {
+		return v, false
+	}
+	i, ok := o.model.index[field]
+	if !ok || i >= len(o.row) {
+		return v, false
+	}
+	return o.row[i], true
+}
+
+func (o Object) get(field string) sqldb.Value {
+	v, _ := o.Get(field)
+	return v
+}
 
 // ID returns the object's primary key.
-func (o Object) ID() int64 { return o["id"].I }
+func (o Object) ID() int64 {
+	if len(o.row) == 0 {
+		return 0
+	}
+	return o.row[0].I
+}
 
 // Int returns field as int64 (0 when NULL/absent).
-func (o Object) Int(field string) int64 { return o[field].I }
+func (o Object) Int(field string) int64 { return o.get(field).I }
 
 // Str returns field as string.
-func (o Object) Str(field string) string { return o[field].S }
+func (o Object) Str(field string) string { return o.get(field).S }
 
 // Bool returns field as bool.
-func (o Object) Bool(field string) bool { return o[field].AsBool() }
+func (o Object) Bool(field string) bool { return o.get(field).AsBool() }
 
 // Time returns field as time.Time.
-func (o Object) Time(field string) time.Time { return o[field].AsTime() }
+func (o Object) Time(field string) time.Time { return o.get(field).AsTime() }
 
 // Fields is the write-side value bag for Insert/Update.
 type Fields map[string]any
@@ -149,7 +217,9 @@ func V(x any) sqldb.Value {
 	case time.Time:
 		return sqldb.Time(v)
 	}
-	panic(fmt.Sprintf("orm: unsupported value type %T", x))
+	// reflect.TypeOf rather than %T: x must not escape, or every Filter(f, n)
+	// call site would box n on the heap.
+	panic("orm: unsupported value type " + reflect.TypeOf(x).String())
 }
 
 // ErrNotFound is returned by Get when no row matches.
@@ -196,7 +266,7 @@ func (r *Registry) Register(def *ModelDef) error {
 			return fmt.Errorf("orm: model %q declares reserved field id", def.Name)
 		}
 	}
-	m := &Model{Name: def.Name, Table: def.Table, Fields: def.Fields}
+	m := newModel(def)
 	r.models[def.Name] = m
 	r.defs[def.Name] = def
 	return nil
@@ -269,26 +339,19 @@ func (r *Registry) CreateTables() error {
 	return nil
 }
 
-// RowToObject maps a raw result row (in model schema order: id, fields...)
-// to an Object.
+// RowToObject views a raw result row (in model schema order: id, fields...)
+// as an Object. The Object does not copy the row: the row must not change
+// while the Object is in use.
 func (r *Registry) RowToObject(m *Model, row sqldb.Row) Object {
-	names := m.FieldNames()
-	o := make(Object, len(names))
-	for i, n := range names {
-		if i < len(row) {
-			o[n] = row[i]
-		}
-	}
-	return o
+	return Object{model: m, row: row}
 }
 
-// ObjectToRow converts an Object back to a raw row in schema order.
+// ObjectToRow returns a copy of the row behind o, an object of m, in m's
+// schema order; the caller may edit it. A field the row lacks is the zero
+// Value.
 func (r *Registry) ObjectToRow(m *Model, o Object) sqldb.Row {
-	names := m.FieldNames()
-	row := make(sqldb.Row, len(names))
-	for i, n := range names {
-		row[i] = o[n]
-	}
+	row := make(sqldb.Row, len(m.names))
+	copy(row, o.row)
 	return row
 }
 
@@ -296,7 +359,7 @@ func (r *Registry) ObjectToRow(m *Model, o Object) sqldb.Row {
 func (r *Registry) Insert(name string, fields Fields) (Object, error) {
 	m, err := r.Model(name)
 	if err != nil {
-		return nil, err
+		return Object{}, err
 	}
 	cols := make([]string, 0, len(fields))
 	for k := range fields {
@@ -311,13 +374,13 @@ func (r *Registry) Insert(name string, fields Fields) (Object, error) {
 	}
 	sql := fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s) RETURNING %s",
 		m.Table, strings.Join(cols, ", "), strings.Join(placeholders, ", "),
-		strings.Join(m.FieldNames(), ", "))
+		strings.Join(m.names, ", "))
 	res, err := r.conn.Exec(sql, args...)
 	if err != nil {
-		return nil, err
+		return Object{}, err
 	}
 	if len(res.Returning) != 1 {
-		return nil, fmt.Errorf("orm: insert returned %d rows", len(res.Returning))
+		return Object{}, fmt.Errorf("orm: insert returned %d rows", len(res.Returning))
 	}
 	return r.RowToObject(m, res.Returning[0]), nil
 }

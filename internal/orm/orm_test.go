@@ -301,6 +301,85 @@ func TestRowObjectRoundTrip(t *testing.T) {
 	}
 }
 
+// TestObjectIsARowView: an Object reads its row through the model's field
+// table; unknown fields and the zero Object read as absent.
+func TestObjectIsARowView(t *testing.T) {
+	reg := newTestRegistry(t)
+	m, _ := reg.Model("Profile")
+	row := sqldb.Row{sqldb.I64(5), sqldb.I64(42), sqldb.Str("bio"), sqldb.Time(time.Unix(9, 0))}
+	o := reg.RowToObject(m, row)
+	if o.IsZero() || o.ID() != 5 || o.Int("user_id") != 42 || o.Str("bio") != "bio" || !o.Time("joined").Equal(time.Unix(9, 0)) {
+		t.Fatalf("view reads %v %v %q %v", o.ID(), o.Int("user_id"), o.Str("bio"), o.Time("joined"))
+	}
+	if v, ok := o.Get("bio"); !ok || v.S != "bio" {
+		t.Errorf("Get(bio) = %v, %v", v, ok)
+	}
+	if _, ok := o.Get("nope"); ok {
+		t.Error("Get of an unknown field reported ok")
+	}
+	var zero Object
+	if !zero.IsZero() || zero.ID() != 0 || zero.Str("bio") != "" {
+		t.Error("zero Object is not empty")
+	}
+	if _, ok := zero.Get("id"); ok {
+		t.Error("zero Object has an id")
+	}
+	// A short row (fewer columns than the model) reads the rest as absent.
+	short := reg.RowToObject(m, row[:2])
+	if _, ok := short.Get("bio"); ok || short.Int("user_id") != 42 {
+		t.Error("short row misread")
+	}
+	// ObjectToRow hands back a copy, not the row behind the view.
+	back := reg.ObjectToRow(m, o)
+	back[2] = sqldb.Str("edited")
+	if o.Str("bio") != "bio" {
+		t.Error("editing ObjectToRow's result changed the Object")
+	}
+}
+
+// TestFieldNamesIsACopy: callers may edit what FieldNames returns.
+func TestFieldNamesIsACopy(t *testing.T) {
+	reg := newTestRegistry(t)
+	m, _ := reg.Model("Profile")
+	names := m.FieldNames()
+	names[0] = "oops"
+	if got := m.FieldNames(); got[0] != "id" || len(got) != 4 {
+		t.Fatalf("FieldNames = %v after a caller edited its copy", got)
+	}
+	if i, ok := m.FieldIndex("bio"); !ok || i != 2 {
+		t.Errorf("FieldIndex(bio) = %d, %v", i, ok)
+	}
+}
+
+// TestHydrationAllocs is the ceiling on turning a 10-row hit into Objects:
+// one allocation, the []Object — the Objects view the rows the interceptor
+// returned. Building a one- or two-term query costs nothing beyond the
+// QuerySet itself.
+func TestHydrationAllocs(t *testing.T) {
+	reg := newTestRegistry(t)
+	rows := make([]sqldb.Row, 10)
+	for i := range rows {
+		rows[i] = sqldb.Row{sqldb.I64(int64(i)), sqldb.I64(42), sqldb.Str("cached"), sqldb.NullOf(sqldb.TypeTime)}
+	}
+	reg.SetInterceptor(&fakeInterceptor{rows: rows})
+	q := reg.Objects("Profile").Filter("user_id", 42)
+	d := q.descriptor(KindRows)
+	if n := testing.AllocsPerRun(100, func() {
+		objs, err := q.all(d)
+		if err != nil || len(objs) != 10 {
+			t.Fatalf("%d objects, %v", len(objs), err)
+		}
+	}); n > 1 {
+		t.Errorf("hydrating a 10-row hit: %.0f allocs, want <= 1", n)
+	}
+	uid := int64(4242)
+	if n := testing.AllocsPerRun(100, func() {
+		reg.Objects("Profile").Filter("user_id", uid).Filter("bio", "x")
+	}); n > 1 {
+		t.Errorf("building a two-filter QuerySet: %.0f allocs, want <= 1 (the QuerySet)", n)
+	}
+}
+
 func TestEqFilterValues(t *testing.T) {
 	d := &QueryDescriptor{Filters: []Filter{
 		{Field: "user_id", Op: "=", Value: sqldb.I64(7)},

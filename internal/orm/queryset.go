@@ -121,11 +121,22 @@ type QuerySet struct {
 	// noCache bypasses the interceptor (the paper's manual opt-out for
 	// queries needing strict consistency, §3.3).
 	noCache bool
+	// filterBuf holds the first filters, so the one- and two-term queries
+	// almost every page issues cost no allocation to build.
+	filterBuf [2]Filter
+}
+
+// addFilter appends one WHERE term.
+func (q *QuerySet) addFilter(f Filter) {
+	if q.filters == nil {
+		q.filters = q.filterBuf[:0]
+	}
+	q.filters = append(q.filters, f)
 }
 
 // Filter adds `field = value`.
 func (q *QuerySet) Filter(field string, value any) *QuerySet {
-	q.filters = append(q.filters, Filter{Field: field, Op: "=", Value: V(value)})
+	q.addFilter(Filter{Field: field, Op: "=", Value: V(value)})
 	return q
 }
 
@@ -136,7 +147,7 @@ func (q *QuerySet) FilterOp(field, op string, value any) *QuerySet {
 	default:
 		q.err = fmt.Errorf("orm: bad filter op %q", op)
 	}
-	q.filters = append(q.filters, Filter{Field: field, Op: op, Value: V(value)})
+	q.addFilter(Filter{Field: field, Op: op, Value: V(value)})
 	return q
 }
 
@@ -146,7 +157,7 @@ func (q *QuerySet) FilterIn(field string, values ...any) *QuerySet {
 	for i, v := range values {
 		list[i] = V(v)
 	}
-	q.filters = append(q.filters, Filter{Field: field, Op: "in", List: list})
+	q.addFilter(Filter{Field: field, Op: "in", List: list})
 	return q
 }
 
@@ -221,8 +232,7 @@ func (q *QuerySet) buildSelect(countOnly bool) (string, []sqldb.Value, error) {
 	if countOnly {
 		sb.WriteString("COUNT(*)")
 	} else {
-		cols := q.model.FieldNames()
-		for i, c := range cols {
+		for i, c := range q.model.names {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -343,10 +353,11 @@ func (q *QuerySet) all(d *QueryDescriptor) ([]Object, error) {
 	return q.objects(rs.Rows), nil
 }
 
+// objects views rows as the query's Objects: one allocation, the slice.
 func (q *QuerySet) objects(rows []sqldb.Row) []Object {
 	out := make([]Object, len(rows))
 	for i, r := range rows {
-		out[i] = q.reg.RowToObject(q.model, r)
+		out[i] = Object{model: q.model, row: r}
 	}
 	return out
 }
@@ -355,7 +366,7 @@ func (q *QuerySet) objects(rows []sqldb.Row) []Object {
 func (q *QuerySet) Get() (Object, error) {
 	objs, err := q.All()
 	if err != nil {
-		return nil, err
+		return Object{}, err
 	}
 	return one(objs)
 }
@@ -364,11 +375,11 @@ func (q *QuerySet) Get() (Object, error) {
 func one(objs []Object) (Object, error) {
 	switch len(objs) {
 	case 0:
-		return nil, ErrNotFound
+		return Object{}, ErrNotFound
 	case 1:
 		return objs[0], nil
 	default:
-		return nil, ErrMultiple
+		return Object{}, ErrMultiple
 	}
 }
 

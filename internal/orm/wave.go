@@ -68,8 +68,9 @@ func (w *Wave) Get(q *QuerySet) *Object {
 	return &it.obj
 }
 
-// OneOrNone declares q.Get() for a row that may not exist: the object is nil
-// when nothing matches, and Run still fails with ErrMultiple on more than one.
+// OneOrNone declares q.Get() for a row that may not exist: the object is the
+// zero Object (IsZero) when nothing matches, and Run still fails with
+// ErrMultiple on more than one.
 func (w *Wave) OneOrNone(q *QuerySet) *Object {
 	it := w.add(q, KindRows)
 	it.one, it.none = true, true

@@ -134,8 +134,8 @@ func TestWaveStopsAtFirstError(t *testing.T) {
 	w = reg.Wave()
 	nobody := w.OneOrNone(reg.Objects("User").Filter("username", "nobody"))
 	w.OneOrNone(reg.Objects("Group").Filter("name", "g"))
-	if err := w.Run(); *nobody != nil || !errors.Is(err, ErrMultiple) || !strings.Contains(err.Error(), "query 1 on Group") {
-		t.Errorf("OneOrNone: object %v, err %v; want nil and ErrMultiple on query 1", *nobody, err)
+	if err := w.Run(); !nobody.IsZero() || !errors.Is(err, ErrMultiple) || !strings.Contains(err.Error(), "query 1 on Group") {
+		t.Errorf("OneOrNone: object %v, err %v; want the zero Object and ErrMultiple on query 1", *nobody, err)
 	}
 	w = reg.Wave()
 	w.All(reg.Objects("NoSuchModel"))

@@ -141,7 +141,7 @@ func (db *DB) applyRecord(rec wal.Record) error {
 		}
 		return t.deleteRaw(old)
 	case recDDL:
-		st, err := sqlparse.Parse(string(rec.Payload))
+		st, err := db.parse(string(rec.Payload))
 		if err != nil {
 			return fmt.Errorf("sqldb: replaying DDL %q: %w", rec.Payload, err)
 		}

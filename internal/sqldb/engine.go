@@ -170,6 +170,12 @@ type DB struct {
 	triggersEnabled atomic.Bool
 	nextTxn         atomic.Int64
 
+	// stmts caches parsed statements by SQL text (parse). Readers load the
+	// current map without a lock; stmtsMu serializes writers, which publish a
+	// copy with one more entry.
+	stmts   atomic.Pointer[map[string]sqlparse.Statement]
+	stmtsMu sync.Mutex
+
 	// Durability state; all nil/zero when Config.DataDir is unset.
 	wal        *wal.Writer
 	walMetrics *wal.Metrics
@@ -245,7 +251,40 @@ func openMem(cfg Config) *DB {
 		lockTimeout: cfg.LockTimeout,
 	}
 	db.triggersEnabled.Store(true)
+	db.stmts.Store(&map[string]sqlparse.Statement{})
 	return db
+}
+
+// maxCachedStatements caps the statement cache. An application issues a
+// handful of distinct statement texts (geniebench's whole run: 19), all with
+// $n parameters; one that inlines its values makes a new text per call, and
+// past the cap those are parsed on every execution instead of filling memory.
+const maxCachedStatements = 1024
+
+// parse returns sql's statement, parsed once per distinct text: the AST is
+// immutable after sqlparse.Parse, so every execution of the text — concurrent
+// ones and trigger-issued ones included — shares it.
+func (db *DB) parse(sql string) (sqlparse.Statement, error) {
+	cached := *db.stmts.Load()
+	if st, ok := cached[sql]; ok {
+		return st, nil
+	}
+	st, err := sqlparse.Parse(sql)
+	if err != nil || len(cached) >= maxCachedStatements {
+		return st, err
+	}
+	db.stmtsMu.Lock()
+	defer db.stmtsMu.Unlock()
+	old := *db.stmts.Load()
+	if _, ok := old[sql]; !ok && len(old) < maxCachedStatements {
+		next := make(map[string]sqlparse.Statement, len(old)+1)
+		for k, v := range old {
+			next[k] = v
+		}
+		next[sql] = st
+		db.stmts.Store(&next)
+	}
+	return st, nil
 }
 
 // BufferPool exposes the pool for experiment instrumentation (resize,
@@ -482,9 +521,10 @@ func (db *DB) chargeStatement() {
 	}
 }
 
-// Exec parses and executes one statement in autocommit mode.
+// Exec parses (once per distinct text) and executes one statement in
+// autocommit mode.
 func (db *DB) Exec(sql string, args ...Value) (Result, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := db.parse(sql)
 	if err != nil {
 		return Result{}, err
 	}
@@ -513,7 +553,7 @@ func (db *DB) ExecAST(st sqlparse.Statement, args ...Value) (Result, error) {
 
 // Query parses and runs a SELECT in autocommit mode.
 func (db *DB) Query(sql string, args ...Value) (*ResultSet, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := db.parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -540,7 +580,7 @@ func (db *DB) QueryAST(sel *sqlparse.Select, args ...Value) (*ResultSet, error) 
 
 // Exec executes one mutating statement inside the transaction.
 func (tx *Txn) Exec(sql string, args ...Value) (Result, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := tx.db.parse(sql)
 	if err != nil {
 		return Result{}, err
 	}
@@ -549,7 +589,7 @@ func (tx *Txn) Exec(sql string, args ...Value) (Result, error) {
 
 // Query runs a SELECT inside the transaction. It implements Queryer.
 func (tx *Txn) Query(sql string, args ...Value) (*ResultSet, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := tx.db.parse(sql)
 	if err != nil {
 		return nil, err
 	}

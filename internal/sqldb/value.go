@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -224,6 +225,77 @@ func EncodeRow(dst []byte, r Row) []byte { return encodeRow(dst, r) }
 // DecodeRow parses an EncodeRow payload.
 func DecodeRow(b []byte) (Row, error) { return decodeRow(b) }
 
+// DecodeRowInto parses an EncodeRow payload, appending its values to dst. s
+// is either string(b) — then every text value is a substring of it and the
+// row costs no allocation beyond dst's growth — or "", and each text value is
+// copied out of b. Decoding many rows into one dst and one string is how a
+// cached list becomes a single backing array (core.decodePayload). On error
+// dst comes back with its length unchanged (its spare capacity may have been
+// written).
+func DecodeRowInto(dst []Value, b []byte, s string) ([]Value, error) {
+	if len(b) < 4 {
+		return dst, fmt.Errorf("sqldb: short row record (%d bytes)", len(b))
+	}
+	n := binary.LittleEndian.Uint32(b[:4])
+	// Every value takes at least two bytes, which bounds what a corrupt count
+	// can make us allocate.
+	if uint64(n) > uint64(len(b)-4)/2 {
+		return dst, fmt.Errorf("sqldb: row record claims %d values in %d bytes", n, len(b))
+	}
+	out := slices.Grow(dst, int(n))
+	off := 4
+	for i := uint32(0); i < n; i++ {
+		if len(b)-off < 2 {
+			return dst, fmt.Errorf("sqldb: truncated row value %d", i)
+		}
+		t, flag := Type(b[off]), b[off+1]
+		off += 2
+		if flag > 1 {
+			return dst, fmt.Errorf("sqldb: bad null flag %d in row value %d", flag, i)
+		}
+		if flag == 1 {
+			out = append(out, NullOf(t))
+			continue
+		}
+		switch t {
+		case TypeInt, TypeBool, TypeTime:
+			if len(b)-off < 8 {
+				return dst, fmt.Errorf("sqldb: truncated int value %d", i)
+			}
+			out = append(out, Value{Type: t, I: int64(binary.LittleEndian.Uint64(b[off:]))})
+			off += 8
+		case TypeFloat:
+			if len(b)-off < 8 {
+				return dst, fmt.Errorf("sqldb: truncated float value %d", i)
+			}
+			out = append(out, Value{Type: t, F: math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))})
+			off += 8
+		case TypeText:
+			if len(b)-off < 4 {
+				return dst, fmt.Errorf("sqldb: truncated text length %d", i)
+			}
+			l := uint64(binary.LittleEndian.Uint32(b[off:]))
+			off += 4
+			if uint64(len(b)-off) < l {
+				return dst, fmt.Errorf("sqldb: truncated text value %d", i)
+			}
+			end := off + int(l)
+			if s != "" {
+				out = append(out, Str(s[off:end]))
+			} else {
+				out = append(out, Str(string(b[off:end])))
+			}
+			off = end
+		default:
+			return dst, fmt.Errorf("sqldb: bad type tag %d in row value %d", t, i)
+		}
+	}
+	if off != len(b) {
+		return dst, fmt.Errorf("sqldb: %d bytes after the row's values", len(b)-off)
+	}
+	return out, nil
+}
+
 // Clone returns a deep-enough copy (Values are value types).
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
@@ -263,52 +335,12 @@ func encodeRow(dst []byte, r Row) []byte {
 	return dst
 }
 
-// decodeRow deserializes a heap record.
+// decodeRow deserializes a heap record (which the page may reuse, so text
+// values are copied out of it).
 func decodeRow(b []byte) (Row, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("sqldb: short row record (%d bytes)", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	b = b[4:]
-	row := make(Row, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("sqldb: truncated row value %d", i)
-		}
-		t := Type(b[0])
-		null := b[1] == 1
-		b = b[2:]
-		if null {
-			row = append(row, NullOf(t))
-			continue
-		}
-		switch t {
-		case TypeInt, TypeBool, TypeTime:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("sqldb: truncated int value %d", i)
-			}
-			row = append(row, Value{Type: t, I: int64(binary.LittleEndian.Uint64(b[:8]))})
-			b = b[8:]
-		case TypeFloat:
-			if len(b) < 8 {
-				return nil, fmt.Errorf("sqldb: truncated float value %d", i)
-			}
-			row = append(row, Value{Type: t, F: math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))})
-			b = b[8:]
-		case TypeText:
-			if len(b) < 4 {
-				return nil, fmt.Errorf("sqldb: truncated text length %d", i)
-			}
-			l := binary.LittleEndian.Uint32(b[:4])
-			b = b[4:]
-			if len(b) < int(l) {
-				return nil, fmt.Errorf("sqldb: truncated text value %d", i)
-			}
-			row = append(row, Str(string(b[:l])))
-			b = b[l:]
-		default:
-			return nil, fmt.Errorf("sqldb: bad type tag %d in row value %d", t, i)
-		}
+	row, err := DecodeRowInto(nil, b, "")
+	if err != nil {
+		return nil, err
 	}
 	return row, nil
 }

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,6 +144,49 @@ func TestQuickRowCodec(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeRowInto: rows append to one dst; with s = string(b) the decode
+// allocates nothing, and a failed decode leaves dst as it was.
+func TestDecodeRowInto(t *testing.T) {
+	a := encodeRow(nil, Row{I64(1), Str("hello"), NullOf(TypeText)})
+	b := encodeRow(nil, Row{Str(""), Str("x\x00y"), F64(-2)})
+	dst := make([]Value, 0, 6)
+	sa := string(a)
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if _, err = DecodeRowInto(dst[:0], a, sa); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("decoding into room with the text given: %.0f allocs", n)
+	}
+	out, err := DecodeRowInto(dst, a, sa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = DecodeRowInto(out, b, "") // texts copied out of b
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 6 || &out[0] != &dst[:1][0] || out[1].S != "hello" || !out[2].Null || out[4].S != "x\x00y" || out[5].F != -2 {
+		t.Fatalf("decoded %+v", out)
+	}
+	clear(b)
+	if out[4].S != "x\x00y" {
+		t.Error("a text value aliases the record it was copied from")
+	}
+	for _, bad := range [][]byte{
+		append(slices.Clone(a), 0),            // trailing byte
+		{1, 0, 0, 0, byte(TypeInt), 2},        // null flag neither 0 nor 1
+		{0xff, 0xff, 0xff, 0x7f, 1, 1, 1, 1},  // count the bytes cannot hold
+		{1, 0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0}, // unknown type
+	} {
+		got, err := DecodeRowInto(out[:2], bad, string(bad))
+		if err == nil || len(got) != 2 {
+			t.Errorf("%x: err %v, dst len %d; want an error and dst unchanged", bad, err, len(got))
+		}
 	}
 }
 

@@ -7,6 +7,12 @@ import (
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
+//
+// The returned AST is immutable: nothing may modify it after Parse returns.
+// Its values come from the statement's $n arguments at execution time, never
+// from edits to the tree, so sqldb parses each distinct SQL text once and
+// shares the AST between every execution of it, concurrent ones included.
+// Code that wants a variant of a statement builds a new one (as Template does).
 func Parse(input string) (Statement, error) {
 	toks, err := Lex(input)
 	if err != nil {
