@@ -4,7 +4,7 @@
 // EXPERIMENTS.md records a reference run next to the paper's values.
 //
 // The latency model is the paper-calibrated one scaled down 50x (see
-// internal/latency.PaperScaled); absolute numbers are therefore ~50x the
+// internal/workload.PaperScaled); absolute numbers are therefore ~50x the
 // paper's on the time axis divided by our smaller dataset, but the shape —
 // who wins, by what factor, where the curves bend — is the reproduction
 // target.
@@ -17,9 +17,7 @@ import (
 	"time"
 
 	"cachegenie/internal/core"
-	"cachegenie/internal/invbus"
 	"cachegenie/internal/kvcache"
-	"cachegenie/internal/latency"
 	"cachegenie/internal/orm"
 	"cachegenie/internal/social"
 	"cachegenie/internal/sqldb"
@@ -61,87 +59,42 @@ func reportThroughput(b *testing.B, fn func() (float64, error)) {
 // BenchmarkMicroDBvsCacheLookup reproduces the §5.3 lookup comparison
 // (paper: a DB B+tree lookup takes 10-25x a memcached get).
 func BenchmarkMicroDBvsCacheLookup(b *testing.B) {
-	model := latency.PaperScaled(50)
-	db := sqldb.MustOpen(sqldb.Config{Latency: model, BufferPoolPages: 1024})
-	if _, err := db.Exec("CREATE TABLE kv (k INT NOT NULL, v TEXT)"); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Exec("CREATE INDEX idx_kv_k ON kv (k)"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		if _, err := db.Exec("INSERT INTO kv (k, v) VALUES ($1, $2)",
-			sqldb.I64(int64(i)), sqldb.Str(fmt.Sprintf("value-%d", i))); err != nil {
+	var db, cache, ratio float64
+	for i := 0; i < b.N; i++ {
+		res, err := workload.MicroLookup(benchOpts())
+		if err != nil {
 			b.Fatal(err)
 		}
+		db += float64(res.DBLookup.Microseconds())
+		cache += float64(res.CacheLookup.Microseconds())
+		ratio += res.Ratio
 	}
-	cache := kvcache.WithLatency(kvcache.New(0), model.CacheRoundTrip, latency.RealSleeper{})
-	cache.Set("kv:1", []byte("value-1"), 0)
-
-	b.Run("DBLookup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Query("SELECT v FROM kv WHERE k = $1", sqldb.I64(int64(i%2000))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("CacheLookup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cache.Get("kv:1")
-		}
-	})
+	n := float64(b.N)
+	b.ReportMetric(db/n, "db-lookup-us")
+	b.ReportMetric(cache/n, "cache-lookup-us")
+	b.ReportMetric(ratio/n, "ratio")
+	b.ReportMetric(0, "ns/op")
 }
 
 // BenchmarkMicroTriggerOverhead reproduces the §5.3 INSERT ladder (paper:
 // 6.3ms plain, 6.5ms no-op trigger, 11.9ms trigger opening a remote cache
 // connection).
 func BenchmarkMicroTriggerOverhead(b *testing.B) {
-	model := latency.PaperScaled(50)
-	mkDB := func(b *testing.B) *sqldb.DB {
-		db := sqldb.MustOpen(sqldb.Config{Latency: model, BufferPoolPages: 4096})
-		if _, err := db.Exec("CREATE TABLE t (v TEXT)"); err != nil {
+	var plain, noop, connect float64
+	for i := 0; i < b.N; i++ {
+		res, err := workload.MicroTrigger(benchOpts())
+		if err != nil {
 			b.Fatal(err)
 		}
-		return db
+		plain += float64(res.PlainInsert.Microseconds())
+		noop += float64(res.NoopTrigger.Microseconds())
+		connect += float64(res.ConnectTrigger.Microseconds())
 	}
-	insertLoop := func(b *testing.B, db *sqldb.DB) {
-		b.Helper()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Exec("INSERT INTO t (v) VALUES ($1)", sqldb.Str("x")); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("PlainInsert", func(b *testing.B) {
-		insertLoop(b, mkDB(b))
-	})
-	b.Run("NoopTrigger", func(b *testing.B) {
-		db := mkDB(b)
-		if err := db.CreateTrigger(sqldb.Trigger{
-			Name: "noop", Table: "t", Op: sqldb.TrigInsert,
-			Fn: func(q sqldb.Queryer, ev sqldb.TriggerEvent) error { return nil },
-		}); err != nil {
-			b.Fatal(err)
-		}
-		insertLoop(b, db)
-	})
-	b.Run("TriggerWithCacheConnect", func(b *testing.B) {
-		db := mkDB(b)
-		cache := kvcache.WithLatency(kvcache.New(0), model.CacheRoundTrip, latency.RealSleeper{})
-		sleeper := latency.RealSleeper{}
-		if err := db.CreateTrigger(sqldb.Trigger{
-			Name: "connect", Table: "t", Op: sqldb.TrigInsert,
-			Fn: func(q sqldb.Queryer, ev sqldb.TriggerEvent) error {
-				sleeper.Sleep(model.CacheConnect)
-				cache.Set("k", []byte("v"), 0)
-				return nil
-			},
-		}); err != nil {
-			b.Fatal(err)
-		}
-		insertLoop(b, db)
-	})
+	n := float64(b.N)
+	b.ReportMetric(plain/n, "plain-insert-us")
+	b.ReportMetric(noop/n, "noop-trigger-us")
+	b.ReportMetric(connect/n, "connect-trigger-us")
+	b.ReportMetric(0, "ns/op")
 }
 
 // ---------- Experiment 1: Fig 2a (throughput) and Fig 2b (latency) ----------
@@ -324,132 +277,6 @@ func BenchmarkExp5TriggerOverhead(b *testing.B) {
 			}
 			b.ReportMetric(0, "ns/op")
 		})
-	}
-}
-
-// ---------- Experiment 6: asynchronous invalidation bus ----------
-
-// BenchmarkExp6AsyncInvalidation compares synchronous per-op trigger→cache
-// propagation against the asynchronous batched invalidation bus on a
-// write-heavy mix with the paper's trigger connection cost in effect.
-// Expected shape: async wins on write throughput and p99 write latency —
-// the §5.3 connection setup and per-op round trips leave the write path
-// and are amortized per batch by the bus.
-func BenchmarkExp6AsyncInvalidation(b *testing.B) {
-	opt := benchOpts()
-	for _, async := range []bool{false, true} {
-		b.Run(fmt.Sprintf("async=%v", async), func(b *testing.B) {
-			var tp, p99 float64
-			for i := 0; i < b.N; i++ {
-				st, err := workload.BuildStackForExp6(opt, workload.ModeUpdate, async)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep, err := workload.Run(st, workload.RunConfig{
-					Clients: 15, Sessions: 3, PagesPerSession: 8, WritePct: 60,
-					ZipfA: 2.0, WarmupSessions: 20, RngSeed: 3,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				tp += rep.Throughput
-				p99 += float64(rep.ByPage[social.PageCreateBM].P99.Microseconds()) / 1000
-				if st.Genie != nil {
-					st.Genie.Close()
-				}
-			}
-			b.ReportMetric(tp/float64(b.N), "pages/s")
-			b.ReportMetric(p99/float64(b.N), "write-p99-ms")
-			b.ReportMetric(0, "ns/op")
-		})
-	}
-}
-
-// BenchmarkInvBusPropagation measures the bus directly: b.N invalidations
-// against a latency-wrapped cache, sync (one connection charge + one round
-// trip per op) vs async (amortized per flush). The ops/s gap is the §5.3
-// overhead converted into a tunable.
-func BenchmarkInvBusPropagation(b *testing.B) {
-	model := latency.PaperScaled(500)
-	for _, sync := range []bool{true, false} {
-		name := "async"
-		if sync {
-			name = "sync"
-		}
-		b.Run(name, func(b *testing.B) {
-			cache := kvcache.WithLatency(kvcache.New(0), model.CacheRoundTrip, latency.RealSleeper{})
-			bus := invbus.New(invbus.Config{
-				Cache: cache, Sync: sync,
-				ConnectCost: model.CacheConnect, Sleeper: latency.RealSleeper{},
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bus.Publish(invbus.Op{Kind: invbus.OpDelete, Key: fmt.Sprintf("key-%d", i%512)})
-			}
-			bus.Close()
-			b.StopTimer()
-			st := bus.Stats()
-			if st.Flushes > 0 {
-				b.ReportMetric(float64(st.Enqueued)/float64(st.Flushes), "ops/flush")
-			}
-		})
-	}
-}
-
-// ---------- Experiment 7: remote cache tier over real TCP ----------
-
-// BenchmarkExp7RemoteCluster drives the full social workload against real
-// cacheproto servers on loopback TCP (4-node consistent-hash ring, pooled
-// clients, parallel batch fan-out), sync and async-bus each, with the
-// in-process transport as the baseline. Expected shape: remote costs
-// throughput everywhere (each cache hop is a real syscall + TCP round
-// trip), and the async bus recovers most of the write-path loss — batching
-// matters more when round trips are real. The sweep is also written to
-// BENCH_exp7.json, which CI uploads as a workflow artifact.
-func BenchmarkExp7RemoteCluster(b *testing.B) {
-	opt := benchOpts()
-	var pts []workload.Exp7Point
-	for _, transport := range []workload.CacheTransport{workload.TransportInProcess, workload.TransportRemote} {
-		for _, async := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/async=%v", transport, async), func(b *testing.B) {
-				var tp, p99 float64
-				var last workload.Exp7Point
-				for i := 0; i < b.N; i++ {
-					st, err := workload.BuildStackForExp7(opt, workload.ModeUpdate, transport, async)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rep, err := workload.Run(st, workload.RunConfig{
-						Clients: 15, Sessions: 3, PagesPerSession: 8, WritePct: 60,
-						ZipfA: 2.0, WarmupSessions: 20, RngSeed: 3,
-					})
-					if err != nil {
-						st.Close()
-						b.Fatal(err)
-					}
-					tp += rep.Throughput
-					p99 += float64(rep.ByPage[social.PageCreateBM].P99.Microseconds()) / 1000
-					last = workload.Exp7Point{
-						Transport: transport, Async: async, Throughput: rep.Throughput,
-						MeanWriteLat: rep.ByPage[social.PageCreateBM].Mean,
-						P99WriteLat:  rep.ByPage[social.PageCreateBM].P99,
-					}
-					if st.Genie != nil {
-						last.Bus = st.Genie.InvStats()
-					}
-					st.Close()
-				}
-				b.ReportMetric(tp/float64(b.N), "pages/s")
-				b.ReportMetric(p99/float64(b.N), "write-p99-ms")
-				b.ReportMetric(0, "ns/op")
-				pts = append(pts, last)
-			})
-		}
-	}
-	if len(pts) == 4 {
-		if err := workload.WriteExp7JSON("BENCH_exp7.json", pts); err != nil {
-			b.Logf("BENCH_exp7.json not written: %v", err)
-		}
 	}
 }
 
@@ -661,41 +488,6 @@ func BenchmarkExp13HotKeys(b *testing.B) {
 		if err := os.WriteFile("BENCH_exp13_metrics.prom", p.Metrics, 0o644); err != nil {
 			b.Logf("BENCH_exp13_metrics.prom not written: %v", err)
 		}
-	}
-}
-
-// ---------- Experiment 9: single-node multi-core scaling ----------
-
-// BenchmarkExp9CoreScaling pits the 1-shard (single-mutex, global-LRU)
-// store against the lock-striped one at rising client concurrency, on the
-// in-process and real-TCP paths. Expected shape on a multi-core runner: the
-// baseline flatlines past ~1 core's worth of clients while the sharded
-// store keeps climbing (>=2x at 16+ clients); allocs/op stays ~0 for the
-// in-process mix thanks to the zero-allocation hot path. The sweep is also
-// written to BENCH_exp9.json (with GOMAXPROCS recorded — the curve can only
-// separate on a runner that has cores to scale over), which CI uploads as a
-// workflow artifact.
-func BenchmarkExp9CoreScaling(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp9Result
-	var localSpeed, remoteSpeed float64
-	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp9(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-		clients := workload.Exp9Clients(true)
-		maxC := clients[len(clients)-1]
-		localSpeed += res.Speedup("local", maxC)
-		remoteSpeed += res.Speedup("remote", maxC)
-	}
-	b.ReportMetric(localSpeed/float64(b.N), "local-speedup")
-	b.ReportMetric(remoteSpeed/float64(b.N), "remote-speedup")
-	b.ReportMetric(float64(last.GOMAXPROCS), "gomaxprocs")
-	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp9JSON("BENCH_exp9.json", last); err != nil {
-		b.Logf("BENCH_exp9.json not written: %v", err)
 	}
 }
 

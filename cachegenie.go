@@ -7,8 +7,8 @@
 // The package re-exports the user-facing API of the internal packages:
 //
 //   - the database engine (sqldb): a relational engine with a SQL subset,
-//     B+tree indexes, a buffer pool over a simulated disk, transactions, and
-//     row-level AFTER triggers — the stack's PostgreSQL;
+//     B+tree indexes, a buffer pool over an in-memory block device,
+//     transactions, and row-level AFTER triggers — the stack's PostgreSQL;
 //   - the cache (kvcache): a memcached-semantics LRU store with CAS, plus a
 //     TCP text protocol with a connection-pooled client (cacheproto) and a
 //     consistent-hash cluster client with parallel batch fan-out (cluster);
@@ -33,7 +33,7 @@
 // maintenance through internal/invbus instead: triggers enqueue typed ops
 // and return immediately, and per-shard workers coalesce pending ops
 // (redundant deletes dedup, adjacent increments merge) and flush them as
-// pipelined batches — one connection charge and one round trip per batch.
+// pipelined batches — one round trip per batch instead of one per op.
 // Per-key FIFO ordering is preserved via key-hash sharded queues, and
 // read-miss repopulation rides the same queues so it serializes correctly
 // with pending trigger ops. Config.BatchWindow tunes the coalescing window.
@@ -41,8 +41,8 @@
 // The trade is bounded staleness: in async mode the cache may lag the
 // database by roughly the batch window plus queueing delay, and top-K
 // reserve exhaustion drops the key for re-read instead of recomputing
-// inside the trigger's transaction. Prefer the default synchronous mode
-// (the paper-faithful configuration) when readers require
+// inside the trigger's transaction. Prefer the default synchronous
+// write-set flush (the paper's configuration) when readers require
 // read-your-triggered-writes without an explicit Genie.FlushInvalidations.
 //
 // Quick start

@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	geniedb -addr :15432 -pool-pages 4096 -disk-width 2
+//	geniedb -addr :15432 -pool-pages 4096
 //	geniedb -addr :15432 -data-dir /var/lib/geniedb
 //	geniedb -addr :15432 -data-dir d -drill-schema -cache-addrs :15501,:15502
 package main
@@ -31,7 +31,6 @@ import (
 	"cachegenie/internal/cluster"
 	"cachegenie/internal/dbproto"
 	"cachegenie/internal/kvcache"
-	"cachegenie/internal/latency"
 	"cachegenie/internal/obs"
 	"cachegenie/internal/sqldb"
 	"cachegenie/internal/workload"
@@ -40,8 +39,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:15432", "listen address")
 	poolPages := flag.Int("pool-pages", 4096, "buffer pool capacity in 8KiB pages")
-	diskWidth := flag.Int("disk-width", 2, "concurrent simulated-disk requests")
-	latencyScale := flag.Int("latency-scale", 0, "enable paper-calibrated latency model divided by this factor (0 = off)")
 	lockTimeout := flag.Duration("lock-timeout", 5*time.Second, "lock wait timeout")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /metrics.json, /healthz and /debug/pprof on this address (empty = disabled)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL group commit + snapshot, crash recovery on start (empty = memory-only)")
@@ -54,14 +51,8 @@ func main() {
 	crashAfter := flag.Duration("crash-after", 0, "self-SIGKILL this long after start (crash-drill utility; 0 = off)")
 	flag.Parse()
 
-	var model latency.Model
-	if *latencyScale > 0 {
-		model = latency.PaperScaled(*latencyScale)
-	}
 	db, err := sqldb.Open(sqldb.Config{
 		BufferPoolPages: *poolPages,
-		DiskWidth:       *diskWidth,
-		Latency:         model,
 		LockTimeout:     *lockTimeout,
 		DataDir:         *dataDir,
 		WALSegmentBytes: *walSegBytes,

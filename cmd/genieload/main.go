@@ -13,10 +13,7 @@
 //	genieload -experiment exp4           # Fig 3c cache size
 //	genieload -experiment exp4b          # colocated-cache variant
 //	genieload -experiment exp5           # trigger overhead under load
-//	genieload -experiment exp6           # sync vs async invalidation bus
-//	genieload -experiment exp7           # remote cache tier over real TCP
 //	genieload -experiment exp8           # node failure: breaker + live ring membership
-//	genieload -experiment exp9           # single-node multi-core scaling (sharded store)
 //	genieload -experiment exp10          # R-way replication: failover routing + key handoff
 //	genieload -experiment exp11          # coordinated distributed load (in-process sweep)
 //	genieload -experiment exp12          # crash drill: WAL recovery + epoch cache flush
@@ -43,12 +40,11 @@
 //
 // The -async flag routes trigger cache maintenance through the batching
 // invalidation bus (internal/invbus) in every experiment, and -batch-window
-// tunes its coalescing window; exp6 sweeps sync vs async itself.
+// tunes its coalescing window.
 //
 // The -transport flag selects how every stack reaches its cache: inprocess
 // (default; the injected-latency simulation) or remote (real cacheproto
-// servers on loopback TCP behind pooled clients). exp7 sweeps both itself
-// and writes its series to BENCH_exp7.json. With -transport remote,
+// servers on loopback TCP behind pooled clients). With -transport remote,
 // -cache-addrs points at externally launched geniecache nodes
 // (cmd/geniecache -nodes N prints a ready-made list) instead of
 // self-launched loopback ones.
@@ -58,11 +54,6 @@
 // external tiers), measures the circuit breaker's fail-fast behaviour
 // against the pre-resilience dial storm, drops the dead node from the ring,
 // revives and rejoins it, and writes the timeline to BENCH_exp8.json.
-//
-// exp9 is the single-node scaling sweep: the 1-shard (single-mutex) store
-// against the lock-striped one at rising client concurrency, in-process and
-// over real TCP, written to BENCH_exp9.json. The -shards flag overrides the
-// stripe count for every OTHER experiment's cache nodes (0 = auto).
 //
 // exp10 is the replication drill: the exp8 kill/revive timeline at R=1 vs
 // R=2 — with a second replica, breaker-aware failover reads carry the dead
@@ -247,14 +238,13 @@ func runCoordinatedWorker(join, id string, addrOverride []string, joinTO time.Du
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp6, exp7, exp8, exp9, exp10, exp11, exp12, exp13, micro, effort, ablation)")
+	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp8, exp10, exp11, exp12, exp13, micro, effort, ablation)")
 	scale := flag.Int("scale", 50, "latency scale divisor (1 = paper-absolute latencies, slower)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	async := flag.Bool("async", false, "route trigger cache maintenance through the async invalidation bus")
 	batchWindow := flag.Duration("batch-window", 0, "invalidation bus coalescing window (0 = bus default)")
 	transportFlag := flag.String("transport", "inprocess", "cache transport: inprocess or remote (real TCP cacheproto nodes)")
 	cacheAddrs := flag.String("cache-addrs", "", "comma-separated geniecache addresses for -transport remote (empty = launch loopback nodes)")
-	shards := flag.Int("shards", 0, "cache-node lock-stripe count (0 = auto: next pow2 >= 4x GOMAXPROCS; 1 = unsharded baseline)")
 	replicas := flag.Int("replicas", 0, "cache ring replication factor R (0/1 = single-owner routing; clamped to the node count)")
 	zipfS := flag.Float64("zipf-s", 0, "direct rank-frequency zipf exponent for user popularity (0 = paper's duality-form sampler; exp13 sweeps s=1.1 itself)")
 	flashCrowd := flag.Int("flash-crowd", 0, "percentage of page loads redirected to one viral page (0 = off; exp13 sets its own)")
@@ -346,7 +336,7 @@ func main() {
 	opt := workload.ExpOptions{
 		LatencyScale: *scale, Quick: *quick, Out: os.Stdout,
 		Async: *async, BatchWindow: *batchWindow,
-		Transport: transport, CacheAddrs: addrs, Shards: *shards,
+		Transport: transport, CacheAddrs: addrs,
 		Replicas: *replicas,
 		ZipfS:    *zipfS, FlashCrowdPct: *flashCrowd,
 	}
@@ -462,27 +452,6 @@ func main() {
 			return err
 		})
 	}
-	if all || *experiment == "exp6" {
-		matched = true
-		run("Experiment 6: sync vs async trigger propagation (invalidation bus)", func() error {
-			_, err := workload.Exp6(opt)
-			return err
-		})
-	}
-	if all || *experiment == "exp7" {
-		matched = true
-		run("Experiment 7: remote cache tier (real mop/TCP nodes, pooled clients)", func() error {
-			pts, err := workload.Exp7(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp7JSON("BENCH_exp7.json", pts); err != nil {
-				return err
-			}
-			fmt.Println("series written to BENCH_exp7.json")
-			return nil
-		})
-	}
 	if all || *experiment == "exp8" {
 		matched = true
 		run("Experiment 8: node failure (circuit breaker, live ring membership)", func() error {
@@ -494,20 +463,6 @@ func main() {
 				return err
 			}
 			fmt.Println("timeline written to BENCH_exp8.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp9" {
-		matched = true
-		run("Experiment 9: single-node multi-core scaling (lock-striped store)", func() error {
-			res, err := workload.Exp9(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp9JSON("BENCH_exp9.json", res); err != nil {
-				return err
-			}
-			fmt.Println("sweep written to BENCH_exp9.json")
 			return nil
 		})
 	}

@@ -20,7 +20,7 @@ func main() {
 	for _, mode := range []workload.Mode{workload.ModeNoCache, workload.ModeInvalidate, workload.ModeUpdate} {
 		stack, err := workload.BuildStack(workload.StackConfig{
 			Mode: mode, Seed: seed, RngSeed: 1, LatencyScale: 100,
-			BufferPoolPages: 128, DiskWidth: 2,
+			BufferPoolPages: 128,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -47,7 +47,7 @@ func main() {
 	fmt.Println("\nper-page latency detail (Update mode, fresh run):")
 	stack, err := workload.BuildStack(workload.StackConfig{
 		Mode: workload.ModeUpdate, Seed: seed, RngSeed: 1, LatencyScale: 100,
-		BufferPoolPages: 128, DiskWidth: 2,
+		BufferPoolPages: 128,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -6,16 +6,31 @@ import (
 	"time"
 
 	"cachegenie/internal/kvcache"
-	"cachegenie/internal/latency"
 )
 
-// latencyRing builds a ring of n in-process stores each wrapped with a real
-// per-operation round-trip charge, modelling n remote nodes.
+// slowNode is an in-process store that sleeps one round trip per batch and
+// per FlushAll, modelling a remote node.
+type slowNode struct {
+	*kvcache.Store
+	rtt time.Duration
+}
+
+func (n slowNode) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
+	time.Sleep(n.rtt)
+	return n.Store.ApplyBatch(ops)
+}
+
+func (n slowNode) FlushAll() {
+	time.Sleep(n.rtt)
+	n.Store.FlushAll()
+}
+
+// latencyRing builds a ring of n slow nodes.
 func latencyRing(tb testing.TB, n int, rtt time.Duration, opts ...Option) (*Ring, []kvcache.BatchOp) {
 	tb.Helper()
 	nodes := make([]kvcache.Cache, n)
 	for i := range nodes {
-		nodes[i] = kvcache.WithLatency(kvcache.New(0), rtt, latency.RealSleeper{})
+		nodes[i] = slowNode{kvcache.New(0), rtt}
 	}
 	r, err := NewRing(nodes, opts...)
 	if err != nil {
@@ -37,7 +52,7 @@ func latencyRing(tb testing.TB, n int, rtt time.Duration, opts ...Option) (*Ring
 }
 
 // TestApplyBatchFanOutParallel is the remote-tier latency contract: a batch
-// spanning k latency-wrapped nodes must cost ~max-node round trip (the
+// spanning k slow nodes must cost ~max-node round trip (the
 // sub-batches run concurrently), not the sum of all k — for every k, two
 // included: the two-node ring is the one every geniebench workload runs, and
 // at R=2 on it every mutation goes to both nodes. With nodes at 40ms each,

@@ -12,7 +12,6 @@ import (
 	"cachegenie/internal/cluster"
 	"cachegenie/internal/invbus"
 	"cachegenie/internal/kvcache"
-	"cachegenie/internal/latency"
 	"cachegenie/internal/obs"
 	"cachegenie/internal/orm"
 	"cachegenie/internal/sqldb"
@@ -28,19 +27,6 @@ type Config struct {
 	// Cache is the caching layer (in-process store, protocol client, or
 	// cluster ring).
 	Cache kvcache.Cache
-
-	// TriggerConnectCost models opening a fresh connection from the
-	// database to the cache, the dominant trigger overhead the paper
-	// measures (§5.3: connection setup doubles INSERT latency). Charged once
-	// per write statement whose triggers touched the cache — its write-set
-	// flush is the one conversation — unless ReuseTriggerConnections is set.
-	TriggerConnectCost time.Duration
-	// ReuseTriggerConnections enables the paper's proposed optimization of
-	// keeping trigger->cache connections open (§5.3 future work); it
-	// eliminates TriggerConnectCost.
-	ReuseTriggerConnections bool
-	// Sleeper implements time passage for injected costs (default real).
-	Sleeper latency.Sleeper
 
 	// AsyncInvalidation routes all trigger→cache maintenance (and read-path
 	// repopulation, so per-key ordering holds between the two) through the
@@ -92,11 +78,10 @@ type Stats struct {
 
 // Genie is the CacheGenie middleware instance.
 type Genie struct {
-	reg     *orm.Registry
-	db      *sqldb.DB
-	cache   kvcache.Cache
-	sleeper latency.Sleeper
-	cfg     Config
+	reg   *orm.Registry
+	db    *sqldb.DB
+	cache kvcache.Cache
+	cfg   Config
 	// bus is non-nil in async mode; write-set flushes and repopulation
 	// publish to it instead of talking to the cache themselves.
 	bus *invbus.Bus
@@ -144,14 +129,10 @@ func New(cfg Config) (*Genie, error) {
 	if cfg.Registry == nil || cfg.DB == nil || cfg.Cache == nil {
 		return nil, fmt.Errorf("core: Config needs Registry, DB and Cache")
 	}
-	if cfg.Sleeper == nil {
-		cfg.Sleeper = latency.RealSleeper{}
-	}
 	g := &Genie{
 		reg:     cfg.Registry,
 		db:      cfg.DB,
 		cache:   cfg.Cache,
-		sleeper: cfg.Sleeper,
 		cfg:     cfg,
 		objects: make(map[string]*CachedObject),
 	}
@@ -161,16 +142,7 @@ func New(cfg Config) (*Genie, error) {
 		g.flights = newFlightGroup()
 	}
 	if cfg.AsyncInvalidation && !cfg.Disabled {
-		connect := cfg.TriggerConnectCost
-		if cfg.ReuseTriggerConnections {
-			connect = 0
-		}
-		g.bus = invbus.New(invbus.Config{
-			Cache:       cfg.Cache,
-			BatchWindow: cfg.BatchWindow,
-			ConnectCost: connect,
-			Sleeper:     cfg.Sleeper,
-		})
+		g.bus = invbus.New(invbus.Config{Cache: cfg.Cache, BatchWindow: cfg.BatchWindow})
 	}
 	if !cfg.Disabled {
 		cfg.Registry.SetInterceptor(g)
@@ -255,13 +227,6 @@ func (g *Genie) Objects() []*CachedObject {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].spec.Name < out[b].spec.Name })
 	return out
-}
-
-// chargeTriggerConnect models a write-set flush opening its cache connection.
-func (g *Genie) chargeTriggerConnect() {
-	if !g.cfg.ReuseTriggerConnections && g.cfg.TriggerConnectCost > 0 {
-		g.sleeper.Sleep(g.cfg.TriggerConnectCost)
-	}
 }
 
 // populate stores a freshly computed entry after a read miss. In async mode

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cachegenie/internal/kvcache"
-	"cachegenie/internal/latency"
 	"cachegenie/internal/orm"
 	"cachegenie/internal/sqldb"
 )
@@ -119,11 +118,16 @@ func TestFlightGroupForgetsFinishedCalls(t *testing.T) {
 	}
 }
 
-// stampedeStack builds a stack with injected DB latency and single-flight
-// enabled, so concurrent misses genuinely overlap in time.
+// stampedeStack builds a stack whose statements each take 20ms and with
+// single-flight enabled, so concurrent misses genuinely overlap in time.
 func stampedeStack(t *testing.T) (*sqldb.DB, *orm.Registry, *Genie) {
 	t.Helper()
-	db := sqldb.MustOpen(sqldb.Config{Latency: latency.Model{DBRoundTrip: 20 * time.Millisecond}})
+	slow := func(c sqldb.Cost) {
+		if c == sqldb.CostStatement {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	db := sqldb.MustOpen(sqldb.Config{Cost: slow})
 	reg := orm.NewRegistry(db)
 	reg.MustRegister(&orm.ModelDef{
 		Name:  "Wall",

@@ -173,7 +173,6 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 		}
 		return nil
 	}
-	g.chargeTriggerConnect()
 
 	groups := make([]keyOps, 0, len(muts))
 	byKey := make(map[string]int, len(muts)) // key -> position in groups

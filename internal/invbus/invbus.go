@@ -4,23 +4,23 @@
 // The paper measures (§5.3) that the dominant trigger cost is the
 // trigger→cache hop: opening a connection from a trigger roughly doubles
 // INSERT latency, and every cache operation costs a full network round trip
-// serialized into the write path. The bus converts that per-op synchronous
-// cost into an amortized, pipelined one: triggers Publish typed ops
-// (delete / set / incr / CAS-update descriptors) and return immediately;
-// per-shard worker goroutines coalesce pending ops and flush them through
-// the cache's batch entry point (kvcache.BatchApplier) — one connection
-// charge and one round trip per flush instead of per op.
+// serialized into the write path. The bus takes that hop off the write path
+// and pipelines it: triggers Publish typed ops (delete / set / incr /
+// CAS-update descriptors) and return immediately; per-shard worker
+// goroutines coalesce pending ops and flush each run of typed ops through
+// the cache's batch entry point (kvcache.BatchApplier) — one exchange per
+// run instead of one per op.
 //
 // Ordering. Ops are routed to a worker by key hash, so ops on the same key
 // are applied in exactly the order they were published (per-key FIFO).
 // Cross-key ordering is not preserved — the same freedom a consistent-hash
 // cluster already introduces.
 //
-// Consistency. In async mode the cache lags the database by a bounded
-// staleness window (roughly BatchWindow plus queueing delay). Readers that
-// need the paper's read-your-triggered-writes behaviour should use sync
-// mode (Config.Sync, which applies every op inline and is the
-// paper-faithful baseline) or drain explicitly with Flush.
+// Consistency. The cache lags the database by a bounded staleness window
+// (roughly BatchWindow plus queueing delay). Readers that need the paper's
+// read-your-triggered-writes behaviour drain explicitly with Flush — or do
+// without the bus: core's default synchronous write-set flush is the
+// paper's configuration.
 package invbus
 
 import (
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"cachegenie/internal/kvcache"
-	"cachegenie/internal/latency"
 	"cachegenie/internal/obs"
 )
 
@@ -111,16 +110,6 @@ type Config struct {
 	BatchWindow time.Duration
 	// MaxBatch caps ops per flush (default 256).
 	MaxBatch int
-	// Sync applies every op inline in Publish — the paper-faithful
-	// baseline: one connection charge and one round trip per op, and the
-	// cache never lags. Flush and Close become no-ops.
-	Sync bool
-	// ConnectCost models the trigger→cache connection setup the bus
-	// amortizes (§5.3): charged once per flush in async mode, once per op
-	// in sync mode.
-	ConnectCost time.Duration
-	// Sleeper implements time passage for ConnectCost (default real).
-	Sleeper latency.Sleeper
 }
 
 // Stats counts bus activity. Snapshot via Bus.Stats.
@@ -178,7 +167,7 @@ type Bus struct {
 	stallTime obs.Histogram
 }
 
-// New creates a Bus and starts its shard workers (none in sync mode).
+// New creates a Bus and starts its shard workers.
 func New(cfg Config) *Bus {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
@@ -192,13 +181,7 @@ func New(cfg Config) *Bus {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 256
 	}
-	if cfg.Sleeper == nil {
-		cfg.Sleeper = latency.RealSleeper{}
-	}
 	b := &Bus{cfg: cfg}
-	if cfg.Sync {
-		return b
-	}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{ch: make(chan pendingOp, cfg.QueueDepth)}
 		b.shards = append(b.shards, s)
@@ -218,16 +201,12 @@ func (b *Bus) shardFor(key string) *shard {
 	return b.shards[int(h)%len(b.shards)]
 }
 
-// Publish hands an op to the bus. In async mode it returns as soon as the
-// op is queued, blocking only when the op's shard queue is full
-// (backpressure). In sync mode — and after Close, so maintenance is never
-// silently dropped — the op is applied inline before returning.
+// Publish hands an op to the bus. It returns as soon as the op is queued,
+// blocking only when the op's shard queue is full (backpressure). After
+// Close — so maintenance is never silently dropped — the op is applied
+// inline before returning.
 func (b *Bus) Publish(op Op) {
 	b.enqueued.Add(1)
-	if b.cfg.Sync {
-		b.applySync(op)
-		return
-	}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -235,7 +214,7 @@ func (b *Bus) Publish(op Op) {
 		// older op for the same key is still queued would break per-key
 		// FIFO. After Close's drain this returns immediately.
 		b.wg.Wait()
-		b.applySync(op)
+		b.applyInline(op)
 		return
 	}
 	s := b.shardFor(op.Key)
@@ -255,11 +234,8 @@ func (b *Bus) Publish(op Op) {
 	b.mu.RUnlock()
 }
 
-// applySync applies one op inline with the paper's per-op costs.
-func (b *Bus) applySync(op Op) {
-	if b.cfg.ConnectCost > 0 {
-		b.cfg.Sleeper.Sleep(b.cfg.ConnectCost)
-	}
+// applyInline applies one op on the caller's goroutine, as a flush of one.
+func (b *Bus) applyInline(op Op) {
 	b.apply([]pendingOp{{Op: op, enq: time.Now()}})
 	b.flushes.Add(1)
 	storeMax(&b.maxBatch, 1)
@@ -277,11 +253,7 @@ func storeMax(a *atomic.Int64, v int64) {
 }
 
 // Flush blocks until every op published before the call has been applied.
-// No-op in sync mode (nothing is ever pending).
 func (b *Bus) Flush() {
-	if b.cfg.Sync {
-		return
-	}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -302,9 +274,6 @@ func (b *Bus) Flush() {
 // Close drains every queue, applies what was pending, and stops the
 // workers. Ops published after Close apply synchronously.
 func (b *Bus) Close() {
-	if b.cfg.Sync {
-		return
-	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -403,7 +372,7 @@ func (b *Bus) worker(s *shard) {
 	}
 }
 
-// flushBatch coalesces, charges one connection setup, and applies.
+// flushBatch coalesces and applies.
 func (b *Bus) flushBatch(batch []pendingOp) {
 	if len(batch) == 0 {
 		return
@@ -411,9 +380,6 @@ func (b *Bus) flushBatch(batch []pendingOp) {
 	storeMax(&b.maxBatch, int64(len(batch)))
 	b.flushSize.Observe(int64(len(batch)))
 	batch = b.coalesce(batch)
-	if b.cfg.ConnectCost > 0 {
-		b.cfg.Sleeper.Sleep(b.cfg.ConnectCost)
-	}
 	b.apply(batch)
 	b.flushes.Add(1)
 }

@@ -99,10 +99,9 @@ func FailedBatch(ops []BatchOp) []BatchResult {
 
 // BatchApplier is implemented by caches that can apply many operations in a
 // single exchange: the in-process Store (one lock acquisition), the
-// cacheproto client (one pipelined round trip), the cluster ring (one
-// sub-batch per owning node), and the latency wrapper (one round-trip
-// charge). The invalidation bus and core's statement write-set flush through
-// this interface.
+// cacheproto client (one pipelined round trip), and the cluster ring (one
+// sub-batch per owning node). The invalidation bus, core's statement
+// write-set and core's read waves flush through this interface.
 type BatchApplier interface {
 	ApplyBatch(ops []BatchOp) []BatchResult
 }
@@ -242,13 +241,4 @@ func (s *Store) applyOpLocked(sh *shard, op *BatchOp) BatchResult {
 	default:
 		return BatchResult{Found: s.deleteLocked(sh, op.Key)}
 	}
-}
-
-var _ BatchApplier = (*LatencyCache)(nil)
-
-// ApplyBatch implements BatchApplier: the whole batch costs one round trip —
-// the amortization the invalidation bus exists to exploit.
-func (l *LatencyCache) ApplyBatch(ops []BatchOp) []BatchResult {
-	l.charge()
-	return ApplyBatchOn(l.inner, ops)
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
-
-	"cachegenie/internal/latency"
 )
 
 func TestStoreApplyBatch(t *testing.T) {
@@ -170,17 +167,3 @@ func TestFailedBatchReportsCasNotFound(t *testing.T) {
 // (not *Store) keeps ApplyBatch out of the wrapper's method set, so
 // ApplyBatchOn must take the per-op fallback path.
 type plainCache struct{ Cache }
-
-func TestLatencyCacheBatchChargesOneRoundTrip(t *testing.T) {
-	s := New(0)
-	sleeper := &latency.CountingSleeper{}
-	lc := WithLatency(s, time.Millisecond, sleeper)
-	ops := make([]BatchOp, 50)
-	for i := range ops {
-		ops[i] = BatchOp{Kind: BatchSet, Key: "k", Value: []byte("v")}
-	}
-	lc.ApplyBatch(ops)
-	if got := sleeper.Calls(); got != 1 {
-		t.Fatalf("round trips charged = %d, want 1 for the whole batch", got)
-	}
-}

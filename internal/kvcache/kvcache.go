@@ -172,7 +172,7 @@ func WithClock(now func() time.Time) Option {
 // two). n <= 0 keeps the DefaultShards auto-sizing, matching the CLI
 // flags' "0 = auto" semantics so callers can pass a knob through
 // unconditionally. Shards=1 is the pre-striping store — one mutex, one
-// LRU — kept as the scaling baseline for Experiment 9.
+// LRU — kept as the scaling baseline.
 func WithShards(n int) Option {
 	return func(c *storeConfig) {
 		if n > 0 {

@@ -2,14 +2,13 @@
 // generation: one coordinator phases N worker processes through a measured
 // run in lockstep and merges their results into true aggregate statistics.
 //
-// The cache tier outruns any single genieload process (the exp9 artifact
-// flatlines at ~1x on a one-core client box), so saturation numbers need
-// many client machines acting as one instrument. That takes three things a
-// lone process gets for free: everyone measuring the same window (barriers),
-// one workload spec (broadcast), and one latency distribution (per-worker
-// obs.HistSnapshots shipped back and merged exact-bucket, so the aggregate
-// p50/p99/p999 equal what a single process observing every op would have
-// computed).
+// The cache tier outruns any single genieload process on a one-core client
+// box, so saturation numbers need many client machines acting as one
+// instrument. That takes three things a lone process gets for free:
+// everyone measuring the same window (barriers), one workload spec
+// (broadcast), and one latency distribution (per-worker obs.HistSnapshots
+// shipped back and merged exact-bucket, so the aggregate p50/p99/p999 equal
+// what a single process observing every op would have computed).
 //
 // The wire protocol reuses cacheproto's idiom — line-based text framing with
 // length-prefixed payload blocks — over one TCP connection per worker:

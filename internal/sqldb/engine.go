@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cachegenie/internal/latency"
 	"cachegenie/internal/sqlparse"
 	"cachegenie/internal/storage"
 	"cachegenie/internal/wal"
@@ -120,16 +119,15 @@ type Config struct {
 	// BufferPoolPages is the buffer pool capacity (default 4096 pages,
 	// i.e. 32 MiB of 8 KiB pages).
 	BufferPoolPages int
-	// DiskWidth bounds concurrent simulated-disk requests (default 2).
-	DiskWidth int
-	// CPUWidth bounds statements concurrently consuming the injected DBCPU
-	// cost, modelling the database box's cores (default 4). Only matters
-	// when Latency.DBCPU is nonzero.
-	CPUWidth int
-	// Latency is the injected cost model (zero: no injected cost).
-	Latency latency.Model
-	// Sleeper implements time passage for injected costs (default real).
-	Sleeper latency.Sleeper
+	// Cost, when set, is told about every unit of work the engine does on
+	// hardware it does not have: once per statement (CostStatement, the
+	// client hop and the query's CPU) and once per page read or write that
+	// reaches the storage device (CostDiskAccess, a buffer-pool miss or
+	// write-back). It runs on the executing goroutine, locks held, and may
+	// block. Nil — the default, and every real deployment — costs nothing;
+	// the experiment harness uses it to charge the paper's network, CPU and
+	// disk.
+	Cost func(Cost)
 	// LockTimeout bounds lock waits (default 5s).
 	LockTimeout time.Duration
 	// DataDir, when set, makes the database durable: committed
@@ -163,9 +161,7 @@ type DB struct {
 	// in place) whenever that trigger list changes.
 	writeLocks map[string]map[TriggerOp][]string
 
-	model           latency.Model
-	cpuGate         chan struct{}
-	sleeper         latency.Sleeper
+	cost            func(Cost)
 	lockTimeout     time.Duration
 	triggersEnabled atomic.Bool
 	nextTxn         atomic.Int64
@@ -225,19 +221,14 @@ func openMem(cfg Config) *DB {
 	if cfg.BufferPoolPages <= 0 {
 		cfg.BufferPoolPages = 4096
 	}
-	if cfg.DiskWidth <= 0 {
-		cfg.DiskWidth = 2
-	}
-	if cfg.CPUWidth <= 0 {
-		cfg.CPUWidth = 4
-	}
-	if cfg.Sleeper == nil {
-		cfg.Sleeper = latency.RealSleeper{}
-	}
 	if cfg.LockTimeout <= 0 {
 		cfg.LockTimeout = 5 * time.Second
 	}
-	disk := storage.NewDiskModel(cfg.Latency, cfg.Sleeper, cfg.DiskWidth)
+	var onDisk func()
+	if cost := cfg.Cost; cost != nil {
+		onDisk = func() { cost(CostDiskAccess) }
+	}
+	disk := storage.NewDisk(onDisk)
 	db := &DB{
 		disk:        disk,
 		pool:        storage.NewBufferPool(disk, cfg.BufferPoolPages),
@@ -245,9 +236,7 @@ func openMem(cfg Config) *DB {
 		locks:       make(map[string]*tableLock),
 		triggers:    make(map[string]map[TriggerOp][]*Trigger),
 		writeLocks:  make(map[string]map[TriggerOp][]string),
-		model:       cfg.Latency,
-		cpuGate:     make(chan struct{}, cfg.CPUWidth),
-		sleeper:     cfg.Sleeper,
+		cost:        cfg.Cost,
 		lockTimeout: cfg.LockTimeout,
 	}
 	db.triggersEnabled.Store(true)
@@ -506,18 +495,22 @@ func (db *DB) Begin() *Txn {
 	}
 }
 
-// chargeStatement injects the per-statement network and CPU cost. The CPU
-// charge passes through a bounded gate so concurrent statements contend for
-// the database box's cores; this is what makes the NoCache configuration
-// CPU-bound under load, as in the paper's Experiment 1.
+// Cost names a unit of work Config.Cost is told about.
+type Cost uint8
+
+// Costs.
+const (
+	// CostStatement is one statement — a SELECT, INSERT, UPDATE or DELETE,
+	// trigger-issued ones included — sent to the database and executed.
+	CostStatement Cost = iota
+	// CostDiskAccess is one page read or write on the storage device.
+	CostDiskAccess
+)
+
+// chargeStatement reports one statement to the cost hook.
 func (db *DB) chargeStatement() {
-	if db.model.DBRoundTrip > 0 {
-		db.sleeper.Sleep(db.model.DBRoundTrip)
-	}
-	if db.model.DBCPU > 0 {
-		db.cpuGate <- struct{}{}
-		db.sleeper.Sleep(db.model.DBCPU)
-		<-db.cpuGate
+	if db.cost != nil {
+		db.cost(CostStatement)
 	}
 }
 

@@ -109,9 +109,9 @@ func (bp *BufferPool) Pin(id PageID) ([]byte, error) {
 	}
 	f := &frame{id: id, data: make([]byte, PageSize), pins: 1, ready: make(chan struct{})}
 	bp.frames[id] = f
-	// Release the pool lock during the (slow, simulated) disk read so other
-	// goroutines aren't serialized behind it; the frame is already pinned so
-	// it cannot be evicted, and late arrivals block on f.ready.
+	// Release the pool lock during the disk read (its access hook may block)
+	// so other goroutines aren't serialized behind it; the frame is already
+	// pinned so it cannot be evicted, and late arrivals block on f.ready.
 	bp.mu.Unlock()
 	f.err = bp.disk.Read(id, f.data)
 	close(f.ready)

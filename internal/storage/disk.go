@@ -1,20 +1,18 @@
-// Package storage implements the database engine's storage substrate: a
-// simulated disk, a pinning LRU buffer pool, and slotted-page heap files.
+// Package storage implements the database engine's storage substrate: an
+// in-memory block device, a pinning LRU buffer pool, and slotted-page heap
+// files.
 //
 // The paper's evaluation depends on the database being disk-bound under the
-// cached configurations and CPU-bound under NoCache (§5.4). The Disk type
-// reproduces the disk side of that behaviour: every page access that misses
-// the buffer pool is charged a configurable latency and must pass through a
-// bounded queue, so concurrent writers contend for "spindles" exactly the
-// way the paper's Postgres box contends for its single disk.
+// cached configurations (§5.4). The Disk type leaves the cost of a device
+// access to its caller: an optional hook runs before every page read and
+// write, which the experiment harness uses to charge a disk access through a
+// bounded queue. Without a hook the device is free.
 package storage
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"cachegenie/internal/latency"
 )
 
 // PageSize is the size of every page in bytes.
@@ -36,48 +34,32 @@ type DiskStats struct {
 	Allocs int64
 }
 
-// Disk is a simulated block device. Page contents live in memory, but every
-// read and write is charged the latency model's DiskAccess cost and must
-// acquire one of a bounded number of queue slots, modelling a device that
-// serves a limited number of concurrent requests.
+// Disk is an in-memory block device. Every read and write first runs the
+// device's access hook, if it has one.
 type Disk struct {
-	mu      sync.Mutex
-	pages   map[PageID][]byte
-	nextID  PageID
-	stats   DiskStats
-	queue   chan struct{}
-	perOp   func()
-	sleeper latency.Sleeper
+	mu       sync.Mutex
+	pages    map[PageID][]byte
+	nextID   PageID
+	stats    DiskStats
+	onAccess func()
 }
 
-// NewDiskModel creates a disk charging model.DiskAccess per access through
-// sleeper, with at most width concurrent requests (width < 1 is treated
-// as 1).
-func NewDiskModel(model latency.Model, sleeper latency.Sleeper, width int) *Disk {
-	if width < 1 {
-		width = 1
+// NewDisk creates a disk. onAccess, when non-nil, runs before every page read
+// and write, outside the disk's lock; it may block.
+func NewDisk(onAccess func()) *Disk {
+	return &Disk{pages: make(map[PageID][]byte), onAccess: onAccess}
+}
+
+// access runs the access hook.
+func (d *Disk) access() {
+	if d.onAccess != nil {
+		d.onAccess()
 	}
-	if sleeper == nil {
-		sleeper = latency.RealSleeper{}
-	}
-	d := &Disk{
-		pages:   make(map[PageID][]byte),
-		queue:   make(chan struct{}, width),
-		sleeper: sleeper,
-	}
-	d.perOp = func() {
-		if model.DiskAccess > 0 {
-			d.queue <- struct{}{}
-			sleeper.Sleep(model.DiskAccess)
-			<-d.queue
-		}
-	}
-	return d
 }
 
 // Allocate reserves a fresh zeroed page and returns its ID. Allocation does
-// not touch the simulated device (the page is born in memory, like extending
-// a file in the OS page cache).
+// not run the access hook (the page is born in memory, like extending a file
+// in the OS page cache).
 func (d *Disk) Allocate() PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -88,10 +70,9 @@ func (d *Disk) Allocate() PageID {
 	return id
 }
 
-// Read copies page id into buf (which must be PageSize long), charging one
-// disk access.
+// Read copies page id into buf (which must be PageSize long).
 func (d *Disk) Read(id PageID, buf []byte) error {
-	d.perOp()
+	d.access()
 	d.mu.Lock()
 	src, ok := d.pages[id]
 	if ok {
@@ -105,9 +86,9 @@ func (d *Disk) Read(id PageID, buf []byte) error {
 	return nil
 }
 
-// Write stores buf as the contents of page id, charging one disk access.
+// Write stores buf as the contents of page id.
 func (d *Disk) Write(id PageID, buf []byte) error {
-	d.perOp()
+	d.access()
 	d.mu.Lock()
 	dst, ok := d.pages[id]
 	if ok {

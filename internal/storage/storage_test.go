@@ -6,15 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"cachegenie/internal/latency"
 )
 
 func newTestDisk() *Disk {
-	return NewDiskModel(latency.Model{}, latency.RealSleeper{}, 1)
+	return NewDisk(nil)
 }
 
 func TestDiskReadWrite(t *testing.T) {
@@ -41,15 +39,17 @@ func TestDiskReadWrite(t *testing.T) {
 	}
 }
 
+// TestDiskChargesLatency: the access hook, where a device cost is charged,
+// runs once per read and once per write, and never for an allocation.
 func TestDiskChargesLatency(t *testing.T) {
-	cs := &latency.CountingSleeper{}
-	d := NewDiskModel(latency.Model{DiskAccess: time.Millisecond}, cs, 2)
+	var accesses atomic.Int64
+	d := NewDisk(func() { accesses.Add(1) })
 	id := d.Allocate()
 	buf := make([]byte, PageSize)
 	_ = d.Write(id, buf)
 	_ = d.Read(id, buf)
-	if got := cs.Total(); got != 2*time.Millisecond {
-		t.Fatalf("charged %v, want 2ms", got)
+	if got := accesses.Load(); got != 2 {
+		t.Fatalf("hook ran %d times, want 2", got)
 	}
 }
 
@@ -419,11 +419,12 @@ func TestQuickHeapRoundTrip(t *testing.T) {
 }
 
 func TestPoolMissLatencyContention(t *testing.T) {
-	// With a width-1 disk and 4 concurrent readers of distinct cold pages,
-	// total charged time is still 4 x access latency (queueing), proving the
-	// disk models a contended device.
-	cs := &latency.CountingSleeper{}
-	d := NewDiskModel(latency.Model{DiskAccess: time.Millisecond}, cs, 1)
+	// 4 concurrent readers of distinct cold pages each reach the device, and
+	// so its access hook, exactly once: the pool releases its lock for the
+	// read, so the hook sees the misses concurrently (how many it admits at
+	// once is the hook's business; the experiment harness queues them).
+	var accesses atomic.Int64
+	d := NewDisk(func() { accesses.Add(1) })
 	bp := NewBufferPool(d, 8)
 	ids := []PageID{d.Allocate(), d.Allocate(), d.Allocate(), d.Allocate()}
 	var wg sync.WaitGroup
@@ -439,8 +440,8 @@ func TestPoolMissLatencyContention(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
-	if cs.Calls() != 4 {
-		t.Fatalf("disk charged %d times, want 4", cs.Calls())
+	if got := accesses.Load(); got != 4 {
+		t.Fatalf("disk charged %d times, want 4", got)
 	}
 }
 

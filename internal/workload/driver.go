@@ -84,9 +84,7 @@ type Report struct {
 	Errors     int
 	Retries    int
 	Throughput float64 // page loads per second (wall clock)
-	// VirtualElapsed adds the time a CountingSleeper absorbed, when one is
-	// used; 0 otherwise.
-	ByPage map[social.PageType]PageStats
+	ByPage     map[social.PageType]PageStats
 }
 
 // MeanLatency is the count-weighted mean page latency across page types

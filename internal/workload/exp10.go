@@ -99,7 +99,6 @@ func BuildStackForExp10(opt ExpOptions, replicas int) (*Stack, error) {
 		RngSeed:           42,
 		LatencyScale:      opt.scale(),
 		BufferPoolPages:   expPoolPages,
-		DiskWidth:         2,
 		CacheNodes:        Exp10Nodes,
 		Replicas:          replicas,
 		Transport:         TransportRemote,

@@ -16,15 +16,14 @@ import (
 	"cachegenie/internal/obs"
 )
 
-// Experiment 11: coordinated distributed load generation. The ROADMAP's
-// saturation problem — one 1-core genieload box cannot outrun the tier, so
-// exp9's committed artifact flatlines at ~1x — is answered by pointing N
-// worker processes at one tier in lockstep (internal/loadctl) and merging
-// their per-worker latency snapshots exact-bucket into true aggregate
-// quantiles. This file holds both halves: TierLoad, the loadctl.Runner a
-// genieload worker process runs, and Exp11, an in-process harness that
-// spawns coordinator + workers over loopback so the whole instrument runs
-// under `go test`.
+// Experiment 11: coordinated distributed load generation. The saturation
+// problem — one 1-core genieload box cannot outrun the tier it drives — is
+// answered by pointing N worker processes at one tier in lockstep
+// (internal/loadctl) and merging their per-worker latency snapshots
+// exact-bucket into true aggregate quantiles. This file holds both halves:
+// TierLoad, the loadctl.Runner a genieload worker process runs, and Exp11,
+// an in-process harness that spawns coordinator + workers over loopback so
+// the whole instrument runs under `go test`.
 
 // Experiment 11 tier/workload defaults (the CI distributed-smoke job and
 // the in-process harness share them).
@@ -194,7 +193,7 @@ func (t *TierLoad) poolErrors() int64 {
 
 // drive runs spec.Clients goroutines of mixed load for d and merges their
 // per-client latency histograms (contention-free while hot, exact-bucket
-// merged after, same idiom as exp9's load loop).
+// merged after).
 func (t *TierLoad) drive(spec loadctl.Spec, d time.Duration) loadctl.Result {
 	lo, hi := spec.KeyRange()
 	deadline := time.Now().Add(d)

@@ -156,7 +156,6 @@ func BuildStackForExp13(opt ExpOptions, mit Exp13Mitigations) (*Stack, error) {
 		RngSeed:           42,
 		LatencyScale:      opt.scale(),
 		BufferPoolPages:   expPoolPages,
-		DiskWidth:         2,
 		CacheNodes:        Exp13Nodes,
 		Replicas:          Exp13Replicas,
 		Transport:         TransportRemote,

@@ -12,8 +12,8 @@ import (
 
 // ---------- Experiment 8: node failure and live ring membership ----------
 
-// Exp8Nodes is the ring size Experiment 8 deploys, matching Experiment 7 so
-// the healthy phase is directly comparable.
+// Exp8Nodes is the ring size Experiment 8 deploys: enough nodes that batch
+// flushes regularly span several owners.
 const Exp8Nodes = 4
 
 // Exp8KillIndex is the node Experiment 8 kills mid-run.
@@ -83,7 +83,6 @@ func BuildStackForExp8(opt ExpOptions) (*Stack, error) {
 		RngSeed:           42,
 		LatencyScale:      opt.scale(),
 		BufferPoolPages:   expPoolPages,
-		DiskWidth:         2,
 		CacheNodes:        Exp8Nodes,
 		Replicas:          opt.Replicas,
 		Transport:         TransportRemote,
@@ -277,6 +276,8 @@ type Exp8JSON struct {
 }
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // WriteExp8JSON records an Experiment 8 run as JSON at path (the CI bench
 // smoke uploads BENCH_*.json files as workflow artifacts).

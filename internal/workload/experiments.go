@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"cachegenie/internal/core"
-	"cachegenie/internal/invbus"
 	"cachegenie/internal/kvcache"
-	"cachegenie/internal/latency"
 	"cachegenie/internal/obs"
 	"cachegenie/internal/orm"
 	"cachegenie/internal/social"
@@ -29,19 +27,16 @@ type ExpOptions struct {
 	// Out receives progress lines (nil = silent).
 	Out io.Writer
 	// Async routes trigger cache maintenance through the invalidation bus
-	// for every stack the harness builds (Experiment 6 sweeps both settings
-	// itself and ignores this); BatchWindow tunes the bus coalescing window.
+	// for every stack the harness builds; BatchWindow tunes the bus
+	// coalescing window.
 	Async       bool
 	BatchWindow time.Duration
 	// Transport selects how every stack the harness builds reaches its
-	// cache (Experiment 7 sweeps both transports itself and ignores this).
+	// cache.
 	Transport CacheTransport
 	// CacheAddrs points remote-transport stacks at externally launched
 	// geniecache nodes instead of self-launched loopback ones.
 	CacheAddrs []string
-	// Shards overrides every cache node's lock-stripe count (0 = kvcache
-	// default). Experiment 9 sweeps stripe counts itself and ignores this.
-	Shards int
 	// Replicas sets the cache ring's replication factor for every stack the
 	// harness builds (0/1 = single-owner routing; Experiment 10 sweeps
 	// R = 1 vs 2 itself and ignores this).
@@ -114,10 +109,8 @@ func (o ExpOptions) buildStack(mode Mode, cacheBytes int64, poolPages int) (*Sta
 		RngSeed:           42,
 		LatencyScale:      o.scale(),
 		CacheBytes:        cacheBytes,
-		CacheShards:       o.Shards,
 		Replicas:          o.Replicas,
 		BufferPoolPages:   poolPages,
-		DiskWidth:         2,
 		AsyncInvalidation: o.Async,
 		BatchWindow:       o.BatchWindow,
 		Transport:         o.Transport,
@@ -155,8 +148,8 @@ type MicroLookupResult struct {
 
 // MicroLookup reproduces the §5.3 lookup microbenchmark.
 func MicroLookup(opt ExpOptions) (MicroLookupResult, error) {
-	model := latency.PaperScaled(opt.scale())
-	db, err := sqldb.Open(sqldb.Config{Latency: model, BufferPoolPages: 1024})
+	model := PaperScaled(opt.scale())
+	db, err := sqldb.Open(sqldb.Config{Cost: newDBCost(model).charge, BufferPoolPages: 1024})
 	if err != nil {
 		return MicroLookupResult{}, err
 	}
@@ -173,7 +166,7 @@ func MicroLookup(opt ExpOptions) (MicroLookupResult, error) {
 			return MicroLookupResult{}, err
 		}
 	}
-	cache := kvcache.WithLatency(kvcache.New(0), model.CacheRoundTrip, latency.RealSleeper{})
+	cache := newLatencyCache(kvcache.New(0), model, false)
 	cache.Set("kv:1", []byte("value-1"), 0)
 
 	const iters = 300
@@ -211,9 +204,9 @@ type MicroTriggerResult struct {
 
 // MicroTrigger measures INSERT latency under increasing trigger cost.
 func MicroTrigger(opt ExpOptions) (MicroTriggerResult, error) {
-	model := latency.PaperScaled(opt.scale())
+	model := PaperScaled(opt.scale())
 	mk := func() (*sqldb.DB, error) {
-		db, err := sqldb.Open(sqldb.Config{Latency: model, BufferPoolPages: 1024})
+		db, err := sqldb.Open(sqldb.Config{Cost: newDBCost(model).charge, BufferPoolPages: 1024})
 		if err != nil {
 			return nil, err
 		}
@@ -258,13 +251,12 @@ func MicroTrigger(opt ExpOptions) (MicroTriggerResult, error) {
 	if err != nil {
 		return res, err
 	}
-	cache := kvcache.WithLatency(kvcache.New(0), model.CacheRoundTrip, latency.RealSleeper{})
-	sleeper := latency.RealSleeper{}
+	cache := newLatencyCache(kvcache.New(0), model, false)
 	if err := db.CreateTrigger(sqldb.Trigger{
 		Name: "connect", Table: "t", Op: sqldb.TrigInsert,
 		Fn: func(q sqldb.Queryer, ev sqldb.TriggerEvent) error {
-			sleeper.Sleep(model.CacheConnect) // open remote cache connection
-			cache.Set("k", []byte("v"), 0)    // one cache op
+			time.Sleep(model.CacheConnect) // open remote cache connection
+			cache.Set("k", []byte("v"), 0) // one cache op
 			return nil
 		},
 	}); err != nil {
@@ -618,135 +610,6 @@ func Exp5(opt ExpOptions) ([]Exp5Result, error) {
 	return out, nil
 }
 
-// ---------- Experiment 6: sync vs async trigger propagation ----------
-
-// Exp6Point is one (mode, async) measurement. The experiment extends §5.3's
-// trigger-overhead result: the paper measures per-trigger connection setup
-// roughly doubling INSERT latency and proposes amortizing the trigger→cache
-// path as future work; the invalidation bus is that optimization, and this
-// sweep quantifies it under a write-heavy workload.
-type Exp6Point struct {
-	Mode         Mode
-	Async        bool
-	Throughput   float64
-	MeanWriteLat time.Duration // mean CreateBM page latency
-	P99WriteLat  time.Duration
-	Bus          invbus.Stats // zero-valued for sync points
-}
-
-// Exp6 compares synchronous per-op trigger→cache propagation against the
-// asynchronous batched invalidation bus at a write-heavy operating point.
-func Exp6(opt ExpOptions) ([]Exp6Point, error) {
-	var out []Exp6Point
-	for _, mode := range []Mode{ModeInvalidate, ModeUpdate} {
-		for _, async := range []bool{false, true} {
-			st, err := BuildStackForExp6(opt, mode, async)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := Run(st, opt.runCfg(15, 60, 2.0))
-			if err != nil {
-				st.Close()
-				return nil, err
-			}
-			p := Exp6Point{
-				Mode: mode, Async: async, Throughput: rep.Throughput,
-				MeanWriteLat: rep.ByPage[social.PageCreateBM].Mean,
-				P99WriteLat:  rep.ByPage[social.PageCreateBM].P99,
-			}
-			if st.Genie != nil {
-				p.Bus = st.Genie.InvStats()
-			}
-			st.Close()
-			out = append(out, p)
-			opt.logf("exp6  %-10s async=%-5v %9.1f pages/s  write mean=%v p99=%v  (batched %d ops into %d flushes, %d coalesced, %d stalls/%v stalled)",
-				mode, async, p.Throughput,
-				p.MeanWriteLat.Round(time.Microsecond), p.P99WriteLat.Round(time.Microsecond),
-				p.Bus.Applied, p.Bus.Flushes, p.Bus.Coalesced,
-				p.Bus.QueueFullStalls, p.Bus.StallTime.Round(time.Microsecond))
-		}
-	}
-	return out, nil
-}
-
-// ---------- Experiment 7: remote cache tier over real TCP ----------
-
-// Exp7Nodes is the ring size Experiment 7 deploys: enough nodes that batch
-// flushes regularly span several owners, exercising the parallel fan-out.
-const Exp7Nodes = 4
-
-// Exp7Point is one (transport, async) measurement over the full social
-// workload. The in-process points replicate Experiment 6's conditions; the
-// remote points run the identical workload against Exp7Nodes real
-// cacheproto servers on loopback TCP behind pooled clients — the first
-// measurement in this reproduction where the §5.3 trigger-propagation win
-// is taken over an actual network round trip rather than an injected one.
-type Exp7Point struct {
-	Transport    CacheTransport
-	Async        bool
-	Throughput   float64
-	MeanWriteLat time.Duration // mean CreateBM page latency
-	P99WriteLat  time.Duration
-	Bus          invbus.Stats // zero-valued for sync points
-}
-
-// BuildStackForExp7 assembles one Experiment 7 stack: ModeUpdate over an
-// Exp7Nodes-node ring reached through the given transport.
-func BuildStackForExp7(opt ExpOptions, mode Mode, transport CacheTransport, async bool) (*Stack, error) {
-	return BuildStack(StackConfig{
-		Mode:              mode,
-		Seed:              opt.seed(),
-		RngSeed:           42,
-		LatencyScale:      opt.scale(),
-		BufferPoolPages:   expPoolPages,
-		DiskWidth:         2,
-		CacheNodes:        Exp7Nodes,
-		Replicas:          opt.Replicas,
-		Transport:         transport,
-		CacheAddrs:        opt.CacheAddrs,
-		AsyncInvalidation: async,
-		BatchWindow:       opt.BatchWindow,
-		Obs:               opt.Metrics,
-	})
-}
-
-// Exp7 drives the write-heavy workload over the in-process and remote-TCP
-// transports, sync and async-bus each. Expected shape: the remote transport
-// costs throughput across the board (every cache hop is now a real syscall
-// + TCP round trip), and the async bus claws most of it back on the write
-// path — batching is worth more when round trips are real.
-func Exp7(opt ExpOptions) ([]Exp7Point, error) {
-	var out []Exp7Point
-	for _, transport := range []CacheTransport{TransportInProcess, TransportRemote} {
-		for _, async := range []bool{false, true} {
-			st, err := BuildStackForExp7(opt, ModeUpdate, transport, async)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := Run(st, opt.runCfg(15, 60, 2.0))
-			if err != nil {
-				st.Close()
-				return nil, err
-			}
-			p := Exp7Point{
-				Transport: transport, Async: async, Throughput: rep.Throughput,
-				MeanWriteLat: rep.ByPage[social.PageCreateBM].Mean,
-				P99WriteLat:  rep.ByPage[social.PageCreateBM].P99,
-			}
-			if st.Genie != nil {
-				p.Bus = st.Genie.InvStats()
-			}
-			st.Close()
-			out = append(out, p)
-			opt.logf("exp7  %-10s async=%-5v %9.1f pages/s  write mean=%v p99=%v  (%d flushes, %d stalls/%v stalled)",
-				p.Transport, async, p.Throughput,
-				p.MeanWriteLat.Round(time.Microsecond), p.P99WriteLat.Round(time.Microsecond),
-				p.Bus.Flushes, p.Bus.QueueFullStalls, p.Bus.StallTime.Round(time.Microsecond))
-		}
-	}
-	return out, nil
-}
-
 // ---------- §5.2 programmer effort ----------
 
 // EffortReport reproduces the paper's porting-effort accounting.
@@ -813,19 +676,16 @@ func AblationTemplateInvalidation(opt ExpOptions) (AblationTemplateResult, error
 
 	// Baseline: same engine + app, reads cached by exact query text with
 	// template-wide invalidation, no CacheGenie.
-	model := latency.PaperScaled(opt.scale())
+	model := PaperScaled(opt.scale())
 	db, err := sqldb.Open(sqldb.Config{
-		BufferPoolPages: expPoolPages, DiskWidth: 2, Latency: model,
+		BufferPoolPages: expPoolPages, Cost: newDBCost(model).charge,
 		LockTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		return res, err
 	}
 	tcache := kvcache.New(0)
-	var logical kvcache.Cache = tcache
-	if model.CacheRoundTrip > 0 {
-		logical = kvcache.WithLatency(tcache, model.CacheRoundTrip, latency.RealSleeper{})
-	}
+	logical := newLatencyCache(tcache, model, false)
 	tconn := templateinv.New(db, logical, 0)
 	reg := orm.NewRegistry(tconn)
 	if err := social.RegisterModels(reg); err != nil {
@@ -876,18 +736,9 @@ func BuildStackForBench(opt ExpOptions, mode Mode, reuseTriggerConns bool, cache
 		RngSeed:                 42,
 		LatencyScale:            opt.scale(),
 		BufferPoolPages:         expPoolPages,
-		DiskWidth:               2,
 		CacheNodes:              cacheNodes,
 		Replicas:                opt.Replicas,
 		ReuseTriggerConnections: reuseTriggerConns,
 		Obs:                     opt.Metrics,
 	})
-}
-
-// BuildStackForExp6 exposes the invalidation-bus knobs to the benchmark
-// harness. Aside from the async override it builds the standard experiment
-// stack, so opt's transport settings apply as everywhere else.
-func BuildStackForExp6(opt ExpOptions, mode Mode, async bool) (*Stack, error) {
-	opt.Async = async
-	return opt.buildStack(mode, 0, 0)
 }

@@ -172,37 +172,12 @@ func TestBuildStackForBenchKnobs(t *testing.T) {
 	}
 }
 
-func TestExp6AsyncInvalidationSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four full stack runs")
-	}
-	res, err := Exp6(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 4 {
-		t.Fatalf("points = %d, want 4", len(res))
-	}
-	for _, p := range res {
-		if p.Throughput <= 0 {
-			t.Fatalf("%+v", p)
-		}
-		if p.Async {
-			if p.Bus.Enqueued == 0 {
-				t.Fatalf("async point saw no bus traffic: %+v", p)
-			}
-			if p.Bus.Applied+p.Bus.Coalesced != p.Bus.Enqueued {
-				t.Fatalf("bus did not drain fully: %+v", p.Bus)
-			}
-		} else if p.Bus.Enqueued != 0 {
-			t.Fatalf("sync point reports bus traffic: %+v", p)
-		}
-	}
-}
-
 func TestAsyncStackRunsCleanly(t *testing.T) {
 	opt := tinyOpts()
-	st, err := BuildStackForExp6(opt, ModeUpdate, true)
+	st, err := BuildStack(StackConfig{
+		Mode: ModeUpdate, Seed: opt.Seed, RngSeed: 42, LatencyScale: opt.LatencyScale,
+		BufferPoolPages: expPoolPages, AsyncInvalidation: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ func TestMetricsEndToEndScrape(t *testing.T) {
 		RngSeed:           42,
 		LatencyScale:      opt.LatencyScale,
 		BufferPoolPages:   expPoolPages,
-		DiskWidth:         2,
 		CacheNodes:        3,
 		Replicas:          2,
 		Transport:         TransportRemote,

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,7 +17,6 @@ func TestBuildStackRemoteTransport(t *testing.T) {
 		RngSeed:         42,
 		LatencyScale:    opt.LatencyScale,
 		BufferPoolPages: expPoolPages,
-		DiskWidth:       2,
 		CacheNodes:      3,
 		Transport:       TransportRemote,
 	})
@@ -62,7 +59,11 @@ func TestBuildStackRemoteTransport(t *testing.T) {
 
 func TestRemoteStackAsyncBusDrains(t *testing.T) {
 	opt := tinyOpts()
-	st, err := BuildStackForExp7(opt, ModeUpdate, TransportRemote, true)
+	st, err := BuildStack(StackConfig{
+		Mode: ModeUpdate, Seed: opt.Seed, RngSeed: 42, LatencyScale: opt.LatencyScale,
+		BufferPoolPages: expPoolPages, CacheNodes: 4, Transport: TransportRemote,
+		AsyncInvalidation: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,59 +78,6 @@ func TestRemoteStackAsyncBusDrains(t *testing.T) {
 	}
 	if rep.ByPage[social.PageCreateBM].P99 < rep.ByPage[social.PageCreateBM].P50 {
 		t.Fatalf("percentiles inverted: %+v", rep.ByPage[social.PageCreateBM])
-	}
-}
-
-func TestExp7RemoteClusterSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four full stack runs, two over TCP")
-	}
-	pts, err := Exp7(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("points = %d, want 4", len(pts))
-	}
-	seen := map[string]bool{}
-	for _, p := range pts {
-		seen[p.Transport.String()] = true
-		if p.Throughput <= 0 {
-			t.Fatalf("%+v", p)
-		}
-		if p.Async {
-			if p.Bus.Enqueued == 0 {
-				t.Fatalf("async point saw no bus traffic: %+v", p)
-			}
-			if p.Bus.Applied+p.Bus.Coalesced != p.Bus.Enqueued {
-				t.Fatalf("bus did not drain fully: %+v", p.Bus)
-			}
-		} else if p.Bus.Enqueued != 0 {
-			t.Fatalf("sync point reports bus traffic: %+v", p)
-		}
-	}
-	if !seen["in-process"] || !seen["remote-tcp"] {
-		t.Fatalf("transports covered: %v", seen)
-	}
-}
-
-func TestWriteExp7JSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_exp7.json")
-	pts := []Exp7Point{
-		{Transport: TransportInProcess, Async: false, Throughput: 123.4},
-		{Transport: TransportRemote, Async: true, Throughput: 99.9},
-	}
-	if err := WriteExp7JSON(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"exp7-remote-cluster"`, `"in-process"`, `"remote-tcp"`, `"throughput_pages_per_sec": 123.4`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("artifact missing %s:\n%s", want, data)
-		}
 	}
 }
 
@@ -171,8 +119,7 @@ func TestRemoteStackAgainstExternalAddrs(t *testing.T) {
 
 	st, err := BuildStack(StackConfig{
 		Mode: ModeUpdate, Seed: opt.Seed, RngSeed: 42, LatencyScale: opt.LatencyScale,
-		BufferPoolPages: expPoolPages, DiskWidth: 2,
-		Transport: TransportRemote, CacheAddrs: addrs,
+		BufferPoolPages: expPoolPages, Transport: TransportRemote, CacheAddrs: addrs,
 	})
 	if err != nil {
 		t.Fatal(err)

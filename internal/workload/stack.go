@@ -10,7 +10,6 @@ import (
 	"cachegenie/internal/core"
 	"cachegenie/internal/hotkey"
 	"cachegenie/internal/kvcache"
-	"cachegenie/internal/latency"
 	"cachegenie/internal/obs"
 	"cachegenie/internal/orm"
 	"cachegenie/internal/social"
@@ -41,8 +40,7 @@ type CacheTransport int
 // Transports.
 const (
 	// TransportInProcess wires the cache nodes as in-process kvcache.Stores;
-	// network cost, if any, comes from the injected latency model. This is
-	// the simulation configuration every experiment ran before Experiment 7.
+	// network cost, if any, comes from the injected latency model (Model).
 	TransportInProcess CacheTransport = iota
 	// TransportRemote runs one real cacheproto.Server per cache node on
 	// loopback TCP (or connects to externally launched geniecache nodes via
@@ -85,10 +83,6 @@ type StackConfig struct {
 	// 0 or 1 = single-owner routing, the pre-Experiment-10 behaviour;
 	// clamped to CacheNodes.
 	Replicas int
-	// CacheShards overrides each node's lock-stripe count (0 = the kvcache
-	// default of the next power of two >= 4x GOMAXPROCS; 1 = the un-striped
-	// baseline Experiment 9 measures against).
-	CacheShards int
 	// Transport selects in-process stores (default) or real cacheproto
 	// servers reached over TCP through pooled clients.
 	Transport CacheTransport
@@ -137,20 +131,19 @@ type StackConfig struct {
 	// single database query (see core.Config.SingleFlight).
 	SingleFlight bool
 	// LatencyScale enables the paper-calibrated injected latency model,
-	// divided by the given factor (0 disables; 1 = paper-absolute;
-	// 10 = default experiment scale).
+	// PaperScaled(LatencyScale) (0 disables; 1 = paper-absolute; the
+	// experiments use ExpOptions.LatencyScale, default 50).
 	LatencyScale int
 	// BufferPoolPages sizes the DB buffer pool (0 = engine default). The
 	// colocated-cache variant of Experiment 4 shrinks this.
 	BufferPoolPages int
-	// DiskWidth bounds concurrent simulated-disk requests.
-	DiskWidth int
 	// Seed configures the dataset; zero value uses social.DefaultSeed.
 	Seed social.SeedConfig
 	// RngSeed makes seeding deterministic.
 	RngSeed int64
 	// ReuseTriggerConnections enables the paper's proposed trigger
-	// connection reuse optimization (ablation).
+	// connection reuse optimization (ablation): the latency model charges no
+	// CacheConnect.
 	ReuseTriggerConnections bool
 	// AsyncInvalidation routes trigger cache maintenance through the
 	// asynchronous batching invalidation bus (internal/invbus) instead of
@@ -158,8 +151,6 @@ type StackConfig struct {
 	// window (0 = bus default).
 	AsyncInvalidation bool
 	BatchWindow       time.Duration
-	// Sleeper overrides time passage (tests use CountingSleeper).
-	Sleeper latency.Sleeper
 	// Obs, when non-nil, receives every subsystem's metrics registration:
 	// per-node store/server/pool series, the cluster ring, the Genie and its
 	// invalidation bus. Rebuilt components (a revived node's fresh server)
@@ -170,7 +161,6 @@ type StackConfig struct {
 // Stack is an assembled system under test.
 type Stack struct {
 	Config StackConfig
-	Model  latency.Model
 	DB     *sqldb.DB
 	Reg    *orm.Registry
 	Genie  *core.Genie // nil in NoCache mode
@@ -195,6 +185,10 @@ type Stack struct {
 	// Obs is the metrics registry every subsystem registered into (nil
 	// unless StackConfig.Obs was set).
 	Obs *obs.Registry
+	// latency and dbCost charge the injected latency model (nil without
+	// one); Cache is latency when it is set.
+	latency *latencyCache
+	dbCost  *dbCost
 }
 
 // NodeAddrs returns the remote nodes' addresses in ring order (empty for
@@ -231,21 +225,13 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 	if cfg.Seed.Users == 0 {
 		cfg.Seed = social.DefaultSeed()
 	}
-	sleeper := cfg.Sleeper
-	if sleeper == nil {
-		sleeper = latency.RealSleeper{}
-	}
-	var model latency.Model
+	st := &Stack{Config: cfg}
+	dbCfg := sqldb.Config{BufferPoolPages: cfg.BufferPoolPages, LockTimeout: 10 * time.Second}
 	if cfg.LatencyScale > 0 {
-		model = latency.PaperScaled(cfg.LatencyScale)
+		st.dbCost = newDBCost(PaperScaled(cfg.LatencyScale))
+		dbCfg.Cost = st.dbCost.charge
 	}
-	db, err := sqldb.Open(sqldb.Config{
-		BufferPoolPages: cfg.BufferPoolPages,
-		DiskWidth:       cfg.DiskWidth,
-		Latency:         model,
-		Sleeper:         sleeper,
-		LockTimeout:     10 * time.Second,
-	})
+	db, err := sqldb.Open(dbCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +243,7 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 		return nil, err
 	}
 
-	st := &Stack{Config: cfg, Model: model, DB: db, Reg: reg}
+	st.DB, st.Reg = db, reg
 	perNode := cfg.CacheBytes
 	if cfg.CacheNodes > 1 && perNode > 0 {
 		perNode = cfg.CacheBytes / int64(cfg.CacheNodes)
@@ -281,7 +267,7 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 		})
 	}
 	newStore := func() *kvcache.Store {
-		return kvcache.New(perNode, kvcache.WithShards(cfg.CacheShards))
+		return kvcache.New(perNode)
 	}
 	var nodes []kvcache.Cache
 	var nodeIDs []string
@@ -348,8 +334,9 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 		// External servers may hold a previous run's entries.
 		logical.FlushAll()
 	}
-	if model.CacheRoundTrip > 0 {
-		logical = kvcache.WithLatency(logical, model.CacheRoundTrip, sleeper)
+	if st.dbCost != nil {
+		st.latency = newLatencyCache(logical, st.dbCost.m, cfg.ReuseTriggerConnections)
+		logical = st.latency
 	}
 	st.Cache = logical
 
@@ -359,15 +346,12 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 	}
 	if cfg.Mode != ModeNoCache {
 		g, err := core.New(core.Config{
-			Registry:                reg,
-			DB:                      db,
-			Cache:                   logical,
-			TriggerConnectCost:      model.CacheConnect,
-			ReuseTriggerConnections: cfg.ReuseTriggerConnections,
-			AsyncInvalidation:       cfg.AsyncInvalidation,
-			BatchWindow:             cfg.BatchWindow,
-			SingleFlight:            cfg.SingleFlight,
-			Sleeper:                 sleeper,
+			Registry:          reg,
+			DB:                db,
+			Cache:             logical,
+			AsyncInvalidation: cfg.AsyncInvalidation,
+			BatchWindow:       cfg.BatchWindow,
+			SingleFlight:      cfg.SingleFlight,
 		})
 		if err != nil {
 			st.Close()

@@ -176,7 +176,7 @@ func TestCachedModesBeatNoCacheWithInjectedLatency(t *testing.T) {
 	run := func(mode Mode) float64 {
 		st, err := BuildStack(StackConfig{
 			Mode: mode, Seed: smallSeed(), RngSeed: 12,
-			LatencyScale: 50, CacheBytes: 0, DiskWidth: 2, BufferPoolPages: 128,
+			LatencyScale: 50, CacheBytes: 0, BufferPoolPages: 128,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,14 @@
 // a concurrent client driver with warm-up, and throughput/latency metrics —
 // plus the stack builder that assembles NoCache / Invalidate / Update
 // configurations of the full system.
+//
+// Experiments 1–5, the §5.3 microbenchmarks and the ablation run on
+// simulated time (sim.go): the paper's costs charged as sleeps. time.Sleep
+// rounds a charge shorter than the host timer's granularity up — on a
+// 2-core Xeon VM (Linux, Go 1.24) the modelled 4 µs cache round trip
+// measured 610–660 µs in `genieload -experiment micro -quick` — so the
+// sweep's absolute numbers depend on the host, and its orderings are the
+// reproduction target.
 package workload
 
 import (
