@@ -17,8 +17,7 @@
 //   - the middleware itself (core): cache classes — FeatureQuery,
 //     LinkQuery, CountQuery, TopKQuery — declared via Cacheable, with
 //     invalidate / update-in-place / TTL consistency strategies;
-//   - the §3.3 transactional-cache extension (txcache) and the GlobeCBC
-//     template-invalidation baseline (templateinv);
+//   - the GlobeCBC template-invalidation baseline (templateinv);
 //   - the asynchronous batched invalidation bus (invbus), which decouples
 //     trigger firings from cache maintenance;
 //   - the evaluation workload (social, workload) reproducing the paper's

@@ -398,9 +398,7 @@ func (c *Client) FlushAll() {
 	_ = c.flushAll()
 }
 
-var _ kvcache.BatchApplier = (*Client)(nil)
-
-// ApplyBatch implements kvcache.BatchApplier over the pipelined mop command:
+// ApplyBatch implements kvcache.Cache over the pipelined mop command:
 // every op in the batch is written in one flush and all results are read
 // back together, so the batch costs a single network round trip instead of
 // one per op. Network errors surface as kvcache.FailedBatch results

@@ -105,11 +105,11 @@ type PoolConfig struct {
 }
 
 // Pool is a connection-pooled cacheproto client for one cache server. It
-// implements kvcache.Cache and kvcache.BatchApplier like Client, but where a
-// single Client serializes every operation on one TCP connection, a Pool
-// checks a connection out per operation — concurrent callers (workload
-// clients, trigger firings, parallel ring fan-out, invalidation-bus workers)
-// proceed on separate connections and only contend on the checkout mutex.
+// implements kvcache.Cache like Client, but where a single Client serializes
+// every operation on one TCP connection, a Pool checks a connection out per
+// operation — concurrent callers (workload clients, trigger firings, parallel
+// ring fan-out, invalidation-bus workers) proceed on separate connections and
+// only contend on the checkout mutex.
 //
 // Connections are created lazily, one Dial per checkout miss, at most
 // MaxConns in existence at once (excess checkouts wait for a return), and at
@@ -157,10 +157,7 @@ type Pool struct {
 	probes    atomic.Int64
 }
 
-var (
-	_ kvcache.Cache        = (*Pool)(nil)
-	_ kvcache.BatchApplier = (*Pool)(nil)
-)
+var _ kvcache.Cache = (*Pool)(nil)
 
 // NewPool creates a pool of connections to the cache server at addr with
 // default health checking. maxIdle bounds parked connections (<= 0 picks
@@ -606,7 +603,7 @@ func (p *Pool) FlushAll() {
 	p.done(opOther, start, err)
 }
 
-// ApplyBatch implements kvcache.BatchApplier: the whole batch runs as one
+// ApplyBatch implements kvcache.Cache: the whole batch runs as one
 // pipelined mop exchange on a single checked-out connection, so it costs one
 // round trip while other operations proceed on other connections.
 func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {

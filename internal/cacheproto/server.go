@@ -502,7 +502,7 @@ func (c *serverConn) dispatch(fields [][]byte) (quit bool, err error) {
 		withCas := len(fields[0]) == 4 // "gets" vs "get"
 		for _, key := range fields[1:] {
 			if hk := c.m.HotKeys; hk != nil {
-				hk.Observe(hotkey.HashBytes(key))
+				hk.Observe(hotkey.Hash(key))
 			}
 			var cas uint64
 			var ok bool

@@ -114,12 +114,6 @@ type ReplicaStats struct {
 	SkippedUnhealthy int64
 }
 
-// ReplicaStatsReporter is implemented by Ring and Manager; core.Genie uses
-// it to surface replica routing counters without knowing the cache topology.
-type ReplicaStatsReporter interface {
-	ReplicaStats() ReplicaStats
-}
-
 // replicaCounters is the shared atomic backing for ReplicaStats.
 type replicaCounters struct {
 	failover atomic.Int64
@@ -150,13 +144,6 @@ type HotKeyStats struct {
 	// SpreadRepairs are rotated reads that found a replica missing the hot
 	// value and repaired it with an add-if-absent.
 	SpreadRepairs int64
-}
-
-// HotKeyStatsReporter is implemented by Ring and Manager when hot-key
-// spreading is enabled; core.Genie uses it to surface the counters without
-// knowing the cache topology.
-type HotKeyStatsReporter interface {
-	HotKeyStats() HotKeyStats
 }
 
 // hotRouter bundles the popularity sampler with the rotation state; shared
@@ -338,10 +325,10 @@ func (r *Ring) replicasAppendHash(h uint64, out []int) []int {
 	return out
 }
 
-// ReplicaStats implements ReplicaStatsReporter.
+// ReplicaStats snapshots the replica routing counters.
 func (r *Ring) ReplicaStats() ReplicaStats { return r.counters.snapshot() }
 
-// HotKeyStats implements HotKeyStatsReporter; all-zero when hot-key
+// HotKeyStats snapshots the hot-key counters; all-zero when hot-key
 // spreading is not enabled.
 func (r *Ring) HotKeyStats() HotKeyStats { return r.hot.snapshot() }
 
@@ -633,9 +620,7 @@ func (r *Ring) Incr(key string, delta int64) (int64, bool) {
 	return n.Load(), ok.Load()
 }
 
-var _ kvcache.BatchApplier = (*Ring)(nil)
-
-// ApplyBatch implements kvcache.BatchApplier: one logical batch fans out as
+// ApplyBatch implements kvcache.Cache: one logical batch fans out as
 // one sub-batch per owning node, preserving the batch's relative op order
 // within each node and reassembling results in input order. The sub-batches
 // run concurrently, so a batch that spans the ring costs the slowest node's
@@ -678,7 +663,7 @@ func (r *Ring) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 		nodeOf[i] = n
 	}
 	if nodeOf == nil {
-		return kvcache.ApplyBatchOn(r.nodes[first], ops)
+		return r.nodes[first].ApplyBatch(ops)
 	}
 	out := make([]kvcache.BatchResult, len(ops))
 	r.applySubBatches(ops, newPartition(len(r.nodes), nodeOf, nil, buf[len(ops):]), out, true)
@@ -768,7 +753,7 @@ func (f *fanout) applyAsync(n int) {
 // apply sends node n its sub-batch and stores the results.
 func (f *fanout) apply(n int) {
 	from, to := f.p.start[n], f.p.start[n+1]
-	res := kvcache.ApplyBatchOn(f.r.nodes[n], f.sub[from:to:to])
+	res := f.r.nodes[n].ApplyBatch(f.sub[from:to:to])
 	if f.out == nil {
 		return
 	}

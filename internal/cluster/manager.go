@@ -10,10 +10,10 @@ import (
 )
 
 // Manager is a consistent-hash ring with live membership. It implements
-// kvcache.Cache and kvcache.BatchApplier exactly like Ring, but AddNode and
-// RemoveNode change membership while traffic flows: each mutation rebuilds
-// an immutable Ring under the write lock and swaps it in, and every
-// operation routes through the ring current at its start.
+// kvcache.Cache exactly like Ring, but AddNode and RemoveNode change
+// membership while traffic flows: each mutation rebuilds an immutable Ring
+// under the write lock and swaps it in, and every operation routes through
+// the ring current at its start.
 //
 // Because vnode positions hash from stable node identities (see Ring), a
 // membership change of one node remaps only that node's ~1/N share of keys;
@@ -78,10 +78,7 @@ type Manager struct {
 	handoffSkipped atomic.Int64
 }
 
-var (
-	_ kvcache.Cache        = (*Manager)(nil)
-	_ kvcache.BatchApplier = (*Manager)(nil)
-)
+var _ kvcache.Cache = (*Manager)(nil)
 
 // NewManager builds a mutable ring over the given caches with stable node
 // identities (see NewRingIDs for the constraints). WithReplicas applies to
@@ -143,11 +140,11 @@ func (m *Manager) Node(id string) (kvcache.Cache, bool) {
 	return c, ok
 }
 
-// ReplicaStats implements ReplicaStatsReporter; the counters survive
+// ReplicaStats snapshots the replica routing counters; they survive
 // membership-change ring rebuilds.
 func (m *Manager) ReplicaStats() ReplicaStats { return m.Ring().ReplicaStats() }
 
-// HotKeyStats implements HotKeyStatsReporter; the sampler and rotation
+// HotKeyStats snapshots the hot-key counters; the sampler and rotation
 // counters survive membership-change ring rebuilds.
 func (m *Manager) HotKeyStats() HotKeyStats { return m.Ring().HotKeyStats() }
 
@@ -455,7 +452,7 @@ func applyChunked(c kvcache.Cache, ops []kvcache.BatchOp) {
 		if n > handoffChunk {
 			n = handoffChunk
 		}
-		kvcache.ApplyBatchOn(c, ops[:n])
+		c.ApplyBatch(ops[:n])
 		ops = ops[n:]
 	}
 }
@@ -501,7 +498,7 @@ func (m *Manager) Incr(key string, delta int64) (int64, bool) { return m.Ring().
 // FlushAll implements kvcache.Cache.
 func (m *Manager) FlushAll() { m.Ring().FlushAll() }
 
-// ApplyBatch implements kvcache.BatchApplier: the whole batch routes through
+// ApplyBatch implements kvcache.Cache: the whole batch routes through
 // one ring snapshot, so a concurrent membership change cannot split it
 // inconsistently.
 func (m *Manager) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {

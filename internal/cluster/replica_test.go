@@ -219,7 +219,7 @@ func (n *batchLog) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	n.mu.Lock()
 	n.batches = append(n.batches, batch)
 	n.mu.Unlock()
-	return kvcache.ApplyBatchOn(n.Cache, ops)
+	return n.Cache.ApplyBatch(ops)
 }
 
 // newLoggedPair builds a ring over two healthy batchLog nodes.

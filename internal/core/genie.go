@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cachegenie/internal/cluster"
 	"cachegenie/internal/invbus"
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/obs"
@@ -197,25 +196,6 @@ func (g *Genie) Stats() Stats {
 
 // Cache returns the caching layer the Genie writes to.
 func (g *Genie) Cache() kvcache.Cache { return g.cache }
-
-// ReplicaStats reports the replica-routing counters (failover reads, read
-// repairs, unhealthy-replica skips) when the Genie's cache is — or wraps,
-// through any chain of Unwrap()-able decorators — a replicated cluster
-// ring; the zero value otherwise. This is the Genie-level view of what the
-// breaker-aware failover path did on behalf of its reads.
-func (g *Genie) ReplicaStats() cluster.ReplicaStats {
-	c := g.cache
-	for {
-		if rs, ok := c.(cluster.ReplicaStatsReporter); ok {
-			return rs.ReplicaStats()
-		}
-		u, ok := c.(interface{ Unwrap() kvcache.Cache })
-		if !ok {
-			return cluster.ReplicaStats{}
-		}
-		c = u.Unwrap()
-	}
-}
 
 // Objects returns the registered cached objects sorted by name.
 func (g *Genie) Objects() []*CachedObject {
@@ -717,7 +697,7 @@ func (g *Genie) readWave(ds []*orm.QueryDescriptor) waveReads {
 	}
 	g.waves.Add(1)
 	g.waveKeys.Add(int64(len(ops)))
-	res := kvcache.ApplyBatchOn(g.cache, ops)
+	res := g.cache.ApplyBatch(ops)
 	n := 0
 	for i := range reads {
 		if l := &reads[i]; l.parked {

@@ -208,7 +208,7 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 	// second[i] belongs to.
 	var second []kvcache.BatchOp
 	var owners []*keyOps
-	for i, r := range kvcache.ApplyBatchOn(g.cache, first) {
+	for i, r := range g.cache.ApplyBatch(first) {
 		k := &groups[i]
 		switch {
 		case !r.Found:
@@ -233,7 +233,7 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 	if len(second) == 0 {
 		return nil
 	}
-	for i, r := range kvcache.ApplyBatchOn(g.cache, second) {
+	for i, r := range g.cache.ApplyBatch(second) {
 		k := owners[i]
 		switch {
 		case k.counted:
@@ -246,7 +246,7 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 			g.casFallbacks.Add(1)
 			for _, mi := range k.idx {
 				if m := &muts[mi]; m.casLoop(g.cache) {
-					kvcache.ApplyBatchOn(g.cache, []kvcache.BatchOp{k.co.recompute(q, k.key, m.repair)})
+					g.cache.ApplyBatch([]kvcache.BatchOp{k.co.recompute(q, k.key, m.repair)})
 				}
 			}
 		default:

@@ -98,32 +98,11 @@ func New(cfg Config) *Detector {
 
 // Hash is an allocation-free FNV-1a over key with a murmur3-style
 // finalizer — the same mixing the cluster ring uses for key placement, so
-// callers that already routed a key can reuse one hash for both.
+// callers that already routed a key can reuse one hash for both. It takes
+// the wire server's parsed []byte keys as they are.
 //
 //genie:hotpath
-func Hash(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// HashBytes is Hash over a byte slice — the wire server's parsed key
-// fields never become strings on the hot path.
-//
-//genie:hotpath
-func HashBytes(key []byte) uint64 {
+func Hash[K ~string | ~[]byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

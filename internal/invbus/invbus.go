@@ -8,7 +8,7 @@
 // and pipelines it: triggers Publish typed ops (delete / set / incr /
 // CAS-update descriptors) and return immediately; per-shard worker
 // goroutines coalesce pending ops and flush each run of typed ops through
-// the cache's batch entry point (kvcache.BatchApplier) — one exchange per
+// the cache's batch entry point (kvcache.Cache.ApplyBatch) — one exchange per
 // run instead of one per op.
 //
 // Ordering. Ops are routed to a worker by key hash, so ops on the same key
@@ -479,7 +479,7 @@ func (b *Bus) apply(batch []pendingOp) {
 		for k := i; k < j; k++ {
 			ops[k-i] = toBatchOp(batch[k].Op)
 		}
-		res := kvcache.ApplyBatchOn(c, ops)
+		res := c.ApplyBatch(ops)
 		for k := i; k < j; k++ {
 			if d := batch[k].Done; d != nil {
 				d(Result{Found: res[k-i].Found, Value: res[k-i].Value})

@@ -6,7 +6,10 @@
 // The Cache interface is implemented by *Store (in-process), by the
 // cacheproto TCP client (remote server), and by the cluster consistent-hash
 // ring (one logical cache over many servers), so every layer of the system
-// is interchangeable in tests and experiments.
+// is interchangeable in tests and experiments. Besides memcached's per-key
+// operations it includes the batch entry point, ApplyBatch: every cache
+// applies a batch natively — the store under one lock hold per shard, the
+// client as one pipelined mop exchange, the ring as one sub-batch per node.
 //
 // The Store is lock-striped the way memcached is: keys hash onto N
 // independent shards (N defaults to the next power of two >= 4x GOMAXPROCS,
@@ -66,6 +69,8 @@ type Cache interface {
 	Incr(key string, delta int64) (int64, bool)
 	// FlushAll empties the cache.
 	FlushAll()
+	// ApplyBatch applies many operations in one exchange (see BatchOp).
+	BatchApplier
 }
 
 // Stats are cumulative counters plus current occupancy.
@@ -247,9 +252,19 @@ var _ Cache = (*Store)(nil)
 // NumShards reports the lock-stripe count.
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// fnv1a32 hashes key bytes without allocating; the same function serves
-// string and []byte keys so both entry points agree on shard placement.
-func fnv1a32(key string) uint32 {
+// keyBytes is the store's key type: a string from the library API, or a
+// []byte pointing into the cacheproto server's read buffer, where converting
+// each parsed key to a string would allocate on every request. Go methods
+// cannot take type parameters, so each exported operation and its …B twin
+// are one-line wrappers over the same generic helper: one implementation,
+// one shard placement. A []byte key looks entries up through the compiler's
+// no-copy map index; only a first-time insert copies it.
+type keyBytes interface{ ~string | ~[]byte }
+
+// fnv1a32 hashes key bytes without allocating.
+//
+//genie:hotpath
+func fnv1a32[K keyBytes](key K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -257,26 +272,10 @@ func fnv1a32(key string) uint32 {
 	return h
 }
 
-func fnv1a32Bytes(key []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return h
-}
+// shardIndex is the stripe owning key.
+func shardIndex[K keyBytes](s *Store, key K) int { return int(fnv1a32(key) & s.mask) }
 
-func (s *Store) shardFor(key string) *shard {
-	return &s.shards[fnv1a32(key)&s.mask]
-}
-
-func (s *Store) shardForBytes(key []byte) *shard {
-	return &s.shards[fnv1a32Bytes(key)&s.mask]
-}
-
-// shardIndex exposes placement to in-package tests.
-func (s *Store) shardIndex(key string) int {
-	return int(fnv1a32(key) & s.mask)
-}
+func shardFor[K keyBytes](s *Store, key K) *shard { return &s.shards[shardIndex(s, key)] }
 
 // ---------- per-shard internals (caller holds sh.mu) ----------
 
@@ -304,29 +303,7 @@ func removeLocked(sh *shard, e *entry) {
 // them, and suggests a modified LRU; GetQuiet exposes that policy.
 //
 //genie:hotpath
-func (s *Store) get(sh *shard, key string, bump bool) (*entry, bool) {
-	e, ok := sh.items[key]
-	if !ok {
-		sh.stats.Misses++
-		return nil, false
-	}
-	if s.expiredLocked(sh, e) {
-		sh.stats.Misses++
-		return nil, false
-	}
-	if bump {
-		sh.lru.MoveToFront(e.lruEl)
-	}
-	sh.stats.Hits++
-	return e, true
-}
-
-// getBytes is get for a []byte key; the map lookup converts without
-// allocating (compiler-recognized pattern), keeping the protocol hot path
-// allocation-free.
-//
-//genie:hotpath
-func (s *Store) getBytes(sh *shard, key []byte, bump bool) (*entry, bool) {
+func get[K keyBytes](s *Store, sh *shard, key K, bump bool) (*entry, bool) {
 	e, ok := sh.items[string(key)]
 	if !ok {
 		sh.stats.Misses++
@@ -369,37 +346,7 @@ func overwriteValue(dst, value []byte) []byte {
 // capacity, so steady overwrite traffic does not allocate.
 //
 //genie:hotpath
-func (s *Store) setLocked(sh *shard, key string, value []byte, ttl time.Duration, bump bool) {
-	seq := s.casSeq.Add(1)
-	if e, ok := sh.items[key]; ok {
-		sh.used -= e.size()
-		e.value = overwriteValue(e.value, value)
-		e.casID = seq
-		e.expires = s.ttlToExpiry(ttl)
-		sh.used += e.size()
-		if bump {
-			sh.lru.MoveToFront(e.lruEl)
-		}
-	} else {
-		e := &entry{
-			key:     key,
-			value:   exactCopy(value),
-			casID:   seq,
-			expires: s.ttlToExpiry(ttl),
-		}
-		e.lruEl = sh.lru.PushFront(e)
-		sh.items[key] = e
-		sh.used += e.size()
-	}
-	sh.stats.Sets++
-	s.afterWriteLocked(sh)
-}
-
-// setBytesLocked is setLocked for a []byte key: overwrites look the key up
-// without converting, so only a first-time insert pays the string copy.
-//
-//genie:hotpath
-func (s *Store) setBytesLocked(sh *shard, key, value []byte, ttl time.Duration, bump bool) {
+func setLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Duration) {
 	seq := s.casSeq.Add(1)
 	if e, ok := sh.items[string(key)]; ok {
 		sh.used -= e.size()
@@ -407,9 +354,7 @@ func (s *Store) setBytesLocked(sh *shard, key, value []byte, ttl time.Duration, 
 		e.casID = seq
 		e.expires = s.ttlToExpiry(ttl)
 		sh.used += e.size()
-		if bump {
-			sh.lru.MoveToFront(e.lruEl)
-		}
+		sh.lru.MoveToFront(e.lruEl)
 	} else {
 		e := &entry{
 			key:     string(key), //genie:nolint hotpathalloc -- a first-time insert must own its key; overwrites never reach this branch
@@ -483,8 +428,32 @@ func (s *Store) evictLocked(sh *shard) {
 	}
 }
 
-func (s *Store) deleteLocked(sh *shard, key string) bool {
-	e, ok := sh.items[key]
+//genie:hotpath
+func addLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Duration) bool {
+	if e, ok := sh.items[string(key)]; ok && !s.expiredLocked(sh, e) {
+		return false
+	}
+	setLocked(s, sh, key, value, ttl)
+	return true
+}
+
+//genie:hotpath
+func casLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Duration, token uint64) CasResult {
+	e, ok := sh.items[string(key)]
+	if !ok || s.expiredLocked(sh, e) {
+		return CasNotFound
+	}
+	if e.casID != token {
+		sh.stats.CasConflicts++
+		return CasConflict
+	}
+	setLocked(s, sh, key, value, ttl)
+	return CasStored
+}
+
+//genie:hotpath
+func deleteLocked[K keyBytes](s *Store, sh *shard, key K) bool {
+	e, ok := sh.items[string(key)]
 	if !ok {
 		return false
 	}
@@ -496,8 +465,9 @@ func (s *Store) deleteLocked(sh *shard, key string) bool {
 	return !expired
 }
 
-func (s *Store) incrLocked(sh *shard, key string, delta int64) (int64, bool) {
-	e, ok := s.get(sh, key, true)
+//genie:hotpath
+func incrLocked[K keyBytes](s *Store, sh *shard, key K, delta int64) (int64, bool) {
+	e, ok := get(s, sh, key, true)
 	if !ok {
 		return 0, false
 	}
@@ -513,121 +483,135 @@ func (s *Store) incrLocked(sh *shard, key string, delta int64) (int64, bool) {
 	return n, true
 }
 
-// ---------- public string-key operations ----------
+// ---------- the operations: each locks its key's shard ----------
+
+// getsAppend appends key's value to dst, returning the extended slice, the
+// entry's CAS token, and whether it was live. The only allocation is dst
+// growth: a nil dst is a fresh copy, a reused one amortizes to nothing.
+//
+//genie:hotpath
+func getsAppend[K keyBytes](s *Store, dst []byte, key K, bump bool) ([]byte, uint64, bool) {
+	sh := shardFor(s, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := get(s, sh, key, bump)
+	if !ok {
+		return dst, 0, false
+	}
+	return append(dst, e.value...), e.casID, true
+}
+
+//genie:hotpath
+func set[K keyBytes](s *Store, key K, value []byte, ttl time.Duration) {
+	sh := shardFor(s, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	setLocked(s, sh, key, value, ttl)
+}
+
+//genie:hotpath
+func add[K keyBytes](s *Store, key K, value []byte, ttl time.Duration) bool {
+	sh := shardFor(s, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return addLocked(s, sh, key, value, ttl)
+}
+
+//genie:hotpath
+func cas[K keyBytes](s *Store, key K, value []byte, ttl time.Duration, token uint64) CasResult {
+	sh := shardFor(s, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return casLocked(s, sh, key, value, ttl, token)
+}
+
+//genie:hotpath
+func del[K keyBytes](s *Store, key K) bool {
+	sh := shardFor(s, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return deleteLocked(s, sh, key)
+}
+
+//genie:hotpath
+func incr[K keyBytes](s *Store, key K, delta int64) (int64, bool) {
+	sh := shardFor(s, key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return incrLocked(s, sh, key, delta)
+}
 
 // Get implements Cache.
 func (s *Store) Get(key string) ([]byte, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := s.get(sh, key, true)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), e.value...), true
+	v, _, ok := getsAppend(s, nil, key, true)
+	return v, ok
 }
 
 // GetQuiet is Get without the LRU bump (modified-LRU policy for trigger
 // touches).
 func (s *Store) GetQuiet(key string) ([]byte, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := s.get(sh, key, false)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), e.value...), true
+	v, _, ok := getsAppend(s, nil, key, false)
+	return v, ok
 }
 
 // Gets implements Cache.
-func (s *Store) Gets(key string) ([]byte, uint64, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := s.get(sh, key, true)
-	if !ok {
-		return nil, 0, false
-	}
-	return append([]byte(nil), e.value...), e.casID, true
-}
-
-// GetsQuiet is Gets without the LRU bump.
-func (s *Store) GetsQuiet(key string) ([]byte, uint64, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := s.get(sh, key, false)
-	if !ok {
-		return nil, 0, false
-	}
-	return append([]byte(nil), e.value...), e.casID, true
-}
+func (s *Store) Gets(key string) ([]byte, uint64, bool) { return getsAppend(s, nil, key, true) }
 
 // Set implements Cache.
-func (s *Store) Set(key string, value []byte, ttl time.Duration) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.setLocked(sh, key, value, ttl, true)
-}
-
-// SetQuiet is Set without LRU promotion of an existing entry.
-func (s *Store) SetQuiet(key string, value []byte, ttl time.Duration) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.setLocked(sh, key, value, ttl, false)
-}
+func (s *Store) Set(key string, value []byte, ttl time.Duration) { set(s, key, value, ttl) }
 
 // Add implements Cache.
 func (s *Store) Add(key string, value []byte, ttl time.Duration) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.items[key]; ok && !s.expiredLocked(sh, e) {
-		return false
-	}
-	s.setLocked(sh, key, value, ttl, true)
-	return true
+	return add(s, key, value, ttl)
 }
 
 // Cas implements Cache.
-func (s *Store) Cas(key string, value []byte, ttl time.Duration, cas uint64) CasResult {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.casLocked(sh, key, value, ttl, cas)
-}
-
-func (s *Store) casLocked(sh *shard, key string, value []byte, ttl time.Duration, cas uint64) CasResult {
-	e, ok := sh.items[key]
-	if !ok || s.expiredLocked(sh, e) {
-		return CasNotFound
-	}
-	if e.casID != cas {
-		sh.stats.CasConflicts++
-		return CasConflict
-	}
-	s.setLocked(sh, key, value, ttl, true)
-	return CasStored
+func (s *Store) Cas(key string, value []byte, ttl time.Duration, token uint64) CasResult {
+	return cas(s, key, value, ttl, token)
 }
 
 // Delete implements Cache.
-func (s *Store) Delete(key string) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.deleteLocked(sh, key)
-}
+func (s *Store) Delete(key string) bool { return del(s, key) }
 
 // Incr implements Cache.
-func (s *Store) Incr(key string, delta int64) (int64, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.incrLocked(sh, key, delta)
+func (s *Store) Incr(key string, delta int64) (int64, bool) { return incr(s, key, delta) }
+
+// The …B twins take a []byte key: the cacheproto server's request path
+// stays allocation-free, its reads appending into a caller-owned buffer.
+
+// GetsAppendB is Gets for a []byte key, appending the value to dst.
+//
+//genie:hotpath
+func (s *Store) GetsAppendB(dst, key []byte) ([]byte, uint64, bool) {
+	return getsAppend(s, dst, key, true)
 }
+
+// SetB is Set for a []byte key.
+//
+//genie:hotpath
+func (s *Store) SetB(key, value []byte, ttl time.Duration) { set(s, key, value, ttl) }
+
+// AddB is Add for a []byte key.
+//
+//genie:hotpath
+func (s *Store) AddB(key, value []byte, ttl time.Duration) bool { return add(s, key, value, ttl) }
+
+// CasB is Cas for a []byte key.
+//
+//genie:hotpath
+func (s *Store) CasB(key, value []byte, ttl time.Duration, token uint64) CasResult {
+	return cas(s, key, value, ttl, token)
+}
+
+// DeleteB is Delete for a []byte key.
+//
+//genie:hotpath
+func (s *Store) DeleteB(key []byte) bool { return del(s, key) }
+
+// IncrB is Incr for a []byte key.
+//
+//genie:hotpath
+func (s *Store) IncrB(key []byte, delta int64) (int64, bool) { return incr(s, key, delta) }
 
 // FlushAll implements Cache. Shards flush one at a time; concurrent writers
 // may land in an already-flushed shard, as with memcached's flush_all.
@@ -712,115 +696,6 @@ func (s *Store) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// ---------- []byte-key operations (protocol hot path) ----------
-//
-// The cacheproto server parses commands into byte slices pointing at its
-// read buffer; converting them to strings per operation would allocate on
-// every request. These variants keep the whole request path allocation-free:
-// lookups use the compiler's no-copy map access, overwrites reuse the
-// entry's value buffer, and reads append into a caller-owned scratch buffer.
-
-// GetsAppendB looks a []byte key up and appends its value to dst, returning
-// the extended slice, the entry's CAS token, and whether it was live. The
-// only allocation is dst growth, which the caller amortizes by reuse.
-//
-//genie:hotpath
-func (s *Store) GetsAppendB(dst, key []byte) ([]byte, uint64, bool) {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := s.getBytes(sh, key, true)
-	if !ok {
-		return dst, 0, false
-	}
-	return append(dst, e.value...), e.casID, true
-}
-
-// SetB is Set for a []byte key.
-//
-//genie:hotpath
-func (s *Store) SetB(key, value []byte, ttl time.Duration) {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.setBytesLocked(sh, key, value, ttl, true)
-}
-
-// AddB is Add for a []byte key.
-//
-//genie:hotpath
-func (s *Store) AddB(key, value []byte, ttl time.Duration) bool {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.items[string(key)]; ok && !s.expiredLocked(sh, e) {
-		return false
-	}
-	s.setBytesLocked(sh, key, value, ttl, true)
-	return true
-}
-
-// CasB is Cas for a []byte key.
-//
-//genie:hotpath
-func (s *Store) CasB(key, value []byte, ttl time.Duration, cas uint64) CasResult {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.items[string(key)]
-	if !ok || s.expiredLocked(sh, e) {
-		return CasNotFound
-	}
-	if e.casID != cas {
-		sh.stats.CasConflicts++
-		return CasConflict
-	}
-	s.setBytesLocked(sh, key, value, ttl, true)
-	return CasStored
-}
-
-// DeleteB is Delete for a []byte key.
-//
-//genie:hotpath
-func (s *Store) DeleteB(key []byte) bool {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.items[string(key)]
-	if !ok {
-		return false
-	}
-	expired := s.expiredLocked(sh, e)
-	if !expired {
-		removeLocked(sh, e)
-	}
-	sh.stats.Deletes++
-	return !expired
-}
-
-// IncrB is Incr for a []byte key.
-//
-//genie:hotpath
-func (s *Store) IncrB(key []byte, delta int64) (int64, bool) {
-	sh := s.shardForBytes(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := s.getBytes(sh, key, true)
-	if !ok {
-		return 0, false
-	}
-	n, ok := parseDecimal(e.value)
-	if !ok {
-		return 0, false
-	}
-	n += delta
-	sh.used -= e.size()
-	e.value = appendDecimal(e.value[:0], n)
-	e.casID = s.casSeq.Add(1)
-	sh.used += e.size()
-	return n, true
 }
 
 //genie:hotpath

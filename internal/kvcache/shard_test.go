@@ -33,7 +33,7 @@ func TestShardDistributionBalance(t *testing.T) {
 	const keys = 10_000
 	counts := make([]int, s.NumShards())
 	for i := 0; i < keys; i++ {
-		counts[s.shardIndex(fmt.Sprintf("balance-key-%d", i))]++
+		counts[shardIndex(s, fmt.Sprintf("balance-key-%d", i))]++
 	}
 	mean := keys / len(counts)
 	for i, c := range counts {
@@ -206,12 +206,12 @@ func TestPerShardEvictionIsolation(t *testing.T) {
 	// other shard's resident key must be untouched — eviction pressure is a
 	// per-stripe affair.
 	s := New(8*1024, WithShards(4))
-	victimShard := s.shardIndex("pinned-key")
+	victimShard := shardIndex(s, "pinned-key")
 	s.Set("pinned-key", make([]byte, 64), 0)
 	filler := 0
 	for i := 0; filler < 200; i++ {
 		k := fmt.Sprintf("filler-%d", i)
-		if s.shardIndex(k) == victimShard {
+		if shardIndex(s, k) == victimShard {
 			continue // keep the pressure off the pinned key's shard
 		}
 		s.Set(k, make([]byte, 64), 0)

@@ -171,15 +171,52 @@ func conversionContextFree(call *ast.CallExpr, parents []ast.Node) bool {
 }
 
 func isStringType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
+	return inTypeSet(t, func(t types.Type) bool {
+		b, ok := t.Underlying().(*types.Basic)
+		return ok && b.Info()&types.IsString != 0
+	})
 }
 
 func isByteSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
+	return inTypeSet(t, func(t types.Type) bool {
+		s, ok := t.Underlying().(*types.Slice)
+		if !ok {
+			return false
+		}
+		b, ok := s.Elem().Underlying().(*types.Basic)
+		return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
+	})
+}
+
+// inTypeSet reports whether pred holds for t or, when t is a type
+// parameter, for some type its constraint admits: string(k) on a
+// K ~string | ~[]byte copies in the []byte instantiation.
+func inTypeSet(t types.Type, pred func(types.Type) bool) bool {
+	tp, ok := t.(*types.TypeParam)
 	if !ok {
-		return false
+		return pred(t)
 	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
+	return constraintAdmits(tp.Constraint(), pred)
+}
+
+func constraintAdmits(c types.Type, pred func(types.Type) bool) bool {
+	iface, ok := c.Underlying().(*types.Interface)
+	if !ok {
+		return pred(c)
+	}
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		switch e := iface.EmbeddedType(i).(type) {
+		case *types.Union:
+			for j := 0; j < e.Len(); j++ {
+				if pred(e.Term(j).Type()) {
+					return true
+				}
+			}
+		default:
+			if constraintAdmits(e, pred) {
+				return true
+			}
+		}
+	}
+	return false
 }

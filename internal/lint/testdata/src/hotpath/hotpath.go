@@ -28,6 +28,18 @@ func allowedContexts(m map[string]int, b []byte) int {
 	return m[string(b)]
 }
 
+type key interface{ ~string | ~[]byte }
+
+// generic: a type parameter that admits []byte converts like one — free in
+// a map index, a copy once the result is kept.
+//
+//genie:hotpath
+func generic[K key](m map[string]int, k K, keep *string) int {
+	x := string(k) // want `string\(\[\]byte\) conversion`
+	*keep = x
+	return m[string(k)]
+}
+
 func sink(v any) {}
 
 //genie:hotpath

@@ -93,14 +93,7 @@ func newLatencyCache(inner kvcache.Cache, m Model, reuseTriggerConns bool) *late
 	return l
 }
 
-var (
-	_ kvcache.Cache        = (*latencyCache)(nil)
-	_ kvcache.BatchApplier = (*latencyCache)(nil)
-)
-
-// Unwrap returns the wrapped cache, so core.Genie can reach the cluster
-// ring's replica stats through the decoration.
-func (l *latencyCache) Unwrap() kvcache.Cache { return l.inner }
+var _ kvcache.Cache = (*latencyCache)(nil)
 
 func (l *latencyCache) charge() {
 	l.roundTrips.Add(1)
@@ -116,7 +109,7 @@ func (l *latencyCache) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 		time.Sleep(l.connect)
 	}
 	l.charge()
-	return kvcache.ApplyBatchOn(l.inner, ops)
+	return l.inner.ApplyBatch(ops)
 }
 
 // triggerBatch reports whether ops opens a trigger's conversation with the
