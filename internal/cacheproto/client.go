@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -31,9 +32,10 @@ type Client struct {
 	opTimeout time.Duration
 	broken    bool // an exchange died mid-stream; the framing is gone
 
-	wbuf   []byte   // request build buffer
-	line   []byte   // overflow line assembly
-	fields [][]byte // response field headers
+	wbuf    []byte   // request build buffer
+	line    []byte   // overflow line assembly
+	fields  [][]byte // response field headers
+	scratch []byte   // a batch's values, read back to back (applyBatch)
 }
 
 var _ kvcache.Cache = (*Client)(nil)
@@ -192,45 +194,59 @@ func (c *Client) fetch(withCas bool, key string) (val []byte, cas uint64, found 
 	if err := c.sendLine(b, nil); err != nil {
 		return nil, 0, false, c.fail(err)
 	}
-	return c.readValue()
+	return c.readValue(nil)
 }
 
 // readValue parses one get/gets reply: VALUE blocks up to the closing END
-// (none on a miss). Caller holds c.mu and has sent the request; any error
-// has already poisoned the connection.
+// (none on a miss). The value is appended to dst, which comes back with it.
+// Caller holds c.mu and has sent the request; any error has already poisoned
+// the connection.
 //
 //genie:deadlinearmed every caller arms the per-op deadline before the exchange
-func (c *Client) readValue() (val []byte, cas uint64, found bool, err error) {
+func (c *Client) readValue(dst []byte) (val []byte, cas uint64, found bool, err error) {
+	start := len(dst)
 	for {
 		line, err := c.readLine()
 		if err != nil {
-			return nil, 0, false, c.fail(err)
+			return dst, 0, false, c.fail(err)
 		}
 		if string(line) == "END" {
-			return val, cas, found, nil
+			return dst, cas, found, nil
 		}
 		fields := splitFields(line, c.fields[:0])
 		c.fields = fields[:0]
 		if len(fields) < 4 || string(fields[0]) != "VALUE" {
-			return nil, 0, false, c.fail(fmt.Errorf("cacheproto: bad response line %q", line))
+			return dst, 0, false, c.fail(fmt.Errorf("cacheproto: bad response line %q", line))
 		}
 		n, ok := atoi(fields[3])
 		if !ok || n < 0 {
-			return nil, 0, false, c.fail(fmt.Errorf("cacheproto: bad length in %q", line))
+			return dst, 0, false, c.fail(fmt.Errorf("cacheproto: bad length in %q", line))
 		}
 		if len(fields) >= 5 {
 			cas, ok = atou(fields[4])
 			if !ok {
-				return nil, 0, false, c.fail(fmt.Errorf("cacheproto: bad cas in %q", line))
+				return dst, 0, false, c.fail(fmt.Errorf("cacheproto: bad cas in %q", line))
 			}
 		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(c.r, buf); err != nil {
-			return nil, 0, false, c.fail(err)
+		if dst, err = c.readData(dst[:start], int(n)); err != nil {
+			return dst, 0, false, c.fail(err)
 		}
-		val = buf[:n]
 		found = true
 	}
+}
+
+// readData appends an n-byte data block to dst and consumes its \r\n
+// terminator. A batch's values are read this way into the connection's
+// scratch, back to back, before one slab takes them all (cutSlab).
+//
+//genie:deadlinearmed every caller arms the per-op deadline before the exchange
+//genie:hotpath
+func (c *Client) readData(dst []byte, n int) ([]byte, error) {
+	dst = slices.Grow(dst, n+2)
+	if _, err := io.ReadFull(c.r, dst[len(dst):len(dst)+n+2]); err != nil {
+		return dst, err
+	}
+	return dst[:len(dst)+n], nil
 }
 
 // Get implements kvcache.Cache. Network errors surface as misses; callers
@@ -417,15 +433,19 @@ func (c *Client) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 // batch, which would throw away every other op flushed with it (an
 // invalidation bus batch coalesces unrelated deletes into the same mop; one
 // bad set must not cancel those).
+//
+// The values the batch reads arrive in the connection's scratch, back to back,
+// and are handed out as capped windows of one slab of exactly their size: one
+// allocation for the batch's values, however many there are.
 func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error) {
 	out := kvcache.FailedBatch(ops)
-	send := make([]int, 0, len(ops)) // indices of ops actually pipelined
+	send := 0
 	for i := range ops {
-		if validKey(ops[i].Key) && len(ops[i].Value) <= maxValueBytes {
-			send = append(send, i)
+		if sendable(&ops[i]) {
+			send++
 		}
 	}
-	if len(send) == 0 {
+	if send == 0 {
 		return out, nil
 	}
 	c.mu.Lock()
@@ -435,24 +455,37 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 	}
 	c.armDeadline()
 	b := append(c.cmd(), "mop "...)
-	b = strconv.AppendInt(b, int64(len(send)), 10)
+	b = strconv.AppendInt(b, int64(send), 10)
 	b = append(b, '\r', '\n')
 	c.w.Write(b)
-	for _, i := range send {
-		c.writeSubCommand(&ops[i])
+	for i := range ops {
+		if sendable(&ops[i]) {
+			c.writeSubCommand(&ops[i])
+		}
 	}
 	if err := c.w.Flush(); err != nil {
 		return out, c.fail(err)
 	}
-	for n, i := range send {
+	scratch := c.scratch[:0]
+	for i := range ops {
+		if !sendable(&ops[i]) {
+			continue
+		}
 		if k := ops[i].Kind; k == kvcache.BatchGets || k == kvcache.BatchGet {
-			v, cas, found, err := c.readValue()
-			if err != nil {
+			from := len(scratch)
+			var cas uint64
+			var found bool
+			var err error
+			if scratch, cas, found, err = c.readValue(scratch); err != nil {
 				return out, err
 			}
-			out[i] = kvcache.BatchResult{Found: found, Data: v}
-			if k == kvcache.BatchGets {
-				out[i].Cas = cas
+			if found {
+				// Value holds where the value starts in the scratch until
+				// cutSlab hands it out.
+				out[i] = kvcache.BatchResult{Found: true, Value: int64(from), Data: scratch[from:]}
+				if k == kvcache.BatchGets {
+					out[i].Cas = cas
+				}
 			}
 			continue
 		}
@@ -466,7 +499,7 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 			// unframed from here. Surface an error so the Pool discards the
 			// connection rather than parsing the error as an op result (a
 			// delete would read it as not-found) and then hanging on END.
-			return out, c.fail(fmt.Errorf("cacheproto: mop aborted at op %d: %s", n, line))
+			return out, c.fail(fmt.Errorf("cacheproto: mop aborted at op %d: %s", i, line))
 		}
 		switch ops[i].Kind {
 		case kvcache.BatchSet, kvcache.BatchAdd:
@@ -490,7 +523,40 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 	if string(line) != "END" {
 		return out, c.fail(fmt.Errorf("cacheproto: mop response unframed: %q", line))
 	}
+	cutSlab(ops, out, scratch)
+	if cap(scratch) <= retainedScratch {
+		c.scratch = scratch[:0]
+	}
 	return out, nil
+}
+
+// retainedScratch caps the batch scratch a connection keeps between
+// exchanges: room for a read wave's values from one node, so the common batch
+// reuses it, while an idle pooled connection never pins a rare large batch's.
+const retainedScratch = 4 << 10
+
+// sendable reports whether a batch op can be pipelined: its key is
+// expressible on the wire and its value within the server's cap.
+func sendable(op *kvcache.BatchOp) bool {
+	return validKey(op.Key) && len(op.Value) <= maxValueBytes
+}
+
+// cutSlab copies the values a batch read into scratch into one slab of their
+// exact size and points each hit's Data at its own capped window of it, so an
+// append to one value never reaches the next. out[i].Value holds where hit i's
+// value starts in scratch and len(out[i].Data) its length.
+//
+//genie:hotpath
+func cutSlab(ops []kvcache.BatchOp, out []kvcache.BatchResult, scratch []byte) {
+	slab := make([]byte, len(scratch))
+	copy(slab, scratch)
+	for i := range out {
+		if k := ops[i].Kind; out[i].Found && (k == kvcache.BatchGets || k == kvcache.BatchGet) {
+			from := int(out[i].Value)
+			to := from + len(out[i].Data)
+			out[i].Data, out[i].Value = slab[from:to:to], 0
+		}
+	}
 }
 
 // writeSubCommand appends one mop sub-command, data block included, to the

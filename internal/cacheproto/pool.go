@@ -1,6 +1,7 @@
 package cacheproto
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -622,8 +623,9 @@ func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 // answers it locally and only the rest of the batch travels (none of it when
 // every op was answered), and the server's hits are learned on the way out
 // unless the batch also mutates, when a learned value could predate a later op
-// on its key. A BatchGets always reads the server — its token is only good
-// there — so the near-cache neither serves nor learns from it.
+// on its key. It learns a copy: a batch's values share one slab, which an
+// entry must not keep alive. A BatchGets always reads the server — its token
+// is only good there — so the near-cache neither serves nor learns from it.
 func (p *Pool) applyBatchL1(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	now := time.Now().UnixNano()
 	out := kvcache.FailedBatch(ops)
@@ -651,7 +653,7 @@ func (p *Pool) applyBatchL1(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	for j, r := range p.exchangeBatch(send) {
 		out[at[j]] = r
 		if learn && r.Found && send[j].Kind == kvcache.BatchGet {
-			p.l1.store(send[j].Key, r.Data, now)
+			p.l1.store(send[j].Key, bytes.Clone(r.Data), now)
 		}
 	}
 	return out

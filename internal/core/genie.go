@@ -300,13 +300,21 @@ func (co *CachedObject) Triggers() []sqldb.Trigger { return co.triggers }
 // buffer pay for its growth as well).
 func (co *CachedObject) MakeKey(vals ...sqldb.Value) string {
 	var buf [128]byte
-	b := append(buf[:0], "cg:"...)
+	return string(co.appendKey(buf[:0], vals))
+}
+
+// appendKey renders MakeKey's key onto b; a read wave renders all its keys
+// into one buffer this way.
+//
+//genie:hotpath
+func (co *CachedObject) appendKey(b []byte, vals []sqldb.Value) []byte {
+	b = append(b, "cg:"...)
 	b = append(b, co.spec.Name...)
 	for i := range vals {
 		b = append(b, ':')
 		b = appendKeyValue(b, vals[i])
 	}
-	return string(b)
+	return b
 }
 
 // Cacheable declares a cached object: it derives the query template,
@@ -449,7 +457,18 @@ type lookup struct {
 	// and reads the cache after the first has populated or repaired it.
 	parked bool
 	hit    bool
-	raw    []byte
+	// decoded marks rows as the parked hit's list, decoded with the rest of
+	// the wave's (decodeWave); a parked row-object hit left undecoded is
+	// corrupt, and the lookup drops and reloads it.
+	decoded bool
+	raw     []byte
+	rows    []sqldb.Row
+}
+
+// parkedList reports whether l holds a parked hit of a row-valued object: a
+// list for decodeWave to decode.
+func (l *lookup) parkedList() bool {
+	return l.parked && l.hit && l.co.spec.Class != CountQuery
 }
 
 // get is the lookup's one cache read: the parked answer if there is one, a
@@ -486,15 +505,17 @@ func (co *CachedObject) Rows(vals ...sqldb.Value) ([]sqldb.Row, error) {
 
 func (co *CachedObject) rows(l *lookup) ([]sqldb.Row, error) {
 	key, vals := l.key, l.vals
+	if l.parked && l.decoded {
+		rows := l.rows
+		l.parked, l.decoded, l.rows = false, false, nil
+		co.g.hits.Add(1)
+		return co.firstK(rows), nil
+	}
 	if raw, ok := l.get(); ok {
 		p, err := decodePayload(raw)
 		if err == nil {
 			co.g.hits.Add(1)
-			rows := p.rows
-			if co.spec.Class == TopKQuery && len(rows) > co.spec.K {
-				rows = rows[:co.spec.K]
-			}
-			return rows, nil
+			return co.firstK(p.rows), nil
 		}
 		// Corrupt entry: drop it and fall through to the database.
 		co.g.dropKey(key)
@@ -512,11 +533,17 @@ func (co *CachedObject) rows(l *lookup) ([]sqldb.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := v.([]sqldb.Row)
+	return co.firstK(v.([]sqldb.Row)), nil
+}
+
+// firstK is what a read of the object serves of its cached rows: a top-K list
+// holds K plus a reserve and serves the first K, capped so an append to them
+// cannot reach the reserve.
+func (co *CachedObject) firstK(rows []sqldb.Row) []sqldb.Row {
 	if co.spec.Class == TopKQuery && len(rows) > co.spec.K {
-		rows = rows[:co.spec.K]
+		return rows[:co.spec.K:co.spec.K]
 	}
-	return rows, nil
+	return rows
 }
 
 // Count evaluates a CountQuery object.
@@ -665,19 +692,33 @@ func (g *Genie) resolve(d *orm.QueryDescriptor, own *lookup) *lookup {
 // readWave resolves a wave's descriptors and reads their keys as one batch of
 // BatchGet ops — one exchange with each cache node involved instead of one per
 // key. A key two descriptors share is fetched, and parked, once. A wave of a
-// single key is left to that lookup's own Get.
+// single key is left to that lookup's own Get. Every key is rendered into one
+// buffer and the keys are substrings of one string; the hits are decoded
+// together (decodeWave).
 func (g *Genie) readWave(ds []*orm.QueryDescriptor) waveReads {
 	reads := make(waveReads, len(ds))
-	ops := make([]kvcache.BatchOp, 0, len(ds))
 	vals := make([]sqldb.Value, 0, len(ds)+2) // every lookup's values, back to back; most have one
+	// ends[i] is where reads[i]'s key ends in keys.
+	var keyBuf [512]byte
+	var endBuf [16]int
+	keys, ends := keyBuf[:0], endBuf[:0]
 	for i, d := range ds {
 		l := &reads[i]
 		from := len(vals)
-		if l.co, vals = g.match(d, vals); l.co == nil {
+		if l.co, vals = g.match(d, vals); l.co != nil {
+			l.vals = vals[from:len(vals):len(vals)]
+			keys = l.co.appendKey(keys, l.vals)
+		}
+		ends = append(ends, len(keys))
+	}
+	all := string(keys)
+	ops := make([]kvcache.BatchOp, 0, len(ds))
+	for i, from := 0, 0; i < len(reads); i++ {
+		l := &reads[i]
+		l.key, from = all[from:ends[i]], ends[i]
+		if l.co == nil {
 			continue
 		}
-		l.vals = vals[from:len(vals):len(vals)]
-		l.key = l.co.MakeKey(l.vals...)
 		l.parked = true
 		for j := range reads[:i] {
 			if reads[j].parked && reads[j].key == l.key {
@@ -705,7 +746,74 @@ func (g *Genie) readWave(ds []*orm.QueryDescriptor) waveReads {
 			n++
 		}
 	}
+	decodeWave(reads)
 	return reads
+}
+
+// decodeWave decodes every parked row-object hit of a wave as decodePayload
+// decodes one list, but in three allocations for the whole wave: one string
+// holding all their bytes, whose substrings are the text values, one
+// []sqldb.Value and one []sqldb.Row. Each lookup's list is a capped window of
+// those, so an append to one list or row never reaches a sibling, and every
+// list keeps the whole wave's decode alive. A hit that does not frame or
+// decode is left undecoded: its lookup drops and reloads it.
+func decodeWave(reads waveReads) {
+	// frames holds, in order, each parked row-object hit's frame; a zero frame
+	// (start 0) marks one that did not frame.
+	var frameBuf [16]frame
+	frames := frameBuf[:0]
+	size, values, rows := 0, 0, 0
+	for i := range reads {
+		l := &reads[i]
+		if !l.parkedList() {
+			continue
+		}
+		f, err := framePayload(l.raw)
+		if err != nil {
+			f = frame{}
+		} else {
+			size, values, rows = size+len(l.raw), values+f.values, rows+f.rows
+		}
+		frames = append(frames, f)
+	}
+	if size == 0 {
+		return
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	k := 0
+	for i := range reads {
+		if l := &reads[i]; l.parkedList() {
+			if frames[k].start != 0 {
+				sb.Write(l.raw)
+			}
+			k++
+		}
+	}
+	text := sb.String()
+	vals := make([]sqldb.Value, 0, values)
+	lists := make([]sqldb.Row, 0, rows)
+	k = 0
+	for i := range reads {
+		l := &reads[i]
+		if !l.parkedList() {
+			continue
+		}
+		f := frames[k]
+		k++
+		if f.start == 0 {
+			continue
+		}
+		s := text[:len(l.raw)]
+		text = text[len(l.raw):]
+		from := len(lists)
+		var err error
+		if vals, lists, err = decodeFramed(vals, lists, l.raw, s, f); err != nil {
+			continue
+		}
+		l.rows = lists[from:len(lists):len(lists)]
+		l.decoded, l.raw = true, nil
+	}
 }
 
 // InterceptRows implements orm.Interceptor: FeatureQuery, TopKQuery and

@@ -2,7 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"slices"
 	"strconv"
 
@@ -48,65 +48,115 @@ func encodePayload(p payload) []byte {
 // length and EncodeRow's four-byte value count.
 const minEncodedRow = 1 + 4
 
-// decodePayload parses an encodePayload value in three allocations whatever
-// the row count: one string copy of b, whose substrings are the text values;
-// one []sqldb.Value holding every row's values back to back; and the row
-// headers, each a capped subslice of that array. The rows share nothing with
-// b, so the caller may reuse b, and an edit to the list (or an append to one
-// of its rows) reaches no other decode of the same bytes.
-func decodePayload(b []byte) (payload, error) {
-	var p payload
+// Why framePayload refuses a payload. Sentinels, so framing a wave's hits
+// allocates nothing.
+var (
+	errPayloadShort    = errors.New("core: payload too short")
+	errPayloadVersion  = errors.New("core: payload version unsupported")
+	errPayloadFlag     = errors.New("core: bad payload flag")
+	errPayloadCount    = errors.New("core: bad payload row count")
+	errPayloadRows     = errors.New("core: payload claims more rows than its bytes hold")
+	errPayloadRow      = errors.New("core: truncated payload row")
+	errPayloadValues   = errors.New("core: payload row claims too many values")
+	errPayloadTrailing = errors.New("core: bytes after the payload's rows")
+)
+
+// frame is what framePayload learns of a payload without decoding it: its
+// flag, where its first row starts, and how many rows and values decoding it
+// yields.
+type frame struct {
+	exhaustive   bool
+	start        int
+	rows, values int
+}
+
+// framePayload checks an encodePayload value's framing and sizes its decode.
+// It refuses a non-minimal varint, a flag byte > 1, a row count or value count
+// the bytes cannot hold (before anything is sized by it) and trailing bytes, so
+// whatever decodes re-encodes byte-identical.
+//
+//genie:hotpath
+func framePayload(b []byte) (frame, error) {
+	var f frame
 	if len(b) < 2 {
-		return p, fmt.Errorf("core: payload too short (%d bytes)", len(b))
+		return f, errPayloadShort
 	}
 	if b[0] != payloadVersion {
-		return p, fmt.Errorf("core: payload version %d unsupported", b[0])
+		return f, errPayloadVersion
 	}
 	if b[1] > 1 {
-		return p, fmt.Errorf("core: bad payload flag %d", b[1])
+		return f, errPayloadFlag
 	}
-	p.exhaustive = b[1] == 1
+	f.exhaustive = b[1] == 1
 	count, n := uvarint(b[2:])
 	if n <= 0 {
-		return p, fmt.Errorf("core: bad payload row count")
+		return f, errPayloadCount
 	}
-	start := 2 + n
-	if count > uint64(len(b)-start)/minEncodedRow {
-		return p, fmt.Errorf("core: payload claims %d rows in %d bytes", count, len(b)-start)
+	f.start = 2 + n
+	if count > uint64(len(b)-f.start)/minEncodedRow {
+		return f, errPayloadRows
 	}
-	// First pass: frame the rows and size the value array.
-	values, off := 0, start
-	for i := uint64(0); i < count; i++ {
+	f.rows = int(count)
+	off := f.start
+	for i := 0; i < f.rows; i++ {
 		l, n := uvarint(b[off:])
 		if n <= 0 || uint64(len(b)-off-n) < l || l < 4 {
-			return p, fmt.Errorf("core: truncated payload row %d", i)
+			return f, errPayloadRow
 		}
 		off += n
-		values += int(binary.LittleEndian.Uint32(b[off:]))
+		f.values += int(binary.LittleEndian.Uint32(b[off:]))
 		off += int(l)
-		if values > len(b)/2 { // a value takes two bytes at least
-			return p, fmt.Errorf("core: payload row %d claims too many values", i)
+		if f.values > len(b)/2 { // a value takes two bytes at least
+			return f, errPayloadValues
 		}
 	}
 	if off != len(b) {
-		return p, fmt.Errorf("core: %d bytes after the payload's rows", len(b)-off)
+		return f, errPayloadTrailing
 	}
-	s := string(b)
-	vals := make([]sqldb.Value, 0, values)
-	p.rows = make([]sqldb.Row, 0, count)
-	for i, off := uint64(0), start; i < count; i++ {
+	return f, nil
+}
+
+// decodeFramed decodes b, which framePayload framed as f, appending its values
+// to vals and its rows — each a capped window of vals — to rows. s holds the
+// same bytes as b; text values are substrings of it. With room for f's values
+// and rows already in vals and rows, it allocates nothing. On error vals and
+// rows come back as they were given.
+//
+//genie:hotpath
+func decodeFramed(vals []sqldb.Value, rows []sqldb.Row, b []byte, s string, f frame) ([]sqldb.Value, []sqldb.Row, error) {
+	vals0, rows0 := len(vals), len(rows)
+	for i, off := 0, f.start; i < f.rows; i++ {
 		l, n := uvarint(b[off:])
 		off += n
 		end := off + int(l)
 		from := len(vals)
 		var err error
 		if vals, err = sqldb.DecodeRowInto(vals, b[off:end], s[off:end]); err != nil {
-			return payload{}, err
+			return vals[:vals0], rows[:rows0], err
 		}
-		p.rows = append(p.rows, sqldb.Row(vals[from:len(vals):len(vals)]))
+		rows = append(rows, sqldb.Row(vals[from:len(vals):len(vals)]))
 		off = end
 	}
-	return p, nil
+	return vals, rows, nil
+}
+
+// decodePayload parses an encodePayload value in three allocations whatever
+// the row count: one string copy of b, whose substrings are the text values;
+// one []sqldb.Value holding every row's values back to back; and the row
+// headers, each a capped subslice of that array. The rows share nothing with
+// b, so the caller may reuse b, and an edit to the list (or an append to one
+// of its rows) reaches no other decode of the same bytes. A read wave decodes
+// all its hits the same way at once (decodeWave).
+func decodePayload(b []byte) (payload, error) {
+	f, err := framePayload(b)
+	if err != nil {
+		return payload{}, err
+	}
+	_, rows, err := decodeFramed(make([]sqldb.Value, 0, f.values), make([]sqldb.Row, 0, f.rows), b, string(b), f)
+	if err != nil {
+		return payload{}, err
+	}
+	return payload{exhaustive: f.exhaustive, rows: rows}, nil
 }
 
 // uvarint is binary.Uvarint that also refuses a non-minimal encoding, so a

@@ -213,8 +213,12 @@ func TestDecodePayloadAllocs(t *testing.T) {
 }
 
 // FuzzDecodePayload: whatever decodes re-encodes to the same bytes, and
-// nothing panics.
+// nothing panics. Whatever decodes also decodes through a read wave, between
+// two golden payloads, to rows that re-encode to the same bytes, and leaves
+// its neighbours' rows intact.
 func FuzzDecodePayload(f *testing.F) {
+	golden := encodePayload(payload{rows: goldenRows()})
+	co := &CachedObject{spec: Spec{Class: FeatureQuery}}
 	f.Add(encodePayload(payload{}))
 	f.Add(encodePayload(payload{exhaustive: true}))
 	f.Add(encodePayload(payload{rows: goldenRows()}))
@@ -227,6 +231,16 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		if again := encodePayload(p); !bytes.Equal(again, b) {
 			t.Fatalf("decode/encode not byte-identical:\n in  %x\n out %x", b, again)
+		}
+		reads := parkWave([]parkedHit{{co, golden}, {co, b}, {co, golden}})
+		for i, want := range [][]byte{golden, b, golden} {
+			l := &reads[i]
+			if !l.decoded {
+				t.Fatalf("wave entry %d did not decode: %x", i, want)
+			}
+			if again := encodePayload(payload{exhaustive: want[1] == 1, rows: l.rows}); !bytes.Equal(again, want) {
+				t.Fatalf("wave entry %d decoded to other rows:\n in  %x\n out %x", i, want, again)
+			}
 		}
 	})
 }

@@ -112,17 +112,20 @@ func ApplyBatchOn(c Cache, ops []BatchOp) []BatchResult { return c.ApplyBatch(op
 // shard's op order — ops on the same key always hit the same shard), then
 // each group applies under a single lock hold. A batch that lands on one
 // shard costs exactly one acquisition, as the un-striped store did; a batch
-// spanning shards contends with nothing outside the shards it touches.
+// spanning shards contends with nothing outside the shards it touches. The
+// values the batch's gets read are copied into one slab sized beforehand
+// (readBytes), each hit's Data a capped window of it.
 func (s *Store) ApplyBatch(ops []BatchOp) []BatchResult {
 	out := make([]BatchResult, len(ops))
 	if len(ops) == 0 {
 		return out
 	}
+	slab := make([]byte, 0, s.readBytes(ops))
 	if len(s.shards) == 1 {
 		sh := &s.shards[0]
 		sh.mu.Lock()
 		for i := range ops {
-			out[i] = s.applyOpLocked(sh, &ops[i])
+			out[i] = s.applyOpLocked(sh, &ops[i], &slab)
 		}
 		sh.mu.Unlock()
 		return out
@@ -136,7 +139,7 @@ func (s *Store) ApplyBatch(ops []BatchOp) []BatchResult {
 		for i := range ops {
 			sh := shardFor(s, ops[i].Key)
 			sh.mu.Lock()
-			out[i] = s.applyOpLocked(sh, &ops[i])
+			out[i] = s.applyOpLocked(sh, &ops[i], &slab)
 			sh.mu.Unlock()
 		}
 		return out
@@ -169,15 +172,36 @@ func (s *Store) ApplyBatch(ops []BatchOp) []BatchResult {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for _, idx := range order[starts[si]:next[si]] {
-			out[idx] = s.applyOpLocked(sh, &ops[idx])
+			out[idx] = s.applyOpLocked(sh, &ops[idx], &slab)
 		}
 		sh.mu.Unlock()
 	}
 	return out
 }
 
-// applyOpLocked executes one batch op on its shard. Caller holds sh.mu.
-func (s *Store) applyOpLocked(sh *shard, op *BatchOp) BatchResult {
+// readBytes is how many bytes ops' gets would read now: the size of the slab
+// their copies share. It peeks without touching LRU order or statistics; a
+// value that outgrows its share before the batch reads it is copied on its
+// own, so the count only has to be right in the common case.
+func (s *Store) readBytes(ops []BatchOp) int {
+	n := 0
+	for i := range ops {
+		if k := ops[i].Kind; k != BatchGet && k != BatchGets {
+			continue
+		}
+		sh := shardFor(s, ops[i].Key)
+		sh.mu.Lock()
+		if e, ok := sh.items[ops[i].Key]; ok {
+			n += len(e.value)
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// applyOpLocked executes one batch op on its shard; a get's value is copied
+// into slab when it has room. Caller holds sh.mu.
+func (s *Store) applyOpLocked(sh *shard, op *BatchOp, slab *[]byte) BatchResult {
 	switch op.Kind {
 	case BatchSet:
 		setLocked(s, sh, op.Key, op.Value, op.TTL)
@@ -192,7 +216,14 @@ func (s *Store) applyOpLocked(sh *shard, op *BatchOp) BatchResult {
 		if !ok {
 			return BatchResult{}
 		}
-		res := BatchResult{Found: true, Data: exactCopy(e.value)}
+		res := BatchResult{Found: true}
+		if b := *slab; cap(b)-len(b) >= len(e.value) {
+			from := len(b)
+			*slab = append(b, e.value...)
+			res.Data = (*slab)[from:len(*slab):len(*slab)]
+		} else {
+			res.Data = exactCopy(e.value)
+		}
 		if op.Kind == BatchGets {
 			res.Cas = e.casID
 		}

@@ -20,8 +20,15 @@
 // interceptor or the database returned. For a cache hit those rows are
 // windows of one decoded payload (one value array, one string holding every
 // text value), so an Object held anywhere keeps its whole list's decoded
-// payload alive. Nothing may write through an Object; ObjectToRow returns a
+// payload alive — and inside a wave, CacheGenie decodes all the wave's hits
+// into one value array and one string, so an Object keeps its whole wave's
+// decode alive. Nothing may write through an Object; ObjectToRow returns a
 // copy to edit.
+//
+// Results are capped windows. Each row is capped to its own values, each
+// cached list to its own rows, and a wave's All results are windows of one
+// []Object sized to the rows the wave returned, each capped to its own: an
+// append to any of them copies instead of writing into a sibling.
 //
 // # Waves
 //
@@ -389,5 +396,5 @@ func (r *Registry) Insert(name string, fields Fields) (Object, error) {
 // that errors on execution (keeps call sites chainable).
 func (r *Registry) Objects(name string) *QuerySet {
 	m, err := r.Model(name)
-	return &QuerySet{reg: r, model: m, err: err, limit: -1}
+	return &QuerySet{reg: r, err: err, d: QueryDescriptor{Model: m, Limit: -1}}
 }

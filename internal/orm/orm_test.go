@@ -365,7 +365,8 @@ func TestHydrationAllocs(t *testing.T) {
 	q := reg.Objects("Profile").Filter("user_id", 42)
 	d := q.descriptor(KindRows)
 	if n := testing.AllocsPerRun(100, func() {
-		objs, err := q.all(d)
+		rows, err := q.rows(d)
+		objs := q.objects(make([]Object, len(rows)), rows)
 		if err != nil || len(objs) != 10 {
 			t.Fatalf("%d objects, %v", len(objs), err)
 		}

@@ -110,28 +110,59 @@ type Interceptor interface {
 // QuerySet is a chainable, immutable-ish query builder. Methods return the
 // receiver for chaining; build a fresh QuerySet per query (Django style).
 type QuerySet struct {
-	reg     *Registry
-	model   *Model
-	err     error
-	filters []Filter
-	join    *Join
-	order   []Order
-	limit   int
-	offset  int
+	reg    *Registry
+	err    error
+	offset int
 	// noCache bypasses the interceptor (the paper's manual opt-out for
 	// queries needing strict consistency, §3.3).
 	noCache bool
-	// filterBuf holds the first filters, so the one- and two-term queries
-	// almost every page issues cost no allocation to build.
+	// nf and no count the terms held in filterBuf and orderBuf.
+	nf, no uint8
+	// d is the query as the interceptor is offered it, less its Kind and
+	// wave. Its Filters and Order stay nil while the terms fit in filterBuf
+	// and orderBuf, so the one- and two-term queries almost every page issues
+	// cost no allocation to build, and a QuerySet holds no pointer into
+	// itself: one built and consumed in the same function stays on the stack.
+	d         QueryDescriptor
 	filterBuf [2]Filter
+	orderBuf  [1]Order
+}
+
+// filters returns the WHERE terms.
+func (q *QuerySet) filters() []Filter {
+	if q.d.Filters != nil {
+		return q.d.Filters
+	}
+	return q.filterBuf[:q.nf:q.nf]
+}
+
+// order returns the ORDER BY terms.
+func (q *QuerySet) order() []Order {
+	if q.d.Order != nil {
+		return q.d.Order
+	}
+	return q.orderBuf[:q.no:q.no]
 }
 
 // addFilter appends one WHERE term.
-func (q *QuerySet) addFilter(f Filter) {
-	if q.filters == nil {
-		q.filters = q.filterBuf[:0]
+func (q *QuerySet) addFilter(f Filter) { addTerm(&q.d.Filters, q.filterBuf[:], &q.nf, f) }
+
+// addOrder appends one ORDER BY term.
+func (q *QuerySet) addOrder(o Order) { addTerm(&q.d.Order, q.orderBuf[:], &q.no, o) }
+
+// addTerm appends t to a QuerySet's terms of one kind: into buf while it has
+// room, *n counting what it holds, then onto *spill, which starts as a copy of
+// buf.
+func addTerm[T any](spill *[]T, buf []T, n *uint8, t T) {
+	switch {
+	case *spill != nil:
+		*spill = append(*spill, t)
+	case int(*n) < len(buf):
+		buf[*n] = t
+		*n++
+	default:
+		*spill = append(append(make([]T, 0, 2*len(buf)), buf...), t)
 	}
-	q.filters = append(q.filters, f)
 }
 
 // Filter adds `field = value`.
@@ -163,7 +194,7 @@ func (q *QuerySet) FilterIn(field string, values ...any) *QuerySet {
 
 // Via routes the query through a relation table (link query). See Join.
 func (q *QuerySet) Via(throughModel, sourceField, joinField, targetField string) *QuerySet {
-	q.join = &Join{
+	q.d.Join = &Join{
 		ThroughModel: throughModel,
 		SourceField:  sourceField,
 		JoinField:    joinField,
@@ -177,9 +208,9 @@ func (q *QuerySet) Via(throughModel, sourceField, joinField, targetField string)
 func (q *QuerySet) OrderBy(fields ...string) *QuerySet {
 	for _, f := range fields {
 		if strings.HasPrefix(f, "-") {
-			q.order = append(q.order, Order{Field: f[1:], Desc: true})
+			q.addOrder(Order{Field: f[1:], Desc: true})
 		} else {
-			q.order = append(q.order, Order{Field: f})
+			q.addOrder(Order{Field: f})
 		}
 	}
 	return q
@@ -187,7 +218,7 @@ func (q *QuerySet) OrderBy(fields ...string) *QuerySet {
 
 // Limit caps the result size.
 func (q *QuerySet) Limit(n int) *QuerySet {
-	q.limit = n
+	q.d.Limit = n
 	return q
 }
 
@@ -204,24 +235,16 @@ func (q *QuerySet) NoCache() *QuerySet {
 	return q
 }
 
+// descriptor returns the descriptor a sequential execution as kind offers.
 func (q *QuerySet) descriptor(kind QueryKind) *QueryDescriptor {
-	d := q.descriptorValue(kind)
+	d := q.d
+	d.Kind, d.Filters, d.Order = kind, q.filters(), q.order()
 	return &d
-}
-
-func (q *QuerySet) descriptorValue(kind QueryKind) QueryDescriptor {
-	return QueryDescriptor{
-		Kind:    kind,
-		Model:   q.model,
-		Filters: q.filters,
-		Join:    q.join,
-		Order:   q.order,
-		Limit:   q.limit,
-	}
 }
 
 // buildSelect renders the QuerySet to SQL and args.
 func (q *QuerySet) buildSelect(countOnly bool) (string, []sqldb.Value, error) {
+	model, join, filters, order := q.d.Model, q.d.Join, q.filters(), q.order()
 	var sb strings.Builder
 	var args []sqldb.Value
 	param := func(v sqldb.Value) string {
@@ -232,37 +255,37 @@ func (q *QuerySet) buildSelect(countOnly bool) (string, []sqldb.Value, error) {
 	if countOnly {
 		sb.WriteString("COUNT(*)")
 	} else {
-		for i, c := range q.model.names {
+		for i, c := range model.names {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(q.model.Table + "." + c)
+			sb.WriteString(model.Table + "." + c)
 		}
 	}
 	var throughTable string
-	if q.join != nil {
-		through, err := q.reg.Model(q.join.ThroughModel)
+	if join != nil {
+		through, err := q.reg.Model(join.ThroughModel)
 		if err != nil {
 			return "", nil, err
 		}
 		throughTable = through.Table
 		fmt.Fprintf(&sb, " FROM %s JOIN %s ON %s.%s = %s.%s",
-			throughTable, q.model.Table,
-			q.model.Table, q.join.TargetField,
-			throughTable, q.join.JoinField)
+			throughTable, model.Table,
+			model.Table, join.TargetField,
+			throughTable, join.JoinField)
 	} else {
-		sb.WriteString(" FROM " + q.model.Table)
+		sb.WriteString(" FROM " + model.Table)
 	}
-	if len(q.filters) > 0 {
+	if len(filters) > 0 {
 		sb.WriteString(" WHERE ")
-		for i, f := range q.filters {
+		for i, f := range filters {
 			if i > 0 {
 				sb.WriteString(" AND ")
 			}
 			// Filters qualify to the through table when a join is active and
 			// the field belongs to it; otherwise to the model table.
-			qualifier := q.model.Table
-			if q.join != nil && q.fieldOnThrough(f.Field, throughTable) {
+			qualifier := model.Table
+			if join != nil && q.fieldOnThrough(f.Field, throughTable) {
 				qualifier = throughTable
 			}
 			if f.Op == "in" {
@@ -276,20 +299,20 @@ func (q *QuerySet) buildSelect(countOnly bool) (string, []sqldb.Value, error) {
 			}
 		}
 	}
-	if !countOnly && len(q.order) > 0 {
+	if !countOnly && len(order) > 0 {
 		sb.WriteString(" ORDER BY ")
-		for i, o := range q.order {
+		for i, o := range order {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			fmt.Fprintf(&sb, "%s.%s", q.model.Table, o.Field)
+			fmt.Fprintf(&sb, "%s.%s", model.Table, o.Field)
 			if o.Desc {
 				sb.WriteString(" DESC")
 			}
 		}
 	}
-	if !countOnly && q.limit >= 0 {
-		fmt.Fprintf(&sb, " LIMIT %d", q.limit)
+	if !countOnly && q.d.Limit >= 0 {
+		fmt.Fprintf(&sb, " LIMIT %d", q.d.Limit)
 	}
 	if !countOnly && q.offset > 0 {
 		fmt.Fprintf(&sb, " OFFSET %d", q.offset)
@@ -299,7 +322,7 @@ func (q *QuerySet) buildSelect(countOnly bool) (string, []sqldb.Value, error) {
 
 // fieldOnThrough reports whether field belongs to the join's through model.
 func (q *QuerySet) fieldOnThrough(field, throughTable string) bool {
-	through, err := q.reg.Model(q.join.ThroughModel)
+	through, err := q.reg.Model(q.d.Join.ThroughModel)
 	if err != nil {
 		return false
 	}
@@ -319,27 +342,33 @@ func (q *QuerySet) offered(kind QueryKind) bool {
 
 // All executes the query and returns matching objects.
 func (q *QuerySet) All() ([]Object, error) {
-	var d *QueryDescriptor
-	if q.offered(KindRows) {
-		d = q.descriptor(KindRows)
+	rows, err := q.rows(q.offer(KindRows))
+	if err != nil {
+		return nil, err
 	}
-	return q.all(d)
+	return q.objects(make([]Object, len(rows)), rows), nil
 }
 
-// all is All with the descriptor to offer the interceptor already built (nil
-// when it is not consulted); a Wave builds every descriptor before the first
-// is offered.
-func (q *QuerySet) all(d *QueryDescriptor) ([]Object, error) {
+// offer returns the descriptor a sequential execution as kind offers the
+// interceptor, nil when it is not consulted.
+func (q *QuerySet) offer(kind QueryKind) *QueryDescriptor {
+	if !q.offered(kind) {
+		return nil
+	}
+	return q.descriptor(kind)
+}
+
+// rows executes the query for its raw rows, offering d to the interceptor
+// first (nil when it is not consulted); a Wave builds every descriptor
+// before the first is offered.
+func (q *QuerySet) rows(d *QueryDescriptor) ([]sqldb.Row, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
 	if d != nil {
 		rows, handled, err := q.reg.interceptor.InterceptRows(d)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			return q.objects(rows), nil
+		if err != nil || handled {
+			return rows, err
 		}
 	}
 	sql, args, err := q.buildSelect(false)
@@ -350,34 +379,33 @@ func (q *QuerySet) all(d *QueryDescriptor) ([]Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return q.objects(rs.Rows), nil
+	return rs.Rows, nil
 }
 
-// objects views rows as the query's Objects: one allocation, the slice.
-func (q *QuerySet) objects(rows []sqldb.Row) []Object {
-	out := make([]Object, len(rows))
+// objects views rows as the query's Objects, in dst (len(dst) == len(rows)).
+func (q *QuerySet) objects(dst []Object, rows []sqldb.Row) []Object {
 	for i, r := range rows {
-		out[i] = Object{model: q.model, row: r}
+		dst[i] = Object{model: q.d.Model, row: r}
 	}
-	return out
+	return dst
 }
 
 // Get executes the query and returns exactly one object.
 func (q *QuerySet) Get() (Object, error) {
-	objs, err := q.All()
+	rows, err := q.rows(q.offer(KindRows))
 	if err != nil {
 		return Object{}, err
 	}
-	return one(objs)
+	return q.one(rows)
 }
 
 // one is Get's cardinality rule.
-func one(objs []Object) (Object, error) {
-	switch len(objs) {
+func (q *QuerySet) one(rows []sqldb.Row) (Object, error) {
+	switch len(rows) {
 	case 0:
 		return Object{}, ErrNotFound
 	case 1:
-		return objs[0], nil
+		return Object{model: q.d.Model, row: rows[0]}, nil
 	default:
 		return Object{}, ErrMultiple
 	}
@@ -385,14 +413,10 @@ func one(objs []Object) (Object, error) {
 
 // Count executes the query as COUNT(*).
 func (q *QuerySet) Count() (int64, error) {
-	var d *QueryDescriptor
-	if q.offered(KindCount) {
-		d = q.descriptor(KindCount)
-	}
-	return q.count(d)
+	return q.count(q.offer(KindCount))
 }
 
-// count is Count with the descriptor to offer already built; see all.
+// count is Count with the descriptor to offer already built; see rows.
 func (q *QuerySet) count(d *QueryDescriptor) (int64, error) {
 	if q.err != nil {
 		return 0, q.err
@@ -423,12 +447,12 @@ func (q *QuerySet) Update(fields Fields) (int, error) {
 	if q.err != nil {
 		return 0, q.err
 	}
-	if q.join != nil {
+	if q.d.Join != nil {
 		return 0, fmt.Errorf("orm: Update through a join is not supported")
 	}
 	var sb strings.Builder
 	var args []sqldb.Value
-	fmt.Fprintf(&sb, "UPDATE %s SET ", q.model.Table)
+	fmt.Fprintf(&sb, "UPDATE %s SET ", q.d.Model.Table)
 	cols := make([]string, 0, len(fields))
 	for k := range fields {
 		cols = append(cols, k)
@@ -459,14 +483,14 @@ func (q *QuerySet) Delete() (int, error) {
 	if q.err != nil {
 		return 0, q.err
 	}
-	if q.join != nil {
+	if q.d.Join != nil {
 		return 0, fmt.Errorf("orm: Delete through a join is not supported")
 	}
 	where, args, err := q.whereClause(0)
 	if err != nil {
 		return 0, err
 	}
-	res, err := q.reg.conn.Exec("DELETE FROM "+q.model.Table+where, args...)
+	res, err := q.reg.conn.Exec("DELETE FROM "+q.d.Model.Table+where, args...)
 	if err != nil {
 		return 0, err
 	}
@@ -476,13 +500,13 @@ func (q *QuerySet) Delete() (int, error) {
 // whereClause renders the filters with parameters starting after
 // paramOffset.
 func (q *QuerySet) whereClause(paramOffset int) (string, []sqldb.Value, error) {
-	if len(q.filters) == 0 {
+	if len(q.filters()) == 0 {
 		return "", nil, nil
 	}
 	var sb strings.Builder
 	var args []sqldb.Value
 	sb.WriteString(" WHERE ")
-	for i, f := range q.filters {
+	for i, f := range q.filters() {
 		if i > 0 {
 			sb.WriteString(" AND ")
 		}

@@ -1,6 +1,10 @@
 package orm
 
-import "fmt"
+import (
+	"fmt"
+
+	"cachegenie/internal/sqldb"
+)
 
 // Wave is a set of queries whose lookups do not depend on each other's
 // results — everything a page can ask knowing only the signed-in user, say,
@@ -8,7 +12,9 @@ import "fmt"
 // handler declares them with All, Get, OneOrNone and Count, then calls Run once
 // and reads the results; see the package comment for what the interceptor sees.
 //
-// A Wave is single-use and not safe for concurrent use.
+// A Wave keeps its own copy of each QuerySet declared in it, so the handler's
+// QuerySets never leave its stack; changing one after declaring it changes
+// nothing in the wave. A Wave is single-use and not safe for concurrent use.
 type Wave struct {
 	// Descriptors lists, in declaration order, the queries of the wave the
 	// interceptor will be offered (a NoCache or Offset query runs with the
@@ -20,20 +26,31 @@ type Wave struct {
 	// one descriptor it finds again on the wave's later ones.
 	State any
 
-	items []*waveItem
-	// Most waves fit these; a longer one grows onto the heap.
-	itemBuf [8]*waveItem
+	// head and tail link the declared items in order; free is what is left
+	// of the chunk the next item goes into. Items never move: descriptors
+	// and result cells point into them.
+	head, tail *waveItem
+	free       []waveItem
+	// Most waves fit these; a longer one takes its further items in chunks of
+	// waveChunk.
 	descBuf [8]*QueryDescriptor
+	chunk   [4]waveItem
 }
 
-// waveItem is one declared query, the descriptor it is offered as, and the
-// cells its result lands in — one allocation per query, as a sequential query
-// pays for its descriptor alone.
+// waveChunk is how many items a wave allocates at a time: a page's waves hold
+// two to ten queries, and an item is a whole QuerySet, so bigger chunks would
+// mostly carry empty slots.
+const waveChunk = 3
+
+// waveItem is one declared query — the wave's copy of its QuerySet, whose
+// d is the descriptor it is offered as — and the cells its result lands in.
 type waveItem struct {
-	q    *QuerySet
-	one  bool            // Get, OneOrNone: at most one row
-	none bool            // OneOrNone: no row is not an error
-	d    QueryDescriptor // d.Wave is nil when the interceptor is not consulted
+	q    QuerySet // q.d.Wave is nil when the interceptor is not consulted
+	next *waveItem
+	one  bool // Get, OneOrNone: at most one row
+	none bool // OneOrNone: no row is not an error
+	// rows holds an All's rows between Run's two passes.
+	rows []sqldb.Row
 	objs []Object
 	obj  Object
 	n    int64
@@ -42,17 +59,29 @@ type waveItem struct {
 // Wave starts an empty wave on the registry.
 func (r *Registry) Wave() *Wave {
 	w := &Wave{}
-	w.items, w.Descriptors = w.itemBuf[:0], w.descBuf[:0]
+	w.free, w.Descriptors = w.chunk[:], w.descBuf[:0]
 	return w
 }
 
 func (w *Wave) add(q *QuerySet, kind QueryKind) *waveItem {
-	it := &waveItem{q: q, d: q.descriptorValue(kind)}
-	if q.offered(kind) {
-		it.d.Wave, it.d.WaveIndex = w, len(w.Descriptors)
-		w.Descriptors = append(w.Descriptors, &it.d)
+	if len(w.free) == 0 {
+		w.free = make([]waveItem, waveChunk)
 	}
-	w.items = append(w.items, it)
+	it := &w.free[0]
+	w.free = w.free[1:]
+	it.q = *q
+	d := &it.q.d
+	d.Kind, d.Filters, d.Order = kind, it.q.filters(), it.q.order()
+	if it.q.offered(kind) {
+		d.Wave, d.WaveIndex = w, len(w.Descriptors)
+		w.Descriptors = append(w.Descriptors, d)
+	}
+	if w.tail == nil {
+		w.head = it
+	} else {
+		w.tail.next = it
+	}
+	w.tail = it
 	return it
 }
 
@@ -82,32 +111,52 @@ func (w *Wave) Count(q *QuerySet) *int64 { return &w.add(q, KindCount).n }
 
 // Run executes the declared queries in declaration order, each exactly as its
 // QuerySet method would — offered to the interceptor first, sent to the
-// database if unanswered — and stops at the first error.
+// database if unanswered — and stops at the first error. The Objects of the
+// wave's All queries are then views into one array sized to the rows that
+// came back; each query's slice is capped to its own.
 func (w *Wave) Run() error {
-	for i, it := range w.items {
-		if err := it.run(); err != nil {
-			if it.q.model == nil { // the error already names the unknown model
-				return fmt.Errorf("orm: wave query %d: %w", i, err)
+	var err error
+	var stop *waveItem
+	objects := 0
+	for i, it := 0, w.head; it != nil; i, it = i+1, it.next {
+		if err = it.run(); err != nil {
+			if it.q.d.Model == nil { // the error already names the unknown model
+				err = fmt.Errorf("orm: wave query %d: %w", i, err)
+			} else {
+				err = fmt.Errorf("orm: wave query %d on %s: %w", i, it.q.d.Model.Name, err)
 			}
-			return fmt.Errorf("orm: wave query %d on %s: %w", i, it.q.model.Name, err)
+			stop = it
+			break
+		}
+		objects += len(it.rows)
+	}
+	arena := make([]Object, objects)
+	for it := w.head; it != stop; it = it.next {
+		if !it.one && it.q.d.Kind == KindRows {
+			n := len(it.rows)
+			it.objs = it.q.objects(arena[:n:n], it.rows)
+			arena, it.rows = arena[n:], nil
 		}
 	}
-	return nil
+	return err
 }
 
 func (it *waveItem) run() (err error) {
 	var d *QueryDescriptor
-	if it.d.Wave != nil {
-		d = &it.d
+	if it.q.d.Wave != nil {
+		d = &it.q.d
 	}
-	if it.d.Kind == KindCount {
+	if it.q.d.Kind == KindCount {
 		it.n, err = it.q.count(d)
 		return err
 	}
-	if it.objs, err = it.q.all(d); err == nil && it.one {
-		if it.obj, err = one(it.objs); it.none && err == ErrNotFound {
-			err = nil
-		}
+	rows, err := it.q.rows(d)
+	if err != nil || !it.one {
+		it.rows = rows
+		return err
+	}
+	if it.obj, err = it.q.one(rows); it.none && err == ErrNotFound {
+		err = nil
 	}
 	return err
 }
