@@ -317,46 +317,7 @@ func BenchmarkExp8NodeFailure(b *testing.B) {
 	}
 }
 
-// ---------- Experiment 11: coordinated distributed load ----------
-
-// BenchmarkExp11Coordinated runs the coordinated saturation sweep fully
-// in-process: per worker count W a loopback cache tier, a loadctl
-// coordinator, and W worker goroutines (real TCP control protocol, real
-// cacheproto data path) measure in barrier lockstep and merge their
-// latency histograms exact-bucket. Expected shape: aggregate ops/s grows
-// with W (and always exceeds the best single worker's rate — the CI
-// distributed-smoke job asserts the same on separate OS processes). The
-// sweep is written to BENCH_exp11.json with the coordinator registry dump
-// alongside, both uploaded as workflow artifacts.
-func BenchmarkExp11Coordinated(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp11Result
-	var agg1, aggN, best float64
-	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp11(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-		first, final := res.Points[0], res.Points[len(res.Points)-1]
-		agg1 += first.AggOpsPerSec
-		aggN += final.AggOpsPerSec
-		best += final.BestWorkerOpsPerSec
-	}
-	n := float64(b.N)
-	b.ReportMetric(agg1/n, "ops/s-w1")
-	b.ReportMetric(aggN/n, "ops/s-max-workers")
-	b.ReportMetric(best/n, "best-single-worker-ops/s")
-	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp11JSON("BENCH_exp11.json", last); err != nil {
-		b.Logf("BENCH_exp11.json not written: %v", err)
-	}
-	if len(last.Metrics) > 0 {
-		if err := os.WriteFile("BENCH_exp11_metrics.prom", last.Metrics, 0o644); err != nil {
-			b.Logf("BENCH_exp11_metrics.prom not written: %v", err)
-		}
-	}
-}
+// ---------- Experiment 12: crash drill ----------
 
 // BenchmarkExp12CrashRecovery runs the in-process crash drill: write-heavy
 // load into a durable (WAL group commit) engine, DB.Crash mid-flight with

@@ -15,28 +15,11 @@
 //	genieload -experiment exp5           # trigger overhead under load
 //	genieload -experiment exp8           # node failure: breaker + live ring membership
 //	genieload -experiment exp10          # R-way replication: failover routing + key handoff
-//	genieload -experiment exp11          # coordinated distributed load (in-process sweep)
 //	genieload -experiment exp12          # crash drill: WAL recovery + epoch cache flush
 //	genieload -experiment exp13          # hot keys: zipf skew + flash crowd vs spreading/L1/single-flight
 //	genieload -experiment micro          # §5.3 microbenchmarks
 //	genieload -experiment effort         # §5.2 programmer effort
 //	genieload -experiment ablation       # template-invalidation baseline
-//
-// Coordinated distributed load generation (Experiment 11 across real
-// machines): one coordinator process and N workers drive an externally
-// launched tier (geniecache -nodes N -replicas R) in lockstep —
-//
-//	genieload -coordinator :9009 -workers 2 -cache-addrs host1:9001,host2:9001
-//	genieload -worker -join coordhost:9009        # on each load box, x2
-//
-// Workers register over a line-based TCP control protocol
-// (internal/loadctl), receive the workload spec (clients, durations,
-// keyspace slice, seed), run warmup/measure/drain in barrier lockstep, and
-// ship their latency histograms back; the coordinator merges them
-// exact-bucket into true aggregate p50/p99/p999 and writes BENCH_exp11.json
-// plus BENCH_exp11_metrics.prom. Any worker failure — unreachable cache
-// node, death mid-run, hung barrier — aborts the whole run and every
-// process exits non-zero.
 //
 // The -async flag routes trigger cache maintenance through the batching
 // invalidation bus (internal/invbus) in every experiment, and -batch-window
@@ -90,7 +73,6 @@ import (
 	"time"
 
 	"cachegenie/internal/cacheproto"
-	"cachegenie/internal/loadctl"
 	"cachegenie/internal/obs"
 	"cachegenie/internal/workload"
 )
@@ -164,81 +146,8 @@ func startTicker(reg *obs.Registry, interval time.Duration) (stop func()) {
 	return func() { close(done); wg.Wait() }
 }
 
-// runCoordinatedRun drives one coordinated distributed run: wait for the
-// worker complement, phase them through the barriers, merge, and write the
-// BENCH_exp11 artifacts. Any failure exits non-zero.
-func runCoordinatedRun(listenAddr string, workers int, spec loadctl.Spec, joinTO, barrierTO time.Duration) {
-	if len(spec.CacheAddrs) == 0 {
-		log.Fatal("genieload: -coordinator requires -cache-addrs (the tier the workers will drive, e.g. from geniecache -nodes N)")
-	}
-	coord := loadctl.NewCoordinator(loadctl.CoordinatorConfig{
-		JoinTimeout:    joinTO,
-		BarrierTimeout: barrierTO,
-		Logf:           log.Printf,
-	})
-	addr, err := coord.Listen(listenAddr)
-	if err != nil {
-		log.Fatalf("genieload: %v", err)
-	}
-	defer coord.Close()
-	fmt.Printf("coordinator on %s: waiting for %d workers (join with: genieload -worker -join %s)\n",
-		addr, workers, addr)
-	m, err := coord.Run(spec, workers)
-	if err != nil {
-		log.Fatalf("genieload: coordinated run failed: %v", err)
-	}
-
-	reg := obs.NewRegistry()
-	workload.Exp11RegisterMerged(reg, m)
-	p := workload.Exp11PointFromMerged(m)
-	res := workload.Exp11Result{
-		Nodes:    len(spec.CacheAddrs),
-		Replicas: spec.Replicas,
-		Points:   []workload.Exp11Point{p},
-	}
-	if err := workload.WriteExp11JSON("BENCH_exp11.json", res); err != nil {
-		log.Fatalf("genieload: %v", err)
-	}
-	prom, err := os.Create("BENCH_exp11_metrics.prom")
-	if err != nil {
-		log.Fatalf("genieload: %v", err)
-	}
-	if err := reg.WritePrometheus(prom); err != nil {
-		log.Fatalf("genieload: %v", err)
-	}
-	_ = prom.Close()
-	fmt.Printf("merged %d workers: %.0f ops/s aggregate (best single worker %.0f)  p50=%.0fµs p99=%.0fµs p999=%.0fµs hit=%.3f\n",
-		p.Workers, p.AggOpsPerSec, p.BestWorkerOpsPerSec, p.P50us, p.P99us, p.P999us, p.HitRate)
-	fmt.Println("written to BENCH_exp11.json and BENCH_exp11_metrics.prom")
-}
-
-// runCoordinatedWorker joins a coordinator and generates load under its
-// barriers until the run completes or aborts. Exits non-zero on any
-// failure, including an abort caused by a sibling worker.
-func runCoordinatedWorker(join, id string, addrOverride []string, joinTO time.Duration) {
-	if join == "" {
-		log.Fatal("genieload: -worker requires -join (the coordinator's control address)")
-	}
-	if id == "" {
-		host, err := os.Hostname()
-		if err != nil {
-			host = "worker"
-		}
-		id = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	res, err := loadctl.RunWorker(join, loadctl.WorkerConfig{
-		ID:          id,
-		JoinTimeout: joinTO,
-		Logf:        log.Printf,
-	}, &workload.TierLoad{Logf: log.Printf, AddrOverride: addrOverride})
-	if err != nil {
-		log.Fatalf("genieload: worker %s: %v", id, err)
-	}
-	fmt.Printf("worker %s: %d ops (%.0f ops/s), %d errors\n", id, res.Ops, res.OpsPerSec(), res.Errors)
-}
-
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp8, exp10, exp11, exp12, exp13, micro, effort, ablation)")
+	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp8, exp10, exp12, exp13, micro, effort, ablation)")
 	scale := flag.Int("scale", 50, "latency scale divisor (1 = paper-absolute latencies, slower)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	async := flag.Bool("async", false, "route trigger cache maintenance through the async invalidation bus")
@@ -250,23 +159,9 @@ func main() {
 	flashCrowd := flag.Int("flash-crowd", 0, "percentage of page loads redirected to one viral page (0 = off; exp13 sets its own)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /metrics.json, /healthz and /debug/pprof on this address while experiments run (empty = disabled)")
 	tick := flag.Duration("tick", 0, "print a live cache-tier line (ops/s, p50/p99, hit rate, breaker states) at this interval (0 = off)")
-	// Coordinated distributed load generation (see the doc comment).
-	coordAddr := flag.String("coordinator", "", "run as coordinator: listen for workers on this address and drive one coordinated run")
-	workerCount := flag.Int("workers", 2, "coordinator mode: worker processes to wait for and drive")
-	workerMode := flag.Bool("worker", false, "run as a load worker: join a coordinator and generate load under its barriers")
-	joinAddr := flag.String("join", "", "worker mode: coordinator control address to join")
-	workerID := flag.String("worker-id", "", "worker mode: name in coordinator logs and merged results (default host-pid)")
-	clients := flag.Int("clients", 8, "coordinator mode: concurrent client goroutines per worker")
-	duration := flag.Duration("duration", 10*time.Second, "coordinator mode: measured window length")
-	warmup := flag.Duration("warmup", 2*time.Second, "coordinator mode: warmup window (keyspace seeding + pool fill) before measuring")
-	keys := flag.Int("keys", workload.Exp11Keys, "coordinator mode: global keyspace size, partitioned across workers for writes")
-	valueBytes := flag.Int("value-bytes", workload.Exp11ValueBytes, "coordinator mode: value size")
-	writePct := flag.Int("write-pct", workload.Exp11WritePct, "coordinator mode: percentage of ops that are writes (to the worker's own key slice)")
-	seed := flag.Int64("seed", 42, "coordinator mode: workload RNG seed (workers derive distinct streams from it)")
-	joinTimeout := flag.Duration("join-timeout", loadctl.DefaultJoinTimeout, "coordinator/worker mode: how long registration may take")
-	barrierTimeout := flag.Duration("barrier-timeout", loadctl.DefaultBarrierTimeout, "coordinator mode: slack past each phase before a missing worker aborts the run")
 	// External crash drill (exp12) against a real geniedb; see the doc comment.
 	dbAddr := flag.String("db-addr", "", "exp12 phases: geniedb dbproto address")
+	duration := flag.Duration("duration", 10*time.Second, "-exp12-phase load: how long to drive geniedb (the drill kills it partway through)")
 	exp12Phase := flag.String("exp12-phase", "", "external crash drill phase: load (drive geniedb until it is killed) or verify (audit the restarted geniedb + cache tier)")
 	exp12State := flag.String("exp12-state", "exp12_state.json", "exp12 phases: journal file handed from load to verify across the crash")
 	flag.Parse()
@@ -305,25 +200,6 @@ func main() {
 		default:
 			log.Fatalf("genieload: unknown -exp12-phase %q (want load or verify)", *exp12Phase)
 		}
-		return
-	}
-	if *workerMode {
-		runCoordinatedWorker(*joinAddr, *workerID, addrs, *joinTimeout)
-		return
-	}
-	if *coordAddr != "" {
-		runCoordinatedRun(*coordAddr, *workerCount, loadctl.Spec{
-			Experiment: "exp11",
-			Clients:    *clients,
-			WarmupMs:   warmup.Milliseconds(),
-			MeasureMs:  duration.Milliseconds(),
-			Keys:       *keys,
-			ValueBytes: *valueBytes,
-			WritePct:   *writePct,
-			Seed:       *seed,
-			CacheAddrs: addrs,
-			Replicas:   *replicas,
-		}, *joinTimeout, *barrierTimeout)
 		return
 	}
 	// A bad -cache-addrs list used to surface as a silent zero-hit run;
@@ -477,20 +353,6 @@ func main() {
 				return err
 			}
 			fmt.Println("timelines written to BENCH_exp10.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp11" {
-		matched = true
-		run("Experiment 11: coordinated distributed load (coordinator + workers over loopback)", func() error {
-			res, err := workload.Exp11(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp11JSON("BENCH_exp11.json", res); err != nil {
-				return err
-			}
-			fmt.Println("sweep written to BENCH_exp11.json")
 			return nil
 		})
 	}

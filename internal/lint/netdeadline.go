@@ -7,7 +7,7 @@ import (
 )
 
 // NetDeadline enforces the PR 7 invariant in the wire-protocol packages
-// (cacheproto, loadctl, dbproto): every raw network read or write —
+// (cacheproto, dbproto): every raw network read or write —
 // net.Conn Read/Write, bufio.Reader/bufio.Writer methods, io.ReadFull,
 // gob.Encoder.Encode/gob.Decoder.Decode — must be
 // dominated, earlier in the same function, by a deadline arm: a direct
@@ -22,7 +22,7 @@ import (
 // to prevent.
 var NetDeadline = &Analyzer{
 	Name: "netdeadline",
-	Doc:  "network reads/writes in cacheproto and loadctl must be deadline-armed",
+	Doc:  "network reads/writes in cacheproto and dbproto must be deadline-armed",
 	Run:  runNetDeadline,
 }
 
@@ -30,7 +30,6 @@ var NetDeadline = &Analyzer{
 // analyzer patrols: the ones that own long-lived wire connections.
 var netDeadlinePkgs = map[string]bool{
 	"cacheproto": true,
-	"loadctl":    true,
 	"dbproto":    true,
 }
 

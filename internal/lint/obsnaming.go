@@ -20,7 +20,7 @@ import (
 //   - counters end _total, gauges do not;
 //   - histogram/gauge registrations taking an obs.Unit must agree with the
 //     name: UnitNanoseconds ⇔ _seconds suffix;
-//   - label keys come from the bounded allowlist (node, op, tier, workers).
+//   - label keys come from the bounded allowlist (node, op, tier).
 //     Labels are traced through constants, in-package helpers, Sprintf
 //     formats, and simple local assignments; an untraceable labels
 //     expression is left alone.
@@ -52,7 +52,7 @@ var nonBaseUnits = map[string]string{
 // allowedLabelKeys is the bounded label vocabulary. Anything else — above
 // all a per-key or per-address label — is a cardinality leak.
 var allowedLabelKeys = map[string]bool{
-	"node": true, "op": true, "tier": true, "workers": true,
+	"node": true, "op": true, "tier": true,
 }
 
 func runObsNaming(pass *Pass) error {
@@ -151,7 +151,7 @@ func checkLabelArg(pass *Pass, arg ast.Expr) {
 		for _, m := range labelKeyRe.FindAllStringSubmatch(frag, -1) {
 			key := m[1]
 			if !allowedLabelKeys[key] {
-				pass.Reportf(arg.Pos(), "label key %q is not in the bounded label set (node, op, tier, workers); unbounded label values explode series cardinality", key)
+				pass.Reportf(arg.Pos(), "label key %q is not in the bounded label set (node, op, tier); unbounded label values explode series cardinality", key)
 			}
 		}
 	}

@@ -1,5 +1,5 @@
 // Package cacheproto exercises the netdeadline analyzer, which patrols
-// packages named cacheproto and loadctl.
+// packages named cacheproto.
 package cacheproto
 
 import (

@@ -11,17 +11,14 @@
 // shape the design. First, instrumentation sits on the protocol hot path,
 // which is a measured zero-allocation property, so Observe and counter
 // updates are single atomic ops on preallocated fixed-size state. Second,
-// distributed load generation needs to combine per-worker latency
-// distributions into true aggregate quantiles, which sorting raw samples
-// cannot do across processes — histograms with exact-bucket Merge can.
+// per-node and per-interval latency distributions must combine into true
+// aggregate quantiles, which sorting raw samples cannot do — histograms
+// with exact-bucket Merge and snapshot Sub/Add can.
 package obs
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -79,11 +76,11 @@ func bucketMid(i int) int64 {
 // Histogram is a fixed-size log-bucketed histogram of non-negative int64
 // values (latencies in nanoseconds, batch sizes, ...). Observe is lock-free
 // and allocation-free; Merge adds another histogram bucket-by-bucket with no
-// resolution loss, which makes merging associative and commutative — the
-// primitive a load-generation coordinator needs to combine per-worker
-// distributions into true aggregate quantiles. The zero value is ready to
-// use; all methods are safe on a nil receiver (no-ops / zero results), so
-// optionally-instrumented call sites need no branches.
+// resolution loss, which makes merging associative and commutative, so
+// distributions from several nodes or clients combine into true aggregate
+// quantiles. The zero value is ready to use; all methods are safe on a nil
+// receiver (no-ops / zero results), so optionally-instrumented call sites
+// need no branches.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -315,122 +312,4 @@ func (s HistSnapshot) Mean() float64 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
-}
-
-// histWireVersion tags the snapshot wire encoding. A decoder rejects any
-// other tag, so the bucket layout can change behind a version bump without
-// silently mis-merging distributions from a mismatched peer.
-const histWireVersion = "h1"
-
-// MarshalText encodes the snapshot for wire transport (the load-generation
-// control protocol ships per-worker snapshots to the coordinator):
-//
-//	h1 <count> <sum> <max> <idx>:<n> <idx>:<n> ...
-//
-// Only non-zero buckets are listed, in ascending index order, so a typical
-// latency distribution costs a few hundred bytes rather than NumBuckets
-// entries. Implements encoding.TextMarshaler, which also makes a
-// HistSnapshot field inside a JSON document serialize as this one compact
-// string. The encoding is exact: decode + Merge on the far side yields
-// bucket-identical distributions, so quantiles merged across processes
-// match in-process merging bit for bit.
-func (s HistSnapshot) MarshalText() ([]byte, error) {
-	b := make([]byte, 0, 64+12*len(s.Buckets)/8)
-	b = append(b, histWireVersion...)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, s.Count, 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, s.Sum, 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, s.Max, 10)
-	for i, n := range s.Buckets {
-		if n == 0 {
-			continue
-		}
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(i), 10)
-		b = append(b, ':')
-		b = strconv.AppendUint(b, n, 10)
-	}
-	return b, nil
-}
-
-// UnmarshalText decodes MarshalText's encoding. Beyond syntax it validates
-// structure — version tag, bucket indexes in range and strictly ascending,
-// and the declared count equal to the sum of bucket counts — so a
-// truncated or corrupted transmission fails loudly instead of skewing the
-// merged distribution.
-func (s *HistSnapshot) UnmarshalText(text []byte) error {
-	fields := strings.Fields(string(text))
-	if len(fields) < 4 {
-		return fmt.Errorf("obs: snapshot wire data truncated: %d of 4 header fields", len(fields))
-	}
-	if fields[0] != histWireVersion {
-		return fmt.Errorf("obs: snapshot wire version %q (want %q)", fields[0], histWireVersion)
-	}
-	count, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		return fmt.Errorf("obs: snapshot wire count %q: %w", fields[1], err)
-	}
-	sum, err := strconv.ParseInt(fields[2], 10, 64)
-	if err != nil {
-		return fmt.Errorf("obs: snapshot wire sum %q: %w", fields[2], err)
-	}
-	max, err := strconv.ParseInt(fields[3], 10, 64)
-	if err != nil {
-		return fmt.Errorf("obs: snapshot wire max %q: %w", fields[3], err)
-	}
-	out := HistSnapshot{Buckets: make([]uint64, NumBuckets), Sum: sum, Max: max}
-	prev := -1
-	for _, f := range fields[4:] {
-		idxStr, nStr, ok := strings.Cut(f, ":")
-		if !ok {
-			return fmt.Errorf("obs: snapshot wire bucket %q: want <idx>:<count>", f)
-		}
-		idx, err := strconv.Atoi(idxStr)
-		if err != nil || idx < 0 || idx >= NumBuckets {
-			return fmt.Errorf("obs: snapshot wire bucket index %q out of [0,%d)", idxStr, NumBuckets)
-		}
-		if idx <= prev {
-			return fmt.Errorf("obs: snapshot wire bucket index %d not ascending", idx)
-		}
-		prev = idx
-		n, err := strconv.ParseUint(nStr, 10, 64)
-		if err != nil || n == 0 {
-			return fmt.Errorf("obs: snapshot wire bucket count %q", nStr)
-		}
-		out.Buckets[idx] = n
-		out.Count += n
-	}
-	if out.Count != count {
-		return fmt.Errorf("obs: snapshot wire truncated: declared count %d, buckets hold %d", count, out.Count)
-	}
-	*s = out
-	return nil
-}
-
-// AddSnapshot merges a snapshot's buckets into the live histogram (exact-
-// bucket, like Merge). A coordinator uses it to turn collected per-worker
-// snapshots back into a registry-registered Histogram, so the merged
-// distribution renders through the same Prometheus/JSON machinery as any
-// locally observed one.
-func (h *Histogram) AddSnapshot(s HistSnapshot) {
-	if h == nil {
-		return
-	}
-	var count uint64
-	for i, n := range s.Buckets {
-		if n > 0 && i < NumBuckets {
-			h.buckets[i].Add(n)
-			count += n
-		}
-	}
-	h.count.Add(count)
-	h.sum.Add(s.Sum)
-	for {
-		cur := h.max.Load()
-		if s.Max <= cur || h.max.CompareAndSwap(cur, s.Max) {
-			return
-		}
-	}
 }

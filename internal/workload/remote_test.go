@@ -3,6 +3,7 @@ package workload
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cachegenie/internal/cacheproto"
 	"cachegenie/internal/kvcache"
@@ -138,5 +139,33 @@ func TestRemoteStackAgainstExternalAddrs(t *testing.T) {
 	// CacheStats falls back to the wire-level stats command.
 	if cs := st.CacheStats(); cs.Sets == 0 {
 		t.Fatalf("wire-level stats empty: %+v", cs)
+	}
+}
+
+func TestPreflightCacheAddrs(t *testing.T) {
+	srv := cacheproto.NewServer(kvcache.New(0))
+	live, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	if err := PreflightCacheAddrs([]string{live}, time.Second); err != nil {
+		t.Errorf("preflight of a live node failed: %v", err)
+	}
+	if err := PreflightCacheAddrs(nil, time.Second); err == nil {
+		t.Error("preflight accepted an empty address list")
+	}
+	// One live node, one dead: the error must name the dead one only.
+	dead := "127.0.0.1:1"
+	err = PreflightCacheAddrs([]string{live, dead}, 500*time.Millisecond)
+	if err == nil {
+		t.Fatal("preflight of a dead node succeeded")
+	}
+	if !strings.Contains(err.Error(), dead) {
+		t.Errorf("error %q does not name the dead node %s", err, dead)
+	}
+	if strings.Contains(err.Error(), live) {
+		t.Errorf("error %q names the healthy node %s", err, live)
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -372,6 +373,33 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 	st.Obs = cfg.Obs
 	st.registerMetrics()
 	return st, nil
+}
+
+// defaultPreflightTimeout bounds each preflight dial when the caller passes
+// no timeout (BuildStack passes StackConfig.OpTimeout, which may be zero).
+const defaultPreflightTimeout = 5 * time.Second
+
+// PreflightCacheAddrs dials every cache node once and reports every
+// unreachable one by address. BuildStack, genieload and geniedb call it
+// before using an external -cache-addrs list, so a bad list fails loudly up
+// front instead of surfacing as a silent zero-hit run.
+func PreflightCacheAddrs(addrs []string, timeout time.Duration) error {
+	if len(addrs) == 0 {
+		return errors.New("workload: no cache addresses given")
+	}
+	if timeout <= 0 {
+		timeout = defaultPreflightTimeout
+	}
+	var errs []error
+	for _, addr := range addrs {
+		c, err := cacheproto.DialTimeout(addr, timeout)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("cache node %s unreachable: %w", addr, err))
+			continue
+		}
+		_ = c.Close()
+	}
+	return errors.Join(errs...)
 }
 
 // registerMetrics attaches every subsystem to the stack's registry (no-op
