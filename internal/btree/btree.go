@@ -369,8 +369,9 @@ func (it *Iterator) Next() {
 }
 
 // Scan returns an iterator positioned at the first key >= lo, bounded
-// exclusively by hi (nil hi means unbounded).
-func (t *Tree) Scan(lo, hi []byte) *Iterator {
+// exclusively by hi (nil hi means unbounded). The iterator is a value, so a
+// scan allocates nothing.
+func (t *Tree) Scan(lo, hi []byte) Iterator {
 	n := t.root
 	for {
 		switch x := n.(type) {
@@ -381,7 +382,7 @@ func (t *Tree) Scan(lo, hi []byte) *Iterator {
 				n = x.children[x.childIndex(lo)]
 			}
 		case *leafNode:
-			it := &Iterator{leaf: x, hi: hi}
+			it := Iterator{leaf: x, hi: hi}
 			if lo != nil {
 				it.idx = search(x.keys, lo)
 			}

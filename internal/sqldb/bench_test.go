@@ -105,3 +105,13 @@ func BenchmarkParseSelect(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkEngineIndexCount(b *testing.B) {
+	db := benchDB(b, 5000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query("SELECT COUNT(*) FROM bench WHERE k = $1", I64(int64(i%100))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

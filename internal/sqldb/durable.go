@@ -12,6 +12,7 @@ import (
 
 	"cachegenie/internal/obs"
 	"cachegenie/internal/sqlparse"
+	"cachegenie/internal/storage"
 	"cachegenie/internal/wal"
 )
 
@@ -458,12 +459,12 @@ func (db *DB) writeSnapshot(through uint64) error {
 			})
 			buf = wal.AppendRecord(buf, wal.Record{Type: recDDL, Payload: []byte(sql)})
 		}
-		scanErr = t.scan(func(row Row) (bool, error) {
+		scanErr = t.heap.Scan(func(_ storage.RecordID, rec []byte) bool {
 			buf = wal.AppendRecord(buf, wal.Record{
 				Type:    recInsert,
-				Payload: encodeRow(appendTableName(nil, name), row),
+				Payload: append(appendTableName(nil, name), rec...), // a heap record is the row's encodeRow
 			})
-			return true, nil
+			return true
 		})
 		if scanErr != nil {
 			break

@@ -97,7 +97,9 @@ type Result struct {
 	Returning [][]Value
 }
 
-// ResultSet is the outcome of a query.
+// ResultSet is the outcome of a query. Its rows are capped windows of one
+// value slab and their text values substrings of one string, so appending to
+// a row copies it, and any one row keeps the whole statement's decode alive.
 type ResultSet struct {
 	Columns []string
 	Rows    []Row
@@ -276,8 +278,8 @@ func (db *DB) parse(sql string) (sqlparse.Statement, error) {
 	return st, nil
 }
 
-// BufferPool exposes the pool for experiment instrumentation (resize,
-// stats). Production callers should not need it.
+// BufferPool exposes the pool for instrumentation (its Stats). Production
+// callers should not need it.
 func (db *DB) BufferPool() *storage.BufferPool { return db.pool }
 
 // Stats returns a snapshot of engine counters.

@@ -3,10 +3,14 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"cachegenie/internal/sqlparse"
 )
 
 func newTestDB(t testing.TB) *DB {
@@ -187,6 +191,20 @@ func TestJoinTwoTables(t *testing.T) {
 		"SELECT users.name, profiles.bio FROM users JOIN profiles ON profiles.user_id = users.id WHERE users.id = 2")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "u2" || rs.Rows[0][1].S != "bio2" {
 		t.Fatalf("rows = %+v", rs.Rows)
+	}
+	// An unindexed join column: the inner table is scanned once and each
+	// outer row takes all of its matches.
+	mustExec(t, db, "CREATE TABLE notes (user_id BIGINT, body TEXT)")
+	for _, n := range []struct {
+		user Value
+		body string
+	}{{I64(1), "a1"}, {I64(2), "b2"}, {NullOf(TypeInt), "orphan"}, {I64(1), "c1"}, {I64(3), "d3"}} {
+		mustExec(t, db, "INSERT INTO notes (user_id, body) VALUES ($1, $2)", n.user, Str(n.body))
+	}
+	rs = mustQuery(t, db,
+		"SELECT users.name, notes.body FROM users JOIN notes ON notes.user_id = users.id WHERE users.id <= 2 ORDER BY notes.body")
+	if got, want := fmt.Sprint(rs.Rows), "[[u1 a1] [u2 b2] [u1 c1]]"; got != want {
+		t.Fatalf("unindexed join rows = %s, want %s", got, want)
 	}
 }
 
@@ -702,28 +720,125 @@ func TestConcurrentSameTableSerializes(t *testing.T) {
 }
 
 // TestRandomizedAgainstReference runs a random single-table workload and
-// cross-checks results against an in-memory reference model.
+// cross-checks results against an in-memory reference model. Its COUNT(*)
+// queries span the single-column and composite indexes, which alone may
+// answer them, and the cases the index must refuse and leave to the row
+// path: NULL params, an INT param for a TIMESTAMP column, a FLOAT param for
+// an INT column, two conjuncts on one column, the PK. The rows carry NULLs in
+// indexed columns and text containing 0x00, and some counts run inside a
+// transaction over its own uncommitted inserts and deletes, before it
+// commits or rolls back.
 func TestRandomizedAgainstReference(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "CREATE TABLE r (k INT NOT NULL, v TEXT)")
+	mustExec(t, db, "CREATE TABLE r (k INT NOT NULL, v TEXT, g INT, ts TIMESTAMP)")
 	mustExec(t, db, "CREATE INDEX idx_r_k ON r (k)")
+	mustExec(t, db, "CREATE INDEX idx_r_gv ON r (g, v)")
+	mustExec(t, db, "CREATE INDEX idx_r_ts ON r (ts)")
 	rng := rand.New(rand.NewSource(99))
 	type refRow struct {
-		id int64
-		k  int64
-		v  string
+		k, ts int64
+		v, g  Value // TEXT or NULL, INT or NULL
+	}
+	texts := []string{"a", "b", "", "a\x00", "a\x00b", "\x00"}
+	randRow := func() refRow {
+		r := refRow{k: int64(rng.Intn(20)), ts: int64(rng.Intn(5)), v: NullOf(TypeText), g: NullOf(TypeInt)}
+		if rng.Intn(5) > 0 {
+			r.v = Str(texts[rng.Intn(len(texts))])
+		}
+		if rng.Intn(4) > 0 {
+			r.g = I64(int64(rng.Intn(4)))
+		}
+		return r
+	}
+	insert := func(q interface {
+		Exec(string, ...Value) (Result, error)
+	}, rows map[int64]refRow) {
+		r := randRow()
+		res, err := q.Exec("INSERT INTO r (k, v, g, ts) VALUES ($1, $2, $3, $4)",
+			I64(r.k), r.v, r.g, Value{Type: TypeTime, I: r.ts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[res.LastInsertID] = r
+	}
+	deleteK := func(rows map[int64]refRow, k int64) int {
+		n := 0
+		for id, row := range rows {
+			if row.k == k {
+				delete(rows, id)
+				n++
+			}
+		}
+		return n
+	}
+	// checkCount runs one random COUNT(*) through q against the rows q sees.
+	checkCount := func(step int, q Queryer, rows map[int64]refRow) {
+		row := randRow()
+		k, k2 := row.k, int64(rng.Intn(20))
+		var (
+			sql   string
+			args  []Value
+			match func(id int64, r refRow) bool
+		)
+		switch rng.Intn(11) {
+		case 0:
+			sql, args = "SELECT COUNT(*) FROM r WHERE k = $1", []Value{I64(k)}
+			match = func(_ int64, r refRow) bool { return r.k == k }
+		case 1:
+			sql, args = "SELECT COUNT(*) FROM r WHERE r.g = $1 AND r.v = $2", []Value{row.g, row.v}
+			match = func(_ int64, r refRow) bool { return Equal(r.g, row.g) && Equal(r.v, row.v) }
+		case 2:
+			sql, args = "SELECT COUNT(*) FROM r WHERE v = $1 AND g = $2", []Value{row.v, row.g}
+			match = func(_ int64, r refRow) bool { return Equal(r.g, row.g) && Equal(r.v, row.v) }
+		case 3:
+			sql, args = "SELECT COUNT(*) FROM r WHERE g = $1", []Value{row.g}
+			match = func(_ int64, r refRow) bool { return Equal(r.g, row.g) }
+		case 4:
+			sql, args = "SELECT COUNT(*) FROM r WHERE ts = $1", []Value{{Type: TypeTime, I: row.ts}}
+			match = func(_ int64, r refRow) bool { return r.ts == row.ts }
+		case 5: // a TIMESTAMP never equals an INT
+			sql, args = "SELECT COUNT(*) FROM r WHERE ts = $1", []Value{I64(row.ts)}
+			match = func(int64, refRow) bool { return false }
+		case 6: // INT and FLOAT compare numerically
+			sql, args = "SELECT COUNT(*) FROM r WHERE k = $1", []Value{F64(float64(k2) / 2)}
+			match = func(_ int64, r refRow) bool { return float64(r.k) == float64(k2)/2 }
+		case 7:
+			sql, args = "SELECT COUNT(*) FROM r WHERE k = $1 AND k = $2", []Value{I64(k), I64(k2)}
+			match = func(_ int64, r refRow) bool { return r.k == k && r.k == k2 }
+		case 8:
+			sql, args = "SELECT COUNT(*) FROM r WHERE k = $1", []Value{NullOf(TypeInt)}
+			match = func(int64, refRow) bool { return false }
+		case 9: // no one index covers both columns
+			sql, args = "SELECT COUNT(*) FROM r WHERE k = $1 AND ts = $2", []Value{I64(k), {Type: TypeTime, I: row.ts}}
+			match = func(_ int64, r refRow) bool { return r.k == k && r.ts == row.ts }
+		default:
+			id := int64(rng.Intn(step + 2))
+			sql, args = "SELECT COUNT(*) FROM r WHERE id = $1 AND k = $2", []Value{I64(id), I64(k)}
+			match = func(rid int64, r refRow) bool { return rid == id && r.k == k }
+		}
+		var want int64
+		for id, r := range rows {
+			if match(id, r) {
+				want++
+			}
+		}
+		rs, err := q.Query(sql, args...)
+		if err != nil {
+			t.Fatalf("step %d: %s: %v", step, sql, err)
+		}
+		if got := rs.Rows[0][0].I; got != want {
+			t.Fatalf("step %d: %s %v = %d, reference %d", step, sql, args, got, want)
+		}
 	}
 	ref := map[int64]refRow{}
-	for step := 0; step < 2000; step++ {
+	for step := 0; step < 3000; step++ {
 		k := int64(rng.Intn(20))
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // insert
-			v := fmt.Sprintf("v%d", step)
-			res := mustExec(t, db, "INSERT INTO r (k, v) VALUES ($1, $2)", I64(k), Str(v))
-			ref[res.LastInsertID] = refRow{id: res.LastInsertID, k: k, v: v}
+		switch rng.Intn(12) {
+		case 0, 1, 2, 3:
+			insert(db, ref)
 		case 4, 5: // update by k
-			v := fmt.Sprintf("u%d", step)
-			res := mustExec(t, db, "UPDATE r SET v = $1 WHERE k = $2", Str(v), I64(k))
+			v := Str(fmt.Sprintf("u%d", step))
+			res := mustExec(t, db, "UPDATE r SET v = $1 WHERE k = $2", v, I64(k))
 			n := 0
 			for id, row := range ref {
 				if row.k == k {
@@ -737,34 +852,160 @@ func TestRandomizedAgainstReference(t *testing.T) {
 			}
 		case 6: // delete by k
 			res := mustExec(t, db, "DELETE FROM r WHERE k = $1", I64(k))
-			n := 0
-			for id, row := range ref {
-				if row.k == k {
-					delete(ref, id)
-					n++
-				}
-			}
-			if res.RowsAffected != n {
+			if n := deleteK(ref, k); res.RowsAffected != n {
 				t.Fatalf("step %d: delete affected %d, ref %d", step, res.RowsAffected, n)
 			}
+		case 7: // counts over a transaction's own writes, then commit or roll back
+			tx := db.Begin()
+			pending := maps.Clone(ref)
+			for i := 0; i < 3; i++ {
+				insert(tx, pending)
+			}
+			res, err := tx.Exec("DELETE FROM r WHERE k = $1", I64(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := deleteK(pending, k); res.RowsAffected != n {
+				t.Fatalf("step %d: delete in txn affected %d, ref %d", step, res.RowsAffected, n)
+			}
+			for i := 0; i < 3; i++ {
+				checkCount(step, tx, pending)
+			}
+			if rng.Intn(2) == 0 {
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				ref = pending
+			} else if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			checkCount(step, db, ref)
+		case 8, 9:
+			checkCount(step, db, ref)
 		default: // query by k
 			rs := mustQuery(t, db, "SELECT id, v FROM r WHERE k = $1 ORDER BY id", I64(k))
-			var want []refRow
-			for _, row := range ref {
+			var want []int64
+			for id, row := range ref {
 				if row.k == k {
-					want = append(want, row)
+					want = append(want, id)
 				}
 			}
+			slices.Sort(want)
 			if len(rs.Rows) != len(want) {
 				t.Fatalf("step %d: got %d rows, ref %d", step, len(rs.Rows), len(want))
+			}
+			for i, r := range rs.Rows {
+				if got, v := r[1], ref[want[i]].v; r[0].I != want[i] || got.Null != v.Null || got.S != v.S {
+					t.Fatalf("step %d: row %d is %v, ref id %d v %v", step, i, r, want[i], v)
+				}
 			}
 		}
 	}
 	// Final: every ref row readable by id.
 	for id, row := range ref {
 		rs := mustQuery(t, db, "SELECT v FROM r WHERE id = $1", I64(id))
-		if len(rs.Rows) != 1 || rs.Rows[0][0].S != row.v {
-			t.Fatalf("row %d: got %+v, want %q", id, rs.Rows, row.v)
+		if len(rs.Rows) != 1 || rs.Rows[0][0].Null != row.v.Null || rs.Rows[0][0].S != row.v.S {
+			t.Fatalf("row %d: got %+v, want %v", id, rs.Rows, row.v)
+		}
+	}
+}
+
+// TestCountByIndexEligibility: the index answers a COUNT(*) alone only when
+// every conjunct is an equality with a non-NULL value of its column's type,
+// on its own non-PK, non-FLOAT column, and the conjuncts are exactly the
+// chosen index's leading columns.
+func TestCountByIndexEligibility(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE r (k INT NOT NULL, v TEXT, g INT, ts TIMESTAMP, f FLOAT)")
+	for i, cols := range []string{"k", "g, v", "ts", "f"} {
+		mustExec(t, db, fmt.Sprintf("CREATE INDEX idx_%d ON r (%s)", i, cols))
+	}
+	tb, err := db.table("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		where string
+		args  []Value
+		want  bool
+	}{
+		{"k = $1", []Value{I64(1)}, true},
+		{"k = 7", nil, true},
+		{"r.k = $1", []Value{I64(1)}, true},
+		{"g = $1 AND v = $2", []Value{I64(1), Str("a\x00")}, true},
+		{"v = $1 AND g = $2", []Value{Str(""), I64(1)}, true},
+		{"g = $1", []Value{I64(1)}, true},
+		{"ts = $1", []Value{{Type: TypeTime, I: 5}}, true},
+		{"k = $1", []Value{NullOf(TypeInt)}, false},
+		{"k = $1", []Value{F64(1)}, false},
+		{"ts = $1", []Value{I64(5)}, false},
+		{"f = $1", []Value{F64(1)}, false},
+		{"k = $1 AND k = $2", []Value{I64(1), I64(1)}, false},
+		{"id = $1", []Value{I64(1)}, false},
+		{"v = $1", []Value{Str("a")}, false},
+		{"k = $1 AND v = $2", []Value{I64(1), Str("a")}, false},
+		{"k >= $1", []Value{I64(1)}, false},
+		{"k = $2", []Value{I64(1)}, false},
+		{"s.k = $1", []Value{I64(1)}, false},
+		{"k = $1 OR k = $2", []Value{I64(1), I64(2)}, false},
+	} {
+		st, err := sqlparse.Parse("SELECT COUNT(*) FROM r WHERE " + c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := countByIndex("r", tb, conjuncts(st.(*sqlparse.Select).Where), c.args); ok != c.want {
+			t.Errorf("WHERE %s %v: index-only %v, want %v", c.where, c.args, ok, c.want)
+		}
+	}
+}
+
+// TestIndexCountAllocs: a COUNT(*) the index answers costs as many
+// allocations over 50 matches as over 1, and at most 12.
+func TestIndexCountAllocs(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE c (k INT NOT NULL, v TEXT)")
+	mustExec(t, db, "CREATE INDEX idx_c_k ON c (k)")
+	for i := 0; i < 51; i++ {
+		mustExec(t, db, "INSERT INTO c (k, v) VALUES ($1, 'x')", I64(int64(i/50)))
+	}
+	allocs := func(k, want int64) float64 {
+		return testing.AllocsPerRun(100, func() {
+			rs, err := db.Query("SELECT COUNT(*) FROM c WHERE k = $1", I64(k))
+			if err != nil || rs.Rows[0][0].I != want {
+				t.Fatalf("COUNT(*) k=%d: %v %v, want %d", k, rs, err, want)
+			}
+		})
+	}
+	if many, one := allocs(0, 50), allocs(1, 1); many != one || many > 12 {
+		t.Fatalf("COUNT(*) allocs: %.0f over 50 matches, %.0f over 1; want equal and <= 12", many, one)
+	}
+}
+
+// TestResultRowsAreCappedWindows: a statement's rows share one value slab,
+// each a capped window of it, so appending to one row reallocates it instead
+// of overwriting the next.
+func TestResultRowsAreCappedWindows(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE p (name TEXT)")
+	mustExec(t, db, "CREATE TABLE c (p_id INT NOT NULL, v TEXT)")
+	mustExec(t, db, "CREATE INDEX idx_c_p ON c (p_id)")
+	mustExec(t, db, "INSERT INTO p (name) VALUES ('parent')")
+	for i := 0; i < 3; i++ {
+		mustExec(t, db, "INSERT INTO c (p_id, v) VALUES (1, $1)", Str(fmt.Sprintf("v%d", i)))
+	}
+	for _, sql := range []string{
+		"SELECT id, v FROM c WHERE p_id = 1 ORDER BY id",
+		"SELECT * FROM c",
+		"SELECT c.v, p.name FROM c JOIN p ON c.p_id = p.id",
+	} {
+		rs := mustQuery(t, db, sql)
+		if len(rs.Rows) != 3 {
+			t.Fatalf("%s: %d rows, want 3", sql, len(rs.Rows))
+		}
+		next := fmt.Sprint(rs.Rows[1])
+		_ = append(rs.Rows[0], Str("clobber"))
+		if got := fmt.Sprint(rs.Rows[1]); got != next {
+			t.Fatalf("%s: appending to row 0 changed row 1 from %s to %s", sql, next, got)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package sqldb
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cachegenie/internal/sqlparse"
@@ -420,20 +421,12 @@ func tableEqualities(cs []sqlparse.Predicate, tableName string, t *table, args [
 // Returns nil (full scan) when no index matches. PK equality is handled
 // separately by the caller.
 func pickAccessPath(t *table, eqs []eqLookup) (*Index, []Value) {
-	byCol := map[int]Value{}
-	for _, eq := range eqs {
-		byCol[eq.colIdx] = eq.val
-	}
 	var best *Index
 	bestLen := 0
 	for _, ix := range t.indexes {
 		matched := 0
-		for _, c := range ix.Cols {
-			if _, ok := byCol[c]; ok {
-				matched++
-			} else {
-				break
-			}
+		for matched < len(ix.Cols) && eqOn(eqs, ix.Cols[matched]) >= 0 {
+			matched++
 		}
 		if matched > bestLen {
 			best, bestLen = ix, matched
@@ -443,71 +436,119 @@ func pickAccessPath(t *table, eqs []eqLookup) (*Index, []Value) {
 		return nil, nil
 	}
 	vals := make([]Value, bestLen)
-	for i := 0; i < bestLen; i++ {
-		vals[i] = byCol[best.Cols[i]]
+	for i := range vals {
+		vals[i] = eqs[eqOn(eqs, best.Cols[i])].val
 	}
 	return best, vals
 }
 
-// baseRows produces the candidate rows of table t (named name) given the
+// eqOn returns the position in eqs of the first equality on column col, or
+// -1.
+func eqOn(eqs []eqLookup, col int) int {
+	for i, eq := range eqs {
+		if eq.colIdx == col {
+			return i
+		}
+	}
+	return -1
+}
+
+// collect appends to b the candidate rows of table t (named name) given the
 // WHERE conjuncts, using PK or index access when possible.
-func (tx *Txn) baseRows(name string, t *table, cs []sqlparse.Predicate, args []Value) ([]Row, error) {
+func (b *rowBuf) collect(name string, t *table, cs []sqlparse.Predicate, args []Value) error {
 	eqs, err := tableEqualities(cs, name, t, args)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// PK point lookup.
 	for _, eq := range eqs {
 		if eq.colIdx == t.schema.PKIndex && eq.val.Type == TypeInt && !eq.val.Null {
-			row, err := t.getRaw(eq.val.I)
-			if err != nil {
-				if isNotFound(err) {
-					return nil, nil
-				}
-				return nil, err
-			}
-			return []Row{row}, nil
+			_, err := b.fetch(t, eq.val.I)
+			return err
 		}
 	}
 	if ix, vals := pickAccessPath(t, eqs); ix != nil {
-		var rows []Row
-		err := t.scanIndexEq(ix, vals, func(r Row) (bool, error) {
-			rows = append(rows, r)
-			return true, nil
-		})
-		return rows, err
+		return b.indexEq(t, ix, vals)
 	}
-	var rows []Row
-	err = t.scan(func(r Row) (bool, error) {
-		rows = append(rows, r)
-		return true, nil
-	})
-	return rows, err
+	return b.scan(t)
 }
 
-func isNotFound(err error) bool {
-	return errors.Is(err, ErrRowNotFound)
+// baseRows produces the candidate rows of table t (named name) given the
+// WHERE conjuncts, decoded together.
+func baseRows(name string, t *table, cs []sqlparse.Predicate, args []Value) ([]Row, error) {
+	var b rowBuf
+	if err := b.collect(name, t, cs, args); err != nil {
+		return nil, err
+	}
+	return b.decode(len(t.schema.Columns))
 }
 
-// querySelect executes a SELECT inside tx.
+// countByIndex answers a single-table COUNT(*) from an index alone, without
+// reading a row. It applies only when every conjunct is `col = $n` or `col =
+// literal` on its own column, not the PK and not FLOAT, with a non-NULL
+// value already of the column's type, and the chosen index's leading columns
+// are exactly those columns: then an entry whose key starts with the values'
+// encoding is exactly a row the WHERE matches (a coerced value, a float or a
+// second conjunct on one column could disagree). Otherwise ok is false and
+// the caller takes the row path, which also reports any error.
+func countByIndex(name string, t *table, cs []sqlparse.Predicate, args []Value) (n int64, ok bool) {
+	var room [4]eqLookup
+	eqs := room[:0]
+	for _, c := range cs {
+		cmp, isCmp := c.(*sqlparse.Compare)
+		if !isCmp || cmp.Op != sqlparse.OpEq || cmp.Rhs.Col != nil || (cmp.Col.Table != "" && cmp.Col.Table != name) {
+			return 0, false
+		}
+		ci := t.schema.ColIndex(cmp.Col.Column)
+		if ci < 0 || ci == t.schema.PKIndex || eqOn(eqs, ci) >= 0 {
+			return 0, false
+		}
+		v, err := evalScalar(cmp.Rhs, args, nil, nil)
+		if err != nil || v.Null || v.Type != t.schema.Columns[ci].Type || v.Type == TypeFloat {
+			return 0, false
+		}
+		eqs = append(eqs, eqLookup{colIdx: ci, val: v})
+	}
+	ix, vals := pickAccessPath(t, eqs)
+	if ix == nil || len(vals) != len(eqs) {
+		return 0, false
+	}
+	prefix := t.prefixKey(vals)
+	for it := ix.tree.Scan(prefix, nil); it.Valid() && bytes.HasPrefix(it.Key(), prefix); it.Next() {
+		n++
+	}
+	return n, true
+}
+
+// lockSelect takes a shared lock on every table sel reads, in sorted order.
+func (tx *Txn) lockSelect(sel *sqlparse.Select) error {
+	if len(sel.Joins) == 0 {
+		return tx.lockTable(sel.From, lockShared)
+	}
+	names := []string{sel.From}
+	for _, j := range sel.Joins {
+		names = append(names, j.Table)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		if err := tx.lockTable(n, lockShared); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// querySelect executes a SELECT inside tx. Each table's matched records are
+// collected raw and decoded together (rowBuf.decode), a join's tuples are
+// capped windows of one []Row, and the projection fills one Value slab, so a
+// statement allocates a fixed handful of times, not a few times per row.
 func (tx *Txn) querySelect(sel *sqlparse.Select, args ...Value) (*ResultSet, error) {
 	if tx.done {
 		return nil, ErrTxnDone
 	}
 	tx.db.chargeStatement()
 	tx.db.statSelects.Add(1)
-
-	// Lock every referenced table in sorted order (shared).
-	names := []string{sel.From}
-	for _, j := range sel.Joins {
-		names = append(names, j.Table)
-	}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	for _, n := range sorted {
-		if err := tx.lockTable(n, lockShared); err != nil {
-			return nil, err
-		}
+	if err := tx.lockSelect(sel); err != nil {
+		return nil, err
 	}
 
 	base, err := tx.db.table(sel.From)
@@ -515,16 +556,21 @@ func (tx *Txn) querySelect(sel *sqlparse.Select, args ...Value) (*ResultSet, err
 		return nil, err
 	}
 	cs := conjuncts(sel.Where)
+	if sel.CountStar && len(sel.Joins) == 0 && sel.Limit < 0 && sel.Offset == 0 {
+		if n, ok := countByIndex(sel.From, base, cs, args); ok {
+			return &ResultSet{Columns: []string{"count"}, Rows: []Row{{I64(n)}}}, nil
+		}
+	}
 	applied := make([]bool, len(cs))
 
 	e := &env{names: []string{sel.From}, tabs: []*table{base}}
-	baseRows, err := tx.baseRows(sel.From, base, cs, args)
+	candidates, err := baseRows(sel.From, base, cs, args)
 	if err != nil {
 		return nil, err
 	}
-	tuples := make([][]Row, 0, len(baseRows))
-	for _, r := range baseRows {
-		tuples = append(tuples, []Row{r})
+	tuples := make([][]Row, len(candidates))
+	for i := range candidates {
+		tuples[i] = candidates[i : i+1 : i+1]
 	}
 	// Apply every conjunct resolvable on the current env; repeated after
 	// each join.
@@ -574,53 +620,59 @@ func (tx *Txn) querySelect(sel *sqlparse.Select, args ...Value) (*ResultSet, err
 			return nil, fmt.Errorf("sqldb: no column %q in table %s", newSide.Column, j.Table)
 		}
 		matchIx := jt.findIndex([]int{newCi})
-		var out [][]Row
-		for _, rows := range tuples {
+		// inner collects every match; from[k] is the tuple match k extends.
+		var (
+			inner, whole rowBuf
+			wholeRows    []Row // jt decoded, scanned once for an unindexed column
+			from         []int
+		)
+		for ti, rows := range tuples {
 			joinVal := rows[oldTi][oldCi]
 			if joinVal.Null {
 				continue
 			}
-			appendMatch := func(r Row) {
-				combined := make([]Row, len(rows)+1)
-				copy(combined, rows)
-				combined[len(rows)] = r
-				out = append(out, combined)
-			}
 			switch {
 			case newCi == jt.schema.PKIndex && joinVal.Type == TypeInt:
-				r, err := jt.getRaw(joinVal.I)
-				if err != nil {
-					if isNotFound(err) {
-						continue
-					}
-					return nil, err
-				}
-				appendMatch(r)
+				_, err = inner.fetch(jt, joinVal.I)
 			case matchIx != nil:
 				cv, cerr := coerce(joinVal, jt.schema.Columns[newCi].Type)
 				if cerr != nil {
 					continue
 				}
-				err := jt.scanIndexEq(matchIx, []Value{cv}, func(r Row) (bool, error) {
-					appendMatch(r)
-					return true, nil
-				})
-				if err != nil {
-					return nil, err
-				}
+				err = inner.indexEq(jt, matchIx, []Value{cv})
 			default:
-				err := jt.scan(func(r Row) (bool, error) {
-					if Equal(r[newCi], joinVal) {
-						appendMatch(r)
+				if wholeRows == nil {
+					if err = whole.scan(jt); err == nil {
+						wholeRows, err = whole.decode(len(jt.schema.Columns))
 					}
-					return true, nil
-				})
-				if err != nil {
-					return nil, err
+				}
+				for k, r := range wholeRows {
+					if Equal(r[newCi], joinVal) {
+						inner.add(whole.record(k))
+					}
 				}
 			}
+			if err != nil {
+				return nil, err
+			}
+			for len(from) < len(inner.ends) {
+				from = append(from, ti)
+			}
 		}
-		tuples = out
+		matches, err := inner.decode(len(jt.schema.Columns))
+		if err != nil {
+			return nil, err
+		}
+		w := len(e.tabs) + 1
+		flat := make([]Row, len(matches)*w)
+		joined := make([][]Row, len(matches))
+		for k, r := range matches {
+			t := flat[k*w : (k+1)*w : (k+1)*w]
+			copy(t, tuples[from[k]])
+			t[w-1] = r
+			joined[k] = t
+		}
+		tuples = joined
 		e.names = append(e.names, j.Table)
 		e.tabs = append(e.tabs, jt)
 		if err := filter(); err != nil {
@@ -647,18 +699,16 @@ func (tx *Txn) querySelect(sel *sqlparse.Select, args ...Value) (*ResultSet, err
 			}
 			keys[i] = sortKey{ti, ci, ob.Desc}
 		}
-		sort.SliceStable(tuples, func(a, b int) bool {
+		slices.SortStableFunc(tuples, func(a, b []Row) int {
 			for _, k := range keys {
-				c := Compare(tuples[a][k.ti][k.ci], tuples[b][k.ti][k.ci])
-				if c == 0 {
-					continue
+				if c := Compare(a[k.ti][k.ci], b[k.ti][k.ci]); c != 0 {
+					if k.desc {
+						return -c
+					}
+					return c
 				}
-				if k.desc {
-					return c > 0
-				}
-				return c < 0
 			}
-			return false
+			return 0
 		})
 	}
 
@@ -674,47 +724,50 @@ func (tx *Txn) querySelect(sel *sqlparse.Select, args ...Value) (*ResultSet, err
 		tuples = tuples[:sel.Limit]
 	}
 
-	// Projection.
+	// Projection, into one slab of len(tuples) capped windows.
 	rs := &ResultSet{}
-	switch {
-	case sel.CountStar:
+	if sel.CountStar {
 		rs.Columns = []string{"count"}
 		rs.Rows = []Row{{I64(int64(len(tuples)))}}
-	case sel.Star:
+		return rs, nil
+	}
+	type proj struct{ ti, ci int }
+	var projs []proj
+	if sel.Star {
 		for ti, t := range e.tabs {
-			for _, c := range t.schema.Columns {
+			for ci, c := range t.schema.Columns {
 				if len(e.tabs) > 1 {
 					rs.Columns = append(rs.Columns, e.names[ti]+"."+c.Name)
 				} else {
 					rs.Columns = append(rs.Columns, c.Name)
 				}
+				projs = append(projs, proj{ti, ci})
 			}
 		}
-		for _, rows := range tuples {
-			var out Row
-			for _, r := range rows {
-				out = append(out, r...)
-			}
-			rs.Rows = append(rs.Rows, out)
-		}
-	default:
-		type proj struct{ ti, ci int }
-		projs := make([]proj, len(sel.Columns))
+	} else {
+		projs = make([]proj, len(sel.Columns))
+		rs.Columns = make([]string, len(sel.Columns))
 		for i, cr := range sel.Columns {
 			ti, ci, err := e.resolve(cr)
 			if err != nil {
 				return nil, err
 			}
 			projs[i] = proj{ti, ci}
-			rs.Columns = append(rs.Columns, cr.Column)
+			rs.Columns[i] = cr.Column
 		}
-		for _, rows := range tuples {
-			out := make(Row, len(projs))
-			for i, p := range projs {
-				out[i] = rows[p.ti][p.ci]
-			}
-			rs.Rows = append(rs.Rows, out)
+	}
+	if len(tuples) == 0 {
+		return rs, nil
+	}
+	w := len(projs)
+	slab := make([]Value, len(tuples)*w)
+	rs.Rows = make([]Row, len(tuples))
+	for i, rows := range tuples {
+		out := slab[i*w : (i+1)*w : (i+1)*w]
+		for k, p := range projs {
+			out[k] = rows[p.ti][p.ci]
 		}
+		rs.Rows[i] = out
 	}
 	return rs, nil
 }
@@ -777,26 +830,22 @@ func (tx *Txn) execInsert(ins *sqlparse.Insert, args []Value) (Result, error) {
 
 // matchSingleTable evaluates a single-table WHERE and returns matching rows.
 func (tx *Txn) matchSingleTable(name string, t *table, where sqlparse.Predicate, args []Value) ([]Row, error) {
-	cs := conjuncts(where)
+	rows, err := baseRows(name, t, conjuncts(where), args)
+	if err != nil || where == nil {
+		return rows, err
+	}
 	e := &env{names: []string{name}, tabs: []*table{t}}
-	rows, err := tx.baseRows(name, t, cs, args)
-	if err != nil {
-		return nil, err
-	}
-	if where == nil {
-		return rows, nil
-	}
-	var out []Row
-	for _, r := range rows {
-		ok, err := e.evalPred(where, []Row{r}, args)
+	kept := rows[:0]
+	for i, r := range rows {
+		ok, err := e.evalPred(where, rows[i:i+1], args)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out = append(out, r)
+			kept = append(kept, r)
 		}
 	}
-	return out, nil
+	return kept, nil
 }
 
 func (tx *Txn) execUpdate(up *sqlparse.Update, args []Value) (Result, error) {

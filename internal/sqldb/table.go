@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -79,19 +80,23 @@ func (t *table) prefixKey(vals []Value) []byte {
 
 // addIndex registers and builds a new index over existing rows.
 func (t *table) addIndex(ix *Index) error {
+	var b rowBuf
+	if err := b.scan(t); err != nil {
+		return err
+	}
+	rows, err := b.decode(len(t.schema.Columns))
+	if err != nil {
+		return err
+	}
 	ix.tree = btree.New(btree.DefaultOrder)
-	err := t.scan(func(row Row) (bool, error) {
+	for _, row := range rows {
 		key := t.indexKey(ix, row)
 		if ix.Unique {
 			if _, exists := ix.tree.Get(key); exists {
-				return false, fmt.Errorf("%w: building index %s", ErrDuplicateKey, ix.Name)
+				return fmt.Errorf("%w: building index %s", ErrDuplicateKey, ix.Name)
 			}
 		}
 		ix.tree.Set(key, row[t.schema.PKIndex].I)
-		return true, nil
-	})
-	if err != nil {
-		return err
 	}
 	t.indexes = append(t.indexes, ix)
 	return nil
@@ -186,7 +191,7 @@ func (t *table) getRaw(pk int64) (Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s pk %d", ErrRowNotFound, t.schema.Table, pk)
 	}
-	rec, err := t.heap.Get(rid)
+	rec, err := t.heap.AppendRecord(nil, rid)
 	if err != nil {
 		return nil, err
 	}
@@ -255,53 +260,88 @@ func (t *table) deleteRaw(old Row) error {
 	return nil
 }
 
-// scan iterates all rows; fn returns (continue, error).
-func (t *table) scan(fn func(Row) (bool, error)) error {
-	var inner error
-	err := t.heap.Scan(func(_ storage.RecordID, data []byte) bool {
-		row, err := decodeRow(data)
-		if err != nil {
-			inner = err
-			return false
-		}
-		cont, err := fn(row)
-		if err != nil {
-			inner = err
-			return false
-		}
-		return cont
-	})
-	if inner != nil {
-		return inner
-	}
-	return err
+// rowBuf collects a statement's matched records: each one is appended to
+// raw while its page is pinned, and ends marks where it stops. decode then
+// turns them all into rows at once.
+type rowBuf struct {
+	raw  []byte
+	ends []int
 }
 
-// scanIndexEq iterates rows whose leading index columns equal vals, in index
-// order.
-func (t *table) scanIndexEq(ix *Index, vals []Value, fn func(Row) (bool, error)) error {
+// add appends one record.
+func (b *rowBuf) add(rec []byte) {
+	b.raw = append(b.raw, rec...)
+	b.ends = append(b.ends, len(b.raw))
+}
+
+// record returns the i'th collected record.
+func (b *rowBuf) record(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.raw[start:b.ends[i]]
+}
+
+// fetch appends the row of t with primary key pk and reports whether there
+// is one.
+func (b *rowBuf) fetch(t *table, pk int64) (bool, error) {
+	rid, ok := t.byPK[pk]
+	if !ok {
+		return false, nil
+	}
+	var err error
+	if b.raw, err = t.heap.AppendRecord(b.raw, rid); err != nil {
+		return false, err
+	}
+	b.ends = append(b.ends, len(b.raw))
+	return true, nil
+}
+
+// indexEq appends, in index order, the rows of t whose leading ix columns
+// equal vals.
+func (b *rowBuf) indexEq(t *table, ix *Index, vals []Value) error {
 	prefix := t.prefixKey(vals)
-	hi := append(append([]byte(nil), prefix...), 0xFF, 0xFF)
-	// The 0xFF sentinel works because EncodeKey values always start with
-	// 0x00/0x01 tag bytes, so no continuation can exceed it... except text
-	// bytes can be 0xFF. Use prefix-compare in the loop instead for safety.
-	_ = hi
-	for it := ix.tree.Scan(prefix, nil); it.Valid(); it.Next() {
-		k := it.Key()
-		if len(k) < len(prefix) || string(k[:len(prefix)]) != string(prefix) {
-			break
-		}
-		row, err := t.getRaw(it.Value())
+	for it := ix.tree.Scan(prefix, nil); it.Valid() && bytes.HasPrefix(it.Key(), prefix); it.Next() {
+		found, err := b.fetch(t, it.Value())
 		if err != nil {
 			return err
 		}
-		cont, err := fn(row)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
+		if !found {
+			return fmt.Errorf("%w: %s pk %d (index %s)", ErrRowNotFound, t.schema.Table, it.Value(), ix.Name)
 		}
 	}
 	return nil
+}
+
+// scan appends every row of t.
+func (b *rowBuf) scan(t *table) error {
+	return t.heap.Scan(func(_ storage.RecordID, rec []byte) bool {
+		b.add(rec)
+		return true
+	})
+}
+
+// decode turns the collected records into rows of width values each, in
+// one pass: every text value is a substring of one string(raw), the values
+// share one array, and the rows one []Row, each row a capped window. A row
+// therefore keeps its whole statement's decode alive.
+func (b *rowBuf) decode(width int) ([]Row, error) {
+	if len(b.ends) == 0 {
+		return nil, nil
+	}
+	s := string(b.raw)
+	vals := make([]Value, 0, len(b.ends)*width)
+	rows := make([]Row, len(b.ends))
+	start := 0
+	for i, end := range b.ends {
+		n := len(vals)
+		var err error
+		if vals, err = DecodeRowInto(vals, b.raw[start:end], s[start:end]); err != nil {
+			return nil, err
+		}
+		rows[i] = vals[n:len(vals):len(vals)]
+		start = end
+	}
+	return rows, nil
 }

@@ -246,7 +246,7 @@ func (tx *Txn) finish() {
 	for name := range tx.locks {
 		tx.db.lockFor(name).release(tx)
 	}
-	tx.locks = map[string]lockMode{}
+	tx.locks = nil // lockTable refuses a finished transaction before reading it
 	tx.undo = nil
 	tx.redo = nil
 	tx.done = true

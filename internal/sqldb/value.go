@@ -4,6 +4,13 @@
 // for the SQL subset in package sqlparse, table-granularity two-phase
 // locking with rollback, and — centrally for CacheGenie — synchronous
 // row-level AFTER triggers for INSERT, UPDATE and DELETE.
+//
+// A statement reads per statement, not per row: each table's matched
+// records are copied out of their pinned pages into one buffer and decoded
+// together (DecodeRowInto) into one text string, one value array and one row
+// array, and a SELECT's result rows are capped windows of one value slab.
+// Nothing is pooled, so every row is GC-owned — and a row held anywhere, a
+// ResultSet's or a trigger event's, keeps its whole statement's decode alive.
 package sqldb
 
 import (

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -25,25 +24,26 @@ type frame struct {
 	data  []byte
 	pins  int
 	dirty bool
-	lru   *list.Element // position in the LRU list when unpinned
-	ready chan struct{} // closed once the disk read has populated data
-	err   error         // read error, valid after ready is closed
+	// prev and next link the frame into the pool's LRU list while it is
+	// unpinned; both are nil while it is pinned.
+	prev, next *frame
+	ready      chan struct{} // closed once the disk read has populated data
+	err        error         // read error, valid after ready is closed
 }
 
 // BufferPool caches disk pages in a fixed number of frames with LRU
 // replacement. Pages pinned by callers are never evicted. The pool is safe
 // for concurrent use.
-//
-// The pool's capacity is the knob the experiment harness turns for the
-// "memcached colocated with the database" variant of Experiment 4: giving
-// memory to the cache shrinks the DB's pool and raises its miss rate.
 type BufferPool struct {
 	mu       sync.Mutex
 	disk     *Disk
 	capacity int
 	frames   map[PageID]*frame
-	lru      *list.List // of PageID, front = most recent
-	stats    PoolStats
+	// lru is the sentinel of a circular list of the unpinned frames:
+	// lru.next is the most recently unpinned, lru.prev the next victim.
+	// Linking through the frames makes a pool hit allocation-free.
+	lru   frame
+	stats PoolStats
 }
 
 // NewBufferPool creates a pool with room for capacity pages (minimum 1) on
@@ -52,31 +52,34 @@ func NewBufferPool(disk *Disk, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		disk:     disk,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame, capacity),
-		lru:      list.New(),
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
 
 // Capacity returns the pool's frame count.
 func (bp *BufferPool) Capacity() int { return bp.capacity }
 
-// Resize changes the pool capacity, evicting unpinned pages if it shrinks.
-func (bp *BufferPool) Resize(capacity int) error {
-	if capacity < 1 {
-		capacity = 1
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.capacity = capacity
-	for len(bp.frames) > bp.capacity {
-		if err := bp.evictLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
+// unlink takes f out of the LRU list. Caller holds bp.mu.
+//
+//genie:hotpath
+func (bp *BufferPool) unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// pushFront links f in as the most recently unpinned frame. Caller holds
+// bp.mu.
+//
+//genie:hotpath
+func (bp *BufferPool) pushFront(f *frame) {
+	f.prev, f.next = &bp.lru, bp.lru.next
+	bp.lru.next.prev = f
+	bp.lru.next = f
 }
 
 // Pin fetches page id into the pool, pins it, and returns its data buffer.
@@ -86,9 +89,8 @@ func (bp *BufferPool) Pin(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	if f, ok := bp.frames[id]; ok {
 		f.pins++
-		if f.lru != nil {
-			bp.lru.Remove(f.lru)
-			f.lru = nil
+		if f.next != nil {
+			bp.unlink(f)
 		}
 		bp.stats.Hits++
 		bp.mu.Unlock()
@@ -134,20 +136,19 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	f.dirty = f.dirty || dirty
 	f.pins--
 	if f.pins == 0 {
-		f.lru = bp.lru.PushFront(f.id)
+		bp.pushFront(f)
 	}
 }
 
 // evictLocked removes the least-recently-used unpinned page, writing it back
 // if dirty. Caller holds bp.mu.
 func (bp *BufferPool) evictLocked() error {
-	el := bp.lru.Back()
-	if el == nil {
+	f := bp.lru.prev
+	if f == &bp.lru {
 		return ErrPoolFull
 	}
-	id := el.Value.(PageID)
-	f := bp.frames[id]
-	bp.lru.Remove(el)
+	id := f.id
+	bp.unlink(f)
 	delete(bp.frames, id)
 	bp.stats.Evictions++
 	if f.dirty {
@@ -189,18 +190,4 @@ func (bp *BufferPool) Stats() PoolStats {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	return bp.stats
-}
-
-// ResetStats zeroes the counters (used between experiment phases).
-func (bp *BufferPool) ResetStats() {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.stats = PoolStats{}
-}
-
-// Resident reports how many pages are currently in the pool.
-func (bp *BufferPool) Resident() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.frames)
 }

@@ -41,9 +41,9 @@ type RecordID struct {
 func (r RecordID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 
 // HeapFile stores variable-length records in slotted pages backed by a
-// buffer pool. Concurrent readers (Get/Scan) are safe with each other;
-// mutations (Insert/Update/Delete) require external exclusion against all
-// other operations — the sqldb engine provides it with table-level locks.
+// buffer pool. Concurrent readers (AppendRecord/Scan) are safe with each
+// other; mutations (Insert/Update/Delete) require external exclusion against
+// all other operations — the sqldb engine provides it with table-level locks.
 type HeapFile struct {
 	mu    sync.Mutex
 	disk  *Disk
@@ -181,49 +181,42 @@ func (h *HeapFile) Insert(rec []byte) (RecordID, error) {
 }
 
 // compactPage repacks live records to the end of the page, reclaiming holes
-// left by deletes and in-place updates.
+// left by deletes and in-place updates. It copies from one stack copy of the
+// page, so it allocates nothing.
+//
+//genie:hotpath
 func compactPage(p []byte) {
-	n := pageNumSlots(p)
-	type live struct {
-		slot uint16
-		data []byte
-	}
-	var recs []live
-	for i := uint16(0); i < n; i++ {
+	var old [PageSize]byte
+	copy(old[:], p)
+	high := uint16(PageSize)
+	for i := uint16(0); i < pageNumSlots(p); i++ {
 		off, length := slotAt(p, i)
 		if off == 0 {
 			continue
 		}
-		data := make([]byte, length)
-		copy(data, p[off:off+length])
-		recs = append(recs, live{slot: i, data: data})
-	}
-	high := uint16(PageSize)
-	for _, r := range recs {
-		high -= uint16(len(r.data))
-		copy(p[high:], r.data)
-		setSlotAt(p, r.slot, high, uint16(len(r.data)))
+		high -= length
+		copy(p[high:], old[off:off+length])
+		setSlotAt(p, i, high, length)
 	}
 	setPageFreeHigh(p, high)
 }
 
-// Get returns a copy of the record named by rid.
-func (h *HeapFile) Get(rid RecordID) ([]byte, error) {
+// AppendRecord appends the record named by rid to dst, copying it while its
+// page is pinned, and returns the extended slice.
+func (h *HeapFile) AppendRecord(dst []byte, rid RecordID) ([]byte, error) {
 	p, err := h.pool.Pin(rid.Page)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer h.pool.Unpin(rid.Page, false)
 	if rid.Slot >= pageNumSlots(p) {
-		return nil, fmt.Errorf("%w: %s", ErrRecordNotFound, rid)
+		return dst, fmt.Errorf("%w: %s", ErrRecordNotFound, rid)
 	}
 	off, length := slotAt(p, rid.Slot)
 	if off == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrRecordNotFound, rid)
+		return dst, fmt.Errorf("%w: %s", ErrRecordNotFound, rid)
 	}
-	out := make([]byte, length)
-	copy(out, p[off:off+length])
-	return out, nil
+	return append(dst, p[off:off+length]...), nil
 }
 
 // Delete tombstones the record named by rid.
@@ -308,7 +301,8 @@ func (h *HeapFile) noteFree(pid PageID, p []byte) {
 }
 
 // Scan calls fn for every live record, in page order, until fn returns
-// false. The data slice passed to fn is a copy the callee may keep.
+// false. fn runs with the record's page pinned: data aliases the page, is
+// valid only until fn returns, and fn must not modify the heap file.
 func (h *HeapFile) Scan(fn func(rid RecordID, data []byte) bool) error {
 	h.mu.Lock()
 	pages := append([]PageID(nil), h.pages...)
@@ -318,26 +312,15 @@ func (h *HeapFile) Scan(fn func(rid RecordID, data []byte) bool) error {
 		if err != nil {
 			return err
 		}
-		n := pageNumSlots(p)
-		type rec struct {
-			rid  RecordID
-			data []byte
-		}
-		var recs []rec
-		for i := uint16(0); i < n; i++ {
-			off, length := slotAt(p, i)
-			if off == 0 {
-				continue
+		more := true
+		for i := uint16(0); more && i < pageNumSlots(p); i++ {
+			if off, length := slotAt(p, i); off != 0 {
+				more = fn(RecordID{Page: pid, Slot: i}, p[off:off+length])
 			}
-			data := make([]byte, length)
-			copy(data, p[off:off+length])
-			recs = append(recs, rec{RecordID{Page: pid, Slot: i}, data})
 		}
 		h.pool.Unpin(pid, false)
-		for _, r := range recs {
-			if !fn(r.rid, r.data) {
-				return nil
-			}
+		if !more {
+			return nil
 		}
 	}
 	return nil

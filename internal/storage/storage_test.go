@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,27 +113,6 @@ func TestBufferPoolAllPinned(t *testing.T) {
 	bp.Unpin(b, false)
 }
 
-func TestBufferPoolResize(t *testing.T) {
-	d := newTestDisk()
-	bp := NewBufferPool(d, 4)
-	for i := 0; i < 4; i++ {
-		id := d.Allocate()
-		if _, err := bp.Pin(id); err != nil {
-			t.Fatal(err)
-		}
-		bp.Unpin(id, false)
-	}
-	if bp.Resident() != 4 {
-		t.Fatalf("resident = %d", bp.Resident())
-	}
-	if err := bp.Resize(2); err != nil {
-		t.Fatal(err)
-	}
-	if bp.Resident() != 2 {
-		t.Fatalf("after resize resident = %d", bp.Resident())
-	}
-}
-
 func TestBufferPoolConcurrentSamePage(t *testing.T) {
 	d := newTestDisk()
 	id := d.Allocate()
@@ -161,6 +141,153 @@ func TestBufferPoolConcurrentSamePage(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBufferPoolMatchesReferenceLRU drives a small pool with random pins,
+// unpins and dirtying against a slice-based LRU model. After every step the
+// resident pages, the unpinned pages' recency order (so every eviction's
+// victim) and Stats() must match the model exactly, and every pin must read
+// back the last byte written to the page. The paper sweep charges a disk
+// access for each pool miss, so the order is load-bearing.
+func TestBufferPoolMatchesReferenceLRU(t *testing.T) {
+	const capacity, npages = 4, 9
+	d := newTestDisk()
+	bp := NewBufferPool(d, capacity)
+	ids := make([]PageID, npages)
+	for i := range ids {
+		ids[i] = d.Allocate()
+	}
+	var (
+		lru     []PageID // the model's unpinned resident pages, most recent first
+		pins    = map[PageID]int{}
+		dirty   = map[PageID]bool{}
+		content = map[PageID]byte{} // byte 0 of each page as last written
+		bufs    = map[PageID][]byte{}
+		want    PoolStats
+	)
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 20000; step++ {
+		id := ids[rng.Intn(npages)]
+		if pins[id] > 0 && rng.Intn(2) == 0 {
+			write := rng.Intn(3) == 0
+			if write {
+				bufs[id][0]++
+				content[id]++
+				dirty[id] = true
+			}
+			bp.Unpin(id, write)
+			if pins[id]--; pins[id] == 0 {
+				lru = append([]PageID{id}, lru...)
+			}
+		} else {
+			full := false
+			if n, resident := pins[id]; resident {
+				want.Hits++
+				if n == 0 {
+					lru = slices.DeleteFunc(lru, func(x PageID) bool { return x == id })
+				}
+				pins[id]++
+			} else {
+				want.Misses++
+				if len(pins) >= capacity {
+					if len(lru) == 0 {
+						full = true
+					} else {
+						victim := lru[len(lru)-1]
+						lru = lru[:len(lru)-1]
+						delete(pins, victim)
+						want.Evictions++
+						if dirty[victim] {
+							want.Flushes++
+							delete(dirty, victim)
+						}
+					}
+				}
+				if !full {
+					pins[id] = 1
+				}
+			}
+			p, err := bp.Pin(id)
+			switch {
+			case full && !errors.Is(err, ErrPoolFull):
+				t.Fatalf("step %d: Pin(%d) err = %v, want ErrPoolFull", step, id, err)
+			case !full && err != nil:
+				t.Fatalf("step %d: Pin(%d): %v", step, id, err)
+			case !full && p[0] != content[id]:
+				t.Fatalf("step %d: page %d reads %d, want %d", step, id, p[0], content[id])
+			case !full:
+				bufs[id] = p
+			}
+		}
+		if got := bp.Stats(); got != want {
+			t.Fatalf("step %d: stats %+v, want %+v", step, got, want)
+		}
+		var order []PageID
+		for f := bp.lru.next; f != &bp.lru; f = f.next {
+			order = append(order, f.id)
+		}
+		if !slices.Equal(order, lru) || len(bp.frames) != len(pins) {
+			t.Fatalf("step %d: LRU %v over %d frames, want %v over %d", step, order, len(bp.frames), lru, len(pins))
+		}
+	}
+	if want.Evictions == 0 || want.Flushes == 0 || want.Hits == 0 {
+		t.Fatalf("the walk exercised too little: %+v", want)
+	}
+}
+
+// TestPoolHitAllocs: pinning and unpinning a resident page allocates nothing.
+func TestPoolHitAllocs(t *testing.T) {
+	d := newTestDisk()
+	bp := NewBufferPool(d, 2)
+	a, b := d.Allocate(), d.Allocate()
+	for _, id := range []PageID{a, b} {
+		if _, err := bp.Pin(id); err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(id, false)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := bp.Pin(a); err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(a, true)
+	}); n != 0 {
+		t.Fatalf("Pin/Unpin hit: %.1f allocs, want 0", n)
+	}
+}
+
+// TestCompactPageAllocs: repacking a page with holes allocates nothing.
+func TestCompactPageAllocs(t *testing.T) {
+	h := newTestHeap()
+	var rids []RecordID
+	for i := 0; i < 20; i++ {
+		rid, err := h.Insert(bytes.Repeat([]byte{byte(i)}, 100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	for i := 0; i < len(rids); i += 2 {
+		if err := h.Delete(rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := h.pool.Pin(rids[0].Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holed := append([]byte(nil), p...)
+	h.pool.Unpin(rids[0].Page, false)
+	page := make([]byte, PageSize)
+	if n := testing.AllocsPerRun(100, func() {
+		copy(page, holed)
+		compactPage(page)
+	}); n != 0 {
+		t.Fatalf("compactPage: %.1f allocs, want 0", n)
+	}
+	if got, want := contiguousFree(page), totalFree(holed); got != want {
+		t.Fatalf("after compaction %d contiguous free bytes, want %d", got, want)
+	}
+}
+
 func newTestHeap() *HeapFile {
 	d := newTestDisk()
 	return NewHeapFile(d, NewBufferPool(d, 64))
@@ -172,7 +299,7 @@ func TestHeapInsertGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Get(rid)
+	got, err := h.AppendRecord(nil, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +314,8 @@ func TestHeapDelete(t *testing.T) {
 	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(rid); !errors.Is(err, ErrRecordNotFound) {
-		t.Fatalf("Get after delete err = %v", err)
+	if _, err := h.AppendRecord(nil, rid); !errors.Is(err, ErrRecordNotFound) {
+		t.Fatalf("AppendRecord after delete err = %v", err)
 	}
 	if err := h.Delete(rid); !errors.Is(err, ErrRecordNotFound) {
 		t.Fatalf("double delete err = %v", err)
@@ -206,7 +333,7 @@ func TestHeapUpdateInPlaceAndMove(t *testing.T) {
 	if nrid != rid {
 		t.Fatalf("shrinking update moved record: %v -> %v", rid, nrid)
 	}
-	got, _ := h.Get(nrid)
+	got, _ := h.AppendRecord(nil, nrid)
 	if string(got) != "tiny" {
 		t.Fatalf("got %q", got)
 	}
@@ -215,7 +342,7 @@ func TestHeapUpdateInPlaceAndMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ = h.Get(nrid2)
+	got, _ = h.AppendRecord(nil, nrid2)
 	if len(got) != 500 || got[0] != 'b' {
 		t.Fatalf("grown record wrong: len=%d", len(got))
 	}
@@ -294,13 +421,13 @@ func TestHeapCompaction(t *testing.T) {
 	if h.NumPages() != 1 {
 		t.Fatalf("compaction should have made room on page 0; pages = %d", h.NumPages())
 	}
-	got, _ := h.Get(rid)
+	got, _ := h.AppendRecord(nil, rid)
 	if !bytes.Equal(got, big) {
 		t.Fatal("record corrupted by compaction")
 	}
 	// Survivors must be intact too.
 	for i := 1; i < len(rids); i += 2 {
-		got, err := h.Get(rids[i])
+		got, err := h.AppendRecord(nil, rids[i])
 		if err != nil || !bytes.Equal(got, rec) {
 			t.Fatalf("survivor %d corrupted: %v", i, err)
 		}
@@ -359,14 +486,14 @@ func TestHeapRandomOps(t *testing.T) {
 			ids = ids[:len(ids)-1]
 		}
 	}
-	// Verify every live record via Get and via Scan.
+	// Verify every live record via AppendRecord and via Scan.
 	for rid, want := range ref {
-		got, err := h.Get(rid)
+		got, err := h.AppendRecord(nil, rid)
 		if err != nil {
-			t.Fatalf("Get(%v): %v", rid, err)
+			t.Fatalf("AppendRecord(%v): %v", rid, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("Get(%v) wrong bytes", rid)
+			t.Fatalf("AppendRecord(%v) wrong bytes", rid)
 		}
 	}
 	seen := 0
@@ -406,7 +533,7 @@ func TestQuickHeapRoundTrip(t *testing.T) {
 			pairs = append(pairs, pair{rid, rec})
 		}
 		for _, p := range pairs {
-			got, err := h.Get(p.rid)
+			got, err := h.AppendRecord(nil, p.rid)
 			if err != nil || !bytes.Equal(got, p.rec) {
 				return false
 			}
@@ -456,7 +583,7 @@ func BenchmarkHeapInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkHeapGet(b *testing.B) {
+func BenchmarkHeapAppendRecord(b *testing.B) {
 	h := newTestHeap()
 	rec := bytes.Repeat([]byte("r"), 128)
 	var rids []RecordID
@@ -464,9 +591,11 @@ func BenchmarkHeapGet(b *testing.B) {
 		rid, _ := h.Insert(rec)
 		rids = append(rids, rid)
 	}
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Get(rids[i%len(rids)]); err != nil {
+		var err error
+		if buf, err = h.AppendRecord(buf[:0], rids[i%len(rids)]); err != nil {
 			b.Fatal(err)
 		}
 	}
