@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"slices"
+	"math/bits"
 	"strconv"
 
 	"cachegenie/internal/sqldb"
@@ -19,30 +19,29 @@ type payload struct {
 
 const payloadVersion = 1
 
-// encodePayload serializes a payload for the cache.
+// encodePayload serializes a payload for the cache, in one allocation of
+// exactly its size.
 func encodePayload(p payload) []byte {
-	out := make([]byte, 0, 64)
-	out = append(out, payloadVersion)
+	size := 2 + uvarintLen(len(p.rows))
+	for _, r := range p.rows {
+		n := sqldb.EncodedRowLen(r)
+		size += uvarintLen(n) + n
+	}
+	out := make([]byte, 2, size)
+	out[0] = payloadVersion
 	if p.exhaustive {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		out[1] = 1
 	}
 	out = binary.AppendUvarint(out, uint64(len(p.rows)))
-	// A row's length precedes it, so each is encoded aside first, into one
-	// reused buffer. The rows of a list are about the same size: the first
-	// one sizes the output for all of them.
-	var enc []byte
-	for i, r := range p.rows {
-		enc = sqldb.EncodeRow(enc[:0], r)
-		if i == 0 {
-			out = slices.Grow(out, len(p.rows)*(len(enc)+binary.MaxVarintLen32))
-		}
-		out = binary.AppendUvarint(out, uint64(len(enc)))
-		out = append(out, enc...)
+	for _, r := range p.rows {
+		out = binary.AppendUvarint(out, uint64(sqldb.EncodedRowLen(r)))
+		out = sqldb.EncodeRow(out, r)
 	}
 	return out
 }
+
+// uvarintLen is the length of n's uvarint encoding.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // minEncodedRow is the fewest bytes a row takes in a payload: its one-byte
 // length and EncodeRow's four-byte value count.

@@ -131,7 +131,7 @@ func TestPayloadTopKTruncationOnHit(t *testing.T) {
 }
 
 // TestPayloadEditLeavesOtherDecodesAlone: the write-set edits a decoded list
-// in place (keyOps.compose); a second decode of the same bytes — a reader's,
+// in place (keyGroup.compose); a second decode of the same bytes — a reader's,
 // say — must not see it.
 func TestPayloadEditLeavesOtherDecodesAlone(t *testing.T) {
 	enc := encodePayload(payload{rows: goldenRows()})
@@ -144,8 +144,9 @@ func TestPayloadEditLeavesOtherDecodesAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := sqldb.Row{sqldb.I64(77), sqldb.Str("new")}
-	appendRow(row)(&mine)
-	removeRow(goldenRows()[0])(&mine)
+	feature := &CachedObject{spec: Spec{Class: FeatureQuery}}
+	(&op{co: feature, kind: opInsert, new: row}).apply(&mine)
+	(&op{co: feature, kind: opRemove, old: goldenRows()[0]}).apply(&mine)
 	mine.rows = insertRowAt(mine.rows, 0, sqldb.Row{sqldb.I64(5)})
 	mine.rows[1] = sqldb.Row{sqldb.I64(-9), sqldb.Str("replaced")}
 	mine.rows[2] = append(mine.rows[2], sqldb.Str("grown")) // capped: copies

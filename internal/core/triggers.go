@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cachegenie/internal/sqldb"
@@ -41,9 +42,9 @@ func (co *CachedObject) generateTriggers() []sqldb.Trigger {
 	case FeatureQuery:
 		t := co.model.Table
 		out = append(out,
-			mk(t, sqldb.TrigInsert, co.featureTrigger(sqldb.TrigInsert)),
-			mk(t, sqldb.TrigUpdate, co.featureTrigger(sqldb.TrigUpdate)),
-			mk(t, sqldb.TrigDelete, co.featureTrigger(sqldb.TrigDelete)),
+			mk(t, sqldb.TrigInsert, co.listTrigger(sqldb.TrigInsert)),
+			mk(t, sqldb.TrigUpdate, co.listTrigger(sqldb.TrigUpdate)),
+			mk(t, sqldb.TrigDelete, co.listTrigger(sqldb.TrigDelete)),
 		)
 	case CountQuery:
 		t := co.model.Table
@@ -57,9 +58,9 @@ func (co *CachedObject) generateTriggers() []sqldb.Trigger {
 		// Delete and update may recompute the list from the trigger's own
 		// table; the statement already holds it exclusively.
 		out = append(out,
-			mk(t, sqldb.TrigInsert, co.topkTrigger(sqldb.TrigInsert)),
-			mk(t, sqldb.TrigUpdate, co.topkTrigger(sqldb.TrigUpdate), t),
-			mk(t, sqldb.TrigDelete, co.topkTrigger(sqldb.TrigDelete), t),
+			mk(t, sqldb.TrigInsert, co.listTrigger(sqldb.TrigInsert)),
+			mk(t, sqldb.TrigUpdate, co.listTrigger(sqldb.TrigUpdate), t),
+			mk(t, sqldb.TrigDelete, co.listTrigger(sqldb.TrigDelete), t),
 		)
 	case LinkQuery:
 		th := co.linkThrough.Table
@@ -89,23 +90,24 @@ func opSuffix(op sqldb.TriggerOp) string {
 	}
 }
 
-// keyFromRow builds the key of the cached list a main-model row belongs to.
-func (co *CachedObject) keyFromRow(row sqldb.Row) string {
-	var buf [4]sqldb.Value
-	vals := buf[:0]
-	for _, i := range co.whereIdx {
-		vals = append(vals, row[i])
+// keyVals returns the lookup values of the list a main-model row belongs
+// to: a window of the row when the object has one lookup field.
+func (co *CachedObject) keyVals(row sqldb.Row) []sqldb.Value {
+	if len(co.whereIdx) == 1 {
+		i := co.whereIdx[0]
+		return row[i : i+1 : i+1]
 	}
-	return co.MakeKey(vals...)
-}
-
-// whereValsFromRow extracts the lookup values from a main-model row.
-func (co *CachedObject) whereValsFromRow(row sqldb.Row) []sqldb.Value {
 	vals := make([]sqldb.Value, len(co.whereIdx))
 	for i, ci := range co.whereIdx {
 		vals[i] = row[ci]
 	}
 	return vals
+}
+
+// sameKey reports whether lookup values a and b name one key.
+func (co *CachedObject) sameKey(a, b []sqldb.Value) bool {
+	var ka, kb [128]byte
+	return string(co.appendKey(ka[:0], a)) == string(co.appendKey(kb[:0], b))
 }
 
 // triggerBody is a generated trigger's logic. It never talks to the cache:
@@ -129,68 +131,27 @@ func (g *Genie) recording(body triggerBody) sqldb.TriggerFunc {
 	}
 }
 
-// rowListEdit records, under the object's strategy, a change to the row list
-// cached under key: invalidation, or fn as an in-place edit.
-func (co *CachedObject) rowListEdit(ws *writeSet, key string, fn func(p *payload) bool) {
-	if co.spec.Strategy == Invalidate {
-		ws.invalidate(co, key)
-		return
-	}
-	ws.cas(co, key, fn)
-}
+// ---------- FeatureQuery and TopKQuery ----------
 
-// appendRow is the list edit that adds row unless its primary key is already
-// there.
-func appendRow(row sqldb.Row) func(p *payload) bool {
-	return func(p *payload) bool {
-		if findRowByPK(p.rows, rowPK(row)) >= 0 {
-			return false
-		}
-		p.rows = append(p.rows, row)
-		return true
-	}
-}
-
-// removeRow is the list edit that drops the row with row's primary key.
-func removeRow(row sqldb.Row) func(p *payload) bool {
-	return func(p *payload) bool {
-		i := findRowByPK(p.rows, rowPK(row))
-		if i < 0 {
-			return false
-		}
-		p.rows = removeRowAt(p.rows, i)
-		return true
-	}
-}
-
-// ---------- FeatureQuery ----------
-
-// featureTrigger keeps "rows of M where WhereFields = vals" entries in sync.
-// Feature payloads are always exhaustive, so rows can be edited in place.
-func (co *CachedObject) featureTrigger(op sqldb.TriggerOp) triggerBody {
+// listTrigger keeps "rows of M where WhereFields = vals" lists in sync, the
+// feature query's and the top-K query's alike: the ops differ by class only
+// in how they apply (op.apply). A row that changes lists leaves the old one
+// and joins the new; one that stays is replaced in place.
+func (co *CachedObject) listTrigger(trig sqldb.TriggerOp) triggerBody {
 	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
-		switch op {
+		switch trig {
 		case sqldb.TrigInsert:
-			co.rowListEdit(ws, co.keyFromRow(ev.New), appendRow(ev.New))
+			ws.record(op{co: co, kind: opInsert, vals: co.keyVals(ev.New), new: ev.New})
 		case sqldb.TrigDelete:
-			co.rowListEdit(ws, co.keyFromRow(ev.Old), removeRow(ev.Old))
+			ws.record(op{co: co, kind: opRemove, vals: co.keyVals(ev.Old), old: ev.Old})
 		case sqldb.TrigUpdate:
-			oldKey := co.keyFromRow(ev.Old)
-			newKey := co.keyFromRow(ev.New)
-			if oldKey != newKey {
-				co.rowListEdit(ws, oldKey, removeRow(ev.Old))
-				co.rowListEdit(ws, newKey, appendRow(ev.New))
+			oldVals, newVals := co.keyVals(ev.Old), co.keyVals(ev.New)
+			if !co.sameKey(oldVals, newVals) {
+				ws.record(op{co: co, kind: opRemove, vals: oldVals, old: ev.Old})
+				ws.record(op{co: co, kind: opInsert, vals: newVals, new: ev.New})
 				return nil
 			}
-			co.rowListEdit(ws, newKey, func(p *payload) bool {
-				i := findRowByPK(p.rows, rowPK(ev.New))
-				if i < 0 {
-					p.rows = append(p.rows, ev.New)
-				} else {
-					p.rows[i] = ev.New
-				}
-				return true
-			})
+			ws.record(op{co: co, kind: opReplace, vals: newVals, old: ev.Old, new: ev.New})
 		}
 		return nil
 	}
@@ -199,26 +160,21 @@ func (co *CachedObject) featureTrigger(op sqldb.TriggerOp) triggerBody {
 // ---------- CountQuery ----------
 
 // countTrigger maintains COUNT(*) entries with atomic increments.
-func (co *CachedObject) countTrigger(op sqldb.TriggerOp) triggerBody {
-	bump := func(ws *writeSet, key string, delta int64) {
-		if co.spec.Strategy == Invalidate {
-			ws.invalidate(co, key)
-			return
-		}
-		ws.incr(co, key, delta)
+func (co *CachedObject) countTrigger(trig sqldb.TriggerOp) triggerBody {
+	bump := func(ws *writeSet, vals []sqldb.Value, delta int64) {
+		ws.record(op{co: co, kind: opIncr, vals: vals, delta: delta})
 	}
 	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
-		switch op {
+		switch trig {
 		case sqldb.TrigInsert:
-			bump(ws, co.keyFromRow(ev.New), 1)
+			bump(ws, co.keyVals(ev.New), 1)
 		case sqldb.TrigDelete:
-			bump(ws, co.keyFromRow(ev.Old), -1)
+			bump(ws, co.keyVals(ev.Old), -1)
 		case sqldb.TrigUpdate:
-			oldKey := co.keyFromRow(ev.Old)
-			newKey := co.keyFromRow(ev.New)
-			if oldKey != newKey {
-				bump(ws, oldKey, -1)
-				bump(ws, newKey, 1)
+			oldVals, newVals := co.keyVals(ev.Old), co.keyVals(ev.New)
+			if !co.sameKey(oldVals, newVals) {
+				bump(ws, oldVals, -1)
+				bump(ws, newVals, 1)
 			}
 		}
 		return nil
@@ -227,7 +183,7 @@ func (co *CachedObject) countTrigger(op sqldb.TriggerOp) triggerBody {
 
 // ---------- TopKQuery ----------
 
-// sortCompare orders a before b per the spec's sort direction. Ties keep
+// sortBefore orders a before b per the spec's sort direction. Ties keep
 // insertion order (stable).
 func (co *CachedObject) sortBefore(a, b sqldb.Value) bool {
 	c := sqldb.Compare(a, b)
@@ -241,7 +197,7 @@ func (co *CachedObject) sortVal(row sqldb.Row) sqldb.Value {
 	return row[co.sortIdx]
 }
 
-// topkInsertLocked inserts row into the ordered list, returning whether the
+// topkInsert inserts row into the ordered list, returning whether the
 // payload changed.
 func (co *CachedObject) topkInsert(p *payload, row sqldb.Row) bool {
 	limit := co.spec.K + co.spec.reserve()
@@ -268,60 +224,6 @@ func (co *CachedObject) topkInsert(p *payload, row sqldb.Row) bool {
 	return true
 }
 
-func (co *CachedObject) topkTrigger(op sqldb.TriggerOp) triggerBody {
-	// insert and remove are the two list changes every firing is made of;
-	// under the invalidate strategy each is just the key's deletion.
-	insert := func(ws *writeSet, key string, row sqldb.Row) {
-		co.rowListEdit(ws, key, func(p *payload) bool {
-			if findRowByPK(p.rows, rowPK(row)) >= 0 {
-				return false
-			}
-			return co.topkInsert(p, row)
-		})
-	}
-	remove := func(ws *writeSet, key string, row sqldb.Row) {
-		if co.spec.Strategy == Invalidate {
-			ws.invalidate(co, key)
-			return
-		}
-		ws.topkRemove(co, key, row)
-	}
-	return func(ws *writeSet, _ sqldb.Queryer, ev sqldb.TriggerEvent) error {
-		switch op {
-		case sqldb.TrigInsert:
-			insert(ws, co.keyFromRow(ev.New), ev.New)
-		case sqldb.TrigDelete:
-			remove(ws, co.keyFromRow(ev.Old), ev.Old)
-		case sqldb.TrigUpdate:
-			oldKey := co.keyFromRow(ev.Old)
-			newKey := co.keyFromRow(ev.New)
-			if oldKey != newKey {
-				// Moved between lists: delete from old, insert into new.
-				remove(ws, oldKey, ev.Old)
-				insert(ws, newKey, ev.New)
-				return nil
-			}
-			co.rowListEdit(ws, newKey, func(p *payload) bool {
-				i := findRowByPK(p.rows, rowPK(ev.New))
-				if i < 0 {
-					return false
-				}
-				if sqldb.Compare(co.sortVal(ev.Old), co.sortVal(ev.New)) == 0 {
-					// Sort position unchanged: update the row in place
-					// (the paper: "UPDATE triggers simply update the
-					// corresponding post if it finds it in the cached list").
-					p.rows[i] = ev.New
-					return true
-				}
-				p.rows = removeRowAt(p.rows, i)
-				co.topkInsert(p, ev.New)
-				return true
-			})
-		}
-		return nil
-	}
-}
-
 // ---------- LinkQuery ----------
 
 // buildLinkQueries derives the two lookups LinkQuery triggers run inside the
@@ -346,75 +248,48 @@ func (co *CachedObject) linkFetchTarget(q sqldb.Queryer, joinVal sqldb.Value) ([
 	return rs.Rows, nil
 }
 
-// linkSources finds the source values whose cached lists contain the target
-// row joined by joinVal (reverse lookup through the relation table).
-func (co *CachedObject) linkSources(q sqldb.Queryer, joinVal sqldb.Value) ([]sqldb.Value, error) {
-	rs, err := q.Query(co.linkSourcesSQL, joinVal)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]sqldb.Value, len(rs.Rows))
-	for i, r := range rs.Rows {
-		out[i] = r[0]
-	}
-	return out, nil
-}
-
 // targetFieldVal extracts the joined column from a target row.
 func (co *CachedObject) targetFieldVal(row sqldb.Row) sqldb.Value {
 	return row[co.targetIdx]
 }
 
 // linkThroughTrigger reacts to relation-table changes: a membership insert
-// adds the joined target row to the source's cached list.
-func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) triggerBody {
-	addTo := func(ws *writeSet, q sqldb.Queryer, srcVal, joinVal sqldb.Value) error {
-		key := co.MakeKey(srcVal)
+// adds the joined target rows to the source's cached list, a removal takes
+// one out. rel is a relation row; its source field is the list's lookup
+// value.
+func (co *CachedObject) linkThroughTrigger(trig sqldb.TriggerOp) triggerBody {
+	srcVals := func(rel sqldb.Row) []sqldb.Value { return rel[co.srcIdx : co.srcIdx+1 : co.srcIdx+1] }
+	addTo := func(ws *writeSet, q sqldb.Queryer, rel sqldb.Row) error {
 		if co.spec.Strategy == Invalidate {
-			ws.invalidate(co, key)
+			ws.record(op{co: co, kind: opDelete, vals: srcVals(rel)})
 			return nil
 		}
 		// Fetch the joined target rows now; the enclosing statement's lock
 		// keeps them stable until the flush.
-		targets, err := co.linkFetchTarget(q, joinVal)
+		targets, err := co.linkFetchTarget(q, rel[co.joinIdx])
 		if err != nil {
 			return err
 		}
 		if len(targets) == 0 {
 			return nil // dangling reference; nothing joins
 		}
-		ws.cas(co, key, func(p *payload) bool {
-			p.rows = append(p.rows, targets...)
-			return true
-		})
+		ws.record(op{co: co, kind: opAppend, vals: srcVals(rel), rows: targets})
 		return nil
 	}
-	removeFrom := func(ws *writeSet, srcVal, joinVal sqldb.Value) {
-		co.rowListEdit(ws, co.MakeKey(srcVal), func(p *payload) bool {
-			for i, r := range p.rows {
-				if sqldb.Equal(co.targetFieldVal(r), joinVal) {
-					p.rows = removeRowAt(p.rows, i)
-					return true
-				}
-			}
-			return false
-		})
-	}
-
 	return func(ws *writeSet, q sqldb.Queryer, ev sqldb.TriggerEvent) error {
-		switch op {
+		switch trig {
 		case sqldb.TrigInsert:
-			return addTo(ws, q, ev.New[co.srcIdx], ev.New[co.joinIdx])
+			return addTo(ws, q, ev.New)
 		case sqldb.TrigDelete:
-			removeFrom(ws, ev.Old[co.srcIdx], ev.Old[co.joinIdx])
+			ws.record(op{co: co, kind: opUnlink, vals: srcVals(ev.Old), old: ev.Old})
 		case sqldb.TrigUpdate:
 			oldSrc, newSrc := ev.Old[co.srcIdx], ev.New[co.srcIdx]
 			oldJF, newJF := ev.Old[co.joinIdx], ev.New[co.joinIdx]
 			if sqldb.Compare(oldSrc, newSrc) == 0 && sqldb.Compare(oldJF, newJF) == 0 {
 				return nil
 			}
-			removeFrom(ws, oldSrc, oldJF)
-			return addTo(ws, q, newSrc, newJF)
+			ws.record(op{co: co, kind: opUnlink, vals: srcVals(ev.Old), old: ev.Old})
+			return addTo(ws, q, ev.New)
 		}
 		return nil
 	}
@@ -422,71 +297,45 @@ func (co *CachedObject) linkThroughTrigger(op sqldb.TriggerOp) triggerBody {
 
 // linkTargetTrigger reacts to target-table changes; it reverse-maps the row
 // to affected source lists through the relation table.
-func (co *CachedObject) linkTargetTrigger(op sqldb.TriggerOp) triggerBody {
-	// forEachSource records fn against the list of every source joined to
-	// joinVal.
-	forEachSource := func(ws *writeSet, q sqldb.Queryer, joinVal sqldb.Value, fn func(p *payload) bool) error {
-		sources, err := co.linkSources(q, joinVal)
+func (co *CachedObject) linkTargetTrigger(trig sqldb.TriggerOp) triggerBody {
+	// forEachSource records o against the list of every source joined to
+	// joinVal, once per source however many relation rows join them.
+	forEachSource := func(ws *writeSet, q sqldb.Queryer, joinVal sqldb.Value, o op) error {
+		rs, err := q.Query(co.linkSourcesSQL, joinVal)
 		if err != nil {
 			return err
 		}
-		seen := make(map[string]bool, len(sources))
-		for _, src := range sources {
-			key := co.MakeKey(src)
-			if seen[key] {
+		sources := rs.Rows
+		slices.SortFunc(sources, func(a, b sqldb.Row) int { return sqldb.Compare(a[0], b[0]) })
+		for i, src := range sources {
+			o.vals = src[0:1:1]
+			if i > 0 && co.sameKey(sources[i-1][0:1], o.vals) {
 				continue
 			}
-			seen[key] = true
-			co.rowListEdit(ws, key, fn)
+			ws.record(o)
 		}
 		return nil
 	}
-	// A list holds a target row once per relation row that joins it to the
-	// source, so edits by primary key touch every copy.
-	replaceAll := func(row sqldb.Row) func(p *payload) bool {
-		return func(p *payload) bool {
-			changed := false
-			for i, r := range p.rows {
-				if rowPK(r) == rowPK(row) {
-					p.rows[i] = row
-					changed = true
-				}
-			}
-			return changed
-		}
-	}
-	removeAll := func(row sqldb.Row) func(p *payload) bool {
-		return func(p *payload) bool {
-			changed := false
-			for i := len(p.rows) - 1; i >= 0; i-- {
-				if rowPK(p.rows[i]) == rowPK(row) {
-					p.rows = removeRowAt(p.rows, i)
-					changed = true
-				}
-			}
-			return changed
-		}
-	}
 	return func(ws *writeSet, q sqldb.Queryer, ev sqldb.TriggerEvent) error {
-		switch op {
+		switch trig {
 		case sqldb.TrigInsert:
 			// A fresh target row joins any pre-existing relation rows that
 			// reference it (relation inserted before target).
-			return forEachSource(ws, q, co.targetFieldVal(ev.New), appendRow(ev.New))
+			return forEachSource(ws, q, co.targetFieldVal(ev.New), op{co: co, kind: opInsert, new: ev.New})
 		case sqldb.TrigUpdate:
 			oldJoin, newJoin := co.targetFieldVal(ev.Old), co.targetFieldVal(ev.New)
 			if sqldb.Compare(oldJoin, newJoin) == 0 {
-				return forEachSource(ws, q, newJoin, replaceAll(ev.New))
+				return forEachSource(ws, q, newJoin, op{co: co, kind: opReplace, old: ev.Old, new: ev.New})
 			}
 			// The join column changed: the row leaves the lists of the
 			// sources joined to the old value and enters those of the
 			// sources joined to the new one.
-			if err := forEachSource(ws, q, oldJoin, removeAll(ev.Old)); err != nil {
+			if err := forEachSource(ws, q, oldJoin, op{co: co, kind: opRemove, old: ev.Old}); err != nil {
 				return err
 			}
-			return forEachSource(ws, q, newJoin, appendRow(ev.New))
+			return forEachSource(ws, q, newJoin, op{co: co, kind: opInsert, new: ev.New})
 		case sqldb.TrigDelete:
-			return forEachSource(ws, q, co.targetFieldVal(ev.Old), removeAll(ev.Old))
+			return forEachSource(ws, q, co.targetFieldVal(ev.Old), op{co: co, kind: opRemove, old: ev.Old})
 		}
 		return nil
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"sort"
+
 	"cachegenie/internal/invbus"
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/sqldb"
@@ -11,46 +14,177 @@ import (
 // always safe.
 const maxCasRetries = 16
 
-// mutKind is how a recorded mutation reaches the cache.
-type mutKind uint8
+// opKind is what an op does to its key's cached entry. The row-list edits
+// are idempotent by primary key, except opAppend.
+type opKind uint8
 
 const (
-	mutCas    mutKind = iota // read-modify-write of a row list: gets, edit, cas
-	mutIncr                  // atomic counter adjustment
-	mutDelete                // invalidation
+	// opInsert adds new unless a row with its primary key is there: at its
+	// sort position in a top-K list, at the end of any other.
+	opInsert opKind = iota
+	// opRemove drops every row with old's primary key. A top-K list it leaves
+	// short of K rows has used up its reserve and is rebuilt from the
+	// database.
+	opRemove
+	// opReplace puts new in place of every row with its primary key: moved to
+	// its new sort position in a top-K list whose sort value changed (from
+	// old's), appended to a feature list that lacks it.
+	opReplace
+	// opAppend appends rows: a link list holds a target row once per relation
+	// row that joins it to the source.
+	opAppend
+	// opUnlink drops one row whose link target field equals old's join field;
+	// old is a relation row.
+	opUnlink
+	// opIncr adds delta to a counter.
+	opIncr
+	// opDelete invalidates the key.
+	opDelete
 )
 
-// mutation is one cache effect a trigger recorded. An object's class and
-// strategy fix the kind of every mutation of its keys, so all the mutations
-// of one key share a kind.
-type mutation struct {
+var opNames = [...]string{"insert", "remove", "replace", "append", "unlink", "incr", "delete"}
+
+// String implements fmt.Stringer.
+func (k opKind) String() string { return opNames[k] }
+
+// batchKind is how an op of kind k reaches the cache in a flush's first
+// batch: a list edit reads the list (gets), the others need no read.
+func (k opKind) batchKind() kvcache.BatchOpKind {
+	switch k {
+	case opIncr:
+		return kvcache.BatchIncr
+	case opDelete:
+		return kvcache.BatchDelete
+	}
+	return kvcache.BatchGets
+}
+
+// op is one cache effect a trigger recorded, as data: what to do to the
+// entry of which cached object under which lookup values, with the rows it
+// needs. Ops are composed per key without running anything; an object's
+// class and strategy fix the kinds its keys get, so the ops of one key are
+// all list edits, all incrs or all deletes.
+type op struct {
 	co   *CachedObject
+	kind opKind
+	// vals are the key's lookup values, mostly a window of a row; key is set
+	// from them when the statement's keys are rendered (renderKeys).
+	vals []sqldb.Value
 	key  string
-	kind mutKind
-	// fn edits the decoded list and reports whether it changed (mutCas).
-	fn func(p *payload) bool
-	// repair marks a top-K removal and holds the list's lookup values: a
-	// removal that leaves a non-exhaustive list short of K rows has used up
-	// the reserve, and the list must be rebuilt from the database.
-	repair []sqldb.Value
-	delta  int64 // mutIncr
+	// old and new are the row before and after the change, as the trigger
+	// event carries them; rows are opAppend's; delta is opIncr's.
+	old, new sqldb.Row
+	rows     []sqldb.Row
+	delta    int64
+	// next chains the ops of one key in record order (groupByKey).
+	next int32
 }
 
-// apply runs a mutCas mutation on p. short reports reserve exhaustion.
-func (m *mutation) apply(p *payload) (changed, short bool) {
-	changed = m.fn(p)
-	short = changed && m.repair != nil && len(p.rows) < m.co.spec.K && !p.exhaustive
-	return changed, short
+// String renders o for a trace or a listing: "insert cg:wall:7 pk=12".
+func (o *op) String() string {
+	s := o.kind.String() + " " + o.co.MakeKey(o.vals...)
+	switch o.kind {
+	case opInsert, opReplace:
+		s += fmt.Sprintf(" pk=%d", rowPK(o.new))
+	case opRemove:
+		s += fmt.Sprintf(" pk=%d", rowPK(o.old))
+	case opAppend:
+		s += fmt.Sprintf(" rows=%d", len(o.rows))
+	case opUnlink:
+		s += fmt.Sprintf(" %s=%v", o.co.spec.Link.JoinField, o.old[o.co.joinIdx])
+	case opIncr:
+		s += fmt.Sprintf(" %+d", o.delta)
+	}
+	return s
 }
 
-// casLoop applies a mutCas mutation to c on its own, as the paper's trigger
-// does: gets -> modify -> cas, retried on conflict. It is the route for a key
-// that lost a race inside a write-set flush and for every CAS update on the
+// apply runs a list edit on p. changed reports whether p changed, short that
+// a top-K removal used up the reserve.
+func (o *op) apply(p *payload) (changed, short bool) {
+	co := o.co
+	switch o.kind {
+	case opInsert:
+		if findRowByPK(p.rows, rowPK(o.new)) >= 0 {
+			return false, false
+		}
+		if co.spec.Class == TopKQuery {
+			return co.topkInsert(p, o.new), false
+		}
+		p.rows = append(p.rows, o.new)
+		return true, false
+	case opRemove:
+		for i := len(p.rows) - 1; i >= 0; i-- {
+			if rowPK(p.rows[i]) == rowPK(o.old) {
+				p.rows = removeRowAt(p.rows, i)
+				changed = true
+			}
+		}
+		short = changed && co.spec.Class == TopKQuery && len(p.rows) < co.spec.K && !p.exhaustive
+		return changed, short
+	case opReplace:
+		return co.replace(p, o.old, o.new), false
+	case opAppend:
+		p.rows = append(p.rows, o.rows...)
+		return true, false
+	case opUnlink:
+		for i, r := range p.rows {
+			if sqldb.Equal(co.targetFieldVal(r), o.old[co.joinIdx]) {
+				p.rows = removeRowAt(p.rows, i)
+				return true, false
+			}
+		}
+	}
+	return false, false
+}
+
+// replace is opReplace on p per the object's class.
+func (co *CachedObject) replace(p *payload, old, new sqldb.Row) bool {
+	switch co.spec.Class {
+	case TopKQuery:
+		i := findRowByPK(p.rows, rowPK(new))
+		if i < 0 {
+			return false
+		}
+		if sqldb.Compare(co.sortVal(old), co.sortVal(new)) == 0 {
+			// Sort position unchanged: update the row in place (the paper:
+			// "UPDATE triggers simply update the corresponding post if it
+			// finds it in the cached list").
+			p.rows[i] = new
+			return true
+		}
+		p.rows = removeRowAt(p.rows, i)
+		co.topkInsert(p, new)
+		return true
+	case LinkQuery:
+		// A list holds a target row once per relation row that joins it to
+		// the source: every copy is replaced.
+		changed := false
+		for i, r := range p.rows {
+			if rowPK(r) == rowPK(new) {
+				p.rows[i] = new
+				changed = true
+			}
+		}
+		return changed
+	}
+	// A feature list is exhaustive: a row of its key that it lacks belongs in
+	// it.
+	if i := findRowByPK(p.rows, rowPK(new)); i >= 0 {
+		p.rows[i] = new
+	} else {
+		p.rows = append(p.rows, new)
+	}
+	return true
+}
+
+// casLoop applies a list edit to c on its own, as the paper's trigger does:
+// gets -> modify -> cas, retried on conflict. It is the route for a key that
+// lost a race inside a write-set flush and for every list edit on the
 // invalidation bus.
-func (m *mutation) casLoop(c kvcache.Cache) (short bool) {
-	m.co.casLoop(c, m.key, func(p *payload) bool {
+func (o *op) casLoop(c kvcache.Cache) (short bool) {
+	o.co.casLoop(c, o.key, func(p *payload) bool {
 		var changed bool
-		changed, short = m.apply(p)
+		changed, short = o.apply(p)
 		return changed
 	})
 	return short
@@ -97,117 +231,83 @@ func (co *CachedObject) casLoop(c kvcache.Cache, key string, fn func(p *payload)
 }
 
 // writeSet is one write statement's cache maintenance. Trigger bodies never
-// talk to the cache: they record (key, kind, mutation) here, and the engine
-// ends the statement by flushing the set once, after the last row's triggers
-// and with the statement's locks still held (sqldb.StatementHook). A
-// statement that fails is never flushed, so it leaves the cache untouched.
+// talk to the cache: they record ops here, and the engine ends the statement
+// by flushing the set once, after the last row's triggers and with the
+// statement's locks still held (sqldb.StatementHook). A statement that fails
+// is never flushed, so it leaves the cache untouched.
 //
-// The flush composes each key's mutations in record order and reaches the
-// cache in at most two batches — per node, concurrently, when the cache is a
-// ring. The first carries one op per key: the value and token of every list
-// about to be edited (gets), and the ops that depend on no read, the summed
-// counter adjustments (incr) and the invalidations (delete). The second
-// carries the conditional writes computed from what the first read (cas); a
-// statement none of whose lists is cached never sends it. With
-// AsyncInvalidation the flush instead publishes the recorded mutations to the
-// bus, uncomposed and in record order.
+// The flush composes each key's ops in record order and reaches the cache in
+// at most two batches — per node, concurrently, when the cache is a ring. The
+// first carries one op per key: the value and token of every list about to be
+// edited (gets), and the ops that depend on no read, the summed counter
+// adjustments (incr) and the invalidations (delete). The second carries the
+// conditional writes computed from what the first read (cas); a statement
+// none of whose lists is cached never sends it. With AsyncInvalidation the
+// flush instead publishes the recorded ops to the bus, uncomposed and in
+// record order.
+//
+// A flush allocates per statement, not per op: every key is rendered into one
+// string, and the key groups and both batches are an array each.
 type writeSet struct {
-	g    *Genie
-	muts []mutation
+	g   *Genie
+	ops []op
 }
 
 var _ sqldb.StatementHook = (*writeSet)(nil)
 
-// cas records a read-modify-write of the row list under key.
-func (ws *writeSet) cas(co *CachedObject, key string, fn func(p *payload) bool) {
-	ws.muts = append(ws.muts, mutation{co: co, key: key, kind: mutCas, fn: fn})
+// record adds o to the set; under the Invalidate strategy an edit of any kind
+// is the deletion of its key.
+func (ws *writeSet) record(o op) {
+	if o.co.spec.Strategy == Invalidate && o.kind != opDelete {
+		o = op{co: o.co, kind: opDelete, vals: o.vals}
+	}
+	ws.ops = append(ws.ops, o)
 }
 
-// topkRemove records the removal of old's row from the top-K list under key.
-// Reserve exhaustion is repaired at flush time: in sync mode by recomputing
-// the list through the statement's own transaction (the paper's fallback); in
-// async mode that transaction is gone by the time the bus applies the op, so
-// the key is dropped instead and the next read miss repopulates it.
-func (ws *writeSet) topkRemove(co *CachedObject, key string, old sqldb.Row) {
-	ws.muts = append(ws.muts, mutation{co: co, key: key, kind: mutCas, fn: removeRow(old), repair: co.whereValsFromRow(old)})
-}
-
-// incr records a counter adjustment; counts need no CAS because incr is
-// atomic at the cache.
-func (ws *writeSet) incr(co *CachedObject, key string, delta int64) {
-	ws.muts = append(ws.muts, mutation{co: co, key: key, kind: mutIncr, delta: delta})
-}
-
-// invalidate records the deletion of key (the invalidate strategy's whole
-// job).
-func (ws *writeSet) invalidate(co *CachedObject, key string) {
-	ws.muts = append(ws.muts, mutation{co: co, key: key, kind: mutDelete})
-}
-
-// keyOps is every mutation one flush holds for one key.
-type keyOps struct {
-	co   *CachedObject
-	key  string
-	kind mutKind
-	n    int   // logical ops recorded
-	sum  int64 // mutIncr: the deltas, summed
-	// mutCas: the mutations' positions in the write-set, in record order, and
-	// how many of them edited the list the first batch read.
-	idx     []int
-	changed int
-	// counted marks a second-batch op whose outcome is already accounted for.
-	counted bool
+// keyGroup is every op one flush holds for one key: ops[first] and the ops
+// chained after it, in record order.
+type keyGroup struct {
+	key         string
+	kind        kvcache.BatchOpKind
+	first, last int32
+	n           int   // ops
+	sum         int64 // opIncr: the deltas, summed
+	// changed counts the list edits that changed the list the first batch
+	// read; counted marks a second-batch op whose outcome is already
+	// accounted for; wrote marks a group with an op in the second batch.
+	changed        int
+	counted, wrote bool
+	// byKey is not this group's own: groups[j].byKey, for j below the group
+	// count, is the j'th group in key order — the index groupByKey searches
+	// instead of a map.
+	byKey int32
 }
 
 // EndStatement implements sqldb.StatementHook: it flushes the write-set. The
 // cache reports no errors (a lost exchange reads as a miss), so neither does
 // the flush.
 func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
-	g, muts := ws.g, ws.muts
-	if len(muts) == 0 {
+	g, ops := ws.g, ws.ops
+	if len(ops) == 0 {
 		return nil
 	}
+	renderKeys(ops)
 	if g.bus != nil {
-		for i := range muts {
-			g.publish(muts[i])
+		for i := range ops {
+			g.publish(ops[i])
 		}
 		return nil
 	}
 
-	groups := make([]keyOps, 0, len(muts))
-	byKey := make(map[string]int, len(muts)) // key -> position in groups
-	for i := range muts {
-		m := &muts[i]
-		gi, seen := byKey[m.key]
-		if !seen {
-			gi = len(groups)
-			byKey[m.key] = gi
-			groups = append(groups, keyOps{co: m.co, key: m.key, kind: m.kind})
-		}
-		k := &groups[gi]
-		k.n++
-		k.sum += m.delta
-		if m.kind == mutCas {
-			k.idx = append(k.idx, i)
-		}
+	groups := groupByKey(ops)
+	// Both batches share one array: the first holds an op per key, the second
+	// at most as many.
+	batch := make([]kvcache.BatchOp, 2*len(groups))
+	first, second := batch[:len(groups)], batch[len(groups):len(groups)]
+	for i := range groups {
+		k := &groups[i]
+		first[i] = kvcache.BatchOp{Kind: k.kind, Key: k.key, Delta: k.sum}
 	}
-
-	// First batch: one op per key.
-	first := make([]kvcache.BatchOp, len(groups))
-	for i, k := range groups {
-		switch k.kind {
-		case mutCas:
-			first[i] = kvcache.BatchOp{Kind: kvcache.BatchGets, Key: k.key}
-		case mutIncr:
-			first[i] = kvcache.BatchOp{Kind: kvcache.BatchIncr, Key: k.key, Delta: k.sum}
-		default:
-			first[i] = kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key}
-		}
-	}
-	// Second batch: the writes the reads call for; owners[i] is the key
-	// second[i] belongs to.
-	var second []kvcache.BatchOp
-	var owners []*keyOps
 	for i, r := range g.cache.ApplyBatch(first) {
 		k := &groups[i]
 		switch {
@@ -215,12 +315,12 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 			// Not cached: every one of the key's triggers quits (paper
 			// §3.2); the next read miss repopulates the entry.
 			g.trigSkips.Add(int64(k.n))
-		case k.kind == mutCas:
-			if op, ok := k.compose(q, muts, r); ok {
-				second = append(second, op)
-				owners = append(owners, k)
+		case k.kind == kvcache.BatchGets:
+			if o, ok := k.compose(q, ops, r); ok {
+				second = append(second, o)
+				k.wrote = true
 			}
-		case k.kind == mutIncr:
+		case k.kind == kvcache.BatchIncr:
 			g.trigUpdates.Add(int64(k.n))
 		default:
 			// The first of n deletes removes the entry; the rest find
@@ -233,8 +333,15 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 	if len(second) == 0 {
 		return nil
 	}
-	for i, r := range g.cache.ApplyBatch(second) {
-		k := owners[i]
+	res := g.cache.ApplyBatch(second)
+	n := 0
+	for i := range groups {
+		k := &groups[i]
+		if !k.wrote {
+			continue
+		}
+		r := res[n]
+		n++
 		switch {
 		case k.counted:
 		case r.Found:
@@ -244,9 +351,9 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 			// its own; the rest of the statement's keys are done.
 			g.casRetries.Add(1)
 			g.casFallbacks.Add(1)
-			for _, mi := range k.idx {
-				if m := &muts[mi]; m.casLoop(g.cache) {
-					g.cache.ApplyBatch([]kvcache.BatchOp{k.co.recompute(q, k.key, m.repair)})
+			for j := k.first; j >= 0; j = ops[j].next {
+				if o := &ops[j]; o.casLoop(g.cache) {
+					g.cache.ApplyBatch([]kvcache.BatchOp{o.co.recompute(q, k.key, o.vals)})
 				}
 			}
 		default:
@@ -256,40 +363,81 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 	return nil
 }
 
+// renderKeys renders the key of every op into one string, the statement's
+// one key allocation, and sets each op's key to its substring.
+func renderKeys(ops []op) {
+	var keyBuf [512]byte
+	var endBuf [32]int
+	keys, ends := keyBuf[:0], endBuf[:0] // ends[i] is where ops[i]'s key ends
+	for i := range ops {
+		keys = ops[i].co.appendKey(keys, ops[i].vals)
+		ends = append(ends, len(keys))
+	}
+	all := string(keys)
+	for i, from := 0, 0; i < len(ops); i++ {
+		ops[i].key, from = all[from:ends[i]], ends[i]
+	}
+}
+
+// groupByKey groups ops by key, the groups in the order their keys first
+// appear, and chains each group's ops through next.
+func groupByKey(ops []op) []keyGroup {
+	groups := make([]keyGroup, 0, len(ops))
+	for i := range ops {
+		o := &ops[i]
+		o.next = -1
+		pos := sort.Search(len(groups), func(j int) bool { return groups[groups[j].byKey].key >= o.key })
+		if pos < len(groups) && groups[groups[pos].byKey].key == o.key {
+			k := &groups[groups[pos].byKey]
+			ops[k.last].next = int32(i)
+			k.last = int32(i)
+			k.n++
+			k.sum += o.delta
+			continue
+		}
+		groups = append(groups, keyGroup{key: o.key, kind: o.kind.batchKind(),
+			first: int32(i), last: int32(i), n: 1, sum: o.delta})
+		for j := len(groups) - 1; j > pos; j-- {
+			groups[j].byKey = groups[j-1].byKey
+		}
+		groups[pos].byKey = int32(len(groups) - 1)
+	}
+	return groups
+}
+
 // compose turns the key's recorded list edits and the list the first batch
 // found for it into the key's op in the second; ok is false when there is
 // nothing to write.
-func (k *keyOps) compose(q sqldb.Queryer, muts []mutation, r kvcache.BatchResult) (op kvcache.BatchOp, ok bool) {
-	g := k.co.g
+func (k *keyGroup) compose(q sqldb.Queryer, ops []op, r kvcache.BatchResult) (bop kvcache.BatchOp, ok bool) {
+	co := ops[k.first].co
+	g := co.g
 	p, err := decodePayload(r.Data)
 	if err != nil {
-		// Corrupt entry: the first mutation drops it, the rest find nothing.
+		// Corrupt entry: the first op drops it, the rest find nothing.
 		g.trigDeletes.Add(1)
 		g.trigSkips.Add(int64(k.n - 1))
 		k.counted = true
 		return kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key}, true
 	}
-	var repair []sqldb.Value
-	for _, mi := range k.idx {
-		changed, short := muts[mi].apply(&p)
+	short := false
+	for i := k.first; i >= 0; i = ops[i].next {
+		changed, s := ops[i].apply(&p)
 		if changed {
 			k.changed++
 		}
-		if short {
-			repair = muts[mi].repair
-		}
+		short = short || s
 	}
-	if repair != nil {
+	if short {
 		// The recomputed list is the statement's final database state for
 		// this key, so it stands in for the composed edits.
 		g.trigUpdates.Add(int64(k.changed))
 		k.counted = true
-		return k.co.recompute(q, k.key, repair), true
+		return co.recompute(q, k.key, ops[k.first].vals), true
 	}
 	if k.changed == 0 {
-		return op, false
+		return bop, false
 	}
-	return kvcache.BatchOp{Kind: kvcache.BatchCas, Key: k.key, Value: encodePayload(p), TTL: k.co.ttl(), Cas: r.Cas}, true
+	return kvcache.BatchOp{Kind: kvcache.BatchCas, Key: k.key, Value: encodePayload(p), TTL: co.ttl(), Cas: r.Cas}, true
 }
 
 // recompute rebuilds a top-K list from the database through q — the paper's
@@ -308,22 +456,22 @@ func (co *CachedObject) recompute(q sqldb.Queryer, key string, vals []sqldb.Valu
 		Value: encodePayload(payload{exhaustive: exhaustive, rows: rows}), TTL: co.ttl()}
 }
 
-// publish hands one recorded mutation to the invalidation bus, where the
-// shard worker applies it amortized and in per-key publish order: redundant
-// pending deletes of a key coalesce into one, adjacent increments merge, and
-// a CAS update runs its own gets/cas loop.
-func (g *Genie) publish(m mutation) {
-	switch m.kind {
-	case mutIncr:
-		g.bus.Publish(invbus.Op{Kind: invbus.OpIncr, Key: m.key, Delta: m.delta, Done: func(r invbus.Result) {
+// publish hands one recorded op to the invalidation bus, where the shard
+// worker applies it amortized and in per-key publish order: redundant pending
+// deletes of a key coalesce into one, adjacent increments merge, and a list
+// edit runs its own gets/cas loop.
+func (g *Genie) publish(o op) {
+	switch o.kind {
+	case opIncr:
+		g.bus.Publish(invbus.Op{Kind: invbus.OpIncr, Key: o.key, Delta: o.delta, Done: func(r invbus.Result) {
 			if r.Found {
 				g.trigUpdates.Add(1)
 			} else {
 				g.trigSkips.Add(1)
 			}
 		}})
-	case mutDelete:
-		g.bus.Publish(invbus.Op{Kind: invbus.OpDelete, Key: m.key, Done: func(r invbus.Result) {
+	case opDelete:
+		g.bus.Publish(invbus.Op{Kind: invbus.OpDelete, Key: o.key, Done: func(r invbus.Result) {
 			if r.Found {
 				g.trigDeletes.Add(1)
 			} else {
@@ -331,8 +479,11 @@ func (g *Genie) publish(m mutation) {
 			}
 		}})
 	default:
-		g.bus.Publish(invbus.Op{Kind: invbus.OpCasUpdate, Key: m.key, Update: func(c kvcache.Cache) {
-			if m.casLoop(c) && c.Delete(m.key) {
+		// A top-K list short of its reserve is dropped instead of rebuilt:
+		// the statement's transaction is gone by the time the bus applies
+		// the op, and the next read miss repopulates the key.
+		g.bus.Publish(invbus.Op{Kind: invbus.OpCasUpdate, Key: o.key, Update: func(c kvcache.Cache) {
+			if o.casLoop(c) && c.Delete(o.key) {
 				g.trigDeletes.Add(1)
 			}
 		}})

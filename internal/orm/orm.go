@@ -73,10 +73,13 @@ package orm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"cachegenie/internal/sqldb"
@@ -121,10 +124,41 @@ type Model struct {
 	// each to its position; both are built once by Register and never change.
 	names []string
 	index map[string]int
+
+	// texts holds the write statements rendered for the model, by shape
+	// (text). Readers load the current map without a lock; textsMu serializes
+	// writers, which publish a copy with one more entry.
+	texts   atomic.Pointer[map[string]string]
+	textsMu sync.Mutex
+}
+
+// maxTexts caps a model's statement texts. A model's writes come in a few
+// shapes, but an IN list of a new length is a new one: past the cap a text
+// is rendered on every call instead of filling memory.
+const maxTexts = 256
+
+// text returns the statement text of shape, calling render only the first
+// time the model meets the shape, so a write renders no SQL after its first
+// of a kind. shape encodes everything the text depends on.
+func (m *Model) text(shape []byte, render func() string) string {
+	if s, ok := (*m.texts.Load())[string(shape)]; ok {
+		return s
+	}
+	s := render()
+	m.textsMu.Lock()
+	defer m.textsMu.Unlock()
+	if old := *m.texts.Load(); len(old) < maxTexts {
+		next := make(map[string]string, len(old)+1)
+		maps.Copy(next, old)
+		next[string(shape)] = s
+		m.texts.Store(&next)
+	}
+	return s
 }
 
 func newModel(def *ModelDef) *Model {
 	m := &Model{Name: def.Name, Table: def.Table, Fields: def.Fields}
+	m.texts.Store(&map[string]string{})
 	m.names = make([]string, 0, len(def.Fields)+1)
 	m.names = append(m.names, "id")
 	for _, f := range def.Fields {
@@ -368,20 +402,22 @@ func (r *Registry) Insert(name string, fields Fields) (Object, error) {
 	if err != nil {
 		return Object{}, err
 	}
-	cols := make([]string, 0, len(fields))
-	for k := range fields {
-		cols = append(cols, k)
-	}
-	sort.Strings(cols)
-	placeholders := make([]string, len(cols))
+	var colBuf [8]string
+	cols := sortedFields(colBuf[:0], fields)
+	var shapeBuf [128]byte
+	sql := m.text(appendNames(append(shapeBuf[:0], 'I'), cols), func() string {
+		placeholders := make([]string, len(cols))
+		for i := range cols {
+			placeholders[i] = fmt.Sprintf("$%d", i+1)
+		}
+		return fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s) RETURNING %s",
+			m.Table, strings.Join(cols, ", "), strings.Join(placeholders, ", "),
+			strings.Join(m.names, ", "))
+	})
 	args := make([]sqldb.Value, len(cols))
 	for i, c := range cols {
-		placeholders[i] = fmt.Sprintf("$%d", i+1)
 		args[i] = V(fields[c])
 	}
-	sql := fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s) RETURNING %s",
-		m.Table, strings.Join(cols, ", "), strings.Join(placeholders, ", "),
-		strings.Join(m.names, ", "))
 	res, err := r.conn.Exec(sql, args...)
 	if err != nil {
 		return Object{}, err
@@ -390,6 +426,23 @@ func (r *Registry) Insert(name string, fields Fields) (Object, error) {
 		return Object{}, fmt.Errorf("orm: insert returned %d rows", len(res.Returning))
 	}
 	return r.RowToObject(m, res.Returning[0]), nil
+}
+
+// sortedFields appends the names of fields to dst in sorted order.
+func sortedFields(dst []string, fields Fields) []string {
+	for k := range fields {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// appendNames appends each of names to a statement shape, space-separated.
+func appendNames(shape []byte, names []string) []byte {
+	for _, n := range names {
+		shape = append(append(shape, ' '), n...)
+	}
+	return shape
 }
 
 // Objects starts a QuerySet for model name. Unknown models yield a QuerySet

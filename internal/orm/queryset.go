@@ -3,7 +3,7 @@ package orm
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 
 	"cachegenie/internal/sqldb"
@@ -450,28 +450,29 @@ func (q *QuerySet) Update(fields Fields) (int, error) {
 	if q.d.Join != nil {
 		return 0, fmt.Errorf("orm: Update through a join is not supported")
 	}
-	var sb strings.Builder
-	var args []sqldb.Value
-	fmt.Fprintf(&sb, "UPDATE %s SET ", q.d.Model.Table)
-	cols := make([]string, 0, len(fields))
-	for k := range fields {
-		cols = append(cols, k)
-	}
-	sort.Strings(cols)
-	for i, c := range cols {
-		if i > 0 {
-			sb.WriteString(", ")
+	var colBuf [8]string
+	cols := sortedFields(colBuf[:0], fields)
+	filters := q.filters()
+	var shapeBuf [128]byte
+	shape := appendWhereShape(appendNames(append(shapeBuf[:0], 'U'), cols), filters)
+	sql := q.d.Model.text(shape, func() string {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "UPDATE %s SET ", q.d.Model.Table)
+		for i, c := range cols {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "%s = $%d", c, i+1)
 		}
-		args = append(args, V(fields[c]))
-		fmt.Fprintf(&sb, "%s = $%d", c, len(args))
+		sb.WriteString(whereClause(filters, len(cols)))
+		return sb.String()
+	})
+	// Room for an argument per filter; an IN list grows it.
+	args := make([]sqldb.Value, len(cols), len(cols)+len(filters))
+	for i, c := range cols {
+		args[i] = V(fields[c])
 	}
-	where, whereArgs, err := q.whereClause(len(args))
-	if err != nil {
-		return 0, err
-	}
-	sb.WriteString(where)
-	args = append(args, whereArgs...)
-	res, err := q.reg.conn.Exec(sb.String(), args...)
+	res, err := q.reg.conn.Exec(sql, appendWhereArgs(args, filters)...)
 	if err != nil {
 		return 0, err
 	}
@@ -486,41 +487,66 @@ func (q *QuerySet) Delete() (int, error) {
 	if q.d.Join != nil {
 		return 0, fmt.Errorf("orm: Delete through a join is not supported")
 	}
-	where, args, err := q.whereClause(0)
-	if err != nil {
-		return 0, err
-	}
-	res, err := q.reg.conn.Exec("DELETE FROM "+q.d.Model.Table+where, args...)
+	filters := q.filters()
+	var shapeBuf [128]byte
+	sql := q.d.Model.text(appendWhereShape(append(shapeBuf[:0], 'D'), filters), func() string {
+		return "DELETE FROM " + q.d.Model.Table + whereClause(filters, 0)
+	})
+	res, err := q.reg.conn.Exec(sql, appendWhereArgs(nil, filters)...)
 	if err != nil {
 		return 0, err
 	}
 	return res.RowsAffected, nil
 }
 
-// whereClause renders the filters with parameters starting after
-// paramOffset.
-func (q *QuerySet) whereClause(paramOffset int) (string, []sqldb.Value, error) {
-	if len(q.filters()) == 0 {
-		return "", nil, nil
+// appendWhereShape appends to a statement shape what whereClause's text
+// depends on: each filter's field and operator, and an IN list's length.
+func appendWhereShape(shape []byte, filters []Filter) []byte {
+	shape = append(shape, " WHERE"...)
+	for _, f := range filters {
+		shape = append(append(append(append(shape, ' '), f.Field...), ' '), f.Op...)
+		if f.Op == "in" {
+			shape = strconv.AppendInt(append(shape, ' '), int64(len(f.List)), 10)
+		}
+	}
+	return shape
+}
+
+// whereClause renders filters with parameters numbered from paramOffset+1.
+func whereClause(filters []Filter, paramOffset int) string {
+	if len(filters) == 0 {
+		return ""
 	}
 	var sb strings.Builder
-	var args []sqldb.Value
+	n := paramOffset
 	sb.WriteString(" WHERE ")
-	for i, f := range q.filters() {
+	for i, f := range filters {
 		if i > 0 {
 			sb.WriteString(" AND ")
 		}
 		if f.Op == "in" {
 			ph := make([]string, len(f.List))
-			for j, v := range f.List {
-				args = append(args, v)
-				ph[j] = fmt.Sprintf("$%d", paramOffset+len(args))
+			for j := range f.List {
+				n++
+				ph[j] = fmt.Sprintf("$%d", n)
 			}
 			fmt.Fprintf(&sb, "%s IN (%s)", f.Field, strings.Join(ph, ", "))
 		} else {
-			args = append(args, f.Value)
-			fmt.Fprintf(&sb, "%s %s $%d", f.Field, f.Op, paramOffset+len(args))
+			n++
+			fmt.Fprintf(&sb, "%s %s $%d", f.Field, f.Op, n)
 		}
 	}
-	return sb.String(), args, nil
+	return sb.String()
+}
+
+// appendWhereArgs appends whereClause's parameters to args, in order.
+func appendWhereArgs(args []sqldb.Value, filters []Filter) []sqldb.Value {
+	for _, f := range filters {
+		if f.Op == "in" {
+			args = append(args, f.List...)
+		} else {
+			args = append(args, f.Value)
+		}
+	}
+	return args
 }

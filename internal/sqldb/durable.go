@@ -39,16 +39,6 @@ const (
 	recTableMeta                         // snapshot only: table + nextID
 )
 
-// redoRec is one entry in a transaction's redo log, accumulated alongside
-// the undo log and appended to the WAL at Commit.
-type redoRec struct {
-	typ   wal.Type
-	table string
-	row   Row    // insert/update: the stored row
-	pk    int64  // delete
-	sql   string // ddl
-}
-
 func appendTableName(dst []byte, table string) []byte {
 	var n2 [2]byte
 	binary.LittleEndian.PutUint16(n2[:], uint16(len(table)))
@@ -71,19 +61,6 @@ func appendU64(dst []byte, v uint64) []byte {
 	var n8 [8]byte
 	binary.LittleEndian.PutUint64(n8[:], v)
 	return append(dst, n8[:]...)
-}
-
-func (r redoRec) encode() wal.Record {
-	var p []byte
-	switch r.typ {
-	case recInsert, recUpdate:
-		p = encodeRow(appendTableName(nil, r.table), r.row)
-	case recDelete:
-		p = appendU64(appendTableName(nil, r.table), uint64(r.pk))
-	case recDDL:
-		p = []byte(r.sql)
-	}
-	return wal.Record{Type: r.typ, Payload: p}
 }
 
 // createIndexSQL renders the canonical CREATE INDEX text for redo logging.
@@ -115,14 +92,15 @@ func (db *DB) applyRecord(rec wal.Record) error {
 			return err
 		}
 		if rec.Type == recInsert {
-			_, err = t.insertRaw(row)
+			t.assignPK(row)
+			_, err = t.insertRaw(nil, row)
 			return err
 		}
 		old, err := t.getRaw(row[t.schema.PKIndex].I)
 		if err != nil {
 			return err
 		}
-		_, err = t.updateRaw(old, row)
+		_, err = t.updateRaw(nil, old, row)
 		return err
 	case recDelete:
 		table, rest, err := cutTableName(rec.Payload)

@@ -490,11 +490,9 @@ func (tx *Txn) lockForWrite(table string, op TriggerOp) error {
 
 // Begin starts a transaction.
 func (db *DB) Begin() *Txn {
-	return &Txn{
-		db:    db,
-		id:    db.nextTxn.Add(1),
-		locks: map[string]lockMode{},
-	}
+	tx := &Txn{db: db, id: db.nextTxn.Add(1)}
+	tx.locks = tx.lockRoom[:0]
+	return tx
 }
 
 // Cost names a unit of work Config.Cost is told about.

@@ -67,8 +67,15 @@ func (tx *Txn) createTable(ct *sqlparse.CreateTable) error {
 	// DDL is redo-logged as its canonical SQL text. (DDL is not undone by
 	// Rollback — it never was — so it is only safe in autocommit form,
 	// which is how every caller issues it.)
-	tx.redo = append(tx.redo, redoRec{typ: recDDL, sql: schema.String()})
+	tx.redoDDL(schema.String())
 	return nil
+}
+
+// redoDDL logs a DDL statement's canonical text.
+func (tx *Txn) redoDDL(sql string) {
+	start := tx.beginRedo(recDDL, len(sql))
+	tx.redo = append(tx.redo, sql...)
+	tx.endRedo(start, nil)
 }
 
 // addIndexFromAST resolves and builds an index without locking; callers
@@ -101,7 +108,7 @@ func (tx *Txn) createIndex(ci *sqlparse.CreateIndex) error {
 	if err := tx.db.addIndexFromAST(ci); err != nil {
 		return err
 	}
-	tx.redo = append(tx.redo, redoRec{typ: recDDL, sql: createIndexSQL(ci)})
+	tx.redoDDL(createIndexSQL(ci))
 	return nil
 }
 
@@ -365,15 +372,23 @@ func (e *env) evalExpr(ex sqlparse.Expr, rows []Row, args []Value) (Value, error
 	return Value{}, fmt.Errorf("sqldb: empty expression")
 }
 
-// conjuncts flattens the top-level AND tree of p.
-func conjuncts(p sqlparse.Predicate) []sqlparse.Predicate {
+// appendConjuncts appends the terms of p's top-level AND tree to dst.
+func appendConjuncts(dst []sqlparse.Predicate, p sqlparse.Predicate) []sqlparse.Predicate {
 	if p == nil {
-		return nil
+		return dst
 	}
 	if a, ok := p.(*sqlparse.And); ok {
-		return append(conjuncts(a.L), conjuncts(a.R)...)
+		return appendConjuncts(appendConjuncts(dst, a.L), a.R)
 	}
-	return []sqlparse.Predicate{p}
+	return append(dst, p)
+}
+
+// planRoom is the stack space a statement plans in: a WHERE clause of up to
+// four terms costs the planner no allocation.
+type planRoom struct {
+	conjuncts [4]sqlparse.Predicate
+	eqs       [4]eqLookup
+	vals      [4]Value
 }
 
 // eqLookup describes a resolvable equality `col = <literal/param>` on a
@@ -383,10 +398,9 @@ type eqLookup struct {
 	val    Value
 }
 
-// tableEqualities extracts equality conjuncts on the named table whose RHS
-// is a literal or parameter.
-func tableEqualities(cs []sqlparse.Predicate, tableName string, t *table, args []Value) ([]eqLookup, error) {
-	var eqs []eqLookup
+// appendTableEqualities appends to eqs the equality conjuncts on the named
+// table whose RHS is a literal or parameter.
+func appendTableEqualities(eqs []eqLookup, cs []sqlparse.Predicate, tableName string, t *table, args []Value) ([]eqLookup, error) {
 	for _, c := range cs {
 		cmp, ok := c.(*sqlparse.Compare)
 		if !ok || cmp.Op != sqlparse.OpEq {
@@ -417,10 +431,10 @@ func tableEqualities(cs []sqlparse.Predicate, tableName string, t *table, args [
 	return eqs, nil
 }
 
-// pickAccessPath chooses the best index for the available equalities.
-// Returns nil (full scan) when no index matches. PK equality is handled
-// separately by the caller.
-func pickAccessPath(t *table, eqs []eqLookup) (*Index, []Value) {
+// pickAccessPath chooses the best index for the available equalities and
+// appends the values of its leading columns to dst. Returns nil (full scan)
+// when no index matches. PK equality is handled separately by the caller.
+func pickAccessPath(dst []Value, t *table, eqs []eqLookup) (*Index, []Value) {
 	var best *Index
 	bestLen := 0
 	for _, ix := range t.indexes {
@@ -435,11 +449,10 @@ func pickAccessPath(t *table, eqs []eqLookup) (*Index, []Value) {
 	if best == nil {
 		return nil, nil
 	}
-	vals := make([]Value, bestLen)
-	for i := range vals {
-		vals[i] = eqs[eqOn(eqs, best.Cols[i])].val
+	for _, c := range best.Cols[:bestLen] {
+		dst = append(dst, eqs[eqOn(eqs, c)].val)
 	}
-	return best, vals
+	return best, dst
 }
 
 // eqOn returns the position in eqs of the first equality on column col, or
@@ -456,7 +469,8 @@ func eqOn(eqs []eqLookup, col int) int {
 // collect appends to b the candidate rows of table t (named name) given the
 // WHERE conjuncts, using PK or index access when possible.
 func (b *rowBuf) collect(name string, t *table, cs []sqlparse.Predicate, args []Value) error {
-	eqs, err := tableEqualities(cs, name, t, args)
+	var room planRoom
+	eqs, err := appendTableEqualities(room.eqs[:0], cs, name, t, args)
 	if err != nil {
 		return err
 	}
@@ -466,7 +480,7 @@ func (b *rowBuf) collect(name string, t *table, cs []sqlparse.Predicate, args []
 			return err
 		}
 	}
-	if ix, vals := pickAccessPath(t, eqs); ix != nil {
+	if ix, vals := pickAccessPath(room.vals[:0], t, eqs); ix != nil {
 		return b.indexEq(t, ix, vals)
 	}
 	return b.scan(t)
@@ -491,8 +505,8 @@ func baseRows(name string, t *table, cs []sqlparse.Predicate, args []Value) ([]R
 // second conjunct on one column could disagree). Otherwise ok is false and
 // the caller takes the row path, which also reports any error.
 func countByIndex(name string, t *table, cs []sqlparse.Predicate, args []Value) (n int64, ok bool) {
-	var room [4]eqLookup
-	eqs := room[:0]
+	var room planRoom
+	eqs := room.eqs[:0]
 	for _, c := range cs {
 		cmp, isCmp := c.(*sqlparse.Compare)
 		if !isCmp || cmp.Op != sqlparse.OpEq || cmp.Rhs.Col != nil || (cmp.Col.Table != "" && cmp.Col.Table != name) {
@@ -508,11 +522,12 @@ func countByIndex(name string, t *table, cs []sqlparse.Predicate, args []Value) 
 		}
 		eqs = append(eqs, eqLookup{colIdx: ci, val: v})
 	}
-	ix, vals := pickAccessPath(t, eqs)
+	ix, vals := pickAccessPath(room.vals[:0], t, eqs)
 	if ix == nil || len(vals) != len(eqs) {
 		return 0, false
 	}
-	prefix := t.prefixKey(vals)
+	var keyBuf keyRoom
+	prefix := appendPrefixKey(keyBuf[:0], vals)
 	for it := ix.tree.Scan(prefix, nil); it.Valid() && bytes.HasPrefix(it.Key(), prefix); it.Next() {
 		n++
 	}
@@ -555,7 +570,8 @@ func (tx *Txn) querySelect(sel *sqlparse.Select, args ...Value) (*ResultSet, err
 	if err != nil {
 		return nil, err
 	}
-	cs := conjuncts(sel.Where)
+	var room planRoom
+	cs := appendConjuncts(room.conjuncts[:0], sel.Where)
 	if sel.CountStar && len(sel.Joins) == 0 && sel.Limit < 0 && sel.Offset == 0 {
 		if n, ok := countByIndex(sel.From, base, cs, args); ok {
 			return &ResultSet{Columns: []string{"count"}, Rows: []Row{{I64(n)}}}, nil
@@ -803,17 +819,20 @@ func (tx *Txn) execInsert(ins *sqlparse.Insert, args []Value) (Result, error) {
 		}
 		row[ci] = cv
 	}
-	stored, err := t.insertRaw(row)
+	t.assignPK(row)
+	start := tx.beginRedo(recInsert, 2+len(ins.Table)+EncodedRowLen(row))
+	tx.redo = appendTableName(tx.redo, ins.Table)
+	tx.redo, err = t.insertRaw(tx.redo, row)
+	tx.endRedo(start, err)
 	if err != nil {
 		return Result{}, err
 	}
-	tx.undo = append(tx.undo, undoRec{tbl: t, op: TrigInsert, new: stored})
-	tx.redo = append(tx.redo, redoRec{typ: recInsert, table: ins.Table, row: stored})
-	ev := TriggerEvent{Table: ins.Table, Op: TrigInsert, Schema: t.schema, New: stored}
+	tx.undo = append(tx.undo, undoRec{tbl: t, op: TrigInsert, new: row})
+	ev := TriggerEvent{Table: ins.Table, Op: TrigInsert, Schema: t.schema, New: row}
 	if err := tx.db.fireTriggers(tx, ev); err != nil {
 		return Result{}, err
 	}
-	res := Result{RowsAffected: 1, LastInsertID: stored[t.schema.PKIndex].I}
+	res := Result{RowsAffected: 1, LastInsertID: row[t.schema.PKIndex].I}
 	if len(ins.Returning) > 0 {
 		out := make([]Value, len(ins.Returning))
 		for i, colName := range ins.Returning {
@@ -821,7 +840,7 @@ func (tx *Txn) execInsert(ins *sqlparse.Insert, args []Value) (Result, error) {
 			if ci < 0 {
 				return Result{}, fmt.Errorf("sqldb: RETURNING: no column %q", colName)
 			}
-			out[i] = stored[ci]
+			out[i] = row[ci]
 		}
 		res.Returning = [][]Value{out}
 	}
@@ -830,7 +849,8 @@ func (tx *Txn) execInsert(ins *sqlparse.Insert, args []Value) (Result, error) {
 
 // matchSingleTable evaluates a single-table WHERE and returns matching rows.
 func (tx *Txn) matchSingleTable(name string, t *table, where sqlparse.Predicate, args []Value) ([]Row, error) {
-	rows, err := baseRows(name, t, conjuncts(where), args)
+	var room planRoom
+	rows, err := baseRows(name, t, appendConjuncts(room.conjuncts[:0], where), args)
 	if err != nil || where == nil {
 		return rows, err
 	}
@@ -862,8 +882,13 @@ func (tx *Txn) execUpdate(up *sqlparse.Update, args []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for _, old := range matches {
-		newRow := old.Clone()
+	// The new rows are windows of one array, as the matches are.
+	width := len(t.schema.Columns)
+	fresh := make([]Value, len(matches)*width)
+	tx.undo = slices.Grow(tx.undo, len(matches))
+	for i, old := range matches {
+		newRow := Row(fresh[i*width : (i+1)*width : (i+1)*width])
+		copy(newRow, old)
 		for _, a := range up.Set {
 			ci := t.schema.ColIndex(a.Column)
 			if ci < 0 {
@@ -879,13 +904,15 @@ func (tx *Txn) execUpdate(up *sqlparse.Update, args []Value) (Result, error) {
 			}
 			newRow[ci] = cv
 		}
-		stored, err := t.updateRaw(old, newRow)
+		start := tx.beginRedo(recUpdate, 2+len(up.Table)+EncodedRowLen(newRow))
+		tx.redo = appendTableName(tx.redo, up.Table)
+		tx.redo, err = t.updateRaw(tx.redo, old, newRow)
+		tx.endRedo(start, err)
 		if err != nil {
 			return Result{}, err
 		}
-		tx.undo = append(tx.undo, undoRec{tbl: t, op: TrigUpdate, old: old, new: stored})
-		tx.redo = append(tx.redo, redoRec{typ: recUpdate, table: up.Table, row: stored})
-		ev := TriggerEvent{Table: up.Table, Op: TrigUpdate, Schema: t.schema, Old: old, New: stored}
+		tx.undo = append(tx.undo, undoRec{tbl: t, op: TrigUpdate, old: old, new: newRow})
+		ev := TriggerEvent{Table: up.Table, Op: TrigUpdate, Schema: t.schema, Old: old, New: newRow}
 		if err := tx.db.fireTriggers(tx, ev); err != nil {
 			return Result{}, err
 		}
@@ -907,12 +934,16 @@ func (tx *Txn) execDelete(del *sqlparse.Delete, args []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	tx.undo = slices.Grow(tx.undo, len(matches))
 	for _, old := range matches {
-		if err := t.deleteRaw(old); err != nil {
+		start := tx.beginRedo(recDelete, 2+len(del.Table)+8)
+		tx.redo = appendU64(appendTableName(tx.redo, del.Table), uint64(old[t.schema.PKIndex].I))
+		err := t.deleteRaw(old)
+		tx.endRedo(start, err)
+		if err != nil {
 			return Result{}, err
 		}
 		tx.undo = append(tx.undo, undoRec{tbl: t, op: TrigDelete, old: old})
-		tx.redo = append(tx.redo, redoRec{typ: recDelete, table: del.Table, pk: old[t.schema.PKIndex].I})
 		ev := TriggerEvent{Table: del.Table, Op: TrigDelete, Schema: t.schema, Old: old}
 		if err := tx.db.fireTriggers(tx, ev); err != nil {
 			return Result{}, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cachegenie/internal/btree"
 	"cachegenie/internal/storage"
@@ -56,26 +57,38 @@ func newTable(schema *Schema, disk *storage.Disk, pool *storage.BufferPool) *tab
 	}
 }
 
-// indexKey builds the B+tree key for row under index ix.
-func (t *table) indexKey(ix *Index, row Row) []byte {
-	var key []byte
+// keyRoom is the stack space a table operation renders its index keys into;
+// the tree copies a key it keeps, so a key only outgrowing this allocates.
+type keyRoom [128]byte
+
+// appendIndexKey appends the B+tree key for row under index ix to dst,
+// growing dst at most once.
+func (t *table) appendIndexKey(dst []byte, ix *Index, row Row) []byte {
+	n := 0
 	for _, c := range ix.Cols {
-		key = EncodeKey(key, row[c])
+		n += keyLen(row[c])
+	}
+	pk := row[t.schema.PKIndex]
+	if !ix.Unique {
+		n += keyLen(pk)
+	}
+	dst = slices.Grow(dst, n)
+	for _, c := range ix.Cols {
+		dst = EncodeKey(dst, row[c])
 	}
 	if !ix.Unique {
-		key = EncodeKey(key, row[t.schema.PKIndex])
+		dst = EncodeKey(dst, pk)
 	}
-	return key
+	return dst
 }
 
-// prefixKey builds the B+tree key prefix for equality values on the leading
-// index columns.
-func (t *table) prefixKey(vals []Value) []byte {
-	var key []byte
+// appendPrefixKey appends the B+tree key prefix for equality values on the
+// leading index columns to dst.
+func appendPrefixKey(dst []byte, vals []Value) []byte {
 	for _, v := range vals {
-		key = EncodeKey(key, v)
+		dst = EncodeKey(dst, v)
 	}
-	return key
+	return dst
 }
 
 // addIndex registers and builds a new index over existing rows.
@@ -89,8 +102,9 @@ func (t *table) addIndex(ix *Index) error {
 		return err
 	}
 	ix.tree = btree.New(btree.DefaultOrder)
+	var room keyRoom
 	for _, row := range rows {
-		key := t.indexKey(ix, row)
+		key := t.appendIndexKey(room[:0], ix, row)
 		if ix.Unique {
 			if _, exists := ix.tree.Get(key); exists {
 				return fmt.Errorf("%w: building index %s", ErrDuplicateKey, ix.Name)
@@ -147,10 +161,9 @@ func (t *table) validate(row Row) error {
 	return nil
 }
 
-// insertRaw inserts row (assigning the PK if zero/NULL), maintains indexes,
-// and returns the stored row.
-func (t *table) insertRaw(row Row) (Row, error) {
-	row = row.Clone()
+// assignPK gives row the table's next primary key when its own is zero or
+// NULL, and otherwise moves the next key past it.
+func (t *table) assignPK(row Row) {
 	pk := &row[t.schema.PKIndex]
 	if pk.Null || pk.I == 0 {
 		*pk = I64(t.nextID)
@@ -158,31 +171,43 @@ func (t *table) insertRaw(row Row) (Row, error) {
 	} else if pk.I >= t.nextID {
 		t.nextID = pk.I + 1
 	}
+}
+
+// insertRaw inserts row, whose primary key is set, and maintains indexes.
+// The heap stores row's encoding, which insertRaw appends to enc and returns
+// enc extended: the caller's redo record, or scratch. On error enc comes back
+// with its length unchanged. The row is the table's from then on: the caller
+// must not change it.
+func (t *table) insertRaw(enc []byte, row Row) ([]byte, error) {
+	pk := &row[t.schema.PKIndex]
 	if err := t.validate(row); err != nil {
-		return nil, err
+		return enc, err
 	}
 	if _, dup := t.byPK[pk.I]; dup {
-		return nil, fmt.Errorf("%w: %s pk %d", ErrDuplicateKey, t.schema.Table, pk.I)
+		return enc, fmt.Errorf("%w: %s pk %d", ErrDuplicateKey, t.schema.Table, pk.I)
 	}
 	// Unique index checks before any mutation.
+	var room keyRoom
 	for _, ix := range t.indexes {
 		if !ix.Unique {
 			continue
 		}
-		if _, exists := ix.tree.Get(t.indexKey(ix, row)); exists {
-			return nil, fmt.Errorf("%w: %s index %s", ErrDuplicateKey, t.schema.Table, ix.Name)
+		if _, exists := ix.tree.Get(t.appendIndexKey(room[:0], ix, row)); exists {
+			return enc, fmt.Errorf("%w: %s index %s", ErrDuplicateKey, t.schema.Table, ix.Name)
 		}
 	}
-	rid, err := t.heap.Insert(encodeRow(nil, row))
+	start := len(enc)
+	out := encodeRow(enc, row)
+	rid, err := t.heap.Insert(out[start:])
 	if err != nil {
-		return nil, err
+		return enc, err
 	}
 	t.byPK[pk.I] = rid
 	for _, ix := range t.indexes {
-		ix.tree.Set(t.indexKey(ix, row), pk.I)
+		ix.tree.Set(t.appendIndexKey(room[:0], ix, row), pk.I)
 	}
 	t.rows++
-	return row, nil
+	return out, nil
 }
 
 // getRaw fetches the row with primary key pk.
@@ -199,47 +224,57 @@ func (t *table) getRaw(pk int64) (Row, error) {
 }
 
 // updateRaw replaces the row with old's primary key by new (PK change is not
-// supported), maintaining indexes. Returns the stored new row.
-func (t *table) updateRaw(old, new Row) (Row, error) {
-	new = new.Clone()
+// supported), maintaining indexes. Like insertRaw it appends new's encoding,
+// which the heap stores, to enc and returns enc extended, and new is the
+// table's from then on.
+func (t *table) updateRaw(enc []byte, old, new Row) ([]byte, error) {
 	if err := t.validate(new); err != nil {
-		return nil, err
+		return enc, err
 	}
 	pk := old[t.schema.PKIndex].I
 	if new[t.schema.PKIndex].I != pk {
-		return nil, fmt.Errorf("sqldb: table %s: primary key update not supported", t.schema.Table)
+		return enc, fmt.Errorf("sqldb: table %s: primary key update not supported", t.schema.Table)
 	}
 	rid, ok := t.byPK[pk]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s pk %d", ErrRowNotFound, t.schema.Table, pk)
+		return enc, fmt.Errorf("%w: %s pk %d", ErrRowNotFound, t.schema.Table, pk)
 	}
 	// Unique checks for changed index keys.
+	var room keyRoom
 	for _, ix := range t.indexes {
 		if !ix.Unique {
 			continue
 		}
-		oldKey, newKey := t.indexKey(ix, old), t.indexKey(ix, new)
-		if string(oldKey) == string(newKey) {
-			continue
-		}
-		if _, exists := ix.tree.Get(newKey); exists {
-			return nil, fmt.Errorf("%w: %s index %s", ErrDuplicateKey, t.schema.Table, ix.Name)
+		if _, newKey, changed := t.rekey(room[:0], ix, old, new); changed {
+			if _, exists := ix.tree.Get(newKey); exists {
+				return enc, fmt.Errorf("%w: %s index %s", ErrDuplicateKey, t.schema.Table, ix.Name)
+			}
 		}
 	}
-	newRID, err := t.heap.Update(rid, encodeRow(nil, new))
+	start := len(enc)
+	out := encodeRow(enc, new)
+	newRID, err := t.heap.Update(rid, out[start:])
 	if err != nil {
-		return nil, err
+		return enc, err
 	}
 	t.byPK[pk] = newRID
 	for _, ix := range t.indexes {
-		oldKey, newKey := t.indexKey(ix, old), t.indexKey(ix, new)
-		if string(oldKey) == string(newKey) {
-			continue
+		if oldKey, newKey, changed := t.rekey(room[:0], ix, old, new); changed {
+			ix.tree.Delete(oldKey)
+			ix.tree.Set(newKey, pk)
 		}
-		ix.tree.Delete(oldKey)
-		ix.tree.Set(newKey, pk)
 	}
-	return new, nil
+	return out, nil
+}
+
+// rekey renders old's and new's keys under ix back to back onto dst and
+// reports whether they differ.
+func (t *table) rekey(dst []byte, ix *Index, old, new Row) (oldKey, newKey []byte, changed bool) {
+	dst = t.appendIndexKey(dst, ix, old)
+	split := len(dst)
+	dst = t.appendIndexKey(dst, ix, new)
+	oldKey, newKey = dst[:split], dst[split:]
+	return oldKey, newKey, string(oldKey) != string(newKey)
 }
 
 // deleteRaw removes the row with old's primary key, maintaining indexes.
@@ -253,8 +288,9 @@ func (t *table) deleteRaw(old Row) error {
 		return err
 	}
 	delete(t.byPK, pk)
+	var room keyRoom
 	for _, ix := range t.indexes {
-		ix.tree.Delete(t.indexKey(ix, old))
+		ix.tree.Delete(t.appendIndexKey(room[:0], ix, old))
 	}
 	t.rows--
 	return nil
@@ -301,7 +337,8 @@ func (b *rowBuf) fetch(t *table, pk int64) (bool, error) {
 // indexEq appends, in index order, the rows of t whose leading ix columns
 // equal vals.
 func (b *rowBuf) indexEq(t *table, ix *Index, vals []Value) error {
-	prefix := t.prefixKey(vals)
+	var room keyRoom
+	prefix := appendPrefixKey(room[:0], vals)
 	for it := ix.tree.Scan(prefix, nil); it.Valid() && bytes.HasPrefix(it.Key(), prefix); it.Next() {
 		found, err := b.fetch(t, it.Value())
 		if err != nil {

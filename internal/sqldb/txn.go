@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -71,27 +72,29 @@ func (l *tableLock) tryGrant(owner *Txn, mode lockMode) bool {
 	return false
 }
 
-// acquire blocks until mode is granted to owner or timeout elapses.
+// acquire blocks until mode is granted to owner or timeout elapses. A wait
+// arms one timer, which wakes it at the deadline; every release wakes it too,
+// and it sleeps again until the grant or the deadline.
 func (l *tableLock) acquire(owner *Txn, mode lockMode, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		if l.tryGrant(owner, mode) {
-			return nil
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
+	if l.tryGrant(owner, mode) {
+		return nil
+	}
+	deadline := time.Now().Add(timeout)
+	timer := time.AfterFunc(timeout, func() {
+		l.mu.Lock()
+		l.cond.Broadcast()
+		l.mu.Unlock()
+	})
+	defer timer.Stop()
+	for !l.tryGrant(owner, mode) {
+		if time.Until(deadline) <= 0 {
 			return ErrLockTimeout
 		}
-		timer := time.AfterFunc(remaining, func() {
-			l.mu.Lock()
-			l.cond.Broadcast()
-			l.mu.Unlock()
-		})
 		l.cond.Wait()
-		timer.Stop()
 	}
+	return nil
 }
 
 // release drops all of owner's holds.
@@ -113,16 +116,32 @@ type undoRec struct {
 	new Row // valid for insert, update
 }
 
+// heldLock is one table lock a transaction holds.
+type heldLock struct {
+	table string
+	lock  *tableLock
+	mode  lockMode
+}
+
 // Txn is a database transaction. It implements strict two-phase locking at
 // table granularity: locks accumulate during the transaction and are all
 // released at Commit or Rollback. A Txn must be used from a single goroutine.
 type Txn struct {
-	db    *DB
-	id    int64
-	locks map[string]lockMode
-	undo  []undoRec
-	redo  []redoRec
-	done  bool
+	db *DB
+	id int64
+	// locks are the table locks held, in the order taken. A transaction takes
+	// a few, so they start out in lockRoom, inside the Txn.
+	locks    []heldLock
+	lockRoom [4]heldLock
+	undo     []undoRec
+	// redo is the transaction's redo log as the WAL stores it: its Begin
+	// record, then one record per change, each framed and encoded where the
+	// statement made the change (beginRedo, endRedo); Commit appends the
+	// Commit record and hands the WAL writer the lot. A stored row is encoded
+	// once, into its record, and the heap copies the encoding from there. On a
+	// memory-only DB no record is kept and redo is that encoding's scratch.
+	redo []byte
+	done bool
 	// depth guards against trigger recursion: triggers run inside a
 	// statement and may issue reads, but their writes do not re-fire
 	// triggers beyond maxTriggerDepth.
@@ -176,33 +195,69 @@ func (tx *Txn) lockTable(name string, mode lockMode) error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	held := tx.locks[name]
-	if held >= mode {
+	i := 0
+	for i < len(tx.locks) && tx.locks[i].table != name {
+		i++
+	}
+	if i == len(tx.locks) {
+		tx.locks = append(tx.locks, heldLock{table: name, lock: tx.db.lockFor(name)})
+	}
+	h := &tx.locks[i]
+	if h.mode >= mode {
 		return nil
 	}
-	l := tx.db.lockFor(name)
-	if err := l.acquire(tx, mode, tx.db.lockTimeout); err != nil {
+	if err := h.lock.acquire(tx, mode, tx.db.lockTimeout); err != nil {
 		return fmt.Errorf("%w (table %s, txn %d)", err, name, tx.id)
 	}
-	tx.locks[name] = mode
+	h.mode = mode
 	return nil
 }
 
+// beginRedo starts the redo record of one change, of type typ with a payload
+// of about size bytes, and returns where it starts: on a durable DB it
+// appends the record's header to tx.redo, after the transaction's Begin
+// record when this is its first change. The caller appends the payload and
+// closes the record with endRedo.
+func (tx *Txn) beginRedo(typ wal.Type, size int) int {
+	if tx.db.wal == nil {
+		tx.redo = slices.Grow(tx.redo, size)
+		return len(tx.redo)
+	}
+	if len(tx.redo) == 0 {
+		// An autocommit statement's whole log in one allocation: Begin, this
+		// record, Commit.
+		tx.redo = slices.Grow(tx.redo, 3*wal.HeaderSize+size)
+		tx.redo = wal.BeginRecord(tx.redo, wal.TypeBegin, tx.id)
+		wal.EndRecord(tx.redo)
+	}
+	start := len(tx.redo)
+	tx.redo = wal.BeginRecord(tx.redo, typ, tx.id)
+	return start
+}
+
+// endRedo closes the record beginRedo started at start: sealed and kept when
+// the change was made (err nil) on a durable DB, dropped otherwise.
+func (tx *Txn) endRedo(start int, err error) {
+	if err != nil || tx.db.wal == nil {
+		tx.redo = tx.redo[:start]
+		return
+	}
+	wal.EndRecord(tx.redo[start:])
+}
+
 // Commit makes the transaction's effects durable and releases its locks.
-// On a durable DB the redo records are appended to the WAL and the call
-// blocks until the group-commit writer has fsynced them; a durability
-// failure rolls the in-memory effects back so memory never diverges from
-// the log prefix.
+// On a durable DB the redo log is handed to the WAL and the call blocks
+// until the group-commit writer has fsynced it; a durability failure rolls
+// the in-memory effects back so memory never diverges from the log prefix.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	if w := tx.db.wal; w != nil && len(tx.redo) > 0 {
-		recs := make([]wal.Record, len(tx.redo))
-		for i, r := range tx.redo {
-			recs[i] = r.encode()
-		}
-		if err := w.Commit(tx.id, recs); err != nil {
+	// A log of no change, or of nothing but the Begin record a failed first
+	// change left, commits without the WAL.
+	if w := tx.db.wal; w != nil && len(tx.redo) > wal.HeaderSize {
+		tx.redo = wal.AppendRecord(tx.redo, wal.Record{Type: wal.TypeCommit, Txn: tx.id})
+		if err := w.Commit(tx.redo); err != nil {
 			rbErr := tx.Rollback()
 			if rbErr != nil {
 				return fmt.Errorf("sqldb: commit txn %d: %v (rollback also failed: %v)", tx.id, err, rbErr)
@@ -228,9 +283,9 @@ func (tx *Txn) Rollback() error {
 		case TrigInsert:
 			err = u.tbl.deleteRaw(u.new)
 		case TrigUpdate:
-			_, err = u.tbl.updateRaw(u.new, u.old)
+			_, err = u.tbl.updateRaw(nil, u.new, u.old)
 		case TrigDelete:
-			_, err = u.tbl.insertRaw(u.old)
+			_, err = u.tbl.insertRaw(nil, u.old)
 		}
 		if err != nil {
 			// Undo failures indicate corruption; surface loudly.
@@ -243,8 +298,8 @@ func (tx *Txn) Rollback() error {
 }
 
 func (tx *Txn) finish() {
-	for name := range tx.locks {
-		tx.db.lockFor(name).release(tx)
+	for _, h := range tx.locks {
+		h.lock.release(tx)
 	}
 	tx.locks = nil // lockTable refuses a finished transaction before reading it
 	tx.undo = nil

@@ -11,6 +11,15 @@
 // array, and a SELECT's result rows are capped windows of one value slab.
 // Nothing is pooled, so every row is GC-owned — and a row held anywhere, a
 // ResultSet's or a trigger event's, keeps its whole statement's decode alive.
+//
+// A statement writes per statement too, and the heap and the redo log share
+// one encoding. A stored row is encoded once (EncodeRow, sized before it is
+// written), inside its redo record: each change is framed in the WAL's
+// record layout, in the transaction's one log buffer, as the statement makes
+// it, and the heap copies the row's bytes from there. Commit hands the WAL
+// writer that buffer whole. Index keys are rendered into stack space, since
+// the tree copies a key it keeps, and a transaction's table locks live
+// inside the Txn.
 package sqldb
 
 import (
@@ -19,6 +28,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -185,12 +195,13 @@ func Equal(a, b Value) bool {
 
 // EncodeKey appends an order-preserving encoding of v to dst, so that
 // bytes.Compare over encodings matches Compare over values (within one
-// column type). Used for B+tree index keys.
+// column type). Used for B+tree index keys. dst grows at most once, to fit v
+// exactly.
 func EncodeKey(dst []byte, v Value) []byte {
 	if v.Null {
 		return append(dst, 0x00)
 	}
-	dst = append(dst, 0x01)
+	dst = append(slices.Grow(dst, keyLen(v)), 0x01)
 	switch v.Type {
 	case TypeInt, TypeBool, TypeTime:
 		var buf [8]byte
@@ -221,12 +232,24 @@ func EncodeKey(dst []byte, v Value) []byte {
 	panic(fmt.Sprintf("sqldb: EncodeKey of invalid value type %v", v.Type))
 }
 
+// keyLen is the length of v's EncodeKey encoding.
+func keyLen(v Value) int {
+	switch {
+	case v.Null:
+		return 1
+	case v.Type != TypeText:
+		return 1 + 8
+	}
+	return 1 + len(v.S) + strings.Count(v.S, "\x00") + 2
+}
+
 // Row is one table row; column order matches the table schema.
 type Row []Value
 
-// EncodeRow appends a compact binary encoding of r to dst. CacheGenie uses
-// it to store raw query results in the cache (the paper caches raw rows, not
-// ORM objects, §3.1).
+// EncodeRow appends a compact binary encoding of r to dst, growing it at most
+// once, to fit r exactly (EncodedRowLen). It is the heap's and the redo log's
+// row format, and CacheGenie uses it to store raw query results in the cache
+// (the paper caches raw rows, not ORM objects, §3.1).
 func EncodeRow(dst []byte, r Row) []byte { return encodeRow(dst, r) }
 
 // DecodeRow parses an EncodeRow payload.
@@ -310,11 +333,28 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// encodeRow serializes a row for heap storage.
+// EncodedRowLen is the length of r's EncodeRow encoding.
+func EncodedRowLen(r Row) int {
+	n := 4
+	for i := range r {
+		switch v := &r[i]; {
+		case v.Null:
+			n += 2
+		case v.Type == TypeText:
+			n += 2 + 4 + len(v.S)
+		default:
+			n += 2 + 8
+		}
+	}
+	return n
+}
+
+// encodeRow serializes a row for heap storage. It grows dst once, to the
+// row's exact size, before writing.
 func encodeRow(dst []byte, r Row) []byte {
 	var n4 [4]byte
 	binary.LittleEndian.PutUint32(n4[:], uint32(len(r)))
-	dst = append(dst, n4[:]...)
+	dst = append(slices.Grow(dst, EncodedRowLen(r)), n4[:]...)
 	for _, v := range r {
 		dst = append(dst, byte(v.Type))
 		if v.Null {

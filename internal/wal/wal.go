@@ -1,7 +1,8 @@
 // Package wal implements a segmented, CRC-checked, append-only redo log
-// with group commit. The engine (package sqldb) appends one record batch
-// per transaction — framed by Begin/Commit marker records the writer adds —
-// and a single writer goroutine coalesces concurrent commits into one
+// with group commit. The engine (package sqldb) frames each transaction's
+// records itself as its statements run, between Begin and Commit marker
+// records, and hands the writer the transaction as one byte slice; a single
+// writer goroutine coalesces concurrent commits into one
 // fsync, amortizing durability cost across committers (the classic group
 // commit optimization).
 //
@@ -52,6 +53,9 @@ type Record struct {
 const (
 	// headerSize is crc(4) + length(4) + type(1) + txn(8).
 	headerSize = 17
+	// HeaderSize is the bytes a record takes before its payload: all of a
+	// Begin or Commit record.
+	HeaderSize = headerSize
 	// MaxRecordBytes bounds a single record's payload; a length field
 	// above it is treated as corruption, not an allocation request.
 	MaxRecordBytes = 16 << 20
@@ -69,15 +73,26 @@ var (
 // AppendRecord appends r's encoding to dst and returns the extended slice.
 func AppendRecord(dst []byte, r Record) []byte {
 	start := len(dst)
-	var h [headerSize]byte
-	binary.LittleEndian.PutUint32(h[4:8], uint32(len(r.Payload)))
-	h[8] = byte(r.Type)
-	binary.LittleEndian.PutUint64(h[9:17], uint64(r.Txn))
-	dst = append(dst, h[:]...)
-	dst = append(dst, r.Payload...)
-	crc := crc32.ChecksumIEEE(dst[start+8:])
-	binary.LittleEndian.PutUint32(dst[start:start+4], crc)
+	dst = append(BeginRecord(dst, r.Type, r.Txn), r.Payload...)
+	EndRecord(dst[start:])
 	return dst
+}
+
+// BeginRecord appends the header of a record of type typ for txn to dst. The
+// caller appends the payload after it and then seals the record with
+// EndRecord, so a payload can be encoded in place, inside its record.
+func BeginRecord(dst []byte, typ Type, txn int64) []byte {
+	var h [headerSize]byte
+	h[8] = byte(typ)
+	binary.LittleEndian.PutUint64(h[9:17], uint64(txn))
+	return append(dst, h[:]...)
+}
+
+// EndRecord seals rec, a record as BeginRecord started it followed by its
+// whole payload: it fills in the payload length and the checksum.
+func EndRecord(rec []byte) {
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(rec)-headerSize))
+	binary.LittleEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(rec[8:]))
 }
 
 // DecodeRecord parses one record from the front of b, returning the record

@@ -12,10 +12,36 @@ import (
 
 func payloadRec(t Type, p string) Record { return Record{Type: t, Payload: []byte(p)} }
 
+// frameTxn frames recs as transaction txn: its Begin record, recs, its Commit
+// record.
+func frameTxn(txn int64, recs ...Record) []byte {
+	buf := AppendRecord(nil, Record{Type: TypeBegin, Txn: txn})
+	for _, r := range recs {
+		r.Txn = txn
+		buf = AppendRecord(buf, r)
+	}
+	return AppendRecord(buf, Record{Type: TypeCommit, Txn: txn})
+}
+
+// TestBeginEndRecordMatchesAppendRecord: a record framed around a payload
+// appended in place is the record AppendRecord writes.
+func TestBeginEndRecordMatchesAppendRecord(t *testing.T) {
+	for _, r := range []Record{
+		{Type: TypeBegin, Txn: 3},
+		{Type: TypeClient + 2, Txn: 1 << 40, Payload: []byte("payload")},
+	} {
+		buf := append(BeginRecord([]byte("prefix"), r.Type, r.Txn), r.Payload...)
+		EndRecord(buf[len("prefix"):])
+		if want := AppendRecord([]byte("prefix"), r); !bytes.Equal(buf, want) {
+			t.Fatalf("%+v framed in place as %x, AppendRecord wrote %x", r, buf, want)
+		}
+	}
+}
+
 func commitN(t *testing.T, w *Writer, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		err := w.Commit(int64(i+1), []Record{payloadRec(TypeClient, fmt.Sprintf("op-%d", i+1))})
+		err := w.Commit(frameTxn(int64(i+1), payloadRec(TypeClient, fmt.Sprintf("op-%d", i+1))))
 		if err != nil {
 			t.Fatalf("commit %d: %v", i+1, err)
 		}
@@ -249,7 +275,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				txn := int64(g*per + i + 1)
-				errs <- w.Commit(txn, []Record{payloadRec(TypeClient, fmt.Sprintf("w%d-%d", g, i))})
+				errs <- w.Commit(frameTxn(txn, payloadRec(TypeClient, fmt.Sprintf("w%d-%d", g, i))))
 			}
 		}(g)
 	}
@@ -285,7 +311,7 @@ func TestCommitAfterCloseAndAbort(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Commit(99, nil); !errors.Is(err, ErrClosed) {
+	if err := w.Commit(frameTxn(99)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after close = %v, want ErrClosed", err)
 	}
 	if err := w.Close(); !errors.Is(err, ErrClosed) {
@@ -297,7 +323,7 @@ func TestCommitAfterCloseAndAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.Abort()
-	if err := w2.Commit(1, nil); !errors.Is(err, ErrClosed) {
+	if err := w2.Commit(frameTxn(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after abort = %v, want ErrClosed", err)
 	}
 }

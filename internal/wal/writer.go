@@ -29,6 +29,8 @@ type Config struct {
 	Metrics *Metrics
 }
 
+// commitReq is one Commit waiting on the loop; it travels by value, and done
+// is unbuffered, since its committer is already waiting on it.
 type commitReq struct {
 	buf  []byte
 	done chan error
@@ -40,7 +42,7 @@ type commitReq struct {
 // fsync's durability.
 type Writer struct {
 	cfg   Config
-	reqCh chan *commitReq
+	reqCh chan commitReq
 
 	mu      sync.Mutex // guards closed, pairs sender entry with shutdown
 	closed  bool
@@ -73,7 +75,7 @@ func NewWriter(cfg Config, startSeq uint64) (*Writer, error) {
 	}
 	w := &Writer{
 		cfg:   cfg,
-		reqCh: make(chan *commitReq, cfg.GroupMax),
+		reqCh: make(chan commitReq, cfg.GroupMax),
 	}
 	if err := w.openSegment(startSeq); err != nil {
 		return nil, err
@@ -104,17 +106,11 @@ func (w *Writer) openSegment(seq uint64) error {
 // after Close/Abort; the clean-shutdown snapshot uses it as its watermark.
 func (w *Writer) Seq() uint64 { return w.seq.Load() }
 
-// Commit appends txn's payload records — wrapped in Begin/Commit framing —
-// and blocks until they are durable (fsynced, possibly as part of a larger
-// group). Safe for concurrent use.
-func (w *Writer) Commit(txn int64, recs []Record) error {
-	buf := AppendRecord(nil, Record{Type: TypeBegin, Txn: txn})
-	for _, r := range recs {
-		r.Txn = txn
-		buf = AppendRecord(buf, r)
-	}
-	buf = AppendRecord(buf, Record{Type: TypeCommit, Txn: txn})
-
+// Commit appends one transaction's records, already framed with its Begin
+// record first and its Commit record last, and blocks until they are durable
+// (fsynced, possibly as part of a larger group). The writer reads txn only
+// until Commit returns. Safe for concurrent use.
+func (w *Writer) Commit(txn []byte) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -122,7 +118,7 @@ func (w *Writer) Commit(txn int64, recs []Record) error {
 	}
 	w.senders.Add(1)
 	w.mu.Unlock()
-	req := &commitReq{buf: buf, done: make(chan error, 1)}
+	req := commitReq{buf: txn, done: make(chan error)}
 	w.reqCh <- req
 	w.senders.Done()
 	return <-req.done
@@ -134,24 +130,25 @@ func (w *Writer) Commit(txn int64, recs []Record) error {
 func (w *Writer) run() {
 	defer w.loop.Done()
 	for req := range w.reqCh {
-		batch := []*commitReq{req}
+		batch := []commitReq{req}
+	drain:
 		for len(batch) < w.cfg.GroupMax {
-			var more *commitReq
 			select {
-			case more = <-w.reqCh:
+			case more, ok := <-w.reqCh:
+				if !ok {
+					break drain
+				}
+				batch = append(batch, more)
 			default:
+				break drain
 			}
-			if more == nil {
-				break
-			}
-			batch = append(batch, more)
 		}
 		w.flush(batch)
 	}
 }
 
 // flush writes and fsyncs one batch, then answers its committers.
-func (w *Writer) flush(batch []*commitReq) {
+func (w *Writer) flush(batch []commitReq) {
 	if w.aborted.Load() {
 		for _, r := range batch {
 			r.done <- ErrClosed
