@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cachegenie/internal/orm"
 	"cachegenie/internal/sqldb"
 )
 
@@ -57,6 +58,90 @@ func TestTriggersRecordOpsAsData(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("recorded\n%q\nwant\n%q", got, want)
+	}
+
+	// Link triggers fire inside a transaction, where the relation trigger
+	// fetches the group a membership joins and the group trigger reverse-maps
+	// through membership: users 7 and 8 are in group 1 (7 twice), 9 in 2.
+	linkWant := map[Strategy][]string{
+		UpdateInPlace: {
+			"append cg:user_groups:7 rows=1",
+			"unlink cg:user_groups:7 group_id=2",
+			"unlink cg:user_groups:7 group_id=2",
+			"append cg:user_groups:8 rows=1",
+			"insert cg:user_groups:7 pk=1",
+			"insert cg:user_groups:8 pk=1",
+			"remove cg:user_groups:9 pk=2",
+			"replace cg:user_groups:7 pk=1",
+			"replace cg:user_groups:8 pk=1",
+			"remove cg:user_groups:9 pk=2",
+			"insert cg:user_groups:7 pk=1",
+			"insert cg:user_groups:8 pk=1",
+		},
+		Invalidate: {
+			"delete cg:user_groups:7",
+			"delete cg:user_groups:7",
+			"delete cg:user_groups:7",
+			"delete cg:user_groups:7",
+			"delete cg:user_groups:8",
+			"delete cg:user_groups:7",
+			"delete cg:user_groups:8",
+			"delete cg:user_groups:9",
+			"delete cg:user_groups:7",
+			"delete cg:user_groups:8",
+			"delete cg:user_groups:9",
+			"delete cg:user_groups:7",
+			"delete cg:user_groups:8",
+		},
+	}
+	for _, strategy := range []Strategy{UpdateInPlace, Invalidate} {
+		s := newStack(t)
+		spec := linkSpec()
+		spec.Strategy = strategy
+		link := s.cacheable(t, spec)
+		for _, name := range []string{"go", "dbs"} {
+			if _, err := s.reg.Insert("Group", orm.Fields{"name": name}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range [][2]int{{7, 1}, {8, 1}, {7, 1}, {9, 2}} {
+			if _, err := s.reg.Insert("Membership", orm.Fields{"user_id": m[0], "group_id": m[1]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx := s.db.Begin()
+		ws := &writeSet{g: s.g}
+		fire := func(body triggerBody, table string, op sqldb.TriggerOp, old, new sqldb.Row) {
+			t.Helper()
+			if err := body(ws, tx, sqldb.TriggerEvent{Table: table, Op: op, Old: old, New: new}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rel := func(id, user, group int64) sqldb.Row {
+			return sqldb.Row{sqldb.I64(id), sqldb.I64(user), sqldb.I64(group)}
+		}
+		grp := func(id int64, name string) sqldb.Row { return sqldb.Row{sqldb.I64(id), sqldb.Str(name)} }
+		through := func(op sqldb.TriggerOp) triggerBody { return link.linkThroughTrigger(op) }
+		target := func(op sqldb.TriggerOp) triggerBody { return link.linkTargetTrigger(op) }
+		fire(through(sqldb.TrigInsert), "membership", sqldb.TrigInsert, nil, rel(10, 7, 2))
+		fire(through(sqldb.TrigInsert), "membership", sqldb.TrigInsert, nil, rel(11, 7, 99)) // joins nothing
+		fire(through(sqldb.TrigDelete), "membership", sqldb.TrigDelete, rel(10, 7, 2), nil)
+		fire(through(sqldb.TrigUpdate), "membership", sqldb.TrigUpdate, rel(10, 7, 2), rel(10, 8, 1))
+		fire(through(sqldb.TrigUpdate), "membership", sqldb.TrigUpdate, rel(10, 7, 2), rel(10, 7, 2))
+		fire(target(sqldb.TrigInsert), "groups", sqldb.TrigInsert, nil, grp(1, "go"))
+		fire(target(sqldb.TrigDelete), "groups", sqldb.TrigDelete, grp(2, "dbs"), nil)
+		fire(target(sqldb.TrigUpdate), "groups", sqldb.TrigUpdate, grp(1, "go"), grp(1, "golang"))
+		fire(target(sqldb.TrigUpdate), "groups", sqldb.TrigUpdate, grp(2, "dbs"), grp(1, "dbs"))
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		got = got[:0]
+		for i := range ws.ops {
+			got = append(got, ws.ops[i].String())
+		}
+		if !slices.Equal(got, linkWant[strategy]) {
+			t.Errorf("%s link triggers recorded\n%q\nwant\n%q", strategy, got, linkWant[strategy])
+		}
 	}
 }
 
