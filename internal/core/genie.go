@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -266,22 +267,21 @@ type CachedObject struct {
 	model *orm.Model
 	// linkThrough is set for LinkQuery.
 	linkThrough *orm.Model
-	// whereIdx holds the positions of spec.WhereFields in the main model's
-	// rows (not for LinkQuery, whose lookup field is the through model's);
-	// sortIdx is the top-K sort field's and targetIdx the link target field's.
-	// srcIdx and joinIdx are the link's source and join fields' positions in
-	// the through model's rows.
-	whereIdx                            []int
-	sortIdx, targetIdx, srcIdx, joinIdx int
+	// whereIdx holds the positions of spec.WhereFields in the rows of the
+	// model that has them: the main model's, or for LinkQuery the through
+	// model's, whose join field is at joinIdx. sortIdx is the top-K sort
+	// field's position and targetIdx the link target field's.
+	whereIdx                    []int
+	sortIdx, targetIdx, joinIdx int
 	// sql is the derived query template (paper: "query generation").
 	sql string
-	// linkTargetSQL and linkSourcesSQL are the lookups LinkQuery triggers
-	// issue (buildLinkQueries).
-	linkTargetSQL, linkSourcesSQL string
 	// linkSourceField is the one filter a LinkQuery read carries:
 	// {spec.Link.SourceField}.
 	linkSourceField []string
-	// triggers are the generated triggers (installed in the DB).
+	// plans are how the object maintains its entries, one per table its
+	// triggers watch; triggers are the ones they generate (installed in the
+	// DB unless the Genie is Disabled).
+	plans    []*plan
 	triggers []sqldb.Trigger
 }
 
@@ -338,58 +338,49 @@ func (g *Genie) Cacheable(spec Spec) (*CachedObject, error) {
 		}
 		return i
 	}
+	keyed := model
 	switch spec.Class {
 	case LinkQuery:
 		through, err := g.reg.Model(spec.Link.ThroughModel)
 		if err != nil {
 			return nil, err
 		}
-		co.linkThrough = through
+		co.linkThrough, keyed = through, through
 		co.linkSourceField = []string{spec.Link.SourceField}
-		co.srcIdx = index(through, spec.Link.SourceField)
 		co.joinIdx = index(through, spec.Link.JoinField)
 		co.targetIdx = index(model, spec.Link.TargetField)
 	case TopKQuery:
 		co.sortIdx = index(model, spec.SortField)
 	}
-	if spec.Class != LinkQuery {
-		co.whereIdx = make([]int, len(spec.WhereFields))
-		for i, f := range spec.WhereFields {
-			co.whereIdx[i] = index(model, f)
-		}
+	co.whereIdx = make([]int, len(spec.WhereFields))
+	for i, f := range spec.WhereFields {
+		co.whereIdx[i] = index(keyed, f)
 	}
 	if missing != nil {
 		return nil, missing
 	}
 	co.sql = co.buildQueryTemplate()
-	if spec.Class == LinkQuery {
-		co.buildLinkQueries()
-	}
+	co.compile()
 
+	// The object is published only once its triggers are in: a declaration
+	// that fails leaves nothing behind, and a retry may succeed.
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if _, dup := g.objects[spec.Name]; dup {
-		g.mu.Unlock()
 		return nil, fmt.Errorf("core: cached object %q already declared", spec.Name)
+	}
+	if !g.cfg.Disabled {
+		if err := co.installTriggers(); err != nil {
+			return nil, err
+		}
 	}
 	g.objects[spec.Name] = co
 	if !spec.Opaque {
 		old := *g.byModel.Load()
 		next := make(map[string][]*CachedObject, len(old)+1)
-		for name, cos := range old {
-			next[name] = cos
-		}
+		maps.Copy(next, old)
 		next[model.Name] = append(old[model.Name][:len(old[model.Name]):len(old[model.Name])], co)
 		g.byModel.Store(&next)
-	}
-	g.mu.Unlock()
-
-	if !g.cfg.Disabled {
-		if err := co.installTriggers(); err != nil {
-			return nil, err
-		}
-	} else {
-		// Still generate sources so effort metrics work in baseline mode.
-		co.triggers = co.generateTriggers()
 	}
 	return co, nil
 }

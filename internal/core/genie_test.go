@@ -476,6 +476,53 @@ func TestDuplicateSpecRejected(t *testing.T) {
 	}
 }
 
+// TestCacheableFailureLeavesNothingBehind: a declaration whose triggers
+// cannot all be installed — here the link object's target table does not exist
+// yet, after its relation table's three triggers went in — leaves no trigger,
+// no declared object and no interception behind, and the same spec succeeds
+// once the table exists.
+func TestCacheableFailureLeavesNothingBehind(t *testing.T) {
+	db := sqldb.MustOpen(sqldb.Config{})
+	group := &orm.ModelDef{Name: "Group", Table: "groups",
+		Fields: []orm.FieldDef{{Name: "name", Type: sqldb.TypeText, NotNull: true}}}
+	membership := &orm.ModelDef{Name: "Membership", Table: "membership", Fields: []orm.FieldDef{
+		{Name: "user_id", Type: sqldb.TypeInt, NotNull: true},
+		{Name: "group_id", Type: sqldb.TypeInt, NotNull: true},
+	}}
+	create := func(defs ...*orm.ModelDef) {
+		t.Helper()
+		reg := orm.NewRegistry(db)
+		for _, d := range defs {
+			reg.MustRegister(d)
+		}
+		if err := reg.CreateTables(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := orm.NewRegistry(db)
+	reg.MustRegister(group)
+	reg.MustRegister(membership)
+	g, err := New(Config{Registry: reg, DB: db, Cache: kvcache.New(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	create(membership)
+	if _, err := g.Cacheable(linkSpec()); err == nil {
+		t.Fatal("declared a link object over a missing target table")
+	}
+	if n, objs, intercepted := len(db.AllTriggers()), len(g.Objects()), len((*g.byModel.Load())["Group"]); n+objs+intercepted != 0 {
+		t.Fatalf("the failed declaration left %d triggers, %d objects and %d intercepting objects", n, objs, intercepted)
+	}
+	create(group)
+	co, err := g.Cacheable(linkSpec())
+	if err != nil {
+		t.Fatalf("retry once the tables exist: %v", err)
+	}
+	if n := len(db.AllTriggers()); n != 6 || len(g.Objects()) != 1 || len(co.Triggers()) != 6 {
+		t.Fatalf("retry installed %d triggers and declared %d objects, want 6 and 1", n, len(g.Objects()))
+	}
+}
+
 func TestSpecValidation(t *testing.T) {
 	s := newStack(t)
 	bad := []Spec{

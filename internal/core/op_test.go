@@ -33,13 +33,13 @@ func TestTriggersRecordOpsAsData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fire(topk.listTrigger(sqldb.TrigUpdate), sqldb.TrigUpdate, old, moved)
-	fire(topk.listTrigger(sqldb.TrigUpdate), sqldb.TrigUpdate, old, edited)
-	fire(topk.listTrigger(sqldb.TrigDelete), sqldb.TrigDelete, old, nil)
-	fire(count.countTrigger(sqldb.TrigUpdate), sqldb.TrigUpdate, old, moved)
-	fire(count.countTrigger(sqldb.TrigUpdate), sqldb.TrigUpdate, old, edited)
-	fire(inval.listTrigger(sqldb.TrigInsert), sqldb.TrigInsert, nil, moved)
-	fire(inval.listTrigger(sqldb.TrigUpdate), sqldb.TrigUpdate, old, moved)
+	fire(topk.plans[0].fire, sqldb.TrigUpdate, old, moved)
+	fire(topk.plans[0].fire, sqldb.TrigUpdate, old, edited)
+	fire(topk.plans[0].fire, sqldb.TrigDelete, old, nil)
+	fire(count.plans[0].fire, sqldb.TrigUpdate, old, moved)
+	fire(count.plans[0].fire, sqldb.TrigUpdate, old, edited)
+	fire(inval.plans[0].fire, sqldb.TrigInsert, nil, moved)
+	fire(inval.plans[0].fire, sqldb.TrigUpdate, old, moved)
 
 	var got []string
 	for i := range ws.ops {
@@ -121,8 +121,8 @@ func TestTriggersRecordOpsAsData(t *testing.T) {
 			return sqldb.Row{sqldb.I64(id), sqldb.I64(user), sqldb.I64(group)}
 		}
 		grp := func(id int64, name string) sqldb.Row { return sqldb.Row{sqldb.I64(id), sqldb.Str(name)} }
-		through := func(op sqldb.TriggerOp) triggerBody { return link.linkThroughTrigger(op) }
-		target := func(op sqldb.TriggerOp) triggerBody { return link.linkTargetTrigger(op) }
+		through := func(op sqldb.TriggerOp) triggerBody { return link.plans[0].fire }
+		target := func(op sqldb.TriggerOp) triggerBody { return link.plans[1].fire }
 		fire(through(sqldb.TrigInsert), "membership", sqldb.TrigInsert, nil, rel(10, 7, 2))
 		fire(through(sqldb.TrigInsert), "membership", sqldb.TrigInsert, nil, rel(11, 7, 99)) // joins nothing
 		fire(through(sqldb.TrigDelete), "membership", sqldb.TrigDelete, rel(10, 7, 2), nil)

@@ -14,35 +14,33 @@ import (
 // always safe.
 const maxCasRetries = 16
 
-// opKind is what an op does to its key's cached entry. The row-list edits
-// are idempotent by primary key, except opAppend.
+// opKind is what an op does to its key's cached entry (opNotes). The row-list
+// edits are idempotent by primary key, except opAppend.
 type opKind uint8
 
 const (
-	// opInsert adds new unless a row with its primary key is there: at its
-	// sort position in a top-K list, at the end of any other.
 	opInsert opKind = iota
-	// opRemove drops every row with old's primary key. A top-K list it leaves
-	// short of K rows has used up its reserve and is rebuilt from the
-	// database.
 	opRemove
-	// opReplace puts new in place of every row with its primary key: moved to
-	// its new sort position in a top-K list whose sort value changed (from
-	// old's), appended to a feature list that lacks it.
 	opReplace
-	// opAppend appends rows: a link list holds a target row once per relation
-	// row that joins it to the source.
 	opAppend
-	// opUnlink drops one row whose link target field equals old's join field;
-	// old is a relation row.
 	opUnlink
-	// opIncr adds delta to a counter.
 	opIncr
-	// opDelete invalidates the key.
 	opDelete
 )
 
 var opNames = [...]string{"insert", "remove", "replace", "append", "unlink", "incr", "delete"}
+
+// opNotes say what each kind does to the entry of its key; a trigger's listing
+// quotes the note of every kind it records.
+var opNotes = [...]string{
+	opInsert:  "adds new unless a row with its id is cached: at its sort position in a top-K list, at the end of any other",
+	opRemove:  "drops every cached row with old's id; a top-K list it leaves short of K rows has used up its reserve and is rebuilt from the database",
+	opReplace: "puts new in place of every cached row with its id: moved to its new sort position in a top-K list, appended to a feature list that lacks it",
+	opAppend:  "appends rows, the target rows joined: a link list holds a target row once per relation row that joins it to the source",
+	opUnlink:  "drops one cached row whose link target field equals the join field of old, a relation row",
+	opIncr:    "adds delta to a count; the flush sums a key's deltas",
+	opDelete:  "invalidates the key: the next read misses and reloads it",
+}
 
 // String implements fmt.Stringer.
 func (k opKind) String() string { return opNames[k] }
@@ -128,7 +126,7 @@ func (o *op) apply(p *payload) (changed, short bool) {
 		return true, false
 	case opUnlink:
 		for i, r := range p.rows {
-			if sqldb.Equal(co.targetFieldVal(r), o.old[co.joinIdx]) {
+			if sqldb.Equal(r[co.targetIdx], o.old[co.joinIdx]) {
 				p.rows = removeRowAt(p.rows, i)
 				return true, false
 			}
@@ -145,7 +143,7 @@ func (co *CachedObject) replace(p *payload, old, new sqldb.Row) bool {
 		if i < 0 {
 			return false
 		}
-		if sqldb.Compare(co.sortVal(old), co.sortVal(new)) == 0 {
+		if sqldb.Compare(old[co.sortIdx], new[co.sortIdx]) == 0 {
 			// Sort position unchanged: update the row in place (the paper:
 			// "UPDATE triggers simply update the corresponding post if it
 			// finds it in the cached list").
@@ -173,6 +171,34 @@ func (co *CachedObject) replace(p *payload, old, new sqldb.Row) bool {
 		p.rows[i] = new
 	} else {
 		p.rows = append(p.rows, new)
+	}
+	return true
+}
+
+// topkInsert inserts row into the ordered list, returning whether the
+// payload changed. Ties keep insertion order.
+func (co *CachedObject) topkInsert(p *payload, row sqldb.Row) bool {
+	limit := co.spec.K + co.spec.reserve()
+	pos := len(p.rows)
+	for i, r := range p.rows {
+		c := sqldb.Compare(row[co.sortIdx], r[co.sortIdx])
+		if co.spec.SortDesc && c > 0 || !co.spec.SortDesc && c < 0 {
+			pos = i
+			break
+		}
+	}
+	if pos == len(p.rows) {
+		if len(p.rows) >= limit && !p.exhaustive {
+			// Row sorts below the cached window; the window is unaffected.
+			return false
+		}
+		p.rows = append(p.rows, row)
+	} else {
+		p.rows = insertRowAt(p.rows, pos, row)
+	}
+	if len(p.rows) > limit {
+		p.rows = p.rows[:limit]
+		p.exhaustive = false
 	}
 	return true
 }
@@ -254,15 +280,6 @@ type writeSet struct {
 }
 
 var _ sqldb.StatementHook = (*writeSet)(nil)
-
-// record adds o to the set; under the Invalidate strategy an edit of any kind
-// is the deletion of its key.
-func (ws *writeSet) record(o op) {
-	if o.co.spec.Strategy == Invalidate && o.kind != opDelete {
-		o = op{co: o.co, kind: opDelete, vals: o.vals}
-	}
-	ws.ops = append(ws.ops, o)
-}
 
 // keyGroup is every op one flush holds for one key: ops[first] and the ops
 // chained after it, in record order.
