@@ -80,8 +80,8 @@ for w in "${list[@]}"; do
 		--argjson n "$pairs" '
 		def q($p): sort as $s | ($s | length) as $len | ($p * ($len - 1)) as $x | ($x | floor) as $i
 			| if $i + 1 < $len then $s[$i] + ($x - $i) * ($s[$i + 1] - $s[$i]) else $s[$i] end;
-		def pct($a; $b): if $a == 0 then "n/a" else ((($b - $a) / $a * 1000 | round) / 10 | tostring) + "%" end;
-		def r: . * 1000 | round / 1000;
+		def pct($a; $b): if $a == 0 then "n/a" else (($b - $a) / $a * 1000 | round / 10 | if . == 0 then 0 else . end | tostring) + "%" end;
+		def r: . * 1000 | round / 1000 | if . == 0 then 0 else . end;
 		def abs: if . < 0 then -. else . end;
 		def pad($w): tostring | if length < $w then " " * ($w - length) + . else . end;
 		$better[0] as $dir_of
@@ -103,7 +103,7 @@ for w in "${list[@]}"; do
 		'
 	echo "per-seed difference (head - base), counts:"
 	jq -n -r --slurpfile B "$tmp/base/$w.jsonl" --slurpfile H "$tmp/head/$w.jsonl" --argjson first "$seed" '
-		def r: . * 1000 | round / 1000;
+		def r: . * 1000 | round / 1000 | if . == 0 then 0 else . end;
 		($H[0].metrics | to_entries[] | select(.value.unit | test("^(1/)?s$|^(ms|us|ns)(/|$)") | not) | .key) as $m
 		| "  \($m): " + ([range(0; $H | length) | select($B[.].metrics[$m] != null)
 			| "s\(. + $first)=\($H[.].metrics[$m].value - $B[.].metrics[$m].value | r)"] | join(" "))
