@@ -18,8 +18,8 @@
 //     LinkQuery, CountQuery, TopKQuery — declared via Cacheable, with
 //     invalidate / update-in-place / TTL consistency strategies;
 //   - the GlobeCBC template-invalidation baseline (templateinv);
-//   - the asynchronous batched invalidation bus (invbus), which decouples
-//     trigger firings from cache maintenance;
+//   - the asynchronous invalidation bus (invbus), which takes cache
+//     maintenance off the write path;
 //   - the evaluation workload (social, workload) reproducing the paper's
 //     Pinax experiments.
 //
@@ -29,13 +29,14 @@
 // trigger→cache hop: opening a connection from a trigger roughly doubles
 // INSERT latency, and each cache operation adds a synchronous round trip to
 // the write path. Setting Config.AsyncInvalidation routes all trigger
-// maintenance through internal/invbus instead: triggers enqueue typed ops
-// and return immediately, and per-shard workers coalesce pending ops
-// (redundant deletes dedup, adjacent increments merge) and flush them as
-// pipelined batches — one round trip per batch instead of one per op.
-// Per-key FIFO ordering is preserved via key-hash sharded queues, and
-// read-miss repopulation rides the same queues so it serializes correctly
-// with pending trigger ops. Config.BatchWindow tunes the coalescing window.
+// maintenance through internal/invbus instead: a write statement publishes
+// the ops its triggers recorded and returns, and the bus's one worker applies
+// every op published within a window with the same write-set flush a
+// synchronous statement runs — per key, the ops compose into one (deletes of
+// a key into one delete, increments into one sum, list edits into one
+// gets/cas), and the window reaches each cache node in at most two batches.
+// Read-miss repopulation rides the same queue as a populate op, so it stays in
+// order with pending trigger ops. Config.BatchWindow sets the window.
 //
 // The trade is bounded staleness: in async mode the cache may lag the
 // database by roughly the batch window plus queueing delay, and top-K
@@ -178,20 +179,8 @@ type (
 // (0 = unbounded).
 func NewCache(capacityBytes int64) *CacheStore { return kvcache.New(capacityBytes) }
 
-// Invalidation bus API (internal/invbus). The bus is armed through
-// Config.AsyncInvalidation and inspected through Genie.InvStats; the types
-// are re-exported for callers that drive a bus directly.
-type (
-	// InvBus is the asynchronous batching invalidation bus.
-	InvBus = invbus.Bus
-	// InvBusConfig assembles a standalone bus.
-	InvBusConfig = invbus.Config
-	// InvBusOp is one unit of cache maintenance published to a bus.
-	InvBusOp = invbus.Op
-	// InvBusStats counts bus activity (enqueued, applied, coalesced,
-	// flushes, max batch, max lag, queue-full stalls and stall time).
-	InvBusStats = invbus.Stats
-)
-
-// NewInvBus creates a standalone invalidation bus over a cache.
-func NewInvBus(cfg InvBusConfig) *InvBus { return invbus.New(cfg) }
+// InvBusStats counts invalidation bus activity (enqueued, applied,
+// coalesced, flushes, max batch, max lag, queue-full stalls and stall time).
+// The bus is armed through Config.AsyncInvalidation and inspected through
+// Genie.InvStats.
+type InvBusStats = invbus.Stats

@@ -21,9 +21,9 @@
 //	genieload -experiment effort         # §5.2 programmer effort
 //	genieload -experiment ablation       # template-invalidation baseline
 //
-// The -async flag routes trigger cache maintenance through the batching
+// The -async flag routes trigger cache maintenance through the asynchronous
 // invalidation bus (internal/invbus) in every experiment, and -batch-window
-// tunes its coalescing window.
+// sets its window.
 //
 // The -transport flag selects how every stack reaches its cache: inprocess
 // (default; the injected-latency simulation) or remote (real cacheproto
@@ -151,7 +151,7 @@ func main() {
 	scale := flag.Int("scale", 50, "latency scale divisor (1 = paper-absolute latencies, slower)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	async := flag.Bool("async", false, "route trigger cache maintenance through the async invalidation bus")
-	batchWindow := flag.Duration("batch-window", 0, "invalidation bus coalescing window (0 = bus default)")
+	batchWindow := flag.Duration("batch-window", 0, "invalidation bus window (0 = bus default)")
 	transportFlag := flag.String("transport", "inprocess", "cache transport: inprocess or remote (real TCP cacheproto nodes)")
 	cacheAddrs := flag.String("cache-addrs", "", "comma-separated geniecache addresses for -transport remote (empty = launch loopback nodes)")
 	replicas := flag.Int("replicas", 0, "cache ring replication factor R (0/1 = single-owner routing; clamped to the node count)")

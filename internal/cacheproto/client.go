@@ -430,9 +430,9 @@ func (c *Client) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 // Ops the server is guaranteed to refuse (a value over its size cap) are
 // skipped client-side — their result stays the failed one — instead of being
 // pipelined: the server answers an oversized set or cas by aborting the whole
-// batch, which would throw away every other op flushed with it (an
-// invalidation bus batch coalesces unrelated deletes into the same mop; one
-// bad set must not cancel those).
+// batch, which would throw away every other op flushed with it (a write-set
+// flush carries every key of a statement, or of a whole bus window, in one
+// mop; one bad write must not cancel the others).
 //
 // The values the batch reads arrive in the connection's scratch, back to back,
 // and are handed out as capped windows of one slab of exactly their size: one

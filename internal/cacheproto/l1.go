@@ -59,8 +59,8 @@ type l1stripe struct {
 // l1cache is the per-client near-cache: a few thousand lease-stamped
 // entries in front of one node's connection pool. Entries are stored only
 // from server responses or this client's own writes, invalidated by every
-// write-shaped operation that passes through the pool (which is how the
-// invalidation bus's fan-out reaches it — bus flushes ride the same pool),
+// write-shaped operation that passes through the pool (which is how trigger
+// maintenance reaches it — write-set flushes ride the same pool),
 // and lease-bounded so an invalidation this client never saw still cannot
 // produce a read staler than the TTL.
 type l1cache struct {
@@ -157,7 +157,8 @@ func (l *l1cache) store(key string, val []byte, now int64) {
 }
 
 // invalidate drops key; every write-shaped pool operation calls it, which
-// is how invbus fan-out flushes reach the near-cache.
+// is how a write-set flush — a statement's or a bus window's — reaches the
+// near-cache.
 func (l *l1cache) invalidate(key string) {
 	s := &l.stripes[l1hash(key)&(l1Stripes-1)]
 	s.mu.Lock()

@@ -127,8 +127,8 @@ type PoolConfig struct {
 // breaker and the probe's connection is parked for reuse.
 //
 // Batches still pipeline: ApplyBatch checks out one connection and runs the
-// whole mop exchange on it, so a flush from the invalidation bus costs a
-// single round trip regardless of pool size.
+// whole mop exchange on it, so a write-set flush costs a single round trip
+// regardless of pool size.
 type Pool struct {
 	cfg PoolConfig
 	m   *PoolMetrics // always-on; see PoolMetrics
@@ -552,9 +552,8 @@ func (p *Pool) Cas(key string, value []byte, ttl time.Duration, cas uint64) kvca
 	return r
 }
 
-// Delete implements kvcache.Cache. This is the path invalidation-bus
-// flushes ride (bus → ring fan-out → this pool), so the near-cache entry
-// dies here with the server's copy.
+// Delete implements kvcache.Cache. The near-cache entry dies here with the
+// server's copy.
 func (p *Pool) Delete(key string) bool {
 	if p.l1 != nil {
 		p.l1.invalidate(key)
@@ -618,7 +617,7 @@ func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 }
 
 // applyBatchL1 is ApplyBatch behind the near-cache. Every batched mutation
-// invalidates its entry — batches are exactly how the invalidation bus
+// invalidates its entry — batches are exactly how the write-set flush
 // delivers trigger maintenance. A BatchGet is a Get: a lease-live entry
 // answers it locally and only the rest of the batch travels (none of it when
 // every op was answered), and the server's hits are learned on the way out

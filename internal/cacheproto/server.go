@@ -35,13 +35,13 @@
 // pipelined batch is already in the stream and must not run as top-level
 // commands.
 //
-// Two callers batch this way. The invalidation bus (internal/invbus) flushes
-// coalesced delete / set / incr ops. The Genie's statement write-set
-// (internal/core) sends one write statement's trigger maintenance as two
-// batches per node: the gets for every list it is about to edit, then the
-// cas writes computed from them together with the statement's incr and
-// delete ops. A cas answered EXISTS lost a race between the two batches and
-// is retried alone.
+// Two callers batch this way. Core's write-set flush (internal/core) sends
+// one write statement's trigger maintenance — or, on the invalidation bus,
+// a whole window of statements' — as two batches per node: the gets for
+// every entry it is about to edit together with the incr, delete and add ops
+// that need no read, then the cas (or add) writes computed from what the
+// gets read. A cas answered EXISTS lost a race between the two batches. A
+// page's read wave sends its lookups as one batch of gets.
 //
 // The request path is allocation-free in steady state: command lines are
 // read with a reusable buffer and split into byte-slice fields in place,
@@ -72,9 +72,8 @@ import (
 // without the bound a hostile byte count would make the server allocate it.
 const maxValueBytes = 1 << 20
 
-// maxMopOps bounds one pipelined batch. The invalidation bus and the
-// statement write-set flush far smaller batches; anything larger is a
-// protocol error, not a workload.
+// maxMopOps bounds one pipelined batch. The write-set flush sends far
+// smaller batches; anything larger is a protocol error, not a workload.
 const maxMopOps = 1 << 16
 
 // connBufBytes sizes the bufio reader and writer on both ends of a

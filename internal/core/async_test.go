@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,47 +14,20 @@ import (
 // armed (async trigger propagation).
 func newAsyncStack(t testing.TB, strategy Strategy) *stack {
 	t.Helper()
-	return newAsyncStackWindow(t, strategy, time.Millisecond)
+	s, _ := newAsyncStackWindow(t, strategy, time.Millisecond)
+	return s
 }
 
-// newAsyncStackWindow is newAsyncStack with the bus's coalescing window given:
-// under a long one nothing reaches the cache until FlushInvalidations.
-func newAsyncStackWindow(t testing.TB, strategy Strategy, window time.Duration) *stack {
+// newAsyncStackWindow is newAsyncStack with the bus's window given: under a
+// long one nothing reaches the cache until FlushInvalidations. The Genie
+// reaches the store through the returned countingCache.
+func newAsyncStackWindow(t testing.TB, strategy Strategy, window time.Duration) (*stack, *countingCache) {
 	t.Helper()
-	db := sqldb.MustOpen(sqldb.Config{})
-	reg := orm.NewRegistry(db)
-	reg.MustRegister(&orm.ModelDef{
-		Name:  "Profile",
-		Table: "profiles",
-		Fields: []orm.FieldDef{
-			{Name: "user_id", Type: sqldb.TypeInt, NotNull: true},
-			{Name: "bio", Type: sqldb.TypeText},
-		},
-		Indexes: [][]string{{"user_id"}},
-	})
-	reg.MustRegister(&orm.ModelDef{
-		Name:  "Wall",
-		Table: "wall",
-		Fields: []orm.FieldDef{
-			{Name: "user_id", Type: sqldb.TypeInt, NotNull: true},
-			{Name: "content", Type: sqldb.TypeText},
-			{Name: "date_posted", Type: sqldb.TypeTime},
-		},
-		Indexes: [][]string{{"user_id"}},
-	})
-	if err := reg.CreateTables(); err != nil {
-		t.Fatal(err)
-	}
-	cache := kvcache.New(0)
-	g, err := New(Config{
-		Registry: reg, DB: db, Cache: cache,
-		AsyncInvalidation: true, BatchWindow: window,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(g.Close)
-	s := &stack{db: db, reg: reg, cache: cache, g: g}
+	var cc *countingCache
+	s := newStackConfig(t, func(store *kvcache.Store) kvcache.Cache {
+		cc = &countingCache{Store: store}
+		return cc
+	}, Config{AsyncInvalidation: true, BatchWindow: window})
 	s.cacheable(t, Spec{
 		Name: "profile", Class: FeatureQuery, MainModel: "Profile",
 		WhereFields: []string{"user_id"}, Strategy: strategy,
@@ -62,7 +36,7 @@ func newAsyncStackWindow(t testing.TB, strategy Strategy, window time.Duration) 
 		Name: "wall_count", Class: CountQuery, MainModel: "Wall",
 		WhereFields: []string{"user_id"}, Strategy: strategy,
 	})
-	return s
+	return s, cc
 }
 
 func TestAsyncUpdateInPlaceConvergesAfterFlush(t *testing.T) {
@@ -111,11 +85,11 @@ func TestAsyncUpdateInPlaceConvergesAfterFlush(t *testing.T) {
 
 // While a miss's repopulation is still on the bus, later reads of the key are
 // answered with what it loaded — no second database load, no refused Add — and
-// see what the cache is about to hold. The memo goes when the bus is done with
-// the op: applied, or coalesced away under a later invalidation, after which a
-// read must go back to the database.
+// see what the cache is about to hold. The memo goes when the bus has applied
+// the op's window — stored, or overtaken by a later invalidation in it — after
+// which a read must go back to the database.
 func TestAsyncPendingPopulateAnswersRepeatedMisses(t *testing.T) {
-	s := newAsyncStackWindow(t, Invalidate, time.Hour)
+	s, _ := newAsyncStackWindow(t, Invalidate, time.Hour)
 	if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +116,8 @@ func TestAsyncPendingPopulateAnswersRepeatedMisses(t *testing.T) {
 	}
 
 	// Invalidate, read (a miss whose populate stays pending), invalidate
-	// again: the second delete coalesces the populate away, and the next read
-	// must not be served the value it carried.
+	// again: the second delete empties the key after the populate in their
+	// window, and the next read must not be served the value it carried.
 	update := func(bio string) {
 		t.Helper()
 		if _, err := s.reg.Objects("Profile").Filter("user_id", 1).Update(orm.Fields{"bio": bio}); err != nil {
@@ -219,4 +193,161 @@ func TestAsyncDisabledHasNoBus(t *testing.T) {
 	// Flush/Close are harmless no-ops in sync mode.
 	s.g.FlushInvalidations()
 	s.g.Close()
+}
+
+// TestAsyncWindowComposesPerKey runs each case's ops inside one long bus
+// window and checks what the window's flush sent to the cache and what the
+// key holds after it: per key, a window's ops compose in record order into at
+// most one op per batch.
+func TestAsyncWindowComposesPerKey(t *testing.T) {
+	const profileKey, countKey = "cg:profile:1", "cg:wall_count:1"
+	type env struct {
+		t *testing.T
+		s *stack
+	}
+	profile := func(e env, bio string) {
+		if _, err := e.s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": bio}); err != nil {
+			e.t.Fatal(err)
+		}
+	}
+	update := func(e env, bio string) {
+		if _, err := e.s.reg.Objects("Profile").Filter("user_id", 1).Update(orm.Fields{"bio": bio}); err != nil {
+			e.t.Fatal(err)
+		}
+	}
+	read := func(e env) {
+		if _, err := e.s.reg.Objects("Profile").Filter("user_id", 1).All(); err != nil {
+			e.t.Fatal(err)
+		}
+	}
+	post := func(e env) {
+		if _, err := e.s.reg.Insert("Wall", orm.Fields{"user_id": 1, "content": "x", "date_posted": time.Unix(1000, 0)}); err != nil {
+			e.t.Fatal(err)
+		}
+	}
+	count := func(e env) {
+		if _, err := e.s.reg.Objects("Wall").Filter("user_id", 1).Count(); err != nil {
+			e.t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		strategy Strategy
+		// setup runs, and is flushed, before the window; window runs inside it.
+		setup, window func(env)
+		key           string
+		batches       string
+		// want is the key's entry after the window: "" for absent, a count,
+		// or the number of cached profile rows as "rows=N".
+		want string
+	}{
+		{
+			name: "two deletes of a key reach the cache as one delete", strategy: Invalidate,
+			setup:  func(e env) { profile(e, "v1"); e.s.g.FlushInvalidations(); read(e) },
+			window: func(e env) { update(e, "v2"); update(e, "v3") },
+			key:    profileKey, batches: "[[delete]]", want: "",
+		},
+		{
+			name: "incrs sum", strategy: UpdateInPlace,
+			setup:  func(e env) { post(e); post(e); e.s.g.FlushInvalidations(); count(e) },
+			window: func(e env) { post(e); post(e); post(e) },
+			key:    countKey, batches: "[[incr]]", want: "5",
+		},
+		{
+			name: "populate then delete leaves the key absent", strategy: Invalidate,
+			setup:  func(e env) { profile(e, "v1") },
+			window: func(e env) { read(e); update(e, "v2") },
+			key:    profileKey, batches: "[[gets]]", want: "",
+		},
+		{
+			name: "delete then populate leaves the populated entry", strategy: Invalidate,
+			setup:  func(e env) { profile(e, "v1") },
+			window: func(e env) { update(e, "v2"); read(e) },
+			key:    profileKey, batches: "[[gets] [add]]", want: "rows=1",
+		},
+		{
+			name: "populate then list edit leaves the edited list", strategy: UpdateInPlace,
+			setup:  func(e env) { profile(e, "v1") },
+			window: func(e env) { read(e); profile(e, "v2") },
+			key:    profileKey, batches: "[[gets] [add]]", want: "rows=2",
+		},
+		{
+			name: "populate then incr leaves the exact count", strategy: UpdateInPlace,
+			setup:  func(e env) { post(e); post(e) },
+			window: func(e env) { count(e); post(e) },
+			key:    countKey, batches: "[[gets] [add]]", want: "3",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, cc := newAsyncStackWindow(t, tc.strategy, time.Hour)
+			e := env{t, s}
+			tc.setup(e)
+			s.g.FlushInvalidations()
+			cc.reset()
+			tc.window(e)
+			s.g.FlushInvalidations()
+			if got := fmt.Sprint(cc.batches); got != tc.batches {
+				t.Errorf("the window reached the cache as %s, want %s", got, tc.batches)
+			}
+			for _, op := range cc.perOp {
+				if op != "get" { // a read's own lookup
+					t.Errorf("the window made per-op cache calls: %v", cc.perOp)
+					break
+				}
+			}
+			got := ""
+			if raw, ok := s.cache.Get(tc.key); !ok {
+			} else if tc.key == countKey {
+				got = string(raw)
+			} else if p, err := decodePayload(raw); err != nil {
+				t.Fatalf("cached %s does not decode: %v", tc.key, err)
+			} else {
+				got = fmt.Sprintf("rows=%d", len(p.rows))
+			}
+			if got != tc.want {
+				t.Errorf("%s holds %q after the window, want %q", tc.key, got, tc.want)
+			}
+			if _, ok := s.g.pending.Load(tc.key); ok {
+				t.Errorf("%s is still pending after its window was applied", tc.key)
+			}
+			// Whatever the cache holds now matches the database.
+			co := s.g.Objects()[0]
+			if tc.key == countKey {
+				co = s.g.Objects()[1]
+			}
+			checkAgainstDB(t, s, co, sqldb.I64(1))
+		})
+	}
+}
+
+// TestAsyncWindowEditsAListOnce: two statements that edit one cached list in
+// one bus window reach the cache as one gets batch and one cas batch, the
+// window's flush composing both edits, not as a gets/cas exchange per edit.
+func TestAsyncWindowEditsAListOnce(t *testing.T) {
+	s, cc := newAsyncStackWindow(t, UpdateInPlace, time.Hour)
+	for _, bio := range []string{"v1", "v2"} {
+		if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": bio}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.reg.Objects("Profile").Filter("user_id", 1).All(); err != nil {
+		t.Fatal(err)
+	}
+	s.g.FlushInvalidations()
+	cc.reset()
+	if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v3"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.db.Exec("UPDATE profiles SET bio = 'v4' WHERE bio = 'v1'"); err != nil {
+		t.Fatal(err)
+	}
+	s.g.FlushInvalidations()
+	if got := fmt.Sprint(cc.batches); got != "[[gets] [cas]]" || len(cc.perOp) != 0 {
+		t.Fatalf("two list edits reached the cache as batches %s and per-op calls %v, want [[gets] [cas]] and none", got, cc.perOp)
+	}
+	before := s.g.Stats().Hits
+	checkAgainstDB(t, s, s.g.Objects()[0], sqldb.I64(1))
+	if s.g.Stats().Hits != before+1 {
+		t.Fatal("the edited list was not served from the cache")
+	}
 }

@@ -28,20 +28,20 @@ type Config struct {
 	// cluster ring).
 	Cache kvcache.Cache
 
-	// AsyncInvalidation routes all trigger→cache maintenance (and read-path
-	// repopulation, so per-key ordering holds between the two) through the
-	// asynchronous batching invalidation bus (internal/invbus) instead of
-	// flushing each statement's write-set synchronously before it returns.
-	// Writes stop waiting on cache maintenance; in exchange the cache may
-	// lag the database by a bounded staleness window of roughly BatchWindow
-	// plus queueing delay — and so may a read that misses while the key's
+	// AsyncInvalidation hands each statement's write-set, and each read
+	// miss's repopulation, to the asynchronous invalidation bus
+	// (internal/invbus) instead of flushing it before the statement returns;
+	// the bus's one worker runs the write-set flush over every op published
+	// within a window. Writes stop waiting on cache maintenance; in exchange
+	// the cache may lag the database by roughly BatchWindow plus queueing and
+	// apply time — and so may a read that misses while the key's
 	// repopulation is still on the bus: it is answered with what that
 	// repopulation loaded, not with a fresh database read (see populate).
 	// Call FlushInvalidations to drain when read-your-triggered-writes
 	// matters.
 	AsyncInvalidation bool
-	// BatchWindow is how long a bus worker coalesces ops before flushing
-	// (0 = the bus default, 1ms). Only meaningful with AsyncInvalidation.
+	// BatchWindow is how long the bus worker collects ops before applying
+	// them (1ms unless positive). Only meaningful with AsyncInvalidation.
 	BatchWindow time.Duration
 
 	// SingleFlight coalesces concurrent cache-miss loads of the same key
@@ -82,9 +82,9 @@ type Genie struct {
 	db    *sqldb.DB
 	cache kvcache.Cache
 	cfg   Config
-	// bus is non-nil in async mode; write-set flushes and repopulation
-	// publish to it instead of talking to the cache themselves.
-	bus *invbus.Bus
+	// bus is non-nil in async mode; write-sets and repopulation publish their
+	// ops to it instead of talking to the cache themselves.
+	bus *invbus.Bus[op]
 	// flights is non-nil with Config.SingleFlight; miss loads coalesce
 	// through it.
 	flights *flightGroup
@@ -101,7 +101,7 @@ type Genie struct {
 	byModel atomic.Pointer[map[string][]*CachedObject]
 
 	// pending holds, in async mode, the repopulations published to the bus
-	// and not yet applied or coalesced away: key → encoded entry (populate).
+	// whose window is not yet applied: key → encoded entry (populate).
 	pending sync.Map
 
 	hits            atomic.Int64
@@ -118,7 +118,7 @@ type Genie struct {
 	waveKeys        atomic.Int64
 	// casFallbacks counts keys a write-set flush had to converge on their own
 	// after losing a race between its two batches; flushOps is the number of
-	// cache ops each synchronous flush carried in them.
+	// cache ops each flush carried in them.
 	casFallbacks atomic.Int64
 	flushOps     obs.Histogram
 }
@@ -142,7 +142,7 @@ func New(cfg Config) (*Genie, error) {
 		g.flights = newFlightGroup()
 	}
 	if cfg.AsyncInvalidation && !cfg.Disabled {
-		g.bus = invbus.New(invbus.Config{Cache: cfg.Cache, BatchWindow: cfg.BatchWindow})
+		g.bus = invbus.New(cfg.BatchWindow, g.applyWindow)
 	}
 	if !cfg.Disabled {
 		cfg.Registry.SetInterceptor(g)
@@ -169,7 +169,7 @@ func (g *Genie) Close() {
 
 // InvStats returns the invalidation bus's counters (zero in sync mode),
 // including the backpressure series: QueueFullStalls and StallTime expose
-// how often — and for how long — writers blocked on full shard queues.
+// how often — and for how long — writers blocked on the bus's full queue.
 func (g *Genie) InvStats() invbus.Stats {
 	if g.bus == nil {
 		return invbus.Stats{}
@@ -211,27 +211,36 @@ func (g *Genie) Objects() []*CachedObject {
 }
 
 // populate stores a freshly computed entry after a read miss. In async mode
-// the Add rides the bus so it serializes after any trigger ops already
-// queued for the key — applying it directly would let a stale queued
+// the entry rides the bus as an opPopulate, applied after any trigger ops
+// already queued for the key — applying it directly would let a stale queued
 // update land on top of (or a queued incr double-count against) the fresh
-// database-derived value. Until the bus has applied it (or coalesced it away
-// under a later delete) the entry is also kept in g.pending, where a read that
-// misses finds it: a page takes a fraction of the bus window and comes back
-// for a hot key several times within it, and each of those visits would
-// otherwise be another database load and another refused Add.
-func (g *Genie) populate(key string, enc []byte, ttl time.Duration) {
+// database-derived value. Until its window is applied the entry is also kept
+// in g.pending, where a read that misses finds it: a page takes a fraction of
+// the bus window and comes back for a hot key several times within it, and
+// each of those visits would otherwise be another database load.
+func (co *CachedObject) populate(key string, vals []sqldb.Value, enc []byte) {
+	g := co.g
 	if g.bus != nil {
 		g.pending.Store(key, enc)
-		g.bus.Publish(invbus.Op{Kind: invbus.OpCasUpdate, Key: key, Update: func(c kvcache.Cache) {
-			if !c.Add(key, enc, ttl) {
-				g.populateRefused.Add(1)
-			}
-		}, Done: func(invbus.Result) { g.pending.Delete(key) }})
+		g.bus.Publish([]op{{co: co, kind: opPopulate, vals: vals, key: key, enc: enc}})
 		return
 	}
-	if !g.cache.Add(key, enc, ttl) {
+	if !g.cache.Add(key, enc, co.ttl()) {
 		g.populateRefused.Add(1)
 	}
+}
+
+// applyWindow is the bus's apply: the write-set flush over one window's ops,
+// with no statement to recompute through. After it, what the window's
+// populates loaded is cached or overtaken, and no longer pending.
+func (g *Genie) applyWindow(ops []op) (keys int) {
+	keys = g.flush(nil, ops)
+	for i := range ops {
+		if ops[i].kind == opPopulate {
+			g.pending.Delete(ops[i].key)
+		}
+	}
+	return keys
 }
 
 // flightDo runs a miss load, coalescing it through the single-flight group
@@ -251,12 +260,12 @@ func (g *Genie) flightDo(key string, fn func() (any, error)) (any, error) {
 }
 
 // dropKey removes a corrupt or unparseable entry, via the bus when async.
-func (g *Genie) dropKey(key string) {
-	if g.bus != nil {
-		g.bus.Publish(invbus.Op{Kind: invbus.OpDelete, Key: key})
+func (co *CachedObject) dropKey(key string, vals []sqldb.Value) {
+	if co.g.bus != nil {
+		co.g.bus.Publish([]op{{co: co, kind: opDelete, vals: vals, key: key}})
 		return
 	}
-	g.cache.Delete(key)
+	co.g.cache.Delete(key)
 }
 
 // CachedObject is one declared cached object: an instance of a cache class
@@ -509,7 +518,7 @@ func (co *CachedObject) rows(l *lookup) ([]sqldb.Row, error) {
 			return co.firstK(p.rows), nil
 		}
 		// Corrupt entry: drop it and fall through to the database.
-		co.g.dropKey(key)
+		co.dropKey(key, vals)
 	}
 	co.g.misses.Add(1)
 	v, err := co.g.flightDo(key, func() (any, error) {
@@ -518,7 +527,7 @@ func (co *CachedObject) rows(l *lookup) ([]sqldb.Row, error) {
 			return nil, err
 		}
 		enc := encodePayload(payload{exhaustive: exhaustive, rows: rows})
-		co.g.populate(key, enc, co.ttl())
+		co.populate(key, vals, enc)
 		return rows, nil
 	})
 	if err != nil {
@@ -552,7 +561,7 @@ func (co *CachedObject) count(l *lookup) (int64, error) {
 			co.g.hits.Add(1)
 			return n, nil
 		}
-		co.g.dropKey(key)
+		co.dropKey(key, vals)
 	}
 	co.g.misses.Add(1)
 	v, err := co.g.flightDo(key, func() (any, error) {
@@ -563,7 +572,7 @@ func (co *CachedObject) count(l *lookup) (int64, error) {
 			return nil, err
 		}
 		n := rs.Rows[0][0].I
-		co.g.populate(key, strconv.AppendInt(nil, n, 10), co.ttl())
+		co.populate(key, vals, strconv.AppendInt(nil, n, 10))
 		return n, nil
 	})
 	if err != nil {

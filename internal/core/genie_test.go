@@ -27,6 +27,12 @@ func newStack(t testing.TB) *stack {
 // newStackOver builds the stack with the Genie talking to wrap(store).
 func newStackOver(t testing.TB, wrap func(*kvcache.Store) kvcache.Cache) *stack {
 	t.Helper()
+	return newStackConfig(t, wrap, Config{})
+}
+
+// newStackConfig is newStackOver with the rest of the Genie's Config given.
+func newStackConfig(t testing.TB, wrap func(*kvcache.Store) kvcache.Cache, cfg Config) *stack {
+	t.Helper()
 	db := sqldb.MustOpen(sqldb.Config{})
 	reg := orm.NewRegistry(db)
 	reg.MustRegister(&orm.ModelDef{
@@ -68,10 +74,12 @@ func newStackOver(t testing.TB, wrap func(*kvcache.Store) kvcache.Cache) *stack 
 		t.Fatal(err)
 	}
 	cache := kvcache.New(0)
-	g, err := New(Config{Registry: reg, DB: db, Cache: wrap(cache)})
+	cfg.Registry, cfg.DB, cfg.Cache = reg, db, wrap(cache)
+	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(g.Close)
 	return &stack{db: db, reg: reg, cache: cache, g: g}
 }
 

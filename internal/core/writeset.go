@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
-	"cachegenie/internal/invbus"
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/sqldb"
 )
@@ -15,7 +15,8 @@ import (
 const maxCasRetries = 16
 
 // opKind is what an op does to its key's cached entry (opNotes). The row-list
-// edits are idempotent by primary key, except opAppend.
+// edits are idempotent by primary key, except opAppend. Triggers record every
+// kind but opPopulate, which a read miss publishes to the invalidation bus.
 type opKind uint8
 
 const (
@@ -26,33 +27,38 @@ const (
 	opUnlink
 	opIncr
 	opDelete
+	opPopulate
 )
 
-var opNames = [...]string{"insert", "remove", "replace", "append", "unlink", "incr", "delete"}
+var opNames = [...]string{"insert", "remove", "replace", "append", "unlink", "incr", "delete", "populate"}
 
 // opNotes say what each kind does to the entry of its key; a trigger's listing
 // quotes the note of every kind it records.
 var opNotes = [...]string{
-	opInsert:  "adds new unless a row with its id is cached: at its sort position in a top-K list, at the end of any other",
-	opRemove:  "drops every cached row with old's id; a top-K list it leaves short of K rows has used up its reserve and is rebuilt from the database",
-	opReplace: "puts new in place of every cached row with its id: moved to its new sort position in a top-K list, appended to a feature list that lacks it",
-	opAppend:  "appends rows, the target rows joined: a link list holds a target row once per relation row that joins it to the source",
-	opUnlink:  "drops one cached row whose link target field equals the join field of old, a relation row",
-	opIncr:    "adds delta to a count; the flush sums a key's deltas",
-	opDelete:  "invalidates the key: the next read misses and reloads it",
+	opInsert:   "adds new unless a row with its id is cached: at its sort position in a top-K list, at the end of any other",
+	opRemove:   "drops every cached row with old's id; a top-K list it leaves short of K rows has used up its reserve and is rebuilt from the database",
+	opReplace:  "puts new in place of every cached row with its id: moved to its new sort position in a top-K list, appended to a feature list that lacks it",
+	opAppend:   "appends rows, the target rows joined: a link list holds a target row once per relation row that joins it to the source",
+	opUnlink:   "drops one cached row whose link target field equals the join field of old, a relation row",
+	opIncr:     "adds delta to a count; the flush sums a key's deltas",
+	opDelete:   "invalidates the key: the next read misses and reloads it",
+	opPopulate: "stores what a read miss loaded unless the key is cached",
 }
 
 // String implements fmt.Stringer.
 func (k opKind) String() string { return opNames[k] }
 
-// batchKind is how an op of kind k reaches the cache in a flush's first
-// batch: a list edit reads the list (gets), the others need no read.
+// batchKind is how a key whose ops are all of kind k reaches the cache in a
+// flush's first batch: a list edit reads the list (gets), the others need no
+// read.
 func (k opKind) batchKind() kvcache.BatchOpKind {
 	switch k {
 	case opIncr:
 		return kvcache.BatchIncr
 	case opDelete:
 		return kvcache.BatchDelete
+	case opPopulate:
+		return kvcache.BatchAdd
 	}
 	return kvcache.BatchGets
 }
@@ -60,8 +66,9 @@ func (k opKind) batchKind() kvcache.BatchOpKind {
 // op is one cache effect a trigger recorded, as data: what to do to the
 // entry of which cached object under which lookup values, with the rows it
 // needs. Ops are composed per key without running anything; an object's
-// class and strategy fix the kinds its keys get, so the ops of one key are
-// all list edits, all incrs or all deletes.
+// class and strategy fix the kinds its triggers record, so in a statement the
+// ops of one key are all list edits, all incrs or all deletes. A bus window
+// may add a read miss's populate, or the drop of an entry it found corrupt.
 type op struct {
 	co   *CachedObject
 	kind opKind
@@ -70,10 +77,12 @@ type op struct {
 	vals []sqldb.Value
 	key  string
 	// old and new are the row before and after the change, as the trigger
-	// event carries them; rows are opAppend's; delta is opIncr's.
+	// event carries them; rows are opAppend's; delta is opIncr's; enc is
+	// the entry an opPopulate stores.
 	old, new sqldb.Row
 	rows     []sqldb.Row
 	delta    int64
+	enc      []byte
 	// next chains the ops of one key in record order (groupByKey).
 	next int32
 }
@@ -205,8 +214,7 @@ func (co *CachedObject) topkInsert(p *payload, row sqldb.Row) bool {
 
 // casLoop applies a list edit to c on its own, as the paper's trigger does:
 // gets -> modify -> cas, retried on conflict. It is the route for a key that
-// lost a race inside a write-set flush and for every list edit on the
-// invalidation bus.
+// lost a race inside a synchronous write-set flush.
 func (o *op) casLoop(c kvcache.Cache) (short bool) {
 	o.co.casLoop(c, o.key, func(p *payload) bool {
 		var changed bool
@@ -260,20 +268,9 @@ func (co *CachedObject) casLoop(c kvcache.Cache, key string, fn func(p *payload)
 // talk to the cache: they record ops here, and the engine ends the statement
 // by flushing the set once, after the last row's triggers and with the
 // statement's locks still held (sqldb.StatementHook). A statement that fails
-// is never flushed, so it leaves the cache untouched.
-//
-// The flush composes each key's ops in record order and reaches the cache in
-// at most two batches — per node, concurrently, when the cache is a ring. The
-// first carries one op per key: the value and token of every list about to be
-// edited (gets), and the ops that depend on no read, the summed counter
-// adjustments (incr) and the invalidations (delete). The second carries the
-// conditional writes computed from what the first read (cas); a statement
-// none of whose lists is cached never sends it. With AsyncInvalidation the
-// flush instead publishes the recorded ops to the bus, uncomposed and in
-// record order.
-//
-// A flush allocates per statement, not per op: every key is rendered into one
-// string, and the key groups and both batches are an array each.
+// is never flushed, so it leaves the cache untouched. With AsyncInvalidation
+// the statement publishes its ops to the invalidation bus instead, whose
+// worker runs the same flush over every op published within a window.
 type writeSet struct {
 	g   *Genie
 	ops []op
@@ -289,6 +286,10 @@ type keyGroup struct {
 	first, last int32
 	n           int   // ops
 	sum         int64 // opIncr: the deltas, summed
+	// mixed marks a group whose ops are not all of one kind, or that holds a
+	// populate and another op: it reads the key (gets) and replays its ops
+	// over what it found (compose).
+	mixed bool
 	// changed counts the list edits that changed the list the first batch
 	// read; counted marks a second-batch op whose outcome is already
 	// accounted for; wrote marks a group with an op in the second batch.
@@ -300,22 +301,40 @@ type keyGroup struct {
 	byKey int32
 }
 
-// EndStatement implements sqldb.StatementHook: it flushes the write-set. The
-// cache reports no errors (a lost exchange reads as a miss), so neither does
-// the flush.
+// EndStatement implements sqldb.StatementHook: it flushes the write-set, or
+// publishes it to the bus. The cache reports no errors (a lost exchange reads
+// as a miss), so neither does the flush.
 func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
-	g, ops := ws.g, ws.ops
-	if len(ops) == 0 {
+	if len(ws.ops) == 0 {
 		return nil
 	}
-	renderKeys(ops)
-	if g.bus != nil {
-		for i := range ops {
-			g.publish(ops[i])
-		}
+	renderKeys(ws.ops)
+	if ws.g.bus != nil {
+		ws.g.bus.Publish(ws.ops)
 		return nil
 	}
+	ws.g.flush(q, ws.ops)
+	return nil
+}
 
+// flush composes ops per key in record order and reaches the cache in at most
+// two batches — per node, concurrently, when the cache is a ring. The first
+// carries one op per key: the value and token of every key whose entry the
+// flush edits (gets), and the ops that depend on no read: the summed counter
+// adjustments (incr), the invalidations (delete) and a lone populate (add).
+// The second carries the writes computed from what the first read; a flush
+// none of whose reads finds anything to change never sends it. It returns the
+// number of keys the ops touched.
+//
+// q is the statement's connection, through which a top-K list that a removal
+// leaves short of its reserve is recomputed, and a key whose cas loses a race
+// between the batches converges with casLoop. On the bus q is nil: the
+// statement's transaction is gone, so such a list, and such a key, is dropped
+// for the next read miss to reload.
+//
+// A flush allocates per flush, not per op: the key groups and both batches
+// are an array each.
+func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 	groups := groupByKey(ops)
 	// Both batches share one array: the first holds an op per key, the second
 	// at most as many.
@@ -324,11 +343,18 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 	for i := range groups {
 		k := &groups[i]
 		first[i] = kvcache.BatchOp{Kind: k.kind, Key: k.key, Delta: k.sum}
+		if o := &ops[k.first]; k.kind == kvcache.BatchAdd {
+			first[i].Value, first[i].TTL = o.enc, o.co.ttl()
+		}
 	}
 	for i, r := range g.cache.ApplyBatch(first) {
 		k := &groups[i]
 		switch {
-		case !r.Found:
+		case k.kind == kvcache.BatchAdd:
+			if !r.Found {
+				g.populateRefused.Add(1)
+			}
+		case !r.Found && !k.mixed:
 			// Not cached: every one of the key's triggers quits (paper
 			// §3.2); the next read miss repopulates the entry.
 			g.trigSkips.Add(int64(k.n))
@@ -348,21 +374,30 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 	}
 	g.flushOps.Observe(int64(len(first) + len(second)))
 	if len(second) == 0 {
-		return nil
+		return len(groups)
 	}
 	res := g.cache.ApplyBatch(second)
+	var lost []kvcache.BatchOp // keys the bus drops after losing their write
 	n := 0
 	for i := range groups {
 		k := &groups[i]
 		if !k.wrote {
 			continue
 		}
-		r := res[n]
+		o, r := second[n], res[n]
 		n++
 		switch {
-		case k.counted:
 		case r.Found:
-			g.trigUpdates.Add(int64(k.changed))
+			if !k.counted {
+				g.trigUpdates.Add(int64(k.changed))
+			}
+		case o.Kind == kvcache.BatchDelete:
+		case k.mixed || q == nil && r.CasResult == kvcache.CasConflict:
+			// Someone wrote the key between the two batches, and what the
+			// window composed is no longer known to be current.
+			g.trigDeletes.Add(1)
+			lost = append(lost, kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key})
+		case k.counted:
 		case r.CasResult == kvcache.CasConflict:
 			// Someone wrote the key between the two batches. Converge it on
 			// its own; the rest of the statement's keys are done.
@@ -377,7 +412,10 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 			g.trigSkips.Add(int64(k.changed)) // vanished between the batches
 		}
 	}
-	return nil
+	if len(lost) > 0 {
+		g.cache.ApplyBatch(lost)
+	}
+	return len(groups)
 }
 
 // renderKeys renders the key of every op into one string, the statement's
@@ -410,6 +448,9 @@ func groupByKey(ops []op) []keyGroup {
 			k.last = int32(i)
 			k.n++
 			k.sum += o.delta
+			if o.kind == opPopulate || o.kind.batchKind() != k.kind {
+				k.kind, k.mixed = kvcache.BatchGets, true
+			}
 			continue
 		}
 		groups = append(groups, keyGroup{key: o.key, kind: o.kind.batchKind(),
@@ -422,39 +463,100 @@ func groupByKey(ops []op) []keyGroup {
 	return groups
 }
 
-// compose turns the key's recorded list edits and the list the first batch
-// found for it into the key's op in the second; ok is false when there is
-// nothing to write.
+// compose turns the key's ops and what the first batch found for it into the
+// key's op in the second; ok is false when there is nothing to write. It
+// replays the ops in record order over the key's state, absent or an entry:
+//
+//   - a populate stores its entry when the key is absent, and is refused
+//     when it is not;
+//   - a delete empties the key;
+//   - an incr or a list edit applies when the key is present, and finds
+//     nothing otherwise.
+//
+// The key is then added if it started absent, swapped in (cas) if it started
+// present, and deleted if it ended absent. A top-K list that a removal leaves
+// short of its reserve is recomputed through q, which stands in for the
+// composed edits; without q it is dropped.
 func (k *keyGroup) compose(q sqldb.Queryer, ops []op, r kvcache.BatchResult) (bop kvcache.BatchOp, ok bool) {
 	co := ops[k.first].co
 	g := co.g
-	p, err := decodePayload(r.Data)
-	if err != nil {
-		// Corrupt entry: the first op drops it, the rest find nothing.
-		g.trigDeletes.Add(1)
-		g.trigSkips.Add(int64(k.n - 1))
-		k.counted = true
-		return kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key}, true
-	}
-	short := false
+	present, raw := r.Found, r.Data
+	var p payload
+	decoded, dirty, short := false, false, false
 	for i := k.first; i >= 0; i = ops[i].next {
-		changed, s := ops[i].apply(&p)
-		if changed {
-			k.changed++
+		o := &ops[i]
+		switch {
+		case o.kind == opPopulate:
+			if present {
+				g.populateRefused.Add(1)
+				continue
+			}
+			present, raw, decoded, dirty = true, o.enc, false, true
+		case o.kind == opDelete:
+			if present {
+				g.trigDeletes.Add(1)
+				present, dirty = false, true
+			} else {
+				g.trigSkips.Add(1)
+			}
+		case !present:
+			g.trigSkips.Add(1)
+		case o.kind == opIncr:
+			n, ok := parseCount(raw)
+			if !ok {
+				g.trigDeletes.Add(1) // corrupt: dropped
+				present, dirty = false, true
+				continue
+			}
+			raw = strconv.AppendInt(nil, n+o.delta, 10)
+			g.trigUpdates.Add(1)
+			dirty = true
+		default:
+			if !decoded {
+				var err error
+				if p, err = decodePayload(raw); err != nil {
+					g.trigDeletes.Add(1) // corrupt: dropped
+					present, dirty = false, true
+					continue
+				}
+				decoded = true
+			}
+			changed, s := o.apply(&p)
+			if changed {
+				k.changed++
+				dirty = true
+			}
+			if s && q == nil {
+				g.trigDeletes.Add(1)
+				present = false
+			}
+			short = short || s
 		}
-		short = short || s
 	}
-	if short {
+	if k.mixed {
+		g.trigUpdates.Add(int64(k.changed))
+		k.counted = true
+	}
+	switch {
+	case short && q != nil:
 		// The recomputed list is the statement's final database state for
 		// this key, so it stands in for the composed edits.
 		g.trigUpdates.Add(int64(k.changed))
 		k.counted = true
 		return co.recompute(q, k.key, ops[k.first].vals), true
-	}
-	if k.changed == 0 {
+	case !dirty || !present && !r.Found:
 		return bop, false
+	case !present:
+		k.counted = true
+		return kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key}, true
 	}
-	return kvcache.BatchOp{Kind: kvcache.BatchCas, Key: k.key, Value: encodePayload(p), TTL: co.ttl(), Cas: r.Cas}, true
+	if decoded {
+		raw = encodePayload(p)
+	}
+	if !r.Found {
+		return kvcache.BatchOp{Kind: kvcache.BatchAdd, Key: k.key, Value: raw, TTL: co.ttl()}, true
+	}
+	return kvcache.BatchOp{Kind: kvcache.BatchCas, Key: k.key, Value: raw, TTL: co.ttl(), Cas: r.Cas}, true
 }
 
 // recompute rebuilds a top-K list from the database through q — the paper's
@@ -471,38 +573,4 @@ func (co *CachedObject) recompute(q sqldb.Queryer, key string, vals []sqldb.Valu
 	co.g.trigUpdates.Add(1)
 	return kvcache.BatchOp{Kind: kvcache.BatchSet, Key: key,
 		Value: encodePayload(payload{exhaustive: exhaustive, rows: rows}), TTL: co.ttl()}
-}
-
-// publish hands one recorded op to the invalidation bus, where the shard
-// worker applies it amortized and in per-key publish order: redundant pending
-// deletes of a key coalesce into one, adjacent increments merge, and a list
-// edit runs its own gets/cas loop.
-func (g *Genie) publish(o op) {
-	switch o.kind {
-	case opIncr:
-		g.bus.Publish(invbus.Op{Kind: invbus.OpIncr, Key: o.key, Delta: o.delta, Done: func(r invbus.Result) {
-			if r.Found {
-				g.trigUpdates.Add(1)
-			} else {
-				g.trigSkips.Add(1)
-			}
-		}})
-	case opDelete:
-		g.bus.Publish(invbus.Op{Kind: invbus.OpDelete, Key: o.key, Done: func(r invbus.Result) {
-			if r.Found {
-				g.trigDeletes.Add(1)
-			} else {
-				g.trigSkips.Add(1)
-			}
-		}})
-	default:
-		// A top-K list short of its reserve is dropped instead of rebuilt:
-		// the statement's transaction is gone by the time the bus applies
-		// the op, and the next read miss repopulates the key.
-		g.bus.Publish(invbus.Op{Kind: invbus.OpCasUpdate, Key: o.key, Update: func(c kvcache.Cache) {
-			if o.casLoop(c) && c.Delete(o.key) {
-				g.trigDeletes.Add(1)
-			}
-		}})
-	}
 }

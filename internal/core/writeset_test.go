@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,48 +17,60 @@ import (
 // countingCache counts how the Genie reaches the store: per-op calls by name
 // and every batch with the kinds it carried. beforeBatch, when set, runs
 // ahead of each batch (numbered from 1 since the last reset), which is how a
-// test lands a racing write between a flush's two batches.
+// test lands a racing write between a flush's two batches. A bus worker may
+// count while a test reads, so counting is locked.
 type countingCache struct {
 	*kvcache.Store
+	mu          sync.Mutex
 	perOp       []string
 	batches     [][]kvcache.BatchOpKind
 	beforeBatch func(n int)
 }
 
-func (c *countingCache) reset() { c.perOp, c.batches = nil, nil }
+func (c *countingCache) reset() {
+	c.mu.Lock()
+	c.perOp, c.batches = nil, nil
+	c.mu.Unlock()
+}
+
+func (c *countingCache) count(op string) {
+	c.mu.Lock()
+	c.perOp = append(c.perOp, op)
+	c.mu.Unlock()
+}
 
 func (c *countingCache) Get(key string) ([]byte, bool) {
-	c.perOp = append(c.perOp, "get")
+	c.count("get")
 	return c.Store.Get(key)
 }
 
 func (c *countingCache) Gets(key string) ([]byte, uint64, bool) {
-	c.perOp = append(c.perOp, "gets")
+	c.count("gets")
 	return c.Store.Gets(key)
 }
 
 func (c *countingCache) Set(key string, value []byte, ttl time.Duration) {
-	c.perOp = append(c.perOp, "set")
+	c.count("set")
 	c.Store.Set(key, value, ttl)
 }
 
 func (c *countingCache) Add(key string, value []byte, ttl time.Duration) bool {
-	c.perOp = append(c.perOp, "add")
+	c.count("add")
 	return c.Store.Add(key, value, ttl)
 }
 
 func (c *countingCache) Cas(key string, value []byte, ttl time.Duration, cas uint64) kvcache.CasResult {
-	c.perOp = append(c.perOp, "cas")
+	c.count("cas")
 	return c.Store.Cas(key, value, ttl, cas)
 }
 
 func (c *countingCache) Delete(key string) bool {
-	c.perOp = append(c.perOp, "delete")
+	c.count("delete")
 	return c.Store.Delete(key)
 }
 
 func (c *countingCache) Incr(key string, delta int64) (int64, bool) {
-	c.perOp = append(c.perOp, "incr")
+	c.count("incr")
 	return c.Store.Incr(key, delta)
 }
 
@@ -66,9 +79,12 @@ func (c *countingCache) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult 
 	for i, op := range ops {
 		kinds[i] = op.Kind
 	}
+	c.mu.Lock()
 	c.batches = append(c.batches, kinds)
+	n := len(c.batches)
+	c.mu.Unlock()
 	if c.beforeBatch != nil {
-		c.beforeBatch(len(c.batches))
+		c.beforeBatch(n)
 	}
 	return c.Store.ApplyBatch(ops)
 }

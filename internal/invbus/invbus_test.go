@@ -1,338 +1,226 @@
 package invbus
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
-
-	"cachegenie/internal/kvcache"
 )
 
-// orderLog records apply order per key via OpCasUpdate descriptors.
-type orderLog struct {
-	mu    sync.Mutex
-	byKey map[string][]int
+// item is what the tests publish: who published it and its place in that
+// publisher's sequence.
+type item struct{ from, seq int }
+
+// recorder is an apply that records every window it is handed. keys, when
+// set, is what it reports the window wrote; otherwise every item is a key.
+type recorder struct {
+	mu      sync.Mutex
+	windows [][]item
+	keys    func([]item) int
+	// block, when set, parks the apply of the window holding an item with
+	// from == -1, after closing entered.
+	block, entered chan struct{}
 }
 
-func newOrderLog() *orderLog { return &orderLog{byKey: map[string][]int{}} }
-
-func (l *orderLog) mark(key string, seq int) func(kvcache.Cache) {
-	return func(kvcache.Cache) {
-		l.mu.Lock()
-		l.byKey[key] = append(l.byKey[key], seq)
-		l.mu.Unlock()
+func (r *recorder) apply(w []item) int {
+	r.mu.Lock()
+	r.windows = append(r.windows, append([]item(nil), w...))
+	r.mu.Unlock()
+	if r.block != nil && len(w) > 0 && w[0].from == -1 {
+		close(r.entered)
+		<-r.block
 	}
+	if r.keys != nil {
+		return r.keys(w)
+	}
+	return len(w)
 }
 
-func TestPerKeyFIFOOrdering(t *testing.T) {
-	store := kvcache.New(0)
-	bus := New(Config{Cache: store, Shards: 3, BatchWindow: -1})
-	defer bus.Close()
-
-	log := newOrderLog()
-	const keys = 17
-	const perKey = 50
-	// Interleave publishes across keys: seq is strictly increasing per key.
-	for seq := 0; seq < perKey; seq++ {
-		for k := 0; k < keys; k++ {
-			key := fmt.Sprintf("key-%d", k)
-			bus.Publish(Op{Kind: OpCasUpdate, Key: key, Update: log.mark(key, seq)})
-		}
+func (r *recorder) items() []item {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var all []item
+	for _, w := range r.windows {
+		all = append(all, w...)
 	}
-	bus.Flush()
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("key-%d", k)
-		got := log.byKey[key]
-		if len(got) != perKey {
-			t.Fatalf("%s: applied %d ops, want %d", key, len(got), perKey)
-		}
-		for i, seq := range got {
-			if seq != i {
-				t.Fatalf("%s: out of order at %d: %v", key, i, got[:i+1])
-			}
-		}
-	}
+	return all
 }
 
-// stallBus builds a single-shard bus whose worker is parked inside a flush,
-// so subsequently published ops pile up in the queue and are collected (and
-// coalesced) as one batch once release is closed.
-func stallBus(t *testing.T, store *kvcache.Store, depth int) (bus *Bus, release chan struct{}) {
+// stalled returns a bus whose worker is parked inside the apply of a first
+// window, so what is published next queues up behind it until release is
+// closed.
+func stalled(t *testing.T, r *recorder) (bus *Bus[item], release chan struct{}) {
 	t.Helper()
-	bus = New(Config{Cache: store, Shards: 1, QueueDepth: depth, BatchWindow: -1, MaxBatch: 10000})
-	release = make(chan struct{})
-	entered := make(chan struct{})
-	bus.Publish(Op{Kind: OpCasUpdate, Key: "stall", Update: func(kvcache.Cache) {
-		close(entered)
-		<-release
-	}})
-	<-entered // worker is now parked mid-flush
-	return bus, release
+	r.block, r.entered = make(chan struct{}), make(chan struct{})
+	bus = New(time.Hour, r.apply)
+	bus.Publish([]item{{from: -1}})
+	go bus.Flush() // closes the first window; returns once it is released
+	<-r.entered
+	return bus, r.block
 }
 
-func TestCoalesceRedundantDeletes(t *testing.T) {
-	store := kvcache.New(0)
-	store.Set("a", []byte("v"), 0)
-	bus, release := stallBus(t, store, 1024)
-	defer bus.Close()
+// publishConcurrently has 8 publishers publish 200 two-item lists each,
+// flushing now and then, and closes the bus.
+func publishConcurrently(bus *Bus[item]) (publishers, lists int) {
+	publishers, lists = 8, 200
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < lists; i++ {
+				// Two items per list: a statement's ops travel as one unit.
+				bus.Publish([]item{{p, 2 * i}, {p, 2*i + 1}})
+				if i%50 == 0 {
+					bus.Flush()
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	bus.Close()
+	return publishers, lists
+}
 
-	var found, notFound int
-	var mu sync.Mutex
-	done := func(r Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		if r.Found {
-			found++
-		} else {
-			notFound++
+// One worker applies every publisher's items in the order it published them.
+func TestPerKeyFIFOOrdering(t *testing.T) {
+	r := &recorder{}
+	publishers, lists := publishConcurrently(New(time.Millisecond, r.apply))
+	next := make([]int, publishers)
+	for _, it := range r.items() {
+		if it.seq != next[it.from] {
+			t.Fatalf("publisher %d: item %d applied when %d was due", it.from, it.seq, next[it.from])
+		}
+		next[it.from]++
+	}
+	for p, n := range next {
+		if n != 2*lists {
+			t.Fatalf("publisher %d: %d items applied, want %d", p, n, 2*lists)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		bus.Publish(Op{Kind: OpDelete, Key: "a", Done: done})
-	}
-	close(release)
-	bus.Flush()
+}
 
-	if _, ok := store.Get("a"); ok {
-		t.Fatal("key survived deletion")
-	}
+func TestConcurrentPublishersDrainFully(t *testing.T) {
+	r := &recorder{keys: func(w []item) int { return len(w) / 2 }}
+	bus := New(time.Millisecond, r.apply)
+	publishers, lists := publishConcurrently(bus)
 	st := bus.Stats()
-	if st.Coalesced != 9 {
-		t.Fatalf("coalesced = %d, want 9", st.Coalesced)
+	if want := int64(publishers * lists * 2); st.Enqueued != want || len(r.items()) != int(want) {
+		t.Fatalf("enqueued %d, applied %d items, want %d", st.Enqueued, len(r.items()), want)
 	}
-	if found != 1 || notFound != 9 {
-		t.Fatalf("done callbacks: found=%d notFound=%d, want 1/9", found, notFound)
-	}
-	// 11 enqueued (stall + 10 deletes), 2 applied (stall + surviving delete).
-	if st.Enqueued != 11 || st.Applied != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestCoalesceSupersedeAndMergeRules(t *testing.T) {
-	store := kvcache.New(0)
-	store.Set("n", []byte("100"), 0)
-	bus, release := stallBus(t, store, 1024)
-	defer bus.Close()
-
-	// set v1, set v2 -> one set (v2).
-	bus.Publish(Op{Kind: OpSet, Key: "s", Value: []byte("v1")})
-	bus.Publish(Op{Kind: OpSet, Key: "s", Value: []byte("v2")})
-	// incr +1, +2, +3 -> one incr +6.
-	var incrRes Result
-	for d := int64(1); d <= 3; d++ {
-		bus.Publish(Op{Kind: OpIncr, Key: "n", Delta: d, Done: func(r Result) { incrRes = r }})
-	}
-	// set then delete -> just the delete.
-	bus.Publish(Op{Kind: OpSet, Key: "gone", Value: []byte("x")})
-	bus.Publish(Op{Kind: OpDelete, Key: "gone"})
-	close(release)
-	bus.Flush()
-
-	if v, ok := store.Get("s"); !ok || string(v) != "v2" {
-		t.Fatalf("s = %q/%v, want v2", v, ok)
-	}
-	if v, ok := store.Get("n"); !ok || string(v) != "106" {
-		t.Fatalf("n = %q/%v, want 106", v, ok)
-	}
-	if incrRes.Value != 106 || !incrRes.Found {
-		t.Fatalf("merged incr result = %+v", incrRes)
-	}
-	if _, ok := store.Get("gone"); ok {
-		t.Fatal("superseded set resurrected the key")
-	}
-	// Coalesced: 1 set + 2 incr merges + 1 set-under-delete = 4.
-	if st := bus.Stats(); st.Coalesced != 4 {
-		t.Fatalf("coalesced = %d, want 4 (%+v)", st.Coalesced, st)
-	}
-}
-
-func TestCasUpdateOrderingAndSupersession(t *testing.T) {
-	store := kvcache.New(0)
-	bus, release := stallBus(t, store, 1024)
-	defer bus.Close()
-
-	// A CAS update observes every earlier op on its key (it supersedes
-	// nothing)...
-	var saw []byte
-	bus.Publish(Op{Kind: OpSet, Key: "k", Value: []byte("first")})
-	bus.Publish(Op{Kind: OpCasUpdate, Key: "k", Update: func(c kvcache.Cache) {
-		saw, _ = c.Get("k")
-	}})
-	// ...while a later absolute op makes the key's final state independent
-	// of a pending CAS update, so that one coalesces away unexecuted.
-	ran := false
-	bus.Publish(Op{Kind: OpCasUpdate, Key: "dead", Update: func(c kvcache.Cache) { ran = true }})
-	bus.Publish(Op{Kind: OpSet, Key: "dead", Value: []byte("final")})
-	close(release)
-	bus.Flush()
-
-	if string(saw) != "first" {
-		t.Fatalf("cas update saw %q, want %q", saw, "first")
-	}
-	if ran {
-		t.Fatal("superseded cas update still executed")
-	}
-	if v, _ := store.Get("dead"); string(v) != "final" {
-		t.Fatalf("final value %q, want %q", v, "final")
+	if st.Applied+st.Coalesced != st.Enqueued || st.Coalesced == 0 {
+		t.Fatalf("applied %d + coalesced %d != enqueued %d", st.Applied, st.Coalesced, st.Enqueued)
 	}
 }
 
 func TestFlushDrainsEverythingPublishedBefore(t *testing.T) {
-	store := kvcache.New(0)
-	bus := New(Config{Cache: store, Shards: 4, BatchWindow: 50 * time.Millisecond})
+	r := &recorder{}
+	bus := New(time.Hour, r.apply)
 	defer bus.Close()
 	const n = 200
 	for i := 0; i < n; i++ {
-		bus.Publish(Op{Kind: OpSet, Key: fmt.Sprintf("k-%d", i), Value: []byte("v")})
+		bus.Publish([]item{{0, i}})
 	}
-	bus.Flush() // must not wait out the 50ms window n times
-	if store.Len() != n {
-		t.Fatalf("after Flush: %d keys stored, want %d", store.Len(), n)
+	done := make(chan struct{})
+	go func() {
+		bus.Flush() // must not wait out the hour-long window
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush waited for the window to close")
 	}
-	if st := bus.Stats(); st.Applied != n {
-		t.Fatalf("applied = %d, want %d", st.Applied, n)
+	if got := len(r.items()); got != n {
+		t.Fatalf("after Flush: %d items applied, want %d", got, n)
+	}
+	// The barrier closed the window early: one window held all of them.
+	if st := bus.Stats(); st.Flushes != 1 || st.MaxBatch != n {
+		t.Fatalf("flushes = %d, max batch = %d, want 1 and %d", st.Flushes, st.MaxBatch, n)
 	}
 }
 
 func TestCloseDrainsAndFallsBackToSync(t *testing.T) {
-	store := kvcache.New(0)
-	bus := New(Config{Cache: store, BatchWindow: 20 * time.Millisecond})
+	r := &recorder{}
+	bus := New(time.Hour, r.apply)
 	for i := 0; i < 50; i++ {
-		bus.Publish(Op{Kind: OpSet, Key: fmt.Sprintf("k-%d", i), Value: []byte("v")})
+		bus.Publish([]item{{0, i}})
 	}
 	bus.Close()
-	if store.Len() != 50 {
-		t.Fatalf("Close left %d keys, want 50", store.Len())
+	if got := len(r.items()); got != 50 {
+		t.Fatalf("Close left %d of 50 items applied", got)
 	}
-	// Ops after Close apply inline rather than vanishing.
-	bus.Publish(Op{Kind: OpDelete, Key: "k-0"})
-	if _, ok := store.Get("k-0"); ok {
-		t.Fatal("post-Close publish was dropped")
+	// A list published after Close is applied before Publish returns.
+	bus.Publish([]item{{0, 50}})
+	if all := r.items(); len(all) != 51 || all[50].seq != 50 {
+		t.Fatalf("post-Close publish was not applied inline: %v", all[len(all)-1])
 	}
+	bus.Flush() // harmless after Close
 	bus.Close() // idempotent
 }
 
-// TestAsyncAmortizesConnectCost: ops that pile up behind a busy worker
-// leave in one flush, so whatever an exchange with the cache costs is paid
-// once for all of them.
+// Lists that pile up behind a busy worker leave in one window, so whatever an
+// exchange with the cache costs is paid once for all of them.
 func TestAsyncAmortizesConnectCost(t *testing.T) {
-	store := kvcache.New(0)
-	bus := New(Config{Cache: store, Shards: 1, BatchWindow: -1, MaxBatch: 10000})
+	r := &recorder{}
+	bus, release := stalled(t, r)
 	defer bus.Close()
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	bus.Publish(Op{Kind: OpCasUpdate, Key: "stall", Update: func(kvcache.Cache) {
-		close(entered)
-		<-release
-	}})
-	<-entered
 	for i := 0; i < 100; i++ {
-		bus.Publish(Op{Kind: OpSet, Key: fmt.Sprintf("k-%d", i), Value: []byte("v")})
+		bus.Publish([]item{{0, i}})
 	}
 	close(release)
 	bus.Flush()
-	// One flush for the stall, one for the 100 queued ops.
 	if st := bus.Stats(); st.Flushes != 2 || st.MaxBatch != 100 {
 		t.Fatalf("flushes = %d, max batch = %d, want 2 and 100", st.Flushes, st.MaxBatch)
 	}
 }
 
-func TestBackpressureBlocksPublishOnFullQueue(t *testing.T) {
-	store := kvcache.New(0)
-	bus, release := stallBus(t, store, 1)
-	defer bus.Close()
-
-	bus.Publish(Op{Kind: OpSet, Key: "a", Value: []byte("v")}) // fills depth-1 queue
-	blocked := make(chan struct{})
+// fillQueue stalls the worker and publishes queueDepth lists behind it, then
+// one more from another goroutine, which must block; unblocked closes when
+// that Publish returns.
+func fillQueue(t *testing.T, r *recorder) (bus *Bus[item], release, unblocked chan struct{}) {
+	t.Helper()
+	bus, release = stalled(t, r)
+	for i := 0; i < queueDepth; i++ {
+		bus.Publish([]item{{0, i}})
+	}
+	if st := bus.Stats(); st.QueueFullStalls != 0 || st.StallTime != 0 {
+		t.Fatalf("filling the queue stalled: %+v", st)
+	}
+	unblocked = make(chan struct{})
 	go func() {
-		bus.Publish(Op{Kind: OpSet, Key: "b", Value: []byte("v")}) // must block
-		close(blocked)
+		bus.Publish([]item{{0, queueDepth}})
+		close(unblocked)
 	}()
+	return bus, release, unblocked
+}
+
+func TestBackpressureBlocksPublishOnFullQueue(t *testing.T) {
+	r := &recorder{}
+	bus, release, unblocked := fillQueue(t, r)
+	defer bus.Close()
 	select {
-	case <-blocked:
-		t.Fatal("publish did not block on a full shard queue")
+	case <-unblocked:
+		t.Fatal("publish did not block on the full queue")
 	case <-time.After(30 * time.Millisecond):
 	}
 	close(release)
 	select {
-	case <-blocked:
+	case <-unblocked:
 	case <-time.After(2 * time.Second):
 		t.Fatal("publish never unblocked after the worker drained")
 	}
 	bus.Flush()
-	if _, ok := store.Get("b"); !ok {
-		t.Fatal("backpressured op lost")
-	}
-}
-
-func TestStatsTrackLagAndFlushes(t *testing.T) {
-	store := kvcache.New(0)
-	bus := New(Config{Cache: store, Shards: 1, BatchWindow: 5 * time.Millisecond})
-	defer bus.Close()
-	bus.Publish(Op{Kind: OpSet, Key: "k", Value: []byte("v")})
-	bus.Flush()
-	st := bus.Stats()
-	if st.Flushes == 0 {
-		t.Fatalf("flushes = 0, want > 0")
-	}
-	if st.MaxLag <= 0 {
-		t.Fatalf("max lag = %v, want > 0", st.MaxLag)
-	}
-	if st.Enqueued != 1 || st.Applied != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestConcurrentPublishersDrainFully(t *testing.T) {
-	store := kvcache.New(0)
-	bus := New(Config{Cache: store, Shards: 4, QueueDepth: 64, BatchWindow: time.Millisecond})
-	const goroutines = 8
-	const perG = 500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				bus.Publish(Op{Kind: OpIncr, Key: fmt.Sprintf("ctr-%d", i%7), Delta: 1})
-				if i%50 == 0 {
-					bus.Flush()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	bus.Close()
-	st := bus.Stats()
-	if st.Enqueued != goroutines*perG {
-		t.Fatalf("enqueued = %d", st.Enqueued)
-	}
-	if st.Applied+st.Coalesced != st.Enqueued {
-		t.Fatalf("applied %d + coalesced %d != enqueued %d", st.Applied, st.Coalesced, st.Enqueued)
+	if all := r.items(); len(all) != queueDepth+2 || all[len(all)-1].seq != queueDepth {
+		t.Fatalf("%d items applied, want %d ending with the backpressured one", len(all), queueDepth+2)
 	}
 }
 
 func TestStatsCountQueueFullStalls(t *testing.T) {
-	store := kvcache.New(0)
-	bus, release := stallBus(t, store, 1)
+	r := &recorder{}
+	bus, release, unblocked := fillQueue(t, r)
 	defer bus.Close()
-
-	// Queue empty: this fill does not stall.
-	bus.Publish(Op{Kind: OpSet, Key: "a", Value: []byte("v")})
-	if st := bus.Stats(); st.QueueFullStalls != 0 || st.StallTime != 0 {
-		t.Fatalf("premature stall accounting: %+v", st)
-	}
-
-	unblocked := make(chan struct{})
-	go func() {
-		// Queue holds "a" and the worker is parked: this Publish must stall.
-		bus.Publish(Op{Kind: OpSet, Key: "b", Value: []byte("v")})
-		close(unblocked)
-	}()
-	// The stall counter increments before the publisher parks, so we can
-	// wait for the park deterministically.
+	// The stall counter increments before the publisher parks, so the park
+	// can be waited for.
 	deadline := time.Now().Add(2 * time.Second)
 	for bus.Stats().QueueFullStalls == 0 {
 		if time.Now().After(deadline) {
@@ -341,62 +229,39 @@ func TestStatsCountQueueFullStalls(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
-	select {
-	case <-unblocked:
-	case <-time.After(2 * time.Second):
-		t.Fatal("stalled publish never completed")
-	}
+	<-unblocked
 	bus.Flush()
-	st := bus.Stats()
-	if st.QueueFullStalls != 1 {
-		t.Fatalf("queue-full stalls = %d, want 1", st.QueueFullStalls)
-	}
-	if st.StallTime <= 0 {
-		t.Fatalf("stall time = %v, want > 0", st.StallTime)
-	}
-	if _, ok := store.Get("b"); !ok {
-		t.Fatal("stalled op lost")
+	if st := bus.Stats(); st.QueueFullStalls != 1 || st.StallTime <= 0 {
+		t.Fatalf("stalls = %d over %v, want 1 over > 0", st.QueueFullStalls, st.StallTime)
 	}
 }
 
-// TestSupersededCasUpdateDoneReportsNotFound pins the documented corner of
-// the Result contract: an OpCasUpdate superseded by a later Delete or Set on
-// the same key never executes, and its Done reports Found:false (the
-// read-modify-write did not run), while the superseding op completes
-// normally.
-func TestSupersededCasUpdateDoneReportsNotFound(t *testing.T) {
-	store := kvcache.New(0)
-	bus, release := stallBus(t, store, 1024)
+// MaxLag runs from a list's publish to the end of its window's apply, so it
+// includes the time the apply waits on the cache.
+func TestStatsTrackLagAndFlushes(t *testing.T) {
+	const applyTime = 20 * time.Millisecond
+	r := &recorder{keys: func(w []item) int {
+		time.Sleep(applyTime)
+		keys := map[int]bool{}
+		for _, it := range w {
+			keys[it.seq] = true
+		}
+		return len(keys)
+	}}
+	bus := New(time.Hour, r.apply) // the Flush below closes the window
 	defer bus.Close()
-
-	ran := false
-	var casRes, setRes Result
-	var casDone, setDone sync.WaitGroup
-	casDone.Add(1)
-	setDone.Add(1)
-	bus.Publish(Op{
-		Kind: OpCasUpdate, Key: "k",
-		Update: func(c kvcache.Cache) { ran = true },
-		Done:   func(r Result) { casRes = r; casDone.Done() },
-	})
-	bus.Publish(Op{
-		Kind: OpSet, Key: "k", Value: []byte("winner"),
-		Done: func(r Result) { setRes = r; setDone.Done() },
-	})
-	close(release)
+	// Three items on two keys in one window: two keys written, one coalesced.
+	bus.Publish([]item{{0, 1}, {0, 2}})
+	bus.Publish([]item{{0, 1}})
 	bus.Flush()
-	casDone.Wait()
-	setDone.Wait()
-	if ran {
-		t.Fatal("superseded CAS update executed")
+	st := bus.Stats()
+	if st.Enqueued != 3 || st.Applied != 2 || st.Coalesced != 1 {
+		t.Fatalf("enqueued/applied/coalesced = %d/%d/%d, want 3/2/1", st.Enqueued, st.Applied, st.Coalesced)
 	}
-	if casRes.Found {
-		t.Fatalf("superseded CAS update Done = %+v, want Found:false", casRes)
+	if st.Flushes != 1 || st.MaxBatch != 3 {
+		t.Fatalf("flushes = %d, max batch = %d, want 1 and 3", st.Flushes, st.MaxBatch)
 	}
-	if !setRes.Found {
-		t.Fatalf("superseding set Done = %+v, want Found:true", setRes)
-	}
-	if v, ok := store.Get("k"); !ok || string(v) != "winner" {
-		t.Fatalf("k = %q, %v", v, ok)
+	if st.MaxLag < applyTime {
+		t.Fatalf("max lag = %v, want at least the %v apply", st.MaxLag, applyTime)
 	}
 }

@@ -2,36 +2,29 @@ package invbus
 
 import "cachegenie/internal/obs"
 
-// RegisterMetrics attaches the bus's counters, live queue-depth view, and
-// flush-size / stall-time histograms to reg. The labels string is raw
-// Prometheus label syntax (e.g. `tier="app"`, "" for none); re-registering
-// under the same labels rebinds the series to this bus.
-func (b *Bus) RegisterMetrics(reg *obs.Registry, labels string) {
+// RegisterMetrics attaches the bus's counters, queue depth and histograms to
+// reg under labels, raw Prometheus label syntax (e.g. `tier="app"`, "" for
+// none); re-registering under the same labels rebinds the series to this bus.
+func (b *Bus[T]) RegisterMetrics(reg *obs.Registry, labels string) {
 	if b == nil || reg == nil {
 		return
 	}
 	reg.CounterFunc("cachegenie_invbus_enqueued_total", labels,
 		"ops published to the bus", b.enqueued.Load)
 	reg.CounterFunc("cachegenie_invbus_applied_total", labels,
-		"ops applied to the cache after coalescing", b.applied.Load)
+		"keys the applied windows wrote", b.applied.Load)
 	reg.CounterFunc("cachegenie_invbus_coalesced_total", labels,
-		"ops superseded or merged before flushing", b.coalesced.Load)
+		"ops applied together with another op of their key in one window", b.coalesced.Load)
 	reg.CounterFunc("cachegenie_invbus_flushes_total", labels,
-		"batches flushed downstream", b.flushes.Load)
+		"windows applied", b.flushes.Load)
 	reg.CounterFunc("cachegenie_invbus_queue_full_stalls_total", labels,
-		"Publish calls that blocked on a full shard queue", b.queueFullStalls.Load)
+		"Publish calls that blocked on the full queue", b.queueFullStalls.Load)
 	reg.GaugeFunc("cachegenie_invbus_queue_depth", labels,
-		"ops currently queued across all shards", func() int64 {
-			var depth int64
-			for _, s := range b.shards {
-				depth += int64(len(s.ch))
-			}
-			return depth
-		})
+		"published op lists waiting for the worker", func() int64 { return int64(len(b.ch)) })
 	reg.GaugeFuncUnit("cachegenie_invbus_max_lag_seconds", labels,
-		"worst observed publish-to-apply delay", obs.UnitNanoseconds, b.maxLag.Load)
+		"worst delay from publish to the end of its window's apply", obs.UnitNanoseconds, b.maxLag.Load)
 	reg.RegisterHistogram("cachegenie_invbus_flush_batch_size", labels,
-		"ops per flushed batch, pre-coalescing", obs.UnitNone, &b.flushSize)
+		"ops per applied window", obs.UnitNone, &b.flushSize)
 	reg.RegisterHistogram("cachegenie_invbus_publish_stall_seconds", labels,
-		"time Publish callers spent blocked on full shard queues", obs.UnitNanoseconds, &b.stallTime)
+		"time Publish callers spent blocked on the full queue", obs.UnitNanoseconds, &b.stallTime)
 }

@@ -133,7 +133,7 @@ func (s *Store) ApplyBatch(ops []BatchOp) []BatchResult {
 	// Batches smaller than the shard count skip the grouping machinery:
 	// their ops mostly land on distinct shards anyway, so per-op lock
 	// acquisitions cost less than allocating O(NumShards) bookkeeping (the
-	// common invalidation-bus flush is a handful of ops), and per-key
+	// common write-set flush is a handful of ops), and per-key
 	// ordering is position order either way.
 	if len(ops) <= 8 || len(ops) < len(s.shards) {
 		for i := range ops {

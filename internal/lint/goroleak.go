@@ -139,6 +139,11 @@ func calleeDecl(pass *Pass, call *ast.CallExpr, decls map[types.Object]*ast.Func
 		return nil
 	}
 	obj := pass.Info.Uses[id]
+	if fn, ok := obj.(*types.Func); ok {
+		// A method of a generic type is used through its instantiation; the
+		// declaration belongs to the generic origin.
+		obj = fn.Origin()
+	}
 	if obj == nil {
 		return nil
 	}

@@ -67,6 +67,32 @@ func startTiedViaDoneChannel() string {
 	return <-done
 }
 
+// queue is a generic owner: go q.run() reaches run's body through the
+// method's generic origin.
+type queue[T any] struct {
+	ch chan T
+}
+
+func (q *queue[T]) run() {
+	for item := range q.ch {
+		_ = item
+	}
+}
+
+func (q *queue[T]) spin() {
+	for {
+		time.Sleep(time.Second)
+	}
+}
+
+func (q *queue[T]) startTiedGeneric() {
+	go q.run() // range over ch ties the lifetime
+}
+
+func (q *queue[T]) startLeakyGeneric() {
+	go q.spin() // want `goroutine's lifetime is not visibly tied`
+}
+
 func startLeakyLoop() {
 	go func() { // want `goroutine's lifetime is not visibly tied`
 		for {

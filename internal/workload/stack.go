@@ -147,9 +147,9 @@ type StackConfig struct {
 	// CacheConnect.
 	ReuseTriggerConnections bool
 	// AsyncInvalidation routes trigger cache maintenance through the
-	// asynchronous batching invalidation bus (internal/invbus) instead of
-	// synchronous per-op round trips; BatchWindow tunes its coalescing
-	// window (0 = bus default).
+	// asynchronous invalidation bus (internal/invbus) instead of flushing it
+	// before each write statement returns; BatchWindow sets the bus's window
+	// (0 = bus default).
 	AsyncInvalidation bool
 	BatchWindow       time.Duration
 	// Obs, when non-nil, receives every subsystem's metrics registration:
