@@ -28,8 +28,8 @@ type ExpOptions struct {
 	// Out receives progress lines (nil = silent).
 	Out io.Writer
 	// Async routes trigger cache maintenance through the invalidation bus
-	// for every stack the harness builds; BatchWindow tunes the bus
-	// coalescing window.
+	// for every stack the harness builds; BatchWindow sets the bus's
+	// window.
 	Async       bool
 	BatchWindow time.Duration
 	// Transport selects how every stack the harness builds reaches its
