@@ -109,8 +109,10 @@ type ReplicaStats struct {
 	FailoverReads int64
 	// ReadRepairs are failover hits copied back onto the preferred replica.
 	ReadRepairs int64
-	// SkippedUnhealthy counts replicas an operation skipped because their
-	// breaker was open — the routing work a dead node no longer causes.
+	// SkippedUnhealthy counts replicas passed over because their breaker was
+	// open: by a Get walking the replica set, and by every other op — per-op
+	// or one op of a batch — choosing the first healthy replica, whose answer
+	// it reports. A write still reaches the replicas it passed over.
 	SkippedUnhealthy int64
 }
 
@@ -332,43 +334,6 @@ func (r *Ring) ReplicaStats() ReplicaStats { return r.counters.snapshot() }
 // spreading is not enabled.
 func (r *Ring) HotKeyStats() HotKeyStats { return r.hot.snapshot() }
 
-// eachReplica runs f once per replica node, concurrently when there is more
-// than one — the same max-node-not-sum-of-node shape as the batch fan-out,
-// so an R-way write costs the slowest replica's round trip.
-func (r *Ring) eachReplica(reps []int, f func(ni int, c kvcache.Cache)) {
-	if len(reps) == 1 {
-		f(reps[0], r.nodes[reps[0]])
-		return
-	}
-	var wg sync.WaitGroup
-	for _, ni := range reps[1:] {
-		wg.Add(1)
-		go func(ni int) {
-			defer wg.Done()
-			f(ni, r.nodes[ni])
-		}(ni)
-	}
-	f(reps[0], r.nodes[reps[0]])
-	wg.Wait()
-}
-
-// preferredHealthy returns the position in reps of the first healthy
-// replica, counting the skips; falls back to 0 when every replica's breaker
-// is open (the preferred replica's pool then fails fast, degrading to a
-// miss, which is the correct all-nodes-down behaviour).
-func (r *Ring) preferredHealthy(reps []int) int {
-	for pos, ni := range reps {
-		if nodeHealthy(r.nodes[ni]) {
-			if pos > 0 {
-				r.counters.skipped.Add(int64(pos))
-			}
-			return pos
-		}
-	}
-	r.counters.skipped.Add(int64(len(reps)))
-	return 0
-}
-
 // getReplicated is the R > 1 read path: try replicas in preference order,
 // skipping open-breaker nodes before dialing; a hit on a non-preferred
 // replica counts as a failover read and is copied back onto the preferred
@@ -494,20 +459,24 @@ func (r *Ring) getSpread(key string, h uint64) ([]byte, bool) {
 	return nil, false
 }
 
+// one runs op at R > 1 as a one-op batch, so a per-op write follows the
+// same replica policy as a batched one (applyBatchReplicated).
+func (r *Ring) one(op kvcache.BatchOp) kvcache.BatchResult {
+	return r.applyBatchReplicated([]kvcache.BatchOp{op})[0]
+}
+
 // Gets implements kvcache.Cache. A CAS token is only meaningful against the
-// node that issued it, so Gets routes to the first *healthy* replica and
-// does not fail over on a plain miss — the matching Cas picks the same node
-// as long as health holds, which is what makes the gets/cas pair coherent.
-// (If health flips between the two calls, the Cas lands on a node with no
-// such token and reports NOT_FOUND; callers already treat that as a lost
-// race and recompute.)
+// node that issued it, so with replication Gets reads the first healthy
+// replica only and does not fail over on a miss; the matching Cas goes to
+// the same node as long as health holds. If health flips between the two,
+// the Cas lands on a node that never issued the token and reports
+// CasConflict, or CasNotFound when that node lacks the key.
 func (r *Ring) Gets(key string) ([]byte, uint64, bool) {
 	if r.replicas == 1 {
 		return r.pick(key).Gets(key)
 	}
-	var reps [maxStackReplicas]int
-	set := r.replicasAppend(key, reps[:0])
-	return r.nodes[set[r.preferredHealthy(set)]].Gets(key)
+	res := r.one(kvcache.BatchOp{Kind: kvcache.BatchGets, Key: key})
+	return res.Data, res.Cas, res.Found
 }
 
 // Set implements kvcache.Cache; with replication it fans out to all R
@@ -517,10 +486,7 @@ func (r *Ring) Set(key string, value []byte, ttl time.Duration) {
 		r.pick(key).Set(key, value, ttl)
 		return
 	}
-	var reps [maxStackReplicas]int
-	r.eachReplica(r.replicasAppend(key, reps[:0]), func(_ int, c kvcache.Cache) {
-		c.Set(key, value, ttl)
-	})
+	r.one(kvcache.BatchOp{Kind: kvcache.BatchSet, Key: key, Value: value, TTL: ttl})
 }
 
 // Add implements kvcache.Cache; with replication it fans out to all R
@@ -532,49 +498,20 @@ func (r *Ring) Add(key string, value []byte, ttl time.Duration) bool {
 	if r.replicas == 1 {
 		return r.pick(key).Add(key, value, ttl)
 	}
-	var reps [maxStackReplicas]int
-	set := r.replicasAppend(key, reps[:0])
-	decider := set[r.preferredHealthy(set)]
-	var stored atomic.Bool
-	r.eachReplica(set, func(ni int, c kvcache.Cache) {
-		ok := c.Add(key, value, ttl)
-		if ni == decider {
-			stored.Store(ok)
-		}
-	})
-	return stored.Load()
+	return r.one(kvcache.BatchOp{Kind: kvcache.BatchAdd, Key: key, Value: value, TTL: ttl}).Found
 }
 
-// Cas implements kvcache.Cache. The compare-and-swap itself runs against
-// the first healthy replica only — the one Gets handed out the token for —
-// and on success the winning value propagates to the remaining replicas as
-// plain sets (their tokens are from a different sequence and cannot be
-// compared against). A concurrent Cas on the same key therefore serializes
-// on the preferred replica, which is what makes ring CAS linearizable per
-// key while health is stable.
+// Cas implements kvcache.Cache. With replication the compare-and-swap runs
+// against the first healthy replica only — the one Gets handed out the token
+// for — and a stored value propagates to the other replicas as plain sets
+// (their tokens are from a different sequence). A concurrent Cas on the same
+// key therefore serializes on that replica, which makes ring CAS
+// linearizable per key while health is stable.
 func (r *Ring) Cas(key string, value []byte, ttl time.Duration, cas uint64) kvcache.CasResult {
 	if r.replicas == 1 {
 		return r.pick(key).Cas(key, value, ttl, cas)
 	}
-	var reps [maxStackReplicas]int
-	set := r.replicasAppend(key, reps[:0])
-	pos := r.preferredHealthy(set)
-	res := r.nodes[set[pos]].Cas(key, value, ttl, cas)
-	if res != kvcache.CasStored {
-		return res
-	}
-	rest := make([]int, 0, len(set)-1)
-	for i, ni := range set {
-		if i != pos {
-			rest = append(rest, ni)
-		}
-	}
-	if len(rest) > 0 {
-		r.eachReplica(rest, func(_ int, c kvcache.Cache) {
-			c.Set(key, value, ttl)
-		})
-	}
-	return res
+	return r.one(kvcache.BatchOp{Kind: kvcache.BatchCas, Key: key, Value: value, TTL: ttl, Cas: cas}).CasResult
 }
 
 // Delete implements kvcache.Cache; with replication the delete fans out to
@@ -584,14 +521,7 @@ func (r *Ring) Delete(key string) bool {
 	if r.replicas == 1 {
 		return r.pick(key).Delete(key)
 	}
-	var reps [maxStackReplicas]int
-	var found atomic.Bool
-	r.eachReplica(r.replicasAppend(key, reps[:0]), func(_ int, c kvcache.Cache) {
-		if c.Delete(key) {
-			found.Store(true)
-		}
-	})
-	return found.Load()
+	return r.one(kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: key}).Found
 }
 
 // Incr implements kvcache.Cache; with replication the increment fans out to
@@ -603,21 +533,8 @@ func (r *Ring) Incr(key string, delta int64) (int64, bool) {
 	if r.replicas == 1 {
 		return r.pick(key).Incr(key, delta)
 	}
-	var reps [maxStackReplicas]int
-	set := r.replicasAppend(key, reps[:0])
-	decider := set[r.preferredHealthy(set)]
-	var (
-		n  atomic.Int64
-		ok atomic.Bool
-	)
-	r.eachReplica(set, func(ni int, c kvcache.Cache) {
-		v, found := c.Incr(key, delta)
-		if ni == decider {
-			n.Store(v)
-			ok.Store(found)
-		}
-	})
-	return n.Load(), ok.Load()
+	res := r.one(kvcache.BatchOp{Kind: kvcache.BatchIncr, Key: key, Delta: delta})
+	return res.Value, res.Found
 }
 
 // ApplyBatch implements kvcache.Cache: one logical batch fans out as
@@ -767,26 +684,27 @@ func (f *fanout) apply(n int) {
 	}
 }
 
-// applyBatchReplicated fans each mutation out to its key's whole replica
-// set: one sub-batch per node carrying every op whose replica set contains
-// that node, applied concurrently (max-node cost, as in the single-owner
-// path). An op's relative order is preserved inside every node's sub-batch,
-// so per-key ordering — the invalidation bus's contract — holds on every
-// replica. Each op reports the result from the first replica that was healthy
-// when the batch was routed; delete results additionally OR across replicas
-// so "found" means "some replica held it", matching Ring.Delete.
+// applyBatchReplicated is the ring's one replica policy at R > 1: batches
+// and, as one-op batches, the per-op writes and Gets. It fans each mutation
+// out to its key's whole replica set: one sub-batch per node carrying every
+// op whose replica set contains that node, applied concurrently (max-node
+// cost, as in the single-owner path). An op's relative order is preserved
+// inside every node's sub-batch, so per-key ordering — the invalidation bus's
+// contract — holds on every replica. Each op reports the result from the
+// first replica that was healthy when the batch was routed, counting the
+// replicas it passed over in SkippedUnhealthy; a delete's result additionally
+// ORs across replicas, so "found" means "some replica held it".
 //
-// Gets and cas ops go to that first healthy replica only, matching Ring.Gets
-// and Ring.Cas: a token is only meaningful on the node that issued it. A
-// stored cas then propagates to the key's other replicas as a plain set, in
-// one more concurrent round.
+// Gets and cas ops go to that first healthy replica only: a token is only
+// meaningful on the node that issued it. A stored cas then propagates to the
+// key's other replicas as a plain set, in one more concurrent round.
 //
 // A get goes to the one replica Ring.Get would try first — the first healthy
 // one, or with hot-key spreading the next healthy one in rotation when the
 // sampler (fed here as Get feeds it) flags the key — and what that replica
-// answers is the answer: a batched miss does not fail over to the next
-// replica and repairs nothing. The caller reloads from the database and its
-// populate fans out to the whole replica set.
+// answers is the answer: unlike Ring.Get, a batched miss does not fail over
+// to the next replica and repairs nothing. The caller reloads from the
+// database and its populate fans out to the whole replica set.
 func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	healthyNode := make([]bool, len(r.nodes))
 	for i, n := range r.nodes {
@@ -803,16 +721,18 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 	decider := make([]int, len(ops))
 	var spread []int // gets routed in rotation
 	var buf [maxStackReplicas]int
+	skipped := 0
 	for i := range ops {
 		h := hash64(ops[i].Key)
 		set := r.replicasAppendHash(h, buf[:0])
-		decider[i] = set[0]
-		for _, ni := range set {
-			if healthyNode[ni] {
-				decider[i] = ni
-				break
-			}
+		// The first healthy replica decides; with none healthy the preferred
+		// one fails fast, which reads as a miss.
+		pos := 0
+		for pos < len(set) && !healthyNode[set[pos]] {
+			pos++
 		}
+		skipped += pos
+		decider[i] = set[pos%len(set)]
 		switch ops[i].Kind {
 		case kvcache.BatchGet:
 			if hr := r.hot; hr != nil && hr.det.Observe(h) {
@@ -833,6 +753,9 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 				send(ni, i)
 			}
 		}
+	}
+	if skipped > 0 {
+		r.counters.skipped.Add(int64(skipped))
 	}
 	p := newPartition(len(r.nodes), nodeOf, opOf, parts)
 	results := make([]kvcache.BatchResult, len(p.idx))

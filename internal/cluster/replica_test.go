@@ -262,6 +262,8 @@ func TestReplicatedBatchGetsCasRouting(t *testing.T) {
 	r.Set(a, []byte("a1"), 0)
 	r.Set(b, []byte("b1"), 0)
 	r.Set("ctr", []byte("0"), 0)
+	nodes[0].take() // the setup writes arrive as one-op batches
+	nodes[1].take()
 
 	read := r.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchGets, Key: a}, {Kind: kvcache.BatchGets, Key: b}})
 	if string(read[0].Data) != "a1" || string(read[1].Data) != "b1" {
@@ -489,6 +491,8 @@ func TestBatchGetRouting(t *testing.T) {
 			a, b := keys[0], keys[1]
 			r.Set(a, []byte("a1"), 0)
 			r.Set(b, []byte("b1"), 0)
+			nodes[0].take() // at R = 2 the setup writes arrive as one-op batches
+			nodes[1].take()
 
 			wave := []kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: a}, {Kind: kvcache.BatchGet, Key: b}, {Kind: kvcache.BatchGet, Key: "absent"}}
 			res := r.ApplyBatch(wave)
@@ -528,5 +532,99 @@ func TestBatchGetRouting(t *testing.T) {
 				t.Fatalf("nodes received %s, want %s", got, want)
 			}
 		})
+	}
+}
+
+// TestPerOpMatchesBatchReplicaPolicy: at R = 2 a per-op call and the same op
+// sent as a one-op ApplyBatch to a twin ring over identical stores answer
+// alike, leave the stores alike and count alike — with the key's preferred
+// replica healthy and with its breaker open. An op routed past the open
+// breaker counts the replica it skipped.
+func TestPerOpMatchesBatchReplicaPolicy(t *testing.T) {
+	// perOp runs op through the Ring method of its kind and prints what the
+	// method returns; batched prints a one-op batch's result the same way.
+	perOp := func(r *Ring, op kvcache.BatchOp) string {
+		switch op.Kind {
+		case kvcache.BatchGets:
+			v, tok, ok := r.Gets(op.Key)
+			return fmt.Sprintf("%q %d %v", v, tok, ok)
+		case kvcache.BatchSet:
+			r.Set(op.Key, op.Value, op.TTL)
+			return ""
+		case kvcache.BatchAdd:
+			return fmt.Sprint(r.Add(op.Key, op.Value, op.TTL))
+		case kvcache.BatchCas:
+			return fmt.Sprint(r.Cas(op.Key, op.Value, op.TTL, op.Cas))
+		case kvcache.BatchDelete:
+			return fmt.Sprint(r.Delete(op.Key))
+		}
+		n, ok := r.Incr(op.Key, op.Delta)
+		return fmt.Sprint(n, ok)
+	}
+	batched := func(r *Ring, op kvcache.BatchOp) string {
+		res := r.ApplyBatch([]kvcache.BatchOp{op})[0]
+		switch op.Kind {
+		case kvcache.BatchGets:
+			return fmt.Sprintf("%q %d %v", res.Data, res.Cas, res.Found)
+		case kvcache.BatchSet:
+			return ""
+		case kvcache.BatchAdd, kvcache.BatchDelete:
+			return fmt.Sprint(res.Found)
+		case kvcache.BatchCas:
+			return fmt.Sprint(res.CasResult)
+		}
+		return fmt.Sprint(res.Value, res.Found)
+	}
+	for _, tc := range []struct {
+		kind kvcache.BatchOpKind
+		cold bool // the key is missing from its preferred replica
+	}{
+		{kind: kvcache.BatchGets}, {kind: kvcache.BatchSet}, {kind: kvcache.BatchAdd, cold: true},
+		{kind: kvcache.BatchCas}, {kind: kvcache.BatchDelete}, {kind: kvcache.BatchIncr, cold: true},
+	} {
+		for _, open := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/open=%v", tc.kind, open), func(t *testing.T) {
+				var rings [2]*Ring
+				var stores [2][]*kvcache.Store
+				key := ""
+				for i := range rings {
+					r, nodes, st := newLoggedPair(t, WithReplicas(2))
+					for j := 0; key == ""; j++ {
+						if k := fmt.Sprintf("twin-%d", j); r.NodeFor(k) == 0 {
+							key = k
+						}
+					}
+					st[0].Set(key, []byte("5"), 0)
+					st[1].Set(key, []byte("5"), 0)
+					if tc.cold {
+						st[0].Delete(key)
+					}
+					nodes[0].healthy.Store(!open)
+					rings[i], stores[i] = r, st
+				}
+				decider := 0
+				if open {
+					decider = 1
+				}
+				_, tok, _ := stores[0][decider].Gets(key)
+				op := kvcache.BatchOp{Kind: tc.kind, Key: key, Value: []byte("7"), Delta: 2, Cas: tok}
+				if got, want := perOp(rings[0], op), batched(rings[1], op); got != want {
+					t.Fatalf("per-op call returned %s, one-op batch %s", got, want)
+				}
+				for n := range stores[0] {
+					v0, ok0 := stores[0][n].GetQuiet(key)
+					v1, ok1 := stores[1][n].GetQuiet(key)
+					if string(v0) != string(v1) || ok0 != ok1 {
+						t.Fatalf("node %d holds %q/%v after the per-op call, %q/%v after the batch", n, v0, ok0, v1, ok1)
+					}
+				}
+				if got, want := rings[0].ReplicaStats(), rings[1].ReplicaStats(); got != want {
+					t.Fatalf("replica stats: per-op %+v, batch %+v", got, want)
+				}
+				if got := rings[1].ReplicaStats().SkippedUnhealthy; got != int64(decider) {
+					t.Fatalf("batched %s skipped %d replicas, want %d", tc.kind, got, decider)
+				}
+			})
+		}
 	}
 }

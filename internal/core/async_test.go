@@ -351,36 +351,3 @@ func TestAsyncWindowEditsAListOnce(t *testing.T) {
 		t.Fatal("the edited list was not served from the cache")
 	}
 }
-
-// TestAsyncLostCasDropsKey: on the bus there is no statement to converge a
-// key through, so a list whose cas loses a race between the window's two
-// batches is deleted, and the next read reloads it.
-func TestAsyncLostCasDropsKey(t *testing.T) {
-	s, cc := newAsyncStackWindow(t, UpdateInPlace, time.Hour)
-	const key = "cg:profile:1"
-	if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.reg.Objects("Profile").Filter("user_id", 1).All(); err != nil {
-		t.Fatal(err)
-	}
-	s.g.FlushInvalidations()
-	cc.reset()
-	cc.beforeBatch = func(n int) {
-		if n == 2 { // between the gets and the cas: another writer's set
-			raw, _ := s.cache.Get(key)
-			s.cache.Set(key, raw, 0)
-		}
-	}
-	if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v2"}); err != nil {
-		t.Fatal(err)
-	}
-	s.g.FlushInvalidations()
-	if got := fmt.Sprint(cc.batches); got != "[[gets] [cas] [delete]]" || len(cc.perOp) != 0 {
-		t.Fatalf("the window reached the cache as batches %s and per-op calls %v, want [[gets] [cas] [delete]] and none", got, cc.perOp)
-	}
-	if _, ok := s.cache.Get(key); ok {
-		t.Fatal("the key that lost its cas is still cached")
-	}
-	checkAgainstDB(t, s, s.g.Objects()[0], sqldb.I64(1))
-}

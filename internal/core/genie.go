@@ -68,7 +68,7 @@ type Stats struct {
 	TriggerDeletes  int64 // invalidations from triggers
 	TriggerSkips    int64 // trigger found key absent and quit
 	Recomputes      int64 // top-K reserve exhausted, full recompute
-	CasRetries      int64 // CAS conflicts retried
+	CasRetries      int64 // keys deleted after losing a cas between a flush's two batches
 	PopulateRefused int64 // Add lost to a concurrent populate
 	FlightLeads     int64 // misses that ran the database load (single-flight leader)
 	FlightShared    int64 // misses that waited on a concurrent load and shared its result
@@ -116,11 +116,9 @@ type Genie struct {
 	flightShared    atomic.Int64
 	waves           atomic.Int64
 	waveKeys        atomic.Int64
-	// casFallbacks counts keys a write-set flush had to converge on their own
-	// after losing a race between its two batches; flushOps is the number of
-	// cache ops each flush carried in them.
-	casFallbacks atomic.Int64
-	flushOps     obs.Histogram
+	// flushOps is the number of cache ops each write-set flush carried in
+	// its two batches.
+	flushOps obs.Histogram
 }
 
 // New creates a Genie and installs it as the registry's read interceptor

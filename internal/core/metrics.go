@@ -22,7 +22,7 @@ func (g *Genie) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.CounterFunc("cachegenie_genie_recomputes_total", labels,
 		"full recomputes after top-K reserve exhaustion", g.recomputes.Load)
 	reg.CounterFunc("cachegenie_genie_cas_retries_total", labels,
-		"CAS conflicts retried", g.casRetries.Load)
+		"keys deleted after losing a cas between a flush's two batches", g.casRetries.Load)
 	reg.CounterFunc("cachegenie_genie_populate_refused_total", labels,
 		"populates that lost to a concurrent Add", g.populateRefused.Load)
 	// Batching health of the read path: keys per wave falling toward one means
@@ -32,12 +32,9 @@ func (g *Genie) RegisterMetrics(reg *obs.Registry, labels string) {
 	reg.CounterFunc("cachegenie_genie_wave_keys_total", labels,
 		"keys carried by read-wave batches", g.waveKeys.Load)
 	// Batching health of the synchronous write path: flushes shrinking toward
-	// one op, or fallbacks climbing, mean statements are back to paying a
-	// round trip per cache op.
+	// one op mean statements are back to paying a round trip per cache op.
 	reg.RegisterHistogram("cachegenie_genie_writeset_flush_ops", labels,
 		"cache ops one statement's write-set flush carried in its (at most two) batches", obs.UnitNone, &g.flushOps)
-	reg.CounterFunc("cachegenie_genie_cas_fallbacks_total", labels,
-		"keys a write-set flush re-ran through their own gets/cas loop after a conflict between its batches", g.casFallbacks.Load)
 	if g.flights != nil {
 		reg.CounterFunc("cachegenie_singleflight_leads_total", labels,
 			"miss loads that ran the database query", g.flightLeads.Load)

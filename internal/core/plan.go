@@ -298,8 +298,7 @@ func (p *plan) source(op sqldb.TriggerOp) string {
 		pr("# List edits are recorded, not sent: the flush reads each edited list in")
 		pr("# one batch of gets and, if the key is cached at all (paper §3.2: 'If not")
 		pr("# present, the trigger quits'), swaps the composed edits in with one batch")
-		pr("# of cas. A key that lost a cas race re-runs gets -> edit -> cas up to %d", maxCasRetries)
-		pr("# times, and is then deleted, which is always safe.")
+		pr("# of cas. A key that lost a cas race is deleted, which is always safe.")
 	}
 
 	cols := func(row string, cs []int, sep string) string {

@@ -9,11 +9,6 @@ import (
 	"cachegenie/internal/sqldb"
 )
 
-// maxCasRetries bounds the gets/cas retry loop in update-in-place triggers.
-// On exhaustion the trigger falls back to invalidating the key, which is
-// always safe.
-const maxCasRetries = 16
-
 // opKind is what an op does to its key's cached entry (opNotes). The row-list
 // edits are idempotent by primary key, except opAppend. Triggers record every
 // kind but opPopulate, which a read miss publishes to the invalidation bus.
@@ -212,58 +207,6 @@ func (co *CachedObject) topkInsert(p *payload, row sqldb.Row) bool {
 	return true
 }
 
-// casLoop applies a list edit to c on its own, as the paper's trigger does:
-// gets -> modify -> cas, retried on conflict. It is the route for a key that
-// lost a race inside a synchronous write-set flush.
-func (o *op) casLoop(c kvcache.Cache) (short bool) {
-	o.co.casLoop(c, o.key, func(p *payload) bool {
-		var changed bool
-		changed, short = o.apply(p)
-		return changed
-	})
-	return short
-}
-
-// casLoop is the gets -> modify -> cas retry loop. fn mutates the decoded
-// payload and reports whether anything changed. If the key is absent the
-// trigger quits (the paper's behaviour: uncached entries are repopulated on
-// the next read miss). Retries on CAS conflicts; falls back to invalidation
-// if the conflict persists.
-func (co *CachedObject) casLoop(c kvcache.Cache, key string, fn func(p *payload) bool) {
-	g := co.g
-	for attempt := 0; ; attempt++ {
-		raw, tok, ok := c.Gets(key)
-		if !ok {
-			g.trigSkips.Add(1)
-			return
-		}
-		p, err := decodePayload(raw)
-		if err != nil {
-			c.Delete(key)
-			g.trigDeletes.Add(1)
-			return
-		}
-		if !fn(&p) {
-			return
-		}
-		switch c.Cas(key, encodePayload(p), co.ttl(), tok) {
-		case kvcache.CasStored:
-			g.trigUpdates.Add(1)
-			return
-		case kvcache.CasNotFound:
-			g.trigSkips.Add(1)
-			return
-		case kvcache.CasConflict:
-			g.casRetries.Add(1)
-			if attempt >= maxCasRetries {
-				c.Delete(key)
-				g.trigDeletes.Add(1)
-				return
-			}
-		}
-	}
-}
-
 // writeSet is one write statement's cache maintenance. Trigger bodies never
 // talk to the cache: they record ops here, and the engine ends the statement
 // by flushing the set once, after the last row's triggers and with the
@@ -327,10 +270,10 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 // number of keys the ops touched.
 //
 // q is the statement's connection, through which a top-K list that a removal
-// leaves short of its reserve is recomputed, and a key whose cas loses a race
-// between the batches converges with casLoop. On the bus q is nil: the
-// statement's transaction is gone, so such a list, and such a key, is dropped
-// for the next read miss to reload.
+// leaves short of its reserve is recomputed. On the bus q is nil: the
+// statement's transaction is gone, so such a list is dropped for the next
+// read miss to reload. A key whose cas or add loses a race between the
+// batches is deleted on either route.
 //
 // A flush allocates per flush, not per op: the key groups and both batches
 // are an array each.
@@ -377,7 +320,7 @@ func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 		return len(groups)
 	}
 	res := g.cache.ApplyBatch(second)
-	var lost []kvcache.BatchOp // keys the bus drops after losing their write
+	var lost []kvcache.BatchOp // keys dropped after losing their write
 	n := 0
 	for i := range groups {
 		k := &groups[i]
@@ -392,22 +335,16 @@ func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 				g.trigUpdates.Add(int64(k.changed))
 			}
 		case o.Kind == kvcache.BatchDelete:
-		case k.mixed || q == nil && r.CasResult == kvcache.CasConflict:
+		case k.mixed || r.CasResult == kvcache.CasConflict:
 			// Someone wrote the key between the two batches, and what the
-			// window composed is no longer known to be current.
+			// flush composed is no longer known to be current. Deleting it is
+			// always safe: the next read miss reloads it.
+			if r.CasResult == kvcache.CasConflict {
+				g.casRetries.Add(1)
+			}
 			g.trigDeletes.Add(1)
 			lost = append(lost, kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key})
 		case k.counted:
-		case r.CasResult == kvcache.CasConflict:
-			// Someone wrote the key between the two batches. Converge it on
-			// its own; the rest of the statement's keys are done.
-			g.casRetries.Add(1)
-			g.casFallbacks.Add(1)
-			for j := k.first; j >= 0; j = ops[j].next {
-				if o := &ops[j]; o.casLoop(g.cache) {
-					g.cache.ApplyBatch([]kvcache.BatchOp{o.co.recompute(q, k.key, o.vals)})
-				}
-			}
 		default:
 			g.trigSkips.Add(int64(k.changed)) // vanished between the batches
 		}

@@ -266,40 +266,58 @@ func TestWriteSetComposesSameKeyMutations(t *testing.T) {
 	checkAgainstDB(t, s, count, one)
 }
 
-// TestWriteSetConflictFallsBackToCasLoop lands a write on the key between
-// the flush's two batches. The cas loses, and the key must still converge to
-// the database's answer through its own gets/cas loop.
-func TestWriteSetConflictFallsBackToCasLoop(t *testing.T) {
-	s, cc := newCountingStack(t)
-	topk := s.cacheable(t, topkSpec(3, 2))
-	base := time.Unix(1e6, 0)
-	var ids []int64
-	for i := 0; i < 6; i++ {
-		ids = append(ids, postAt(s, t, 1, fmt.Sprintf("p%d", i), base.Add(time.Duration(i)*time.Minute)).ID())
+// TestLostCasDeletesKey lands a write on the key between a flush's two
+// batches, on both routes: a synchronous statement's flush and a bus window's.
+// The cas loses, and the key is deleted for the next read to reload.
+func TestLostCasDeletesKey(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stack func(t *testing.T) (*stack, *countingCache, *CachedObject)
+	}{
+		{"sync", func(t *testing.T) (*stack, *countingCache, *CachedObject) {
+			s, cc := newCountingStack(t)
+			return s, cc, s.cacheable(t, profileSpec(UpdateInPlace))
+		}},
+		{"async", func(t *testing.T) (*stack, *countingCache, *CachedObject) {
+			s, cc := newAsyncStackWindow(t, UpdateInPlace, time.Hour)
+			return s, cc, s.g.Objects()[0]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, cc, co := tc.stack(t)
+			one := sqldb.I64(1)
+			key := co.MakeKey(one)
+			if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v1"}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.reg.Objects("Profile").Filter("user_id", 1).All(); err != nil {
+				t.Fatal(err)
+			}
+			s.g.FlushInvalidations()
+			cc.reset()
+			cc.beforeBatch = func(n int) {
+				if n == 2 { // between the gets and the cas: another writer's set
+					raw, _ := s.cache.Get(key)
+					s.cache.Set(key, raw, 0)
+				}
+			}
+			if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v2"}); err != nil {
+				t.Fatal(err)
+			}
+			s.g.FlushInvalidations()
+			cc.beforeBatch = nil
+			if got := fmt.Sprint(cc.batches); got != "[[gets] [cas] [delete]]" || len(cc.perOp) != 0 {
+				t.Fatalf("the insert reached the cache as batches %s and per-op calls %v, want [[gets] [cas] [delete]] and none", got, cc.perOp)
+			}
+			if n := s.g.Stats().CasRetries; n != 1 {
+				t.Fatalf("cas retries %d, want 1", n)
+			}
+			if _, ok := s.cache.Get(key); ok {
+				t.Fatal("the key that lost its cas is still cached")
+			}
+			checkAgainstDB(t, s, co, one)
+		})
 	}
-	one := sqldb.I64(1)
-	checkAgainstDB(t, s, topk, one) // caches K+reserve = 5 of the 6
-	key := topk.MakeKey(one)
-
-	cc.reset()
-	cc.beforeBatch = func(n int) {
-		if n == 2 { // same bytes, new token
-			raw, _ := s.cache.Get(key)
-			s.cache.Set(key, raw, 0)
-		}
-	}
-	if _, err := s.db.Exec("DELETE FROM wall WHERE id = $1 OR id = $2", sqldb.I64(ids[5]), sqldb.I64(ids[4])); err != nil {
-		t.Fatal(err)
-	}
-	cc.beforeBatch = nil
-	st := s.g.Stats()
-	if st.CasRetries != 1 || s.g.casFallbacks.Load() != 1 {
-		t.Fatalf("cas retries %d, fallbacks %d; want 1 and 1", st.CasRetries, s.g.casFallbacks.Load())
-	}
-	if got := strings.Join(cc.perOp, " "); got != "gets cas gets cas" {
-		t.Fatalf("fallback ran %q, want each of the two removals' own gets and cas", got)
-	}
-	checkAgainstDB(t, s, topk, one)
 }
 
 // TestWriteSetFailedStatementLeavesCacheUntouched: a trigger error on a later

@@ -54,7 +54,10 @@ func (r CasResult) String() string {
 type Cache interface {
 	// Get returns the value under key.
 	Get(key string) ([]byte, bool)
-	// Gets returns the value and a CAS token for a later Cas.
+	// Gets returns the value and a CAS token for a later Cas. No caller in
+	// the root module reads and swaps through Gets and Cas any more (a
+	// write-set flush batches them); they stay because bench/trace.go
+	// forwards them.
 	Gets(key string) ([]byte, uint64, bool)
 	// Set unconditionally stores value with a TTL (0 = no expiry).
 	Set(key string, value []byte, ttl time.Duration)
