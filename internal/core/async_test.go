@@ -351,3 +351,11 @@ func TestAsyncWindowEditsAListOnce(t *testing.T) {
 		t.Fatal("the edited list was not served from the cache")
 	}
 }
+
+// TestAsyncLostCasDropsKey is the bus route of checkLostCasDeletesKey: a key
+// whose cas loses a race between a window's two batches is deleted, as on the
+// synchronous route.
+func TestAsyncLostCasDropsKey(t *testing.T) {
+	s, cc := newAsyncStackWindow(t, UpdateInPlace, time.Hour)
+	checkLostCasDeletesKey(t, s, cc, s.g.Objects()[0])
+}

@@ -266,58 +266,51 @@ func TestWriteSetComposesSameKeyMutations(t *testing.T) {
 	checkAgainstDB(t, s, count, one)
 }
 
-// TestLostCasDeletesKey lands a write on the key between a flush's two
-// batches, on both routes: a synchronous statement's flush and a bus window's.
-// The cas loses, and the key is deleted for the next read to reload.
-func TestLostCasDeletesKey(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		stack func(t *testing.T) (*stack, *countingCache, *CachedObject)
-	}{
-		{"sync", func(t *testing.T) (*stack, *countingCache, *CachedObject) {
-			s, cc := newCountingStack(t)
-			return s, cc, s.cacheable(t, profileSpec(UpdateInPlace))
-		}},
-		{"async", func(t *testing.T) (*stack, *countingCache, *CachedObject) {
-			s, cc := newAsyncStackWindow(t, UpdateInPlace, time.Hour)
-			return s, cc, s.g.Objects()[0]
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, cc, co := tc.stack(t)
-			one := sqldb.I64(1)
-			key := co.MakeKey(one)
-			if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v1"}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.reg.Objects("Profile").Filter("user_id", 1).All(); err != nil {
-				t.Fatal(err)
-			}
-			s.g.FlushInvalidations()
-			cc.reset()
-			cc.beforeBatch = func(n int) {
-				if n == 2 { // between the gets and the cas: another writer's set
-					raw, _ := s.cache.Get(key)
-					s.cache.Set(key, raw, 0)
-				}
-			}
-			if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v2"}); err != nil {
-				t.Fatal(err)
-			}
-			s.g.FlushInvalidations()
-			cc.beforeBatch = nil
-			if got := fmt.Sprint(cc.batches); got != "[[gets] [cas] [delete]]" || len(cc.perOp) != 0 {
-				t.Fatalf("the insert reached the cache as batches %s and per-op calls %v, want [[gets] [cas] [delete]] and none", got, cc.perOp)
-			}
-			if n := s.g.Stats().CasRetries; n != 1 {
-				t.Fatalf("cas retries %d, want 1", n)
-			}
-			if _, ok := s.cache.Get(key); ok {
-				t.Fatal("the key that lost its cas is still cached")
-			}
-			checkAgainstDB(t, s, co, one)
-		})
+// TestWriteSetConflictFallsBackToCasLoop lands a write on the key between a
+// synchronous statement's two flush batches. The cas loses, and the fallback
+// is to delete the key for the next read to reload.
+func TestWriteSetConflictFallsBackToCasLoop(t *testing.T) {
+	s, cc := newCountingStack(t)
+	checkLostCasDeletesKey(t, s, cc, s.cacheable(t, profileSpec(UpdateInPlace)))
+}
+
+// checkLostCasDeletesKey caches co's list for user 1, then inserts a row
+// with another writer's set landing between the gets and the cas. The insert
+// must reach the cache as [gets] [cas] [delete], count one cas retry, and
+// leave the key uncached; both flush routes share this rule.
+func checkLostCasDeletesKey(t *testing.T, s *stack, cc *countingCache, co *CachedObject) {
+	t.Helper()
+	one := sqldb.I64(1)
+	key := co.MakeKey(one)
+	if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v1"}); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := s.reg.Objects("Profile").Filter("user_id", 1).All(); err != nil {
+		t.Fatal(err)
+	}
+	s.g.FlushInvalidations()
+	cc.reset()
+	cc.beforeBatch = func(n int) {
+		if n == 2 { // between the gets and the cas: another writer's set
+			raw, _ := s.cache.Get(key)
+			s.cache.Set(key, raw, 0)
+		}
+	}
+	if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v2"}); err != nil {
+		t.Fatal(err)
+	}
+	s.g.FlushInvalidations()
+	cc.beforeBatch = nil
+	if got := fmt.Sprint(cc.batches); got != "[[gets] [cas] [delete]]" || len(cc.perOp) != 0 {
+		t.Fatalf("the insert reached the cache as batches %s and per-op calls %v, want [[gets] [cas] [delete]] and none", got, cc.perOp)
+	}
+	if n := s.g.Stats().CasRetries; n != 1 {
+		t.Fatalf("cas retries %d, want 1", n)
+	}
+	if _, ok := s.cache.Get(key); ok {
+		t.Fatal("the key that lost its cas is still cached")
+	}
+	checkAgainstDB(t, s, co, one)
 }
 
 // TestWriteSetFailedStatementLeavesCacheUntouched: a trigger error on a later
