@@ -139,62 +139,14 @@ func (c *Client) readLine() ([]byte, error) {
 //genie:hotpath
 func (c *Client) cmd() []byte { return c.wbuf[:0] }
 
-// sendLine writes the built command line (plus optional data block) and
-// flushes. Caller holds c.mu. Intermediate write errors surface as bufio's
-// sticky error on the final Flush.
+// sendLine writes the built command line and flushes. Caller holds c.mu.
 //
 //genie:deadlinearmed every caller arms the per-op deadline before the exchange
-//genie:hotpath
-func (c *Client) sendLine(b []byte, data []byte) error {
+func (c *Client) sendLine(b []byte) error {
 	b = append(b, '\r', '\n')
 	c.wbuf = b
 	c.w.Write(b)
-	if data != nil {
-		c.w.Write(data)
-		c.w.WriteString("\r\n")
-	}
 	return c.w.Flush()
-}
-
-// roundTrip sends the built command and returns the first response line.
-// Caller holds c.mu; the returned slice is valid until the next read.
-//
-//genie:hotpath
-func (c *Client) roundTrip(b []byte, data []byte) ([]byte, error) {
-	if c.broken {
-		return nil, errClientBroken
-	}
-	c.armDeadline()
-	if err := c.sendLine(b, data); err != nil {
-		return nil, c.fail(err)
-	}
-	line, err := c.readLine()
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	return line, nil
-}
-
-// fetch runs get/gets and parses VALUE blocks. It takes c.mu itself —
-// callers must NOT hold it.
-func (c *Client) fetch(withCas bool, key string) (val []byte, cas uint64, found bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return nil, 0, false, errClientBroken
-	}
-	c.armDeadline()
-	b := c.cmd()
-	if withCas {
-		b = append(b, "gets "...)
-	} else {
-		b = append(b, "get "...)
-	}
-	b = append(b, key...)
-	if err := c.sendLine(b, nil); err != nil {
-		return nil, 0, false, c.fail(err)
-	}
-	return c.readValue(nil)
 }
 
 // readValue parses one get/gets reply: VALUE blocks up to the closing END
@@ -249,25 +201,6 @@ func (c *Client) readData(dst []byte, n int) ([]byte, error) {
 	return dst[:len(dst)+n], nil
 }
 
-// Get implements kvcache.Cache. Network errors surface as misses; callers
-// fall back to the database, which is the correct degraded behaviour.
-func (c *Client) Get(key string) ([]byte, bool) {
-	v, _, ok, err := c.fetch(false, key)
-	if err != nil {
-		return nil, false
-	}
-	return v, ok
-}
-
-// Gets implements kvcache.Cache.
-func (c *Client) Gets(key string) ([]byte, uint64, bool) {
-	v, cas, ok, err := c.fetch(true, key)
-	if err != nil {
-		return nil, 0, false
-	}
-	return v, cas, ok
-}
-
 // appendStoreCmd builds "<verb> <key> 0 <exptime> <bytes>[ <cas>]".
 //
 //genie:hotpath
@@ -280,57 +213,6 @@ func (c *Client) appendStoreCmd(b []byte, verb, key string, ttl time.Duration, s
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(size), 10)
 	return b
-}
-
-// set is Set with the connection error exposed (for the Pool).
-//
-//genie:hotpath
-func (c *Client) set(key string, value []byte, ttl time.Duration) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.roundTrip(c.appendStoreCmd(c.cmd(), "set", key, ttl, len(value)), value)
-	return err
-}
-
-// Set implements kvcache.Cache.
-func (c *Client) Set(key string, value []byte, ttl time.Duration) {
-	_ = c.set(key, value, ttl)
-}
-
-// add is Add with the connection error exposed (for the Pool).
-//
-//genie:hotpath
-func (c *Client) add(key string, value []byte, ttl time.Duration) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	line, err := c.roundTrip(c.appendStoreCmd(c.cmd(), "add", key, ttl, len(value)), value)
-	return err == nil && string(line) == "STORED", err
-}
-
-// Add implements kvcache.Cache.
-func (c *Client) Add(key string, value []byte, ttl time.Duration) bool {
-	ok, _ := c.add(key, value, ttl)
-	return ok
-}
-
-// cas is Cas with the connection error exposed (for the Pool).
-func (c *Client) cas(key string, value []byte, ttl time.Duration, cas uint64) (kvcache.CasResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	line, err := c.roundTrip(c.appendCasCmd(c.cmd(), key, ttl, len(value), cas), value)
-	if err != nil {
-		return kvcache.CasNotFound, err
-	}
-	return parseCasReply(line), nil
-}
-
-// appendCasCmd builds "cas <key> 0 <exptime> <bytes> <cas>".
-//
-//genie:hotpath
-func (c *Client) appendCasCmd(b []byte, key string, ttl time.Duration, size int, cas uint64) []byte {
-	b = c.appendStoreCmd(b, "cas", key, ttl, size)
-	b = append(b, ' ')
-	return strconv.AppendUint(b, cas, 10)
 }
 
 // parseCasReply maps a cas reply line to its outcome; anything but STORED
@@ -347,66 +229,72 @@ func parseCasReply(line []byte) kvcache.CasResult {
 	return kvcache.CasNotFound
 }
 
-// Cas implements kvcache.Cache.
-func (c *Client) Cas(key string, value []byte, ttl time.Duration, cas uint64) kvcache.CasResult {
-	r, _ := c.cas(key, value, ttl, cas)
-	return r
-}
+// Every per-op method below is a one-op batch: the client reaches the wire
+// through the mop exchange alone (applyBatch), so a per-op call gets the
+// batch's key and size checks and its one-slab value read. Network errors
+// surface as misses; callers fall back to the database, which is the correct
+// degraded behaviour.
 
-// del is Delete with the connection error exposed (for the Pool).
+// one runs op as a one-op batch with its op and result on the stack.
 //
 //genie:hotpath
-func (c *Client) del(key string) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := append(c.cmd(), "delete "...)
-	b = append(b, key...)
-	line, err := c.roundTrip(b, nil)
-	return err == nil && string(line) == "DELETED", err
+func (c *Client) one(op kvcache.BatchOp) kvcache.BatchResult {
+	ops, out := [1]kvcache.BatchOp{op}, [1]kvcache.BatchResult{}
+	_ = c.applyBatch(ops[:], out[:])
+	return out[0]
+}
+
+// Get implements kvcache.Cache.
+func (c *Client) Get(key string) ([]byte, bool) {
+	r := c.one(kvcache.BatchOp{Kind: kvcache.BatchGet, Key: key})
+	return r.Data, r.Found
+}
+
+// Gets implements kvcache.Cache.
+func (c *Client) Gets(key string) ([]byte, uint64, bool) {
+	r := c.one(kvcache.BatchOp{Kind: kvcache.BatchGets, Key: key})
+	return r.Data, r.Cas, r.Found
+}
+
+// Set implements kvcache.Cache.
+func (c *Client) Set(key string, value []byte, ttl time.Duration) {
+	c.one(kvcache.BatchOp{Kind: kvcache.BatchSet, Key: key, Value: value, TTL: ttl})
+}
+
+// Add implements kvcache.Cache.
+func (c *Client) Add(key string, value []byte, ttl time.Duration) bool {
+	return c.one(kvcache.BatchOp{Kind: kvcache.BatchAdd, Key: key, Value: value, TTL: ttl}).Found
+}
+
+// Cas implements kvcache.Cache.
+func (c *Client) Cas(key string, value []byte, ttl time.Duration, cas uint64) kvcache.CasResult {
+	return c.one(kvcache.BatchOp{Kind: kvcache.BatchCas, Key: key, Value: value, TTL: ttl, Cas: cas}).CasResult
 }
 
 // Delete implements kvcache.Cache.
 func (c *Client) Delete(key string) bool {
-	ok, _ := c.del(key)
-	return ok
-}
-
-// incr is Incr with the connection error exposed (for the Pool).
-//
-//genie:hotpath
-func (c *Client) incr(key string, delta int64) (int64, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := append(c.cmd(), "incr "...)
-	b = append(b, key...)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, delta, 10)
-	line, err := c.roundTrip(b, nil)
-	if err != nil {
-		return 0, false, err
-	}
-	if string(line) == "NOT_FOUND" || bytes.HasPrefix(line, clientErrorPrefix) {
-		return 0, false, nil
-	}
-	n, ok := atoi(line)
-	if !ok {
-		return 0, false, nil
-	}
-	return n, true, nil
+	return c.one(kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: key}).Found
 }
 
 // Incr implements kvcache.Cache.
 func (c *Client) Incr(key string, delta int64) (int64, bool) {
-	n, ok, _ := c.incr(key, delta)
-	return n, ok
+	r := c.one(kvcache.BatchOp{Kind: kvcache.BatchIncr, Key: key, Delta: delta})
+	return r.Value, r.Found
 }
 
 // flushAll is FlushAll with the connection error exposed (for the Pool).
 func (c *Client) flushAll() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.roundTrip(append(c.cmd(), "flush_all"...), nil)
-	return err
+	if c.broken {
+		return errClientBroken
+	}
+	c.armDeadline()
+	if err := c.sendLine(append(c.cmd(), "flush_all"...)); err != nil {
+		return c.fail(err)
+	}
+	_, err := c.readLine()
+	return c.fail(err)
 }
 
 // FlushAll implements kvcache.Cache.
@@ -418,27 +306,30 @@ func (c *Client) FlushAll() {
 // every op in the batch is written in one flush and all results are read
 // back together, so the batch costs a single network round trip instead of
 // one per op. Network errors surface as kvcache.FailedBatch results
-// (not-found / not-stored), mirroring the per-op methods' degraded behaviour.
+// (not-found / not-stored).
 func (c *Client) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
-	out, _ := c.applyBatch(ops)
+	out := make([]kvcache.BatchResult, len(ops))
+	_ = c.applyBatch(ops, out)
 	return out
 }
 
-// applyBatch is ApplyBatch with the connection error exposed, so the Pool
-// can discard a conn whose mop exchange broke mid-stream.
+// applyBatch runs ops as one mop exchange and writes their results into out
+// (len(out) == len(ops)), which the caller supplies so that a one-op batch
+// allocates neither slice. It returns the connection error, so the Pool can
+// discard a conn whose exchange broke mid-stream.
 //
-// Ops the server is guaranteed to refuse (a value over its size cap) are
-// skipped client-side — their result stays the failed one — instead of being
-// pipelined: the server answers an oversized set or cas by aborting the whole
-// batch, which would throw away every other op flushed with it (a write-set
-// flush carries every key of a statement, or of a whole bus window, in one
-// mop; one bad write must not cancel the others).
+// Ops the server is guaranteed to refuse (a key the text protocol cannot
+// express, a value over its size cap) are skipped client-side — their result
+// stays the failed one — instead of being pipelined: the server answers them
+// by aborting the whole batch, which would throw away every other op flushed
+// with it (a write-set flush carries every key of a statement, or of a whole
+// bus window, in one mop; one bad write must not cancel the others).
 //
 // The values the batch reads arrive in the connection's scratch, back to back,
 // and are handed out as capped windows of one slab of exactly their size: one
 // allocation for the batch's values, however many there are.
-func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error) {
-	out := kvcache.FailedBatch(ops)
+func (c *Client) applyBatch(ops []kvcache.BatchOp, out []kvcache.BatchResult) error {
+	failAll(ops, out)
 	send := 0
 	for i := range ops {
 		if sendable(&ops[i]) {
@@ -446,12 +337,12 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 		}
 	}
 	if send == 0 {
-		return out, nil
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {
-		return out, errClientBroken
+		return errClientBroken
 	}
 	c.armDeadline()
 	b := append(c.cmd(), "mop "...)
@@ -464,7 +355,7 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 		}
 	}
 	if err := c.w.Flush(); err != nil {
-		return out, c.fail(err)
+		return c.fail(err)
 	}
 	scratch := c.scratch[:0]
 	for i := range ops {
@@ -477,7 +368,7 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 			var found bool
 			var err error
 			if scratch, cas, found, err = c.readValue(scratch); err != nil {
-				return out, err
+				return err
 			}
 			if found {
 				// Value holds where the value starts in the scratch until
@@ -491,7 +382,7 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 		}
 		line, err := c.readLine()
 		if err != nil {
-			return out, c.fail(err)
+			return c.fail(err)
 		}
 		if isErrorLine(line) {
 			// The server aborted the batch: it sent this error line instead
@@ -499,7 +390,7 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 			// unframed from here. Surface an error so the Pool discards the
 			// connection rather than parsing the error as an op result (a
 			// delete would read it as not-found) and then hanging on END.
-			return out, c.fail(fmt.Errorf("cacheproto: mop aborted at op %d: %s", i, line))
+			return c.fail(fmt.Errorf("cacheproto: mop aborted at op %d: %s", i, line))
 		}
 		switch ops[i].Kind {
 		case kvcache.BatchSet, kvcache.BatchAdd:
@@ -518,22 +409,35 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp) ([]kvcache.BatchResult, error
 	// Trailing END frames the batch response.
 	line, err := c.readLine()
 	if err != nil {
-		return out, c.fail(err)
+		return c.fail(err)
 	}
 	if string(line) != "END" {
-		return out, c.fail(fmt.Errorf("cacheproto: mop response unframed: %q", line))
+		return c.fail(fmt.Errorf("cacheproto: mop response unframed: %q", line))
 	}
 	cutSlab(ops, out, scratch)
 	if cap(scratch) <= retainedScratch {
 		c.scratch = scratch[:0]
 	}
-	return out, nil
+	return nil
 }
 
 // retainedScratch caps the batch scratch a connection keeps between
 // exchanges: room for a read wave's values from one node, so the common batch
 // reuses it, while an idle pooled connection never pins a rare large batch's.
 const retainedScratch = 4 << 10
+
+// failAll sets out to kvcache.FailedBatch(ops) in place: every op reads as
+// a miss, and a BatchCas as CasNotFound.
+//
+//genie:hotpath
+func failAll(ops []kvcache.BatchOp, out []kvcache.BatchResult) {
+	for i := range ops {
+		out[i] = kvcache.BatchResult{}
+		if ops[i].Kind == kvcache.BatchCas {
+			out[i].CasResult = kvcache.CasNotFound
+		}
+	}
+}
 
 // sendable reports whether a batch op can be pipelined: its key is
 // expressible on the wire and its value within the server's cap.
@@ -573,7 +477,8 @@ func (c *Client) writeSubCommand(op *kvcache.BatchOp) {
 	case kvcache.BatchAdd:
 		b, hasData = c.appendStoreCmd(b, "add", op.Key, op.TTL, len(op.Value)), true
 	case kvcache.BatchCas:
-		b, hasData = c.appendCasCmd(b, op.Key, op.TTL, len(op.Value), op.Cas), true
+		b, hasData = c.appendStoreCmd(b, "cas", op.Key, op.TTL, len(op.Value)), true
+		b = strconv.AppendUint(append(b, ' '), op.Cas, 10)
 	case kvcache.BatchGets, kvcache.BatchGet:
 		// mop carries no plain get; a BatchGet's token is dropped on receipt.
 		b = append(append(b, "gets "...), op.Key...)
@@ -639,7 +544,7 @@ func (c *Client) Keys() ([]string, error) {
 		return nil, errClientBroken
 	}
 	c.armDeadline()
-	if err := c.sendLine(append(c.cmd(), "keys"...), nil); err != nil {
+	if err := c.sendLine(append(c.cmd(), "keys"...)); err != nil {
 		return nil, c.fail(err)
 	}
 	var out []string
@@ -666,7 +571,7 @@ func (c *Client) ServerStats() (map[string]int64, error) {
 		return nil, errClientBroken
 	}
 	c.armDeadline()
-	if err := c.sendLine(append(c.cmd(), "stats"...), nil); err != nil {
+	if err := c.sendLine(append(c.cmd(), "stats"...)); err != nil {
 		return nil, c.fail(err)
 	}
 	out := map[string]int64{}

@@ -178,8 +178,8 @@ func BenchmarkLoopbackSet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cli.set("bench-key", val, 0); err != nil {
-			b.Fatal(err)
+		if r := cli.one(kvcache.BatchOp{Kind: kvcache.BatchSet, Key: "bench-key", Value: val}); !r.Found {
+			b.Fatal("set not stored")
 		}
 	}
 }

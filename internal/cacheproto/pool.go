@@ -453,138 +453,67 @@ func (p *Pool) probe() *Client {
 	return c
 }
 
-// Get implements kvcache.Cache. Checkout or network errors surface as
-// misses; callers fall back to the database, the correct degraded
-// behaviour. With the near-cache enabled a lease-live L1 entry is served
-// without any network round trip (an open breaker doesn't block it either
-// — the freshest locally known value beats a guaranteed miss); a server
-// hit re-arms the key's lease on the way out.
+// Every per-op method below is one call to one: a one-op batch through the
+// same path as ApplyBatch, near-cache included. A Get is a BatchGet, which a
+// lease-live L1 entry answers without a round trip (even with the breaker
+// open: the freshest locally known value beats a guaranteed miss); every
+// write-shaped op invalidates its L1 entry, and the next read re-earns it from
+// whatever value won at the server. Checkout or network errors surface as
+// misses; callers fall back to the database, the correct degraded behaviour.
+
+// one runs op as a one-op batch with its op and result on the stack; the
+// exchange is recorded under op's own label, not mop.
+//
+//genie:hotpath
+func (p *Pool) one(op kvcache.BatchOp) kvcache.BatchResult {
+	ops, out := [1]kvcache.BatchOp{op}, [1]kvcache.BatchResult{}
+	p.apply(ops[:], out[:], batchOpLabel[op.Kind])
+	return out[0]
+}
+
+// batchOpLabel is the metrics label a one-op batch of each kind records under.
+var batchOpLabel = [...]opKind{
+	kvcache.BatchDelete: opDelete, kvcache.BatchSet: opSet, kvcache.BatchIncr: opIncr,
+	kvcache.BatchAdd: opAdd, kvcache.BatchGets: opGets, kvcache.BatchCas: opCas,
+	kvcache.BatchGet: opGet,
+}
+
+// Get implements kvcache.Cache.
 func (p *Pool) Get(key string) ([]byte, bool) {
-	if l := p.l1; l != nil {
-		if v, ok := l.lookup(key, time.Now().UnixNano()); ok {
-			return v, true
-		}
-	}
-	start := time.Now()
-	c, err := p.get()
-	if err != nil {
-		p.done(opGet, start, err)
-		return nil, false
-	}
-	v, _, ok, err := c.fetch(false, key)
-	p.put(c, err)
-	p.done(opGet, start, err)
-	if err != nil {
-		return nil, false
-	}
-	if ok && p.l1 != nil {
-		p.l1.store(key, v, time.Now().UnixNano())
-	}
-	return v, ok
+	r := p.one(kvcache.BatchOp{Kind: kvcache.BatchGet, Key: key})
+	return r.Data, r.Found
 }
 
 // Gets implements kvcache.Cache.
 func (p *Pool) Gets(key string) ([]byte, uint64, bool) {
-	start := time.Now()
-	c, err := p.get()
-	if err != nil {
-		p.done(opGets, start, err)
-		return nil, 0, false
-	}
-	v, cas, ok, err := c.fetch(true, key)
-	p.put(c, err)
-	p.done(opGets, start, err)
-	if err != nil {
-		return nil, 0, false
-	}
-	return v, cas, ok
+	r := p.one(kvcache.BatchOp{Kind: kvcache.BatchGets, Key: key})
+	return r.Data, r.Cas, r.Found
 }
 
-// Set implements kvcache.Cache. A near-cached key is invalidated, not
-// updated in place: the server is the arbiter of racing writes, and the
-// next read re-earns the entry from whatever value actually won.
+// Set implements kvcache.Cache.
 func (p *Pool) Set(key string, value []byte, ttl time.Duration) {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
-	start := time.Now()
-	c, err := p.get()
-	if err != nil {
-		p.done(opSet, start, err)
-		return
-	}
-	err = c.set(key, value, ttl)
-	p.put(c, err)
-	p.done(opSet, start, err)
+	p.one(kvcache.BatchOp{Kind: kvcache.BatchSet, Key: key, Value: value, TTL: ttl})
 }
 
 // Add implements kvcache.Cache.
 func (p *Pool) Add(key string, value []byte, ttl time.Duration) bool {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
-	start := time.Now()
-	c, err := p.get()
-	if err != nil {
-		p.done(opAdd, start, err)
-		return false
-	}
-	ok, err := c.add(key, value, ttl)
-	p.put(c, err)
-	p.done(opAdd, start, err)
-	return ok
+	return p.one(kvcache.BatchOp{Kind: kvcache.BatchAdd, Key: key, Value: value, TTL: ttl}).Found
 }
 
 // Cas implements kvcache.Cache.
 func (p *Pool) Cas(key string, value []byte, ttl time.Duration, cas uint64) kvcache.CasResult {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
-	start := time.Now()
-	c, err := p.get()
-	if err != nil {
-		p.done(opCas, start, err)
-		return kvcache.CasNotFound
-	}
-	r, err := c.cas(key, value, ttl, cas)
-	p.put(c, err)
-	p.done(opCas, start, err)
-	return r
+	return p.one(kvcache.BatchOp{Kind: kvcache.BatchCas, Key: key, Value: value, TTL: ttl, Cas: cas}).CasResult
 }
 
-// Delete implements kvcache.Cache. The near-cache entry dies here with the
-// server's copy.
+// Delete implements kvcache.Cache.
 func (p *Pool) Delete(key string) bool {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
-	start := time.Now()
-	c, err := p.get()
-	if err != nil {
-		p.done(opDelete, start, err)
-		return false
-	}
-	ok, err := c.del(key)
-	p.put(c, err)
-	p.done(opDelete, start, err)
-	return ok
+	return p.one(kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: key}).Found
 }
 
 // Incr implements kvcache.Cache.
 func (p *Pool) Incr(key string, delta int64) (int64, bool) {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
-	start := time.Now()
-	c, err := p.get()
-	if err != nil {
-		p.done(opIncr, start, err)
-		return 0, false
-	}
-	n, ok, err := c.incr(key, delta)
-	p.put(c, err)
-	p.done(opIncr, start, err)
-	return n, ok
+	r := p.one(kvcache.BatchOp{Kind: kvcache.BatchIncr, Key: key, Delta: delta})
+	return r.Value, r.Found
 }
 
 // FlushAll implements kvcache.Cache.
@@ -610,13 +539,22 @@ func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	if len(ops) == 0 {
 		return nil
 	}
-	if p.l1 != nil {
-		return p.applyBatchL1(ops)
-	}
-	return p.exchangeBatch(ops)
+	out := make([]kvcache.BatchResult, len(ops))
+	p.apply(ops, out, opMop)
+	return out
 }
 
-// applyBatchL1 is ApplyBatch behind the near-cache. Every batched mutation
+// apply runs ops behind the near-cache, if any, writing their results into
+// out and recording the exchange under k.
+func (p *Pool) apply(ops []kvcache.BatchOp, out []kvcache.BatchResult, k opKind) {
+	if p.l1 != nil {
+		p.applyBatchL1(ops, out, k)
+		return
+	}
+	p.exchangeBatch(ops, out, k)
+}
+
+// applyBatchL1 is apply behind the near-cache. Every batched mutation
 // invalidates its entry — batches are exactly how the write-set flush
 // delivers trigger maintenance. A BatchGet is a Get: a lease-live entry
 // answers it locally and only the rest of the batch travels (none of it when
@@ -625,56 +563,63 @@ func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 // on its key. It learns a copy: a batch's values share one slab, which an
 // entry must not keep alive. A BatchGets always reads the server — its token
 // is only good there — so the near-cache neither serves nor learns from it.
-func (p *Pool) applyBatchL1(ops []kvcache.BatchOp) []kvcache.BatchResult {
+func (p *Pool) applyBatchL1(ops []kvcache.BatchOp, out []kvcache.BatchResult, k opKind) {
+	failAll(ops, out)
 	now := time.Now().UnixNano()
-	out := kvcache.FailedBatch(ops)
-	send := make([]kvcache.BatchOp, 0, len(ops))
-	at := make([]int, 0, len(ops)) // at[j] is send[j]'s position in ops
-	learn := true
+	served, learn := 0, true
 	for i := range ops {
 		switch ops[i].Kind {
 		case kvcache.BatchGet:
 			if v, ok := p.l1.lookup(ops[i].Key, now); ok {
 				out[i] = kvcache.BatchResult{Found: true, Data: v}
-				continue
+				served++
 			}
 		case kvcache.BatchGets:
 		default:
 			learn = false
 			p.l1.invalidate(ops[i].Key)
 		}
-		send = append(send, ops[i])
-		at = append(at, i)
 	}
-	if len(send) == 0 {
-		return out
+	if served == len(ops) {
+		return
 	}
-	for j, r := range p.exchangeBatch(send) {
-		out[at[j]] = r
-		if learn && r.Found && send[j].Kind == kvcache.BatchGet {
-			p.l1.store(send[j].Key, bytes.Clone(r.Data), now)
+	send, got := ops, out
+	var at []int // at[j] is send[j]'s position in ops when only some travel
+	if served > 0 {
+		send, at = make([]kvcache.BatchOp, 0, len(ops)-served), make([]int, 0, len(ops)-served)
+		for i := range ops {
+			if ops[i].Kind != kvcache.BatchGet || !out[i].Found {
+				send, at = append(send, ops[i]), append(at, i)
+			}
+		}
+		got = make([]kvcache.BatchResult, len(send))
+	}
+	p.exchangeBatch(send, got, k)
+	for j := range send {
+		if at != nil {
+			out[at[j]] = got[j]
+		}
+		if learn && got[j].Found && send[j].Kind == kvcache.BatchGet {
+			p.l1.store(send[j].Key, bytes.Clone(got[j].Data), now)
 		}
 	}
-	return out
 }
 
-// exchangeBatch runs ops as one mop exchange on a checked-out connection.
-func (p *Pool) exchangeBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
+// exchangeBatch runs ops as one mop exchange on a checked-out connection,
+// writing their results into out and recording the exchange under k.
+func (p *Pool) exchangeBatch(ops []kvcache.BatchOp, out []kvcache.BatchResult, k opKind) {
 	start := time.Now()
 	c, err := p.get()
-	if err != nil {
-		p.done(opMop, start, err)
-		return kvcache.FailedBatch(ops)
+	if err == nil {
+		err = c.applyBatch(ops, out)
+		p.put(c, err)
 	}
-	res, err := c.applyBatch(ops)
-	p.put(c, err)
-	p.done(opMop, start, err)
+	p.done(k, start, err)
 	if err != nil {
 		// A batch that broke mid-stream has partially-trustworthy results at
 		// best; report all-failed so callers treat it as a lost flush.
-		return kvcache.FailedBatch(ops)
+		failAll(ops, out)
 	}
-	return res
 }
 
 // Keys fetches the server's live key list over a pooled connection; the

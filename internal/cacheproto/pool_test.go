@@ -55,6 +55,40 @@ func TestPoolRoundTripAllOps(t *testing.T) {
 	}
 }
 
+// TestPoolOneOpExchanges: a per-op call is a one-op mop exchange that is
+// still recorded under its own op label, and it allocates no more than the
+// value a read returns: the op and its result live on the stack. With the
+// near-cache on, a Get the L1 answers allocates nothing and records nothing.
+func TestPoolOneOpExchanges(t *testing.T) {
+	_, pool := newPoolPair(t, 2)
+	val := []byte("value")
+	pool.Set("k", val, 0)
+	pool.Get("k")
+	pool.Delete("gone")
+	pool.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: "k"}})
+	for k, want := range map[opKind]uint64{opSet: 1, opGet: 1, opDelete: 1, opMop: 1, opGets: 0} {
+		if n := pool.m.OpNanos[k].Snapshot().Count; n != want {
+			t.Errorf("op=%s recorded %d exchanges, want %d", opNames[k], n, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { pool.Set("k", val, 0) }); n != 0 {
+		t.Errorf("Set allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { pool.Get("k") }); n > 1 {
+		t.Errorf("Get allocates %.0f times, want at most 1", n)
+	}
+
+	_, l1 := newL1PoolPair(t, 16, time.Minute)
+	l1.Set("k", val, 0)
+	l1.Get("k") // learned
+	if n := testing.AllocsPerRun(100, func() { l1.Get("k") }); n != 0 {
+		t.Errorf("near-cache Get allocates %.0f times, want 0", n)
+	}
+	if n := l1.m.OpNanos[opGet].Snapshot().Count; n != 1 {
+		t.Errorf("op=get recorded %d exchanges, want 1 (the rest were near-cache hits)", n)
+	}
+}
+
 func TestPoolReusesConnections(t *testing.T) {
 	_, pool := newPoolPair(t, 4)
 	for i := 0; i < 50; i++ {

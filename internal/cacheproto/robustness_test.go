@@ -359,7 +359,8 @@ func TestClientApplyBatchMidBatchError(t *testing.T) {
 		{Kind: kvcache.BatchDelete, Key: "victim"},
 		{Kind: kvcache.BatchDelete, Key: "other"},
 	}
-	res, err := c.applyBatch(ops)
+	res := make([]kvcache.BatchResult, len(ops))
+	err = c.applyBatch(ops, res)
 	if err == nil {
 		t.Fatalf("mid-batch CLIENT_ERROR not surfaced; results = %+v", res)
 	}
@@ -495,5 +496,55 @@ func TestApplyBatchSkipsUnsendableOps(t *testing.T) {
 	})
 	if res[0].Found {
 		t.Fatalf("all-unsendable batch reported success: %+v", res)
+	}
+
+	// The per-op calls, on the pool and on a bare client, are one-op batches
+	// and take the same checks. A bad key must not reach the wire: "a b"
+	// splits into an extra field, the server refuses the set and then runs
+	// its value as a command, so Set("a b", "flush_all") would empty the node.
+	cli, err := DialTimeout(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	bad := []string{"a b", "ctl\x01key", "a\r\nflush_all", "", strings.Repeat("k", maxKeyBytes+1)}
+	big := make([]byte, maxValueBytes+1)
+	for _, c := range []kvcache.Cache{pool, cli} {
+		store.Set("survivor", []byte("v"), 0)
+		c.Set("a b", []byte("flush_all"), 0)
+		for _, k := range bad {
+			c.Set(k, []byte("flush_all"), 0)
+			if c.Add(k, []byte("flush_all"), 0) {
+				t.Errorf("%T: Add(%q) reported success", c, k)
+			}
+			if r := c.Cas(k, []byte("flush_all"), 0, 1); r != kvcache.CasNotFound {
+				t.Errorf("%T: Cas(%q) = %v, want not found", c, k, r)
+			}
+			if c.Delete(k) {
+				t.Errorf("%T: Delete(%q) reported success", c, k)
+			}
+			if _, ok := c.Incr(k, 1); ok {
+				t.Errorf("%T: Incr(%q) reported success", c, k)
+			}
+			if _, ok := c.Get(k); ok {
+				t.Errorf("%T: Get(%q) hit", c, k)
+			}
+			if _, _, ok := c.Gets(k); ok {
+				t.Errorf("%T: Gets(%q) hit", c, k)
+			}
+		}
+		c.Set("big", big, 0)
+		if c.Add("big", big, 0) {
+			t.Errorf("%T: oversized Add reported success", c)
+		}
+		if _, ok := store.Get("big"); ok {
+			t.Fatalf("%T: oversized value reached the store", c)
+		}
+		if v, ok := c.Get("survivor"); !ok || string(v) != "v" {
+			t.Fatalf("%T: an unrelated key did not survive the bad per-op calls: %q, %v", c, v, ok)
+		}
+	}
+	if st := pool.Stats(); st.Discards != 0 {
+		t.Fatalf("per-op skips discarded a conn: %+v", st)
 	}
 }

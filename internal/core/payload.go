@@ -169,7 +169,9 @@ func uvarint(b []byte) (uint64, int) {
 }
 
 // appendKeyValue renders one lookup value onto a cache key. Strings are
-// escaped so a value can contain neither the key separator nor a space.
+// percent-escaped so a value can contain neither the key separator nor any
+// byte the text protocol refuses in a key (space, control characters, DEL):
+// a lookup on a string with a tab or newline still names a cacheable key.
 func appendKeyValue(b []byte, v sqldb.Value) []byte {
 	if v.Null {
 		return append(b, "~null~"...)
@@ -180,15 +182,11 @@ func appendKeyValue(b []byte, v sqldb.Value) []byte {
 	case sqldb.TypeFloat:
 		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
 	}
+	const hex = "0123456789ABCDEF"
 	for i := 0; i < len(v.S); i++ {
-		switch c := v.S[i]; c {
-		case '%':
-			b = append(b, "%25"...)
-		case ':':
-			b = append(b, "%3A"...)
-		case ' ':
-			b = append(b, "%20"...)
-		default:
+		if c := v.S[i]; c == '%' || c == ':' || c <= ' ' || c == 0x7f {
+			b = append(b, '%', hex[c>>4], hex[c&15])
+		} else {
 			b = append(b, c)
 		}
 	}

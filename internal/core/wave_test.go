@@ -175,6 +175,9 @@ func TestMakeKeyGolden(t *testing.T) {
 		{[]sqldb.Value{sqldb.F64(1.5), sqldb.F64(1e21), sqldb.F64(-0.25)}, "cg:user_profile:1.5:1e+21:-0.25"},
 		{[]sqldb.Value{{Null: true}, sqldb.I64(1)}, "cg:user_profile:~null~:1"},
 		{[]sqldb.Value{sqldb.Str("a b:c%d")}, "cg:user_profile:a%20b%3Ac%25d"},
+		// Every byte a protocol key refuses is escaped too, so the key is
+		// still one a cache node accepts.
+		{[]sqldb.Value{sqldb.Str("tab\tnl\r\n\x00\x1f\x7f~")}, "cg:user_profile:tab%09nl%0D%0A%00%1F%7F~"},
 		{[]sqldb.Value{sqldb.Str(""), sqldb.Str("plain")}, "cg:user_profile::plain"},
 	} {
 		if got := co.MakeKey(tc.vals...); got != tc.want {

@@ -119,11 +119,13 @@ func TestMetricsEndToEndScrape(t *testing.T) {
 		if node == nil {
 			t.Fatal("nil per-node wire stats for a reachable node")
 		}
-		if _, ok := node["op_get_count"]; ok {
+		// The stack's clients reach the wire through mop alone: a per-op
+		// call travels as a one-op batch, so no bare get arrives.
+		if _, ok := node["op_mop_count"]; ok {
 			sawOpCount = true
 		}
 	}
 	if !sawOpCount {
-		t.Error("no node reported op_get_count via the wire stats command")
+		t.Error("no node reported op_mop_count via the wire stats command")
 	}
 }
