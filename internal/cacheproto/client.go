@@ -229,11 +229,10 @@ func parseCasReply(line []byte) kvcache.CasResult {
 	return kvcache.CasNotFound
 }
 
-// Every per-op method below is a one-op batch: the client reaches the wire
-// through the mop exchange alone (applyBatch), so a per-op call gets the
-// batch's key and size checks and its one-slab value read. Network errors
-// surface as misses; callers fall back to the database, which is the correct
-// degraded behaviour.
+// Every per-op method below is one call to one: a one-op mop exchange through
+// applyBatch, so it gets the batch path's key and size checks and its
+// one-slab value read. Network errors surface as misses; callers fall back to
+// the database, which is the correct degraded behaviour.
 
 // one runs op as a one-op batch with its op and result on the stack.
 //

@@ -544,18 +544,9 @@ func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	return out
 }
 
-// apply runs ops behind the near-cache, if any, writing their results into
-// out and recording the exchange under k.
-func (p *Pool) apply(ops []kvcache.BatchOp, out []kvcache.BatchResult, k opKind) {
-	if p.l1 != nil {
-		p.applyBatchL1(ops, out, k)
-		return
-	}
-	p.exchangeBatch(ops, out, k)
-}
-
-// applyBatchL1 is apply behind the near-cache. Every batched mutation
-// invalidates its entry — batches are exactly how the write-set flush
+// apply runs ops as one mop exchange, writing their results into out and
+// recording the exchange under k. Behind the near-cache, every batched
+// mutation invalidates its entry — batches are exactly how the write-set flush
 // delivers trigger maintenance. A BatchGet is a Get: a lease-live entry
 // answers it locally and only the rest of the batch travels (none of it when
 // every op was answered), and the server's hits are learned on the way out
@@ -563,7 +554,11 @@ func (p *Pool) apply(ops []kvcache.BatchOp, out []kvcache.BatchResult, k opKind)
 // on its key. It learns a copy: a batch's values share one slab, which an
 // entry must not keep alive. A BatchGets always reads the server — its token
 // is only good there — so the near-cache neither serves nor learns from it.
-func (p *Pool) applyBatchL1(ops []kvcache.BatchOp, out []kvcache.BatchResult, k opKind) {
+func (p *Pool) apply(ops []kvcache.BatchOp, out []kvcache.BatchResult, k opKind) {
+	if p.l1 == nil {
+		p.exchangeBatch(ops, out, k)
+		return
+	}
 	failAll(ops, out)
 	now := time.Now().UnixNano()
 	served, learn := 0, true
