@@ -201,7 +201,8 @@ func (c *Client) readData(dst []byte, n int) ([]byte, error) {
 	return dst[:len(dst)+n], nil
 }
 
-// appendStoreCmd builds "<verb> <key> 0 <exptime> <bytes>[ <cas>]".
+// appendStoreCmd builds "<verb> <key> 0 <exptime> <bytes>"; a cas appends
+// its token.
 //
 //genie:hotpath
 func (c *Client) appendStoreCmd(b []byte, verb, key string, ttl time.Duration, size int) []byte {

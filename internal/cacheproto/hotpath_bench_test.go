@@ -131,9 +131,10 @@ func BenchmarkServerHotPathMopGetsCas(b *testing.B) {
 }
 
 // BenchmarkLoopbackGet measures a full client->server->client round trip on
-// loopback TCP. The remaining allocations are the fetched value returned to
-// the caller (it must survive the next op) — the request/response machinery
-// itself is allocation-free on both ends.
+// loopback TCP: a per-op Get, which travels as a one-op mop. The one
+// remaining allocation is the slab the fetched value is returned in (it must
+// survive the next op) — the request/response machinery itself is
+// allocation-free on both ends.
 func BenchmarkLoopbackGet(b *testing.B) {
 	store := kvcache.New(0)
 	srv := NewServer(store)
