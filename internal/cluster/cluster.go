@@ -19,6 +19,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -268,14 +269,27 @@ func NewRingIDs(ids []string, nodes []kvcache.Cache, opts ...Option) (*Ring, err
 
 // hash64 is FNV-1a with a murmur3-style finalizer; bare FNV clusters badly
 // on sequential keys ("key-1", "key-2", ...), which is exactly what cache
-// keys look like. The implementation lives in hotkey.Hash so the routing
-// and the popularity sampler share one hash of each key.
+// keys look like. The implementation lives in hotkey.Hash, which the
+// popularity sampler applies to whole keys.
 func hash64(s string) uint64 { return hotkey.Hash(s) }
+
+// placeHash hashes a key's placement, the one thing routing looks at: the
+// text between the key's first '{' and the next '}' when that text is
+// non-empty, and the whole key otherwise (Redis Cluster's hash tags). Keys
+// that share a tag share a replica set, so a batch of them is one exchange.
+func placeHash(key string) uint64 {
+	if i := strings.IndexByte(key, '{'); i >= 0 {
+		if j := strings.IndexByte(key[i+1:], '}'); j > 0 {
+			return hash64(key[i+1 : i+1+j])
+		}
+	}
+	return hash64(key)
+}
 
 // NodeFor returns the index of the node owning key — with replication, the
 // key's preferred replica (ReplicasFor(key)[0]).
 func (r *Ring) NodeFor(key string) int {
-	h := hash64(key)
+	h := placeHash(key)
 	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if i == len(r.hashes) {
 		i = 0
@@ -290,8 +304,8 @@ func (r *Ring) pick(key string) kvcache.Cache { return r.nodes[r.NodeFor(key)] }
 func (r *Ring) Replicas() int { return r.replicas }
 
 // ReplicasFor returns the key's replica set: the indices of the first R
-// *distinct* nodes met walking the ring clockwise from the key's hash
-// position, preference order first. Consecutive vnodes of the same node
+// *distinct* nodes met walking the ring clockwise from the key's placement
+// hash, preference order first. Consecutive vnodes of the same node
 // collapse, so the set never contains duplicates even when one node's
 // vnodes cluster. ReplicasFor(key)[0] == NodeFor(key) always.
 func (r *Ring) ReplicasFor(key string) []int {
@@ -301,12 +315,7 @@ func (r *Ring) ReplicasFor(key string) []int {
 // replicasAppend is ReplicasFor into a caller-owned buffer (hot paths reuse
 // one across a batch).
 func (r *Ring) replicasAppend(key string, out []int) []int {
-	return r.replicasAppendHash(hash64(key), out)
-}
-
-// replicasAppendHash is replicasAppend for callers that already hashed the
-// key (the hot-aware read path hashes once for sampler and routing both).
-func (r *Ring) replicasAppendHash(h uint64, out []int) []int {
+	h := placeHash(key)
 	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if i == len(r.hashes) {
 		i = 0
@@ -399,9 +408,8 @@ func (r *Ring) OwnerID(key string) string { return r.ids[r.NodeFor(key)] }
 // keys rotate round-robin over the replica set instead (getSpread).
 func (r *Ring) Get(key string) ([]byte, bool) {
 	if hr := r.hot; hr != nil {
-		h := hash64(key)
-		if hr.det.Observe(h) && r.replicas > 1 {
-			return r.getSpread(key, h)
+		if hr.det.Observe(hash64(key)) && r.replicas > 1 {
+			return r.getSpread(key)
 		}
 		if r.replicas == 1 {
 			return r.pick(key).Get(key)
@@ -422,10 +430,10 @@ func (r *Ring) Get(key string) ([]byte, bool) {
 // restoring full spread capacity and keeping the staleness window the same
 // one failover read-repair already has — invalidations fan out to the
 // whole replica set either way.
-func (r *Ring) getSpread(key string, h uint64) ([]byte, bool) {
+func (r *Ring) getSpread(key string) ([]byte, bool) {
 	hr := r.hot
 	var reps [maxStackReplicas]int
-	set := r.replicasAppendHash(h, reps[:0])
+	set := r.replicasAppend(key, reps[:0])
 	n := len(set)
 	start := int(hr.rr.Add(1) % uint64(n))
 	skipped := 0
@@ -723,8 +731,7 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 	var buf [maxStackReplicas]int
 	skipped := 0
 	for i := range ops {
-		h := hash64(ops[i].Key)
-		set := r.replicasAppendHash(h, buf[:0])
+		set := r.replicasAppend(ops[i].Key, buf[:0])
 		// The first healthy replica decides; with none healthy the preferred
 		// one fails fast, which reads as a miss.
 		pos := 0
@@ -735,7 +742,7 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 		decider[i] = set[pos%len(set)]
 		switch ops[i].Kind {
 		case kvcache.BatchGet:
-			if hr := r.hot; hr != nil && hr.det.Observe(h) {
+			if hr := r.hot; hr != nil && hr.det.Observe(hash64(ops[i].Key)) {
 				start := int(hr.rr.Add(1) % uint64(len(set)))
 				for j := range set {
 					if ni := set[(start+j)%len(set)]; healthyNode[ni] {

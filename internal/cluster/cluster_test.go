@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cachegenie/internal/kvcache"
@@ -167,5 +168,77 @@ func TestRingApplyBatchRoutesToOwners(t *testing.T) {
 	}
 	if v, ok := r.Get("key-0"); !ok || string(v) != "back" {
 		t.Fatalf("key-0 = %q/%v", v, ok)
+	}
+}
+
+// TestPlacementTags: keys that share a tag — the text between a key's first
+// '{' and the next '}' — share NodeFor, ReplicasFor and the one sub-batch
+// ApplyBatch sends each of their nodes, at R = 1, 2 and 3. An untagged key
+// and an empty tag place by the whole key.
+func TestPlacementTags(t *testing.T) {
+	for _, k := range []string{"plain", "cg:x:{}:7", "{}", "cg:x:{7", "cg:x:}7{", "cg:x:{}{7}"} {
+		if placeHash(k) != hash64(k) {
+			t.Errorf("%q does not place by the whole key", k)
+		}
+	}
+	for _, k := range []string{"{7}", "cg:x:{7}", "cg:y:{7}:1:0", "cg:}:{7}:{8}"} {
+		if placeHash(k) != hash64("7") {
+			t.Errorf("%q does not place by its tag 7", k)
+		}
+	}
+	for _, replicas := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
+			logs := make([]*batchLog, 4)
+			nodes := make([]kvcache.Cache, len(logs))
+			for i := range logs {
+				logs[i] = &batchLog{flakyNode: flakyNode{Cache: kvcache.New(0)}}
+				logs[i].healthy.Store(true)
+				nodes[i] = logs[i]
+			}
+			r, err := NewRing(nodes, WithReplicas(replicas))
+			if err != nil {
+				t.Fatal(err)
+			}
+			preferred := map[int]bool{}
+			for tag := range 50 {
+				keys := []string{
+					fmt.Sprintf("cg:user_profile:{%d}", tag),
+					fmt.Sprintf("cg:friends_of_user:{%d}", tag),
+					fmt.Sprintf("cg:pending_invites:{%d}:0", tag),
+				}
+				set := r.ReplicasFor(keys[0])
+				preferred[set[0]] = true
+				var ops []kvcache.BatchOp
+				var sets, gets []string
+				for _, k := range keys {
+					if r.NodeFor(k) != set[0] || !slices.Equal(r.ReplicasFor(k), set) {
+						t.Fatalf("%s on %d/%v, %s on %d/%v", k, r.NodeFor(k), r.ReplicasFor(k), keys[0], set[0], set)
+					}
+					ops = append(ops, kvcache.BatchOp{Kind: kvcache.BatchSet, Key: k, Value: []byte("v")})
+					sets = append(sets, "set "+k)
+					gets = append(gets, "get "+k)
+				}
+				for _, k := range keys {
+					ops = append(ops, kvcache.BatchOp{Kind: kvcache.BatchGet, Key: k})
+				}
+				r.ApplyBatch(ops)
+				// Every replica is sent the sets in one sub-batch, and the
+				// preferred one the gets with them.
+				for n, l := range logs {
+					var want [][]string
+					if n == set[0] {
+						want = [][]string{append(slices.Clone(sets), gets...)}
+					} else if slices.Contains(set, n) {
+						want = [][]string{sets}
+					}
+					if got := l.take(); got != fmt.Sprint(want) {
+						t.Fatalf("tag %d (replicas %v): node %d was sent %s, want %s", tag, set, n, got, fmt.Sprint(want))
+					}
+				}
+			}
+			if len(preferred) < 2 {
+				t.Fatalf("50 tags all placed on node %v", preferred)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -277,5 +278,57 @@ func TestSingleOwnerBatchGetFeedsSampler(t *testing.T) {
 	r.ApplyBatch(ops)
 	if st := r.HotKeyStats(); st.Observed != 2 {
 		t.Fatalf("Observed = %d after a batch of two gets and a delete, want 2", st.Observed)
+	}
+}
+
+// TestSamplerHashesWholeKeys: routing places keys by their tag, but the
+// sampler counts each whole key, so flooding one key of a tag — by Get at
+// R = 2 and by batched get at R = 1 and 2 — flags that key and not its
+// siblings, whose reads stay on the preferred replica.
+func TestSamplerHashesWholeKeys(t *testing.T) {
+	const reads = 500
+	hot, sibling := "cg:latest_wall_posts:{7}", "cg:user_profile:{7}"
+	batch := func(r *Ring, key string) { r.ApplyBatch([]kvcache.BatchOp{{Kind: kvcache.BatchGet, Key: key}}) }
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		read     func(r *Ring, key string)
+	}{
+		{"get", 2, func(r *Ring, key string) { r.Get(key) }},
+		{"batch/R=1", 1, batch},
+		{"batch/R=2", 2, batch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, counted := newHotRing(t, 4, tc.replicas, hotkey.Config{Window: 1 << 20, Threshold: 64})
+			r.Set(hot, []byte("v"), 0)
+			r.Set(sibling, []byte("w"), 0)
+			set := r.ReplicasFor(sibling)
+			if !slices.Equal(r.ReplicasFor(hot), set) {
+				t.Fatalf("keys of one tag on replica sets %v and %v", r.ReplicasFor(hot), set)
+			}
+			for range reads {
+				tc.read(r, hot)
+			}
+			if !r.hot.det.Hot(hash64(hot)) {
+				t.Fatalf("%s not flagged after %d reads", hot, reads)
+			}
+			if r.hot.det.Hot(hash64(sibling)) {
+				t.Fatalf("%s flagged along with its tag's hot key", sibling)
+			}
+			if tc.replicas == 1 {
+				return
+			}
+			spread := r.HotKeyStats().SpreadReads
+			before := counted[set[1]].gets.Load()
+			for range 20 {
+				tc.read(r, sibling)
+			}
+			if off := counted[set[1]].gets.Load() - before; off != 0 {
+				t.Fatalf("the cold sibling was read %d times off its preferred replica", off)
+			}
+			if got := r.HotKeyStats().SpreadReads; got != spread {
+				t.Fatalf("reading the cold sibling spread %d reads", got-spread)
+			}
+		})
 	}
 }

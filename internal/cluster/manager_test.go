@@ -30,10 +30,11 @@ func newTestManager(t *testing.T, n int) (*Manager, []string, []*kvcache.Store) 
 // that node owned (~1/N of them), and every key owned by a survivor must
 // keep its owner. Under the old "node-<index>-vn-<v>" scheme, removing node
 // k renumbered all successors and remapped roughly (N-k-1)/N of the
-// keyspace on nodes that never moved.
+// keyspace on nodes that never moved. Half the keys carry placement tags,
+// eight to a tag, and a tag's keys move together.
 func TestRemoveNodeRemapsOnlyItsShare(t *testing.T) {
 	const nodes = 4
-	const keys = 8000
+	const keys = 16000
 	m, ids, _ := newTestManager(t, nodes)
 
 	before := make(map[string]string, keys)
@@ -41,6 +42,9 @@ func TestRemoveNodeRemapsOnlyItsShare(t *testing.T) {
 	victim := ids[1]
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%d", i)
+		if i%2 == 1 {
+			k = fmt.Sprintf("cg:obj%d:{%d}", i%16, i/16)
+		}
 		before[k] = m.OwnerID(k)
 		if before[k] == victim {
 			ownedByVictim++
@@ -70,6 +74,16 @@ func TestRemoveNodeRemapsOnlyItsShare(t *testing.T) {
 	// The victim's share should be ~1/4; allow generous balance slack.
 	if frac < 0.10 || frac > 0.45 {
 		t.Fatalf("remap fraction = %.3f, want ~%.2f", frac, 1.0/nodes)
+	}
+	for tag := 0; tag < keys/16; tag++ {
+		first := fmt.Sprintf("cg:obj1:{%d}", tag)
+		for obj := 3; obj < 16; obj += 2 {
+			k := fmt.Sprintf("cg:obj%d:{%d}", obj, tag)
+			if before[k] != before[first] || m.OwnerID(k) != m.OwnerID(first) {
+				t.Fatalf("%s went %s -> %s, apart from %s (%s -> %s)",
+					k, before[k], m.OwnerID(k), first, before[first], m.OwnerID(first))
+			}
+		}
 	}
 }
 

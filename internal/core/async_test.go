@@ -94,7 +94,7 @@ func TestAsyncPendingPopulateAnswersRepeatedMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.g.FlushInvalidations()
-	key := "cg:profile:1"
+	key := s.g.Objects()[0].MakeKey(sqldb.I64(1))
 	read := func(wantBio string, wantHits, wantMisses int64) {
 		t.Helper()
 		rows, err := s.reg.Objects("Profile").Filter("user_id", 1).All()
@@ -200,7 +200,7 @@ func TestAsyncDisabledHasNoBus(t *testing.T) {
 // key holds after it: per key, a window's ops compose in record order into at
 // most one op per batch.
 func TestAsyncWindowComposesPerKey(t *testing.T) {
-	const profileKey, countKey = "cg:profile:1", "cg:wall_count:1"
+	const profileKey, countKey = "cg:profile:{1}", "cg:wall_count:{1}"
 	type env struct {
 		t *testing.T
 		s *stack

@@ -302,9 +302,12 @@ func (co *CachedObject) QueryTemplate() string { return co.sql }
 func (co *CachedObject) Triggers() []sqldb.Trigger { return co.triggers }
 
 // MakeKey builds the cache key for the given lookup values:
-// "cg:<object>:<value>:<value>...". It is assembled in a stack buffer, so a
-// key costs the one allocation of the returned string (keys that outgrow the
-// buffer pay for its growth as well).
+// "cg:<object>:{<value>}:<value>...". The braces make the first value the
+// key's placement: the ring routes on it alone, so every key of one user (or
+// one bookmark) lives on the same node and a page's wave of them is one
+// exchange. It is assembled in a stack buffer, so a key costs the one
+// allocation of the returned string (keys that outgrow the buffer pay for
+// its growth as well).
 func (co *CachedObject) MakeKey(vals ...sqldb.Value) string {
 	var buf [128]byte
 	return string(co.appendKey(buf[:0], vals))
@@ -318,6 +321,11 @@ func (co *CachedObject) appendKey(b []byte, vals []sqldb.Value) []byte {
 	b = append(b, "cg:"...)
 	b = append(b, co.spec.Name...)
 	for i := range vals {
+		if i == 0 {
+			b = append(b, ":{"...)
+			b = append(appendKeyValue(b, vals[0]), '}')
+			continue
+		}
 		b = append(b, ':')
 		b = appendKeyValue(b, vals[i])
 	}

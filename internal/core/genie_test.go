@@ -158,7 +158,7 @@ func TestFeatureQueryUpdateInPlace(t *testing.T) {
 
 func TestFeatureQueryInvalidateStrategy(t *testing.T) {
 	s := newStack(t)
-	s.cacheable(t, profileSpec(Invalidate))
+	co := s.cacheable(t, profileSpec(Invalidate))
 	_, _ = s.reg.Insert("Profile", orm.Fields{"user_id": 42, "bio": "v1"})
 	_, _ = s.reg.Insert("Profile", orm.Fields{"user_id": 43, "bio": "other"})
 
@@ -169,10 +169,10 @@ func TestFeatureQueryInvalidateStrategy(t *testing.T) {
 	// Update user 42: only 42's entry is invalidated (paper §3.2 — unlike
 	// template-based schemes, 43 stays cached).
 	_, _ = s.reg.Objects("Profile").Filter("user_id", 42).Update(orm.Fields{"bio": "v2"})
-	if _, ok := s.cache.Get("cg:user_profile:42"); ok {
+	if _, ok := s.cache.Get(co.MakeKey(sqldb.I64(42))); ok {
 		t.Fatal("user 42's entry should be invalidated")
 	}
-	if _, ok := s.cache.Get("cg:user_profile:43"); !ok {
+	if _, ok := s.cache.Get(co.MakeKey(sqldb.I64(43))); !ok {
 		t.Fatal("user 43's entry should survive (fine-grained invalidation)")
 	}
 	// Next read repopulates with fresh data.

@@ -49,10 +49,11 @@ func TestGenieOverRemoteCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Cacheable(Spec{
+	co, err := g.Cacheable(Spec{
 		Name: "profile_remote", Class: FeatureQuery, MainModel: "Profile",
 		WhereFields: []string{"user_id"},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,7 +63,7 @@ func TestGenieOverRemoteCache(t *testing.T) {
 		t.Fatalf("o=%v err=%v", o, err)
 	}
 	// The entry must physically live in the remote store.
-	if _, ok := store.Get("cg:profile_remote:9"); !ok {
+	if _, ok := store.Get(co.MakeKey(sqldb.I64(9))); !ok {
 		t.Fatal("entry not in remote store")
 	}
 	// Trigger-driven update crosses the wire too.

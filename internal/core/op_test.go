@@ -46,15 +46,15 @@ func TestTriggersRecordOpsAsData(t *testing.T) {
 		got = append(got, ws.ops[i].String())
 	}
 	want := []string{
-		"remove cg:latest_wall_posts:7 pk=12",
-		"insert cg:latest_wall_posts:8 pk=12",
-		"replace cg:latest_wall_posts:7 pk=12",
-		"remove cg:latest_wall_posts:7 pk=12",
-		"incr cg:wall_count:7 -1",
-		"incr cg:wall_count:8 +1",
-		"delete cg:wall_of_user:8",
-		"delete cg:wall_of_user:7",
-		"delete cg:wall_of_user:8",
+		"remove cg:latest_wall_posts:{7} pk=12",
+		"insert cg:latest_wall_posts:{8} pk=12",
+		"replace cg:latest_wall_posts:{7} pk=12",
+		"remove cg:latest_wall_posts:{7} pk=12",
+		"incr cg:wall_count:{7} -1",
+		"incr cg:wall_count:{8} +1",
+		"delete cg:wall_of_user:{8}",
+		"delete cg:wall_of_user:{7}",
+		"delete cg:wall_of_user:{8}",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("recorded\n%q\nwant\n%q", got, want)
@@ -65,33 +65,33 @@ func TestTriggersRecordOpsAsData(t *testing.T) {
 	// through membership: users 7 and 8 are in group 1 (7 twice), 9 in 2.
 	linkWant := map[Strategy][]string{
 		UpdateInPlace: {
-			"append cg:user_groups:7 rows=1",
-			"unlink cg:user_groups:7 group_id=2",
-			"unlink cg:user_groups:7 group_id=2",
-			"append cg:user_groups:8 rows=1",
-			"insert cg:user_groups:7 pk=1",
-			"insert cg:user_groups:8 pk=1",
-			"remove cg:user_groups:9 pk=2",
-			"replace cg:user_groups:7 pk=1",
-			"replace cg:user_groups:8 pk=1",
-			"remove cg:user_groups:9 pk=2",
-			"insert cg:user_groups:7 pk=1",
-			"insert cg:user_groups:8 pk=1",
+			"append cg:user_groups:{7} rows=1",
+			"unlink cg:user_groups:{7} group_id=2",
+			"unlink cg:user_groups:{7} group_id=2",
+			"append cg:user_groups:{8} rows=1",
+			"insert cg:user_groups:{7} pk=1",
+			"insert cg:user_groups:{8} pk=1",
+			"remove cg:user_groups:{9} pk=2",
+			"replace cg:user_groups:{7} pk=1",
+			"replace cg:user_groups:{8} pk=1",
+			"remove cg:user_groups:{9} pk=2",
+			"insert cg:user_groups:{7} pk=1",
+			"insert cg:user_groups:{8} pk=1",
 		},
 		Invalidate: {
-			"delete cg:user_groups:7",
-			"delete cg:user_groups:7",
-			"delete cg:user_groups:7",
-			"delete cg:user_groups:7",
-			"delete cg:user_groups:8",
-			"delete cg:user_groups:7",
-			"delete cg:user_groups:8",
-			"delete cg:user_groups:9",
-			"delete cg:user_groups:7",
-			"delete cg:user_groups:8",
-			"delete cg:user_groups:9",
-			"delete cg:user_groups:7",
-			"delete cg:user_groups:8",
+			"delete cg:user_groups:{7}",
+			"delete cg:user_groups:{7}",
+			"delete cg:user_groups:{7}",
+			"delete cg:user_groups:{7}",
+			"delete cg:user_groups:{8}",
+			"delete cg:user_groups:{7}",
+			"delete cg:user_groups:{8}",
+			"delete cg:user_groups:{9}",
+			"delete cg:user_groups:{7}",
+			"delete cg:user_groups:{8}",
+			"delete cg:user_groups:{9}",
+			"delete cg:user_groups:{7}",
+			"delete cg:user_groups:{8}",
 		},
 	}
 	for _, strategy := range []Strategy{UpdateInPlace, Invalidate} {
@@ -216,7 +216,7 @@ func TestGroupByKey(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		ops := make([]op, 1+rng.Intn(60))
 		for i := range ops {
-			ops[i] = op{key: fmt.Sprintf("cg:x:%d", rng.Intn(1+rng.Intn(20))), kind: opIncr, delta: int64(i)}
+			ops[i] = op{key: fmt.Sprintf("cg:x:{%d}", rng.Intn(1+rng.Intn(20))), kind: opIncr, delta: int64(i)}
 		}
 		var order []string
 		members := map[string][]int32{}

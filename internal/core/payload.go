@@ -169,9 +169,10 @@ func uvarint(b []byte) (uint64, int) {
 }
 
 // appendKeyValue renders one lookup value onto a cache key. Strings are
-// percent-escaped so a value can contain neither the key separator nor any
-// byte the text protocol refuses in a key (space, control characters, DEL):
-// a lookup on a string with a tab or newline still names a cacheable key.
+// percent-escaped so a value can contain neither the key separator, nor a
+// brace that would open or close the key's placement tag, nor any byte the
+// text protocol refuses in a key (space, control characters, DEL): a lookup
+// on a string with a tab or newline still names a cacheable key.
 func appendKeyValue(b []byte, v sqldb.Value) []byte {
 	if v.Null {
 		return append(b, "~null~"...)
@@ -184,7 +185,7 @@ func appendKeyValue(b []byte, v sqldb.Value) []byte {
 	}
 	const hex = "0123456789ABCDEF"
 	for i := 0; i < len(v.S); i++ {
-		if c := v.S[i]; c == '%' || c == ':' || c <= ' ' || c == 0x7f {
+		if c := v.S[i]; c == '%' || c == ':' || c == '{' || c == '}' || c <= ' ' || c == 0x7f {
 			b = append(b, '%', hex[c>>4], hex[c&15])
 		} else {
 			b = append(b, c)

@@ -310,11 +310,15 @@ func (p *plan) source(op sqldb.TriggerOp) string {
 	}
 	pr("def keys(row):")
 	if p.via == "" {
-		pr("    return ['cg:%s:' + str(%s)]", co.spec.Name, cols("row", p.key, ") + ':' + str("))
+		tail := "'}'" // the first value is the key's placement tag
+		if len(p.key) > 1 {
+			tail = "'}:' + str(" + cols("row", p.key[1:], ") + ':' + str(") + ")"
+		}
+		pr("    return ['cg:%s:{' + str(%s) + %s]", co.spec.Name, cols("row", p.key[:1], ""), tail)
 	} else {
 		pr("    # reverse map through %s: one key per distinct source", co.linkThrough.Table)
 		pr("    sources = plpy.execute(%q, [%s])", p.via, cols("row", p.key, ""))
-		pr("    return ['cg:%s:' + str(v) for v in sorted(set(s['%s'] for s in sources))]",
+		pr("    return ['cg:%s:{' + str(v) + '}' for v in sorted(set(s['%s'] for s in sources))]",
 			co.spec.Name, co.spec.Link.SourceField)
 	}
 	pr("")

@@ -98,7 +98,10 @@ type Spec struct {
 	// target model).
 	MainModel string
 	// WhereFields are the indexing columns (the paper's where_fields). For
-	// LinkQuery this must be exactly {Link.SourceField}.
+	// LinkQuery this must be exactly {Link.SourceField}. The first field is
+	// the key's placement: a cache ring stores every key with the same first
+	// value on the same node, so list the column a page's lookups share
+	// (a user id) first.
 	WhereFields []string
 	// Strategy is the consistency strategy (default update-in-place).
 	Strategy Strategy

@@ -158,8 +158,9 @@ func TestWaveOverCacheWithoutBatching(t *testing.T) {
 	}
 }
 
-// Keys are byte-identical to the ones the fmt/strings.Join builder produced,
-// and cost one allocation.
+// Keys render their first value as the placement tag the ring routes on, a
+// string value can neither open nor close a tag, and a key costs one
+// allocation.
 func TestMakeKeyGolden(t *testing.T) {
 	s := newStack(t)
 	co := s.cacheable(t, profileSpec(UpdateInPlace))
@@ -169,16 +170,21 @@ func TestMakeKeyGolden(t *testing.T) {
 		want string
 	}{
 		{nil, "cg:user_profile"},
-		{[]sqldb.Value{sqldb.I64(42)}, "cg:user_profile:42"},
-		{[]sqldb.Value{sqldb.I64(-7), sqldb.Bool(true), sqldb.Bool(false)}, "cg:user_profile:-7:1:0"},
-		{[]sqldb.Value{sqldb.Time(at)}, "cg:user_profile:1330837567000000"},
-		{[]sqldb.Value{sqldb.F64(1.5), sqldb.F64(1e21), sqldb.F64(-0.25)}, "cg:user_profile:1.5:1e+21:-0.25"},
-		{[]sqldb.Value{{Null: true}, sqldb.I64(1)}, "cg:user_profile:~null~:1"},
-		{[]sqldb.Value{sqldb.Str("a b:c%d")}, "cg:user_profile:a%20b%3Ac%25d"},
+		{[]sqldb.Value{sqldb.I64(42)}, "cg:user_profile:{42}"},
+		{[]sqldb.Value{sqldb.I64(-7), sqldb.Bool(true), sqldb.Bool(false)}, "cg:user_profile:{-7}:1:0"},
+		{[]sqldb.Value{sqldb.Time(at)}, "cg:user_profile:{1330837567000000}"},
+		{[]sqldb.Value{sqldb.F64(1.5), sqldb.F64(1e21), sqldb.F64(-0.25)}, "cg:user_profile:{1.5}:1e+21:-0.25"},
+		{[]sqldb.Value{{Null: true}, sqldb.I64(1)}, "cg:user_profile:{~null~}:1"},
+		{[]sqldb.Value{sqldb.Str("a b:c%d")}, "cg:user_profile:{a%20b%3Ac%25d}"},
 		// Every byte a protocol key refuses is escaped too, so the key is
 		// still one a cache node accepts.
-		{[]sqldb.Value{sqldb.Str("tab\tnl\r\n\x00\x1f\x7f~")}, "cg:user_profile:tab%09nl%0D%0A%00%1F%7F~"},
-		{[]sqldb.Value{sqldb.Str(""), sqldb.Str("plain")}, "cg:user_profile::plain"},
+		{[]sqldb.Value{sqldb.Str("tab\tnl\r\n\x00\x1f\x7f~")}, "cg:user_profile:{tab%09nl%0D%0A%00%1F%7F~}"},
+		// An empty first value leaves an empty tag: the ring hashes the
+		// whole key.
+		{[]sqldb.Value{sqldb.Str(""), sqldb.Str("plain")}, "cg:user_profile:{}:plain"},
+		// Braces are escaped wherever they occur, so the tag is always
+		// exactly the first value.
+		{[]sqldb.Value{sqldb.Str("}{x}"), sqldb.Str("{y}")}, "cg:user_profile:{%7D%7Bx%7D}:%7By%7D"},
 	} {
 		if got := co.MakeKey(tc.vals...); got != tc.want {
 			t.Errorf("MakeKey(%v) = %q, want %q", tc.vals, got, tc.want)
