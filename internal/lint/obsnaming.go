@@ -36,8 +36,8 @@ var metricNameRe = regexp.MustCompile(`^cachegenie_[a-z0-9]+(_[a-z0-9]+)*$`)
 var registryMethods = map[string]string{
 	"Counter": "counter", "CounterFunc": "counter", "RegisterCounter": "counter",
 	"Gauge": "gauge", "GaugeFunc": "gauge", "RegisterGauge": "gauge",
-	"GaugeFuncUnit": "gauge",
-	"Histogram":     "histogram", "RegisterHistogram": "histogram",
+	"CounterFuncUnit": "counter", "GaugeFuncUnit": "gauge",
+	"Histogram": "histogram", "RegisterHistogram": "histogram",
 }
 
 // nonBaseUnits are tokens that mean "you stored a raw integer and named the

@@ -183,6 +183,12 @@ func (r *Registry) CounterFunc(name, labels, help string, fn func() int64) {
 	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindCounter, fn: fn})
 }
 
+// CounterFuncUnit is CounterFunc for values held in a non-base unit, scaled
+// at render time as GaugeFuncUnit's are.
+func (r *Registry) CounterFuncUnit(name, labels, help string, unit Unit, fn func() int64) {
+	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindCounter, unit: unit, fn: fn})
+}
+
 // GaugeFunc registers a gauge whose value is read from fn at render time.
 func (r *Registry) GaugeFunc(name, labels, help string, fn func() int64) {
 	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindGauge, fn: fn})

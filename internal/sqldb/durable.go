@@ -353,11 +353,19 @@ func (db *DB) Recovery() RecoveryInfo { return db.recovery }
 // DataDir returns the durable data directory ("" on a memory-only DB).
 func (db *DB) DataDir() string { return db.dataDir }
 
-// RegisterMetrics exposes the engine's durability instrumentation (WAL
-// fsync latency, group-commit size, commit/byte counters, recovery info)
-// on reg. No-op for a memory-only DB.
+// RegisterMetrics exposes the engine's lock waits and, on a durable DB, its
+// durability instrumentation (WAL fsync latency, group-commit size,
+// commit/byte counters, recovery info) on reg.
 func (db *DB) RegisterMetrics(reg *obs.Registry) {
-	if db.walMetrics == nil || reg == nil {
+	if reg == nil {
+		return
+	}
+	reg.CounterFunc("cachegenie_db_lock_waits_total", "",
+		"table lock requests that waited", func() int64 { return db.Stats().LockWaits })
+	reg.CounterFuncUnit("cachegenie_db_lock_wait_seconds_total", "",
+		"time table lock requests spent waiting", obs.UnitNanoseconds,
+		func() int64 { return db.Stats().LockWaitNanos })
+	if db.walMetrics == nil {
 		return
 	}
 	db.walMetrics.Register(reg)
@@ -391,6 +399,11 @@ func (db *DB) Close() error {
 		return nil
 	}
 	err := db.wal.Close()
+	if db.wal.Err() != nil {
+		// Fail-stop: memory may hold commits the log lost. Keep the log as
+		// the durable state and write no snapshot of memory.
+		return err
+	}
 	through := db.wal.Seq()
 	if serr := db.writeSnapshot(through); serr != nil {
 		// Keep the WAL segments: the snapshot failed, so they are still

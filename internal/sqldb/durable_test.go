@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"cachegenie/internal/wal"
 )
@@ -226,5 +228,165 @@ func TestRandomizedCrashPointRecoversPrefix(t *testing.T) {
 				iter, k2, k, rec.TornTail)
 		}
 		_ = db3.Close()
+	}
+}
+
+// TestAcknowledgedMeansDurableUnderConcurrentWriters crashes a durable DB at
+// a random point under concurrent autocommit writers whose triggers read each
+// other's tables, with a reader beside them, and reopens it. Early lock
+// release lets a statement read what a commit still waiting for its fsync
+// released; the WAL's FIFO must still order the reader behind that commit.
+// After recovery:
+//   - every Exec that returned nil is present: an acknowledged insert's row,
+//     and at least every acknowledged increment of a row;
+//   - no recovered write depends on a missing commit: the highest id of the
+//     other table its trigger saw was recovered too;
+//   - nothing a Query returned is missing: every row id and count it saw.
+func TestAcknowledgedMeansDurableUnderConcurrentWriters(t *testing.T) {
+	const writers = 4
+	tables := [2]string{"a", "b"}
+	rng := rand.New(rand.NewSource(44))
+	for iter := 0; iter < 8; iter++ {
+		cfg := durableCfg(t)
+		db := openDurable(t, cfg)
+
+		// deps[table][id, n] is the highest id of the other table the
+		// trigger saw when the row got its value n.
+		type write struct{ id, n int64 }
+		var depMu sync.Mutex
+		deps := [2]map[write]int64{{}, {}}
+		for i, tbl := range tables {
+			other := tables[1-i]
+			mustExec(t, db, "CREATE TABLE "+tbl+" (n INT)")
+			for _, op := range []TriggerOp{TrigInsert, TrigUpdate} {
+				err := db.CreateTrigger(Trigger{
+					Name: tbl + "_sees_" + other, Table: tbl, Op: op, ReadsTables: []string{other},
+					Fn: func(q Queryer, ev TriggerEvent) error {
+						rs, err := q.Query("SELECT id FROM " + other + " ORDER BY id DESC LIMIT 1")
+						if err != nil {
+							return err
+						}
+						var top int64
+						if len(rs.Rows) > 0 {
+							top = rs.Rows[0][0].I
+						}
+						depMu.Lock()
+						deps[i][write{ev.New[0].I, ev.New[1].I}] = top
+						depMu.Unlock()
+						return nil
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Each writer owns one row per table, the one it increments.
+		for w := 0; w < writers; w++ {
+			for _, tbl := range tables {
+				mustExec(t, db, "INSERT INTO "+tbl+" (n) VALUES (0)")
+			}
+		}
+
+		var (
+			wg      sync.WaitGroup
+			stop    = make(chan struct{})
+			ackedID [writers][2][]int64
+			ackedN  [writers][2]int64
+			seenN   [2]map[int64]int64
+		)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				own := int64(w + 1)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ti := (w + i) % 2
+					if i%3 == 0 {
+						res, err := db.Exec("INSERT INTO " + tables[ti] + " (n) VALUES (0)")
+						if err != nil {
+							return
+						}
+						ackedID[w][ti] = append(ackedID[w][ti], res.LastInsertID)
+						continue
+					}
+					if _, err := db.Exec("UPDATE "+tables[ti]+" SET n = n + 1 WHERE id = $1", I64(own)); err != nil {
+						return
+					}
+					ackedN[w][ti]++
+				}
+			}(w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seenN = [2]map[int64]int64{{}, {}}
+			for {
+				for ti, tbl := range tables {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rs, err := db.Query("SELECT id, n FROM " + tbl)
+					if err != nil {
+						return
+					}
+					for _, row := range rs.Rows {
+						seenN[ti][row[0].I] = row[1].I
+					}
+				}
+			}
+		}()
+		time.Sleep(time.Duration(1+rng.Intn(15)) * time.Millisecond)
+		db.Crash()
+		close(stop)
+		wg.Wait()
+
+		db2 := openDurable(t, cfg)
+		var got [2]map[int64]int64
+		for ti, tbl := range tables {
+			got[ti] = map[int64]int64{}
+			for _, row := range mustQuery(t, db2, "SELECT id, n FROM "+tbl).Rows {
+				got[ti][row[0].I] = row[1].I
+			}
+		}
+		_ = db2.Close()
+
+		for ti, tbl := range tables {
+			for w := 0; w < writers; w++ {
+				for _, id := range ackedID[w][ti] {
+					if _, ok := got[ti][id]; !ok {
+						t.Fatalf("iter %d: acknowledged insert %s.id=%d lost", iter, tbl, id)
+					}
+				}
+				own := int64(w + 1)
+				if got[ti][own] < ackedN[w][ti] {
+					t.Fatalf("iter %d: %s.id=%d recovered n=%d, but %d increments were acknowledged",
+						iter, tbl, own, got[ti][own], ackedN[w][ti])
+				}
+			}
+			for id, n := range seenN[ti] {
+				if rn, ok := got[ti][id]; !ok || rn < n {
+					t.Fatalf("iter %d: a query returned %s.id=%d n=%d; recovered n=%d (present %v)",
+						iter, tbl, id, n, rn, ok)
+				}
+			}
+			for id, n := range got[ti] {
+				top, ok := deps[ti][write{id, n}]
+				if !ok {
+					t.Fatalf("iter %d: recovered %s.id=%d n=%d, a value no trigger saw written", iter, tbl, id, n)
+				}
+				if _, ok := got[1-ti][top]; top > 0 && !ok {
+					t.Fatalf("iter %d: recovered %s.id=%d n=%d saw %s.id=%d, which was not recovered",
+						iter, tbl, id, n, tables[1-ti], top)
+				}
+			}
+		}
 	}
 }

@@ -114,6 +114,10 @@ type Stats struct {
 	TriggersFired int64
 	TxnsCommitted int64
 	TxnsAborted   int64
+	// LockWaits counts lock requests that could not be granted at once and
+	// waited; LockWaitNanos is the time they waited, timeouts included.
+	LockWaits     int64
+	LockWaitNanos int64
 }
 
 // Config configures a DB.
@@ -284,7 +288,7 @@ func (db *DB) BufferPool() *storage.BufferPool { return db.pool }
 
 // Stats returns a snapshot of engine counters.
 func (db *DB) Stats() Stats {
-	return Stats{
+	s := Stats{
 		Selects:       db.statSelects.Load(),
 		Inserts:       db.statInserts.Load(),
 		Updates:       db.statUpdates.Load(),
@@ -293,6 +297,13 @@ func (db *DB) Stats() Stats {
 		TxnsCommitted: db.statCommits.Load(),
 		TxnsAborted:   db.statAborts.Load(),
 	}
+	db.mu.RLock()
+	for _, l := range db.locks {
+		s.LockWaits += l.waits.Load()
+		s.LockWaitNanos += l.waitNanos.Load()
+	}
+	db.mu.RUnlock()
+	return s
 }
 
 // SetTriggersEnabled toggles trigger firing globally. Experiment 5 measures

@@ -13,8 +13,8 @@ import (
 // (endStatement). A statement a trigger issues belongs to the scope of the
 // statement that fired the trigger, so only the outermost one closes it.
 func (tx *Txn) execAST(st sqlparse.Statement, args ...Value) (Result, error) {
-	if tx.done {
-		return Result{}, ErrTxnDone
+	if err := tx.check(); err != nil {
+		return Result{}, err
 	}
 	res, err := tx.execStatement(st, args)
 	if tx.depth > 0 {
@@ -557,8 +557,8 @@ func (tx *Txn) lockSelect(sel *sqlparse.Select) error {
 // capped windows of one []Row, and the projection fills one Value slab, so a
 // statement allocates a fixed handful of times, not a few times per row.
 func (tx *Txn) querySelect(sel *sqlparse.Select, args ...Value) (*ResultSet, error) {
-	if tx.done {
-		return nil, ErrTxnDone
+	if err := tx.check(); err != nil {
+		return nil, err
 	}
 	tx.db.chargeStatement()
 	tx.db.statSelects.Add(1)

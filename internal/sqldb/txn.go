@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cachegenie/internal/wal"
@@ -34,6 +35,12 @@ type tableLock struct {
 	cond    *sync.Cond
 	readers map[*Txn]int
 	writer  *Txn
+	// stamp is the LSN of the last durable commit that held the lock
+	// exclusively, stored before that commit released it (Txn.Commit).
+	stamp atomic.Uint64
+	// waits and waitNanos count acquire's slow path: the waits, and the
+	// time they took.
+	waits, waitNanos atomic.Int64
 }
 
 func newTableLock() *tableLock {
@@ -81,13 +88,16 @@ func (l *tableLock) acquire(owner *Txn, mode lockMode, timeout time.Duration) er
 	if l.tryGrant(owner, mode) {
 		return nil
 	}
-	deadline := time.Now().Add(timeout)
+	start := time.Now()
+	deadline := start.Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		l.mu.Lock()
 		l.cond.Broadcast()
 		l.mu.Unlock()
 	})
 	defer timer.Stop()
+	l.waits.Add(1)
+	defer func() { l.waitNanos.Add(int64(time.Since(start))) }()
 	for !l.tryGrant(owner, mode) {
 		if time.Until(deadline) <= 0 {
 			return ErrLockTimeout
@@ -123,9 +133,15 @@ type heldLock struct {
 	mode  lockMode
 }
 
-// Txn is a database transaction. It implements strict two-phase locking at
-// table granularity: locks accumulate during the transaction and are all
-// released at Commit or Rollback. A Txn must be used from a single goroutine.
+// Txn is a database transaction. It locks at table granularity, two-phase:
+// locks accumulate during the transaction and are all released at Commit or
+// Rollback. On a durable DB that release is early, a departure from strict
+// two-phase locking: a committing writer releases its locks once the WAL has
+// sequenced its commit, before the fsync, and is acknowledged after it. A
+// transaction that reads what such a writer released is ordered behind it:
+// a writer by the WAL's FIFO, a read-only transaction by waiting at Commit
+// for the highest LSN stamped on the tables it locked. A Txn must be used
+// from a single goroutine.
 type Txn struct {
 	db *DB
 	id int64
@@ -133,7 +149,9 @@ type Txn struct {
 	// a few, so they start out in lockRoom, inside the Txn.
 	locks    []heldLock
 	lockRoom [4]heldLock
-	undo     []undoRec
+	// seen is the highest stamp (tableLock.stamp) on the tables it locked.
+	seen uint64
+	undo []undoRec
 	// redo is the transaction's redo log as the WAL stores it: its Begin
 	// record, then one record per change, each framed and encoded where the
 	// statement made the change (beginRedo, endRedo); Commit appends the
@@ -210,6 +228,24 @@ func (tx *Txn) lockTable(name string, mode lockMode) error {
 		return fmt.Errorf("%w (table %s, txn %d)", err, name, tx.id)
 	}
 	h.mode = mode
+	tx.seen = max(tx.seen, h.lock.stamp.Load())
+	return nil
+}
+
+// check reports why tx may not run a statement: it has finished, or its
+// DB's WAL stopped with commits it had sequenced not durable. That stop is
+// fail-stop: those commits released their locks, so memory may hold what
+// others read of them and the log lost; reopening recovers the durable
+// prefix.
+func (tx *Txn) check() error {
+	if tx.done {
+		return ErrTxnDone
+	}
+	if w := tx.db.wal; w != nil {
+		if err := w.Err(); err != nil {
+			return fmt.Errorf("sqldb: database stopped: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -246,26 +282,44 @@ func (tx *Txn) endRedo(start int, err error) {
 }
 
 // Commit makes the transaction's effects durable and releases its locks.
-// On a durable DB the redo log is handed to the WAL and the call blocks
-// until the group-commit writer has fsynced it; a durability failure rolls
-// the in-memory effects back so memory never diverges from the log prefix.
+// On a durable DB a transaction that changed something hands its redo log
+// to the WAL writer, which sequences it; a failure there rolls the in-memory
+// effects back, locks still held, so memory never diverges from the log.
+// Once sequenced, the locks are released, each table held exclusively
+// stamped with the commit's LSN, and Commit returns when that LSN is
+// durable. A transaction that changed nothing waits instead for the highest
+// stamp on the tables it locked, so nothing it read can be lost by a crash.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return ErrTxnDone
 	}
+	w := tx.db.wal
+	if w == nil {
+		tx.finish(0)
+		return nil
+	}
 	// A log of no change, or of nothing but the Begin record a failed first
 	// change left, commits without the WAL.
-	if w := tx.db.wal; w != nil && len(tx.redo) > wal.HeaderSize {
+	wait, stamp := tx.seen, uint64(0)
+	if len(tx.redo) > wal.HeaderSize {
 		tx.redo = wal.AppendRecord(tx.redo, wal.Record{Type: wal.TypeCommit, Txn: tx.id})
-		if err := w.Commit(tx.redo); err != nil {
+		lsn, err := w.Sequence(tx.redo)
+		if err != nil {
 			rbErr := tx.Rollback()
 			if rbErr != nil {
 				return fmt.Errorf("sqldb: commit txn %d: %v (rollback also failed: %v)", tx.id, err, rbErr)
 			}
 			return fmt.Errorf("sqldb: commit txn %d: %w", tx.id, err)
 		}
+		wait, stamp = lsn, lsn
+	} else if err := w.Err(); err != nil {
+		tx.finish(0)
+		return fmt.Errorf("sqldb: commit txn %d: %w", tx.id, err)
 	}
-	tx.finish()
+	tx.finish(stamp)
+	if err := w.Wait(wait); err != nil {
+		return fmt.Errorf("sqldb: commit txn %d: %w", tx.id, err)
+	}
 	return nil
 }
 
@@ -289,16 +343,21 @@ func (tx *Txn) Rollback() error {
 		}
 		if err != nil {
 			// Undo failures indicate corruption; surface loudly.
-			tx.finish()
+			tx.finish(0)
 			return fmt.Errorf("sqldb: rollback of txn %d failed: %v", tx.id, err)
 		}
 	}
-	tx.finish()
+	tx.finish(0)
 	return nil
 }
 
-func (tx *Txn) finish() {
+// finish ends the transaction and releases its locks, first stamping each
+// table it held exclusively with lsn, its commit's LSN, when that is not 0.
+func (tx *Txn) finish(lsn uint64) {
 	for _, h := range tx.locks {
+		if lsn != 0 && h.mode == lockExclusive {
+			h.lock.stamp.Store(lsn)
+		}
 		h.lock.release(tx)
 	}
 	tx.locks = nil // lockTable refuses a finished transaction before reading it

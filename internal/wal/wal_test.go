@@ -38,10 +38,19 @@ func TestBeginEndRecordMatchesAppendRecord(t *testing.T) {
 	}
 }
 
+// commit appends txn and waits until it is durable.
+func commit(w *Writer, txn []byte) error {
+	lsn, err := w.Sequence(txn)
+	if err != nil {
+		return err
+	}
+	return w.Wait(lsn)
+}
+
 func commitN(t *testing.T, w *Writer, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		err := w.Commit(frameTxn(int64(i+1), payloadRec(TypeClient, fmt.Sprintf("op-%d", i+1))))
+		err := commit(w, frameTxn(int64(i+1), payloadRec(TypeClient, fmt.Sprintf("op-%d", i+1))))
 		if err != nil {
 			t.Fatalf("commit %d: %v", i+1, err)
 		}
@@ -275,7 +284,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				txn := int64(g*per + i + 1)
-				errs <- w.Commit(frameTxn(txn, payloadRec(TypeClient, fmt.Sprintf("w%d-%d", g, i))))
+				errs <- commit(w, frameTxn(txn, payloadRec(TypeClient, fmt.Sprintf("w%d-%d", g, i))))
 			}
 		}(g)
 	}
@@ -311,7 +320,7 @@ func TestCommitAfterCloseAndAbort(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Commit(frameTxn(99)); !errors.Is(err, ErrClosed) {
+	if err := commit(w, frameTxn(99)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after close = %v, want ErrClosed", err)
 	}
 	if err := w.Close(); !errors.Is(err, ErrClosed) {
@@ -323,7 +332,7 @@ func TestCommitAfterCloseAndAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.Abort()
-	if err := w2.Commit(frameTxn(1)); !errors.Is(err, ErrClosed) {
+	if err := commit(w2, frameTxn(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after abort = %v, want ErrClosed", err)
 	}
 }

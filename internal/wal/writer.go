@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 )
 
-// ErrClosed is returned by Commit after the writer has been closed or
+// ErrClosed is returned by Sequence after the writer has been closed or
 // aborted.
 var ErrClosed = errors.New("wal: writer closed")
 
@@ -29,29 +29,52 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// commitReq is one Commit waiting on the loop; it travels by value, and done
-// is unbuffered, since its committer is already waiting on it.
+// commitReq is one sequenced transaction on its way to the loop; it travels
+// by value.
 type commitReq struct {
-	buf  []byte
-	done chan error
+	buf []byte
+	lsn uint64
 }
 
-// Writer is the group-commit appender. Concurrent Commit calls funnel into
-// a single goroutine that batches their records into the current segment
-// and issues one fsync per batch; every committer in the batch shares that
-// fsync's durability.
+// segmentFile is the open segment: an *os.File, or the fault-injecting
+// wrapper a test installs through newWriter.
+type segmentFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// Writer is the group-commit appender. Sequence hands each transaction a log
+// sequence number (LSN) in the order it joins the writer's FIFO; a single
+// goroutine batches the queued transactions into the current segment and
+// issues one fsync per batch, after which every LSN in the batch is durable.
+// Wait blocks until an LSN is. The first failed write, rotation or fsync
+// stops the writer for good: nothing is appended after a possibly torn
+// record, and every commit not yet durable fails with that error.
 type Writer struct {
 	cfg   Config
 	reqCh chan commitReq
+	wrap  func(*os.File) segmentFile // test seam; nil in production
 
-	mu      sync.Mutex // guards closed, pairs sender entry with shutdown
+	// mu guards closed and lsn. Sequence holds it across its channel send,
+	// so FIFO order is LSN order; the loop never takes it, so a send blocked
+	// on a full queue always drains.
+	mu      sync.Mutex
 	closed  bool
-	senders sync.WaitGroup
+	lsn     uint64 // last LSN handed out
 	loop    sync.WaitGroup
 	aborted atomic.Bool
 
+	// durable is the highest LSN whose batch is on disk; every lower LSN is
+	// too. failed is the error that stopped the writer with commits not yet
+	// durable. The loop publishes both under dmu and broadcasts on cond.
+	durable atomic.Uint64
+	failed  atomic.Pointer[error]
+	dmu     sync.Mutex
+	cond    sync.Cond
+
 	// Loop-goroutine state; read by others only after Close/Abort.
-	f    *os.File
+	f    segmentFile
 	size int64
 	seq  atomic.Uint64
 }
@@ -61,6 +84,12 @@ type Writer struct {
 // a reborn writer never appends into a segment replay has already
 // consumed.
 func NewWriter(cfg Config, startSeq uint64) (*Writer, error) {
+	return newWriter(cfg, startSeq, nil)
+}
+
+// newWriter is NewWriter with every segment file passed through wrap (when
+// non-nil) before the writer uses it.
+func newWriter(cfg Config, startSeq uint64, wrap func(*os.File) segmentFile) (*Writer, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 64 << 20
 	}
@@ -76,7 +105,9 @@ func NewWriter(cfg Config, startSeq uint64) (*Writer, error) {
 	w := &Writer{
 		cfg:   cfg,
 		reqCh: make(chan commitReq, cfg.GroupMax),
+		wrap:  wrap,
 	}
+	w.cond.L = &w.dmu
 	if err := w.openSegment(startSeq); err != nil {
 		return nil, err
 	}
@@ -94,6 +125,9 @@ func (w *Writer) openSegment(seq uint64) error {
 		_ = w.f.Close()
 	}
 	w.f = f
+	if w.wrap != nil {
+		w.f = w.wrap(f)
+	}
 	w.size = 0
 	w.seq.Store(seq)
 	if m := w.cfg.Metrics; m != nil {
@@ -106,31 +140,59 @@ func (w *Writer) openSegment(seq uint64) error {
 // after Close/Abort; the clean-shutdown snapshot uses it as its watermark.
 func (w *Writer) Seq() uint64 { return w.seq.Load() }
 
-// Commit appends one transaction's records, already framed with its Begin
-// record first and its Commit record last, and blocks until they are durable
-// (fsynced, possibly as part of a larger group). The writer reads txn only
-// until Commit returns. Safe for concurrent use.
-func (w *Writer) Commit(txn []byte) error {
+// Sequence queues one transaction's records, already framed with its Begin
+// record first and its Commit record last, and returns its LSN: once
+// Sequence returns, any transaction sequenced later is appended after it.
+// It does not wait for the write: the caller keeps txn unmodified until
+// Wait(lsn) returns. An error means txn was not queued. Safe for concurrent
+// use.
+func (w *Writer) Sequence(txn []byte) (uint64, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	w.senders.Add(1)
-	w.mu.Unlock()
-	req := commitReq{buf: txn, done: make(chan error)}
-	w.reqCh <- req
-	w.senders.Done()
-	return <-req.done
+	if err := w.Err(); err != nil {
+		return 0, err
+	}
+	w.lsn++
+	w.reqCh <- commitReq{buf: txn, lsn: w.lsn}
+	return w.lsn, nil
+}
+
+// Wait blocks until every LSN up to lsn is durable, and returns the error
+// that stopped the writer if that will never happen.
+func (w *Writer) Wait(lsn uint64) error {
+	if w.durable.Load() >= lsn {
+		return nil
+	}
+	w.dmu.Lock()
+	defer w.dmu.Unlock()
+	for w.durable.Load() < lsn {
+		if err := w.Err(); err != nil {
+			return err
+		}
+		w.cond.Wait()
+	}
+	return nil
+}
+
+// Err returns the error that stopped the writer with sequenced commits not
+// durable, or nil. Once set it never changes.
+func (w *Writer) Err() error {
+	if p := w.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // run is the group-commit loop: take one request, drain whatever else is
-// already queued (up to GroupMax), write the batch, fsync once, answer
-// everyone.
+// already queued (up to GroupMax), write the batch, fsync once, publish.
 func (w *Writer) run() {
 	defer w.loop.Done()
+	batch := make([]commitReq, 0, w.cfg.GroupMax)
 	for req := range w.reqCh {
-		batch := []commitReq{req}
+		batch = append(batch[:0], req)
 	drain:
 		for len(batch) < w.cfg.GroupMax {
 			select {
@@ -144,51 +206,62 @@ func (w *Writer) run() {
 			}
 		}
 		w.flush(batch)
+		clear(batch) // drop the buffers the batch held
 	}
 }
 
-// flush writes and fsyncs one batch, then answers its committers.
+// flush writes and fsyncs one batch, then publishes its last LSN as
+// durable. A stopped writer drops the batch.
 func (w *Writer) flush(batch []commitReq) {
+	if w.Err() != nil {
+		return
+	}
 	if w.aborted.Load() {
-		for _, r := range batch {
-			r.done <- ErrClosed
-		}
+		w.stop(ErrClosed)
 		return
 	}
 	if w.size >= w.cfg.SegmentBytes {
 		if err := w.openSegment(w.seq.Load() + 1); err != nil {
-			for _, r := range batch {
-				r.done <- err
-			}
+			w.stop(fmt.Errorf("wal: rotate: %w", err))
 			return
 		}
 	}
-	var err error
 	var wrote int64
 	for _, r := range batch {
-		if err == nil {
-			_, werr := w.f.Write(r.buf)
-			if werr != nil {
-				err = fmt.Errorf("wal: append: %w", werr)
-			} else {
-				wrote += int64(len(r.buf))
-			}
+		n, err := w.f.Write(r.buf)
+		wrote += int64(n)
+		w.size += int64(n)
+		if err != nil {
+			w.stop(fmt.Errorf("wal: append: %w", err))
+			return
 		}
 	}
-	w.size += wrote
-	if err == nil && !w.cfg.NoSync {
-		err = w.fsync()
+	if !w.cfg.NoSync {
+		if err := w.fsync(); err != nil {
+			// The kernel may have dropped the dirty pages it could not
+			// write back, so a later fsync proves nothing about them.
+			w.stop(fmt.Errorf("wal: fsync: %w", err))
+			return
+		}
 	}
 	if m := w.cfg.Metrics; m != nil {
 		m.GroupTxns.Observe(int64(len(batch)))
-		if err == nil {
-			m.Commits.Add(int64(len(batch)))
-			m.Bytes.Add(wrote)
-		}
+		m.Commits.Add(int64(len(batch)))
+		m.Bytes.Add(wrote)
 	}
-	for _, r := range batch {
-		r.done <- err
-	}
+	w.dmu.Lock()
+	w.durable.Store(batch[len(batch)-1].lsn)
+	w.cond.Broadcast()
+	w.dmu.Unlock()
+}
+
+// stop records err as the reason the writer stopped, unless one already
+// is, and wakes every waiter.
+func (w *Writer) stop(err error) {
+	w.dmu.Lock()
+	w.failed.CompareAndSwap(nil, &err)
+	w.cond.Broadcast()
+	w.dmu.Unlock()
 }
 
 func (w *Writer) fsync() error {
@@ -203,8 +276,8 @@ func (w *Writer) fsync() error {
 }
 
 // shutdown stops accepting commits and waits for the loop to drain. Every
-// request enqueued before shutdown is answered: written and fsynced on the
-// graceful path, ErrClosed after Abort.
+// request sequenced before shutdown is answered: written and fsynced on the
+// graceful path, dropped with ErrClosed after Abort.
 func (w *Writer) shutdown() bool {
 	w.mu.Lock()
 	if w.closed {
@@ -212,22 +285,21 @@ func (w *Writer) shutdown() bool {
 		return false
 	}
 	w.closed = true
+	close(w.reqCh) // no Sequence is mid-send: each sends holding mu
 	w.mu.Unlock()
-	w.senders.Wait()
-	close(w.reqCh)
 	w.loop.Wait()
 	return true
 }
 
 // Close drains pending commits, fsyncs the tail, and releases the segment
-// file. Commit calls racing with Close either complete durably or return
-// ErrClosed.
+// file. A commit sequenced before Close becomes durable; one racing with it
+// either does or gets ErrClosed from Sequence. A stopped writer returns the error that stopped it.
 func (w *Writer) Close() error {
 	if !w.shutdown() {
 		return ErrClosed
 	}
-	var err error
-	if !w.cfg.NoSync {
+	err := w.Err()
+	if err == nil && !w.cfg.NoSync {
 		err = w.f.Sync()
 	}
 	if cerr := w.f.Close(); err == nil {
