@@ -401,57 +401,6 @@ func BenchmarkExp10ReplicatedFailover(b *testing.B) {
 	}
 }
 
-// ---------- Experiment 13: hot keys under zipf skew + flash crowd ----------
-
-// BenchmarkExp13HotKeys runs the zipf s=1.1 + flash-crowd workload on the
-// 4-node R=2 tier with each hot-key mitigation toggled independently.
-// Expected shape: all-off concentrates gets on the hot key's preferred node
-// (imbalance well above 1) and pays a read-tail penalty; spreading flattens
-// the per-node imbalance toward 1; the L1 near-cache absorbs the hot reads
-// before the wire; single-flight collapses the stampede's database loads to
-// ~1 per hot key per miss window; all-on improves p999 and imbalance over
-// all-off at a fraction of the database loads. The sweep is written to
-// BENCH_exp13.json (plus the all-on point's metrics dump), which CI uploads
-// as workflow artifacts.
-func BenchmarkExp13HotKeys(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp13Result
-	var p999Off, p999On, imbOff, imbOn, dbOff, dbOn float64
-	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp13(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-		if p, ok := res.Point("all-off"); ok {
-			p999Off += float64(p.ReadP999.Microseconds())
-			imbOff += p.Imbalance
-			dbOff += float64(p.DBReadLoads)
-		}
-		if p, ok := res.Point("all-on"); ok {
-			p999On += float64(p.ReadP999.Microseconds())
-			imbOn += p.Imbalance
-			dbOn += float64(p.DBReadLoads)
-		}
-	}
-	n := float64(b.N)
-	b.ReportMetric(p999Off/n, "p999us-off")
-	b.ReportMetric(p999On/n, "p999us-on")
-	b.ReportMetric(imbOff/n, "imbalance-off")
-	b.ReportMetric(imbOn/n, "imbalance-on")
-	b.ReportMetric(dbOff/n, "db-loads-off")
-	b.ReportMetric(dbOn/n, "db-loads-on")
-	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp13JSON("BENCH_exp13.json", last); err != nil {
-		b.Logf("BENCH_exp13.json not written: %v", err)
-	}
-	if p, ok := last.Point("all-on"); ok && len(p.Metrics) > 0 {
-		if err := os.WriteFile("BENCH_exp13_metrics.prom", p.Metrics, 0o644); err != nil {
-			b.Logf("BENCH_exp13_metrics.prom not written: %v", err)
-		}
-	}
-}
-
 // ---------- Ablations (design choices from DESIGN.md) ----------
 
 // BenchmarkAblationTemplateInvalidation contrasts CacheGenie's key-granular

@@ -16,7 +16,6 @@
 //	genieload -experiment exp8           # node failure: breaker + live ring membership
 //	genieload -experiment exp10          # R-way replication: failover routing + key handoff
 //	genieload -experiment exp12          # crash drill: WAL recovery + epoch cache flush
-//	genieload -experiment exp13          # hot keys: zipf skew + flash crowd vs spreading/L1/single-flight
 //	genieload -experiment micro          # §5.3 microbenchmarks
 //	genieload -experiment effort         # §5.2 programmer effort
 //	genieload -experiment ablation       # template-invalidation baseline
@@ -46,21 +45,13 @@
 // replication factor for every OTHER experiment's cache tier (0/1 =
 // single-owner routing; exp10 sweeps R itself).
 //
-// exp13 is the hot-key drill: a zipf s=1.1 user popularity plus a flash
-// crowd stampeding one page, run with each mitigation — hot-read spreading
-// over the replica set, the client-side L1 near-cache, single-flight miss
-// coalescing — toggled independently, written to BENCH_exp13.json. The
-// -zipf-s and -flash-crowd flags apply the same skew knobs to every OTHER
-// experiment's workload (0 = each experiment's own default).
-//
 // Observability: -metrics-addr serves Prometheus /metrics, a /metrics.json
 // snapshot, a breaker-aware /healthz, and /debug/pprof while experiments
 // run — every stack an experiment builds registers its stores, servers,
 // pools, ring, and Genie into the one registry. -tick prints a live
 // per-interval cache-tier line (ops/s, p50/p99 from differenced mergeable
-// histograms, hit rate, breaker states, plus hot-key mitigation activity:
-// spread reads, L1 hits, coalesced misses) without touching the
-// experiment's own measurements.
+// histograms, hit rate, breaker states) without touching the experiment's
+// own measurements.
 package main
 
 import (
@@ -93,7 +84,6 @@ func startTicker(reg *obs.Registry, interval time.Duration) (stop func()) {
 		defer t.Stop()
 		var prevOps obs.HistSnapshot
 		var prevHits, prevMisses int64
-		var prevSpread, prevL1, prevShared int64
 		last := time.Now()
 		for {
 			select {
@@ -126,20 +116,11 @@ func startTicker(reg *obs.Registry, interval time.Duration) (stop func()) {
 				if breakers == "" {
 					breakers = "-"
 				}
-				// Hot-key mitigation activity, per interval: reads rotated
-				// across replicas, reads absorbed by the L1 near-cache, and
-				// misses that piggybacked on a coalesced single-flight load.
-				// All zero when the mitigations are off.
-				spread := snap.SumCounters("cachegenie_hotkey_spread_reads_total")
-				l1hits := snap.SumCounters("cachegenie_l1_hits_total")
-				shared := snap.SumCounters("cachegenie_singleflight_shared_total")
-				dspread, dl1, dshared := spread-prevSpread, l1hits-prevL1, shared-prevShared
-				prevSpread, prevL1, prevShared = spread, l1hits, shared
-				fmt.Printf("tick %9.0f cache-ops/s  p50=%-10v p99=%-10v hit=%s  breakers=%s  spread=%d l1hit=%d coalesced=%d\n",
+				fmt.Printf("tick %9.0f cache-ops/s  p50=%-10v p99=%-10v hit=%s  breakers=%s\n",
 					float64(iv.Count)/elapsed.Seconds(),
 					time.Duration(iv.Quantile(0.50)).Round(time.Microsecond),
 					time.Duration(iv.Quantile(0.99)).Round(time.Microsecond),
-					hit, breakers, dspread, dl1, dshared)
+					hit, breakers)
 			}
 		}
 	}()
@@ -147,7 +128,7 @@ func startTicker(reg *obs.Registry, interval time.Duration) (stop func()) {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp8, exp10, exp12, exp13, micro, effort, ablation)")
+	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp8, exp10, exp12, micro, effort, ablation)")
 	scale := flag.Int("scale", 50, "latency scale divisor (1 = paper-absolute latencies, slower)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	async := flag.Bool("async", false, "route trigger cache maintenance through the async invalidation bus")
@@ -155,8 +136,6 @@ func main() {
 	transportFlag := flag.String("transport", "inprocess", "cache transport: inprocess or remote (real TCP cacheproto nodes)")
 	cacheAddrs := flag.String("cache-addrs", "", "comma-separated geniecache addresses for -transport remote (empty = launch loopback nodes)")
 	replicas := flag.Int("replicas", 0, "cache ring replication factor R (0/1 = single-owner routing; clamped to the node count)")
-	zipfS := flag.Float64("zipf-s", 0, "direct rank-frequency zipf exponent for user popularity (0 = paper's duality-form sampler; exp13 sweeps s=1.1 itself)")
-	flashCrowd := flag.Int("flash-crowd", 0, "percentage of page loads redirected to one viral page (0 = off; exp13 sets its own)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /metrics.json, /healthz and /debug/pprof on this address while experiments run (empty = disabled)")
 	tick := flag.Duration("tick", 0, "print a live cache-tier line (ops/s, p50/p99, hit rate, breaker states) at this interval (0 = off)")
 	// External crash drill (exp12) against a real geniedb; see the doc comment.
@@ -214,7 +193,6 @@ func main() {
 		Async: *async, BatchWindow: *batchWindow,
 		Transport: transport, CacheAddrs: addrs,
 		Replicas: *replicas,
-		ZipfS:    *zipfS, FlashCrowdPct: *flashCrowd,
 	}
 	if *metricsAddr != "" || *tick > 0 {
 		reg := obs.NewRegistry()
@@ -367,20 +345,6 @@ func main() {
 				return err
 			}
 			fmt.Println("drill written to BENCH_exp12.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp13" {
-		matched = true
-		run("Experiment 13: hot keys (zipf skew + flash crowd; spreading, L1, single-flight)", func() error {
-			res, err := workload.Exp13(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp13JSON("BENCH_exp13.json", res); err != nil {
-				return err
-			}
-			fmt.Println("sweep written to BENCH_exp13.json")
 			return nil
 		})
 	}

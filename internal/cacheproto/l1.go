@@ -30,17 +30,6 @@ type L1Stats struct {
 	Items         int64 // entries currently resident
 }
 
-// add accumulates other into s (Stack-level aggregation across pools).
-func (s *L1Stats) Add(o L1Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Stores += o.Stores
-	s.Evictions += o.Evictions
-	s.Invalidations += o.Invalidations
-	s.Expired += o.Expired
-	s.Items += o.Items
-}
-
 type l1entry struct {
 	val []byte
 	// deadline is the lease expiry (UnixNano): a stale entry cannot be

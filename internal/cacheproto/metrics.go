@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"cachegenie/internal/hotkey"
 	"cachegenie/internal/obs"
 )
 
@@ -83,12 +82,6 @@ type ServerMetrics struct {
 	Errors      obs.Counter // commands answered with an error line
 	ConnsOpened obs.Counter
 	ActiveConns obs.Gauge
-	// HotKeys samples get/gets key popularity (hotkey.Detector) so each
-	// node reports — over /metrics and the wire stats command — how much
-	// of its read load concentrates on flagged-hot keys. NewServer always
-	// attaches one; a zero ServerMetrics leaves it nil and the sampler is
-	// skipped.
-	HotKeys *hotkey.Detector
 }
 
 // Register attaches the metrics to reg under a node label ("" omits it).
@@ -108,14 +101,6 @@ func (m *ServerMetrics) Register(reg *obs.Registry, node string) {
 		"connections accepted", &m.ConnsOpened)
 	reg.RegisterGauge("cachegenie_server_active_conns", nodeLabels(node),
 		"connections currently open", &m.ActiveConns)
-	if hk := m.HotKeys; hk != nil {
-		reg.CounterFunc("cachegenie_hotkey_observed_total", nodeLabels(node),
-			"reads observed by the popularity sampler", func() int64 { return hk.Stats().Observed })
-		reg.CounterFunc("cachegenie_hotkey_flagged_total", nodeLabels(node),
-			"reads judged hot at observation time", func() int64 { return hk.Stats().Flagged })
-		reg.CounterFunc("cachegenie_hotkey_decays_total", nodeLabels(node),
-			"popularity-sampler decay sweeps", func() int64 { return hk.Stats().Decays })
-	}
 }
 
 // PoolMetrics is a Pool's always-on instrumentation: client-observed

@@ -98,10 +98,10 @@ type PoolConfig struct {
 	// to absorb hot-key read storms, not to mirror the node.
 	L1Entries int
 	// L1TTL is the near-cache entry lease (<= 0 picks DefaultL1TTL, which
-	// matches the invalidation bus's default BatchWindow). Deployments
-	// that raise the bus BatchWindow should raise L1TTL with it — the
-	// stack wires the two together — but never above the staleness the
-	// tier is willing to serve.
+	// matches the invalidation bus's default BatchWindow). A caller that
+	// turns the L1 on under the async invalidation bus should set L1TTL to
+	// the bus's BatchWindow, and never above the staleness the tier is
+	// willing to serve.
 	L1TTL time.Duration
 }
 

@@ -62,7 +62,6 @@ import (
 	"sync"
 	"time"
 
-	"cachegenie/internal/hotkey"
 	"cachegenie/internal/kvcache"
 )
 
@@ -116,20 +115,15 @@ type Server struct {
 	acceptWG sync.WaitGroup
 }
 
-// NewServer wraps store. The server always carries a hot-key popularity
-// sampler (observations are a handful of atomic ops; see hotkey.Detector)
-// so per-node skew is visible over stats and /metrics without a restart.
+// NewServer wraps store.
 func NewServer(store *kvcache.Store) *Server {
 	return &Server{
 		store:     store,
-		m:         &ServerMetrics{HotKeys: hotkey.New(hotkey.Config{})},
+		m:         &ServerMetrics{},
 		conns:     make(map[net.Conn]struct{}),
 		IOTimeout: defaultIOTimeout,
 	}
 }
-
-// HotKeyStats reports the server's popularity-sampler counters.
-func (s *Server) HotKeyStats() hotkey.Stats { return s.m.HotKeys.Stats() }
 
 // Metrics returns the server's always-on instrumentation, for registry
 // attachment or direct inspection.
@@ -500,9 +494,6 @@ func (c *serverConn) dispatch(fields [][]byte) (quit bool, err error) {
 		}
 		withCas := len(fields[0]) == 4 // "gets" vs "get"
 		for _, key := range fields[1:] {
-			if hk := c.m.HotKeys; hk != nil {
-				hk.Observe(hotkey.Hash(key))
-			}
 			var cas uint64
 			var ok bool
 			c.scratch, cas, ok = c.store.GetsAppendB(c.scratch[:0], key)
@@ -704,12 +695,6 @@ func (c *serverConn) dispatch(fields [][]byte) (quit bool, err error) {
 		fmt.Fprintf(w, "STAT server_errors %d\r\n", c.m.Errors.Load())
 		fmt.Fprintf(w, "STAT conns_opened %d\r\n", c.m.ConnsOpened.Load())
 		fmt.Fprintf(w, "STAT active_conns %d\r\n", c.m.ActiveConns.Load())
-		if hk := c.m.HotKeys; hk != nil {
-			hst := hk.Stats()
-			fmt.Fprintf(w, "STAT hotkey_observed %d\r\n", hst.Observed)
-			fmt.Fprintf(w, "STAT hotkey_flagged %d\r\n", hst.Flagged)
-			fmt.Fprintf(w, "STAT hotkey_decays %d\r\n", hst.Decays)
-		}
 		for k := opKind(0); k < opKindCount; k++ {
 			snap := c.m.OpNanos[k].Snapshot()
 			if snap.Count == 0 {

@@ -5,10 +5,8 @@
 //
 // Batched reads. A kvcache.BatchGet in Ring.ApplyBatch is routed as Get routes:
 // to the key's owner at R = 1; at R > 1 to the first replica in preference
-// order whose HealthReporter says it is worth dialing, or — with hot-key
-// spreading on and the sampler, which every batched get feeds, flagging the
-// key — to the next healthy replica in rotation. It differs from Get in one
-// respect: what that replica answers is the answer. A batched miss does not
+// order whose HealthReporter says it is worth dialing. It differs from Get in
+// one respect: what that replica answers is the answer. A batched miss does not
 // fail over to the next replica, is not counted as a failover read and repairs
 // nothing; the batch's caller (core's read waves) reloads the key from the
 // database, and its repopulating Add fans out to the whole replica set. Trying
@@ -24,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cachegenie/internal/hotkey"
 	"cachegenie/internal/kvcache"
 )
 
@@ -56,7 +53,6 @@ type Option func(*ringConfig)
 type ringConfig struct {
 	replicas      int
 	handoffWarmup bool
-	hotkey        *hotkey.Config
 }
 
 func defaultRingConfig() ringConfig {
@@ -84,21 +80,6 @@ func WithReplicas(r int) Option {
 // fix but lets the new owners start cold.
 func WithHandoffWarmup(on bool) Option {
 	return func(c *ringConfig) { c.handoffWarmup = on }
-}
-
-// WithHotKeySpreading attaches a popularity sampler (hotkey.Detector) to
-// the ring's read path: every Get is observed, and reads for keys the
-// sampler flags hot rotate round-robin across the key's full replica set
-// instead of always landing on the preferred replica — a celebrity key's
-// read load then divides by R instead of capping one node. Writes,
-// deletes and CAS keep their existing routing, so per-key linearization
-// and trigger-invalidation fan-out are untouched; a replica found missing
-// the hot value during a rotated read is repaired with an add-if-absent,
-// the same bounded-staleness mechanism failover reads use. With R == 1
-// detection still runs (the counters show the skew) but reads cannot
-// spread. Zero cfg fields take the hotkey package defaults.
-func WithHotKeySpreading(cfg hotkey.Config) Option {
-	return func(c *ringConfig) { c.hotkey = &cfg }
 }
 
 // ReplicaStats counts replica-set routing activity. The counters live with
@@ -132,46 +113,6 @@ func (c *replicaCounters) snapshot() ReplicaStats {
 	}
 }
 
-// HotKeyStats counts popularity detection and hot-read spreading. Like
-// ReplicaStats, the counters live with the Manager and survive
-// membership-change ring rebuilds.
-type HotKeyStats struct {
-	// Observed/Flagged/Decays mirror the sampler (hotkey.Stats): total
-	// reads observed, reads judged hot at observation time, decay sweeps.
-	Observed int64
-	Flagged  int64
-	Decays   int64
-	// SpreadReads are hot-key reads served through the rotated replica
-	// order instead of preferred-first.
-	SpreadReads int64
-	// SpreadRepairs are rotated reads that found a replica missing the hot
-	// value and repaired it with an add-if-absent.
-	SpreadRepairs int64
-}
-
-// hotRouter bundles the popularity sampler with the rotation state; shared
-// across Manager ring rebuilds exactly like replicaCounters.
-type hotRouter struct {
-	det     *hotkey.Detector
-	rr      atomic.Uint64 // round-robin cursor over the replica set
-	spread  atomic.Int64
-	repairs atomic.Int64
-}
-
-func (hr *hotRouter) snapshot() HotKeyStats {
-	if hr == nil {
-		return HotKeyStats{}
-	}
-	ds := hr.det.Stats()
-	return HotKeyStats{
-		Observed:      ds.Observed,
-		Flagged:       ds.Flagged,
-		Decays:        ds.Decays,
-		SpreadReads:   hr.spread.Load(),
-		SpreadRepairs: hr.repairs.Load(),
-	}
-}
-
 // Ring is a consistent-hash ring of caches. It implements kvcache.Cache, so
 // the rest of the system cannot tell one server from many. Ring is immutable
 // after construction; Manager rebuilds one to change membership.
@@ -192,9 +133,6 @@ type Ring struct {
 	// replica sets existed.
 	replicas int
 	counters *replicaCounters
-	// hot, when non-nil, is the popularity sampler + rotation state for
-	// hot-read spreading (WithHotKeySpreading).
-	hot *hotRouter
 }
 
 var _ kvcache.Cache = (*Ring)(nil)
@@ -241,9 +179,6 @@ func NewRingIDs(ids []string, nodes []kvcache.Cache, opts ...Option) (*Ring, err
 		cfg.replicas = len(nodes)
 	}
 	r := &Ring{ids: ids, nodes: nodes, replicas: cfg.replicas, counters: &replicaCounters{}}
-	if cfg.hotkey != nil {
-		r.hot = &hotRouter{det: hotkey.New(*cfg.hotkey)}
-	}
 	for ni, id := range ids {
 		for v := 0; v < virtualNodes; v++ {
 			h := hash64(fmt.Sprintf("%s-vn-%d", id, v))
@@ -269,9 +204,24 @@ func NewRingIDs(ids []string, nodes []kvcache.Cache, opts ...Option) (*Ring, err
 
 // hash64 is FNV-1a with a murmur3-style finalizer; bare FNV clusters badly
 // on sequential keys ("key-1", "key-2", ...), which is exactly what cache
-// keys look like. The implementation lives in hotkey.Hash, which the
-// popularity sampler applies to whole keys.
-func hash64(s string) uint64 { return hotkey.Hash(s) }
+// keys look like.
+func hash64(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
 
 // placeHash hashes a key's placement, the one thing routing looks at: the
 // text between the key's first '{' and the next '}' when that text is
@@ -339,10 +289,6 @@ func (r *Ring) replicasAppend(key string, out []int) []int {
 // ReplicaStats snapshots the replica routing counters.
 func (r *Ring) ReplicaStats() ReplicaStats { return r.counters.snapshot() }
 
-// HotKeyStats snapshots the hot-key counters; all-zero when hot-key
-// spreading is not enabled.
-func (r *Ring) HotKeyStats() HotKeyStats { return r.hot.snapshot() }
-
 // getReplicated is the R > 1 read path: try replicas in preference order,
 // skipping open-breaker nodes before dialing; a hit on a non-preferred
 // replica counts as a failover read and is copied back onto the preferred
@@ -403,68 +349,12 @@ func (r *Ring) OwnerID(key string) string { return r.ids[r.NodeFor(key)] }
 
 // Get implements kvcache.Cache. With replication it tries the key's
 // replicas in preference order (skipping open breakers) and read-repairs
-// the preferred replica after a failover hit. With hot-key spreading
-// enabled every read feeds the popularity sampler, and reads for flagged
-// keys rotate round-robin over the replica set instead (getSpread).
+// the preferred replica after a failover hit.
 func (r *Ring) Get(key string) ([]byte, bool) {
-	if hr := r.hot; hr != nil {
-		if hr.det.Observe(hash64(key)) && r.replicas > 1 {
-			return r.getSpread(key)
-		}
-		if r.replicas == 1 {
-			return r.pick(key).Get(key)
-		}
-		return r.getReplicated(key)
-	}
 	if r.replicas == 1 {
 		return r.pick(key).Get(key)
 	}
 	return r.getReplicated(key)
-}
-
-// getSpread is the detected-hot read path: the replica set is walked from
-// a rotating start position instead of preference order, dividing a hot
-// key's read load by R. Open-breaker replicas are skipped before dialing
-// just like getReplicated; a healthy replica that missed while a later one
-// hit is repaired with an add-if-absent (fresher concurrent writes win),
-// restoring full spread capacity and keeping the staleness window the same
-// one failover read-repair already has — invalidations fan out to the
-// whole replica set either way.
-func (r *Ring) getSpread(key string) ([]byte, bool) {
-	hr := r.hot
-	var reps [maxStackReplicas]int
-	set := r.replicasAppend(key, reps[:0])
-	n := len(set)
-	start := int(hr.rr.Add(1) % uint64(n))
-	skipped := 0
-	missed := -1 // first healthy replica that missed, repaired on a later hit
-	for i := 0; i < n; i++ {
-		ni := set[(start+i)%n]
-		node := r.nodes[ni]
-		if !nodeHealthy(node) {
-			skipped++
-			continue
-		}
-		v, ok := node.Get(key)
-		if !ok {
-			if missed < 0 {
-				missed = ni
-			}
-			continue
-		}
-		hr.spread.Add(1)
-		if missed >= 0 && r.nodes[missed].Add(key, v, 0) {
-			hr.repairs.Add(1)
-		}
-		if skipped > 0 {
-			r.counters.skipped.Add(int64(skipped))
-		}
-		return v, true
-	}
-	if skipped > 0 {
-		r.counters.skipped.Add(int64(skipped))
-	}
-	return nil, false
 }
 
 // one runs op at R > 1 as a one-op batch, so a per-op write follows the
@@ -559,14 +449,6 @@ func (r *Ring) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	}
 	if r.replicas > 1 {
 		return r.applyBatchReplicated(ops)
-	}
-	if hr := r.hot; hr != nil {
-		// A batched get feeds the popularity sampler exactly as Get does.
-		for i := range ops {
-			if ops[i].Kind == kvcache.BatchGet {
-				hr.det.Observe(hash64(ops[i].Key))
-			}
-		}
 	}
 	// Fast path: a batch wholly owned by one node forwards as-is. Owners are
 	// recorded only once a second node shows up; the partition shares their
@@ -707,12 +589,11 @@ func (f *fanout) apply(n int) {
 // meaningful on the node that issued it. A stored cas then propagates to the
 // key's other replicas as a plain set, in one more concurrent round.
 //
-// A get goes to the one replica Ring.Get would try first — the first healthy
-// one, or with hot-key spreading the next healthy one in rotation when the
-// sampler (fed here as Get feeds it) flags the key — and what that replica
-// answers is the answer: unlike Ring.Get, a batched miss does not fail over
-// to the next replica and repairs nothing. The caller reloads from the
-// database and its populate fans out to the whole replica set.
+// A get goes to the one replica Ring.Get would try first, the first healthy
+// one, and what that replica answers is the answer: unlike Ring.Get, a
+// batched miss does not fail over to the next replica and repairs nothing.
+// The caller reloads from the database and its populate fans out to the
+// whole replica set.
 func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	healthyNode := make([]bool, len(r.nodes))
 	for i, n := range r.nodes {
@@ -727,7 +608,6 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 		nodeOf, opOf = append(nodeOf, n), append(opOf, i)
 	}
 	decider := make([]int, len(ops))
-	var spread []int // gets routed in rotation
 	var buf [maxStackReplicas]int
 	skipped := 0
 	for i := range ops {
@@ -741,19 +621,7 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 		skipped += pos
 		decider[i] = set[pos%len(set)]
 		switch ops[i].Kind {
-		case kvcache.BatchGet:
-			if hr := r.hot; hr != nil && hr.det.Observe(hash64(ops[i].Key)) {
-				start := int(hr.rr.Add(1) % uint64(len(set)))
-				for j := range set {
-					if ni := set[(start+j)%len(set)]; healthyNode[ni] {
-						decider[i] = ni
-						break
-					}
-				}
-				spread = append(spread, i)
-			}
-			send(decider[i], i)
-		case kvcache.BatchGets, kvcache.BatchCas:
+		case kvcache.BatchGet, kvcache.BatchGets, kvcache.BatchCas:
 			send(decider[i], i)
 		default:
 			for _, ni := range set {
@@ -780,11 +648,6 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 			} else if ops[i].Kind == kvcache.BatchDelete && res.Found {
 				out[i].Found = true
 			}
-		}
-	}
-	for _, i := range spread {
-		if out[i].Found {
-			r.hot.spread.Add(1)
 		}
 	}
 	var sets []kvcache.BatchOp

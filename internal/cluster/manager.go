@@ -144,10 +144,6 @@ func (m *Manager) Node(id string) (kvcache.Cache, bool) {
 // membership-change ring rebuilds.
 func (m *Manager) ReplicaStats() ReplicaStats { return m.Ring().ReplicaStats() }
 
-// HotKeyStats snapshots the hot-key counters; the sampler and rotation
-// counters survive membership-change ring rebuilds.
-func (m *Manager) HotKeyStats() HotKeyStats { return m.Ring().HotKeyStats() }
-
 // HandoffStats counts membership-change key-handoff activity.
 type HandoffStats struct {
 	// Drained is how many keys handoff deleted from nodes that no longer
@@ -254,14 +250,13 @@ func (m *Manager) RemoveNode(id string) error {
 }
 
 // rebuildLocked builds a replacement ring carrying the manager's options
-// and the existing replica/hot-key counters forward. Caller holds m.mu.
+// and the existing replica counters forward. Caller holds m.mu.
 func (m *Manager) rebuildLocked(ids []string, nodes []kvcache.Cache) (*Ring, error) {
 	ring, err := NewRingIDs(ids, nodes, WithReplicas(m.cfg.replicas))
 	if err != nil {
 		return nil, err
 	}
 	ring.counters = m.ring.counters
-	ring.hot = m.ring.hot
 	return ring, nil
 }
 

@@ -16,18 +16,6 @@ func (r *Ring) RegisterMetrics(reg *obs.Registry, labels string) {
 		"failover hits copied back onto the preferred replica", r.counters.repairs.Load)
 	reg.CounterFunc("cachegenie_cluster_skipped_unhealthy_total", labels,
 		"replicas skipped because their breaker was open", r.counters.skipped.Load)
-	if hr := r.hot; hr != nil {
-		reg.CounterFunc("cachegenie_hotkey_observed_total", labels,
-			"reads observed by the popularity sampler", func() int64 { return hr.det.Stats().Observed })
-		reg.CounterFunc("cachegenie_hotkey_flagged_total", labels,
-			"reads judged hot at observation time", func() int64 { return hr.det.Stats().Flagged })
-		reg.CounterFunc("cachegenie_hotkey_decays_total", labels,
-			"popularity-sampler decay sweeps", func() int64 { return hr.det.Stats().Decays })
-		reg.CounterFunc("cachegenie_hotkey_spread_reads_total", labels,
-			"hot-key reads served through the rotated replica order", hr.spread.Load)
-		reg.CounterFunc("cachegenie_hotkey_spread_repairs_total", labels,
-			"rotated reads that repaired a replica missing the hot value", hr.repairs.Load)
-	}
 }
 
 // RegisterMetrics attaches the manager's replica-routing and membership-

@@ -628,3 +628,89 @@ func TestPerOpMatchesBatchReplicaPolicy(t *testing.T) {
 		}
 	}
 }
+
+// countingNode counts Gets so the tests can see where reads actually land.
+type countingNode struct {
+	kvcache.Cache
+	gets atomic.Int64
+}
+
+func (c *countingNode) Get(key string) ([]byte, bool) {
+	c.gets.Add(1)
+	return c.Cache.Get(key)
+}
+
+// TestColdKeysKeepPreferredRouting: with every replica healthy and holding
+// the key, a read lands on the preferred replica and never on another, so
+// CAS-coherence-sensitive traffic sees one node per key.
+func TestColdKeysKeepPreferredRouting(t *testing.T) {
+	counted := make([]*countingNode, 4)
+	nodes := make([]kvcache.Cache, len(counted))
+	for i := range nodes {
+		counted[i] = &countingNode{Cache: kvcache.New(0)}
+		nodes[i] = counted[i]
+	}
+	r, err := NewRing(nodes, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		r.Set(key, []byte("v"), 0)
+		set := r.ReplicasFor(key)
+		before := counted[set[1]].gets.Load()
+		if _, ok := r.Get(key); !ok {
+			t.Fatalf("miss on %s", key)
+		}
+		if got := counted[set[1]].gets.Load() - before; got != 0 {
+			t.Fatalf("key %s read the non-preferred replica %d times", key, got)
+		}
+	}
+	if st := r.ReplicaStats(); st.FailoverReads != 0 {
+		t.Fatalf("FailoverReads = %d for reads of keys every replica holds, want 0", st.FailoverReads)
+	}
+}
+
+// TestReplicaStatsSurviveRebuild: Manager membership changes carry the
+// replica counters into the rebuilt ring, and the rebuilt ring keeps
+// counting into them.
+func TestReplicaStatsSurviveRebuild(t *testing.T) {
+	stores := make([]*kvcache.Store, 3)
+	nodes := make([]kvcache.Cache, len(stores))
+	ids := make([]string, len(stores))
+	for i := range nodes {
+		stores[i] = kvcache.New(0)
+		nodes[i] = stores[i]
+		ids[i] = fmt.Sprintf("n%d", i)
+	}
+	m, err := NewManager(ids, nodes, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// failover knocks key out of its preferred replica and reads it: one
+	// failover read, repaired onto the preferred replica.
+	failover := func(key string) {
+		t.Helper()
+		m.Set(key, []byte("v"), 0)
+		pref, _ := m.Node(m.Ring().OwnerID(key))
+		pref.Delete(key)
+		if v, ok := m.Get(key); !ok || string(v) != "v" {
+			t.Fatalf("failover read of %s = %q, %v", key, v, ok)
+		}
+	}
+	failover("k")
+	before := m.ReplicaStats()
+	if before.FailoverReads != 1 || before.ReadRepairs != 1 {
+		t.Fatalf("stats before rebuild = %+v, want one failover read and one repair", before)
+	}
+	if err := m.AddNode("n3", kvcache.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	if after := m.ReplicaStats(); after != before {
+		t.Fatalf("replica counters changed across rebuild: %+v -> %+v", before, after)
+	}
+	failover("k2")
+	if final := m.ReplicaStats(); final.FailoverReads != 2 || final.ReadRepairs != 2 {
+		t.Fatalf("stats after a failover on the rebuilt ring = %+v, want 2 and 2", final)
+	}
+}

@@ -44,15 +44,6 @@ type Config struct {
 	// them (1ms unless positive). Only meaningful with AsyncInvalidation.
 	BatchWindow time.Duration
 
-	// SingleFlight coalesces concurrent cache-miss loads of the same key
-	// into one database query: the first miss runs the query, every
-	// concurrent miss of that key waits for it and shares the result. A
-	// flash crowd stampeding one invalidated page then costs the database
-	// ~1 query per hot key per miss window instead of one per request.
-	// Waiters receive the leader's row slices and must treat them as
-	// read-only (the same contract cache hits already carry).
-	SingleFlight bool
-
 	// DefaultTTL bounds the lifetime of all cached entries (0 = none).
 	DefaultTTL time.Duration
 	// Disabled creates the Genie without intercepting reads or installing
@@ -70,8 +61,6 @@ type Stats struct {
 	Recomputes      int64 // top-K reserve exhausted, full recompute
 	CasRetries      int64 // keys deleted after losing a cas between a flush's two batches
 	PopulateRefused int64 // Add lost to a concurrent populate
-	FlightLeads     int64 // misses that ran the database load (single-flight leader)
-	FlightShared    int64 // misses that waited on a concurrent load and shared its result
 	Waves           int64 // read waves fetched as one batch (two or more distinct keys)
 	WaveKeys        int64 // keys those batches carried
 }
@@ -85,9 +74,6 @@ type Genie struct {
 	// bus is non-nil in async mode; write-sets and repopulation publish their
 	// ops to it instead of talking to the cache themselves.
 	bus *invbus.Bus[op]
-	// flights is non-nil with Config.SingleFlight; miss loads coalesce
-	// through it.
-	flights *flightGroup
 	// newWriteSet makes the write-set a statement's first trigger firing
 	// attaches to it (sqldb.StatementScope); built once so firings don't
 	// allocate a closure each.
@@ -112,8 +98,6 @@ type Genie struct {
 	recomputes      atomic.Int64
 	casRetries      atomic.Int64
 	populateRefused atomic.Int64
-	flightLeads     atomic.Int64
-	flightShared    atomic.Int64
 	waves           atomic.Int64
 	waveKeys        atomic.Int64
 	// flushOps is the number of cache ops each write-set flush carried in
@@ -136,9 +120,6 @@ func New(cfg Config) (*Genie, error) {
 	}
 	g.byModel.Store(&map[string][]*CachedObject{})
 	g.newWriteSet = func() sqldb.StatementHook { return &writeSet{g: g} }
-	if cfg.SingleFlight {
-		g.flights = newFlightGroup()
-	}
 	if cfg.AsyncInvalidation && !cfg.Disabled {
 		g.bus = invbus.New(cfg.BatchWindow, g.applyWindow)
 	}
@@ -186,8 +167,6 @@ func (g *Genie) Stats() Stats {
 		Recomputes:      g.recomputes.Load(),
 		CasRetries:      g.casRetries.Load(),
 		PopulateRefused: g.populateRefused.Load(),
-		FlightLeads:     g.flightLeads.Load(),
-		FlightShared:    g.flightShared.Load(),
 		Waves:           g.waves.Load(),
 		WaveKeys:        g.waveKeys.Load(),
 	}
@@ -239,22 +218,6 @@ func (g *Genie) applyWindow(ops []op) (keys int) {
 		}
 	}
 	return keys
-}
-
-// flightDo runs a miss load, coalescing it through the single-flight group
-// when one is configured (Config.SingleFlight) and directly otherwise, and
-// keeps the lead/shared accounting.
-func (g *Genie) flightDo(key string, fn func() (any, error)) (any, error) {
-	if g.flights == nil {
-		return fn()
-	}
-	v, shared, err := g.flights.do(key, fn)
-	if shared {
-		g.flightShared.Add(1)
-	} else {
-		g.flightLeads.Add(1)
-	}
-	return v, err
 }
 
 // dropKey removes a corrupt or unparseable entry, via the bus when async.
@@ -527,19 +490,12 @@ func (co *CachedObject) rows(l *lookup) ([]sqldb.Row, error) {
 		co.dropKey(key, vals)
 	}
 	co.g.misses.Add(1)
-	v, err := co.g.flightDo(key, func() (any, error) {
-		rows, exhaustive, err := co.fetchFromDB(co.g.reg.Conn(), vals)
-		if err != nil {
-			return nil, err
-		}
-		enc := encodePayload(payload{exhaustive: exhaustive, rows: rows})
-		co.populate(key, vals, enc)
-		return rows, nil
-	})
+	rows, exhaustive, err := co.fetchFromDB(co.g.reg.Conn(), vals)
 	if err != nil {
 		return nil, err
 	}
-	return co.firstK(v.([]sqldb.Row)), nil
+	co.populate(key, vals, encodePayload(payload{exhaustive: exhaustive, rows: rows}))
+	return co.firstK(rows), nil
 }
 
 // firstK is what a read of the object serves of its cached rows: a top-K list
@@ -570,21 +526,15 @@ func (co *CachedObject) count(l *lookup) (int64, error) {
 		co.dropKey(key, vals)
 	}
 	co.g.misses.Add(1)
-	v, err := co.g.flightDo(key, func() (any, error) {
-		args := make([]sqldb.Value, len(vals))
-		copy(args, vals)
-		rs, err := co.g.reg.Conn().Query(co.sql, args...)
-		if err != nil {
-			return nil, err
-		}
-		n := rs.Rows[0][0].I
-		co.populate(key, vals, strconv.AppendInt(nil, n, 10))
-		return n, nil
-	})
+	args := make([]sqldb.Value, len(vals))
+	copy(args, vals)
+	rs, err := co.g.reg.Conn().Query(co.sql, args...)
 	if err != nil {
 		return 0, err
 	}
-	return v.(int64), nil
+	n := rs.Rows[0][0].I
+	co.populate(key, vals, strconv.AppendInt(nil, n, 10))
+	return n, nil
 }
 
 // fetchFromDB runs the query template over q.

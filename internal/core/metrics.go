@@ -35,11 +35,5 @@ func (g *Genie) RegisterMetrics(reg *obs.Registry, labels string) {
 	// one op mean statements are back to paying a round trip per cache op.
 	reg.RegisterHistogram("cachegenie_genie_writeset_flush_ops", labels,
 		"cache ops one statement's write-set flush carried in its (at most two) batches", obs.UnitNone, &g.flushOps)
-	if g.flights != nil {
-		reg.CounterFunc("cachegenie_singleflight_leads_total", labels,
-			"miss loads that ran the database query", g.flightLeads.Load)
-		reg.CounterFunc("cachegenie_singleflight_shared_total", labels,
-			"miss loads coalesced onto a concurrent leader's query", g.flightShared.Load)
-	}
 	g.bus.RegisterMetrics(reg, labels)
 }

@@ -25,29 +25,11 @@ type RunConfig struct {
 	// at WritePct = 20.
 	WritePct int
 	ZipfA    float64
-	// ZipfS, when > 0, replaces the paper's duality-form ZipfA sampler with
-	// a direct rank-frequency zipf: user rank r is drawn with probability
-	// proportional to r^-s. This is the hot-key engineering knob — s = 1.1
-	// concentrates a large share of all sessions on a handful of celebrity
-	// users, the skew the spreading/L1/single-flight mitigations target —
-	// whereas ZipfA expresses the paper's sessions-per-user model (§5.1).
-	ZipfS float64
-	// FlashCrowdPct redirects that percentage of in-session page loads to a
-	// single page — a LookupBM of the flash-crowd user — regardless of which
-	// user the session belongs to. It models the everyone-loads-one-page
-	// stampede (a link going viral): one key takes FlashCrowdPct% of all
-	// traffic on top of whatever the zipf tail sends it. 0 disables.
-	FlashCrowdPct int
 	// WarmupSessions run before measurement starts (paper: warm-up with 40
 	// parallel clients x 100 sessions; scale down).
 	WarmupSessions int
 	RngSeed        int64
 }
-
-// flashCrowdUser is the user whose bookmark page a flash crowd stampedes
-// (rank 1 — the most popular user under any zipf, so the crowd lands on an
-// already-hot key, the worst case for one node).
-const flashCrowdUser = 1
 
 // DefaultRun returns paper-shaped defaults scaled for quick execution.
 func DefaultRun() RunConfig {
@@ -69,9 +51,8 @@ type PageStats struct {
 	P50   time.Duration
 	P95   time.Duration
 	P99   time.Duration
-	// P999 is the tail the hot-key experiments watch: a stampede that
-	// queues on one node or one DB query shows up here long before it
-	// moves P99.
+	// P999 shows a stampede that queues on one node or one DB query long
+	// before it moves P99.
 	P999 time.Duration
 	Max  time.Duration
 }
@@ -193,12 +174,7 @@ func Run(stack *Stack, cfg RunConfig) (Report, error) {
 	if users == 0 {
 		return Report{}, errors.New("workload: stack not seeded")
 	}
-	var sampler interface{ Sample(*rand.Rand) int }
-	if cfg.ZipfS > 0 {
-		sampler = NewZipf(users, cfg.ZipfS)
-	} else {
-		sampler = NewUserSampler(users, cfg.ZipfA, rand.New(rand.NewSource(cfg.RngSeed+31)))
-	}
+	sampler := NewUserSampler(users, cfg.ZipfA, rand.New(rand.NewSource(cfg.RngSeed+31)))
 	var seq atomic.Int64
 	seq.Store(1 << 20) // clear of seed-assigned sequence space
 
@@ -212,23 +188,15 @@ func Run(stack *Stack, cfg RunConfig) (Report, error) {
 		}
 		pages = append(pages, social.PageLogout)
 		for _, p := range pages {
-			pageUID := uid
-			if cfg.FlashCrowdPct > 0 && p != social.PageLogin && p != social.PageLogout &&
-				rng.Intn(100) < cfg.FlashCrowdPct {
-				// Flash crowd: this page load is everyone hitting the same
-				// viral page, whoever this session belongs to.
-				p = social.PageLookupBM
-				pageUID = flashCrowdUser
-			}
 			start := time.Now()
-			err := stack.App.RunPage(p, pageUID, seq.Add(1))
+			err := stack.App.RunPage(p, uid, seq.Add(1))
 			if err != nil && errors.Is(err, sqldb.ErrLockTimeout) {
 				// Deadlock victim: retry once (paper §3.3 proposes exactly
 				// timeout-based deadlock resolution).
 				if retries != nil {
 					retries.Add(1)
 				}
-				err = stack.App.RunPage(p, pageUID, seq.Add(1))
+				err = stack.App.RunPage(p, uid, seq.Add(1))
 			}
 			if err != nil && errs != nil {
 				errs.Add(1)

@@ -46,18 +46,6 @@ type ExpOptions struct {
 	// builds registers its subsystems into; genieload points its
 	// -metrics-addr endpoint and live ticker at it.
 	Metrics *obs.Registry
-	// ZipfS > 0 switches every run the harness drives to the direct
-	// rank-frequency popularity sampler (RunConfig.ZipfS); FlashCrowdPct
-	// redirects that share of page loads to one viral page
-	// (RunConfig.FlashCrowdPct). Experiment 13 sweeps these itself.
-	ZipfS         float64
-	FlashCrowdPct int
-	// HotKeySpread / L1Entries / SingleFlight arm the hot-key mitigations
-	// on every stack the harness builds (StackConfig fields of the same
-	// names). Experiment 13 toggles them itself and ignores these.
-	HotKeySpread bool
-	L1Entries    int
-	SingleFlight bool
 }
 
 func (o ExpOptions) scale() int {
@@ -116,9 +104,6 @@ func (o ExpOptions) buildStack(mode Mode, cacheBytes int64, poolPages int) (*Sta
 		BatchWindow:       o.BatchWindow,
 		Transport:         o.Transport,
 		CacheAddrs:        o.CacheAddrs,
-		HotKeySpread:      o.HotKeySpread,
-		L1Entries:         o.L1Entries,
-		SingleFlight:      o.SingleFlight,
 		Obs:               o.Metrics,
 	})
 }
@@ -130,8 +115,6 @@ func (o ExpOptions) runCfg(clients, writePct int, zipfA float64) RunConfig {
 		PagesPerSession: 10,
 		WritePct:        writePct,
 		ZipfA:           zipfA,
-		ZipfS:           o.ZipfS,
-		FlashCrowdPct:   o.FlashCrowdPct,
 		WarmupSessions:  clients * 2,
 		RngSeed:         7,
 	}

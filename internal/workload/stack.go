@@ -9,7 +9,6 @@ import (
 	"cachegenie/internal/cacheproto"
 	"cachegenie/internal/cluster"
 	"cachegenie/internal/core"
-	"cachegenie/internal/hotkey"
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/obs"
 	"cachegenie/internal/orm"
@@ -111,26 +110,6 @@ type StackConfig struct {
 	// connection deadline, so a node that accepts but never answers releases
 	// its pool slot and feeds the breaker (0 = no deadline).
 	OpTimeout time.Duration
-	// HotKeySpread arms the ring's popularity sampler: reads of
-	// detected-hot keys rotate over the full replica set instead of
-	// hammering the preferred replica (needs Replicas >= 2 to actually
-	// spread; the sampler still measures skew at R=1). HotKeyWindow and
-	// HotKeyThreshold tune the detector (0 = hotkey package defaults).
-	HotKeySpread    bool
-	HotKeyWindow    uint64
-	HotKeyThreshold uint32
-	// L1Entries puts a near-cache of that many entries in front of each
-	// remote node's client pool (see cacheproto.PoolConfig.L1Entries).
-	// Only meaningful with TransportRemote — the in-process transport IS
-	// local memory already.
-	L1Entries int
-	// L1TTL is the near-cache lease. 0 follows BatchWindow when the async
-	// bus is on (so L1 staleness matches the tier's existing invalidation
-	// staleness bound) and cacheproto.DefaultL1TTL otherwise.
-	L1TTL time.Duration
-	// SingleFlight coalesces concurrent read-miss loads of one key into a
-	// single database query (see core.Config.SingleFlight).
-	SingleFlight bool
 	// LatencyScale enables the paper-calibrated injected latency model,
 	// PaperScaled(LatencyScale) (0 disables; 1 = paper-absolute; the
 	// experiments use ExpOptions.LatencyScale, default 50).
@@ -249,11 +228,6 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 	if cfg.CacheNodes > 1 && perNode > 0 {
 		perNode = cfg.CacheBytes / int64(cfg.CacheNodes)
 	}
-	l1ttl := cfg.L1TTL
-	if l1ttl <= 0 && cfg.AsyncInvalidation && cfg.BatchWindow > 0 {
-		// Tie L1 staleness to the tier's existing async-invalidation bound.
-		l1ttl = cfg.BatchWindow
-	}
 	newPool := func(addr string) *cacheproto.Pool {
 		return cacheproto.NewPoolWithConfig(cacheproto.PoolConfig{
 			Addr:           addr,
@@ -263,8 +237,6 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 			ProbeInterval:  cfg.ProbeInterval,
 			OpTimeout:      cfg.OpTimeout,
 			DisableBreaker: cfg.BreakerThreshold < 0,
-			L1Entries:      cfg.L1Entries,
-			L1TTL:          l1ttl,
 		})
 	}
 	newStore := func() *kvcache.Store {
@@ -317,13 +289,7 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 	if len(nodes) == 1 {
 		logical = nodes[0]
 	} else {
-		opts := []cluster.Option{cluster.WithReplicas(cfg.Replicas)}
-		if cfg.HotKeySpread {
-			opts = append(opts, cluster.WithHotKeySpreading(hotkey.Config{
-				Window: cfg.HotKeyWindow, Threshold: cfg.HotKeyThreshold,
-			}))
-		}
-		ring, err := cluster.NewManager(nodeIDs, nodes, opts...)
+		ring, err := cluster.NewManager(nodeIDs, nodes, cluster.WithReplicas(cfg.Replicas))
 		if err != nil {
 			st.Close()
 			return nil, err
@@ -352,7 +318,6 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 			Cache:             logical,
 			AsyncInvalidation: cfg.AsyncInvalidation,
 			BatchWindow:       cfg.BatchWindow,
-			SingleFlight:      cfg.SingleFlight,
 		})
 		if err != nil {
 			st.Close()
@@ -487,20 +452,8 @@ type CacheTierStats struct {
 	// order (nil entries for unreachable nodes; empty for the in-process
 	// transport). The extended stats command carries detail the aggregate
 	// kvcache.Stats projection cannot hold — per-op latency summaries
-	// (op_get_p99_ns, ...), server-side error counts, connection gauges,
-	// and the per-node popularity sampler (hotkey_observed/flagged/decays).
+	// (op_get_p99_ns, ...), server-side error counts and connection gauges.
 	NodeWireStats []map[string]int64
-	// HotKeys is the ring-side popularity-sampler and spreading view (zero
-	// unless StackConfig.HotKeySpread armed it).
-	HotKeys cluster.HotKeyStats
-	// L1 aggregates every node pool's near-cache counters (zero unless
-	// StackConfig.L1Entries enabled the L1).
-	L1 cacheproto.L1Stats
-	// FlightLeads/FlightShared are the Genie's single-flight counters: DB
-	// loads actually run vs. misses that piggybacked on a concurrent load
-	// (zero unless StackConfig.SingleFlight).
-	FlightLeads  int64
-	FlightShared int64
 }
 
 // HealthLine renders the per-node breaker picture as one compact log line
@@ -564,7 +517,6 @@ func (s *Stack) CacheTierStats() CacheTierStats {
 	if len(s.Stores) == 0 && len(s.Pools) > 0 {
 		agg.Stats, agg.NodeWireStats, agg.UnreachableNodes = s.wireStats()
 		s.aggregatePools(&agg)
-		s.aggregateHotKeyStats(&agg)
 		return agg
 	}
 	agg.Stats = s.CacheStats()
@@ -574,26 +526,7 @@ func (s *Stack) CacheTierStats() CacheTierStats {
 		_, agg.NodeWireStats, agg.UnreachableNodes = s.wireStats()
 	}
 	s.aggregatePools(&agg)
-	s.aggregateHotKeyStats(&agg)
 	return agg
-}
-
-// aggregateHotKeyStats folds the hot-key mitigation counters — ring-side
-// sampler/spreading, per-pool near-caches, Genie single-flight — into the
-// tier view, so one CacheTierStats snapshot says whether the mitigations
-// are actually engaging.
-func (s *Stack) aggregateHotKeyStats(agg *CacheTierStats) {
-	if s.Ring != nil {
-		agg.HotKeys = s.Ring.HotKeyStats()
-	}
-	for _, p := range s.Pools {
-		agg.L1.Add(p.L1Stats())
-	}
-	if s.Genie != nil {
-		gs := s.Genie.Stats()
-		agg.FlightLeads = gs.FlightLeads
-		agg.FlightShared = gs.FlightShared
-	}
 }
 
 // aggregatePools folds each remote node's PoolStats into the tier view.
