@@ -166,7 +166,7 @@ func TestCacheRestartColdStart(t *testing.T) {
 // the CAS retry path must keep the list exactly consistent with the DB.
 func TestConcurrentWritersCasStorm(t *testing.T) {
 	s := newStack(t)
-	s.cacheable(t, topkSpec(10, 3))
+	co := s.cacheable(t, topkSpec(10, 3))
 	base := time.Unix(9e5, 0)
 	// Warm the key.
 	postAt(s, t, 7, "seed", base)
@@ -192,22 +192,7 @@ func TestConcurrentWritersCasStorm(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	cached, err := wallQS(s, 7, 10).All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := wallQS(s, 7, 10).NoCache().All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cached) != len(direct) {
-		t.Fatalf("cached %d rows, db %d rows", len(cached), len(direct))
-	}
-	for i := range cached {
-		if cached[i].ID() != direct[i].ID() {
-			t.Fatalf("row %d: cached id %d, db id %d", i, cached[i].ID(), direct[i].ID())
-		}
-	}
+	checkAgainstDB(t, s, co, sqldb.I64(7))
 }
 
 // TestTriggerSourceListingsAreComplete sanity-checks the generated trigger

@@ -72,6 +72,12 @@ func TestMultiFieldWhereKey(t *testing.T) {
 	if len(accepted) != 2 {
 		t.Fatalf("accepted list has %d rows, want 2", len(accepted))
 	}
+	// Every key the store holds, one with an escaped '%' among them, parses
+	// back to its values and matches the database.
+	if _, err := co.Rows(sqldb.I64(1), sqldb.Str(weirder)); err != nil {
+		t.Fatal(err)
+	}
+	s.requireFresh(t)
 }
 
 // TestFilterOrderDoesNotMatter: the interceptor matches equality filters by

@@ -185,13 +185,16 @@ func TestOpApply(t *testing.T) {
 		{"link replace absent", list(1, 10), op{co: link, kind: opReplace, new: row(2, 20)}, "1:10 ", false, false},
 		{"link remove every copy", list(1, 10, 2, 20, 1, 10), op{co: link, kind: opRemove, old: row(1, 10)}, "2:20 ", true, false},
 		{"link append", list(1, 10), op{co: link, kind: opAppend, rows: []sqldb.Row{row(1, 10), row(2, 20)}}, "1:10 1:10 2:20 ", true, false},
-		{"link unlink one", list(1, 10, 2, 20, 3, 20), op{co: link, kind: opUnlink, old: row(9, 20)}, "1:10 3:20 ", true, false},
+		{"link unlink every joined row", list(1, 10, 2, 20, 3, 20), op{co: link, kind: opUnlink, old: row(9, 20)}, "1:10 ", true, false},
+		{"link unlink one copy of each", list(2, 20, 1, 10, 2, 20, 3, 20, 3, 20), op{co: link, kind: opUnlink, old: row(9, 20)}, "1:10 2:20 3:20 ", true, false},
 		{"link unlink none", list(1, 10), op{co: link, kind: opUnlink, old: row(9, 20)}, "1:10 ", false, false},
 		{"topk insert in order", list(1, 30, 2, 10), op{co: topk, kind: opInsert, new: row(3, 20)}, "1:30 3:20 2:10 ", true, false},
 		{"topk insert below a full window", list(1, 30, 2, 20, 3, 10), op{co: topk, kind: opInsert, new: row(4, 5)}, "1:30 2:20 3:10 ", false, false},
+		{"topk insert below a short, non-exhaustive window", list(1, 30, 2, 20), op{co: topk, kind: opInsert, new: row(3, 10)}, "1:30 2:20 ", false, false},
 		{"topk replace same sort value", list(1, 30, 2, 20), op{co: topk, kind: opReplace, old: row(2, 20), new: row(2, 20)}, "1:30 2:20 ", true, false},
 		{"topk replace resorts", list(1, 30, 2, 20), op{co: topk, kind: opReplace, old: row(2, 20), new: row(2, 40)}, "2:40 1:30 ", true, false},
-		{"topk replace absent", list(1, 30), op{co: topk, kind: opReplace, old: row(2, 20), new: row(2, 40)}, "1:30 ", false, false},
+		{"topk replace enters the window", list(1, 30), op{co: topk, kind: opReplace, old: row(2, 20), new: row(2, 40)}, "2:40 1:30 ", true, false},
+		{"topk replace moves below a non-exhaustive window", list(1, 30, 2, 20), op{co: topk, kind: opReplace, old: row(1, 30), new: row(1, 5)}, "2:20 ", true, true},
 		{"topk remove leaves K", list(1, 30, 2, 20, 3, 10), op{co: topk, kind: opRemove, old: row(1, 30)}, "2:20 3:10 ", true, false},
 		{"topk remove uses up the reserve", list(1, 30, 2, 20), op{co: topk, kind: opRemove, old: row(1, 30)}, "2:20 ", true, true},
 	} {

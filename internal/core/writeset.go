@@ -32,9 +32,9 @@ var opNames = [...]string{"insert", "remove", "replace", "append", "unlink", "in
 var opNotes = [...]string{
 	opInsert:   "adds new unless a row with its id is cached: at its sort position in a top-K list, at the end of any other",
 	opRemove:   "drops every cached row with old's id; a top-K list it leaves short of K rows has used up its reserve and is rebuilt from the database",
-	opReplace:  "puts new in place of every cached row with its id: moved to its new sort position in a top-K list, appended to a feature list that lacks it",
+	opReplace:  "puts new in place of every cached row with its id: in a top-K list a new sort value removes old and inserts new, as remove and insert do; appended to a feature list that lacks it",
 	opAppend:   "appends rows, the target rows joined: a link list holds a target row once per relation row that joins it to the source",
-	opUnlink:   "drops one cached row whose link target field equals the join field of old, a relation row",
+	opUnlink:   "drops one copy of each cached row whose link target field equals the join field of old, a relation row: every row it joined",
 	opIncr:     "adds delta to a count; the flush sums a key's deltas",
 	opDelete:   "invalidates the key: the next read misses and reloads it",
 	opPopulate: "stores what a read miss loaded unless the key is cached",
@@ -101,7 +101,7 @@ func (o *op) String() string {
 }
 
 // apply runs a list edit on p. changed reports whether p changed, short that
-// a top-K removal used up the reserve.
+// a top-K removal or move used up the reserve.
 func (o *op) apply(p *payload) (changed, short bool) {
 	co := o.co
 	switch o.kind {
@@ -121,53 +121,57 @@ func (o *op) apply(p *payload) (changed, short bool) {
 				changed = true
 			}
 		}
-		short = changed && co.spec.Class == TopKQuery && len(p.rows) < co.spec.K && !p.exhaustive
-		return changed, short
+		return changed, changed && co.spec.Class == TopKQuery && len(p.rows) < co.spec.K && !p.exhaustive
 	case opReplace:
-		return co.replace(p, o.old, o.new), false
+		return co.replace(p, o.old, o.new)
 	case opAppend:
 		p.rows = append(p.rows, o.rows...)
 		return true, false
 	case opUnlink:
-		for i, r := range p.rows {
-			if sqldb.Equal(r[co.targetIdx], o.old[co.joinIdx]) {
+		// The relation row joined every target row with its join value, which
+		// the list holds once per such relation row: one copy of each goes.
+		rows := p.rows
+		for i := len(rows) - 1; i >= 0; i-- {
+			if sqldb.Equal(rows[i][co.targetIdx], o.old[co.joinIdx]) && findRowByPK(rows, rowPK(rows[i])) == i {
 				p.rows = removeRowAt(p.rows, i)
-				return true, false
+				changed = true
 			}
 		}
 	}
-	return false, false
+	return changed, false
 }
 
-// replace is opReplace on p per the object's class.
-func (co *CachedObject) replace(p *payload, old, new sqldb.Row) bool {
+// replace is opReplace on p per the object's class; short is as opRemove's.
+func (co *CachedObject) replace(p *payload, old, new sqldb.Row) (changed, short bool) {
 	switch co.spec.Class {
 	case TopKQuery:
 		i := findRowByPK(p.rows, rowPK(new))
-		if i < 0 {
-			return false
-		}
 		if sqldb.Compare(old[co.sortIdx], new[co.sortIdx]) == 0 {
 			// Sort position unchanged: update the row in place (the paper:
 			// "UPDATE triggers simply update the corresponding post if it
 			// finds it in the cached list").
-			p.rows[i] = new
-			return true
+			if i >= 0 {
+				p.rows[i] = new
+			}
+			return i >= 0, false
 		}
-		p.rows = removeRowAt(p.rows, i)
-		co.topkInsert(p, new)
-		return true
+		// The row leaves its old position and enters at its new one, which
+		// may be inside a window it was not in, or below a window it was.
+		if i >= 0 {
+			p.rows = removeRowAt(p.rows, i)
+		}
+		changed = co.topkInsert(p, new) || i >= 0
+		return changed, changed && len(p.rows) < co.spec.K && !p.exhaustive
 	case LinkQuery:
 		// A list holds a target row once per relation row that joins it to
 		// the source: every copy is replaced.
-		changed := false
 		for i, r := range p.rows {
 			if rowPK(r) == rowPK(new) {
 				p.rows[i] = new
 				changed = true
 			}
 		}
-		return changed
+		return changed, false
 	}
 	// A feature list is exhaustive: a row of its key that it lacks belongs in
 	// it.
@@ -176,7 +180,7 @@ func (co *CachedObject) replace(p *payload, old, new sqldb.Row) bool {
 	} else {
 		p.rows = append(p.rows, new)
 	}
-	return true
+	return true, false
 }
 
 // topkInsert inserts row into the ordered list, returning whether the
@@ -192,8 +196,9 @@ func (co *CachedObject) topkInsert(p *payload, row sqldb.Row) bool {
 		}
 	}
 	if pos == len(p.rows) {
-		if len(p.rows) >= limit && !p.exhaustive {
-			// Row sorts below the cached window; the window is unaffected.
+		if !p.exhaustive {
+			// Row sorts below the cached window, and database rows the window
+			// lacks may sort between: the window is unaffected.
 			return false
 		}
 		p.rows = append(p.rows, row)

@@ -126,42 +126,6 @@ func friendWallSpec(strategy Strategy) Spec {
 	}
 }
 
-// checkAgainstDB evaluates co cache-first for vals and compares with its own
-// query template run straight on the database.
-func checkAgainstDB(t *testing.T, s *stack, co *CachedObject, vals ...sqldb.Value) {
-	t.Helper()
-	rs, err := s.db.Query(co.QueryTemplate(), vals...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co.Spec().Class == CountQuery {
-		n, err := co.Count(vals...)
-		if err != nil || n != rs.Rows[0][0].I {
-			t.Fatalf("%s%v: cache says %d (%v), database says %d", co.Spec().Name, vals, n, err, rs.Rows[0][0].I)
-		}
-		return
-	}
-	rows, err := co.Rows(vals...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(rows []sqldb.Row) string {
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			out[i] = fmt.Sprint(r)
-		}
-		if co.Spec().Class != TopKQuery {
-			sort.Strings(out) // a set; only top-K lists are ordered
-		} else if len(out) > co.Spec().K {
-			out = out[:co.Spec().K]
-		}
-		return strings.Join(out, "\n")
-	}
-	if got, want := render(rows), render(rs.Rows); got != want {
-		t.Fatalf("%s%v: cache says\n%s\ndatabase says\n%s", co.Spec().Name, vals, got, want)
-	}
-}
-
 // TestWriteSetOneInsertTwoBatches is the CreateBM shape: one inserted row
 // whose triggers touch the author's own list, top-K list and counter and the
 // list of every follower, cached or not. It must reach the cache in two
