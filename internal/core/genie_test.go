@@ -700,11 +700,13 @@ func TestEvictionFallsBackToDatabase(t *testing.T) {
 // every cached entry after every step.
 func TestNeverStaleProperty(t *testing.T) {
 	for _, strategy := range []Strategy{UpdateInPlace, Invalidate} {
-		for _, async := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/async=%t", strategy, async), func(t *testing.T) {
-				neverStale(t, strategy, async, 31)
-			})
-		}
+		t.Run(strategy.String(), func(t *testing.T) {
+			for _, async := range []bool{false, true} {
+				t.Run(map[bool]string{false: "sync", true: "async"}[async], func(t *testing.T) {
+					neverStale(t, strategy, async, 31)
+				})
+			}
+		})
 	}
 }
 
