@@ -472,7 +472,7 @@ func TestLinkUnfollowDropsEveryJoinedRow(t *testing.T) {
 		postAt(s, t, 10, fmt.Sprintf("p%d", i), time.Unix(int64(1e6+i), 0))
 	}
 	friendWall := func() []orm.Object {
-		objs, err := s.reg.Objects("Wall").Via("Membership", "user_id", "group_id", "user_id").Filter("user_id", 1).All()
+		objs, err := friendWallQS(s, 1).All()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -701,10 +701,8 @@ func TestEvictionFallsBackToDatabase(t *testing.T) {
 func TestNeverStaleProperty(t *testing.T) {
 	for _, strategy := range []Strategy{UpdateInPlace, Invalidate} {
 		t.Run(strategy.String(), func(t *testing.T) {
-			for _, async := range []bool{false, true} {
-				t.Run(map[bool]string{false: "sync", true: "async"}[async], func(t *testing.T) {
-					neverStale(t, strategy, async, 31)
-				})
+			for _, mode := range []string{"sync", "async"} {
+				t.Run(mode, func(t *testing.T) { neverStale(t, strategy, mode == "async", 31) })
 			}
 		})
 	}
@@ -777,7 +775,7 @@ func neverStale(t *testing.T, strategy Strategy, async bool, seed int64) {
 				_, err = wallQS(s, uid, 5).All()
 			}
 			if err == nil {
-				_, err = wall.Via("Membership", "user_id", "group_id", "user_id").Filter("user_id", uid).All()
+				_, err = friendWallQS(s, uid).All()
 			}
 		}
 		if err != nil {

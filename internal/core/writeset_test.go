@@ -126,6 +126,11 @@ func friendWallSpec(strategy Strategy) Spec {
 	}
 }
 
+// friendWallQS is the ORM read friendWallSpec answers.
+func friendWallQS(s *stack, userID int) *orm.QuerySet {
+	return s.reg.Objects("Wall").Via("Membership", "user_id", "group_id", "user_id").Filter("user_id", userID)
+}
+
 // TestWriteSetOneInsertTwoBatches is the CreateBM shape: one inserted row
 // whose triggers touch the author's own list, top-K list and counter and the
 // list of every follower, cached or not. It must reach the cache in two
