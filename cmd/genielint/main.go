@@ -2,7 +2,8 @@
 // (internal/lint: goroleak, hotpathalloc, lockscope, netdeadline,
 // obsnaming) over the given package patterns, default ./... .
 //
-// Exit codes: 0 clean, 1 diagnostics found, 2 load/internal error.
+// Exit codes: 0 clean, 1 diagnostics found, 2 load/internal error or an
+// -only list naming an analyzer that does not exist.
 // Diagnostics print as file:line:col: [analyzer] message. Suppress a false
 // positive in place with //genie:nolint <analyzer> -- <reason>.
 package main
@@ -10,7 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"cachegenie/internal/lint"
@@ -38,10 +41,12 @@ func main() {
 		for _, a := range analyzers {
 			if keep[a.Name] {
 				sel = append(sel, a)
+				delete(keep, a.Name)
 			}
 		}
-		if len(sel) == 0 {
-			fmt.Fprintf(os.Stderr, "genielint: no analyzer matches -only=%s\n", *only)
+		if len(keep) > 0 {
+			unknown := slices.Sorted(maps.Keys(keep))
+			fmt.Fprintf(os.Stderr, "genielint: -only names unknown analyzer(s) %q (see -list)\n", unknown)
 			os.Exit(2)
 		}
 		analyzers = sel

@@ -10,12 +10,32 @@ import (
 	"testing"
 )
 
-// runGenielint executes the real binary (via go run, so the test never
-// depends on a stale build) against a fixture module and returns its
-// combined output and exit code.
-func runGenielint(t *testing.T, dir string) (string, int) {
+// bin is the genielint binary TestMain builds from this package's source,
+// so the tests never depend on a stale build and see its real exit code.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "genielint-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	bin = filepath.Join(dir, "genielint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "build genielint: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(2)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// runGenielint runs the binary with flags against a fixture module and
+// returns its combined output and exit code.
+func runGenielint(t *testing.T, dir string, flags ...string) (string, int) {
 	t.Helper()
-	cmd := exec.Command("go", "run", ".", "-C", dir, "./...")
+	cmd := exec.Command(bin, append(flags, "-C", dir, "./...")...)
 	var buf bytes.Buffer
 	cmd.Stdout = &buf
 	cmd.Stderr = &buf
@@ -85,5 +105,20 @@ func TestGenielintGoodModule(t *testing.T) {
 	}
 	if strings.TrimSpace(out) != "" {
 		t.Fatalf("clean run produced output:\n%s", out)
+	}
+}
+
+// TestGenielintOnlyRejectsUnknown: an -only list naming an analyzer that
+// does not exist (a typo, or one since retired) exits 2 and names every
+// unknown entry instead of silently running the rest.
+func TestGenielintOnlyRejectsUnknown(t *testing.T) {
+	out, code := runGenielint(t, filepath.Join("testdata", "goodmod"), "-only", "lockscope,nosuch,labelcardinality")
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2\noutput:\n%s", code, out)
+	}
+	for _, name := range []string{"nosuch", "labelcardinality"} {
+		if !strings.Contains(out, name) {
+			t.Errorf("output does not name unknown analyzer %q:\n%s", name, out)
+		}
 	}
 }

@@ -93,14 +93,14 @@ func (m *ServerMetrics) Register(reg *obs.Registry, node string) {
 	}
 	for k := opKind(0); k < opKindCount; k++ {
 		reg.RegisterHistogram(ServerOpLatencyName, opLabels(node, opNames[k]),
-			"server-side command latency by op type", obs.UnitNanoseconds, &m.OpNanos[k])
+			"server-side command latency by op type", &m.OpNanos[k])
 	}
-	reg.RegisterCounter("cachegenie_server_errors_total", nodeLabels(node),
-		"commands answered with a protocol error line", &m.Errors)
-	reg.RegisterCounter("cachegenie_server_conns_opened_total", nodeLabels(node),
-		"connections accepted", &m.ConnsOpened)
-	reg.RegisterGauge("cachegenie_server_active_conns", nodeLabels(node),
-		"connections currently open", &m.ActiveConns)
+	reg.CounterFunc("cachegenie_server_errors_total", nodeLabels(node),
+		"commands answered with a protocol error line", m.Errors.Load)
+	reg.CounterFunc("cachegenie_server_conns_opened_total", nodeLabels(node),
+		"connections accepted", m.ConnsOpened.Load)
+	reg.GaugeFunc("cachegenie_server_active_conns", nodeLabels(node),
+		"connections currently open", m.ActiveConns.Load)
 }
 
 // PoolMetrics is a Pool's always-on instrumentation: client-observed
@@ -140,13 +140,13 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry, node string) {
 	m := p.m
 	for k := opKind(0); k < opKindCount; k++ {
 		reg.RegisterHistogram(PoolOpLatencyName, opLabels(node, opNames[k]),
-			"client-observed cache op latency by op type", obs.UnitNanoseconds, &m.OpNanos[k])
+			"client-observed cache op latency by op type", &m.OpNanos[k])
 	}
 	labels := nodeLabels(node)
-	reg.RegisterCounter("cachegenie_pool_op_errors_total", labels,
-		"cache ops that failed (dial, I/O, or protocol error)", &m.Errors)
-	reg.RegisterCounter("cachegenie_pool_op_timeouts_total", labels,
-		"cache ops that failed by exceeding the op deadline", &m.Timeouts)
+	reg.CounterFunc("cachegenie_pool_op_errors_total", labels,
+		"cache ops that failed (dial, I/O, or protocol error)", m.Errors.Load)
+	reg.CounterFunc("cachegenie_pool_op_timeouts_total", labels,
+		"cache ops that failed by exceeding the op deadline", m.Timeouts.Load)
 	reg.GaugeFunc(PoolBreakerGaugeName, labels,
 		"circuit breaker state: 0 closed, 1 open, 2 half-open",
 		func() int64 { return int64(p.State()) })

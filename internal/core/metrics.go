@@ -34,6 +34,6 @@ func (g *Genie) RegisterMetrics(reg *obs.Registry, labels string) {
 	// Batching health of the synchronous write path: flushes shrinking toward
 	// one op mean statements are back to paying a round trip per cache op.
 	reg.RegisterHistogram("cachegenie_genie_writeset_flush_ops", labels,
-		"cache ops one statement's write-set flush carried in its (at most two) batches", obs.UnitNone, &g.flushOps)
+		"cache ops one statement's write-set flush carried in its (at most two) batches", &g.flushOps)
 	g.bus.RegisterMetrics(reg, labels)
 }

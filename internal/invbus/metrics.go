@@ -21,10 +21,10 @@ func (b *Bus[T]) RegisterMetrics(reg *obs.Registry, labels string) {
 		"Publish calls that blocked on the full queue", b.queueFullStalls.Load)
 	reg.GaugeFunc("cachegenie_invbus_queue_depth", labels,
 		"published op lists waiting for the worker", func() int64 { return int64(len(b.ch)) })
-	reg.GaugeFuncUnit("cachegenie_invbus_max_lag_seconds", labels,
-		"worst delay from publish to the end of its window's apply", obs.UnitNanoseconds, b.maxLag.Load)
+	reg.GaugeFunc("cachegenie_invbus_max_lag_seconds", labels,
+		"worst delay from publish to the end of its window's apply", b.maxLag.Load)
 	reg.RegisterHistogram("cachegenie_invbus_flush_batch_size", labels,
-		"ops per applied window", obs.UnitNone, &b.flushSize)
+		"ops per applied window", &b.flushSize)
 	reg.RegisterHistogram("cachegenie_invbus_publish_stall_seconds", labels,
-		"time Publish callers spent blocked on the full queue", obs.UnitNanoseconds, &b.stallTime)
+		"time Publish callers spent blocked on the full queue", &b.stallTime)
 }

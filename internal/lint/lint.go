@@ -13,16 +13,16 @@
 //     loop, or a send the spawner receives.
 //   - hotpathalloc: forbids allocating constructs in functions marked
 //     //genie:hotpath (the zero-allocation protocol paths).
-//   - labelcardinality: label values at metric registration sites must
-//     trace to bounded sources (constants, indices, node identity) — a
-//     wire key or payload interpolated into a label explodes series
-//     cardinality.
 //   - lockscope: every Lock needs a same-function Unlock, and mutexes
 //     marked //genie:nonblocking must not be held across blocking calls.
 //   - netdeadline: in the wire-protocol packages, raw reads and writes
 //     must be dominated by a deadline arm (or carry //genie:deadlinearmed).
 //   - obsnaming: metric registrations must follow the cachegenie_* naming
-//     and unit-suffix rules with label keys from a bounded set.
+//     and unit-suffix rules (a _seconds name is how a value says it holds
+//     nanoseconds), with label keys from a bounded set and label values
+//     that trace to bounded sources (constants, indices, node identity) —
+//     a wire key or payload interpolated into a label explodes series
+//     cardinality.
 //
 // False positives are suppressed in place with
 //

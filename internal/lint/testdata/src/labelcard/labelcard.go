@@ -1,4 +1,4 @@
-// Package labelcard exercises the labelcardinality analyzer: label VALUES
+// Package labelcard exercises obsnaming's label-value rule: label VALUES
 // interpolated into a registration's labels argument must trace to bounded
 // sources — request-sized data (wire keys, payload bytes) must never become
 // a label value.
@@ -17,28 +17,28 @@ var opNames = [...]string{`op="get"`, `op="set"`, `op="delete"`}
 // Bounded sources: constants, constant-array indexing, integers however
 // they are formatted.
 func registerBounded(reg *obs.Registry, i, k int) {
-	reg.Counter("cachegenie_const_total", `node="a"`, "constant")
-	reg.Counter("cachegenie_idx_total", opNames[k], "index into constant array")
-	reg.Counter("cachegenie_int_total", fmt.Sprintf(`node="%d"`, i), "formatted integer")
-	reg.Counter("cachegenie_itoa_total", `node="`+strconv.Itoa(i)+`"`, "itoa integer")
+	reg.CounterFunc("cachegenie_const_total", `node="a"`, "constant", nil)
+	reg.CounterFunc("cachegenie_idx_total", opNames[k], "index into constant array", nil)
+	reg.CounterFunc("cachegenie_int_total", fmt.Sprintf(`node="%d"`, i), "formatted integer", nil)
+	reg.CounterFunc("cachegenie_itoa_total", `node="`+strconv.Itoa(i)+`"`, "itoa integer", nil)
 }
 
 // The flagship leak: a wire key interpolated straight into the value.
 func registerKeyBytes(reg *obs.Registry, key []byte) {
-	reg.Counter("cachegenie_key_total", `op="`+string(key)+`"`, "per-key") // want `unbounded label value`
+	reg.CounterFunc("cachegenie_key_total", `op="`+string(key)+`"`, "per-key", nil) // want `unbounded label value`
 }
 
 // The hole hides behind an in-package helper; flagged at the registration.
 func keyLabels(k string) string { return `op="` + k + `"` }
 
 func registerViaHelper(reg *obs.Registry, raw []byte) {
-	reg.Counter("cachegenie_helper_total", keyLabels(string(raw)), "helper") // want `unbounded label value`
+	reg.CounterFunc("cachegenie_helper_total", keyLabels(string(raw)), "helper", nil) // want `unbounded label value`
 }
 
 // A parameter is as bounded as its call sites: this one is reachable with
 // request bytes, so the registration is flagged.
 func registerNode(reg *obs.Registry, node string) {
-	reg.Counter("cachegenie_node_total", `node="`+node+`"`, "param") // want `unbounded label value`
+	reg.CounterFunc("cachegenie_node_total", `node="`+node+`"`, "param", nil) // want `unbounded label value`
 }
 
 func stampKey(reg *obs.Registry, wire []byte) {
@@ -47,7 +47,7 @@ func stampKey(reg *obs.Registry, wire []byte) {
 
 // Same shape, but every caller passes a bounded value: clean.
 func registerShard(reg *obs.Registry, shard string) {
-	reg.Gauge("cachegenie_shard_depth", `op="`+shard+`"`, "bounded callers")
+	reg.GaugeFunc("cachegenie_shard_depth", `op="`+shard+`"`, "bounded callers", nil)
 }
 
 func wireShards(reg *obs.Registry) {
@@ -59,13 +59,13 @@ func wireShards(reg *obs.Registry) {
 // A local variable carries the taint too.
 func registerLocal(reg *obs.Registry, payload []byte) {
 	labels := `op="` + string(payload) + `"`
-	reg.Counter("cachegenie_local_total", labels, "local") // want `unbounded label value`
+	reg.CounterFunc("cachegenie_local_total", labels, "local", nil) // want `unbounded label value`
 }
 
 // A labels parameter with no in-package callers is the caller's contract —
-// deferred, not flagged (same best-effort stance as obsnaming).
+// deferred, not flagged (the analyzer's best-effort stance).
 func RegisterMerged(reg *obs.Registry, labels string) {
-	reg.Counter("cachegenie_merged_total", labels, "deferred to callers")
+	reg.CounterFunc("cachegenie_merged_total", labels, "deferred to callers", nil)
 }
 
 // An in-package method body is traced like a helper function.
@@ -74,10 +74,10 @@ type shardSet struct{}
 func (shardSet) name() string { return "s0" }
 
 func registerMethodHelper(reg *obs.Registry, s shardSet) {
-	reg.Counter("cachegenie_method_total", `node="`+s.name()+`"`, "constant method")
+	reg.CounterFunc("cachegenie_method_total", `node="`+s.name()+`"`, "constant method", nil)
 }
 
 // A foreign method's result is untraceable: left alone.
 func registerOpaque(reg *obs.Registry, b *strings.Builder) {
-	reg.Counter("cachegenie_opaque_total", `node="`+b.String()+`"`, "untraceable")
+	reg.CounterFunc("cachegenie_opaque_total", `node="`+b.String()+`"`, "untraceable", nil)
 }

@@ -3,22 +3,10 @@
 // on package name + type name, not import path.
 package obs
 
-// Unit mirrors the real registry's value-scaling enum.
-type Unit int
-
-const (
-	UnitNone Unit = iota
-	UnitNanoseconds
-)
-
 type Histogram struct{}
 
 type Registry struct{}
 
-func (r *Registry) Counter(name, labels, help string)                                    {}
-func (r *Registry) Gauge(name, labels, help string)                                      {}
-func (r *Registry) CounterFunc(name, labels, help string, fn func() int64)               {}
-func (r *Registry) GaugeFunc(name, labels, help string, fn func() int64)                 {}
-func (r *Registry) GaugeFuncUnit(name, labels, help string, unit Unit, fn func() int64)  {}
-func (r *Registry) Histogram(name, labels, help string, unit Unit) *Histogram            { return nil }
-func (r *Registry) RegisterHistogram(name, labels, help string, unit Unit, h *Histogram) {}
+func (r *Registry) CounterFunc(name, labels, help string, fn func() int64)    {}
+func (r *Registry) GaugeFunc(name, labels, help string, fn func() int64)      {}
+func (r *Registry) RegisterHistogram(name, labels, help string, h *Histogram) {}

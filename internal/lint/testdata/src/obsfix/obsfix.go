@@ -8,19 +8,19 @@ import (
 )
 
 func register(reg *obs.Registry, node string, id int) {
-	reg.Counter("cachegenie_good_ops_total", `node="a"`, "ok")
-	reg.Counter("genieload_ops_total", "", "bad prefix")                      // want `must match cachegenie_`
-	reg.Counter("cachegenie_good_ops", "", "no suffix")                       // want `must end in _total`
-	reg.Gauge("cachegenie_stalls_total", "", "gauge as counter")              // want `must not end in _total`
-	reg.GaugeFunc("cachegenie_lag_nanos", "", "raw nanos", nil)               // want `non-base unit "nanos"`
-	reg.Gauge("cachegenie_bytes_used", "", "unit mid-name")                   // want `must be the final suffix`
-	reg.Counter("cachegenie_"+node+"_total", "", "dynamic")                   // want `compile-time string constant`
-	reg.Counter("cachegenie_keyed_total", `key="abc"`, "per-key")             // want `label key "key"`
-	reg.Counter("cachegenie_fmt_total", fmt.Sprintf(`shard="%d"`, id), "fmt") // want `label key "shard"`
-	reg.Histogram("cachegenie_wait_seconds", "", "ok", obs.UnitNanoseconds)
-	reg.Histogram("cachegenie_wait", "", "nanos histogram", obs.UnitNanoseconds)     // want `not named _seconds`
-	reg.RegisterHistogram("cachegenie_sizes_seconds", "", "none", obs.UnitNone, nil) // want `registered UnitNone`
-	reg.GaugeFuncUnit("cachegenie_lag_seconds", "", "scaled", obs.UnitNanoseconds, nil)
+	reg.CounterFunc("cachegenie_good_ops_total", `node="a"`, "ok", nil)
+	reg.CounterFunc("genieload_ops_total", "", "bad prefix", nil)                      // want `must match cachegenie_`
+	reg.CounterFunc("cachegenie_good_ops", "", "no suffix", nil)                       // want `must end in _total`
+	reg.GaugeFunc("cachegenie_stalls_total", "", "gauge as counter", nil)              // want `must not end in _total`
+	reg.GaugeFunc("cachegenie_lag_nanos", "", "raw nanos", nil)                        // want `non-base unit "nanos"`
+	reg.GaugeFunc("cachegenie_bytes_used", "", "unit mid-name", nil)                   // want `must be the final suffix`
+	reg.CounterFunc("cachegenie_"+node+"_total", "", "dynamic", nil)                   // want `compile-time string constant`
+	reg.CounterFunc("cachegenie_keyed_total", `key="abc"`, "per-key", nil)             // want `label key "key"`
+	reg.CounterFunc("cachegenie_fmt_total", fmt.Sprintf(`shard="%d"`, id), "fmt", nil) // want `label key "shard"`
+	reg.RegisterHistogram("cachegenie_wait_seconds", "", "ok", nil)
+	reg.RegisterHistogram("cachegenie_wait", "", "unit-less histogram", nil)
+	reg.RegisterHistogram("cachegenie_sizes_seconds", "", "none", nil)
+	reg.GaugeFunc("cachegenie_lag_seconds", "", "scaled", nil)
 }
 
 func shardLabels(s string) string {
@@ -28,7 +28,7 @@ func shardLabels(s string) string {
 }
 
 func registerHelper(reg *obs.Registry) {
-	reg.Counter("cachegenie_helper_total", shardLabels("x"), "helper") // want `label key "shard"`
+	reg.CounterFunc("cachegenie_helper_total", shardLabels("x"), "helper", nil) // want `label key "shard"`
 }
 
 func registerLocal(reg *obs.Registry, node string) {
@@ -36,7 +36,7 @@ func registerLocal(reg *obs.Registry, node string) {
 	if node != "" {
 		labels = `host="` + node + `"`
 	}
-	reg.Counter("cachegenie_local_total", labels, "local") // want `label key "host"`
+	reg.CounterFunc("cachegenie_local_total", labels, "local", nil) // want `label key "host"`
 }
 
 func registerNodeLocal(reg *obs.Registry, node string) {
@@ -44,5 +44,5 @@ func registerNodeLocal(reg *obs.Registry, node string) {
 	if node != "" {
 		labels = `node="` + node + `"`
 	}
-	reg.Counter("cachegenie_node_total", labels, "bounded key: fine")
+	reg.CounterFunc("cachegenie_node_total", labels, "bounded key: fine", nil)
 }

@@ -1,8 +1,9 @@
 // Package obs is the process-wide observability substrate: allocation-free
 // atomic counters and gauges, fixed-size log-bucketed latency histograms
-// with lock-free Observe and exact-bucket Merge, a metrics registry that
-// renders Prometheus text format and JSON snapshots, and an HTTP server
-// exposing /metrics, /metrics.json, /debug/pprof/*, and /healthz.
+// with lock-free Observe and snapshots that subtract and merge exactly, a
+// metrics registry that renders Prometheus text format and JSON snapshots,
+// and an HTTP server exposing /metrics, /metrics.json, /debug/pprof/*, and
+// /healthz.
 //
 // The paper's entire argument is quantitative — hit rates and round-trip
 // latencies — so measurement is a subsystem, not per-experiment scaffolding.
@@ -13,7 +14,7 @@
 // updates are single atomic ops on preallocated fixed-size state. Second,
 // per-node and per-interval latency distributions must combine into true
 // aggregate quantiles, which sorting raw samples cannot do — histograms
-// with exact-bucket Merge and snapshot Sub/Add can.
+// whose snapshots Sub and Add bucket by bucket can.
 package obs
 
 import (
@@ -75,10 +76,10 @@ func bucketMid(i int) int64 {
 
 // Histogram is a fixed-size log-bucketed histogram of non-negative int64
 // values (latencies in nanoseconds, batch sizes, ...). Observe is lock-free
-// and allocation-free; Merge adds another histogram bucket-by-bucket with no
-// resolution loss, which makes merging associative and commutative, so
-// distributions from several nodes or clients combine into true aggregate
-// quantiles. The zero value is ready to use; all methods are safe on a nil
+// and allocation-free; HistSnapshot.Add merges snapshots bucket-by-bucket
+// with no resolution loss, which makes merging associative and commutative,
+// so distributions from several nodes or clients combine into true
+// aggregate quantiles. The zero value is ready to use; all methods are safe on a nil
 // receiver (no-ops / zero results), so optionally-instrumented call sites
 // need no branches.
 type Histogram struct {
@@ -147,32 +148,6 @@ func (h *Histogram) Max() int64 {
 		return 0
 	}
 	return h.max.Load()
-}
-
-// Merge adds o's buckets into h, exactly — no re-bucketing, no resolution
-// loss. Merging is associative and commutative over the bucket counts, sum,
-// count, and max. o may be observed concurrently; the merge then reflects
-// some valid interleaving.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	var count uint64
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-			count += n
-		}
-	}
-	h.count.Add(count)
-	h.sum.Add(o.sum.Load())
-	for {
-		cur := h.max.Load()
-		om := o.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			return
-		}
-	}
 }
 
 // Quantile estimates the q-th quantile (q in [0, 1]) as the midpoint of the
@@ -261,7 +236,9 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	return out
 }
 
-// Add merges o into s in place (exact-bucket, like Histogram.Merge).
+// Add merges o into s in place, exactly: no re-bucketing, no resolution
+// loss. Merging is associative and commutative over the bucket counts, sum,
+// count, and max.
 func (s *HistSnapshot) Add(o HistSnapshot) {
 	if s.Buckets == nil {
 		s.Buckets = make([]uint64, NumBuckets)

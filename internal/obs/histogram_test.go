@@ -117,21 +117,24 @@ func TestObserveBoundaries(t *testing.T) {
 
 func TestMergeAssociativeCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	union := NewHistogram()
 	mk := func(n int) *Histogram {
 		h := NewHistogram()
 		for i := 0; i < n; i++ {
-			h.Observe(rng.Int63n(1_000_000))
+			v := rng.Int63n(1_000_000)
+			h.Observe(v)
+			union.Observe(v)
 		}
 		return h
 	}
 	a, b, c := mk(500), mk(700), mk(300)
 
 	merge := func(hs ...*Histogram) HistSnapshot {
-		out := NewHistogram()
+		var out HistSnapshot
 		for _, h := range hs {
-			out.Merge(h)
+			out.Add(h.Snapshot())
 		}
-		return out.Snapshot()
+		return out
 	}
 	equal := func(x, y HistSnapshot) bool {
 		if x.Count != y.Count || x.Sum != y.Sum || x.Max != y.Max {
@@ -150,22 +153,19 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 		t.Error("merge not commutative: (a,b,c) != (c,b,a)")
 	}
 	// Associativity: (a+b)+c == a+(b+c).
-	lhs := NewHistogram()
-	lhs.Merge(a)
-	lhs.Merge(b)
-	lhs.Merge(c)
-	bc := NewHistogram()
-	bc.Merge(b)
-	bc.Merge(c)
-	rhs := NewHistogram()
-	rhs.Merge(a)
-	rhs.Merge(bc)
-	if !equal(lhs.Snapshot(), rhs.Snapshot()) {
+	lhs := merge(a, b)
+	lhs.Add(c.Snapshot())
+	rhs := a.Snapshot()
+	rhs.Add(merge(b, c))
+	if !equal(lhs, rhs) {
 		t.Error("merge not associative: (a+b)+c != a+(b+c)")
 	}
-	// Merging loses no resolution: quantiles of the merge match a histogram
-	// fed the union directly. (Exact-bucket merge means identical buckets.)
-	if got, want := abc.Quantile(0.99), merge(a, b, c).Quantile(0.99); got != want {
+	// Merging loses no resolution: the merge is bucket-identical to a
+	// histogram fed the union directly, so its quantiles match too.
+	if !equal(abc, union.Snapshot()) {
+		t.Error("merge of (a,b,c) != histogram fed the union directly")
+	}
+	if got, want := abc.Quantile(0.99), union.Quantile(0.99); got != want {
 		t.Errorf("merge p99 %d != direct p99 %d", got, want)
 	}
 }
@@ -203,7 +203,6 @@ func TestNilHistogramSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveSince(time.Now())
-	h.Merge(NewHistogram())
 	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("nil histogram should read as empty")
 	}
@@ -216,24 +215,24 @@ func TestNilHistogramSafe(t *testing.T) {
 
 // TestSnapshotAddEqualsMerge is the ticker's cross-node merge: snapshots
 // folded into a zero-value HistSnapshot with Add must be bucket-identical to
-// merging the live histograms, so every quantile matches exactly, not
-// approximately.
+// one histogram fed every node's observations, so every quantile matches
+// exactly, not approximately.
 func TestSnapshotAddEqualsMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	direct := NewHistogram()
+	observe := func(h *Histogram, v int64) {
+		h.Observe(v)
+		direct.Observe(v)
+	}
 	nodes := make([]*Histogram, 3)
 	for i := range nodes {
 		nodes[i] = NewHistogram()
 		for j := 0; j < 5000; j++ {
-			nodes[i].Observe(int64(math.Exp(10 + 2*rng.NormFloat64())))
+			observe(nodes[i], int64(math.Exp(10+2*rng.NormFloat64())))
 		}
 	}
-	nodes[0].Observe(0)
-	nodes[1].Observe(math.MaxInt64)
-
-	direct := NewHistogram()
-	for _, n := range nodes {
-		direct.Merge(n)
-	}
+	observe(nodes[0], 0)
+	observe(nodes[1], math.MaxInt64)
 	ref := direct.Snapshot()
 
 	var added HistSnapshot
@@ -247,17 +246,17 @@ func TestSnapshotAddEqualsMerge(t *testing.T) {
 	}
 	for i := range ref.Buckets {
 		if added.Buckets[i] != ref.Buckets[i] {
-			t.Fatalf("bucket %d: Add %d != Merge %d", i, added.Buckets[i], ref.Buckets[i])
+			t.Fatalf("bucket %d: Add %d != direct %d", i, added.Buckets[i], ref.Buckets[i])
 		}
 	}
 	for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
 		if got, want := added.Quantile(q), ref.Quantile(q); got != want {
-			t.Fatalf("q=%g: Add %d != Merge %d", q, got, want)
+			t.Fatalf("q=%g: Add %d != direct %d", q, got, want)
 		}
 	}
 }
 
-// TestConcurrentObserveSnapshot churns Observe/Merge/Snapshot/Quantile across
+// TestConcurrentObserveSnapshot churns Observe/Snapshot/Add/Quantile across
 // goroutines; run under -race this is the data-race gate, and the final count
 // checks no observation was lost.
 func TestConcurrentObserveSnapshot(t *testing.T) {
@@ -283,9 +282,9 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 				s := h.Snapshot()
 				_ = s.Quantile(0.99)
 				_ = s.Sub(HistSnapshot{})
-				merged := NewHistogram()
-				merged.Merge(h)
-				merged.Merge(other)
+				var merged HistSnapshot
+				merged.Add(s)
+				merged.Add(other.Snapshot())
 			}
 		}(int64(r))
 	}

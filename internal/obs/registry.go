@@ -67,20 +67,6 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// Unit scales histogram values for Prometheus rendering. Internally every
-// histogram holds raw int64s; the JSON snapshot keeps them raw.
-type Unit int
-
-// Units.
-const (
-	// UnitNone renders values as-is (sizes, depths, counts).
-	UnitNone Unit = iota
-	// UnitNanoseconds renders values divided by 1e9: Prometheus convention
-	// is base seconds, so a *_seconds histogram observed in nanoseconds
-	// scrapes correctly.
-	UnitNanoseconds
-)
-
 // MetricKind discriminates registry entries.
 type MetricKind int
 
@@ -97,24 +83,9 @@ type metric struct {
 	labels string // rendered label body, e.g. `node="0",op="get"` (may be "")
 	help   string
 	kind   MetricKind
-	unit   Unit
 
-	counter *Counter
-	gauge   *Gauge
-	fn      func() int64 // counter/gauge view over external state
-	hist    *Histogram
-}
-
-func (m *metric) value() int64 {
-	switch {
-	case m.fn != nil:
-		return m.fn()
-	case m.counter != nil:
-		return m.counter.Load()
-	case m.gauge != nil:
-		return m.gauge.Load()
-	}
-	return 0
+	fn   func() int64 // counter/gauge value, read at render time
+	hist *Histogram
 }
 
 // Registry is a named collection of metrics. All methods are safe for
@@ -122,6 +93,11 @@ func (m *metric) value() int64 {
 // existing key rebinds the entry to the new backing and keeps one line per
 // series in the output — a rebuilt component (a revived node, the next
 // experiment's stack) takes over its names instead of duplicating them.
+//
+// Every value is held as a raw int64, and the name says how it renders: a
+// series named _seconds or _seconds_total holds nanoseconds and renders as
+// float seconds; any other series renders as an integer. Snapshot keeps
+// every value raw.
 type Registry struct {
 	// mu guards the entry list; metric fn callbacks run after snapshotting,
 	// never under it.
@@ -161,32 +137,11 @@ func (r *Registry) upsert(m *metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// Counter registers (or rebinds) a counter and returns it. Safe on a nil
-// registry: returns a detached counter.
-func (r *Registry) Counter(name, labels, help string) *Counter {
-	c := &Counter{}
-	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindCounter, counter: c})
-	return c
-}
-
-// Gauge registers (or rebinds) a gauge and returns it.
-func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	g := &Gauge{}
-	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindGauge, gauge: g})
-	return g
-}
-
 // CounterFunc registers a counter whose value is read from fn at render
 // time — a view over counters that already live elsewhere (store stats,
-// pool atomics) with no double accounting.
+// pool atomics, an obs.Counter's Load) with no double accounting.
 func (r *Registry) CounterFunc(name, labels, help string, fn func() int64) {
 	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindCounter, fn: fn})
-}
-
-// CounterFuncUnit is CounterFunc for values held in a non-base unit, scaled
-// at render time as GaugeFuncUnit's are.
-func (r *Registry) CounterFuncUnit(name, labels, help string, unit Unit, fn func() int64) {
-	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindCounter, unit: unit, fn: fn})
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at render time.
@@ -194,34 +149,10 @@ func (r *Registry) GaugeFunc(name, labels, help string, fn func() int64) {
 	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindGauge, fn: fn})
 }
 
-// GaugeFuncUnit is GaugeFunc for values held in a non-base unit: the gauge
-// renders scaled per unit (UnitNanoseconds → float seconds), so a
-// nanosecond-held lag can live behind a _seconds series name.
-func (r *Registry) GaugeFuncUnit(name, labels, help string, unit Unit, fn func() int64) {
-	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindGauge, unit: unit, fn: fn})
-}
-
-// Histogram registers (or rebinds) a histogram and returns it.
-func (r *Registry) Histogram(name, labels, help string, unit Unit) *Histogram {
-	h := &Histogram{}
-	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindHistogram, unit: unit, hist: h})
-	return h
-}
-
 // RegisterHistogram registers an externally owned histogram (one embedded
 // in a component's always-on instrumentation block).
-func (r *Registry) RegisterHistogram(name, labels, help string, unit Unit, h *Histogram) {
-	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindHistogram, unit: unit, hist: h})
-}
-
-// RegisterCounter registers an externally owned counter.
-func (r *Registry) RegisterCounter(name, labels, help string, c *Counter) {
-	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindCounter, counter: c})
-}
-
-// RegisterGauge registers an externally owned gauge.
-func (r *Registry) RegisterGauge(name, labels, help string, g *Gauge) {
-	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindGauge, gauge: g})
+func (r *Registry) RegisterHistogram(name, labels, help string, h *Histogram) {
+	r.upsert(&metric{name: name, labels: labels, help: help, kind: KindHistogram, hist: h})
 }
 
 // snapshotMetrics copies the entry list under the lock; values are read
@@ -259,7 +190,7 @@ var summaryQuantiles = []struct {
 // WritePrometheus renders the registry in Prometheus text exposition
 // format. Series sharing a metric name are grouped under one HELP/TYPE
 // pair; histograms render as summaries (precomputed quantiles plus _sum and
-// _count), scaled per their Unit.
+// _count), and _seconds series render their nanoseconds as seconds.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	metrics := r.snapshotMetrics()
 	// Group by name, preserving first-seen order, so HELP/TYPE emit once
@@ -286,12 +217,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			typ = "summary"
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
+		seconds := strings.HasSuffix(name, "_seconds") || strings.HasSuffix(name, "_seconds_total")
 		for _, m := range ms {
 			if m.kind != KindHistogram {
 				b.WriteString(name)
 				writeLabels(&b, m.labels, "", "")
 				b.WriteByte(' ')
-				b.WriteString(formatUnit(m.value(), m.unit))
+				b.WriteString(formatValue(m.fn(), seconds))
 				b.WriteByte('\n')
 				continue
 			}
@@ -300,14 +232,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				b.WriteString(name)
 				writeLabels(&b, m.labels, "quantile", sq.label)
 				b.WriteByte(' ')
-				b.WriteString(formatUnit(s.Quantile(sq.q), m.unit))
+				b.WriteString(formatValue(s.Quantile(sq.q), seconds))
 				b.WriteByte('\n')
 			}
 			b.WriteString(name)
 			b.WriteString("_sum")
 			writeLabels(&b, m.labels, "", "")
 			b.WriteByte(' ')
-			b.WriteString(formatUnit(s.Sum, m.unit))
+			b.WriteString(formatValue(s.Sum, seconds))
 			b.WriteByte('\n')
 			b.WriteString(name)
 			b.WriteString("_count")
@@ -341,8 +273,9 @@ func writeLabels(b *strings.Builder, labels, extraKey, extraVal string) {
 	b.WriteByte('}')
 }
 
-func formatUnit(v int64, unit Unit) string {
-	if unit == UnitNanoseconds {
+// formatValue renders v as an integer, or nanoseconds v as float seconds.
+func formatValue(v int64, seconds bool) string {
+	if seconds {
 		return strconv.FormatFloat(float64(v)/1e9, 'g', -1, 64)
 	}
 	return strconv.FormatInt(v, 10)
@@ -378,9 +311,9 @@ func (r *Registry) Snapshot() Snapshot {
 		key := metricKey(m.name, m.labels)
 		switch m.kind {
 		case KindCounter:
-			out.Counters[key] = m.value()
+			out.Counters[key] = m.fn()
 		case KindGauge:
-			out.Gauges[key] = m.value()
+			out.Gauges[key] = m.fn()
 		case KindHistogram:
 			s := m.hist.Snapshot()
 			out.Histograms[key] = HistStats{

@@ -11,13 +11,17 @@ import (
 
 func TestRegistryPrometheusOutput(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_ops_total", `node="a"`, "ops processed")
-	c.Add(7)
-	reg.Counter("test_ops_total", `node="b"`, "ops processed").Add(3)
-	g := reg.Gauge("test_depth", "", "queue depth")
+	var a, b Counter
+	a.Add(7)
+	b.Add(3)
+	reg.CounterFunc("test_ops_total", `node="a"`, "ops processed", a.Load)
+	reg.CounterFunc("test_ops_total", `node="b"`, "ops processed", b.Load)
+	var g Gauge
 	g.Set(42)
+	reg.GaugeFunc("test_depth", "", "queue depth", g.Load)
 	reg.CounterFunc("test_fn_total", "", "from a func", func() int64 { return 11 })
-	h := reg.Histogram("test_latency_seconds", "", "latency", UnitNanoseconds)
+	h := NewHistogram()
+	reg.RegisterHistogram("test_latency_seconds", "", "latency", h)
 	for i := 0; i < 1000; i++ {
 		h.Observe(1_000_000) // 1ms
 	}
@@ -52,16 +56,66 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 	}
 }
 
+// TestUnitsFromNames pins the naming contract: a series named _seconds or
+// _seconds_total holds nanoseconds and renders as float seconds, every other
+// series renders as an integer, and Snapshot keeps every value raw.
+func TestUnitsFromNames(t *testing.T) {
+	reg := NewRegistry()
+	wait := NewHistogram()
+	wait.Observe(1_500_000)
+	reg.RegisterHistogram("test_wait_seconds", "", "", wait)
+	reg.CounterFunc("test_busy_seconds_total", "", "", func() int64 { return 2_500_000_000 })
+	reg.GaugeFunc("test_lag_seconds", "", "", func() int64 { return 250_000_000 })
+	reg.CounterFunc("test_ops_total", "", "", func() int64 { return 1_500_000 })
+	reg.GaugeFunc("test_used_bytes", "", "", func() int64 { return 4096 })
+	reg.GaugeFunc("test_seconds_budget", "", "", func() int64 { return 3_000_000_000 })
+	sizes := NewHistogram()
+	sizes.Observe(7)
+	reg.RegisterHistogram("test_batch_size", "", "", sizes)
+
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"test_wait_seconds_sum 0.0015\n",
+		"test_wait_seconds_count 1\n",
+		"test_busy_seconds_total 2.5\n",
+		"test_lag_seconds 0.25\n",
+		"test_ops_total 1500000\n",
+		"test_used_bytes 4096\n",
+		// _seconds mid-name is not a unit suffix.
+		"test_seconds_budget 3000000000\n",
+		`test_batch_size{quantile="0.5"} 7` + "\n",
+		"test_batch_size_sum 7\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("prometheus output missing %q\n%s", want, out)
+		}
+	}
+
+	snap := reg.Snapshot()
+	if got := snap.Histograms["test_wait_seconds"].Sum; got != 1_500_000 {
+		t.Errorf("snapshot histogram sum = %d, want raw 1500000", got)
+	}
+	if got := snap.Counters["test_busy_seconds_total"]; got != 2_500_000_000 {
+		t.Errorf("snapshot counter = %d, want raw 2500000000", got)
+	}
+	if got := snap.Gauges["test_lag_seconds"]; got != 250_000_000 {
+		t.Errorf("snapshot gauge = %d, want raw 250000000", got)
+	}
+}
+
 func TestRegistryUpsertRebinds(t *testing.T) {
 	reg := NewRegistry()
-	old := &Counter{}
+	var old, fresh Counter
 	old.Add(5)
-	reg.RegisterCounter("test_rebind_total", `node="x"`, "h", old)
-	fresh := &Counter{}
+	reg.CounterFunc("test_rebind_total", `node="x"`, "h", old.Load)
 	fresh.Add(9)
 	// A revived node re-registers under the same (name, labels): the series
 	// must rebind to the new instance, not duplicate.
-	reg.RegisterCounter("test_rebind_total", `node="x"`, "h", fresh)
+	reg.CounterFunc("test_rebind_total", `node="x"`, "h", fresh.Load)
 
 	snap := reg.Snapshot()
 	if got := snap.SumCounters("test_rebind_total"); got != 9 {
@@ -78,10 +132,11 @@ func TestRegistryUpsertRebinds(t *testing.T) {
 
 func TestSnapshotHelpers(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("test_hits_total", `node="a"`, "").Add(10)
-	reg.Counter("test_hits_total", `node="b"`, "").Add(20)
-	reg.Gauge("test_breaker", `node="a"`, "").Set(0)
-	reg.Gauge("test_breaker", `node="b"`, "").Set(1)
+	val := func(v int64) func() int64 { return func() int64 { return v } }
+	reg.CounterFunc("test_hits_total", `node="a"`, "", val(10))
+	reg.CounterFunc("test_hits_total", `node="b"`, "", val(20))
+	reg.GaugeFunc("test_breaker", `node="a"`, "", val(0))
+	reg.GaugeFunc("test_breaker", `node="b"`, "", val(1))
 
 	snap := reg.Snapshot()
 	if got := snap.SumCounters("test_hits_total"); got != 30 {
@@ -92,7 +147,7 @@ func TestSnapshotHelpers(t *testing.T) {
 		t.Errorf("GaugeValues = %v, want [0 1]", states)
 	}
 	// Prefix matching must not cross metric-name boundaries.
-	reg.Counter("test_hits_total_other", "", "").Add(99)
+	reg.CounterFunc("test_hits_total_other", "", "", val(99))
 	if got := reg.Snapshot().SumCounters("test_hits_total"); got != 30 {
 		t.Errorf("SumCounters matched a longer name: %d, want 30", got)
 	}
@@ -100,10 +155,9 @@ func TestSnapshotHelpers(t *testing.T) {
 
 func TestNilRegistrySafe(t *testing.T) {
 	var reg *Registry
-	c := reg.Counter("x", "", "")
-	c.Inc() // counter still usable, just unregistered
+	reg.CounterFunc("x", "", "", func() int64 { return 1 })
 	reg.GaugeFunc("y", "", "", func() int64 { return 1 })
-	reg.RegisterHistogram("z", "", "", UnitNone, NewHistogram())
+	reg.RegisterHistogram("z", "", "", NewHistogram())
 	if err := reg.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +168,9 @@ func TestNilRegistrySafe(t *testing.T) {
 
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("test_served_total", "", "served").Add(1)
-	reg.Gauge("test_breaker_state", `node="a"`, "").Set(0)
+	reg.CounterFunc("test_served_total", "", "served", func() int64 { return 1 })
+	var breaker Gauge
+	reg.GaugeFunc("test_breaker_state", `node="a"`, "", breaker.Load)
 	ms, err := Serve("127.0.0.1:0", reg, BreakerHealth(reg, "test_breaker_state"))
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +211,7 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("/healthz healthy: code %d body %q", code, body)
 	}
 	// Trip the breaker gauge: health flips to 503.
-	reg.Gauge("test_breaker_state", `node="a"`, "").Set(1)
+	breaker.Set(1)
 	if code, body := get("/healthz"); code != 503 || !strings.Contains(body, "degraded") {
 		t.Errorf("/healthz degraded: code %d body %q", code, body)
 	}

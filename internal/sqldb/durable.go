@@ -362,9 +362,8 @@ func (db *DB) RegisterMetrics(reg *obs.Registry) {
 	}
 	reg.CounterFunc("cachegenie_db_lock_waits_total", "",
 		"table lock requests that waited", func() int64 { return db.Stats().LockWaits })
-	reg.CounterFuncUnit("cachegenie_db_lock_wait_seconds_total", "",
-		"time table lock requests spent waiting", obs.UnitNanoseconds,
-		func() int64 { return db.Stats().LockWaitNanos })
+	reg.CounterFunc("cachegenie_db_lock_wait_seconds_total", "",
+		"time table lock requests spent waiting", func() int64 { return db.Stats().LockWaitNanos })
 	if db.walMetrics == nil {
 		return
 	}
@@ -373,9 +372,8 @@ func (db *DB) RegisterMetrics(reg *obs.Registry) {
 		"recovery epoch; a bump means the cache tier must flush", func() int64 {
 			return int64(db.Epoch())
 		})
-	reg.GaugeFuncUnit("cachegenie_db_recovery_seconds", "",
-		"wall clock the last Open spent in snapshot load + WAL replay",
-		obs.UnitNanoseconds, func() int64 {
+	reg.GaugeFunc("cachegenie_db_recovery_seconds", "",
+		"wall clock the last Open spent in snapshot load + WAL replay", func() int64 {
 			return db.recovery.DurationNanos
 		})
 }

@@ -39,13 +39,13 @@ func (m *Metrics) Register(reg *obs.Registry) {
 		return
 	}
 	reg.RegisterHistogram(metricFsyncSeconds, "",
-		"WAL group-commit fsync latency", obs.UnitNanoseconds, &m.FsyncLatency)
+		"WAL group-commit fsync latency", &m.FsyncLatency)
 	reg.RegisterHistogram(metricGroupTxns, "",
-		"transactions coalesced per WAL fsync", obs.UnitNone, &m.GroupTxns)
-	reg.RegisterCounter(metricCommitsTotal, "",
-		"transactions durably committed to the WAL", &m.Commits)
-	reg.RegisterCounter(metricBytesTotal, "",
-		"bytes appended to the WAL", &m.Bytes)
-	reg.RegisterCounter(metricSegmentsTotal, "",
-		"WAL segment files opened", &m.Segments)
+		"transactions coalesced per WAL fsync", &m.GroupTxns)
+	reg.CounterFunc(metricCommitsTotal, "",
+		"transactions durably committed to the WAL", m.Commits.Load)
+	reg.CounterFunc(metricBytesTotal, "",
+		"bytes appended to the WAL", m.Bytes.Load)
+	reg.CounterFunc(metricSegmentsTotal, "",
+		"WAL segment files opened", m.Segments.Load)
 }
