@@ -1,6 +1,6 @@
 // Command genielint runs the repository's static-analysis suite
-// (internal/lint: goroleak, hotpathalloc, lockscope, netdeadline,
-// obsnaming) over the given package patterns, default ./... .
+// (internal/lint: goroleak, lockscope, netdeadline, obsnaming) over the
+// given package patterns, default ./... .
 //
 // Exit codes: 0 clean, 1 diagnostics found, 2 load/internal error or an
 // -only list naming an analyzer that does not exist.

@@ -78,7 +78,7 @@ func TestGenielintBadModule(t *testing.T) {
 		marker   string // source text on the line the diagnostic must point at
 		analyzer string
 	}{
-		{"fmt.Sprintf", "hotpathalloc"},
+		{"go func()", "goroleak"},
 		{"mu.Lock()", "lockscope"},
 	}
 	for _, w := range wants {

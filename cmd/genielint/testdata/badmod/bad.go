@@ -3,21 +3,20 @@
 // and exits nonzero.
 package bad
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 var mu sync.Mutex
 
-//genie:hotpath
-func hot(p []byte) string {
-	return fmt.Sprintf("%x", p)
+func spin() {
+	go func() {
+		for {
+		}
+	}()
 }
 
 func leak() {
 	mu.Lock()
 }
 
-var _ = hot
+var _ = spin
 var _ = leak

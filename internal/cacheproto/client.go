@@ -89,8 +89,6 @@ func (c *Client) Close() error {
 }
 
 // armDeadline sets the per-operation connection deadline. Caller holds c.mu.
-//
-//genie:hotpath
 func (c *Client) armDeadline() {
 	if c.opTimeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.opTimeout))
@@ -114,7 +112,6 @@ func (c *Client) fail(err error) error {
 	return err
 }
 
-//genie:hotpath
 func ttlSeconds(ttl time.Duration) int64 {
 	if ttl <= 0 {
 		return 0
@@ -135,8 +132,6 @@ func (c *Client) readLine() ([]byte, error) {
 }
 
 // cmd starts a fresh request in the build buffer.
-//
-//genie:hotpath
 func (c *Client) cmd() []byte { return c.wbuf[:0] }
 
 // sendLine writes the built command line and flushes. Caller holds c.mu.
@@ -192,7 +187,6 @@ func (c *Client) readValue(dst []byte) (val []byte, cas uint64, found bool, err 
 // scratch, back to back, before one slab takes them all (cutSlab).
 //
 //genie:deadlinearmed every caller arms the per-op deadline before the exchange
-//genie:hotpath
 func (c *Client) readData(dst []byte, n int) ([]byte, error) {
 	dst = slices.Grow(dst, n+2)
 	if _, err := io.ReadFull(c.r, dst[len(dst):len(dst)+n+2]); err != nil {
@@ -203,8 +197,6 @@ func (c *Client) readData(dst []byte, n int) ([]byte, error) {
 
 // appendStoreCmd builds "<verb> <key> 0 <exptime> <bytes>"; a cas appends
 // its token.
-//
-//genie:hotpath
 func (c *Client) appendStoreCmd(b []byte, verb, key string, ttl time.Duration, size int) []byte {
 	b = append(b, verb...)
 	b = append(b, ' ')
@@ -218,8 +210,6 @@ func (c *Client) appendStoreCmd(b []byte, verb, key string, ttl time.Duration, s
 
 // parseCasReply maps a cas reply line to its outcome; anything but STORED
 // and EXISTS (NOT_FOUND, a refusal) reads as not found.
-//
-//genie:hotpath
 func parseCasReply(line []byte) kvcache.CasResult {
 	switch string(line) {
 	case "STORED":
@@ -236,8 +226,6 @@ func parseCasReply(line []byte) kvcache.CasResult {
 // the database, which is the correct degraded behaviour.
 
 // one runs op as a one-op batch with its op and result on the stack.
-//
-//genie:hotpath
 func (c *Client) one(op kvcache.BatchOp) kvcache.BatchResult {
 	ops, out := [1]kvcache.BatchOp{op}, [1]kvcache.BatchResult{}
 	_ = c.applyBatch(ops[:], out[:])
@@ -305,8 +293,8 @@ func (c *Client) FlushAll() {
 // ApplyBatch implements kvcache.Cache over the pipelined mop command:
 // every op in the batch is written in one flush and all results are read
 // back together, so the batch costs a single network round trip instead of
-// one per op. Network errors surface as kvcache.FailedBatch results
-// (not-found / not-stored).
+// one per op. Network errors surface as failAll's results (not-found /
+// not-stored).
 func (c *Client) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	out := make([]kvcache.BatchResult, len(ops))
 	_ = c.applyBatch(ops, out)
@@ -426,10 +414,10 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp, out []kvcache.BatchResult) er
 // reuses it, while an idle pooled connection never pins a rare large batch's.
 const retainedScratch = 4 << 10
 
-// failAll sets out to kvcache.FailedBatch(ops) in place: every op reads as
-// a miss, and a BatchCas as CasNotFound.
-//
-//genie:hotpath
+// failAll sets out to the results of a batch that never reached the cache:
+// every op reads as a miss, and a BatchCas as CasNotFound — not the zero
+// CasResult, which is CasStored. Batch appliers start from it so an op they
+// skip or lose reads as a miss, the way the per-op methods degrade.
 func failAll(ops []kvcache.BatchOp, out []kvcache.BatchResult) {
 	for i := range ops {
 		out[i] = kvcache.BatchResult{}
@@ -449,8 +437,6 @@ func sendable(op *kvcache.BatchOp) bool {
 // exact size and points each hit's Data at its own capped window of it, so an
 // append to one value never reaches the next. out[i].Value holds where hit i's
 // value starts in scratch and len(out[i].Data) its length.
-//
-//genie:hotpath
 func cutSlab(ops []kvcache.BatchOp, out []kvcache.BatchResult, scratch []byte) {
 	slab := make([]byte, len(scratch))
 	copy(slab, scratch)
@@ -467,7 +453,6 @@ func cutSlab(ops []kvcache.BatchOp, out []kvcache.BatchResult, scratch []byte) {
 // write buffer. Caller holds c.mu; write errors surface on the batch's Flush.
 //
 //genie:deadlinearmed applyBatch arms the per-op deadline before the exchange
-//genie:hotpath
 func (c *Client) writeSubCommand(op *kvcache.BatchOp) {
 	b := c.cmd()
 	hasData := false
@@ -507,8 +492,6 @@ var (
 // isErrorLine reports whether a response line is one of the protocol's error
 // replies (memcached's ERROR / CLIENT_ERROR msg / SERVER_ERROR msg), which
 // can replace a result line mid-batch when the server aborts.
-//
-//genie:hotpath
 func isErrorLine(line []byte) bool {
 	return string(line) == "ERROR" ||
 		bytes.HasPrefix(line, clientErrorPrefix) ||

@@ -130,29 +130,36 @@ func BenchmarkServerHotPathMopGetsCas(b *testing.B) {
 	}
 }
 
-// BenchmarkLoopbackGet measures a full client->server->client round trip on
-// loopback TCP: a per-op Get, which travels as a one-op mop. The one
-// remaining allocation is the slab the fetched value is returned in (it must
-// survive the next op) — the request/response machinery itself is
-// allocation-free on both ends.
-func BenchmarkLoopbackGet(b *testing.B) {
-	store := kvcache.New(0)
+// loopbackPool serves a fresh store on loopback TCP and returns a Pool
+// onto it, the way every stack reaches a node: checkout, breaker and
+// metrics on each op.
+func loopbackPool(b *testing.B, store *kvcache.Store) *Pool {
+	b.Helper()
 	srv := NewServer(store)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
-	cli, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	cli.Set("bench-key", bytes.Repeat([]byte("v"), 256), 0)
+	p := NewPoolWithConfig(PoolConfig{Addr: addr})
+	b.Cleanup(func() {
+		p.Close()
+		srv.Close()
+	})
+	return p
+}
+
+// BenchmarkLoopbackGet measures a full pool->server->pool round trip on
+// loopback TCP: a per-op Get, which travels as a one-op mop. The one
+// remaining allocation is the slab the fetched value is returned in (it must
+// survive the next op) — the request/response machinery itself is
+// allocation-free on both ends.
+func BenchmarkLoopbackGet(b *testing.B) {
+	p := loopbackPool(b, kvcache.New(0))
+	p.Set("bench-key", bytes.Repeat([]byte("v"), 256), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := cli.Get("bench-key"); !ok {
+		if _, ok := p.Get("bench-key"); !ok {
 			b.Fatal("miss")
 		}
 	}
@@ -160,27 +167,60 @@ func BenchmarkLoopbackGet(b *testing.B) {
 
 // BenchmarkLoopbackSet is the loopback round trip for the write path; the
 // client builds the request in its reusable buffer, the server stores via
-// the overwrite path, and neither end allocates in steady state.
+// the overwrite path, and neither end allocates in steady state. The pool
+// case is the path every stack runs; the client case is a bare Client's
+// per-op call, which the pool's exchange does not go through.
 func BenchmarkLoopbackSet(b *testing.B) {
-	store := kvcache.New(1 << 24)
-	srv := NewServer(store)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(addr)
+	op := kvcache.BatchOp{Kind: kvcache.BatchSet, Key: "bench-key", Value: bytes.Repeat([]byte("v"), 256)}
+	p := loopbackPool(b, kvcache.New(1<<24))
+	cli, err := Dial(p.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cli.Close()
-	val := bytes.Repeat([]byte("v"), 256)
-	cli.Set("bench-key", val, 0)
+	b.Run("pool", func(b *testing.B) { benchSet(b, p.one, op) })
+	b.Run("client", func(b *testing.B) { benchSet(b, cli.one, op) })
+}
+
+func benchSet(b *testing.B, one func(kvcache.BatchOp) kvcache.BatchResult, op kvcache.BatchOp) {
+	one(op) // the first set inserts; the timed ones overwrite
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := cli.one(kvcache.BatchOp{Kind: kvcache.BatchSet, Key: "bench-key", Value: val}); !r.Found {
+		if !one(op).Found {
 			b.Fatal("set not stored")
+		}
+	}
+}
+
+// BenchmarkLoopbackGetsCas is the write-set flush's shape through the pool:
+// one batch of gets, then one batch of cas ops carrying the tokens it read.
+// Each ApplyBatch returns a fresh result slice and the gets batch one value
+// slab, so an iteration costs 3 allocations however many keys it carries.
+func BenchmarkLoopbackGetsCas(b *testing.B) {
+	p := loopbackPool(b, kvcache.New(1<<24))
+	val := bytes.Repeat([]byte("v"), 64)
+	gets := make([]kvcache.BatchOp, 4)
+	cas := make([]kvcache.BatchOp, len(gets))
+	for i := range gets {
+		key := fmt.Sprintf("bench-key-%d", i)
+		p.Set(key, val, 0)
+		gets[i] = kvcache.BatchOp{Kind: kvcache.BatchGets, Key: key}
+		cas[i] = kvcache.BatchOp{Kind: kvcache.BatchCas, Key: key, Value: val}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, r := range p.ApplyBatch(gets) {
+			if !r.Found {
+				b.Fatal("gets missed")
+			}
+			cas[j].Cas = r.Cas
+		}
+		for _, r := range p.ApplyBatch(cas) {
+			if r.CasResult != kvcache.CasStored {
+				b.Fatalf("cas = %v, want stored", r.CasResult)
+			}
 		}
 	}
 }

@@ -80,8 +80,6 @@ func newL1(entries int, ttl time.Duration) *l1cache {
 
 // l1hash mixes a key into a stripe index: FNV-1a, good enough for eight
 // stripes and free of the full finalizer.
-//
-//genie:hotpath
 func l1hash(key string) uint32 {
 	const (
 		offset32 = 2166136261
@@ -98,8 +96,6 @@ func l1hash(key string) uint32 {
 // lookup returns the entry for key if it is lease-live and epoch-current.
 // The returned slice is the stored one — callers must treat it as
 // read-only, which every caller of kvcache.Cache.Get already does.
-//
-//genie:hotpath
 func (l *l1cache) lookup(key string, now int64) ([]byte, bool) {
 	s := &l.stripes[l1hash(key)&(l1Stripes-1)]
 	s.mu.RLock()

@@ -35,8 +35,6 @@ var opNames = [opKindCount]string{
 
 // classifyCmd maps a command's bytes to its opKind without allocating (the
 // string conversions in a switch are compiler-recognized).
-//
-//genie:hotpath
 func classifyCmd(cmd []byte) opKind {
 	switch string(cmd) {
 	case "get":

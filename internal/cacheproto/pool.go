@@ -463,8 +463,6 @@ func (p *Pool) probe() *Client {
 
 // one runs op as a one-op batch with its op and result on the stack; the
 // exchange is recorded under op's own label, not mop.
-//
-//genie:hotpath
 func (p *Pool) one(op kvcache.BatchOp) kvcache.BatchResult {
 	ops, out := [1]kvcache.BatchOp{op}, [1]kvcache.BatchResult{}
 	p.apply(ops[:], out[:], batchOpLabel[op.Kind])

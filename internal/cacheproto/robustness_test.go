@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -393,6 +394,29 @@ func TestPoolDiscardsConnAfterMopAbort(t *testing.T) {
 	}
 	if st.Idle != 0 {
 		t.Fatalf("broken conn parked: %+v", st)
+	}
+}
+
+// TestFailAllReportsCasNotFound: a batch that never reached the cache reads
+// as all misses, whatever out held before, and a BatchCas reads CasNotFound —
+// not the zero CasResult, which is CasStored. The pool reports an aborted
+// exchange through the same fill.
+func TestFailAllReportsCasNotFound(t *testing.T) {
+	ops := []kvcache.BatchOp{{Kind: kvcache.BatchGets, Key: "a"}, {Kind: kvcache.BatchCas, Key: "a"}, {Kind: kvcache.BatchDelete, Key: "a"}}
+	out := make([]kvcache.BatchResult, len(ops))
+	for i := range out {
+		out[i] = kvcache.BatchResult{Found: true, Value: 7, Data: []byte("stale"), Cas: 9}
+	}
+	failAll(ops, out)
+	want := []kvcache.BatchResult{{}, {CasResult: kvcache.CasNotFound}, {}}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("failed batch = %+v, want %+v", out, want)
+	}
+
+	pool := NewPool(scriptedServer(t, "SERVER_ERROR out of memory\r\n"), 2)
+	defer pool.Close()
+	if got := pool.ApplyBatch(ops); !reflect.DeepEqual(got, want) {
+		t.Fatalf("aborted batch = %+v, want %+v", got, want)
 	}
 }
 

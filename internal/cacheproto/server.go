@@ -283,8 +283,6 @@ func (c *serverConn) clearDeadline() {
 }
 
 // serveOne processes one command; reports whether the connection lives on.
-//
-//genie:hotpath
 func (c *serverConn) serveOne() bool {
 	line, err := c.readLine()
 	if err != nil {
@@ -310,7 +308,7 @@ func (c *serverConn) serveOne() bool {
 	c.m.OpNanos[kind].ObserveSince(start)
 	if err != nil {
 		c.m.Errors.Inc()
-		fmt.Fprintf(c.w, "CLIENT_ERROR %s\r\n", err) //genie:nolint hotpathalloc -- protocol-error branch is cold by definition
+		fmt.Fprintf(c.w, "CLIENT_ERROR %s\r\n", err)
 	}
 	if err := c.w.Flush(); err != nil || quit {
 		return false
@@ -331,7 +329,6 @@ func (c *serverConn) readLine() ([]byte, error) {
 // the server and client connection loops; valid until the next read from r.
 //
 //genie:deadlinearmed client callers arm the per-op deadline; the server's idle wait between requests is deliberately unbounded
-//genie:hotpath
 func readProtoLine(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
@@ -348,7 +345,6 @@ func readProtoLine(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	return trimCRLF(line), nil
 }
 
-//genie:hotpath
 func trimCRLF(line []byte) []byte {
 	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
 		line = line[:len(line)-1]
@@ -358,8 +354,6 @@ func trimCRLF(line []byte) []byte {
 
 // splitFields splits line on runs of spaces and tabs into dst (reused
 // between calls), the in-place equivalent of strings.Fields.
-//
-//genie:hotpath
 func splitFields(line []byte, dst [][]byte) [][]byte {
 	i := 0
 	for i < len(line) {
@@ -381,8 +375,6 @@ func splitFields(line []byte, dst [][]byte) [][]byte {
 // Values past int64 range are rejected, not wrapped — a wrapped byte count
 // would desync the stream framing (the client's payload would be parsed as
 // commands).
-//
-//genie:hotpath
 func atoi(b []byte) (int64, bool) {
 	if len(b) == 0 {
 		return 0, false
@@ -415,8 +407,6 @@ func atoi(b []byte) (int64, bool) {
 
 // atou parses a decimal uint64 without allocating; out-of-range values are
 // rejected, not wrapped.
-//
-//genie:hotpath
 func atou(b []byte) (uint64, bool) {
 	if len(b) == 0 {
 		return 0, false
@@ -440,14 +430,12 @@ func atou(b []byte) (uint64, bool) {
 // flush.
 //
 //genie:deadlinearmed serveOne arms the per-request deadline before dispatch
-//genie:hotpath
 func (c *serverConn) writeInt(n int64) {
 	c.num = strconv.AppendInt(c.num[:0], n, 10)
 	c.w.Write(c.num)
 }
 
 //genie:deadlinearmed serveOne arms the per-request deadline before dispatch
-//genie:hotpath
 func (c *serverConn) writeUint(n uint64) {
 	c.num = strconv.AppendUint(c.num[:0], n, 10)
 	c.w.Write(c.num)
@@ -457,7 +445,6 @@ func (c *serverConn) writeUint(n uint64) {
 // the connection's reusable value buffer.
 //
 //genie:deadlinearmed serveOne arms the per-request deadline before dispatch
-//genie:hotpath
 func (c *serverConn) readData(n int) ([]byte, error) {
 	need := n + 2
 	if cap(c.val) < need {

@@ -278,8 +278,6 @@ func (co *CachedObject) MakeKey(vals ...sqldb.Value) string {
 
 // appendKey renders MakeKey's key onto b; a read wave renders all its keys
 // into one buffer this way.
-//
-//genie:hotpath
 func (co *CachedObject) appendKey(b []byte, vals []sqldb.Value) []byte {
 	b = append(b, "cg:"...)
 	b = append(b, co.spec.Name...)

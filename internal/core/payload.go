@@ -73,8 +73,6 @@ type frame struct {
 // It refuses a non-minimal varint, a flag byte > 1, a row count or value count
 // the bytes cannot hold (before anything is sized by it) and trailing bytes, so
 // whatever decodes re-encodes byte-identical.
-//
-//genie:hotpath
 func framePayload(b []byte) (frame, error) {
 	var f frame
 	if len(b) < 2 {
@@ -120,8 +118,6 @@ func framePayload(b []byte) (frame, error) {
 // same bytes as b; text values are substrings of it. With room for f's values
 // and rows already in vals and rows, it allocates nothing. On error vals and
 // rows come back as they were given.
-//
-//genie:hotpath
 func decodeFramed(vals []sqldb.Value, rows []sqldb.Row, b []byte, s string, f frame) ([]sqldb.Value, []sqldb.Row, error) {
 	vals0, rows0 := len(vals), len(rows)
 	for i, off := 0, f.start; i < f.rows; i++ {

@@ -83,20 +83,6 @@ type BatchResult struct {
 	CasResult CasResult
 }
 
-// FailedBatch returns the results of a batch that never reached the cache:
-// nothing found, nothing stored, and CasNotFound — not the zero CasResult,
-// which is CasStored — for every BatchCas. Batch appliers start from it so an
-// op they skip or lose reads as a miss, the way the per-op methods degrade.
-func FailedBatch(ops []BatchOp) []BatchResult {
-	out := make([]BatchResult, len(ops))
-	for i := range ops {
-		if ops[i].Kind == BatchCas {
-			out[i].CasResult = CasNotFound
-		}
-	}
-	return out
-}
-
 // BatchApplier is the batch entry point every Cache has. It keeps a name of
 // its own because the page-load benchmark asserts it on its decorator.
 type BatchApplier interface {

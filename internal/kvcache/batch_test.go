@@ -127,11 +127,3 @@ func TestBatchGet(t *testing.T) {
 		}
 	})
 }
-
-func TestFailedBatchReportsCasNotFound(t *testing.T) {
-	got := FailedBatch([]BatchOp{{Kind: BatchGets, Key: "a"}, {Kind: BatchCas, Key: "a"}, {Kind: BatchDelete, Key: "a"}})
-	want := []BatchResult{{}, {CasResult: CasNotFound}, {}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("failed batch = %+v, want %+v", got, want)
-	}
-}

@@ -179,8 +179,8 @@ func WithClock(now func() time.Time) Option {
 // WithShards overrides the lock-stripe count (rounded up to a power of
 // two). n <= 0 keeps the DefaultShards auto-sizing, matching the CLI
 // flags' "0 = auto" semantics so callers can pass a knob through
-// unconditionally. Shards=1 is the pre-striping store — one mutex, one
-// LRU — kept as the scaling baseline.
+// unconditionally. Shards=1 is the pre-striping store: one mutex, one
+// LRU.
 func WithShards(n int) Option {
 	return func(c *storeConfig) {
 		if n > 0 {
@@ -265,8 +265,6 @@ func (s *Store) NumShards() int { return len(s.shards) }
 type keyBytes interface{ ~string | ~[]byte }
 
 // fnv1a32 hashes key bytes without allocating.
-//
-//genie:hotpath
 func fnv1a32[K keyBytes](key K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
@@ -283,8 +281,6 @@ func shardFor[K keyBytes](s *Store, key K) *shard { return &s.shards[shardIndex(
 // ---------- per-shard internals (caller holds sh.mu) ----------
 
 // expiredLocked reports and reaps an expired entry.
-//
-//genie:hotpath
 func (s *Store) expiredLocked(sh *shard, e *entry) bool {
 	if e.expires == 0 || s.now().UnixNano() < e.expires {
 		return false
@@ -294,7 +290,6 @@ func (s *Store) expiredLocked(sh *shard, e *entry) bool {
 	return true
 }
 
-//genie:hotpath
 func removeLocked(sh *shard, e *entry) {
 	delete(sh.items, e.key)
 	sh.lru.Remove(e.lruEl)
@@ -304,8 +299,6 @@ func removeLocked(sh *shard, e *entry) {
 // get is the shared lookup; bump controls LRU promotion. The paper notes
 // that trigger touches bump keys even though the application is not "using"
 // them, and suggests a modified LRU; GetQuiet exposes that policy.
-//
-//genie:hotpath
 func get[K keyBytes](s *Store, sh *shard, key K, bump bool) (*entry, bool) {
 	e, ok := sh.items[string(key)]
 	if !ok {
@@ -335,8 +328,6 @@ func (s *Store) ttlToExpiry(ttl time.Duration) int64 {
 // capacity is far larger than needed: buffer reuse must not pin an entry's
 // historical peak size against a budget that only accounts its current
 // length.
-//
-//genie:hotpath
 func overwriteValue(dst, value []byte) []byte {
 	if cap(dst) >= len(value) && cap(dst) <= 4*len(value)+64 {
 		return append(dst[:0], value...)
@@ -347,8 +338,6 @@ func overwriteValue(dst, value []byte) []byte {
 // setLocked writes key=value, creating or replacing, and evicts to fit. An
 // existing entry's value buffer is reused when it has (reasonable)
 // capacity, so steady overwrite traffic does not allocate.
-//
-//genie:hotpath
 func setLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Duration) {
 	seq := s.casSeq.Add(1)
 	if e, ok := sh.items[string(key)]; ok {
@@ -360,7 +349,7 @@ func setLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Du
 		sh.lru.MoveToFront(e.lruEl)
 	} else {
 		e := &entry{
-			key:     string(key), //genie:nolint hotpathalloc -- a first-time insert must own its key; overwrites never reach this branch
+			key:     string(key),
 			value:   exactCopy(value),
 			casID:   seq,
 			expires: s.ttlToExpiry(ttl),
@@ -375,8 +364,6 @@ func setLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Du
 
 // afterWriteLocked runs the post-write maintenance: the paced expiry sweep,
 // then eviction back under the shard's budget.
-//
-//genie:hotpath
 func (s *Store) afterWriteLocked(sh *shard) {
 	sh.writeCount++
 	if sh.writeCount >= sweepEveryWrites {
@@ -390,8 +377,6 @@ func (s *Store) afterWriteLocked(sh *shard) {
 // expired ones. Cold entries sink to the tail, so on TTL-heavy workloads
 // this is exactly where dead entries accumulate; the walk is bounded so the
 // cost stays amortized-constant per write.
-//
-//genie:hotpath
 func (s *Store) sweepLocked(sh *shard, maxScan int) {
 	nowNano := s.now().UnixNano()
 	el := sh.lru.Back()
@@ -409,8 +394,6 @@ func (s *Store) sweepLocked(sh *shard, maxScan int) {
 // evictLocked drops LRU-tail entries until the shard fits its budget. A tail
 // entry that is already past its TTL counts as expired, not evicted — it was
 // dead weight, not live data squeezed out.
-//
-//genie:hotpath
 func (s *Store) evictLocked(sh *shard) {
 	if sh.capacity <= 0 {
 		return
@@ -431,7 +414,6 @@ func (s *Store) evictLocked(sh *shard) {
 	}
 }
 
-//genie:hotpath
 func addLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Duration) bool {
 	if e, ok := sh.items[string(key)]; ok && !s.expiredLocked(sh, e) {
 		return false
@@ -440,7 +422,6 @@ func addLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Du
 	return true
 }
 
-//genie:hotpath
 func casLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Duration, token uint64) CasResult {
 	e, ok := sh.items[string(key)]
 	if !ok || s.expiredLocked(sh, e) {
@@ -454,7 +435,6 @@ func casLocked[K keyBytes](s *Store, sh *shard, key K, value []byte, ttl time.Du
 	return CasStored
 }
 
-//genie:hotpath
 func deleteLocked[K keyBytes](s *Store, sh *shard, key K) bool {
 	e, ok := sh.items[string(key)]
 	if !ok {
@@ -468,7 +448,6 @@ func deleteLocked[K keyBytes](s *Store, sh *shard, key K) bool {
 	return !expired
 }
 
-//genie:hotpath
 func incrLocked[K keyBytes](s *Store, sh *shard, key K, delta int64) (int64, bool) {
 	e, ok := get(s, sh, key, true)
 	if !ok {
@@ -491,8 +470,6 @@ func incrLocked[K keyBytes](s *Store, sh *shard, key K, delta int64) (int64, boo
 // getsAppend appends key's value to dst, returning the extended slice, the
 // entry's CAS token, and whether it was live. The only allocation is dst
 // growth: a nil dst is a fresh copy, a reused one amortizes to nothing.
-//
-//genie:hotpath
 func getsAppend[K keyBytes](s *Store, dst []byte, key K, bump bool) ([]byte, uint64, bool) {
 	sh := shardFor(s, key)
 	sh.mu.Lock()
@@ -504,7 +481,6 @@ func getsAppend[K keyBytes](s *Store, dst []byte, key K, bump bool) ([]byte, uin
 	return append(dst, e.value...), e.casID, true
 }
 
-//genie:hotpath
 func set[K keyBytes](s *Store, key K, value []byte, ttl time.Duration) {
 	sh := shardFor(s, key)
 	sh.mu.Lock()
@@ -512,7 +488,6 @@ func set[K keyBytes](s *Store, key K, value []byte, ttl time.Duration) {
 	setLocked(s, sh, key, value, ttl)
 }
 
-//genie:hotpath
 func add[K keyBytes](s *Store, key K, value []byte, ttl time.Duration) bool {
 	sh := shardFor(s, key)
 	sh.mu.Lock()
@@ -520,7 +495,6 @@ func add[K keyBytes](s *Store, key K, value []byte, ttl time.Duration) bool {
 	return addLocked(s, sh, key, value, ttl)
 }
 
-//genie:hotpath
 func cas[K keyBytes](s *Store, key K, value []byte, ttl time.Duration, token uint64) CasResult {
 	sh := shardFor(s, key)
 	sh.mu.Lock()
@@ -528,7 +502,6 @@ func cas[K keyBytes](s *Store, key K, value []byte, ttl time.Duration, token uin
 	return casLocked(s, sh, key, value, ttl, token)
 }
 
-//genie:hotpath
 func del[K keyBytes](s *Store, key K) bool {
 	sh := shardFor(s, key)
 	sh.mu.Lock()
@@ -536,7 +509,6 @@ func del[K keyBytes](s *Store, key K) bool {
 	return deleteLocked(s, sh, key)
 }
 
-//genie:hotpath
 func incr[K keyBytes](s *Store, key K, delta int64) (int64, bool) {
 	sh := shardFor(s, key)
 	sh.mu.Lock()
@@ -583,37 +555,25 @@ func (s *Store) Incr(key string, delta int64) (int64, bool) { return incr(s, key
 // stays allocation-free, its reads appending into a caller-owned buffer.
 
 // GetsAppendB is Gets for a []byte key, appending the value to dst.
-//
-//genie:hotpath
 func (s *Store) GetsAppendB(dst, key []byte) ([]byte, uint64, bool) {
 	return getsAppend(s, dst, key, true)
 }
 
 // SetB is Set for a []byte key.
-//
-//genie:hotpath
 func (s *Store) SetB(key, value []byte, ttl time.Duration) { set(s, key, value, ttl) }
 
 // AddB is Add for a []byte key.
-//
-//genie:hotpath
 func (s *Store) AddB(key, value []byte, ttl time.Duration) bool { return add(s, key, value, ttl) }
 
 // CasB is Cas for a []byte key.
-//
-//genie:hotpath
 func (s *Store) CasB(key, value []byte, ttl time.Duration, token uint64) CasResult {
 	return cas(s, key, value, ttl, token)
 }
 
 // DeleteB is Delete for a []byte key.
-//
-//genie:hotpath
 func (s *Store) DeleteB(key []byte) bool { return del(s, key) }
 
 // IncrB is Incr for a []byte key.
-//
-//genie:hotpath
 func (s *Store) IncrB(key []byte, delta int64) (int64, bool) { return incr(s, key, delta) }
 
 // FlushAll implements Cache. Shards flush one at a time; concurrent writers
@@ -701,7 +661,6 @@ func (s *Store) Len() int {
 	return n
 }
 
-//genie:hotpath
 func parseDecimal(b []byte) (int64, bool) {
 	if len(b) == 0 {
 		return 0, false
@@ -728,7 +687,6 @@ func parseDecimal(b []byte) (int64, bool) {
 	return n, true
 }
 
-//genie:hotpath
 func appendDecimal(dst []byte, n int64) []byte {
 	if n < 0 {
 		dst = append(dst, '-')

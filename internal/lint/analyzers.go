@@ -3,5 +3,5 @@ package lint
 // All returns the full genielint suite in the order diagnostics are
 // attributed when several fire on one line.
 func All() []*Analyzer {
-	return []*Analyzer{GoroLeak, HotPathAlloc, LockScope, NetDeadline, ObsNaming}
+	return []*Analyzer{GoroLeak, LockScope, NetDeadline, ObsNaming}
 }

@@ -79,11 +79,10 @@ func runFixture(t *testing.T, a *lint.Analyzer, pkg string) {
 	}
 }
 
-func TestHotPathAllocFixture(t *testing.T)     { runFixture(t, lint.HotPathAlloc, "hotpath") }
 func TestLockScopeFixture(t *testing.T)        { runFixture(t, lint.LockScope, "lockscope") }
 func TestNetDeadlineFixture(t *testing.T)      { runFixture(t, lint.NetDeadline, "cacheproto") }
 func TestNetDeadlineGobFixture(t *testing.T)   { runFixture(t, lint.NetDeadline, "dbproto") }
 func TestObsNamingFixture(t *testing.T)        { runFixture(t, lint.ObsNaming, "obsfix") }
 func TestLabelCardinalityFixture(t *testing.T) { runFixture(t, lint.ObsNaming, "labelcard") }
-func TestNolintFixture(t *testing.T)           { runFixture(t, lint.HotPathAlloc, "nolintfix") }
+func TestNolintFixture(t *testing.T)           { runFixture(t, lint.LockScope, "nolintfix") }
 func TestGoroLeakFixture(t *testing.T)         { runFixture(t, lint.GoroLeak, "goroleak") }

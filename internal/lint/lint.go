@@ -11,8 +11,6 @@
 //   - goroleak: `go` statements must show how the goroutine stops — a
 //     WaitGroup Done, a channel receive/select/range, an Accept/Serve
 //     loop, or a send the spawner receives.
-//   - hotpathalloc: forbids allocating constructs in functions marked
-//     //genie:hotpath (the zero-allocation protocol paths).
 //   - lockscope: every Lock needs a same-function Unlock, and mutexes
 //     marked //genie:nonblocking must not be held across blocking calls.
 //   - netdeadline: in the wire-protocol packages, raw reads and writes
@@ -23,6 +21,10 @@
 //     that trace to bounded sources (constants, indices, node identity) —
 //     a wire key or payload interpolated into a label explodes series
 //     cardinality.
+//
+// Allocations are not checked here: bench-smoke measures them, with
+// -benchmem gates on the wire and store paths and AllocsPerRun ceilings in
+// the packages' tests.
 //
 // False positives are suppressed in place with
 //
@@ -299,16 +301,4 @@ func exprText(e ast.Expr) string {
 		return exprText(e.Fun) + "(...)"
 	}
 	return "?"
-}
-
-// isPointerShaped reports whether values of t box into an interface without
-// a heap allocation (pointer-shaped runtime representation).
-func isPointerShaped(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	case *types.Basic:
-		return u.Kind() == types.UnsafePointer
-	}
-	return false
 }

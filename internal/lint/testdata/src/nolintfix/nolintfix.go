@@ -1,26 +1,36 @@
 // Package nolintfix exercises //genie:nolint suppression handling (run
-// under the hotpathalloc analyzer).
+// under the lockscope analyzer: each Lock below lacks its Unlock).
 package nolintfix
 
-import "fmt"
+import "sync"
 
-//genie:hotpath
-func suppressed(b []byte) string {
-	//genie:nolint hotpathalloc -- first-time insert pays the key copy
-	k := string(b)
-	s := fmt.Sprint(k) //genie:nolint hotpathalloc -- cold error branch
-	return s
+var mu sync.Mutex
+
+func suppressedAbove() {
+	//genie:nolint lockscope -- released by the caller's unlockAll
+	mu.Lock()
 }
 
-//genie:hotpath
-func unsuppressed(b []byte) string {
-	//genie:nolint hotpathalloc want `malformed suppression`
-	k := string(b) // want `string\(\[\]byte\) conversion`
-	return k
+func suppressedTrailing() {
+	mu.Lock() //genie:nolint lockscope -- released by the caller's unlockAll
 }
 
-//genie:hotpath
-func suppressAll(b []byte) string {
+func suppressedByList() {
+	//genie:nolint goroleak,lockscope -- released by the caller's unlockAll
+	mu.Lock()
+}
+
+func unsuppressed() {
+	//genie:nolint lockscope want `malformed suppression`
+	mu.Lock() // want `mu\.Lock\(\) without a matching Unlock`
+}
+
+func otherAnalyzerOnly() {
+	//genie:nolint goroleak -- names another analyzer, so lockscope still reports
+	mu.Lock() // want `mu\.Lock\(\) without a matching Unlock`
+}
+
+func suppressAll() {
 	//genie:nolint all -- demo of the catch-all form
-	return string(b)
+	mu.Lock()
 }

@@ -96,8 +96,6 @@ func NewHistogram() *Histogram { return &Histogram{} }
 // Observe records one value. Negative values clamp to zero. Lock-free,
 // allocation-free: two atomic adds, one atomic increment, and a CAS loop
 // that only spins while the running maximum is actually moving.
-//
-//genie:hotpath
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
@@ -117,8 +115,6 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // ObserveSince records the nanoseconds elapsed since start.
-//
-//genie:hotpath
 func (h *Histogram) ObserveSince(start time.Time) {
 	if h == nil {
 		return

@@ -65,8 +65,6 @@ func NewBufferPool(disk *Disk, capacity int) *BufferPool {
 func (bp *BufferPool) Capacity() int { return bp.capacity }
 
 // unlink takes f out of the LRU list. Caller holds bp.mu.
-//
-//genie:hotpath
 func (bp *BufferPool) unlink(f *frame) {
 	f.prev.next, f.next.prev = f.next, f.prev
 	f.prev, f.next = nil, nil
@@ -74,8 +72,6 @@ func (bp *BufferPool) unlink(f *frame) {
 
 // pushFront links f in as the most recently unpinned frame. Caller holds
 // bp.mu.
-//
-//genie:hotpath
 func (bp *BufferPool) pushFront(f *frame) {
 	f.prev, f.next = &bp.lru, bp.lru.next
 	bp.lru.next.prev = f

@@ -183,8 +183,6 @@ func (h *HeapFile) Insert(rec []byte) (RecordID, error) {
 // compactPage repacks live records to the end of the page, reclaiming holes
 // left by deletes and in-place updates. It copies from one stack copy of the
 // page, so it allocates nothing.
-//
-//genie:hotpath
 func compactPage(p []byte) {
 	var old [PageSize]byte
 	copy(old[:], p)

@@ -92,24 +92,9 @@ type StackConfig struct {
 	// stack flushes them during assembly so a previous run's entries cannot
 	// leak into this one.
 	CacheAddrs []string
-	// PoolIdleConns bounds idle pooled connections per remote node
-	// (0 = cacheproto.DefaultPoolIdle).
-	PoolIdleConns int
-	// PoolMaxConns caps total connections per remote node, waiters queueing
-	// beyond it (0 = cacheproto.DefaultPoolMaxConns).
-	PoolMaxConns int
-	// BreakerThreshold is the consecutive-failure count that trips a remote
-	// node's circuit breaker (0 = cacheproto.DefaultFailThreshold; negative
-	// disables the breaker entirely — the pre-resilience dial-per-op
-	// behaviour, kept as the Experiment 8 baseline).
-	BreakerThreshold int
 	// ProbeInterval is the breaker's background probe cadence while open
 	// (0 = cacheproto.DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// OpTimeout bounds every remote cache round trip (and dial) with a
-	// connection deadline, so a node that accepts but never answers releases
-	// its pool slot and feeds the breaker (0 = no deadline).
-	OpTimeout time.Duration
 	// LatencyScale enables the paper-calibrated injected latency model,
 	// PaperScaled(LatencyScale) (0 disables; 1 = paper-absolute; the
 	// experiments use ExpOptions.LatencyScale, default 50).
@@ -229,15 +214,7 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 		perNode = cfg.CacheBytes / int64(cfg.CacheNodes)
 	}
 	newPool := func(addr string) *cacheproto.Pool {
-		return cacheproto.NewPoolWithConfig(cacheproto.PoolConfig{
-			Addr:           addr,
-			MaxIdle:        cfg.PoolIdleConns,
-			MaxConns:       cfg.PoolMaxConns,
-			FailThreshold:  cfg.BreakerThreshold,
-			ProbeInterval:  cfg.ProbeInterval,
-			OpTimeout:      cfg.OpTimeout,
-			DisableBreaker: cfg.BreakerThreshold < 0,
-		})
+		return cacheproto.NewPoolWithConfig(cacheproto.PoolConfig{Addr: addr, ProbeInterval: cfg.ProbeInterval})
 	}
 	newStore := func() *kvcache.Store {
 		return kvcache.New(perNode)
@@ -249,7 +226,7 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 		// Externally launched geniecache nodes (cmd/geniecache -nodes N).
 		// Dial each once up front: an unreachable node used to surface as a
 		// silent zero-hit run, not an error.
-		if err := PreflightCacheAddrs(cfg.CacheAddrs, cfg.OpTimeout); err != nil {
+		if err := PreflightCacheAddrs(cfg.CacheAddrs, 0); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("workload: cache tier preflight: %w", err)
 		}
@@ -341,7 +318,7 @@ func BuildStack(cfg StackConfig) (*Stack, error) {
 }
 
 // defaultPreflightTimeout bounds each preflight dial when the caller passes
-// no timeout (BuildStack passes StackConfig.OpTimeout, which may be zero).
+// no timeout, as BuildStack does.
 const defaultPreflightTimeout = 5 * time.Second
 
 // PreflightCacheAddrs dials every cache node once and reports every
