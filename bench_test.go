@@ -1,7 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (§5). Each benchmark
 // corresponds to a table or figure; custom metrics carry the numbers the
 // paper reports (pages/s throughput, mean page latency, hit rates).
-// EXPERIMENTS.md records a reference run next to the paper's values.
 //
 // The latency model is the paper-calibrated one scaled down 50x (see
 // internal/workload.PaperScaled); absolute numbers are therefore ~50x the
@@ -280,43 +279,6 @@ func BenchmarkExp5TriggerOverhead(b *testing.B) {
 	}
 }
 
-// ---------- Experiment 8: node failure and live ring membership ----------
-
-// BenchmarkExp8NodeFailure runs the failure drill: a 4-node loopback tier
-// loses one node mid-run. Expected shape: hit rate collapses by roughly the
-// dead node's 1/N key share; per-op latency against the dead node is
-// orders of magnitude lower with the breaker (in-process short-circuit)
-// than without (a fresh failed dial per op); removing the node remaps only
-// ~1/N of keys; and reviving + rejoining it restores the original
-// assignment exactly, recovering hit rate. The timeline is also written to
-// BENCH_exp8.json, which CI uploads as a workflow artifact.
-func BenchmarkExp8NodeFailure(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp8Result
-	var failFast, dialStorm, degradedHit, rejoinedHit, remap float64
-	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp8(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-		failFast += float64(res.FailFastP99.Nanoseconds()) / 1000
-		dialStorm += float64(res.DialStormP99.Nanoseconds()) / 1000
-		degradedHit += res.Degraded.HitRate
-		rejoinedHit += res.Rejoined.HitRate
-		remap += res.RemapFraction
-	}
-	b.ReportMetric(failFast/float64(b.N), "failfast-p99-us")
-	b.ReportMetric(dialStorm/float64(b.N), "dialstorm-p99-us")
-	b.ReportMetric(degradedHit/float64(b.N), "degraded-hit-rate")
-	b.ReportMetric(rejoinedHit/float64(b.N), "rejoined-hit-rate")
-	b.ReportMetric(remap/float64(b.N), "remap-fraction")
-	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp8JSON("BENCH_exp8.json", last); err != nil {
-		b.Logf("BENCH_exp8.json not written: %v", err)
-	}
-}
-
 // ---------- Experiment 12: crash drill ----------
 
 // BenchmarkExp12CrashRecovery runs the in-process crash drill: write-heavy
@@ -354,17 +316,17 @@ func BenchmarkExp12CrashRecovery(b *testing.B) {
 	}
 }
 
-// ---------- Experiment 10: replica-aware cluster tier ----------
+// ---------- Experiment 10: node failure and replica-aware failover ----------
 
-// BenchmarkExp10ReplicatedFailover reruns the Experiment 8 kill/revive
-// timeline at R=1 and R=2 on the 4-node loopback tier. Expected shape: the
-// R=1 degraded phase loses the dead node's ~1/N key share (hit ~0.80, the
-// exp8 number) while the R=2 one rides through the kill on breaker-aware
-// failover reads (hit within a few points of healthy), the rejoin handoff
-// warms the revived node, and the closing staleness scan reports zero
-// divergent and zero orphaned keys — trigger invalidations demonstrably
-// reached every replica. The timeline is also written to BENCH_exp10.json,
-// which CI uploads as a workflow artifact.
+// BenchmarkExp10ReplicatedFailover runs the node-failure drill (kill →
+// degraded → remove → revive → rejoin) at R=1 and R=2 on the 4-node
+// loopback tier. Expected shape: the R=1 degraded phase loses the dead
+// node's ~1/N key share (hit ~0.80) while the R=2 one rides through the
+// kill on breaker-aware failover reads (hit within a few points of
+// healthy), the rejoin handoff warms the revived node, and the closing
+// staleness scan reports zero divergent and zero orphaned keys — trigger
+// invalidations demonstrably reached every replica. The timeline is also
+// written to BENCH_exp10.json, which CI uploads as a workflow artifact.
 func BenchmarkExp10ReplicatedFailover(b *testing.B) {
 	opt := benchOpts()
 	var last workload.Exp10Result
@@ -401,7 +363,7 @@ func BenchmarkExp10ReplicatedFailover(b *testing.B) {
 	}
 }
 
-// ---------- Ablations (design choices from DESIGN.md) ----------
+// ---------- Ablations ----------
 
 // BenchmarkAblationTemplateInvalidation contrasts CacheGenie's key-granular
 // invalidation with GlobeCBC-style template-wide invalidation (Table 1's

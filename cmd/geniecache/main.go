@@ -13,24 +13,12 @@
 // consecutive ports are claimed starting at the configured one (port 0
 // lets the kernel pick every port). The launched addresses print one per
 // line, followed by a comma-joined list ready for
-// `genieload -transport remote -cache-addrs ...`. Replication is client-
-// side ring routing, so -replicas only annotates that printed command with
-// the factor the tier is meant to run at (R <= -nodes keys survive a node
-// loss).
-//
-// Failure drills: -kill-node N -kill-after D kills node N (listener and all
-// connections torn down, exactly a crashed process from the client side)
-// D after startup; -revive-after D brings it back cold on the same address
-// D after the kill. Point genieload at the tier to watch breakers trip and
-// recover:
-//
-//	geniecache -addr 127.0.0.1:11311 -nodes 4 -kill-node 1 -kill-after 10s -revive-after 15s
+// `genieload -transport remote -cache-addrs ...`.
 //
 // Observability: -metrics-addr serves Prometheus /metrics (per-node op
 // latency histograms, store counters, connection gauges under node="addr"
 // labels), a /metrics.json snapshot, /healthz, and /debug/pprof for the
-// whole tier. A drill-revived node's fresh server rebinds its series in
-// place.
+// whole tier.
 //
 // On SIGINT/SIGTERM the servers shut down gracefully: listeners close, open
 // connections are torn down, handler goroutines are joined, and per-node
@@ -46,9 +34,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
-	"time"
 
 	"cachegenie/internal/cacheproto"
 	"cachegenie/internal/kvcache"
@@ -60,18 +46,11 @@ func main() {
 	capacity := flag.Int64("capacity", 512<<20, "total cache capacity in bytes, split across nodes (0 = unbounded)")
 	nodes := flag.Int("nodes", 1, "number of cache nodes to launch on consecutive ports")
 	shards := flag.Int("shards", 0, "lock-stripe count per node (0 = auto: next pow2 >= 4x GOMAXPROCS; 1 = single-mutex baseline)")
-	replicas := flag.Int("replicas", 0, "intended ring replication factor for clients of this tier; echoed into the printed genieload command (replication is client-side routing — the servers are unaffected)")
-	killNode := flag.Int("kill-node", -1, "node index to kill for a failure drill (-1 = none)")
-	killAfter := flag.Duration("kill-after", 10*time.Second, "how long after startup to kill -kill-node")
-	reviveAfter := flag.Duration("revive-after", 0, "how long after the kill to revive the node cold on the same address (0 = stay dead)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /metrics.json, /healthz and /debug/pprof on this address (empty = disabled)")
 	flag.Parse()
 
 	if *nodes < 1 {
 		log.Fatalf("geniecache: -nodes must be >= 1, got %d", *nodes)
-	}
-	if *killNode >= *nodes {
-		log.Fatalf("geniecache: -kill-node %d out of range for %d nodes", *killNode, *nodes)
 	}
 	host, portStr, err := net.SplitHostPort(*addr)
 	if err != nil {
@@ -85,6 +64,11 @@ func main() {
 	if *nodes > 1 && perNode > 0 {
 		perNode = *capacity / int64(*nodes)
 	}
+
+	// Catch shutdown signals before any node reports ready, so a signal
+	// sent as soon as the tier is up still takes the graceful path.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	stores := make([]*kvcache.Store, *nodes)
 	servers := make([]*cacheproto.Server, *nodes)
@@ -107,15 +91,10 @@ func main() {
 		bounds[i] = bound
 		fmt.Printf("geniecache node %d listening on %s (capacity %d bytes)\n", i, bound, perNode)
 	}
-	hint := fmt.Sprintf("-cache-addrs %s", strings.Join(bounds, ","))
-	if *replicas > 1 {
-		hint += fmt.Sprintf(" -replicas %d", *replicas)
-	}
-	fmt.Printf("cache tier ready: %s\n", hint)
+	fmt.Printf("cache tier ready: -cache-addrs %s\n", strings.Join(bounds, ","))
 
-	var reg *obs.Registry
 	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
+		reg := obs.NewRegistry()
 		for i := range servers {
 			stores[i].RegisterMetrics(reg, bounds[i])
 			servers[i].Metrics().Register(reg, bounds[i])
@@ -128,47 +107,9 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n", ms.Addr)
 	}
 
-	// srvMu guards servers[i] against the failure-drill goroutine swapping a
-	// revived server in while shutdown walks the slice.
-	var srvMu sync.Mutex
-	if *killNode >= 0 {
-		i := *killNode
-		//genie:nolint goroleak -- the drill timeline is deliberately process-lifetime; main blocks on signals and exits through os.Exit
-		go func() {
-			time.Sleep(*killAfter)
-			srvMu.Lock()
-			err := servers[i].Close()
-			srvMu.Unlock()
-			if err != nil {
-				log.Printf("geniecache: drill kill node %d: %v", i, err)
-				return
-			}
-			fmt.Printf("drill: node %d (%s) killed\n", i, bounds[i])
-			if *reviveAfter <= 0 {
-				return
-			}
-			time.Sleep(*reviveAfter)
-			srv, err := cacheproto.RestartServer(stores[i], bounds[i])
-			if err != nil {
-				log.Printf("geniecache: drill revive node %d: %v", i, err)
-				return
-			}
-			srvMu.Lock()
-			servers[i] = srv
-			srvMu.Unlock()
-			// Rebind the node's series to the fresh server's instruments.
-			srv.Metrics().Register(reg, bounds[i])
-			fmt.Printf("drill: node %d (%s) revived cold\n", i, bounds[i])
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down...")
 	failed := false
-	srvMu.Lock()
-	defer srvMu.Unlock()
 	for i, srv := range servers {
 		if err := srv.Close(); err != nil {
 			log.Printf("geniecache: node %d close: %v", i, err)

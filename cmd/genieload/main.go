@@ -1,7 +1,6 @@
 // Command genieload regenerates the paper's evaluation (§5): every figure
 // and table is one -experiment target. Results print as aligned text
-// series; EXPERIMENTS.md records a reference run against the paper's
-// numbers.
+// series.
 //
 // Usage:
 //
@@ -13,8 +12,7 @@
 //	genieload -experiment exp4           # Fig 3c cache size
 //	genieload -experiment exp4b          # colocated-cache variant
 //	genieload -experiment exp5           # trigger overhead under load
-//	genieload -experiment exp8           # node failure: breaker + live ring membership
-//	genieload -experiment exp10          # R-way replication: failover routing + key handoff
+//	genieload -experiment exp10          # node failure at R=1 and R=2: breaker, failover, key handoff
 //	genieload -experiment exp12          # crash drill: WAL recovery + epoch cache flush
 //	genieload -experiment micro          # §5.3 microbenchmarks
 //	genieload -experiment effort         # §5.2 programmer effort
@@ -31,18 +29,14 @@
 // (cmd/geniecache -nodes N prints a ready-made list) instead of
 // self-launched loopback ones.
 //
-// exp8 is the failure drill: it launches its own loopback tier, kills one
-// node mid-run (matching geniecache's -kill-node/-kill-after flags for
-// external tiers), measures the circuit breaker's fail-fast behaviour
-// against the pre-resilience dial storm, drops the dead node from the ring,
-// revives and rejoins it, and writes the timeline to BENCH_exp8.json.
-//
-// exp10 is the replication drill: the exp8 kill/revive timeline at R=1 vs
-// R=2 — with a second replica, breaker-aware failover reads carry the dead
-// node's key share and the hit rate rides through the kill — plus an
-// invalidation-staleness scan proving triggers reached every replica,
-// written to BENCH_exp10.json. The -replicas flag sets the ring's
-// replication factor for every OTHER experiment's cache tier (0/1 =
+// exp10 is the failure drill: it launches its own loopback tier, kills one
+// node mid-run, drops the dead node from the ring, revives it cold and
+// rejoins it, at R=1 and R=2. At R=1 the dead node's share degrades to
+// misses the breaker fails fast; with a second replica, breaker-aware
+// failover reads carry that share and the hit rate rides through the kill.
+// An invalidation-staleness scan proves triggers reached every replica; the
+// timelines are written to BENCH_exp10.json. The -replicas flag sets the
+// ring's replication factor for every OTHER experiment's cache tier (0/1 =
 // single-owner routing; exp10 sweeps R itself).
 //
 // Observability: -metrics-addr serves Prometheus /metrics, a /metrics.json
@@ -128,7 +122,7 @@ func startTicker(reg *obs.Registry, interval time.Duration) (stop func()) {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp8, exp10, exp12, micro, effort, ablation)")
+	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp10, exp12, micro, effort, ablation)")
 	scale := flag.Int("scale", 50, "latency scale divisor (1 = paper-absolute latencies, slower)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	async := flag.Bool("async", false, "route trigger cache maintenance through the async invalidation bus")
@@ -306,23 +300,9 @@ func main() {
 			return err
 		})
 	}
-	if all || *experiment == "exp8" {
-		matched = true
-		run("Experiment 8: node failure (circuit breaker, live ring membership)", func() error {
-			res, err := workload.Exp8(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp8JSON("BENCH_exp8.json", res); err != nil {
-				return err
-			}
-			fmt.Println("timeline written to BENCH_exp8.json")
-			return nil
-		})
-	}
 	if all || *experiment == "exp10" {
 		matched = true
-		run("Experiment 10: replica-aware cluster tier (R-way replication, failover, key handoff)", func() error {
+		run("Experiment 10: node failure and replica-aware failover (breaker, key handoff)", func() error {
 			res, err := workload.Exp10(opt)
 			if err != nil {
 				return err

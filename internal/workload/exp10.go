@@ -7,26 +7,28 @@ import (
 	"os"
 	"time"
 
+	"cachegenie/internal/cacheproto"
 	"cachegenie/internal/cluster"
 	"cachegenie/internal/obs"
 )
 
-// ---------- Experiment 10: replica-aware cluster tier ----------
+// ---------- Experiment 10: node failure and replica-aware failover ----------
 //
-// Experiment 8 established the failure baseline: with single-owner routing
-// a node kill costs the dead node's whole key share — hit rate 0.94→~0.80 —
-// and every remapped key restarts cold. Experiment 10 reruns that
-// kill/revive timeline with the ring's replication factor at R=1 (the exp8
-// configuration) and R=2: with a second replica the breaker-aware read path
-// fails over to the key's next node and the hit rate should ride through
-// the kill nearly unchanged. The run ends with an invalidation-staleness
-// scan proving trigger maintenance reached every replica: after the final
+// Experiment 10 is the node-failure drill: on a loopback tier it kills one
+// node, leaves it in the ring (degraded), removes it, revives it cold and
+// rejoins it under the same identity. It runs that timeline with the ring's
+// replication factor at R=1 and R=2. At R=1 the dead node's key share
+// degrades to misses, which the breaker turns into in-process fail-fast
+// ops; with a second replica the breaker-aware read path fails over to the
+// key's next node and the hit rate should ride through the kill nearly
+// unchanged. The run ends with an invalidation-staleness scan proving
+// trigger maintenance reached every replica: after the final
 // FlushInvalidations no two replicas may disagree on a key's bytes and no
 // node may hold a key outside its replica set (the membership-change key
 // handoff is what keeps the second invariant).
 
-// Exp10Nodes is the ring size, matching Experiment 8 so the R=1 timeline is
-// directly comparable.
+// Exp10Nodes is the ring size: enough nodes that batch flushes regularly
+// span several owners.
 const Exp10Nodes = 4
 
 // Exp10KillIndex is the node killed mid-run.
@@ -34,6 +36,22 @@ const Exp10KillIndex = 1
 
 // Exp10Replicas is the replicated configuration under test.
 const Exp10Replicas = 2
+
+// exp10ProbeInterval is the breaker probe cadence the drill configures:
+// fast enough that recovery is visible inside a short run, slow enough that
+// probing is not itself a load.
+const exp10ProbeInterval = 25 * time.Millisecond
+
+// Exp10Phase is one workload pass of the failure timeline.
+type Exp10Phase struct {
+	Name       string
+	Throughput float64
+	// HitRate is the Genie read-path hit rate during this phase only
+	// (cumulative counters are differenced across the phase).
+	HitRate float64
+	MeanLat time.Duration
+	Errors  int
+}
 
 // Exp10Timeline is one replication factor's pass through the failure drill.
 type Exp10Timeline struct {
@@ -43,7 +61,7 @@ type Exp10Timeline struct {
 	// fail over to the surviving replica. Recovered: the dead node was
 	// removed from the ring (handoff drains what it can), revived cold,
 	// and rejoined (handoff warms it from the survivors' copies).
-	Healthy, Degraded, Recovered Exp8Phase
+	Healthy, Degraded, Recovered Exp10Phase
 
 	// Replica routing counters over the whole timeline (zero at R=1).
 	Replica cluster.ReplicaStats
@@ -85,10 +103,11 @@ func (r Exp10Result) Timeline(replicas int) (Exp10Timeline, bool) {
 	return Exp10Timeline{}, false
 }
 
-// BuildStackForExp10 assembles one Experiment 10 stack: the Experiment 8
-// shape (ModeUpdate, Exp10Nodes loopback cacheproto servers, breaker armed,
-// fast probe) with the ring's replication factor set. Like exp8 it must
-// kill servers, so external CacheAddrs are rejected.
+// BuildStackForExp10 assembles one Experiment 10 stack: ModeUpdate over
+// Exp10Nodes self-launched loopback cacheproto servers with the breaker
+// armed at its default threshold, a fast probe interval and the ring's
+// replication factor set. The drill kills servers, so external CacheAddrs
+// are rejected.
 func BuildStackForExp10(opt ExpOptions, replicas int) (*Stack, error) {
 	if len(opt.CacheAddrs) > 0 {
 		return nil, fmt.Errorf("workload: exp10 kills cache nodes mid-run; it cannot drive external -cache-addrs servers")
@@ -102,7 +121,7 @@ func BuildStackForExp10(opt ExpOptions, replicas int) (*Stack, error) {
 		CacheNodes:        Exp10Nodes,
 		Replicas:          replicas,
 		Transport:         TransportRemote,
-		ProbeInterval:     exp8ProbeInterval,
+		ProbeInterval:     exp10ProbeInterval,
 		AsyncInvalidation: opt.Async,
 		BatchWindow:       opt.BatchWindow,
 		Obs:               opt.Metrics,
@@ -150,14 +169,14 @@ func exp10Timeline(opt ExpOptions, replicas int) (Exp10Timeline, error) {
 	}
 
 	runCfg := opt.runCfg(15, 40, 2.0)
-	phase := func(name string) (Exp8Phase, error) {
+	phase := func(name string) (Exp10Phase, error) {
 		before := st.Genie.Stats()
 		rep, err := Run(st, runCfg)
 		if err != nil {
-			return Exp8Phase{}, err
+			return Exp10Phase{}, err
 		}
 		after := st.Genie.Stats()
-		p := Exp8Phase{
+		p := Exp10Phase{
 			Name: name, Throughput: rep.Throughput,
 			MeanLat: rep.MeanLatency(), Errors: rep.Errors,
 		}
@@ -279,23 +298,45 @@ func exp10Scan(st *Stack) (scanned, divergent, orphaned int) {
 	return scanned, divergent, orphaned
 }
 
+// waitHealthy polls until the pool's breaker closes or the deadline passes;
+// the caller's next phase tolerates either (ops just stay degraded).
+func waitHealthy(p *cacheproto.Pool, timeout time.Duration) {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if p.State() == cacheproto.BreakerClosed {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // ---------- BENCH_exp10.json ----------
+
+// Exp10JSONPhase serializes one phase; durations flatten to milliseconds so
+// the artifact diffs meaningfully across CI runs.
+type Exp10JSONPhase struct {
+	Name                  string  `json:"name"`
+	ThroughputPagesPerSec float64 `json:"throughput_pages_per_sec"`
+	HitRate               float64 `json:"hit_rate"`
+	MeanLatMs             float64 `json:"mean_lat_ms"`
+	Errors                int     `json:"errors"`
+}
 
 // Exp10JSONTimeline serializes one replication factor's pass.
 type Exp10JSONTimeline struct {
-	Replicas      int             `json:"replicas"`
-	Phases        []Exp8JSONPhase `json:"phases"`
-	FailoverReads int64           `json:"failover_reads"`
-	ReadRepairs   int64           `json:"read_repairs"`
-	SkippedOpen   int64           `json:"skipped_unhealthy"`
-	HandoffDrain  int64           `json:"handoff_drained"`
-	HandoffCopied int64           `json:"handoff_copied"`
-	HandoffSkip   int64           `json:"handoff_skipped_nodes"`
-	BreakerTrips  int64           `json:"breaker_trips"`
-	FailFastOps   int64           `json:"fail_fast_ops"`
-	ScannedKeys   int             `json:"scanned_keys"`
-	DivergentKeys int             `json:"divergent_keys"`
-	OrphanKeys    int             `json:"orphan_keys"`
+	Replicas      int              `json:"replicas"`
+	Phases        []Exp10JSONPhase `json:"phases"`
+	FailoverReads int64            `json:"failover_reads"`
+	ReadRepairs   int64            `json:"read_repairs"`
+	SkippedOpen   int64            `json:"skipped_unhealthy"`
+	HandoffDrain  int64            `json:"handoff_drained"`
+	HandoffCopied int64            `json:"handoff_copied"`
+	HandoffSkip   int64            `json:"handoff_skipped_nodes"`
+	BreakerTrips  int64            `json:"breaker_trips"`
+	FailFastOps   int64            `json:"fail_fast_ops"`
+	ScannedKeys   int              `json:"scanned_keys"`
+	DivergentKeys int              `json:"divergent_keys"`
+	OrphanKeys    int              `json:"orphan_keys"`
 }
 
 // Exp10JSON is the BENCH_exp10.json document.
@@ -304,6 +345,8 @@ type Exp10JSON struct {
 	Nodes      int                 `json:"nodes"`
 	Timelines  []Exp10JSONTimeline `json:"timelines"`
 }
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // WriteExp10JSON records an Experiment 10 run as JSON at path (the CI bench
 // smoke uploads BENCH_*.json files as workflow artifacts).
@@ -324,8 +367,8 @@ func WriteExp10JSON(path string, r Exp10Result) error {
 			DivergentKeys: tl.DivergentKeys,
 			OrphanKeys:    tl.OrphanKeys,
 		}
-		for _, p := range []Exp8Phase{tl.Healthy, tl.Degraded, tl.Recovered} {
-			jt.Phases = append(jt.Phases, Exp8JSONPhase{
+		for _, p := range []Exp10Phase{tl.Healthy, tl.Degraded, tl.Recovered} {
+			jt.Phases = append(jt.Phases, Exp10JSONPhase{
 				Name:                  p.Name,
 				ThroughputPagesPerSec: p.Throughput,
 				HitRate:               p.HitRate,

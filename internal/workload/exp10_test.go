@@ -5,17 +5,99 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"cachegenie/internal/cacheproto"
 )
+
+func buildExp10TestStack(t *testing.T, replicas int) *Stack {
+	t.Helper()
+	st, err := BuildStackForExp10(tinyOpts(), replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
+func TestStackKillAndReviveNode(t *testing.T) {
+	st := buildExp10TestStack(t, 1)
+	addr := st.Pools[1].Addr()
+
+	// Healthy: the node answers over the wire.
+	if _, err := st.Pools[1].ServerStats(); err != nil {
+		t.Fatalf("healthy node unreachable: %v", err)
+	}
+	st.Stores[1].Set("warm", []byte("v"), 0)
+
+	if err := st.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Pools[1].ServerStats(); err == nil {
+		t.Fatal("killed node still reachable")
+	}
+	if err := st.ReviveNode(1); err != nil {
+		t.Fatal(err)
+	}
+	// Use a fresh pool for the liveness check: the original one may be mid
+	// breaker-recovery, which is its own test below.
+	probe := cacheproto.NewPool(addr, 1)
+	defer probe.Close()
+	if _, err := probe.ServerStats(); err != nil {
+		t.Fatalf("revived node unreachable: %v", err)
+	}
+	// The revived node came back cold.
+	if _, ok := st.Stores[1].Get("warm"); ok {
+		t.Fatal("revived node kept pre-crash entries")
+	}
+
+	if err := st.KillNode(99); err == nil {
+		t.Fatal("KillNode out of range accepted")
+	}
+	if err := st.ReviveNode(-1); err == nil {
+		t.Fatal("ReviveNode out of range accepted")
+	}
+}
+
+func TestCacheTierStatsCountsUnreachableNodes(t *testing.T) {
+	st := buildExp10TestStack(t, 1)
+	if got := st.CacheTierStats().UnreachableNodes; got != 0 {
+		t.Fatalf("healthy tier reports %d unreachable nodes", got)
+	}
+	if err := st.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	ts := st.CacheTierStats()
+	if ts.UnreachableNodes != 1 {
+		t.Fatalf("unreachable = %d, want 1", ts.UnreachableNodes)
+	}
+	// The loopback stores keep aggregating even while the wire is down.
+	st.Stores[0].Set("x", []byte("v"), 0)
+	if st.CacheTierStats().Sets == 0 {
+		t.Fatal("store-side counters lost")
+	}
+	if err := st.ReviveNode(2); err != nil {
+		t.Fatal(err)
+	}
+	// The pool on node 2 may need its breaker to close before the probe
+	// succeeds again; poll briefly.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if st.CacheTierStats().UnreachableNodes == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node still unreachable after revive: %+v", st.CacheTierStats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
 // TestReplicatedStackFansOutWrites: a Replicas=2 loopback stack stores
 // every cache entry on both of its replicas — checked at the store ends, so
 // the fan-out is proven on the wire path, not just in-process.
 func TestReplicatedStackFansOutWrites(t *testing.T) {
-	st, err := BuildStackForExp10(tinyOpts(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Close)
+	st := buildExp10TestStack(t, 2)
 	if st.Ring == nil || st.Ring.Replicas() != 2 {
 		t.Fatalf("stack ring replicas = %v", st.Ring)
 	}
@@ -46,10 +128,11 @@ func TestReplicatedStackFansOutWrites(t *testing.T) {
 	}
 }
 
-// TestExp10ReplicatedFailoverTimeline is the acceptance run: with R=2 the
-// hit rate rides through the node kill (>= 0.90, vs the ~0.80 R=1 collapse
-// exp8 established) and the staleness scan after FlushInvalidations finds
-// no divergent or orphaned replicas.
+// TestExp10ReplicatedFailoverTimeline is the acceptance run. At R=1 the
+// dead node's key share degrades to misses and the breaker trips and fails
+// them fast; with R=2 the hit rate rides through the node kill (>= 0.90,
+// vs the ~0.80 R=1 collapse); and the staleness scan after
+// FlushInvalidations finds no divergent or orphaned replicas.
 func TestExp10ReplicatedFailoverTimeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full workload phases over TCP")
@@ -67,7 +150,7 @@ func TestExp10ReplicatedFailoverTimeline(t *testing.T) {
 		t.Fatal("no R=2 timeline")
 	}
 	for _, tl := range res.Timelines {
-		for _, p := range []Exp8Phase{tl.Healthy, tl.Degraded, tl.Recovered} {
+		for _, p := range []Exp10Phase{tl.Healthy, tl.Degraded, tl.Recovered} {
 			if p.Throughput <= 0 {
 				t.Fatalf("R=%d phase %s has no throughput: %+v", tl.Replicas, p.Name, p)
 			}
@@ -79,6 +162,10 @@ func TestExp10ReplicatedFailoverTimeline(t *testing.T) {
 		if tl.ScannedKeys == 0 {
 			t.Fatalf("R=%d staleness scan saw no keys", tl.Replicas)
 		}
+	}
+	if r1.BreakerTrips < 1 || r1.FailFastOps <= 0 {
+		t.Fatalf("R=1 dead-node breaker: %d trips, %d fail-fast ops; want >= 1 and > 0",
+			r1.BreakerTrips, r1.FailFastOps)
 	}
 	if r2.Degraded.HitRate < 0.90 {
 		t.Fatalf("R=2 degraded hit rate = %.3f, want >= 0.90", r2.Degraded.HitRate)
@@ -108,13 +195,13 @@ func TestWriteExp10JSON(t *testing.T) {
 	res := Exp10Result{Timelines: []Exp10Timeline{
 		{
 			Replicas: 1,
-			Healthy:  Exp8Phase{Name: "healthy", Throughput: 100, HitRate: 0.94},
-			Degraded: Exp8Phase{Name: "degraded", Throughput: 70, HitRate: 0.80},
+			Healthy:  Exp10Phase{Name: "healthy", Throughput: 100, HitRate: 0.94},
+			Degraded: Exp10Phase{Name: "degraded", Throughput: 70, HitRate: 0.80},
 		},
 		{
 			Replicas:    2,
-			Healthy:     Exp8Phase{Name: "healthy", Throughput: 98, HitRate: 0.94},
-			Degraded:    Exp8Phase{Name: "degraded", Throughput: 90, HitRate: 0.93},
+			Healthy:     Exp10Phase{Name: "healthy", Throughput: 98, HitRate: 0.94},
+			Degraded:    Exp10Phase{Name: "degraded", Throughput: 90, HitRate: 0.93},
 			ScannedKeys: 1234,
 		},
 	}}

@@ -420,11 +420,6 @@ type CacheTierStats struct {
 	// fail-fast count — the *why* behind a node being skipped in a failure
 	// drill's timeline.
 	PoolStats []cacheproto.PoolStats
-	// OpenBreakers counts nodes whose breaker is not closed right now.
-	OpenBreakers int
-	// BreakerTrips and FailFastOps aggregate the per-node counters above.
-	BreakerTrips int64
-	FailFastOps  int64
 	// NodeWireStats is each remote node's full wire-level stats map in ring
 	// order (nil entries for unreachable nodes; empty for the in-process
 	// transport). The extended stats command carries detail the aggregate
@@ -436,7 +431,7 @@ type CacheTierStats struct {
 // HealthLine renders the per-node breaker picture as one compact log line
 // fragment ("node1=open(trips=1,ff=1234)"), listing only nodes that have
 // ever tripped or are currently not closed — a healthy tier renders as
-// "all-closed". The exp8/exp10 timelines print it so a phase's hit-rate
+// "all-closed". The exp10 timelines print it so a phase's hit-rate
 // number carries its explanation.
 func (t CacheTierStats) HealthLine() string {
 	out := ""
@@ -509,13 +504,7 @@ func (s *Stack) CacheTierStats() CacheTierStats {
 // aggregatePools folds each remote node's PoolStats into the tier view.
 func (s *Stack) aggregatePools(agg *CacheTierStats) {
 	for _, p := range s.Pools {
-		ps := p.Stats()
-		agg.PoolStats = append(agg.PoolStats, ps)
-		if ps.State != cacheproto.BreakerClosed {
-			agg.OpenBreakers++
-		}
-		agg.BreakerTrips += ps.Trips
-		agg.FailFastOps += ps.FailFast
+		agg.PoolStats = append(agg.PoolStats, p.Stats())
 	}
 }
 
