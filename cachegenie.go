@@ -32,9 +32,9 @@
 // maintenance through internal/invbus instead: a write statement publishes
 // the ops its triggers recorded and returns, and the bus's one worker applies
 // every op published within a window with the same write-set flush a
-// synchronous statement runs — per key, the ops compose into one (deletes of
-// a key into one delete, increments into one sum, list edits into one
-// gets/cas), and the window reaches each cache node in at most two batches.
+// synchronous statement runs — per key, the ops travel as one (deletes of a
+// key as one delete, increments as one sum, list edits as one edit the cache
+// node replays), and the window reaches each cache node in one batch.
 // Read-miss repopulation rides the same queue as a populate op, so it stays in
 // order with pending trigger ops. Config.BatchWindow sets the window.
 //

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"cachegenie/internal/kvcache"
+	"cachegenie/internal/rowlist"
 )
 
 // Client speaks the text protocol to one cache server over a single TCP
@@ -220,6 +222,26 @@ func parseCasReply(line []byte) kvcache.CasResult {
 	return kvcache.CasNotFound
 }
 
+// parseEditReply parses an edit's reply: EDITED or SHORT and the four counts
+// its replay made (see serverConn.writeEdit).
+func (c *Client) parseEditReply(line []byte) (rowlist.Result, bool) {
+	var r rowlist.Result
+	f := splitFields(line, c.fields[:0])
+	c.fields = f[:0]
+	if len(f) != 5 || string(f[0]) != "EDITED" && string(f[0]) != "SHORT" {
+		return r, false
+	}
+	r.Short = string(f[0]) == "SHORT"
+	for i, dst := range [...]*int32{&r.Updates, &r.Skips, &r.Deletes, &r.Refused} {
+		n, ok := atoi(f[i+1])
+		if !ok || n < 0 || n > math.MaxInt32 {
+			return r, false
+		}
+		*dst = int32(n)
+	}
+	return r, true
+}
+
 // Every per-op method below is one call to one: a one-op mop exchange through
 // applyBatch, so it gets the batch path's key and size checks and its
 // one-slab value read. Network errors surface as misses; callers fall back to
@@ -390,6 +412,12 @@ func (c *Client) applyBatch(ops []kvcache.BatchOp, out []kvcache.BatchResult) er
 			if n, ok := atoi(line); ok {
 				out[i] = kvcache.BatchResult{Found: true, Value: n}
 			}
+		case kvcache.BatchEdit:
+			r, ok := c.parseEditReply(line)
+			if !ok {
+				return c.fail(fmt.Errorf("cacheproto: bad edit reply %q", line))
+			}
+			out[i] = kvcache.BatchResult{Found: true, Edit: r}
 		default:
 			out[i].Found = string(line) == "DELETED"
 		}
@@ -464,6 +492,8 @@ func (c *Client) writeSubCommand(op *kvcache.BatchOp) {
 	case kvcache.BatchCas:
 		b, hasData = c.appendStoreCmd(b, "cas", op.Key, op.TTL, len(op.Value)), true
 		b = strconv.AppendUint(append(b, ' '), op.Cas, 10)
+	case kvcache.BatchEdit:
+		b, hasData = c.appendStoreCmd(b, "edit", op.Key, op.TTL, len(op.Value)), true
 	case kvcache.BatchGets, kvcache.BatchGet:
 		// mop carries no plain get; a BatchGet's token is dropped on receipt.
 		b = append(append(b, "gets "...), op.Key...)

@@ -3,10 +3,13 @@ package cacheproto
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
 	"cachegenie/internal/kvcache"
+	"cachegenie/internal/rowlist"
+	"cachegenie/internal/sqlval"
 )
 
 // FuzzServerInput drives the server's per-connection dispatch loop over
@@ -55,13 +58,30 @@ func FuzzServerInput(f *testing.F) {
 		// and misses mixed. (Appended last: seed names are positional.)
 		"mop 7\r\ngets k\r\ngets cg:user_by_id:7\r\ngets n\r\ngets cg:wall:7\r\ngets k\r\ngets missing\r\ngets n\r\n",
 	}
+	// The write-set's edit sub-command (appended after the positional seeds
+	// above): a valid list edit of a cached list, one whose data block is
+	// cut short, one whose byte count is past the value cap, one of a stored
+	// value that does not frame as a list ("k"), and a malformed edit.
+	row := sqlval.Row{sqlval.I64(3), sqlval.Str("new row")}
+	op := rowlist.Op{Kind: rowlist.Insert, New: row}
+	ed := string(rowlist.AppendOp(rowlist.AppendShape(nil, rowlist.Shape{Class: rowlist.Feature}), &op))
+	edit := func(key string) string { return fmt.Sprintf("edit %s 0 0 %d\r\n%s\r\n", key, len(ed), ed) }
+	seeds = append(seeds,
+		"mop 2\r\n"+edit("list")+"incr n 1\r\n",
+		fmt.Sprintf("mop 1\r\nedit list 0 0 %d\r\n%s", len(ed), ed[:len(ed)/2]),
+		fmt.Sprintf("mop 1\r\nedit list 0 0 %d\r\n", maxValueBytes+1),
+		"mop 1\r\n"+edit("k"),
+		"mop 1\r\nedit list 0 0 5\r\n\x01\x09\x00\x00\x00\r\n",
+	)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	list := rowlist.Encode(rowlist.List{Rows: []sqlval.Row{{sqlval.I64(1), sqlval.Str("cached")}}})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		store := kvcache.New(1 << 20)
 		store.Set("k", []byte("v1"), 0)
 		store.Set("n", []byte("41"), 0)
+		store.Set("list", list, 0)
 		c := NewServer(store).newServerConn(
 			bufio.NewReader(bytes.NewReader(in)),
 			bufio.NewWriter(io.Discard))

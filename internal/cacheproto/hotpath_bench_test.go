@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"cachegenie/internal/kvcache"
+	"cachegenie/internal/rowlist"
+	"cachegenie/internal/sqlval"
 )
 
 // The hot-path benchmarks drive the server's per-connection dispatch loop
@@ -130,6 +132,39 @@ func BenchmarkServerHotPathMopGetsCas(b *testing.B) {
 	}
 }
 
+// benchList is a 20-row cached list of (pk, owner, text) rows and an edit of
+// it that replaces one row with itself: it changes the list, so every replay
+// decodes, edits, re-encodes and stores it, and leaves the same bytes for the
+// next one.
+func benchList() (entry, edit []byte) {
+	row := func(pk int64) sqlval.Row {
+		return sqlval.Row{sqlval.I64(pk), sqlval.I64(7), sqlval.Str(fmt.Sprintf("bookmark %02d of user seven", pk))}
+	}
+	var l rowlist.List
+	for pk := int64(1); pk <= 20; pk++ {
+		l.Rows = append(l.Rows, row(pk))
+	}
+	op := rowlist.Op{Kind: rowlist.Replace, Old: row(9), New: row(9)}
+	return rowlist.Encode(l), rowlist.AppendOp(rowlist.AppendShape(nil, rowlist.Shape{Class: rowlist.Feature}), &op)
+}
+
+// BenchmarkServerHotPathMopEdit is the write-set's exchange shape at the
+// server: a mop carrying one list edit, which the store replays over the
+// cached list. The replay decodes its text values as views of the bytes it
+// holds, so it allocates nothing either.
+func BenchmarkServerHotPathMopEdit(b *testing.B) {
+	store := kvcache.New(0)
+	entry, edit := benchList()
+	store.Set("list", entry, 0)
+	c, rd, br := benchConn(NewServer(store))
+	req := []byte(fmt.Sprintf("mop 1\r\nedit list 0 0 %d\r\n%s\r\n", len(edit), edit))
+	runRequest(b, c, rd, br, req)
+	b.StopTimer()
+	if v, _ := store.Get("list"); !bytes.Equal(v, entry) {
+		b.Fatal("the edit left different bytes")
+	}
+}
+
 // loopbackPool serves a fresh store on loopback TCP and returns a Pool
 // onto it, the way every stack reaches a node: checkout, breaker and
 // metrics on each op.
@@ -220,6 +255,32 @@ func BenchmarkLoopbackGetsCas(b *testing.B) {
 		for _, r := range p.ApplyBatch(cas) {
 			if r.CasResult != kvcache.CasStored {
 				b.Fatalf("cas = %v, want stored", r.CasResult)
+			}
+		}
+	}
+}
+
+// BenchmarkLoopbackListEdit is the write-set flush's shape through the pool:
+// one batch carrying one edit per key, here the list edit of
+// BenchmarkServerHotPathMopEdit on four cached lists. Neither end allocates
+// for the exchange, so an iteration costs the one result slice ApplyBatch
+// returns.
+func BenchmarkLoopbackListEdit(b *testing.B) {
+	store := kvcache.New(1 << 24)
+	p := loopbackPool(b, store)
+	entry, edit := benchList()
+	ops := make([]kvcache.BatchOp, 4)
+	for i := range ops {
+		key := fmt.Sprintf("bench-list-%d", i)
+		store.Set(key, entry, 0)
+		ops[i] = kvcache.BatchOp{Kind: kvcache.BatchEdit, Key: key, Value: edit}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range p.ApplyBatch(ops) {
+			if !r.Found || r.Edit.Updates != 1 {
+				b.Fatalf("edit = %+v, want one update", r)
 			}
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"cachegenie/internal/kvcache"
+	"cachegenie/internal/rowlist"
+	"cachegenie/internal/sqlval"
 )
 
 func newPair(t *testing.T) (*kvcache.Store, *Client) {
@@ -303,6 +305,57 @@ func TestClientApplyBatchGetsCas(t *testing.T) {
 	// The connection stays framed after both batches.
 	if v, ok := cli.Get("win"); !ok || string(v) != "new" {
 		t.Fatalf("connection desynced after batch: %q %v", v, ok)
+	}
+}
+
+// TestClientApplyBatchEdit: a list edit travels as an edit sub-command with
+// set's framing and comes back with what the node's replay counted — SHORT
+// when a top-K removal used up the reserve and the node dropped the key — and
+// an edit of an entry that is not a list drops it; the batch's other ops and
+// the connection's framing are untouched.
+func TestClientApplyBatchEdit(t *testing.T) {
+	store, cli := newPair(t)
+	row := func(pk, v int64) sqlval.Row { return sqlval.Row{sqlval.I64(pk), sqlval.I64(v), sqlval.Str("x\r\nEND")} }
+	topk := rowlist.Shape{Class: rowlist.TopK, SortCol: 1, Desc: true, K: 2, Limit: 3}
+	edit := func(ops ...rowlist.Op) []byte {
+		b := rowlist.AppendShape(nil, topk)
+		for i := range ops {
+			b = rowlist.AppendOp(b, &ops[i])
+		}
+		return b
+	}
+	store.Set("list", rowlist.Encode(rowlist.List{Rows: []sqlval.Row{row(1, 30), row(2, 20)}}), 0)
+	store.Set("short", rowlist.Encode(rowlist.List{Rows: []sqlval.Row{row(1, 30), row(2, 20)}}), 0)
+	store.Set("junk", []byte("not a list"), 0)
+	store.Set("ctr", []byte("1"), 0)
+	got := cli.ApplyBatch([]kvcache.BatchOp{
+		{Kind: kvcache.BatchEdit, Key: "list", Value: edit(rowlist.Op{Kind: rowlist.Insert, New: row(3, 25)}, rowlist.Op{Kind: rowlist.Insert, New: row(3, 25)})},
+		{Kind: kvcache.BatchEdit, Key: "short", Value: edit(rowlist.Op{Kind: rowlist.Remove, Old: row(1, 30)})},
+		{Kind: kvcache.BatchIncr, Key: "ctr", Delta: 2},
+		{Kind: kvcache.BatchEdit, Key: "junk", Value: edit(rowlist.Op{Kind: rowlist.Remove, Old: row(1, 30)})},
+		{Kind: kvcache.BatchEdit, Key: "absent", Value: edit(rowlist.Op{Kind: rowlist.Remove, Old: row(1, 30)})},
+	})
+	want := []kvcache.BatchResult{
+		{Found: true, Edit: rowlist.Result{Updates: 1}},
+		{Found: true, Edit: rowlist.Result{Updates: 1, Short: true}},
+		{Found: true, Value: 3},
+		{Found: true, Edit: rowlist.Result{Deletes: 1}},
+		{Found: true, Edit: rowlist.Result{Skips: 1}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("results %+v, want %+v", got, want)
+	}
+	raw, _ := store.Get("list")
+	if l, err := rowlist.Decode(raw); err != nil || len(l.Rows) != 3 || rowlist.PK(l.Rows[1]) != 3 {
+		t.Fatalf("list after the edit = %+v, %v", l, err)
+	}
+	for _, k := range []string{"short", "junk", "absent"} {
+		if _, ok := store.Get(k); ok {
+			t.Fatalf("%s is cached after its edit", k)
+		}
+	}
+	if v, ok := cli.Get("ctr"); !ok || string(v) != "3" {
+		t.Fatalf("connection desynced after the batch: %q %v", v, ok)
 	}
 }
 

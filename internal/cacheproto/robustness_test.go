@@ -156,6 +156,24 @@ func TestServerMalformedInput(t *testing.T) {
 			send:       "set k 0 0 18446744073709551616\r\n",
 			wantPrefix: "CLIENT_ERROR",
 		},
+		{
+			// An edit whose bytes do not decode drops its key and is
+			// answered: the stream stays framed.
+			name:       "malformed edit",
+			send:       "edit k 0 0 5\r\n\x01\x09\x00\x00\x00\r\n",
+			wantPrefix: "EDITED 0 0",
+			followUp:   "set ok4 0 0 2\r\nhi\r\n", wantFollowUpOK: true,
+		},
+		{
+			name:       "oversized edit",
+			send:       fmt.Sprintf("edit big 0 0 %d\r\n%s\r\n", maxValueBytes+1, strings.Repeat("x", maxValueBytes+1)),
+			wantPrefix: "CLIENT_ERROR",
+			followUp:   "set ok5 0 0 2\r\nhi\r\n", wantFollowUpOK: true,
+		},
+		{
+			name: "truncated edit data inside mop",
+			send: "mop 1\r\nedit k 0 0 100\r\nonly-ten-b",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,17 +13,18 @@
 //	cas <key> <flags> <exptime> <bytes> <casid>\r\n<data>\r\n
 //	delete <key>\r\n
 //	incr <key> <delta>\r\n  (delta may be negative: memcached decr folded in)
+//	edit <key> <flags> <exptime> <bytes>\r\n<data>\r\n  (see below)
 //	flush_all\r\n
 //	stats\r\n
 //	keys\r\n  (KEY <key> per live key then END; cluster key handoff uses it)
 //	quit\r\n
 //
-// Plus one extension beyond memcached's command set, which turns any run of
+// Plus two extensions beyond memcached's command set. mop turns any run of
 // single-key commands into one network round trip:
 //
 //	mop <count>\r\n
-//	<count> sub-commands (gets / set / add / cas / delete / incr, standard
-//	form, data blocks included)
+//	<count> sub-commands (gets / set / add / cas / delete / incr / edit,
+//	standard form, data blocks included)
 //
 // The server executes the sub-commands in order and buffers each one's
 // standard reply — a gets answers VALUE <key> 0 <bytes> <casid>, the data
@@ -35,13 +36,23 @@
 // pipelined batch is already in the stream and must not run as top-level
 // commands.
 //
+// edit carries, in set's framing, one key's trigger ops as core recorded
+// them (internal/rowlist: the list's shape and the ops in record order). The
+// store replays them atomically over the entry it holds — list edits, incrs,
+// deletes, populates — stores or deletes what they leave, and the server
+// answers with what the replay counted:
+//
+//	EDITED <updates> <skips> <deletes> <refused>\r\n
+//
+// or SHORT in place of EDITED when a top-K removal used up the list's
+// reserve and the key was dropped. An edit whose bytes do not decode drops
+// its key and is answered the same way.
+//
 // Two callers batch this way. Core's write-set flush (internal/core) sends
 // one write statement's trigger maintenance — or, on the invalidation bus,
-// a whole window of statements' — as two batches per node: the gets for
-// every entry it is about to edit together with the incr, delete and add ops
-// that need no read, then the cas (or add) writes computed from what the
-// gets read. A cas answered EXISTS lost a race between the two batches. A
-// page's read wave sends its lookups as one batch of gets.
+// a whole window of statements' — as one batch per node: an edit, incr,
+// delete or add per key, none of which needs a read first. A page's read
+// wave sends its lookups as one batch of gets.
 //
 // The request path is allocation-free in steady state: command lines are
 // read with a reusable buffer and split into byte-slice fields in place,
@@ -63,6 +74,7 @@ import (
 	"time"
 
 	"cachegenie/internal/kvcache"
+	"cachegenie/internal/rowlist"
 )
 
 // maxValueBytes bounds one value's size (memcached's classic 1 MB object
@@ -441,6 +453,24 @@ func (c *serverConn) writeUint(n uint64) {
 	c.w.Write(c.num)
 }
 
+// writeEdit answers an edit with what its replay counted: "EDITED <updates>
+// <skips> <deletes> <refused>", or SHORT in place of EDITED when a top-K
+// removal used up the reserve and the key was dropped.
+//
+//genie:deadlinearmed serveOne arms the per-request deadline before dispatch
+func (c *serverConn) writeEdit(r rowlist.Result) {
+	if r.Short {
+		c.w.WriteString("SHORT")
+	} else {
+		c.w.WriteString("EDITED")
+	}
+	for _, n := range [...]int32{r.Updates, r.Skips, r.Deletes, r.Refused} {
+		c.w.WriteByte(' ')
+		c.writeInt(int64(n))
+	}
+	c.w.WriteString("\r\n")
+}
+
 // readData consumes a data block of n bytes plus its \r\n terminator into
 // the connection's reusable value buffer.
 //
@@ -505,7 +535,7 @@ func (c *serverConn) dispatch(fields [][]byte) (quit bool, err error) {
 			c.scratch = nil // as with c.val, don't pin a huge one-off value
 		}
 		return false, nil
-	case "set", "add", "cas":
+	case "set", "add", "cas", "edit":
 		isCas := fields[0][0] == 'c'
 		want := 5
 		if isCas {
@@ -535,7 +565,7 @@ func (c *serverConn) dispatch(fields [][]byte) (quit bool, err error) {
 		if isCas {
 			casID, casOK = atou(fields[5])
 		}
-		op := fields[0][0] // 's' | 'a' | 'c'
+		op := fields[0][0] // 's' | 'a' | 'c' | 'e'
 		// The data-block read refills the bufio buffer and invalidates the
 		// field slices; the key must survive it.
 		c.key = append(c.key[:0], fields[1]...)
@@ -561,6 +591,8 @@ func (c *serverConn) dispatch(fields [][]byte) (quit bool, err error) {
 		case 's':
 			c.store.SetB(c.key, data, ttl)
 			w.WriteString("STORED\r\n")
+		case 'e':
+			c.writeEdit(c.store.EditB(c.key, data, ttl))
 		case 'a':
 			if c.store.AddB(c.key, data, ttl) {
 				w.WriteString("STORED\r\n")
@@ -630,7 +662,7 @@ func (c *serverConn) dispatch(fields [][]byte) (quit bool, err error) {
 				return true, errors.New("empty mop sub-command")
 			}
 			switch string(sub[0]) {
-			case "gets", "set", "add", "cas", "delete", "incr":
+			case "gets", "set", "add", "cas", "delete", "incr", "edit":
 				// One standard reply each; errors abort the batch AND the
 				// connection: the batch arrives as one pipelined flush, so
 				// after an abort the remaining sub-commands are already in

@@ -587,7 +587,9 @@ func (f *fanout) apply(n int) {
 //
 // Gets and cas ops go to that first healthy replica only: a token is only
 // meaningful on the node that issued it. A stored cas then propagates to the
-// key's other replicas as a plain set, in one more concurrent round.
+// key's other replicas as a plain set, in one more concurrent round. A list
+// edit (kvcache.BatchEdit) is a mutation like any other: every replica
+// replays it on its own copy in the batch's one round.
 //
 // A get goes to the one replica Ring.Get would try first, the first healthy
 // one, and what that replica answers is the answer: unlike Ring.Get, a

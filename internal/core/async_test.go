@@ -7,6 +7,7 @@ import (
 
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -197,8 +198,8 @@ func TestAsyncDisabledHasNoBus(t *testing.T) {
 
 // TestAsyncWindowComposesPerKey runs each case's ops inside one long bus
 // window and checks what the window's flush sent to the cache and what the
-// key holds after it: per key, a window's ops compose in record order into at
-// most one op per batch.
+// key holds after it: per key, a window's ops reach the cache as one op in one
+// batch, which the node replays in record order.
 func TestAsyncWindowComposesPerKey(t *testing.T) {
 	const profileKey, countKey = "cg:profile:{1}", "cg:wall_count:{1}"
 	type env struct {
@@ -257,25 +258,25 @@ func TestAsyncWindowComposesPerKey(t *testing.T) {
 			name: "populate then delete leaves the key absent", strategy: Invalidate,
 			setup:  func(e env) { profile(e, "v1") },
 			window: func(e env) { read(e); update(e, "v2") },
-			key:    profileKey, batches: "[[gets]]", want: "",
+			key:    profileKey, batches: "[[edit]]", want: "",
 		},
 		{
 			name: "delete then populate leaves the populated entry", strategy: Invalidate,
 			setup:  func(e env) { profile(e, "v1") },
 			window: func(e env) { update(e, "v2"); read(e) },
-			key:    profileKey, batches: "[[gets] [add]]", want: "rows=1",
+			key:    profileKey, batches: "[[edit]]", want: "rows=1",
 		},
 		{
 			name: "populate then list edit leaves the edited list", strategy: UpdateInPlace,
 			setup:  func(e env) { profile(e, "v1") },
 			window: func(e env) { read(e); profile(e, "v2") },
-			key:    profileKey, batches: "[[gets] [add]]", want: "rows=2",
+			key:    profileKey, batches: "[[edit]]", want: "rows=2",
 		},
 		{
 			name: "populate then incr leaves the exact count", strategy: UpdateInPlace,
 			setup:  func(e env) { post(e); post(e) },
 			window: func(e env) { count(e); post(e) },
-			key:    countKey, batches: "[[gets] [add]]", want: "3",
+			key:    countKey, batches: "[[edit]]", want: "3",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -299,10 +300,10 @@ func TestAsyncWindowComposesPerKey(t *testing.T) {
 			if raw, ok := s.cache.Get(tc.key); !ok {
 			} else if tc.key == countKey {
 				got = string(raw)
-			} else if p, err := decodePayload(raw); err != nil {
+			} else if p, err := rowlist.Decode(raw); err != nil {
 				t.Fatalf("cached %s does not decode: %v", tc.key, err)
 			} else {
-				got = fmt.Sprintf("rows=%d", len(p.rows))
+				got = fmt.Sprintf("rows=%d", len(p.Rows))
 			}
 			if got != tc.want {
 				t.Errorf("%s holds %q after the window, want %q", tc.key, got, tc.want)
@@ -321,8 +322,8 @@ func TestAsyncWindowComposesPerKey(t *testing.T) {
 }
 
 // TestAsyncWindowEditsAListOnce: two statements that edit one cached list in
-// one bus window reach the cache as one gets batch and one cas batch, the
-// window's flush composing both edits, not as a gets/cas exchange per edit.
+// one bus window reach the cache as one edit in one batch, which carries both
+// edits, not as an exchange per edit.
 func TestAsyncWindowEditsAListOnce(t *testing.T) {
 	s, cc := newAsyncStackWindow(t, UpdateInPlace, time.Hour)
 	for _, bio := range []string{"v1", "v2"} {
@@ -342,8 +343,8 @@ func TestAsyncWindowEditsAListOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.g.FlushInvalidations()
-	if got := fmt.Sprint(cc.batches); got != "[[gets] [cas]]" || len(cc.perOp) != 0 {
-		t.Fatalf("two list edits reached the cache as batches %s and per-op calls %v, want [[gets] [cas]] and none", got, cc.perOp)
+	if got := fmt.Sprint(cc.batches); got != "[[edit]]" || len(cc.perOp) != 0 {
+		t.Fatalf("two list edits reached the cache as batches %s and per-op calls %v, want [[edit]] and none", got, cc.perOp)
 	}
 	before := s.g.Stats().Hits
 	checkAgainstDB(t, s, s.g.Objects()[0], sqldb.I64(1))
@@ -352,10 +353,9 @@ func TestAsyncWindowEditsAListOnce(t *testing.T) {
 	}
 }
 
-// TestAsyncLostCasDropsKey is the bus route of checkLostCasDeletesKey: a key
-// whose cas loses a race between a window's two batches is deleted, as on the
-// synchronous route.
-func TestAsyncLostCasDropsKey(t *testing.T) {
+// TestAsyncEditLandsOnAConcurrentWrite is the bus route of
+// checkEditLandsOnAConcurrentWrite.
+func TestAsyncEditLandsOnAConcurrentWrite(t *testing.T) {
 	s, cc := newAsyncStackWindow(t, UpdateInPlace, time.Hour)
-	checkLostCasDeletesKey(t, s, cc, s.g.Objects()[0])
+	checkEditLandsOnAConcurrentWrite(t, s, cc, s.g.Objects()[0])
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 )
 
 // BenchmarkCachedReadVsDirect contrasts the intercepted cache-hit path with
@@ -95,15 +96,15 @@ func BenchmarkPayloadCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	m, _ := s.reg.Model("Wall")
-	p := payload{exhaustive: false}
+	p := rowlist.List{}
 	for _, o := range rows {
-		p.rows = append(p.rows, s.reg.ObjectToRow(m, o))
+		p.Rows = append(p.Rows, s.reg.ObjectToRow(m, o))
 	}
-	enc := encodePayload(p)
+	enc := rowlist.Encode(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc2 := encodePayload(p)
-		if _, err := decodePayload(enc2); err != nil {
+		enc2 := rowlist.Encode(p)
+		if _, err := rowlist.Decode(enc2); err != nil {
 			b.Fatal(err)
 		}
 	}

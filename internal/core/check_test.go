@@ -11,6 +11,7 @@ import (
 
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -128,37 +129,37 @@ func (co *CachedObject) check(db *sqldb.DB, key string, vals []sqldb.Value, raw 
 	}
 	want := rs.Rows
 	if co.spec.Class == CountQuery {
-		if n, ok := parseCount(raw); !ok || n != want[0][0].I {
+		if n, ok := rowlist.ParseCount(raw); !ok || n != want[0][0].I {
 			return fmt.Sprintf("%s: cached count %q, database %d", key, raw, want[0][0].I), nil
 		}
 		return "", nil
 	}
-	p, err := decodePayload(raw)
+	p, err := rowlist.Decode(raw)
 	if err != nil {
 		return fmt.Sprintf("%s: undecodable entry: %v", key, err), nil
 	}
 	if co.spec.Class != TopKQuery {
-		if got, want := renderSet(p.rows), renderSet(want); got != want {
+		if got, want := renderSet(p.Rows), renderSet(want); got != want {
 			return fmt.Sprintf("%s: cached rows\n%s\ndatabase rows\n%s", key, got, want), nil
 		}
 		return "", nil
 	}
-	m, n := len(p.rows), len(want)
+	m, n := len(p.Rows), len(want)
 	switch {
 	case m < min(co.spec.K, n):
 		return fmt.Sprintf("%s: cached %d rows, short of min(K=%d, %d in the database)", key, m, co.spec.K, n), nil
-	case p.exhaustive && m != n:
+	case p.Exhaustive && m != n:
 		return fmt.Sprintf("%s: marked exhaustive with %d rows, database %d", key, m, n), nil
 	}
 	inDB := map[string]bool{}
 	for _, r := range want {
 		inDB[fmt.Sprint(r)] = true
 	}
-	for i, r := range p.rows {
+	for i, r := range p.Rows {
 		if i >= n || sqldb.Compare(r[co.sortIdx], want[i][co.sortIdx]) != 0 || !inDB[fmt.Sprint(r)] ||
-			findRowByPK(p.rows[:i], rowPK(r)) >= 0 {
+			slices.ContainsFunc(p.Rows[:i], func(x sqldb.Row) bool { return rowlist.PK(x) == rowlist.PK(r) }) {
 			return fmt.Sprintf("%s: cached row %d %v is not the head of the database's order\n%s\ndatabase order\n%s",
-				key, i, r, renderList(p.rows), renderList(want)), nil
+				key, i, r, renderList(p.Rows), renderList(want)), nil
 		}
 	}
 	return "", nil
@@ -180,15 +181,27 @@ func renderSet(rows []sqldb.Row) string {
 	return strings.Join(out, "\n")
 }
 
-// stale runs the oracle over s's store once the bus has drained, and returns
-// what it found as one error.
+// stale runs the oracle over s's store — every replica's, when s has them —
+// once the bus has drained, and returns what it found as one error.
 func (s *stack) stale() error {
 	s.g.FlushInvalidations()
-	violations, err := checkCache(s.cache, s.g, s.db)
-	if err == nil && len(violations) > 0 {
-		err = fmt.Errorf("the cache differs from the database:\n%s", strings.Join(violations, "\n"))
+	stores := s.replicas
+	if stores == nil {
+		stores = []*kvcache.Store{s.cache}
 	}
-	return err
+	for i, store := range stores {
+		violations, err := checkCache(store, s.g, s.db)
+		if err == nil && len(violations) > 0 {
+			err = fmt.Errorf("the cache differs from the database:\n%s", strings.Join(violations, "\n"))
+		}
+		if err != nil && len(stores) > 1 {
+			err = fmt.Errorf("replica %d: %w", i, err)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // requireFresh fails t on anything the oracle finds in s's store.
@@ -247,16 +260,16 @@ func TestOracleContract(t *testing.T) {
 		t.Fatalf("the store holds %d entries after five reads", n)
 	}
 
-	decoded := func(key string) payload {
+	decoded := func(key string) rowlist.List {
 		raw, _ := s.cache.Get(key)
-		p, err := decodePayload(raw)
+		p, err := rowlist.Decode(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	top := decoded(topk.MakeKey(ten)).rows // p3 p2 p1 of four
-	edited := slices.Clone(decoded(profile.MakeKey(one)).rows[0])
+	top := decoded(topk.MakeKey(ten)).Rows // p3 p2 p1 of four
+	edited := slices.Clone(decoded(profile.MakeKey(one)).Rows[0])
 	edited[2] = sqldb.Str("not the bio")
 	for _, c := range []struct {
 		name, key string
@@ -266,11 +279,11 @@ func TestOracleContract(t *testing.T) {
 		{"an Expiry object's entry", expiry.MakeKey(one), []byte("garbage"), false},
 		{"a foreign key", "session:1", []byte("garbage"), false},
 		{"a count off by one", count.MakeKey(ten), []byte("3"), true},
-		{"a wrong feature row set", profile.MakeKey(one), encodePayload(payload{rows: []sqldb.Row{edited}}), true},
+		{"a wrong feature row set", profile.MakeKey(one), rowlist.Encode(rowlist.List{Rows: []sqldb.Row{edited}}), true},
 		{"an undecodable link entry", link.MakeKey(one), []byte("garbage"), true},
-		{"a top-K list that skips a row", topk.MakeKey(ten), encodePayload(payload{rows: []sqldb.Row{top[0], top[2]}}), true},
-		{"a top-K list short of K", topk.MakeKey(ten), encodePayload(payload{rows: top[:1]}), true},
-		{"an exhaustive top-K list missing rows", topk.MakeKey(ten), encodePayload(payload{exhaustive: true, rows: top[:2]}), true},
+		{"a top-K list that skips a row", topk.MakeKey(ten), rowlist.Encode(rowlist.List{Rows: []sqldb.Row{top[0], top[2]}}), true},
+		{"a top-K list short of K", topk.MakeKey(ten), rowlist.Encode(rowlist.List{Rows: top[:1]}), true},
+		{"an exhaustive top-K list missing rows", topk.MakeKey(ten), rowlist.Encode(rowlist.List{Exhaustive: true, Rows: top[:2]}), true},
 	} {
 		saved, held := s.cache.Get(c.key)
 		s.cache.Set(c.key, c.value, 0)

@@ -7,6 +7,7 @@ import (
 
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -81,11 +82,11 @@ func TestColdMissStampede(t *testing.T) {
 	if !ok {
 		t.Fatal("no reader repopulated the cold key")
 	}
-	p, err := decodePayload(raw)
+	p, err := rowlist.Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.rows) != 1 || p.rows[0][2].S != "celebrity post" {
-		t.Fatalf("cached rows = %v, want the database's row", p.rows)
+	if len(p.Rows) != 1 || p.Rows[0][2].S != "celebrity post" {
+		t.Fatalf("cached rows = %v, want the database's row", p.Rows)
 	}
 }

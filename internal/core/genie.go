@@ -14,6 +14,7 @@ import (
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/obs"
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -59,7 +60,7 @@ type Stats struct {
 	TriggerDeletes  int64 // invalidations from triggers
 	TriggerSkips    int64 // trigger found key absent and quit
 	Recomputes      int64 // top-K reserve exhausted, full recompute
-	CasRetries      int64 // keys deleted after losing a cas between a flush's two batches
+	CasRetries      int64 // always 0: a flush sends edits, with no cas to lose; kept for the page-load benchmark
 	PopulateRefused int64 // Add lost to a concurrent populate
 	Waves           int64 // read waves fetched as one batch (two or more distinct keys)
 	WaveKeys        int64 // keys those batches carried
@@ -96,12 +97,11 @@ type Genie struct {
 	trigDeletes     atomic.Int64
 	trigSkips       atomic.Int64
 	recomputes      atomic.Int64
-	casRetries      atomic.Int64
 	populateRefused atomic.Int64
 	waves           atomic.Int64
 	waveKeys        atomic.Int64
-	// flushOps is the number of cache ops each write-set flush carried in
-	// its two batches.
+	// flushOps is the number of cache ops each write-set flush carried: one
+	// per key, and a set per top-K list recomputed.
 	flushOps obs.Histogram
 }
 
@@ -165,7 +165,6 @@ func (g *Genie) Stats() Stats {
 		TriggerDeletes:  g.trigDeletes.Load(),
 		TriggerSkips:    g.trigSkips.Load(),
 		Recomputes:      g.recomputes.Load(),
-		CasRetries:      g.casRetries.Load(),
 		PopulateRefused: g.populateRefused.Load(),
 		Waves:           g.waves.Load(),
 		WaveKeys:        g.waveKeys.Load(),
@@ -199,7 +198,7 @@ func (co *CachedObject) populate(key string, vals []sqldb.Value, enc []byte) {
 	g := co.g
 	if g.bus != nil {
 		g.pending.Store(key, enc)
-		g.bus.Publish([]op{{co: co, kind: opPopulate, vals: vals, key: key, enc: enc}})
+		g.bus.Publish([]op{{co: co, Op: rowlist.Op{Kind: opPopulate, Enc: enc}, vals: vals, key: key}})
 		return
 	}
 	if !g.cache.Add(key, enc, co.ttl()) {
@@ -213,7 +212,7 @@ func (co *CachedObject) populate(key string, vals []sqldb.Value, enc []byte) {
 func (g *Genie) applyWindow(ops []op) (keys int) {
 	keys = g.flush(nil, ops)
 	for i := range ops {
-		if ops[i].kind == opPopulate {
+		if ops[i].Kind == opPopulate {
 			g.pending.Delete(ops[i].key)
 		}
 	}
@@ -223,7 +222,7 @@ func (g *Genie) applyWindow(ops []op) (keys int) {
 // dropKey removes a corrupt or unparseable entry, via the bus when async.
 func (co *CachedObject) dropKey(key string, vals []sqldb.Value) {
 	if co.g.bus != nil {
-		co.g.bus.Publish([]op{{co: co, kind: opDelete, vals: vals, key: key}})
+		co.g.bus.Publish([]op{{co: co, Op: rowlist.Op{Kind: opDelete}, vals: vals, key: key}})
 		return
 	}
 	co.g.cache.Delete(key)
@@ -243,6 +242,9 @@ type CachedObject struct {
 	// field's position and targetIdx the link target field's.
 	whereIdx                    []int
 	sortIdx, targetIdx, joinIdx int
+	// shape is what the list semantics need of the object, sent with every
+	// edit of one of its entries.
+	shape rowlist.Shape
 	// sql is the derived query template (paper: "query generation").
 	sql string
 	// linkSourceField is the one filter a LinkQuery read carries:
@@ -293,6 +295,32 @@ func (co *CachedObject) appendKey(b []byte, vals []sqldb.Value) []byte {
 	return b
 }
 
+// appendKeyValue renders one lookup value onto a cache key. Strings are
+// percent-escaped so a value can contain neither the key separator, nor a
+// brace that would open or close the key's placement tag, nor any byte the
+// text protocol refuses in a key (space, control characters, DEL): a lookup
+// on a string with a tab or newline still names a cacheable key.
+func appendKeyValue(b []byte, v sqldb.Value) []byte {
+	if v.Null {
+		return append(b, "~null~"...)
+	}
+	switch v.Type {
+	case sqldb.TypeInt, sqldb.TypeBool, sqldb.TypeTime:
+		return strconv.AppendInt(b, v.I, 10)
+	case sqldb.TypeFloat:
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	}
+	const hex = "0123456789ABCDEF"
+	for i := 0; i < len(v.S); i++ {
+		if c := v.S[i]; c == '%' || c == ':' || c == '{' || c == '}' || c <= ' ' || c == 0x7f {
+			b = append(b, '%', hex[c>>4], hex[c&15])
+		} else {
+			b = append(b, c)
+		}
+	}
+	return b
+}
+
 // Cacheable declares a cached object: it derives the query template,
 // generates and installs the triggers, and (unless the spec is Opaque)
 // arms transparent interception for matching ORM queries. This is the
@@ -336,6 +364,7 @@ func (g *Genie) Cacheable(spec Spec) (*CachedObject, error) {
 		return nil, missing
 	}
 	co.sql = co.buildQueryTemplate()
+	co.shape = co.listShape()
 	co.compile()
 
 	// The object is published only once its triggers are in: a declaration
@@ -359,6 +388,21 @@ func (g *Genie) Cacheable(spec Spec) (*CachedObject, error) {
 		g.byModel.Store(&next)
 	}
 	return co, nil
+}
+
+// listShape is what the list semantics need of the object; a count has no
+// list.
+func (co *CachedObject) listShape() rowlist.Shape {
+	switch co.spec.Class {
+	case FeatureQuery:
+		return rowlist.Shape{Class: rowlist.Feature}
+	case LinkQuery:
+		return rowlist.Shape{Class: rowlist.Link, TargetCol: co.targetIdx, JoinCol: co.joinIdx}
+	case TopKQuery:
+		return rowlist.Shape{Class: rowlist.TopK, SortCol: co.sortIdx, Desc: co.spec.SortDesc,
+			K: co.spec.K, Limit: co.spec.K + co.spec.reserve()}
+	}
+	return rowlist.Shape{}
 }
 
 // buildQueryTemplate derives the SQL issued on cache misses.
@@ -479,10 +523,10 @@ func (co *CachedObject) rows(l *lookup) ([]sqldb.Row, error) {
 		return co.firstK(rows), nil
 	}
 	if raw, ok := l.get(); ok {
-		p, err := decodePayload(raw)
+		l, err := rowlist.Decode(raw)
 		if err == nil {
 			co.g.hits.Add(1)
-			return co.firstK(p.rows), nil
+			return co.firstK(l.Rows), nil
 		}
 		// Corrupt entry: drop it and fall through to the database.
 		co.dropKey(key, vals)
@@ -492,7 +536,7 @@ func (co *CachedObject) rows(l *lookup) ([]sqldb.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	co.populate(key, vals, encodePayload(payload{exhaustive: exhaustive, rows: rows}))
+	co.populate(key, vals, rowlist.Encode(rowlist.List{Exhaustive: exhaustive, Rows: rows}))
 	return co.firstK(rows), nil
 }
 
@@ -517,7 +561,7 @@ func (co *CachedObject) Count(vals ...sqldb.Value) (int64, error) {
 func (co *CachedObject) count(l *lookup) (int64, error) {
 	key, vals := l.key, l.vals
 	if raw, ok := l.get(); ok {
-		if n, ok := parseCount(raw); ok {
+		if n, ok := rowlist.ParseCount(raw); ok {
 			co.g.hits.Add(1)
 			return n, nil
 		}
@@ -550,28 +594,6 @@ func (co *CachedObject) fetchFromDB(q interface {
 		exhaustive = len(rs.Rows) < co.spec.K+co.spec.reserve()
 	}
 	return rs.Rows, exhaustive, nil
-}
-
-func parseCount(b []byte) (int64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var n int64
-	neg := false
-	i := 0
-	if b[0] == '-' {
-		neg, i = true, 1
-	}
-	for ; i < len(b); i++ {
-		if b[i] < '0' || b[i] > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(b[i]-'0')
-	}
-	if neg {
-		n = -n
-	}
-	return n, true
 }
 
 // ---------- orm.Interceptor ----------
@@ -704,7 +726,7 @@ func (g *Genie) readWave(ds []*orm.QueryDescriptor) waveReads {
 	return reads
 }
 
-// decodeWave decodes every parked row-object hit of a wave as decodePayload
+// decodeWave decodes every parked row-object hit of a wave as rowlist.Decode
 // decodes one list, but in three allocations for the whole wave: one string
 // holding all their bytes, whose substrings are the text values, one
 // []sqldb.Value and one []sqldb.Row. Each lookup's list is a capped window of
@@ -713,8 +735,8 @@ func (g *Genie) readWave(ds []*orm.QueryDescriptor) waveReads {
 // decode is left undecoded: its lookup drops and reloads it.
 func decodeWave(reads waveReads) {
 	// frames holds, in order, each parked row-object hit's frame; a zero frame
-	// (start 0) marks one that did not frame.
-	var frameBuf [16]frame
+	// (Start 0) marks one that did not frame.
+	var frameBuf [16]rowlist.Frame
 	frames := frameBuf[:0]
 	size, values, rows := 0, 0, 0
 	for i := range reads {
@@ -722,11 +744,11 @@ func decodeWave(reads waveReads) {
 		if !l.parkedList() {
 			continue
 		}
-		f, err := framePayload(l.raw)
+		f, err := rowlist.FrameOf(l.raw)
 		if err != nil {
-			f = frame{}
+			f = rowlist.Frame{}
 		} else {
-			size, values, rows = size+len(l.raw), values+f.values, rows+f.rows
+			size, values, rows = size+len(l.raw), values+f.Values, rows+f.Rows
 		}
 		frames = append(frames, f)
 	}
@@ -738,7 +760,7 @@ func decodeWave(reads waveReads) {
 	k := 0
 	for i := range reads {
 		if l := &reads[i]; l.parkedList() {
-			if frames[k].start != 0 {
+			if frames[k].Start != 0 {
 				sb.Write(l.raw)
 			}
 			k++
@@ -755,14 +777,14 @@ func decodeWave(reads waveReads) {
 		}
 		f := frames[k]
 		k++
-		if f.start == 0 {
+		if f.Start == 0 {
 			continue
 		}
 		s := text[:len(l.raw)]
 		text = text[len(l.raw):]
 		from := len(lists)
 		var err error
-		if vals, lists, err = decodeFramed(vals, lists, l.raw, s, f); err != nil {
+		if vals, lists, err = rowlist.DecodeFramed(vals, lists, l.raw, s, f); err != nil {
 			continue
 		}
 		l.rows = lists[from:len(lists):len(lists)]

@@ -12,12 +12,15 @@ import (
 	"cachegenie/internal/sqldb"
 )
 
-// stack is a full test stack: engine + ORM + cache + genie.
+// stack is a full test stack: engine + ORM + cache + genie. replicas, when
+// set, are the stores of every cache node, cache among them, which the oracle
+// checks one by one.
 type stack struct {
-	db    *sqldb.DB
-	reg   *orm.Registry
-	cache *kvcache.Store
-	g     *Genie
+	db       *sqldb.DB
+	reg      *orm.Registry
+	cache    *kvcache.Store
+	g        *Genie
+	replicas []*kvcache.Store
 }
 
 func newStack(t testing.TB) *stack {
@@ -696,21 +699,30 @@ func TestEvictionFallsBackToDatabase(t *testing.T) {
 // see dirty (uncommitted) data but never stale data. A random schedule of
 // reads and writes over all four classes, with follows, unfollows and updates
 // that move a post in its owner's order or to another owner, runs under both
-// maintaining strategies, synchronously and on the bus, and the oracle checks
-// every cached entry after every step.
+// maintaining strategies, synchronously and on the bus, over the in-process
+// store and over two loopback cache nodes holding every key twice (R = 2),
+// and the oracle checks every cached entry, on every node, after every step.
 func TestNeverStaleProperty(t *testing.T) {
 	for _, strategy := range []Strategy{UpdateInPlace, Invalidate} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			for _, mode := range []string{"sync", "async"} {
 				t.Run(mode, func(t *testing.T) { neverStale(t, strategy, mode == "async", 31) })
+				t.Run(mode+"-r2", func(t *testing.T) {
+					neverStaleOver(t, newLoopbackRingStack(t, Config{AsyncInvalidation: mode == "async"}), strategy, 31)
+				})
 			}
 		})
 	}
 }
 
-// neverStale runs the property's schedule drawn from seed.
+// neverStale runs the property's schedule drawn from seed over the in-process
+// store.
 func neverStale(t *testing.T, strategy Strategy, async bool, seed int64) {
-	s := newStackConfig(t, func(store *kvcache.Store) kvcache.Cache { return store }, Config{AsyncInvalidation: async})
+	neverStaleOver(t, newStackConfig(t, func(store *kvcache.Store) kvcache.Cache { return store }, Config{AsyncInvalidation: async}), strategy, seed)
+}
+
+// neverStaleOver runs the property's schedule drawn from seed on s.
+func neverStaleOver(t *testing.T, s *stack, strategy Strategy, seed int64) {
 	count := Spec{Name: "wall_count", Class: CountQuery, MainModel: "Wall", WhereFields: []string{"user_id"}}
 	topk := topkSpec(5, 2)
 	count.Strategy, topk.Strategy = strategy, strategy

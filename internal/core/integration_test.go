@@ -12,6 +12,7 @@ import (
 	"cachegenie/internal/cluster"
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -136,6 +137,79 @@ func TestGenieOverCacheCluster(t *testing.T) {
 	}
 }
 
+// newLoopbackRingStack is the test stack over two cache nodes on loopback
+// TCP, each a cacheproto server reached through a pool, joined in a ring that
+// keeps every key on both (R = 2).
+func newLoopbackRingStack(t *testing.T, cfg Config) *stack {
+	t.Helper()
+	second := kvcache.New(0)
+	s := newStackConfig(t, func(first *kvcache.Store) kvcache.Cache {
+		var nodes []kvcache.Cache
+		for _, store := range []*kvcache.Store{first, second} {
+			srv := cacheproto.NewServer(store)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := cacheproto.NewPoolWithConfig(cacheproto.PoolConfig{Addr: addr})
+			t.Cleanup(func() {
+				p.Close()
+				_ = srv.Close()
+			})
+			nodes = append(nodes, p)
+		}
+		ring, err := cluster.NewRing(nodes, cluster.WithReplicas(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ring
+	}, cfg)
+	s.replicas = []*kvcache.Store{s.cache, second}
+	return s
+}
+
+// TestWriteSetEditReachesBothReplicasInOneRound: at R = 2 a statement's list
+// edit is a plain mutation, which the ring sends to both replicas in the
+// flush's one round; each replays it on its own copy, so both end holding
+// the same bytes, and no round of sets follows to copy one replica's result
+// to the other.
+func TestWriteSetEditReachesBothReplicasInOneRound(t *testing.T) {
+	stores := []*kvcache.Store{kvcache.New(0), kvcache.New(0)}
+	nodes := []*countingCache{{Store: stores[0]}, {Store: stores[1]}}
+	ring, err := cluster.NewRing([]kvcache.Cache{nodes[0], nodes[1]}, cluster.WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStackOver(t, func(*kvcache.Store) kvcache.Cache { return ring })
+	co := s.cacheable(t, topkSpec(3, 2))
+	base := time.Unix(1e6, 0)
+	for i := 0; i < 4; i++ {
+		postAt(s, t, 7, fmt.Sprintf("p%d", i), base.Add(time.Duration(i)*time.Minute))
+	}
+	if _, err := wallQS(s, 7, 3).All(); err != nil { // a miss: its add reaches both
+		t.Fatal(err)
+	}
+	key := co.MakeKey(sqldb.I64(7))
+	nodes[0].reset()
+	nodes[1].reset()
+	postAt(s, t, 7, "newest", base.Add(time.Hour))
+	for i, n := range nodes {
+		if got := fmt.Sprint(n.batches); got != "[[edit]]" || len(n.perOp) != 0 {
+			t.Errorf("node %d received batches %s and per-op calls %v, want [[edit]] and none", i, got, n.perOp)
+		}
+	}
+	a, okA := stores[0].GetQuiet(key)
+	b, okB := stores[1].GetQuiet(key)
+	if !okA || !okB || string(a) != string(b) {
+		t.Fatalf("replicas hold %x (%v) and %x (%v), want the same entry", a, okA, b, okB)
+	}
+	if l, err := rowlist.Decode(a); err != nil || len(l.Rows) != 5 || l.Rows[0][2].S != "newest" {
+		t.Fatalf("replicated list = %+v, %v; want the new post first of K+reserve=5", l, err)
+	}
+	s.replicas = stores
+	s.requireFresh(t)
+}
+
 // TestCacheRestartColdStart simulates the cache server restarting (flush):
 // the system must degrade to database reads and repopulate, never serving
 // wrong data.
@@ -163,7 +237,8 @@ func TestCacheRestartColdStart(t *testing.T) {
 }
 
 // TestConcurrentWritersCasStorm hammers one top-K key from many goroutines;
-// the CAS retry path must keep the list exactly consistent with the DB.
+// each statement's edit lands on the list the store holds when it arrives,
+// which must keep the list exactly consistent with the DB.
 func TestConcurrentWritersCasStorm(t *testing.T) {
 	s := newStack(t)
 	co := s.cacheable(t, topkSpec(10, 3))

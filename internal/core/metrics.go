@@ -21,8 +21,6 @@ func (g *Genie) RegisterMetrics(reg *obs.Registry, labels string) {
 		"trigger firings that found the key absent and quit", g.trigSkips.Load)
 	reg.CounterFunc("cachegenie_genie_recomputes_total", labels,
 		"full recomputes after top-K reserve exhaustion", g.recomputes.Load)
-	reg.CounterFunc("cachegenie_genie_cas_retries_total", labels,
-		"keys deleted after losing a cas between a flush's two batches", g.casRetries.Load)
 	reg.CounterFunc("cachegenie_genie_populate_refused_total", labels,
 		"populates that lost to a concurrent Add", g.populateRefused.Load)
 	// Batching health of the read path: keys per wave falling toward one means
@@ -34,6 +32,6 @@ func (g *Genie) RegisterMetrics(reg *obs.Registry, labels string) {
 	// Batching health of the synchronous write path: flushes shrinking toward
 	// one op mean statements are back to paying a round trip per cache op.
 	reg.RegisterHistogram("cachegenie_genie_writeset_flush_ops", labels,
-		"cache ops one statement's write-set flush carried in its (at most two) batches", &g.flushOps)
+		"cache ops one statement's write-set flush carried: one per key, and a set per top-K list recomputed", &g.flushOps)
 	g.bus.RegisterMetrics(reg, labels)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -154,59 +155,60 @@ func TestOpApply(t *testing.T) {
 	topk := &CachedObject{spec: Spec{Class: TopKQuery, K: 2, Reserve: 1, SortDesc: true}, sortIdx: 1}
 	link := &CachedObject{spec: Spec{Class: LinkQuery}, targetIdx: 1, joinIdx: 1}
 	row := func(pk, v int64) sqldb.Row { return sqldb.Row{sqldb.I64(pk), sqldb.I64(v)} }
-	list := func(pairs ...int64) payload {
-		var p payload
+	list := func(pairs ...int64) rowlist.List {
+		var p rowlist.List
 		for i := 0; i < len(pairs); i += 2 {
-			p.rows = append(p.rows, row(pairs[i], pairs[i+1]))
+			p.Rows = append(p.Rows, row(pairs[i], pairs[i+1]))
 		}
 		return p
 	}
-	render := func(p payload) string {
+	render := func(p rowlist.List) string {
 		s := ""
-		for _, r := range p.rows {
+		for _, r := range p.Rows {
 			s += fmt.Sprintf("%d:%d ", r[0].I, r[1].I)
 		}
 		return s
 	}
 	for _, c := range []struct {
 		name           string
-		p              payload
+		p              rowlist.List
 		o              op
 		want           string
 		changed, short bool
 	}{
-		{"feature insert", list(1, 10), op{co: feature, kind: opInsert, new: row(2, 20)}, "1:10 2:20 ", true, false},
-		{"feature insert present", list(1, 10), op{co: feature, kind: opInsert, new: row(1, 11)}, "1:10 ", false, false},
-		{"feature remove", list(1, 10, 2, 20), op{co: feature, kind: opRemove, old: row(1, 10)}, "2:20 ", true, false},
-		{"feature remove absent", list(1, 10), op{co: feature, kind: opRemove, old: row(3, 30)}, "1:10 ", false, false},
-		{"feature replace", list(1, 10, 2, 20), op{co: feature, kind: opReplace, new: row(1, 15)}, "1:15 2:20 ", true, false},
-		{"feature replace absent appends", list(1, 10), op{co: feature, kind: opReplace, new: row(2, 20)}, "1:10 2:20 ", true, false},
-		{"link replace every copy", list(1, 10, 2, 20, 1, 10), op{co: link, kind: opReplace, new: row(1, 15)}, "1:15 2:20 1:15 ", true, false},
-		{"link replace absent", list(1, 10), op{co: link, kind: opReplace, new: row(2, 20)}, "1:10 ", false, false},
-		{"link remove every copy", list(1, 10, 2, 20, 1, 10), op{co: link, kind: opRemove, old: row(1, 10)}, "2:20 ", true, false},
-		{"link append", list(1, 10), op{co: link, kind: opAppend, rows: []sqldb.Row{row(1, 10), row(2, 20)}}, "1:10 1:10 2:20 ", true, false},
-		{"link unlink every joined row", list(1, 10, 2, 20, 3, 20), op{co: link, kind: opUnlink, old: row(9, 20)}, "1:10 ", true, false},
-		{"link unlink one copy of each", list(2, 20, 1, 10, 2, 20, 3, 20, 3, 20), op{co: link, kind: opUnlink, old: row(9, 20)}, "1:10 2:20 3:20 ", true, false},
-		{"link unlink none", list(1, 10), op{co: link, kind: opUnlink, old: row(9, 20)}, "1:10 ", false, false},
-		{"topk insert in order", list(1, 30, 2, 10), op{co: topk, kind: opInsert, new: row(3, 20)}, "1:30 3:20 2:10 ", true, false},
-		{"topk insert below a full window", list(1, 30, 2, 20, 3, 10), op{co: topk, kind: opInsert, new: row(4, 5)}, "1:30 2:20 3:10 ", false, false},
-		{"topk insert below a short, non-exhaustive window", list(1, 30, 2, 20), op{co: topk, kind: opInsert, new: row(3, 10)}, "1:30 2:20 ", false, false},
-		{"topk replace same sort value", list(1, 30, 2, 20), op{co: topk, kind: opReplace, old: row(2, 20), new: row(2, 20)}, "1:30 2:20 ", true, false},
-		{"topk replace resorts", list(1, 30, 2, 20), op{co: topk, kind: opReplace, old: row(2, 20), new: row(2, 40)}, "2:40 1:30 ", true, false},
-		{"topk replace enters the window", list(1, 30), op{co: topk, kind: opReplace, old: row(2, 20), new: row(2, 40)}, "2:40 1:30 ", true, false},
-		{"topk replace moves below a non-exhaustive window", list(1, 30, 2, 20), op{co: topk, kind: opReplace, old: row(1, 30), new: row(1, 5)}, "2:20 ", true, true},
-		{"topk remove leaves K", list(1, 30, 2, 20, 3, 10), op{co: topk, kind: opRemove, old: row(1, 30)}, "2:20 3:10 ", true, false},
-		{"topk remove uses up the reserve", list(1, 30, 2, 20), op{co: topk, kind: opRemove, old: row(1, 30)}, "2:20 ", true, true},
+		{"feature insert", list(1, 10), op{co: feature, Op: rowlist.Op{Kind: opInsert, New: row(2, 20)}}, "1:10 2:20 ", true, false},
+		{"feature insert present", list(1, 10), op{co: feature, Op: rowlist.Op{Kind: opInsert, New: row(1, 11)}}, "1:10 ", false, false},
+		{"feature remove", list(1, 10, 2, 20), op{co: feature, Op: rowlist.Op{Kind: opRemove, Old: row(1, 10)}}, "2:20 ", true, false},
+		{"feature remove absent", list(1, 10), op{co: feature, Op: rowlist.Op{Kind: opRemove, Old: row(3, 30)}}, "1:10 ", false, false},
+		{"feature replace", list(1, 10, 2, 20), op{co: feature, Op: rowlist.Op{Kind: opReplace, New: row(1, 15)}}, "1:15 2:20 ", true, false},
+		{"feature replace absent appends", list(1, 10), op{co: feature, Op: rowlist.Op{Kind: opReplace, New: row(2, 20)}}, "1:10 2:20 ", true, false},
+		{"link replace every copy", list(1, 10, 2, 20, 1, 10), op{co: link, Op: rowlist.Op{Kind: opReplace, New: row(1, 15)}}, "1:15 2:20 1:15 ", true, false},
+		{"link replace absent", list(1, 10), op{co: link, Op: rowlist.Op{Kind: opReplace, New: row(2, 20)}}, "1:10 ", false, false},
+		{"link remove every copy", list(1, 10, 2, 20, 1, 10), op{co: link, Op: rowlist.Op{Kind: opRemove, Old: row(1, 10)}}, "2:20 ", true, false},
+		{"link append", list(1, 10), op{co: link, Op: rowlist.Op{Kind: opAppend, Rows: []sqldb.Row{row(1, 10), row(2, 20)}}}, "1:10 1:10 2:20 ", true, false},
+		{"link unlink every joined row", list(1, 10, 2, 20, 3, 20), op{co: link, Op: rowlist.Op{Kind: opUnlink, Old: row(9, 20)}}, "1:10 ", true, false},
+		{"link unlink one copy of each", list(2, 20, 1, 10, 2, 20, 3, 20, 3, 20), op{co: link, Op: rowlist.Op{Kind: opUnlink, Old: row(9, 20)}}, "1:10 2:20 3:20 ", true, false},
+		{"link unlink none", list(1, 10), op{co: link, Op: rowlist.Op{Kind: opUnlink, Old: row(9, 20)}}, "1:10 ", false, false},
+		{"topk insert in order", list(1, 30, 2, 10), op{co: topk, Op: rowlist.Op{Kind: opInsert, New: row(3, 20)}}, "1:30 3:20 2:10 ", true, false},
+		{"topk insert below a full window", list(1, 30, 2, 20, 3, 10), op{co: topk, Op: rowlist.Op{Kind: opInsert, New: row(4, 5)}}, "1:30 2:20 3:10 ", false, false},
+		{"topk insert below a short, non-exhaustive window", list(1, 30, 2, 20), op{co: topk, Op: rowlist.Op{Kind: opInsert, New: row(3, 10)}}, "1:30 2:20 ", false, false},
+		{"topk replace same sort value", list(1, 30, 2, 20), op{co: topk, Op: rowlist.Op{Kind: opReplace, Old: row(2, 20), New: row(2, 20)}}, "1:30 2:20 ", true, false},
+		{"topk replace resorts", list(1, 30, 2, 20), op{co: topk, Op: rowlist.Op{Kind: opReplace, Old: row(2, 20), New: row(2, 40)}}, "2:40 1:30 ", true, false},
+		{"topk replace enters the window", list(1, 30), op{co: topk, Op: rowlist.Op{Kind: opReplace, Old: row(2, 20), New: row(2, 40)}}, "2:40 1:30 ", true, false},
+		{"topk replace moves below a non-exhaustive window", list(1, 30, 2, 20), op{co: topk, Op: rowlist.Op{Kind: opReplace, Old: row(1, 30), New: row(1, 5)}}, "2:20 ", true, true},
+		{"topk remove leaves K", list(1, 30, 2, 20, 3, 10), op{co: topk, Op: rowlist.Op{Kind: opRemove, Old: row(1, 30)}}, "2:20 3:10 ", true, false},
+		{"topk remove uses up the reserve", list(1, 30, 2, 20), op{co: topk, Op: rowlist.Op{Kind: opRemove, Old: row(1, 30)}}, "2:20 ", true, true},
 	} {
-		p := c.p
-		changed, short := c.o.apply(&p)
+		p, sh := c.p, c.o.co.listShape()
+		changed, short := sh.Apply(&p, &c.o.Op)
 		if got := render(p); got != c.want || changed != c.changed || short != c.short {
 			t.Errorf("%s: list %q changed=%v short=%v, want %q %v %v", c.name, got, changed, short, c.want, c.changed, c.short)
 		}
 	}
 	exhaustive := list(1, 30, 2, 20)
-	exhaustive.exhaustive = true
-	if _, short := (&op{co: topk, kind: opRemove, old: row(1, 30)}).apply(&exhaustive); short {
+	exhaustive.Exhaustive = true
+	sh := topk.listShape()
+	if _, short := sh.Apply(&exhaustive, &rowlist.Op{Kind: opRemove, Old: row(1, 30)}); short {
 		t.Error("a removal from an exhaustive top-K list asked for a rebuild")
 	}
 }
@@ -219,7 +221,7 @@ func TestGroupByKey(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		ops := make([]op, 1+rng.Intn(60))
 		for i := range ops {
-			ops[i] = op{key: fmt.Sprintf("cg:x:{%d}", rng.Intn(1+rng.Intn(20))), kind: opIncr, delta: int64(i)}
+			ops[i] = op{key: fmt.Sprintf("cg:x:{%d}", rng.Intn(1+rng.Intn(20))), Op: rowlist.Op{Kind: opIncr, Delta: int64(i)}}
 		}
 		var order []string
 		members := map[string][]int32{}
@@ -238,7 +240,7 @@ func TestGroupByKey(t *testing.T) {
 			var sum int64
 			for i := k.first; i >= 0; i = ops[i].next {
 				chain = append(chain, i)
-				sum += ops[i].delta
+				sum += ops[i].Delta
 			}
 			if k.key != order[gi] || !slices.Equal(chain, members[k.key]) || k.n != len(chain) || k.sum != sum {
 				t.Fatalf("round %d group %d: key %s chain %v n %d sum %d; want key %s chain %v",

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -24,7 +25,7 @@ func goldenRows() []sqldb.Row {
 	}
 }
 
-// goldenPayload is encodePayload(payload{exhaustive: false, rows:
+// goldenPayload is rowlist.Encode(rowlist.List{Exhaustive: false, Rows:
 // goldenRows()}) as every node since PR 20 writes it. Entries outlive the node
 // that wrote them, so the encoding may not change.
 const goldenPayload = "" +
@@ -34,16 +35,16 @@ const goldenPayload = "" +
 	"0062040000000000000000000200000000000000f0ff0301"
 
 func TestPayloadGolden(t *testing.T) {
-	enc := encodePayload(payload{rows: goldenRows()})
+	enc := rowlist.Encode(rowlist.List{Rows: goldenRows()})
 	if got := hex.EncodeToString(enc); got != goldenPayload {
 		t.Fatalf("encodePayload changed its output:\n got  %s\n want %s", got, goldenPayload)
 	}
 	want, _ := hex.DecodeString(goldenPayload)
-	p, err := decodePayload(want)
+	p, err := rowlist.Decode(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.exhaustive || !rowsEqual(p.rows, goldenRows()) {
+	if p.Exhaustive || !rowsEqual(p.Rows, goldenRows()) {
 		t.Fatalf("decoded %+v", p)
 	}
 }
@@ -61,22 +62,22 @@ func rowsEqual(a, b []sqldb.Row) bool {
 }
 
 func TestPayloadRoundTrip(t *testing.T) {
-	cases := map[string]payload{
-		"zero rows":       {exhaustive: true},
-		"every type":      {rows: goldenRows()},
-		"exhaustive list": {exhaustive: true, rows: goldenRows()[:1]},
-		"empty text only": {rows: []sqldb.Row{{sqldb.Str("")}, {sqldb.Str("")}}},
+	cases := map[string]rowlist.List{
+		"zero rows":       {Exhaustive: true},
+		"every type":      {Rows: goldenRows()},
+		"exhaustive list": {Exhaustive: true, Rows: goldenRows()[:1]},
+		"empty text only": {Rows: []sqldb.Row{{sqldb.Str("")}, {sqldb.Str("")}}},
 	}
 	for name, p := range cases {
-		enc := encodePayload(p)
-		got, err := decodePayload(enc)
+		enc := rowlist.Encode(p)
+		got, err := rowlist.Decode(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.exhaustive != p.exhaustive || len(got.rows) != len(p.rows) || !rowsEqual(got.rows, p.rows) {
+		if got.Exhaustive != p.Exhaustive || len(got.Rows) != len(p.Rows) || !rowsEqual(got.Rows, p.Rows) {
 			t.Errorf("%s: decoded %+v, want %+v", name, got, p)
 		}
-		if again := encodePayload(got); !bytes.Equal(again, enc) {
+		if again := rowlist.Encode(got); !bytes.Equal(again, enc) {
 			t.Errorf("%s: re-encoding differs", name)
 		}
 	}
@@ -86,17 +87,17 @@ func TestPayloadRoundTrip(t *testing.T) {
 // consecutive windows of one value array, each capped so an append to a row
 // cannot run into the next.
 func TestPayloadRowsShareOneBackingArray(t *testing.T) {
-	p, err := decodePayload(encodePayload(payload{rows: goldenRows()}))
+	p, err := rowlist.Decode(rowlist.Encode(rowlist.List{Rows: goldenRows()}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := func(v *sqldb.Value) uintptr { return reflect.ValueOf(v).Pointer() }
 	size := reflect.TypeOf(sqldb.Value{}).Size()
-	for i, row := range p.rows {
+	for i, row := range p.Rows {
 		if cap(row) != len(row) {
 			t.Errorf("row %d: cap %d, len %d: not capped", i, cap(row), len(row))
 		}
-		if prev := p.rows[max(i-1, 0)]; i > 0 && addr(&row[0]) != addr(&prev[len(prev)-1])+size {
+		if prev := p.Rows[max(i-1, 0)]; i > 0 && addr(&row[0]) != addr(&prev[len(prev)-1])+size {
 			t.Errorf("row %d does not follow row %d in one array", i, i-1)
 		}
 	}
@@ -124,51 +125,51 @@ func TestPayloadTopKTruncationOnHit(t *testing.T) {
 	if !ok {
 		t.Fatal("list not cached")
 	}
-	p, err := decodePayload(raw)
-	if err != nil || len(p.rows) != 5 || p.exhaustive {
-		t.Fatalf("cached %d rows exhaustive=%v err=%v, want K+reserve=5 of more", len(p.rows), p.exhaustive, err)
+	p, err := rowlist.Decode(raw)
+	if err != nil || len(p.Rows) != 5 || p.Exhaustive {
+		t.Fatalf("cached %d rows exhaustive=%v err=%v, want K+reserve=5 of more", len(p.Rows), p.Exhaustive, err)
 	}
 }
 
-// TestPayloadEditLeavesOtherDecodesAlone: the write-set edits a decoded list
-// in place (keyGroup.compose); a second decode of the same bytes — a reader's,
-// say — must not see it.
+// TestPayloadEditLeavesOtherDecodesAlone: an edit to one decoded list — the
+// list semantics' own, or a reader's — must not reach a second decode of the
+// same bytes.
 func TestPayloadEditLeavesOtherDecodesAlone(t *testing.T) {
-	enc := encodePayload(payload{rows: goldenRows()})
-	mine, err := decodePayload(enc)
+	enc := rowlist.Encode(rowlist.List{Rows: goldenRows()})
+	mine, err := rowlist.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	theirs, err := decodePayload(enc)
+	theirs, err := rowlist.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	row := sqldb.Row{sqldb.I64(77), sqldb.Str("new")}
-	feature := &CachedObject{spec: Spec{Class: FeatureQuery}}
-	(&op{co: feature, kind: opInsert, new: row}).apply(&mine)
-	(&op{co: feature, kind: opRemove, old: goldenRows()[0]}).apply(&mine)
-	mine.rows = insertRowAt(mine.rows, 0, sqldb.Row{sqldb.I64(5)})
-	mine.rows[1] = sqldb.Row{sqldb.I64(-9), sqldb.Str("replaced")}
-	mine.rows[2] = append(mine.rows[2], sqldb.Str("grown")) // capped: copies
+	feature := (&CachedObject{spec: Spec{Class: FeatureQuery}}).listShape()
+	feature.Apply(&mine, &rowlist.Op{Kind: opInsert, New: row})
+	feature.Apply(&mine, &rowlist.Op{Kind: opRemove, Old: goldenRows()[0]})
+	mine.Rows = slices.Insert(mine.Rows, 0, sqldb.Row{sqldb.I64(5)})
+	mine.Rows[1] = sqldb.Row{sqldb.I64(-9), sqldb.Str("replaced")}
+	mine.Rows[2] = append(mine.Rows[2], sqldb.Str("grown")) // capped: copies
 	clear(enc)                                              // and the raw bytes are reused
-	if !rowsEqual(theirs.rows, goldenRows()) {
-		t.Fatalf("editing one decode changed another: %+v", theirs.rows)
+	if !rowsEqual(theirs.Rows, goldenRows()) {
+		t.Fatalf("editing one decode changed another: %+v", theirs.Rows)
 	}
 }
 
 // TestPayloadRejectsBadInput: truncations and lying counts error — no panic,
 // and no allocation sized by the lie.
 func TestPayloadRejectsBadInput(t *testing.T) {
-	enc := encodePayload(payload{rows: goldenRows()})
+	enc := rowlist.Encode(rowlist.List{Rows: goldenRows()})
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodePayload(enc[:cut]); err == nil {
+		if _, err := rowlist.Decode(enc[:cut]); err == nil {
 			t.Errorf("decoded a payload cut to %d of %d bytes", cut, len(enc))
 		}
 	}
-	if _, err := decodePayload(append(slices.Clip(enc), 0)); err == nil {
+	if _, err := rowlist.Decode(append(slices.Clip(enc), 0)); err == nil {
 		t.Error("decoded a payload with a trailing byte")
 	}
-	huge := binary.AppendUvarint([]byte{payloadVersion, 0}, 1<<40)
+	huge := binary.AppendUvarint([]byte{1, 0}, 1<<40)
 	huge = append(huge, make([]byte, 64)...)
 	// TotalAlloc is process-wide, so a goroutine left over from another test
 	// can allocate inside the window: keep the smallest of a few tries.
@@ -176,7 +177,7 @@ func TestPayloadRejectsBadInput(t *testing.T) {
 	for try := 0; try < 3; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := decodePayload(huge); err == nil {
+		if _, err := rowlist.Decode(huge); err == nil {
 			t.Fatal("decoded a payload claiming 2^40 rows")
 		}
 		runtime.ReadMemStats(&after)
@@ -186,11 +187,11 @@ func TestPayloadRejectsBadInput(t *testing.T) {
 		t.Errorf("rejecting a lying row count allocated %d bytes", least)
 	}
 	// One row whose value count claims far more values than the bytes hold.
-	lying := binary.AppendUvarint([]byte{payloadVersion, 0}, 1)
+	lying := binary.AppendUvarint([]byte{1, 0}, 1)
 	lying = binary.AppendUvarint(lying, 8)
 	lying = binary.LittleEndian.AppendUint32(lying, 1<<31)
 	lying = append(lying, 1, 1, 1, 1)
-	if _, err := decodePayload(lying); err == nil {
+	if _, err := rowlist.Decode(lying); err == nil {
 		t.Error("decoded a row claiming 2^31 values")
 	}
 }
@@ -203,9 +204,9 @@ func TestDecodePayloadAllocs(t *testing.T) {
 	for i := range rows {
 		rows[i] = sqldb.Row{sqldb.I64(int64(i)), sqldb.I64(7), sqldb.Str("some content"), sqldb.Str("note"), sqldb.Time(time.Unix(int64(i), 0))}
 	}
-	enc := encodePayload(payload{rows: rows})
+	enc := rowlist.Encode(rowlist.List{Rows: rows})
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := decodePayload(enc); err != nil {
+		if _, err := rowlist.Decode(enc); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 3 {
@@ -218,19 +219,19 @@ func TestDecodePayloadAllocs(t *testing.T) {
 // two golden payloads, to rows that re-encode to the same bytes, and leaves
 // its neighbours' rows intact.
 func FuzzDecodePayload(f *testing.F) {
-	golden := encodePayload(payload{rows: goldenRows()})
+	golden := rowlist.Encode(rowlist.List{Rows: goldenRows()})
 	co := &CachedObject{spec: Spec{Class: FeatureQuery}}
-	f.Add(encodePayload(payload{}))
-	f.Add(encodePayload(payload{exhaustive: true}))
-	f.Add(encodePayload(payload{rows: goldenRows()}))
-	f.Add(encodePayload(payload{exhaustive: true, rows: goldenRows()[1:2]}))
-	f.Add([]byte{payloadVersion, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(rowlist.Encode(rowlist.List{}))
+	f.Add(rowlist.Encode(rowlist.List{Exhaustive: true}))
+	f.Add(rowlist.Encode(rowlist.List{Rows: goldenRows()}))
+	f.Add(rowlist.Encode(rowlist.List{Exhaustive: true, Rows: goldenRows()[1:2]}))
+	f.Add([]byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p, err := decodePayload(b)
+		p, err := rowlist.Decode(b)
 		if err != nil {
 			return
 		}
-		if again := encodePayload(p); !bytes.Equal(again, b) {
+		if again := rowlist.Encode(p); !bytes.Equal(again, b) {
 			t.Fatalf("decode/encode not byte-identical:\n in  %x\n out %x", b, again)
 		}
 		reads := parkWave([]parkedHit{{co, golden}, {co, b}, {co, golden}})
@@ -239,7 +240,7 @@ func FuzzDecodePayload(f *testing.F) {
 			if !l.decoded {
 				t.Fatalf("wave entry %d did not decode: %x", i, want)
 			}
-			if again := encodePayload(payload{exhaustive: want[1] == 1, rows: l.rows}); !bytes.Equal(again, want) {
+			if again := rowlist.Encode(rowlist.List{Exhaustive: want[1] == 1, Rows: l.rows}); !bytes.Equal(again, want) {
 				t.Fatalf("wave entry %d decoded to other rows:\n in  %x\n out %x", i, want, again)
 			}
 		}

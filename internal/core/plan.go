@@ -7,6 +7,7 @@ import (
 
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -178,7 +179,7 @@ func (p *plan) emit(ws *writeSet, q sqldb.Queryer, e emit, old, new sqldb.Row) e
 	if row == nil {
 		row = old
 	}
-	o := op{co: p.co, kind: e.kind, old: old, new: new, delta: e.delta}
+	o := op{co: p.co, Op: rowlist.Op{Kind: e.kind, Old: old, New: new, Delta: e.delta}}
 	if e.kind == opAppend {
 		rs, err := q.Query(p.fetch, row[p.fetchCol])
 		if err != nil {
@@ -187,7 +188,7 @@ func (p *plan) emit(ws *writeSet, q sqldb.Queryer, e emit, old, new sqldb.Row) e
 		if len(rs.Rows) == 0 {
 			return nil // a dangling reference: nothing joins
 		}
-		o.rows = rs.Rows
+		o.Rows = rs.Rows
 	}
 	if p.via == "" {
 		o.vals = p.keyVals(row)
@@ -268,11 +269,11 @@ func (p *plan) source(op sqldb.TriggerOp) string {
 	pr("SD = globals().setdefault('SD', {})")
 	pr("if 'cache' not in SD:")
 	pr("    # One connection per backend session; re-established on failure.")
-	pr("    SD['cache'] = memcache.Client(cg.CACHE_SERVERS, cas=True)")
+	pr("    SD['cache'] = memcache.Client(cg.CACHE_SERVERS)")
 	pr("cache = SD['cache']")
 	pr("# Cache effects are recorded in the firing statement's write-set, which")
-	pr("# flushes them in at most two batches per cache node when the statement")
-	pr("# ends; a statement that fails flushes nothing.")
+	pr("# flushes them in one batch per cache node when the statement ends; a")
+	pr("# statement that fails flushes nothing.")
 	pr("ws = cg.write_set(plpy, cache)")
 	pr("old_row = trigger_data.get('old')")
 	pr("new_row = trigger_data.get('new')")
@@ -292,13 +293,13 @@ func (p *plan) source(op sqldb.TriggerOp) string {
 		if i == 0 || e.kind != emits[i-1].kind {
 			pr("# ws.%s %s.", e.kind, opNotes[e.kind])
 		}
-		edits = edits || e.kind.batchKind() == kvcache.BatchGets
+		edits = edits || batchKind(e.kind) == kvcache.BatchEdit
 	}
 	if edits {
-		pr("# List edits are recorded, not sent: the flush reads each edited list in")
-		pr("# one batch of gets and, if the key is cached at all (paper §3.2: 'If not")
-		pr("# present, the trigger quits'), swaps the composed edits in with one batch")
-		pr("# of cas. A key that lost a cas race is deleted, which is always safe.")
+		pr("# List edits are recorded, not sent one by one: the flush sends each edited")
+		pr("# key its edits as one op, which the cache node applies in record order to")
+		pr("# the list it holds; if the key is not cached (paper §3.2: 'If not present,")
+		pr("# the trigger quits') nothing is stored. Nothing is read back or swapped.")
 	}
 
 	cols := func(row string, cs []int, sep string) string {

@@ -10,6 +10,7 @@ import (
 	"cachegenie/internal/cacheproto"
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
@@ -42,12 +43,12 @@ func wallRows(n int) []sqldb.Row {
 // badRowPayload frames as a one-row payload, but its row's null flag is 2.
 func badRowPayload(t *testing.T) []byte {
 	t.Helper()
-	b := encodePayload(payload{rows: []sqldb.Row{{sqldb.I64(1)}}})
+	b := rowlist.Encode(rowlist.List{Rows: []sqldb.Row{{sqldb.I64(1)}}})
 	b[9] = 2 // version, flag, count, row length, 4-byte value count, type, null flag
-	if _, err := framePayload(b); err != nil {
+	if _, err := rowlist.FrameOf(b); err != nil {
 		t.Fatalf("the bad row's payload does not frame: %v", err)
 	}
-	if _, err := decodePayload(b); err == nil {
+	if _, err := rowlist.Decode(b); err == nil {
 		t.Fatal("the bad row's payload decodes")
 	}
 	return b
@@ -64,20 +65,20 @@ func TestWaveDecodeEqualsDecodePayload(t *testing.T) {
 	topk := s.cacheable(t, topkSpec(2, 3))
 	count := s.cacheable(t, wallCountSpec())
 	entries := []parkedHit{
-		{feature, encodePayload(payload{rows: goldenRows()})},
-		{feature, encodePayload(payload{exhaustive: true})},
+		{feature, rowlist.Encode(rowlist.List{Rows: goldenRows()})},
+		{feature, rowlist.Encode(rowlist.List{Exhaustive: true})},
 		{count, []byte("12")},
-		{topk, encodePayload(payload{rows: wallRows(5)})},
+		{topk, rowlist.Encode(rowlist.List{Rows: wallRows(5)})},
 		{feature, []byte("garbage")},
 		{feature, badRowPayload(t)},
 		{feature, nil},
-		{topk, encodePayload(payload{exhaustive: true, rows: wallRows(1)})},
-		{feature, encodePayload(payload{rows: wallRows(10)})},
+		{topk, rowlist.Encode(rowlist.List{Exhaustive: true, Rows: wallRows(1)})},
+		{feature, rowlist.Encode(rowlist.List{Rows: wallRows(10)})},
 	}
 	reads := parkWave(entries)
 	for i, e := range entries {
 		l := &reads[i]
-		want, err := decodePayload(e.raw)
+		want, err := rowlist.Decode(e.raw)
 		switch {
 		case e.raw == nil || e.co == count:
 			if l.decoded || !slices.Equal(l.raw, e.raw) {
@@ -87,8 +88,8 @@ func TestWaveDecodeEqualsDecodePayload(t *testing.T) {
 			if l.decoded || !slices.Equal(l.raw, e.raw) {
 				t.Errorf("corrupt entry %d: decoded %v, raw %q kept", i, l.decoded, l.raw)
 			}
-		case !l.decoded || !reflect.DeepEqual(l.rows, want.rows):
-			t.Errorf("entry %d: wave decode %v (decoded %v), decodePayload %v", i, l.rows, l.decoded, want.rows)
+		case !l.decoded || !reflect.DeepEqual(l.rows, want.Rows):
+			t.Errorf("entry %d: wave decode %v (decoded %v), decodePayload %v", i, l.rows, l.decoded, want.Rows)
 		}
 	}
 	// The top-K list holds K plus the reserve; its lookup serves the first K.
@@ -150,8 +151,8 @@ func TestWaveResultsAppendAlone(t *testing.T) {
 	s := newStack(t)
 	feature := s.cacheable(t, profileSpec(UpdateInPlace))
 	reads := parkWave([]parkedHit{
-		{feature, encodePayload(payload{rows: goldenRows()})},
-		{feature, encodePayload(payload{rows: goldenRows()})},
+		{feature, rowlist.Encode(rowlist.List{Rows: goldenRows()})},
+		{feature, rowlist.Encode(rowlist.List{Rows: goldenRows()})},
 	})
 	a, b := reads[0].rows, reads[1].rows
 	_ = append(a, sqldb.Row{sqldb.I64(99)})

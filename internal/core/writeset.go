@@ -3,29 +3,26 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"cachegenie/internal/kvcache"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
-// opKind is what an op does to its key's cached entry (opNotes). The row-list
-// edits are idempotent by primary key, except opAppend. Triggers record every
-// kind but opPopulate, which a read miss publishes to the invalidation bus.
-type opKind uint8
+// opKind is what an op does to its key's cached entry (opNotes): the row-list
+// semantics of every kind live in rowlist, which the cache node runs.
+type opKind = rowlist.Kind
 
 const (
-	opInsert opKind = iota
-	opRemove
-	opReplace
-	opAppend
-	opUnlink
-	opIncr
-	opDelete
-	opPopulate
+	opInsert   = rowlist.Insert
+	opRemove   = rowlist.Remove
+	opReplace  = rowlist.Replace
+	opAppend   = rowlist.Append
+	opUnlink   = rowlist.Unlink
+	opIncr     = rowlist.Incr
+	opDelete   = rowlist.Delete
+	opPopulate = rowlist.Populate
 )
-
-var opNames = [...]string{"insert", "remove", "replace", "append", "unlink", "incr", "delete", "populate"}
 
 // opNotes say what each kind does to the entry of its key; a trigger's listing
 // quotes the note of every kind it records.
@@ -40,13 +37,10 @@ var opNotes = [...]string{
 	opPopulate: "stores what a read miss loaded unless the key is cached",
 }
 
-// String implements fmt.Stringer.
-func (k opKind) String() string { return opNames[k] }
-
-// batchKind is how a key whose ops are all of kind k reaches the cache in a
-// flush's first batch: a list edit reads the list (gets), the others need no
-// read.
-func (k opKind) batchKind() kvcache.BatchOpKind {
+// batchKind is how a key whose ops are all of kind k reaches the cache: an
+// incr or a delete as itself (a key's incrs summed), a lone populate as an
+// add, and a list edit as an edit the node replays.
+func batchKind(k opKind) kvcache.BatchOpKind {
 	switch k {
 	case opIncr:
 		return kvcache.BatchIncr
@@ -55,161 +49,43 @@ func (k opKind) batchKind() kvcache.BatchOpKind {
 	case opPopulate:
 		return kvcache.BatchAdd
 	}
-	return kvcache.BatchGets
+	return kvcache.BatchEdit
 }
 
-// op is one cache effect a trigger recorded, as data: what to do to the
-// entry of which cached object under which lookup values, with the rows it
-// needs. Ops are composed per key without running anything; an object's
-// class and strategy fix the kinds its triggers record, so in a statement the
-// ops of one key are all list edits, all incrs or all deletes. A bus window
-// may add a read miss's populate, or the drop of an entry it found corrupt.
+// op is one cache effect a trigger recorded, as data (rowlist.Op): what to do
+// to the entry of which cached object under which lookup values, with the
+// rows it needs. Ops are composed per key without running anything; an
+// object's class and strategy fix the kinds its triggers record, so in a
+// statement the ops of one key are all list edits, all incrs or all deletes.
+// A bus window may add a read miss's populate, or the drop of an entry it
+// found corrupt.
 type op struct {
-	co   *CachedObject
-	kind opKind
+	co *CachedObject
+	rowlist.Op
 	// vals are the key's lookup values, mostly a window of a row; key is set
 	// from them when the statement's keys are rendered (renderKeys).
 	vals []sqldb.Value
 	key  string
-	// old and new are the row before and after the change, as the trigger
-	// event carries them; rows are opAppend's; delta is opIncr's; enc is
-	// the entry an opPopulate stores.
-	old, new sqldb.Row
-	rows     []sqldb.Row
-	delta    int64
-	enc      []byte
 	// next chains the ops of one key in record order (groupByKey).
 	next int32
 }
 
 // String renders o for a trace or a listing: "insert cg:wall:7 pk=12".
 func (o *op) String() string {
-	s := o.kind.String() + " " + o.co.MakeKey(o.vals...)
-	switch o.kind {
+	s := o.Kind.String() + " " + o.co.MakeKey(o.vals...)
+	switch o.Kind {
 	case opInsert, opReplace:
-		s += fmt.Sprintf(" pk=%d", rowPK(o.new))
+		s += fmt.Sprintf(" pk=%d", rowlist.PK(o.New))
 	case opRemove:
-		s += fmt.Sprintf(" pk=%d", rowPK(o.old))
+		s += fmt.Sprintf(" pk=%d", rowlist.PK(o.Old))
 	case opAppend:
-		s += fmt.Sprintf(" rows=%d", len(o.rows))
+		s += fmt.Sprintf(" rows=%d", len(o.Rows))
 	case opUnlink:
-		s += fmt.Sprintf(" %s=%v", o.co.spec.Link.JoinField, o.old[o.co.joinIdx])
+		s += fmt.Sprintf(" %s=%v", o.co.spec.Link.JoinField, o.Old[o.co.joinIdx])
 	case opIncr:
-		s += fmt.Sprintf(" %+d", o.delta)
+		s += fmt.Sprintf(" %+d", o.Delta)
 	}
 	return s
-}
-
-// apply runs a list edit on p. changed reports whether p changed, short that
-// a top-K removal or move used up the reserve.
-func (o *op) apply(p *payload) (changed, short bool) {
-	co := o.co
-	switch o.kind {
-	case opInsert:
-		if findRowByPK(p.rows, rowPK(o.new)) >= 0 {
-			return false, false
-		}
-		if co.spec.Class == TopKQuery {
-			return co.topkInsert(p, o.new), false
-		}
-		p.rows = append(p.rows, o.new)
-		return true, false
-	case opRemove:
-		for i := len(p.rows) - 1; i >= 0; i-- {
-			if rowPK(p.rows[i]) == rowPK(o.old) {
-				p.rows = removeRowAt(p.rows, i)
-				changed = true
-			}
-		}
-		return changed, changed && co.spec.Class == TopKQuery && len(p.rows) < co.spec.K && !p.exhaustive
-	case opReplace:
-		return co.replace(p, o.old, o.new)
-	case opAppend:
-		p.rows = append(p.rows, o.rows...)
-		return true, false
-	case opUnlink:
-		// The relation row joined every target row with its join value, which
-		// the list holds once per such relation row: one copy of each goes.
-		rows := p.rows
-		for i := len(rows) - 1; i >= 0; i-- {
-			if sqldb.Equal(rows[i][co.targetIdx], o.old[co.joinIdx]) && findRowByPK(rows, rowPK(rows[i])) == i {
-				p.rows = removeRowAt(p.rows, i)
-				changed = true
-			}
-		}
-	}
-	return changed, false
-}
-
-// replace is opReplace on p per the object's class; short is as opRemove's.
-func (co *CachedObject) replace(p *payload, old, new sqldb.Row) (changed, short bool) {
-	switch co.spec.Class {
-	case TopKQuery:
-		i := findRowByPK(p.rows, rowPK(new))
-		if sqldb.Compare(old[co.sortIdx], new[co.sortIdx]) == 0 {
-			// Sort position unchanged: update the row in place (the paper:
-			// "UPDATE triggers simply update the corresponding post if it
-			// finds it in the cached list").
-			if i >= 0 {
-				p.rows[i] = new
-			}
-			return i >= 0, false
-		}
-		// The row leaves its old position and enters at its new one, which
-		// may be inside a window it was not in, or below a window it was.
-		if i >= 0 {
-			p.rows = removeRowAt(p.rows, i)
-		}
-		changed = co.topkInsert(p, new) || i >= 0
-		return changed, changed && len(p.rows) < co.spec.K && !p.exhaustive
-	case LinkQuery:
-		// A list holds a target row once per relation row that joins it to
-		// the source: every copy is replaced.
-		for i, r := range p.rows {
-			if rowPK(r) == rowPK(new) {
-				p.rows[i] = new
-				changed = true
-			}
-		}
-		return changed, false
-	}
-	// A feature list is exhaustive: a row of its key that it lacks belongs in
-	// it.
-	if i := findRowByPK(p.rows, rowPK(new)); i >= 0 {
-		p.rows[i] = new
-	} else {
-		p.rows = append(p.rows, new)
-	}
-	return true, false
-}
-
-// topkInsert inserts row into the ordered list, returning whether the
-// payload changed. Ties keep insertion order.
-func (co *CachedObject) topkInsert(p *payload, row sqldb.Row) bool {
-	limit := co.spec.K + co.spec.reserve()
-	pos := len(p.rows)
-	for i, r := range p.rows {
-		c := sqldb.Compare(row[co.sortIdx], r[co.sortIdx])
-		if co.spec.SortDesc && c > 0 || !co.spec.SortDesc && c < 0 {
-			pos = i
-			break
-		}
-	}
-	if pos == len(p.rows) {
-		if !p.exhaustive {
-			// Row sorts below the cached window, and database rows the window
-			// lacks may sort between: the window is unaffected.
-			return false
-		}
-		p.rows = append(p.rows, row)
-	} else {
-		p.rows = insertRowAt(p.rows, pos, row)
-	}
-	if len(p.rows) > limit {
-		p.rows = p.rows[:limit]
-		p.exhaustive = false
-	}
-	return true
 }
 
 // writeSet is one write statement's cache maintenance. Trigger bodies never
@@ -234,15 +110,6 @@ type keyGroup struct {
 	first, last int32
 	n           int   // ops
 	sum         int64 // opIncr: the deltas, summed
-	// mixed marks a group whose ops are not all of one kind, or that holds a
-	// populate and another op: it reads the key (gets) and replays its ops
-	// over what it found (compose).
-	mixed bool
-	// changed counts the list edits that changed the list the first batch
-	// read; counted marks a second-batch op whose outcome is already
-	// accounted for; wrote marks a group with an op in the second batch.
-	changed        int
-	counted, wrote bool
 	// byKey is not this group's own: groups[j].byKey, for j below the group
 	// count, is the j'th group in key order — the index groupByKey searches
 	// instead of a map.
@@ -265,51 +132,76 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 	return nil
 }
 
-// flush composes ops per key in record order and reaches the cache in at most
-// two batches — per node, concurrently, when the cache is a ring. The first
-// carries one op per key: the value and token of every key whose entry the
-// flush edits (gets), and the ops that depend on no read: the summed counter
-// adjustments (incr), the invalidations (delete) and a lone populate (add).
-// The second carries the writes computed from what the first read; a flush
-// none of whose reads finds anything to change never sends it. It returns the
-// number of keys the ops touched.
+// flush reaches the cache with one op per key the ops touch, in one batch —
+// per node, concurrently, when the cache is a ring. A key's summed counter
+// adjustments travel as one incr, its invalidations as one delete and a lone
+// populate as an add; any other key's ops travel as one edit, which the node
+// holding the key replays in record order, atomically
+// (rowlist.Scratch.Replay): nothing is read back, and nothing can conflict.
+// It returns the number of keys the ops touched.
 //
-// q is the statement's connection, through which a top-K list that a removal
-// leaves short of its reserve is recomputed. On the bus q is nil: the
-// statement's transaction is gone, so such a list is dropped for the next
-// read miss to reload. A key whose cas or add loses a race between the
-// batches is deleted on either route.
+// q is the statement's connection. A top-K list that a removal leaves short
+// of its reserve comes back from its node dropped (Short), and is recomputed
+// through q and set. On the bus q is nil: the statement's transaction is
+// gone, so the key stays dropped for the next read miss to reload.
 //
-// A flush allocates per flush, not per op: the key groups and both batches
-// are an array each.
+// A flush allocates per flush, not per op: the key groups, the batch and
+// every edit's bytes are an array each.
 func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 	groups := groupByKey(ops)
-	// Both batches share one array: the first holds an op per key, the second
-	// at most as many.
-	batch := make([]kvcache.BatchOp, 2*len(groups))
-	first, second := batch[:len(groups)], batch[len(groups):len(groups)]
+	size := 0
 	for i := range groups {
-		k := &groups[i]
-		first[i] = kvcache.BatchOp{Kind: k.kind, Key: k.key, Delta: k.sum}
-		if o := &ops[k.first]; k.kind == kvcache.BatchAdd {
-			first[i].Value, first[i].TTL = o.enc, o.co.ttl()
+		if k := &groups[i]; k.kind == kvcache.BatchEdit {
+			size += rowlist.ShapeLen(ops[k.first].co.shape)
+			for j := k.first; j >= 0; j = ops[j].next {
+				size += rowlist.OpLen(&ops[j].Op)
+			}
 		}
 	}
-	for i, r := range g.cache.ApplyBatch(first) {
+	edits := make([]byte, 0, size)
+	batch := make([]kvcache.BatchOp, len(groups))
+	for i := range groups {
+		k, o := &groups[i], &ops[groups[i].first]
+		batch[i] = kvcache.BatchOp{Kind: k.kind, Key: k.key, Delta: k.sum, TTL: o.co.ttl()}
+		switch k.kind {
+		case kvcache.BatchAdd:
+			batch[i].Value = o.Enc
+		case kvcache.BatchEdit:
+			from := len(edits)
+			edits = rowlist.AppendShape(edits, o.co.shape)
+			for j := k.first; j >= 0; j = ops[j].next {
+				edits = rowlist.AppendOp(edits, &ops[j].Op)
+			}
+			batch[i].Value = edits[from:len(edits):len(edits)]
+		}
+	}
+	var recomputed []kvcache.BatchOp
+	for i, r := range g.cache.ApplyBatch(batch) {
 		k := &groups[i]
 		switch {
 		case k.kind == kvcache.BatchAdd:
 			if !r.Found {
 				g.populateRefused.Add(1)
 			}
-		case !r.Found && !k.mixed:
-			// Not cached: every one of the key's triggers quits (paper
-			// §3.2); the next read miss repopulates the entry.
+		case !r.Found:
+			// Not cached, or the exchange was lost: every one of the key's
+			// triggers quits (paper §3.2); the next read miss repopulates the
+			// entry.
 			g.trigSkips.Add(int64(k.n))
-		case k.kind == kvcache.BatchGets:
-			if o, ok := k.compose(q, ops, r); ok {
-				second = append(second, o)
-				k.wrote = true
+		case k.kind == kvcache.BatchEdit:
+			e := r.Edit
+			g.trigUpdates.Add(int64(e.Updates))
+			g.trigSkips.Add(int64(e.Skips))
+			g.trigDeletes.Add(int64(e.Deletes))
+			g.populateRefused.Add(int64(e.Refused))
+			switch {
+			case e.Short && q != nil:
+				// The recomputed list is the statement's final database state
+				// for this key.
+				o := &ops[k.first]
+				recomputed = append(recomputed, o.co.recompute(q, k.key, o.vals))
+			case e.Short:
+				g.trigDeletes.Add(1)
 			}
 		case k.kind == kvcache.BatchIncr:
 			g.trigUpdates.Add(int64(k.n))
@@ -320,42 +212,9 @@ func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 			g.trigSkips.Add(int64(k.n - 1))
 		}
 	}
-	g.flushOps.Observe(int64(len(first) + len(second)))
-	if len(second) == 0 {
-		return len(groups)
-	}
-	res := g.cache.ApplyBatch(second)
-	var lost []kvcache.BatchOp // keys dropped after losing their write
-	n := 0
-	for i := range groups {
-		k := &groups[i]
-		if !k.wrote {
-			continue
-		}
-		o, r := second[n], res[n]
-		n++
-		switch {
-		case r.Found:
-			if !k.counted {
-				g.trigUpdates.Add(int64(k.changed))
-			}
-		case o.Kind == kvcache.BatchDelete:
-		case k.mixed || r.CasResult == kvcache.CasConflict:
-			// Someone wrote the key between the two batches, and what the
-			// flush composed is no longer known to be current. Deleting it is
-			// always safe: the next read miss reloads it.
-			if r.CasResult == kvcache.CasConflict {
-				g.casRetries.Add(1)
-			}
-			g.trigDeletes.Add(1)
-			lost = append(lost, kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key})
-		case k.counted:
-		default:
-			g.trigSkips.Add(int64(k.changed)) // vanished between the batches
-		}
-	}
-	if len(lost) > 0 {
-		g.cache.ApplyBatch(lost)
+	g.flushOps.Observe(int64(len(batch) + len(recomputed)))
+	if len(recomputed) > 0 {
+		g.cache.ApplyBatch(recomputed)
 	}
 	return len(groups)
 }
@@ -389,116 +248,20 @@ func groupByKey(ops []op) []keyGroup {
 			ops[k.last].next = int32(i)
 			k.last = int32(i)
 			k.n++
-			k.sum += o.delta
-			if o.kind == opPopulate || o.kind.batchKind() != k.kind {
-				k.kind, k.mixed = kvcache.BatchGets, true
+			k.sum += o.Delta
+			if o.Kind == opPopulate || batchKind(o.Kind) != k.kind {
+				k.kind = kvcache.BatchEdit
 			}
 			continue
 		}
-		groups = append(groups, keyGroup{key: o.key, kind: o.kind.batchKind(),
-			first: int32(i), last: int32(i), n: 1, sum: o.delta})
+		groups = append(groups, keyGroup{key: o.key, kind: batchKind(o.Kind),
+			first: int32(i), last: int32(i), n: 1, sum: o.Delta})
 		for j := len(groups) - 1; j > pos; j-- {
 			groups[j].byKey = groups[j-1].byKey
 		}
 		groups[pos].byKey = int32(len(groups) - 1)
 	}
 	return groups
-}
-
-// compose turns the key's ops and what the first batch found for it into the
-// key's op in the second; ok is false when there is nothing to write. It
-// replays the ops in record order over the key's state, absent or an entry:
-//
-//   - a populate stores its entry when the key is absent, and is refused
-//     when it is not;
-//   - a delete empties the key;
-//   - an incr or a list edit applies when the key is present, and finds
-//     nothing otherwise.
-//
-// The key is then added if it started absent, swapped in (cas) if it started
-// present, and deleted if it ended absent. A top-K list that a removal leaves
-// short of its reserve is recomputed through q, which stands in for the
-// composed edits; without q it is dropped.
-func (k *keyGroup) compose(q sqldb.Queryer, ops []op, r kvcache.BatchResult) (bop kvcache.BatchOp, ok bool) {
-	co := ops[k.first].co
-	g := co.g
-	present, raw := r.Found, r.Data
-	var p payload
-	decoded, dirty, short := false, false, false
-	for i := k.first; i >= 0; i = ops[i].next {
-		o := &ops[i]
-		switch {
-		case o.kind == opPopulate:
-			if present {
-				g.populateRefused.Add(1)
-				continue
-			}
-			present, raw, decoded, dirty = true, o.enc, false, true
-		case o.kind == opDelete:
-			if present {
-				g.trigDeletes.Add(1)
-				present, dirty = false, true
-			} else {
-				g.trigSkips.Add(1)
-			}
-		case !present:
-			g.trigSkips.Add(1)
-		case o.kind == opIncr:
-			n, ok := parseCount(raw)
-			if !ok {
-				g.trigDeletes.Add(1) // corrupt: dropped
-				present, dirty = false, true
-				continue
-			}
-			raw = strconv.AppendInt(nil, n+o.delta, 10)
-			g.trigUpdates.Add(1)
-			dirty = true
-		default:
-			if !decoded {
-				var err error
-				if p, err = decodePayload(raw); err != nil {
-					g.trigDeletes.Add(1) // corrupt: dropped
-					present, dirty = false, true
-					continue
-				}
-				decoded = true
-			}
-			changed, s := o.apply(&p)
-			if changed {
-				k.changed++
-				dirty = true
-			}
-			if s && q == nil {
-				g.trigDeletes.Add(1)
-				present = false
-			}
-			short = short || s
-		}
-	}
-	if k.mixed {
-		g.trigUpdates.Add(int64(k.changed))
-		k.counted = true
-	}
-	switch {
-	case short && q != nil:
-		// The recomputed list is the statement's final database state for
-		// this key, so it stands in for the composed edits.
-		g.trigUpdates.Add(int64(k.changed))
-		k.counted = true
-		return co.recompute(q, k.key, ops[k.first].vals), true
-	case !dirty || !present && !r.Found:
-		return bop, false
-	case !present:
-		k.counted = true
-		return kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key}, true
-	}
-	if decoded {
-		raw = encodePayload(p)
-	}
-	if !r.Found {
-		return kvcache.BatchOp{Kind: kvcache.BatchAdd, Key: k.key, Value: raw, TTL: co.ttl()}, true
-	}
-	return kvcache.BatchOp{Kind: kvcache.BatchCas, Key: k.key, Value: raw, TTL: co.ttl(), Cas: r.Cas}, true
 }
 
 // recompute rebuilds a top-K list from the database through q — the paper's
@@ -514,5 +277,5 @@ func (co *CachedObject) recompute(q sqldb.Queryer, key string, vals []sqldb.Valu
 	co.g.recomputes.Add(1)
 	co.g.trigUpdates.Add(1)
 	return kvcache.BatchOp{Kind: kvcache.BatchSet, Key: key,
-		Value: encodePayload(payload{exhaustive: exhaustive, rows: rows}), TTL: co.ttl()}
+		Value: rowlist.Encode(rowlist.List{Exhaustive: exhaustive, Rows: rows}), TTL: co.ttl()}
 }

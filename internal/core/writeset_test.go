@@ -11,13 +11,14 @@ import (
 
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/orm"
+	"cachegenie/internal/rowlist"
 	"cachegenie/internal/sqldb"
 )
 
 // countingCache counts how the Genie reaches the store: per-op calls by name
 // and every batch with the kinds it carried. beforeBatch, when set, runs
 // ahead of each batch (numbered from 1 since the last reset), which is how a
-// test lands a racing write between a flush's two batches. A bus worker may
+// test lands another writer's write just before a flush. A bus worker may
 // count while a test reads, so counting is locked.
 type countingCache struct {
 	*kvcache.Store
@@ -89,7 +90,7 @@ func (c *countingCache) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult 
 	return c.Store.ApplyBatch(ops)
 }
 
-// kindCounts renders one batch as "3 gets, 2 incr".
+// kindCounts renders one batch as "3 edit, 2 incr".
 func kindCounts(kinds []kvcache.BatchOpKind) string {
 	n := map[string]int{}
 	for _, k := range kinds {
@@ -131,11 +132,11 @@ func friendWallQS(s *stack, userID int) *orm.QuerySet {
 	return s.reg.Objects("Wall").Via("Membership", "user_id", "group_id", "user_id").Filter("user_id", userID)
 }
 
-// TestWriteSetOneInsertTwoBatches is the CreateBM shape: one inserted row
+// TestWriteSetOneInsertOneExchange is the CreateBM shape: one inserted row
 // whose triggers touch the author's own list, top-K list and counter and the
-// list of every follower, cached or not. It must reach the cache in two
-// batches and through nothing else.
-func TestWriteSetOneInsertTwoBatches(t *testing.T) {
+// list of every follower, cached or not. It must reach the cache in one batch
+// and through nothing else.
+func TestWriteSetOneInsertOneExchange(t *testing.T) {
 	s, cc := newCountingStack(t)
 	feature := s.cacheable(t, Spec{Name: "wall_of_user", Class: FeatureQuery, MainModel: "Wall", WhereFields: []string{"user_id"}})
 	count := s.cacheable(t, Spec{Name: "wall_count", Class: CountQuery, MainModel: "Wall", WhereFields: []string{"user_id"}})
@@ -164,16 +165,13 @@ func TestWriteSetOneInsertTwoBatches(t *testing.T) {
 	if len(cc.perOp) != 0 {
 		t.Fatalf("the insert's triggers made per-op cache calls: %v", cc.perOp)
 	}
-	if len(cc.batches) != 2 {
-		t.Fatalf("the insert's triggers made %d batches, want 2: %v", len(cc.batches), cc.batches)
+	if len(cc.batches) != 1 {
+		t.Fatalf("the insert's triggers made %d batches, want 1: %v", len(cc.batches), cc.batches)
 	}
-	// 2 own lists + 8 follower lists read and the counter bumped; then the 2
-	// own lists and the 4 cached follower lists swapped.
-	if got, want := kindCounts(cc.batches[0]), "1 incr, 10 gets"; got != want {
-		t.Errorf("first batch carried %s, want %s", got, want)
-	}
-	if got, want := kindCounts(cc.batches[1]), "6 cas"; got != want {
-		t.Errorf("second batch carried %s, want %s", got, want)
+	// 2 own lists + 8 follower lists edited and the counter bumped; the store
+	// applies the edits of the 2 own lists and the 4 cached follower lists.
+	if got, want := kindCounts(cc.batches[0]), "1 incr, 10 edit"; got != want {
+		t.Errorf("the batch carried %s, want %s", got, want)
 	}
 	after := s.g.Stats()
 	if up, skip := after.TriggerUpdates-before.TriggerUpdates, after.TriggerSkips-before.TriggerSkips; up != 7 || skip != 4 {
@@ -188,9 +186,9 @@ func TestWriteSetOneInsertTwoBatches(t *testing.T) {
 }
 
 // TestWriteSetComposesSameKeyMutations: a statement that changes many rows
-// of one cached list edits that list once — one gets, one cas — and sums its
-// counter adjustments into one incr, while the counters keep counting every
-// logical op.
+// of one cached list sends that list one edit carrying every change, and sums
+// its counter adjustments into one incr, while the counters keep counting
+// every logical op.
 func TestWriteSetComposesSameKeyMutations(t *testing.T) {
 	s, cc := newCountingStack(t)
 	feature := s.cacheable(t, profileSpec(UpdateInPlace))
@@ -209,8 +207,8 @@ func TestWriteSetComposesSameKeyMutations(t *testing.T) {
 	if _, err := s.db.Exec("UPDATE profiles SET bio = 'same' WHERE user_id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(cc.batches); got != "[[gets] [cas]]" || len(cc.perOp) != 0 {
-		t.Fatalf("3-row update reached the cache as batches %s and per-op calls %v, want [[gets] [cas]] and none", got, cc.perOp)
+	if got := fmt.Sprint(cc.batches); got != "[[edit]]" || len(cc.perOp) != 0 {
+		t.Fatalf("3-row update reached the cache as batches %s and per-op calls %v, want [[edit]] and none", got, cc.perOp)
 	}
 	if up := s.g.Stats().TriggerUpdates - before.TriggerUpdates; up != 3 {
 		t.Fatalf("counted %d trigger updates for 3 updated rows", up)
@@ -222,8 +220,8 @@ func TestWriteSetComposesSameKeyMutations(t *testing.T) {
 	if _, err := s.db.Exec("DELETE FROM profiles WHERE user_id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(cc.batches); got != "[[gets incr] [cas]]" || len(cc.perOp) != 0 {
-		t.Fatalf("3-row delete reached the cache as batches %s and per-op calls %v, want [[gets incr] [cas]] and none", got, cc.perOp)
+	if got := fmt.Sprint(cc.batches); got != "[[edit incr]]" || len(cc.perOp) != 0 {
+		t.Fatalf("3-row delete reached the cache as batches %s and per-op calls %v, want [[edit incr]] and none", got, cc.perOp)
 	}
 	if up := s.g.Stats().TriggerUpdates - before.TriggerUpdates; up != 6 {
 		t.Fatalf("counted %d trigger updates for 3 list removals and 3 decrements", up)
@@ -235,19 +233,20 @@ func TestWriteSetComposesSameKeyMutations(t *testing.T) {
 	checkAgainstDB(t, s, count, one)
 }
 
-// TestWriteSetConflictFallsBackToCasLoop lands a write on the key between a
-// synchronous statement's two flush batches. The cas loses, and the fallback
-// is to delete the key for the next read to reload.
-func TestWriteSetConflictFallsBackToCasLoop(t *testing.T) {
+// TestWriteSetEditLandsOnAConcurrentWrite is the synchronous route of
+// checkEditLandsOnAConcurrentWrite.
+func TestWriteSetEditLandsOnAConcurrentWrite(t *testing.T) {
 	s, cc := newCountingStack(t)
-	checkLostCasDeletesKey(t, s, cc, s.cacheable(t, profileSpec(UpdateInPlace)))
+	checkEditLandsOnAConcurrentWrite(t, s, cc, s.cacheable(t, profileSpec(UpdateInPlace)))
 }
 
-// checkLostCasDeletesKey caches co's list for user 1, then inserts a row
-// with another writer's set landing between the gets and the cas. The insert
-// must reach the cache as [gets] [cas] [delete], count one cas retry, and
-// leave the key uncached; both flush routes share this rule.
-func checkLostCasDeletesKey(t *testing.T, s *stack, cc *countingCache, co *CachedObject) {
+// checkEditLandsOnAConcurrentWrite caches co's list for user 1, then inserts
+// a row with another writer's set landing on the key just before the flush.
+// A flush reads nothing it could find changed: its one edit applies to the
+// list the key holds when it arrives, so the insert reaches the cache as
+// [[edit]], counts no cas retry, and leaves the key cached and fresh; both
+// flush routes share this rule.
+func checkEditLandsOnAConcurrentWrite(t *testing.T, s *stack, cc *countingCache, co *CachedObject) {
 	t.Helper()
 	one := sqldb.I64(1)
 	key := co.MakeKey(one)
@@ -260,24 +259,28 @@ func checkLostCasDeletesKey(t *testing.T, s *stack, cc *countingCache, co *Cache
 	s.g.FlushInvalidations()
 	cc.reset()
 	cc.beforeBatch = func(n int) {
-		if n == 2 { // between the gets and the cas: another writer's set
+		if n == 1 { // just before the flush: another writer's set
 			raw, _ := s.cache.Get(key)
 			s.cache.Set(key, raw, 0)
 		}
 	}
+	before := s.g.Stats()
 	if _, err := s.reg.Insert("Profile", orm.Fields{"user_id": 1, "bio": "v2"}); err != nil {
 		t.Fatal(err)
 	}
 	s.g.FlushInvalidations()
 	cc.beforeBatch = nil
-	if got := fmt.Sprint(cc.batches); got != "[[gets] [cas] [delete]]" || len(cc.perOp) != 0 {
-		t.Fatalf("the insert reached the cache as batches %s and per-op calls %v, want [[gets] [cas] [delete]] and none", got, cc.perOp)
+	if got := fmt.Sprint(cc.batches); got != "[[edit]]" || len(cc.perOp) != 0 {
+		t.Fatalf("the insert reached the cache as batches %s and per-op calls %v, want [[edit]] and none", got, cc.perOp)
 	}
-	if n := s.g.Stats().CasRetries; n != 1 {
-		t.Fatalf("cas retries %d, want 1", n)
+	after := s.g.Stats()
+	if after.CasRetries != 0 || after.TriggerUpdates-before.TriggerUpdates != 1 {
+		t.Fatalf("cas retries %d, updates %d; want 0 and 1", after.CasRetries, after.TriggerUpdates-before.TriggerUpdates)
 	}
-	if _, ok := s.cache.Get(key); ok {
-		t.Fatal("the key that lost its cas is still cached")
+	if raw, ok := s.cache.Get(key); !ok {
+		t.Fatal("the edited key is no longer cached")
+	} else if l, err := rowlist.Decode(raw); err != nil || len(l.Rows) != 2 {
+		t.Fatalf("the edited key holds %d rows (%v), want 2", len(l.Rows), err)
 	}
 	checkAgainstDB(t, s, co, one)
 }

@@ -1,16 +1,18 @@
 package kvcache
 
-import "time"
+import (
+	"time"
+
+	"cachegenie/internal/rowlist"
+)
 
 // BatchOpKind discriminates the operations that can ride in a batch.
 type BatchOpKind int
 
-// Batchable operations. A compare-and-swap is read-dependent, so it spans two
-// batches rather than one: a batch of BatchGets reads every value and token a
-// caller is about to modify, and a second batch carries the BatchCas writes
-// computed from them (core's statement write-set flushes exactly that pair).
-// A BatchCas that reports CasConflict lost a race between the two batches;
-// only that key needs a gets/cas retry of its own.
+// Batchable operations. Every op is read-independent except BatchCas, whose
+// token comes from an earlier BatchGets; core's write-set flush needs neither:
+// the list edits it makes are one BatchEdit per key, which the node holding
+// the key replays atomically, so a flush is one batch.
 const (
 	BatchDelete BatchOpKind = iota
 	BatchSet
@@ -21,7 +23,7 @@ const (
 	// concurrent write already landed there.
 	BatchAdd
 	// BatchGets reads the value and CAS token, like Cache.Gets; a cas of the
-	// same key follows, so it always reads the node that will compare the
+	// same key may follow, so it always reads the node that will compare the
 	// token.
 	BatchGets
 	// BatchCas stores only if the key's token still equals Cas, like
@@ -33,6 +35,16 @@ const (
 	// the wire it is a gets whose token is dropped. core's read waves fetch a
 	// page's independent lookups as one batch of these.
 	BatchGet
+	// BatchEdit replays one key's recorded trigger ops — list edits, incrs,
+	// deletes, populates — over its entry in record order, atomically with
+	// respect to the key's other ops, and stores or deletes what they leave
+	// (rowlist.Scratch.Replay).
+	// Value is the edit (rowlist.AppendShape, AppendOp); TTL the lifetime of
+	// an entry it stores. Its result's Edit is what the replay counted, and
+	// Found reports that the node ran it. On the wire it is an edit
+	// sub-command; a replicated ring sends it to every replica, each of which
+	// replays it on its own copy.
+	BatchEdit
 )
 
 // String implements fmt.Stringer.
@@ -52,6 +64,8 @@ func (k BatchOpKind) String() string {
 		return "cas"
 	case BatchGet:
 		return "get"
+	case BatchEdit:
+		return "edit"
 	}
 	return "unknown"
 }
@@ -60,8 +74,8 @@ func (k BatchOpKind) String() string {
 type BatchOp struct {
 	Kind  BatchOpKind
 	Key   string
-	Value []byte        // BatchSet / BatchAdd / BatchCas payload
-	TTL   time.Duration // BatchSet / BatchAdd / BatchCas entry lifetime (0 = no expiry)
+	Value []byte        // BatchSet / BatchAdd / BatchCas payload, BatchEdit edit
+	TTL   time.Duration // BatchSet / BatchAdd / BatchCas / BatchEdit entry lifetime (0 = no expiry)
 	Delta int64         // BatchIncr increment (may be negative)
 	Cas   uint64        // BatchCas token, from an earlier BatchGets result
 }
@@ -69,8 +83,8 @@ type BatchOp struct {
 // BatchResult reports one op's outcome, positionally matching the batch.
 type BatchResult struct {
 	// Found is true when a delete removed a live entry, an incr found a
-	// numeric entry, an add or cas stored, or a get or gets hit; sets always
-	// report true.
+	// numeric entry, an add or cas stored, a get or gets hit, or an edit was
+	// replayed; sets always report true.
 	Found bool
 	// Value is the post-increment value for BatchIncr.
 	Value int64
@@ -81,6 +95,8 @@ type BatchResult struct {
 	// CasResult is a BatchCas outcome (Found mirrors CasStored); it is
 	// meaningless for every other kind.
 	CasResult CasResult
+	// Edit is what a BatchEdit's replay counted.
+	Edit rowlist.Result
 }
 
 // BatchApplier is the batch entry point every Cache has. It keeps a name of
@@ -107,7 +123,11 @@ func (s *Store) ApplyBatch(ops []BatchOp) []BatchResult {
 		return out
 	}
 	slab := make([]byte, 0, s.readBytes(ops))
-	if len(s.shards) == 1 {
+	edits := false
+	for i := range ops {
+		edits = edits || ops[i].Kind == BatchEdit
+	}
+	if len(s.shards) == 1 && !edits {
 		sh := &s.shards[0]
 		sh.mu.Lock()
 		for i := range ops {
@@ -120,9 +140,14 @@ func (s *Store) ApplyBatch(ops []BatchOp) []BatchResult {
 	// their ops mostly land on distinct shards anyway, so per-op lock
 	// acquisitions cost less than allocating O(NumShards) bookkeeping (the
 	// common write-set flush is a handful of ops), and per-key
-	// ordering is position order either way.
-	if len(ops) <= 8 || len(ops) < len(s.shards) {
+	// ordering is position order either way. An edit takes its shard's lock
+	// itself (edit), so a batch that carries one goes op by op too.
+	if edits || len(ops) <= 8 || len(ops) < len(s.shards) {
 		for i := range ops {
+			if op := &ops[i]; op.Kind == BatchEdit {
+				out[i] = BatchResult{Found: true, Edit: edit(s, op.Key, op.Value, op.TTL)}
+				continue
+			}
 			sh := shardFor(s, ops[i].Key)
 			sh.mu.Lock()
 			out[i] = s.applyOpLocked(sh, &ops[i], &slab)
@@ -185,8 +210,8 @@ func (s *Store) readBytes(ops []BatchOp) int {
 	return n
 }
 
-// applyOpLocked executes one batch op on its shard; a get's value is copied
-// into slab when it has room. Caller holds sh.mu.
+// applyOpLocked executes one batch op but an edit on its shard; a get's value
+// is copied into slab when it has room. Caller holds sh.mu.
 func (s *Store) applyOpLocked(sh *shard, op *BatchOp, slab *[]byte) BatchResult {
 	switch op.Kind {
 	case BatchSet:

@@ -3,7 +3,11 @@ package kvcache
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+
+	"cachegenie/internal/rowlist"
+	"cachegenie/internal/sqlval"
 )
 
 func TestStoreApplyBatch(t *testing.T) {
@@ -126,4 +130,74 @@ func TestBatchGet(t *testing.T) {
 			t.Errorf("a batched get handed out the store's own buffer: k1 = %q", v)
 		}
 	})
+}
+
+// TestBatchEdit: an edit replays its ops over the key's entry and stores what
+// they leave, counting them in its result; an edit of
+// an absent key stores nothing, and a top-K removal that uses up the reserve
+// deletes the key and says so.
+func TestBatchEdit(t *testing.T) {
+	s := New(0)
+	row := func(pk, v int64) sqlval.Row { return sqlval.Row{sqlval.I64(pk), sqlval.I64(v)} }
+	topk := rowlist.Shape{Class: rowlist.TopK, SortCol: 1, Desc: true, K: 2, Limit: 3}
+	edit := func(ops ...rowlist.Op) []byte {
+		b := rowlist.AppendShape(nil, topk)
+		for i := range ops {
+			b = rowlist.AppendOp(b, &ops[i])
+		}
+		return b
+	}
+	s.Set("list", rowlist.Encode(rowlist.List{Rows: []sqlval.Row{row(1, 30), row(2, 20)}}), 0)
+	res := s.ApplyBatch([]BatchOp{
+		{Kind: BatchEdit, Key: "list", Value: edit(rowlist.Op{Kind: rowlist.Insert, New: row(3, 25)})},
+		{Kind: BatchEdit, Key: "absent", Value: edit(rowlist.Op{Kind: rowlist.Insert, New: row(3, 25)})},
+	})
+	if want := (rowlist.Result{Updates: 1}); !res[0].Found || res[0].Edit != want {
+		t.Fatalf("edit of a cached list = %+v, want found and %+v", res[0], want)
+	}
+	if want := (rowlist.Result{Skips: 1}); !res[1].Found || res[1].Edit != want {
+		t.Fatalf("edit of an absent key = %+v, want found and %+v", res[1], want)
+	}
+	raw, _ := s.Get("list")
+	if l, err := rowlist.Decode(raw); err != nil || len(l.Rows) != 3 || rowlist.PK(l.Rows[1]) != 3 {
+		t.Fatalf("list after the insert = %+v, %v; want 1 3 2", l, err)
+	}
+	if _, ok := s.Get("absent"); ok {
+		t.Fatal("an edit of an absent key stored it")
+	}
+	r := s.EditB([]byte("list"), edit(rowlist.Op{Kind: rowlist.Remove, Old: row(1, 30)}, rowlist.Op{Kind: rowlist.Remove, Old: row(3, 25)}), 0)
+	if want := (rowlist.Result{Updates: 2, Short: true}); r != want {
+		t.Fatalf("removals past the reserve = %+v, want %+v", r, want)
+	}
+	if _, ok := s.Get("list"); ok {
+		t.Fatal("a list short of K is still cached")
+	}
+}
+
+// TestBatchEditConcurrentEditsLoseNothing: edits replay on a copy of the
+// entry outside the shard lock, so concurrent edits of one key race; each
+// must land on what the others left, and none may be lost.
+func TestBatchEditConcurrentEditsLoseNothing(t *testing.T) {
+	s := New(0, WithShards(1))
+	s.Set("list", rowlist.Encode(rowlist.List{}), 0)
+	const writers, each = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				op := rowlist.Op{Kind: rowlist.Insert, New: sqlval.Row{sqlval.I64(int64(w*each + i)), sqlval.Str("row")}}
+				ed := rowlist.AppendOp(rowlist.AppendShape(nil, rowlist.Shape{Class: rowlist.Feature}), &op)
+				if r := s.ApplyBatch([]BatchOp{{Kind: BatchEdit, Key: "list", Value: ed}})[0]; r.Edit.Updates != 1 {
+					t.Errorf("insert %d/%d counted %+v", w, i, r.Edit)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	raw, _ := s.Get("list")
+	if l, err := rowlist.Decode(raw); err != nil || len(l.Rows) != writers*each {
+		t.Fatalf("the list holds %d rows (%v), want %d", len(l.Rows), err, writers*each)
+	}
 }

@@ -1,7 +1,9 @@
 // Package kvcache implements the caching layer of the paper's stack: a
 // memcached-semantics in-memory key-value store with LRU eviction under a
-// byte-capacity budget, TTL expiry, and compare-and-swap (the memcached
-// gets/cas pair CacheGenie's update-in-place triggers rely on, §3.2).
+// byte-capacity budget, TTL expiry, compare-and-swap (the memcached gets/cas
+// pair the paper's update-in-place triggers rely on, §3.2), and the edit
+// those triggers send here instead: a key's recorded ops, replayed over its
+// entry atomically (BatchEdit).
 //
 // The Cache interface is implemented by *Store (in-process), by the
 // cacheproto TCP client (remote server), and by the cluster consistent-hash
@@ -25,6 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cachegenie/internal/rowlist"
 )
 
 // CasResult reports the outcome of a compare-and-swap.
@@ -56,7 +60,7 @@ type Cache interface {
 	Get(key string) ([]byte, bool)
 	// Gets returns the value and a CAS token for a later Cas. No caller in
 	// the root module reads and swaps through Gets and Cas any more (a
-	// write-set flush batches them); they stay because bench/trace.go
+	// write-set flush sends edits); they stay because bench/trace.go
 	// forwards them.
 	Gets(key string) ([]byte, uint64, bool)
 	// Set unconditionally stores value with a TTL (0 = no expiry).
@@ -465,6 +469,16 @@ func incrLocked[K keyBytes](s *Store, sh *shard, key K, delta int64) (int64, boo
 	return n, true
 }
 
+// editScratch is a BatchEdit's working memory: a copy of the entry it
+// edits, and the replay's scratch. A pool, not a scratch per shard, so idle
+// stripes pin nothing.
+type editScratch struct {
+	rowlist.Scratch
+	cur []byte
+}
+
+var editScratches = sync.Pool{New: func() any { return new(editScratch) }}
+
 // ---------- the operations: each locks its key's shard ----------
 
 // getsAppend appends key's value to dst, returning the extended slice, the
@@ -507,6 +521,41 @@ func del[K keyBytes](s *Store, key K) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return deleteLocked(s, sh, key)
+}
+
+// edit replays the edit ed over key's entry and stores or deletes what it
+// leaves (see BatchEdit). The replay runs on a copy of the entry with the
+// shard unlocked, so the stripe's other keys, and readers of this one, wait
+// for the copy and the store, not for a list's decode and re-encode. A write
+// to the key in between, which changes its token, makes the edit replay again
+// over what that write left. A malformed edit drops the key.
+func edit[K keyBytes](s *Store, key K, ed []byte, ttl time.Duration) rowlist.Result {
+	sh := shardFor(s, key)
+	sc := editScratches.Get().(*editScratch)
+	defer editScratches.Put(sc)
+	for {
+		sh.mu.Lock()
+		e, present := get(s, sh, key, true)
+		var token uint64
+		sc.cur = sc.cur[:0]
+		if present {
+			sc.cur, token = append(sc.cur, e.value...), e.casID
+		}
+		sh.mu.Unlock()
+		out, _ := sc.Replay(ed, sc.cur, present)
+		sh.mu.Lock()
+		if e, ok := sh.items[string(key)]; ok == present && (!ok || e.casID == token) {
+			switch {
+			case out.Changed && out.Present:
+				setLocked(s, sh, key, out.Entry, ttl)
+			case out.Changed:
+				deleteLocked(s, sh, key)
+			}
+			sh.mu.Unlock()
+			return out.Result
+		}
+		sh.mu.Unlock()
+	}
 }
 
 func incr[K keyBytes](s *Store, key K, delta int64) (int64, bool) {
@@ -575,6 +624,10 @@ func (s *Store) DeleteB(key []byte) bool { return del(s, key) }
 
 // IncrB is Incr for a []byte key.
 func (s *Store) IncrB(key []byte, delta int64) (int64, bool) { return incr(s, key, delta) }
+
+// EditB is a one-op BatchEdit for a []byte key: it replays the edit ed over
+// the key's entry and returns what the replay counted.
+func (s *Store) EditB(key, ed []byte, ttl time.Duration) rowlist.Result { return edit(s, key, ed, ttl) }
 
 // FlushAll implements Cache. Shards flush one at a time; concurrent writers
 // may land in an already-flushed shard, as with memcached's flush_all.

@@ -83,7 +83,7 @@ func (db *DB) applyRecord(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
-		row, err := decodeRow(rest)
+		row, err := DecodeRow(rest)
 		if err != nil {
 			return err
 		}

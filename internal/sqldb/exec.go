@@ -193,9 +193,9 @@ func evalScalar(e sqlparse.Expr, args []Value, schema *Schema, row Row) (Value, 
 			return I64(v.I - operand.I), nil
 		case v.IsNumeric() && operand.IsNumeric():
 			if e.Op == '+' {
-				return F64(v.numeric() + operand.numeric()), nil
+				return F64(v.Numeric() + operand.Numeric()), nil
 			}
-			return F64(v.numeric() - operand.numeric()), nil
+			return F64(v.Numeric() - operand.Numeric()), nil
 		}
 		return Value{}, fmt.Errorf("sqldb: arithmetic on non-numeric column %s", e.Col)
 	}

@@ -197,7 +197,7 @@ func (t *table) insertRaw(enc []byte, row Row) ([]byte, error) {
 		}
 	}
 	start := len(enc)
-	out := encodeRow(enc, row)
+	out := EncodeRow(enc, row)
 	rid, err := t.heap.Insert(out[start:])
 	if err != nil {
 		return enc, err
@@ -220,7 +220,7 @@ func (t *table) getRaw(pk int64) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeRow(rec)
+	return DecodeRow(rec)
 }
 
 // updateRaw replaces the row with old's primary key by new (PK change is not
@@ -252,7 +252,7 @@ func (t *table) updateRaw(enc []byte, old, new Row) ([]byte, error) {
 		}
 	}
 	start := len(enc)
-	out := encodeRow(enc, new)
+	out := EncodeRow(enc, new)
 	newRID, err := t.heap.Update(rid, out[start:])
 	if err != nil {
 		return enc, err

@@ -110,8 +110,8 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		{I64(0), Str("with\x00nul and 'quotes'"), Bool(false), F64(math.Inf(1)), Time(time.Unix(0, 0))},
 	}
 	for _, r := range rows {
-		enc := encodeRow(nil, r)
-		dec, err := decodeRow(enc)
+		enc := EncodeRow(nil, r)
+		dec, err := DecodeRow(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestQuickRowCodec(t *testing.T) {
 			return true
 		}
 		r := Row{I64(i), Str(s), Bool(b), F64(fl)}
-		dec, err := decodeRow(encodeRow(nil, r))
+		dec, err := DecodeRow(EncodeRow(nil, r))
 		if err != nil {
 			return false
 		}
@@ -150,8 +150,8 @@ func TestQuickRowCodec(t *testing.T) {
 // TestDecodeRowInto: rows append to one dst; with s = string(b) the decode
 // allocates nothing, and a failed decode leaves dst as it was.
 func TestDecodeRowInto(t *testing.T) {
-	a := encodeRow(nil, Row{I64(1), Str("hello"), NullOf(TypeText)})
-	b := encodeRow(nil, Row{Str(""), Str("x\x00y"), F64(-2)})
+	a := EncodeRow(nil, Row{I64(1), Str("hello"), NullOf(TypeText)})
+	b := EncodeRow(nil, Row{Str(""), Str("x\x00y"), F64(-2)})
 	dst := make([]Value, 0, 6)
 	sa := string(a)
 	if n := testing.AllocsPerRun(100, func() {
@@ -192,9 +192,9 @@ func TestDecodeRowInto(t *testing.T) {
 
 func TestDecodeRowCorruption(t *testing.T) {
 	r := Row{I64(1), Str("x")}
-	enc := encodeRow(nil, r)
+	enc := EncodeRow(nil, r)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodeRow(enc[:cut]); err == nil && cut < len(enc) {
+		if _, err := DecodeRow(enc[:cut]); err == nil && cut < len(enc) {
 			// Some prefixes may decode as shorter valid rows only if the
 			// count matches; the count is in the first 4 bytes so any cut
 			// below full length must error.

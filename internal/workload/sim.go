@@ -113,17 +113,16 @@ func (l *latencyCache) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 }
 
 // triggerBatch reports whether ops opens a trigger's conversation with the
-// cache. Only trigger maintenance batches gets, incr or delete ops: a
-// statement's write-set flush leads with one op per key of those kinds, and
-// the invalidation bus flushes runs of incrs and deletes. Read waves batch
-// gets without the token, and a write-set's second batch carries cas and
-// set writes, so neither pays a connection. So a synchronous statement pays
-// one connection per flush; an async bus flush pays one per run of typed ops
-// it sends (its CAS updates and repopulations go op by op and pay none).
+// cache. Only trigger maintenance batches edit, incr or delete ops: a
+// statement's write-set flush sends one op per key of those kinds (or an add
+// for a lone populate), and the invalidation bus flushes runs of them. Read
+// waves batch gets, and a top-K recompute's set follows its flush, so neither
+// pays a connection. So a synchronous statement pays one connection per
+// flush; an async bus flush pays one per window it sends.
 func triggerBatch(ops []kvcache.BatchOp) bool {
 	for i := range ops {
 		switch ops[i].Kind {
-		case kvcache.BatchGets, kvcache.BatchIncr, kvcache.BatchDelete:
+		case kvcache.BatchEdit, kvcache.BatchIncr, kvcache.BatchDelete:
 			return true
 		}
 	}

@@ -38,7 +38,7 @@ func TestPaperScaledRatios(t *testing.T) {
 
 // TestLatencyCacheBatchChargesOneRoundTrip: a batch costs one round trip
 // however many ops it carries, and a connection only when it is trigger
-// maintenance (gets, incr, delete) and connections are not reused.
+// maintenance (edit, incr, delete) and connections are not reused.
 func TestLatencyCacheBatchChargesOneRoundTrip(t *testing.T) {
 	m := Model{CacheRoundTrip: time.Microsecond, CacheConnect: time.Microsecond}
 	batch := func(kind kvcache.BatchOpKind) []kvcache.BatchOp {
@@ -54,15 +54,16 @@ func TestLatencyCacheBatchChargesOneRoundTrip(t *testing.T) {
 		t.Fatalf("50 sets: %d round trips, %d connects; want 1 and 0", rt, c)
 	}
 	lc.ApplyBatch(batch(kvcache.BatchGet))
+	lc.ApplyBatch(batch(kvcache.BatchGets))
 	lc.ApplyBatch(batch(kvcache.BatchCas))
 	if c := lc.connects.Load(); c != 0 {
-		t.Fatalf("a read wave or a cas batch paid %d connects", c)
+		t.Fatalf("a read wave or a gets or cas batch paid %d connects", c)
 	}
-	for _, k := range []kvcache.BatchOpKind{kvcache.BatchGets, kvcache.BatchIncr, kvcache.BatchDelete} {
+	for _, k := range []kvcache.BatchOpKind{kvcache.BatchEdit, kvcache.BatchIncr, kvcache.BatchDelete} {
 		lc.ApplyBatch(batch(k))
 	}
-	if rt, c := lc.roundTrips.Load(), lc.connects.Load(); rt != 6 || c != 3 {
-		t.Fatalf("after 6 batches: %d round trips, %d connects; want 6 and 3", rt, c)
+	if rt, c := lc.roundTrips.Load(), lc.connects.Load(); rt != 7 || c != 3 {
+		t.Fatalf("after 7 batches: %d round trips, %d connects; want 7 and 3", rt, c)
 	}
 	reused := newLatencyCache(kvcache.New(0), m, true)
 	reused.ApplyBatch(batch(kvcache.BatchDelete))
