@@ -11,7 +11,9 @@
 // nothing; the batch's caller (core's read waves) reloads the key from the
 // database, and its repopulating Add fans out to the whole replica set. Trying
 // the other replicas would cost the batch a second round of exchanges to paper
-// over a divergence the next write heals anyway.
+// over a divergence that needs a write to heal it: a set or a delete, which
+// reach every replica, or a list edit that the replicas did not all run
+// alike, which the caller answers with a delete (see applyBatchReplicated).
 package cluster
 
 import (
@@ -389,9 +391,9 @@ func (r *Ring) Set(key string, value []byte, ttl time.Duration) {
 
 // Add implements kvcache.Cache; with replication it fans out to all R
 // replicas and reports the first healthy replica's outcome (replicas that
-// already held the key keep their value — the divergence, if any, heals
-// through reads preferring the same replica order and through the next
-// fan-out write).
+// already held the key keep their value — the divergence, if any, lasts
+// until a set or a delete reaches every replica; reads prefer the same
+// replica order meanwhile).
 func (r *Ring) Add(key string, value []byte, ttl time.Duration) bool {
 	if r.replicas == 1 {
 		return r.pick(key).Add(key, value, ttl)
@@ -589,7 +591,12 @@ func (f *fanout) apply(n int) {
 // meaningful on the node that issued it. A stored cas then propagates to the
 // key's other replicas as a plain set, in one more concurrent round. A list
 // edit (kvcache.BatchEdit) is a mutation like any other: every replica
-// replays it on its own copy in the batch's one round.
+// replays it on its own copy in the batch's one round. Its result is every
+// replica's instead of the first healthy one's: an edit that one replica did
+// not run, or that replicas counted differently (one held the key, another
+// did not), reads as failed (not found), because the copies no longer follow
+// each other, and the caller drops the key (core's flush deletes it on every
+// replica).
 //
 // A get goes to the one replica Ring.Get would try first, the first healthy
 // one, and what that replica answers is the answer: unlike Ring.Get, a
@@ -641,13 +648,27 @@ func (r *Ring) applyBatchReplicated(ops []kvcache.BatchOp) []kvcache.BatchResult
 	for n := range r.nodes {
 		for k := p.start[n]; k < p.start[n+1]; k++ {
 			i, res := p.idx[k], results[k]
-			if decider[i] == n {
+			switch {
+			case ops[i].Kind == kvcache.BatchEdit:
+				// Every replica must run the edit and count what the others
+				// counted; replicas that counted differently held different
+				// copies (one of them the key, the other none). Either way
+				// the copies no longer follow each other, and the edit fails.
+				// decider -1 marks an edit that failed.
+				switch {
+				case decider[i] < 0:
+				case !res.Found || out[i].Found && out[i].Edit != res.Edit:
+					decider[i], out[i] = -1, kvcache.BatchResult{}
+				default:
+					out[i] = res
+				}
+			case decider[i] == n:
 				found := out[i].Found // a delete may already have OR-ed in
 				out[i] = res
 				if ops[i].Kind == kvcache.BatchDelete {
 					out[i].Found = out[i].Found || found
 				}
-			} else if ops[i].Kind == kvcache.BatchDelete && res.Found {
+			case ops[i].Kind == kvcache.BatchDelete && res.Found:
 				out[i].Found = true
 			}
 		}

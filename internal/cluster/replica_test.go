@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,8 @@ import (
 
 	"cachegenie/internal/cacheproto"
 	"cachegenie/internal/kvcache"
+	"cachegenie/internal/rowlist"
+	"cachegenie/internal/sqlval"
 )
 
 func newReplicatedRing(t *testing.T, n, replicas int) (*Ring, []*kvcache.Store) {
@@ -314,6 +317,48 @@ func TestReplicatedBatchGetsCasRouting(t *testing.T) {
 	}
 	if got, want := nodes[0].take(), fmt.Sprintf("[[set %s]]", a); got != want {
 		t.Fatalf("downed replica received %s, want only the propagated %s", got, want)
+	}
+}
+
+// TestReplicatedEditNeedsEveryReplica: at R = 2 an edit fans out to both
+// replicas in one round, and reports what they counted when both counted the
+// same. When the replicas count differently — one held the key, the other
+// did not — their copies no longer follow each other, and the edit reads as
+// failed (not found), whichever replica the ring prefers.
+func TestReplicatedEditNeedsEveryReplica(t *testing.T) {
+	r, nodes, stores := newLoggedPair(t, WithReplicas(2))
+	row := func(pk int64) sqlval.Row { return sqlval.Row{sqlval.I64(pk), sqlval.Str("r")} }
+	insert := rowlist.Op{Kind: rowlist.Insert, New: row(2)}
+	ed := rowlist.AppendOp(rowlist.AppendShape(nil, rowlist.Shape{Class: rowlist.Feature}), &insert)
+	list := rowlist.Encode(rowlist.List{Rows: []sqlval.Row{row(1)}})
+	r.Set("both", list, 0)
+	stores[0].Set("one", list, 0)
+	stores[1].Set("other", list, 0)
+	nodes[0].take()
+	nodes[1].take()
+
+	res := r.ApplyBatch([]kvcache.BatchOp{
+		{Kind: kvcache.BatchEdit, Key: "both", Value: ed},
+		{Kind: kvcache.BatchEdit, Key: "one", Value: ed},
+		{Kind: kvcache.BatchEdit, Key: "other", Value: ed},
+	})
+	if want := (rowlist.Result{Updates: 1}); !res[0].Found || res[0].Edit != want {
+		t.Errorf("edit both replicas ran alike = %+v, want found and %+v", res[0], want)
+	}
+	for i := 1; i < 3; i++ {
+		if res[i].Found {
+			t.Errorf("edit of a key one replica held = %+v, want not found", res[i])
+		}
+	}
+	for i, n := range nodes {
+		if got := n.take(); got != "[[edit both edit one edit other]]" {
+			t.Errorf("node %d received %s, want one round of the three edits", i, got)
+		}
+	}
+	a, _ := stores[0].GetQuiet("both")
+	b, _ := stores[1].GetQuiet("both")
+	if !bytes.Equal(a, b) || bytes.Equal(a, list) {
+		t.Fatalf("replicas hold %x and %x, want the same edited list", a, b)
 	}
 }
 

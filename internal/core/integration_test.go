@@ -210,6 +210,52 @@ func TestWriteSetEditReachesBothReplicasInOneRound(t *testing.T) {
 	s.requireFresh(t)
 }
 
+// TestWriteSetEditLostOnOneReplicaDropsTheKey: at R = 2 a replica that misses
+// an edit would keep the list the other replica moved past, and later edits
+// would apply on top of it. The ring reports such an edit failed, and the
+// flush drops the key on both replicas in its next round, so the oracle finds
+// both stores fresh, before and after a read repopulates them.
+func TestWriteSetEditLostOnOneReplicaDropsTheKey(t *testing.T) {
+	stores := []*kvcache.Store{kvcache.New(0), kvcache.New(0)}
+	nodes := []*countingCache{{Store: stores[0]}, {Store: stores[1]}}
+	ring, err := cluster.NewRing([]kvcache.Cache{nodes[0], nodes[1]}, cluster.WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStackOver(t, func(*kvcache.Store) kvcache.Cache { return ring })
+	s.replicas = stores
+	co := s.cacheable(t, topkSpec(3, 2))
+	base := time.Unix(1e6, 0)
+	for i := 0; i < 4; i++ {
+		postAt(s, t, 7, fmt.Sprintf("p%d", i), base.Add(time.Duration(i)*time.Minute))
+	}
+	checkAgainstDB(t, s, co, sqldb.I64(7))
+	key := co.MakeKey(sqldb.I64(7))
+	nodes[0].reset()
+	nodes[1].reset()
+	nodes[1].loseBatch = func(n int) bool { return n == 1 }
+	before := s.g.Stats()
+	postAt(s, t, 7, "newest", base.Add(time.Hour))
+	nodes[1].loseBatch = nil
+	for i, n := range nodes {
+		if got := fmt.Sprint(n.batches); got != "[[edit] [delete]]" {
+			t.Errorf("node %d received batches %s, want [[edit] [delete]]", i, got)
+		}
+		if _, ok := stores[i].GetQuiet(key); ok {
+			t.Errorf("replica %d still holds the list after an edit one replica lost", i)
+		}
+	}
+	after := s.g.Stats()
+	if skips, dels := after.TriggerSkips-before.TriggerSkips, after.TriggerDeletes-before.TriggerDeletes; skips != 1 || dels != 1 {
+		t.Errorf("counted %d skips and %d deletes, want 1 and 1", skips, dels)
+	}
+	s.requireFresh(t)
+	postAt(s, t, 7, "newer still", base.Add(2*time.Hour)) // edits nothing: the key is gone
+	checkAgainstDB(t, s, co, sqldb.I64(7))
+	postAt(s, t, 7, "newest of all", base.Add(3*time.Hour))
+	s.requireFresh(t)
+}
+
 // TestCacheRestartColdStart simulates the cache server restarting (flush):
 // the system must degrade to database reads and repopulate, never serving
 // wrong data.

@@ -143,7 +143,10 @@ func (ws *writeSet) EndStatement(q sqldb.Queryer) error {
 // q is the statement's connection. A top-K list that a removal leaves short
 // of its reserve comes back from its node dropped (Short), and is recomputed
 // through q and set. On the bus q is nil: the statement's transaction is
-// gone, so the key stays dropped for the next read miss to reload.
+// gone, so the key stays dropped for the next read miss to reload. An edit
+// that did not run — its exchange lost, too large to send, or missed by one
+// replica at R > 1 — is followed by a delete of its key, in the same second
+// round as the recomputed lists.
 //
 // A flush allocates per flush, not per op: the key groups, the batch and
 // every edit's bytes are an array each.
@@ -175,7 +178,7 @@ func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 			batch[i].Value = edits[from:len(edits):len(edits)]
 		}
 	}
-	var recomputed []kvcache.BatchOp
+	var second []kvcache.BatchOp // recomputed lists, and drops of failed edits
 	for i, r := range g.cache.ApplyBatch(batch) {
 		k := &groups[i]
 		switch {
@@ -183,10 +186,16 @@ func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 			if !r.Found {
 				g.populateRefused.Add(1)
 			}
+		case !r.Found && k.kind == kvcache.BatchEdit:
+			// The edit did not run: the exchange was lost, the edit was too
+			// large to send, or a replica missed it. Whatever copy it missed
+			// no longer follows the database, so the key is dropped.
+			g.trigSkips.Add(int64(k.n))
+			g.trigDeletes.Add(1)
+			second = append(second, kvcache.BatchOp{Kind: kvcache.BatchDelete, Key: k.key})
 		case !r.Found:
-			// Not cached, or the exchange was lost: every one of the key's
-			// triggers quits (paper §3.2); the next read miss repopulates the
-			// entry.
+			// Not cached: every one of the key's triggers quits (paper §3.2);
+			// the next read miss repopulates the entry.
 			g.trigSkips.Add(int64(k.n))
 		case k.kind == kvcache.BatchEdit:
 			e := r.Edit
@@ -199,7 +208,7 @@ func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 				// The recomputed list is the statement's final database state
 				// for this key.
 				o := &ops[k.first]
-				recomputed = append(recomputed, o.co.recompute(q, k.key, o.vals))
+				second = append(second, o.co.recompute(q, k.key, o.vals))
 			case e.Short:
 				g.trigDeletes.Add(1)
 			}
@@ -212,9 +221,9 @@ func (g *Genie) flush(q sqldb.Queryer, ops []op) (keys int) {
 			g.trigSkips.Add(int64(k.n - 1))
 		}
 	}
-	g.flushOps.Observe(int64(len(batch) + len(recomputed)))
-	if len(recomputed) > 0 {
-		g.cache.ApplyBatch(recomputed)
+	g.flushOps.Observe(int64(len(batch) + len(second)))
+	if len(second) > 0 {
+		g.cache.ApplyBatch(second)
 	}
 	return len(groups)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cachegenie/internal/cacheproto"
 	"cachegenie/internal/kvcache"
 	"cachegenie/internal/orm"
 	"cachegenie/internal/rowlist"
@@ -18,14 +19,17 @@ import (
 // countingCache counts how the Genie reaches the store: per-op calls by name
 // and every batch with the kinds it carried. beforeBatch, when set, runs
 // ahead of each batch (numbered from 1 since the last reset), which is how a
-// test lands another writer's write just before a flush. A bus worker may
-// count while a test reads, so counting is locked.
+// test lands another writer's write just before a flush; loseBatch, when set
+// and true for a batch, keeps the batch from the store and answers every op
+// not found, as a lost exchange does. A bus worker may count while a test
+// reads, so counting is locked.
 type countingCache struct {
 	*kvcache.Store
 	mu          sync.Mutex
 	perOp       []string
 	batches     [][]kvcache.BatchOpKind
 	beforeBatch func(n int)
+	loseBatch   func(n int) bool
 }
 
 func (c *countingCache) reset() {
@@ -86,6 +90,9 @@ func (c *countingCache) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult 
 	c.mu.Unlock()
 	if c.beforeBatch != nil {
 		c.beforeBatch(n)
+	}
+	if c.loseBatch != nil && c.loseBatch(n) {
+		return make([]kvcache.BatchResult, len(ops))
 	}
 	return c.Store.ApplyBatch(ops)
 }
@@ -233,6 +240,32 @@ func TestWriteSetComposesSameKeyMutations(t *testing.T) {
 	checkAgainstDB(t, s, count, one)
 }
 
+// TestWriteSetShortListCountsEveryEdit: a statement whose second removal
+// uses up a top-K list's reserve still counts its later edits of the list as
+// updates, as they apply to the short list, and the recompute that replaces
+// the list as one more.
+func TestWriteSetShortListCountsEveryEdit(t *testing.T) {
+	s := newStack(t)
+	co := s.cacheable(t, topkSpec(3, 1))
+	base := time.Unix(200000, 0)
+	var posts []orm.Object
+	for i := 0; i < 10; i++ {
+		posts = append(posts, postAt(s, t, 1, fmt.Sprintf("p%d", i), base.Add(time.Duration(i)*time.Minute)))
+	}
+	one := sqldb.I64(1)
+	checkAgainstDB(t, s, co, one) // caches the newest 4: K = 3 and a reserve of 1
+	before := s.g.Stats()
+	if _, err := s.db.Exec(fmt.Sprintf("DELETE FROM wall WHERE id >= %d", posts[7].ID())); err != nil {
+		t.Fatal(err)
+	}
+	after := s.g.Stats()
+	up, skip, rec := after.TriggerUpdates-before.TriggerUpdates, after.TriggerSkips-before.TriggerSkips, after.Recomputes-before.Recomputes
+	if up != 4 || skip != 0 || rec != 1 {
+		t.Errorf("counted %d updates, %d skips and %d recomputes; want 4 (3 removals and the recompute), 0 and 1", up, skip, rec)
+	}
+	checkAgainstDB(t, s, co, one)
+}
+
 // TestWriteSetEditLandsOnAConcurrentWrite is the synchronous route of
 // checkEditLandsOnAConcurrentWrite.
 func TestWriteSetEditLandsOnAConcurrentWrite(t *testing.T) {
@@ -283,6 +316,53 @@ func checkEditLandsOnAConcurrentWrite(t *testing.T, s *stack, cc *countingCache,
 		t.Fatalf("the edited key holds %d rows (%v), want 2", len(l.Rows), err)
 	}
 	checkAgainstDB(t, s, co, one)
+}
+
+// TestWriteSetOversizedEditDropsTheKey: an edit grows with its ops, not with
+// its list. An UPDATE of every row of a cached feature list carries each row
+// twice, old and new, so a list well under the wire's 1 MB value cap makes an
+// edit over it, which the client cannot send. The flush must then drop the
+// key instead of leaving the list as it was.
+func TestWriteSetOversizedEditDropsTheKey(t *testing.T) {
+	s := newStackOver(t, func(store *kvcache.Store) kvcache.Cache {
+		srv := cacheproto.NewServer(store)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := cacheproto.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			_ = cli.Close()
+			_ = srv.Close()
+		})
+		return cli
+	})
+	co := s.cacheable(t, Spec{Name: "wall_feature", Class: FeatureQuery, MainModel: "Wall", WhereFields: []string{"user_id"}})
+	const rows = 600
+	for i := 0; i < rows; i++ {
+		postAt(s, t, 7, strings.Repeat("a", 1000), time.Unix(int64(i), 0))
+	}
+	seven := sqldb.I64(7)
+	checkAgainstDB(t, s, co, seven)
+	key := co.MakeKey(seven)
+	if raw, ok := s.cache.GetQuiet(key); !ok || len(raw) > 1<<20 {
+		t.Fatalf("list cached %v in %d bytes, want cached under 1 MB", ok, len(raw))
+	}
+	before := s.g.Stats()
+	if _, err := s.reg.Objects("Wall").Filter("user_id", 7).Update(orm.Fields{"content": strings.Repeat("b", 1000)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.cache.GetQuiet(key); ok {
+		t.Fatal("the list is still cached after an edit too large to send")
+	}
+	after := s.g.Stats()
+	if skips, dels := after.TriggerSkips-before.TriggerSkips, after.TriggerDeletes-before.TriggerDeletes; skips != rows || dels != 1 {
+		t.Errorf("counted %d skips and %d deletes, want %d and 1", skips, dels, rows)
+	}
+	checkAgainstDB(t, s, co, seven)
 }
 
 // TestWriteSetFailedStatementLeavesCacheUntouched: a trigger error on a later

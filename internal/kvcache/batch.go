@@ -43,7 +43,8 @@ const (
 	// an entry it stores. Its result's Edit is what the replay counted, and
 	// Found reports that the node ran it. On the wire it is an edit
 	// sub-command; a replicated ring sends it to every replica, each of which
-	// replays it on its own copy.
+	// replays it on its own copy, and reports it not found unless every
+	// replica ran it and counted the same.
 	BatchEdit
 )
 
@@ -123,11 +124,7 @@ func (s *Store) ApplyBatch(ops []BatchOp) []BatchResult {
 		return out
 	}
 	slab := make([]byte, 0, s.readBytes(ops))
-	edits := false
-	for i := range ops {
-		edits = edits || ops[i].Kind == BatchEdit
-	}
-	if len(s.shards) == 1 && !edits {
+	if len(s.shards) == 1 {
 		sh := &s.shards[0]
 		sh.mu.Lock()
 		for i := range ops {
@@ -140,14 +137,9 @@ func (s *Store) ApplyBatch(ops []BatchOp) []BatchResult {
 	// their ops mostly land on distinct shards anyway, so per-op lock
 	// acquisitions cost less than allocating O(NumShards) bookkeeping (the
 	// common write-set flush is a handful of ops), and per-key
-	// ordering is position order either way. An edit takes its shard's lock
-	// itself (edit), so a batch that carries one goes op by op too.
-	if edits || len(ops) <= 8 || len(ops) < len(s.shards) {
+	// ordering is position order either way.
+	if len(ops) <= 8 || len(ops) < len(s.shards) {
 		for i := range ops {
-			if op := &ops[i]; op.Kind == BatchEdit {
-				out[i] = BatchResult{Found: true, Edit: edit(s, op.Key, op.Value, op.TTL)}
-				continue
-			}
 			sh := shardFor(s, ops[i].Key)
 			sh.mu.Lock()
 			out[i] = s.applyOpLocked(sh, &ops[i], &slab)
@@ -210,8 +202,8 @@ func (s *Store) readBytes(ops []BatchOp) int {
 	return n
 }
 
-// applyOpLocked executes one batch op but an edit on its shard; a get's value
-// is copied into slab when it has room. Caller holds sh.mu.
+// applyOpLocked executes one batch op on its shard; a get's value is copied
+// into slab when it has room. Caller holds sh.mu.
 func (s *Store) applyOpLocked(sh *shard, op *BatchOp, slab *[]byte) BatchResult {
 	switch op.Kind {
 	case BatchSet:
@@ -242,6 +234,8 @@ func (s *Store) applyOpLocked(sh *shard, op *BatchOp, slab *[]byte) BatchResult 
 	case BatchCas:
 		r := casLocked(s, sh, op.Key, op.Value, op.TTL, op.Cas)
 		return BatchResult{Found: r == CasStored, CasResult: r}
+	case BatchEdit:
+		return BatchResult{Found: true, Edit: editLocked(s, sh, op.Key, op.Value, op.TTL)}
 	default:
 		return BatchResult{Found: deleteLocked(s, sh, op.Key)}
 	}

@@ -174,9 +174,9 @@ func TestBatchEdit(t *testing.T) {
 	}
 }
 
-// TestBatchEditConcurrentEditsLoseNothing: edits replay on a copy of the
-// entry outside the shard lock, so concurrent edits of one key race; each
-// must land on what the others left, and none may be lost.
+// TestBatchEditConcurrentEditsLoseNothing: concurrent edits of one key each
+// replay under the key's shard lock, over what the others left; none may be
+// lost.
 func TestBatchEditConcurrentEditsLoseNothing(t *testing.T) {
 	s := New(0, WithShards(1))
 	s.Set("list", rowlist.Encode(rowlist.List{}), 0)

@@ -469,15 +469,9 @@ func incrLocked[K keyBytes](s *Store, sh *shard, key K, delta int64) (int64, boo
 	return n, true
 }
 
-// editScratch is a BatchEdit's working memory: a copy of the entry it
-// edits, and the replay's scratch. A pool, not a scratch per shard, so idle
-// stripes pin nothing.
-type editScratch struct {
-	rowlist.Scratch
-	cur []byte
-}
-
-var editScratches = sync.Pool{New: func() any { return new(editScratch) }}
+// editScratches hold BatchEdit replays' working memory. A pool, not a
+// scratch per shard, so idle stripes pin nothing.
+var editScratches = sync.Pool{New: func() any { return new(rowlist.Scratch) }}
 
 // ---------- the operations: each locks its key's shard ----------
 
@@ -524,38 +518,33 @@ func del[K keyBytes](s *Store, key K) bool {
 }
 
 // edit replays the edit ed over key's entry and stores or deletes what it
-// leaves (see BatchEdit). The replay runs on a copy of the entry with the
-// shard unlocked, so the stripe's other keys, and readers of this one, wait
-// for the copy and the store, not for a list's decode and re-encode. A write
-// to the key in between, which changes its token, makes the edit replay again
-// over what that write left. A malformed edit drops the key.
+// leaves (see BatchEdit).
 func edit[K keyBytes](s *Store, key K, ed []byte, ttl time.Duration) rowlist.Result {
 	sh := shardFor(s, key)
-	sc := editScratches.Get().(*editScratch)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return editLocked(s, sh, key, ed, ttl)
+}
+
+// editLocked is edit with the key's shard locked: the replay runs over the
+// entry itself, and nothing else reaches the key until it is stored. A
+// malformed edit drops the key.
+func editLocked[K keyBytes](s *Store, sh *shard, key K, ed []byte, ttl time.Duration) rowlist.Result {
+	sc := editScratches.Get().(*rowlist.Scratch)
 	defer editScratches.Put(sc)
-	for {
-		sh.mu.Lock()
-		e, present := get(s, sh, key, true)
-		var token uint64
-		sc.cur = sc.cur[:0]
-		if present {
-			sc.cur, token = append(sc.cur, e.value...), e.casID
-		}
-		sh.mu.Unlock()
-		out, _ := sc.Replay(ed, sc.cur, present)
-		sh.mu.Lock()
-		if e, ok := sh.items[string(key)]; ok == present && (!ok || e.casID == token) {
-			switch {
-			case out.Changed && out.Present:
-				setLocked(s, sh, key, out.Entry, ttl)
-			case out.Changed:
-				deleteLocked(s, sh, key)
-			}
-			sh.mu.Unlock()
-			return out.Result
-		}
-		sh.mu.Unlock()
+	var cur []byte
+	e, present := get(s, sh, key, true)
+	if present {
+		cur = e.value
 	}
+	out, _ := sc.Replay(ed, cur, present)
+	switch {
+	case out.Changed && out.Present:
+		setLocked(s, sh, key, out.Entry, ttl)
+	case out.Changed:
+		deleteLocked(s, sh, key)
+	}
+	return out.Result
 }
 
 func incr[K keyBytes](s *Store, key K, delta int64) (int64, bool) {

@@ -300,8 +300,9 @@ var errEdit = errors.New("rowlist: malformed edit")
 // skips; a delete of a present entry, and the drop of one that is corrupt,
 // deletes; a populate that found the key present is refused. An edit that
 // changed nothing is none of them. Short reports that a top-K removal or move
-// used up the reserve; the replay then dropped the key, and counted nothing
-// for the drop.
+// used up the reserve; the replay then dropped the key, counting nothing for
+// the drop, and counted the ops after the removal as they applied to the
+// short list.
 type Result struct {
 	Updates, Skips, Deletes, Refused int32
 	Short                            bool
@@ -342,7 +343,8 @@ func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 //     nothing otherwise; an entry that does not parse as a count or a list
 //     is corrupt and dropped;
 //   - a top-K removal or move that uses up the reserve drops the key: the
-//     list must be rebuilt from the database (Short).
+//     list must be rebuilt from the database (Short). The ops after it still
+//     replay over the short list, and count as they apply to it.
 //
 // A malformed edit, or one with a row too narrow for its shape, drops the
 // key and returns an error.
@@ -414,13 +416,12 @@ func (sc *Scratch) replay(s *Shape, ops []Op, cur []byte, present bool) Outcome 
 				out.Updates++
 				dirty = true
 			}
-			if short {
-				out.Short = true
-				present, dirty = false, true
-			}
+			out.Short = out.Short || short
 		}
 	}
 	switch {
+	case out.Short:
+		out.Changed = was
 	case !dirty:
 		out.Present = was
 	case !present:

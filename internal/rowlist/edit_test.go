@@ -140,8 +140,10 @@ func TestReplayChains(t *testing.T) {
 		{"a count sums its incrs", Shape{}, []byte("5"), []Op{{Kind: Incr, Delta: 2}, {Kind: Incr, Delta: -4}}, "=3", true, Result{Updates: 2}},
 		{"populate then incr leaves the exact count", Shape{}, nil, []Op{{Kind: Populate, Enc: []byte("2")}, {Kind: Incr, Delta: 1}}, "=3", true, Result{Updates: 1}},
 		{"a corrupt count is dropped", Shape{}, []byte("x"), []Op{{Kind: Incr, Delta: 1}}, "", true, Result{Deletes: 1}},
-		{"a removal that uses up the reserve drops the list", shapes["topk"], Encode(List{Rows: []sqlval.Row{row(1, 30), row(2, 20), row(3, 10)}}),
-			[]Op{{Kind: Remove, Old: row(1, 30)}, {Kind: Insert, New: row(4, 40)}}, "", true, Result{Updates: 1, Skips: 1, Short: true}},
+		{"a removal that uses up the reserve drops the list; the ops after it count as they apply", shapes["topk"], Encode(List{Rows: []sqlval.Row{row(1, 30), row(2, 20), row(3, 10)}}),
+			[]Op{{Kind: Remove, Old: row(1, 30)}, {Kind: Insert, New: row(4, 40)}, {Kind: Insert, New: row(4, 40)}, {Kind: Remove, Old: row(9, 5)}}, "", true, Result{Updates: 2, Short: true}},
+		{"a delete after a short removal counts, and a populate after it is dropped with the key", shapes["topk"], Encode(List{Rows: []sqlval.Row{row(1, 30), row(2, 20), row(3, 10)}}),
+			[]Op{{Kind: Remove, Old: row(1, 30)}, {Kind: Delete}, {Kind: Populate, Enc: populated}}, "", true, Result{Updates: 1, Deletes: 1, Short: true}},
 	} {
 		var sc Scratch
 		out, err := sc.Replay(edit(c.s, c.ops...), c.cur, c.cur != nil)
