@@ -5,11 +5,18 @@
 // Keys are compared with bytes.Compare, so callers that need composite or
 // typed keys must use an order-preserving encoding (see the sqldb package).
 // The tree is not safe for concurrent use; the engine serializes access.
+//
+// A node packs its keys back to back into one byte buffer beside an array
+// of end offsets, and its values into one int64 slice. A node is therefore
+// a handful of heap objects however many keys it holds, and none of them
+// but the node itself holds a pointer: the garbage collector has no
+// per-key object to mark.
 package btree
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 )
 
 // DefaultOrder is the default maximum number of children per internal node.
@@ -30,97 +37,176 @@ func New(order int) *Tree {
 	if order < 4 {
 		order = 4
 	}
-	return &Tree{order: order, root: &leafNode{}}
+	return &Tree{order: order, root: &leafNode{keys: newKeyList(0, 0)}}
 }
 
 // Len reports the number of keys stored in the tree.
 func (t *Tree) Len() int { return t.size }
 
 // node is either *leafNode or *innerNode.
-type node interface {
-	// firstKey returns the smallest key in the subtree.
-	firstKey() []byte
-}
+type node interface{ isNode() }
 
 type leafNode struct {
-	keys [][]byte
+	keys keyList
 	vals []int64
 	next *leafNode
-	prev *leafNode
-}
-
-func (l *leafNode) firstKey() []byte {
-	if len(l.keys) == 0 {
-		return nil
-	}
-	return l.keys[0]
 }
 
 type innerNode struct {
-	// keys[i] is the smallest key in children[i+1]'s subtree; len(children)
-	// == len(keys)+1.
-	keys     [][]byte
+	// keys.at(i) separates children[i] (keys below it) from children[i+1]
+	// (keys at or above it); len(children) == keys.len()+1.
+	keys     keyList
 	children []node
 }
 
-func (in *innerNode) firstKey() []byte { return in.children[0].firstKey() }
+func (*leafNode) isNode()  {}
+func (*innerNode) isNode() {}
 
-// search returns the index of the first key >= k in keys.
-func search(keys [][]byte, k []byte) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// keyList is a sorted run of keys packed into one buffer: key i is
+// buf[offs[i]:offs[i+1]]. offs[0] is 0, so a list of n keys has n+1
+// offsets; make one with newKeyList.
+type keyList struct {
+	buf  []byte
+	offs []uint32
 }
 
-// childIndex returns the child to descend into for key k.
-func (in *innerNode) childIndex(k []byte) int {
-	// Descend into children[i] where keys[i-1] <= k < keys[i].
-	lo, hi := 0, len(in.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(in.keys[mid], k) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// newKeyList returns an empty list with room for n keys in size bytes.
+func newKeyList(size, n int) keyList {
+	return keyList{buf: make([]byte, 0, size), offs: append(make([]uint32, 0, n+1), 0)}
 }
 
-// Get returns the value stored under key, and whether it was present.
-func (t *Tree) Get(key []byte) (int64, bool) {
+func (kl *keyList) len() int { return len(kl.offs) - 1 }
+
+// at returns key i as a view into the buffer. Its capacity ends with the
+// key, so appending to it copies rather than overwriting the next key.
+func (kl *keyList) at(i int) []byte {
+	end := kl.offs[i+1]
+	return kl.buf[kl.offs[i]:end:end]
+}
+
+// search returns the index of the first key >= k, and whether that key is k.
+func (kl *keyList) search(k []byte) (int, bool) {
+	buf, offs := kl.buf, kl.offs
+	lo, hi := 0, len(offs)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := bytes.Compare(buf[offs[mid]:offs[mid+1]], k); {
+		case c < 0:
+			lo = mid + 1
+		case c > 0:
+			hi = mid
+		default:
+			return mid, true
+		}
+	}
+	return lo, false
+}
+
+// upper returns the index of the first key > k: the child of an inner node
+// whose subtree holds k.
+func (kl *keyList) upper(k []byte) int {
+	i, found := kl.search(k)
+	if found {
+		i++
+	}
+	return i
+}
+
+// shift adds d (which may wrap, to subtract) to offsets i and up.
+func (kl *keyList) shift(i int, d uint32) {
+	for j := i; j < len(kl.offs); j++ {
+		kl.offs[j] += d
+	}
+}
+
+// insert makes k key i, moving keys i and up one place.
+func (kl *keyList) insert(i int, k []byte) {
+	at := kl.offs[i]
+	kl.buf = slices.Insert(kl.buf, int(at), k...)
+	kl.offs = slices.Insert(kl.offs, i+1, at)
+	kl.shift(i+1, uint32(len(k)))
+}
+
+// set replaces key i with k.
+func (kl *keyList) set(i int, k []byte) {
+	lo, hi := kl.offs[i], kl.offs[i+1]
+	kl.buf = slices.Replace(kl.buf, int(lo), int(hi), k...)
+	kl.shift(i+1, uint32(len(k))-(hi-lo))
+}
+
+// remove deletes key i.
+func (kl *keyList) remove(i int) {
+	lo, hi := kl.offs[i], kl.offs[i+1]
+	kl.buf = slices.Delete(kl.buf, int(lo), int(hi))
+	kl.offs = slices.Delete(kl.offs, i+1, i+2)
+	kl.shift(i+1, lo-hi)
+}
+
+// truncate keeps the first n keys.
+func (kl *keyList) truncate(n int) {
+	kl.buf = kl.buf[:kl.offs[n]]
+	kl.offs = kl.offs[:n+1]
+}
+
+// appendRange appends keys [i, j) of src, which must be another list.
+func (kl *keyList) appendRange(src *keyList, i, j int) {
+	from := src.offs[i]
+	base := uint32(len(kl.buf)) - from
+	kl.buf = append(kl.buf, src.buf[from:src.offs[j]]...)
+	for _, o := range src.offs[i+1 : j+1] {
+		kl.offs = append(kl.offs, o+base)
+	}
+}
+
+// cut returns a fresh list holding keys [i, j), with room for n keys of
+// their mean length before it grows.
+func (kl *keyList) cut(i, j, n int) keyList {
+	size := int(kl.offs[j] - kl.offs[i])
+	out := newKeyList(size*n/max(j-i, 1), n)
+	out.appendRange(kl, i, j)
+	return out
+}
+
+// cutVals is cut for a leaf's values.
+func cutVals(vals []int64, n int) []int64 {
+	return append(make([]int64, 0, n), vals...)
+}
+
+// leafFor returns the leaf whose range holds k; a nil k picks the leftmost.
+func (t *Tree) leafFor(k []byte) *leafNode {
 	n := t.root
 	for {
 		switch x := n.(type) {
 		case *innerNode:
-			n = x.children[x.childIndex(key)]
-		case *leafNode:
-			i := search(x.keys, key)
-			if i < len(x.keys) && bytes.Equal(x.keys[i], key) {
-				return x.vals[i], true
+			i := 0
+			if k != nil {
+				i = x.keys.upper(k)
 			}
-			return 0, false
+			n = x.children[i]
+		case *leafNode:
+			return x
 		}
 	}
 }
 
+// Get returns the value stored under key, and whether it was present.
+func (t *Tree) Get(key []byte) (int64, bool) {
+	l := t.leafFor(key)
+	if i, found := l.keys.search(key); found {
+		return l.vals[i], true
+	}
+	return 0, false
+}
+
 // Set inserts key with value v, replacing any existing value. It reports
-// whether a new key was inserted (false means replaced).
+// whether a new key was inserted (false means replaced). The tree copies
+// key's bytes into its own node storage, so the caller may reuse key.
 func (t *Tree) Set(key []byte, v int64) bool {
-	k := append([]byte(nil), key...) // tree owns its keys
-	newChild, splitKey, inserted := t.insert(t.root, k, v)
-	if newChild != nil {
-		t.root = &innerNode{
-			keys:     [][]byte{splitKey},
-			children: []node{t.root, newChild},
-		}
+	right, sep, inserted := t.insert(t.root, key, v)
+	if right != nil {
+		root := &innerNode{keys: newKeyList(len(sep), 1), children: []node{t.root, right}}
+		root.keys.insert(0, sep)
+		t.root = root
 	}
 	if inserted {
 		t.size++
@@ -129,64 +215,56 @@ func (t *Tree) Set(key []byte, v int64) bool {
 }
 
 // insert adds k/v under n. If n splits, it returns the new right sibling and
-// the smallest key of that sibling.
+// its separator: a view into the split node's storage that the caller copies
+// before the next mutation.
 func (t *Tree) insert(n node, k []byte, v int64) (node, []byte, bool) {
 	switch x := n.(type) {
 	case *leafNode:
-		i := search(x.keys, k)
-		if i < len(x.keys) && bytes.Equal(x.keys[i], k) {
+		i, found := x.keys.search(k)
+		if found {
 			x.vals[i] = v
 			return nil, nil, false
 		}
-		x.keys = append(x.keys, nil)
-		copy(x.keys[i+1:], x.keys[i:])
-		x.keys[i] = k
-		x.vals = append(x.vals, 0)
-		copy(x.vals[i+1:], x.vals[i:])
-		x.vals[i] = v
-		if len(x.keys) < t.order {
+		x.keys.insert(i, k)
+		x.vals = slices.Insert(x.vals, i, v)
+		if x.keys.len() < t.order {
 			return nil, nil, true
 		}
-		// Split leaf.
-		mid := len(x.keys) / 2
+		// Split: the upper half moves to a fresh leaf with room for a full
+		// one; the lower half stays in this leaf's buffers.
+		mid := x.keys.len() / 2
 		right := &leafNode{
-			keys: append([][]byte(nil), x.keys[mid:]...),
-			vals: append([]int64(nil), x.vals[mid:]...),
+			keys: x.keys.cut(mid, x.keys.len(), t.order),
+			vals: cutVals(x.vals[mid:], t.order),
 			next: x.next,
-			prev: x,
 		}
-		if x.next != nil {
-			x.next.prev = right
-		}
-		x.keys = x.keys[:mid:mid]
-		x.vals = x.vals[:mid:mid]
+		x.keys.truncate(mid)
+		x.vals = x.vals[:mid]
 		x.next = right
-		return right, right.keys[0], true
+		return right, right.keys.at(0), true
 	case *innerNode:
-		ci := x.childIndex(k)
-		newChild, splitKey, inserted := t.insert(x.children[ci], k, v)
+		ci := x.keys.upper(k)
+		newChild, sep, inserted := t.insert(x.children[ci], k, v)
 		if newChild == nil {
 			return nil, nil, inserted
 		}
-		x.keys = append(x.keys, nil)
-		copy(x.keys[ci+1:], x.keys[ci:])
-		x.keys[ci] = splitKey
-		x.children = append(x.children, nil)
-		copy(x.children[ci+2:], x.children[ci+1:])
-		x.children[ci+1] = newChild
+		x.keys.insert(ci, sep)
+		x.children = slices.Insert(x.children, ci+1, newChild)
 		if len(x.children) <= t.order {
 			return nil, nil, inserted
 		}
-		// Split inner node: middle key moves up.
-		mid := len(x.keys) / 2
-		upKey := x.keys[mid]
+		// Split: the middle key moves up, the keys and children above it to
+		// a fresh node. Truncation leaves the middle key's bytes in place.
+		mid := x.keys.len() / 2
 		right := &innerNode{
-			keys:     append([][]byte(nil), x.keys[mid+1:]...),
-			children: append([]node(nil), x.children[mid+1:]...),
+			keys:     x.keys.cut(mid+1, x.keys.len(), t.order),
+			children: append(make([]node, 0, t.order+1), x.children[mid+1:]...),
 		}
-		x.keys = x.keys[:mid:mid]
-		x.children = x.children[: mid+1 : mid+1]
-		return right, upKey, inserted
+		up := x.keys.at(mid)
+		x.keys.truncate(mid)
+		clear(x.children[mid+1:])
+		x.children = x.children[:mid+1]
+		return right, up, inserted
 	}
 	panic("btree: unknown node type")
 }
@@ -213,15 +291,15 @@ func (t *Tree) minInnerChildren() int { return (t.order + 1) / 2 }
 func (t *Tree) delete(n node, k []byte) bool {
 	switch x := n.(type) {
 	case *leafNode:
-		i := search(x.keys, k)
-		if i >= len(x.keys) || !bytes.Equal(x.keys[i], k) {
+		i, found := x.keys.search(k)
+		if !found {
 			return false
 		}
-		x.keys = append(x.keys[:i], x.keys[i+1:]...)
-		x.vals = append(x.vals[:i], x.vals[i+1:]...)
+		x.keys.remove(i)
+		x.vals = slices.Delete(x.vals, i, i+1)
 		return true
 	case *innerNode:
-		ci := x.childIndex(k)
+		ci := x.keys.upper(k)
 		if !t.delete(x.children[ci], k) {
 			return false
 		}
@@ -234,74 +312,53 @@ func (t *Tree) delete(n node, k []byte) bool {
 // rebalance fixes up child ci of parent after a deletion may have left it
 // underfull, by borrowing from or merging with a sibling.
 func (t *Tree) rebalance(parent *innerNode, ci int) {
-	child := parent.children[ci]
-	switch c := child.(type) {
+	// A merge folds children[m+1] into children[m].
+	m := max(ci-1, 0)
+	switch c := parent.children[ci].(type) {
 	case *leafNode:
-		if len(c.keys) >= t.minLeafKeys() {
+		if c.keys.len() >= t.minLeafKeys() {
 			return
 		}
-		// Try borrowing from left sibling.
 		if ci > 0 {
 			left := parent.children[ci-1].(*leafNode)
-			if len(left.keys) > t.minLeafKeys() {
-				last := len(left.keys) - 1
-				c.keys = append([][]byte{left.keys[last]}, c.keys...)
-				c.vals = append([]int64{left.vals[last]}, c.vals...)
-				left.keys = left.keys[:last]
+			if last := left.keys.len() - 1; last >= t.minLeafKeys() {
+				c.keys.insert(0, left.keys.at(last))
+				c.vals = slices.Insert(c.vals, 0, left.vals[last])
+				left.keys.truncate(last)
 				left.vals = left.vals[:last]
-				parent.keys[ci-1] = c.keys[0]
+				parent.keys.set(ci-1, c.keys.at(0))
 				return
 			}
 		}
-		// Try borrowing from right sibling.
 		if ci < len(parent.children)-1 {
 			right := parent.children[ci+1].(*leafNode)
-			if len(right.keys) > t.minLeafKeys() {
-				c.keys = append(c.keys, right.keys[0])
+			if right.keys.len() > t.minLeafKeys() {
+				c.keys.appendRange(&right.keys, 0, 1)
 				c.vals = append(c.vals, right.vals[0])
-				right.keys = right.keys[1:]
-				right.vals = right.vals[1:]
-				parent.keys[ci] = right.keys[0]
+				right.keys.remove(0)
+				right.vals = slices.Delete(right.vals, 0, 1)
+				parent.keys.set(ci, right.keys.at(0))
 				return
 			}
 		}
-		// Merge with a sibling.
-		if ci > 0 {
-			left := parent.children[ci-1].(*leafNode)
-			left.keys = append(left.keys, c.keys...)
-			left.vals = append(left.vals, c.vals...)
-			left.next = c.next
-			if c.next != nil {
-				c.next.prev = left
-			}
-			parent.keys = append(parent.keys[:ci-1], parent.keys[ci:]...)
-			parent.children = append(parent.children[:ci], parent.children[ci+1:]...)
-		} else {
-			right := parent.children[ci+1].(*leafNode)
-			c.keys = append(c.keys, right.keys...)
-			c.vals = append(c.vals, right.vals...)
-			c.next = right.next
-			if right.next != nil {
-				right.next.prev = c
-			}
-			parent.keys = append(parent.keys[:ci], parent.keys[ci+1:]...)
-			parent.children = append(parent.children[:ci+1], parent.children[ci+2:]...)
-		}
+		left, right := parent.children[m].(*leafNode), parent.children[m+1].(*leafNode)
+		left.keys.appendRange(&right.keys, 0, right.keys.len())
+		left.vals = append(left.vals, right.vals...)
+		left.next = right.next
 	case *innerNode:
 		if len(c.children) >= t.minInnerChildren() {
 			return
 		}
 		if ci > 0 {
 			left := parent.children[ci-1].(*innerNode)
-			if len(left.children) > t.minInnerChildren() {
+			if last := len(left.children) - 1; last >= t.minInnerChildren() {
 				// Rotate right through the parent separator.
-				lastChild := left.children[len(left.children)-1]
-				lastKey := left.keys[len(left.keys)-1]
-				c.children = append([]node{lastChild}, c.children...)
-				c.keys = append([][]byte{parent.keys[ci-1]}, c.keys...)
-				parent.keys[ci-1] = lastKey
-				left.children = left.children[:len(left.children)-1]
-				left.keys = left.keys[:len(left.keys)-1]
+				c.children = slices.Insert(c.children, 0, left.children[last])
+				c.keys.insert(0, parent.keys.at(ci-1))
+				parent.keys.set(ci-1, left.keys.at(last-1))
+				left.children[last] = nil
+				left.children = left.children[:last]
+				left.keys.truncate(last - 1)
 				return
 			}
 		}
@@ -310,29 +367,20 @@ func (t *Tree) rebalance(parent *innerNode, ci int) {
 			if len(right.children) > t.minInnerChildren() {
 				// Rotate left through the parent separator.
 				c.children = append(c.children, right.children[0])
-				c.keys = append(c.keys, parent.keys[ci])
-				parent.keys[ci] = right.keys[0]
-				right.children = right.children[1:]
-				right.keys = right.keys[1:]
+				c.keys.appendRange(&parent.keys, ci, ci+1)
+				parent.keys.set(ci, right.keys.at(0))
+				right.children = slices.Delete(right.children, 0, 1)
+				right.keys.remove(0)
 				return
 			}
 		}
-		if ci > 0 {
-			left := parent.children[ci-1].(*innerNode)
-			left.keys = append(left.keys, parent.keys[ci-1])
-			left.keys = append(left.keys, c.keys...)
-			left.children = append(left.children, c.children...)
-			parent.keys = append(parent.keys[:ci-1], parent.keys[ci:]...)
-			parent.children = append(parent.children[:ci], parent.children[ci+1:]...)
-		} else {
-			right := parent.children[ci+1].(*innerNode)
-			c.keys = append(c.keys, parent.keys[ci])
-			c.keys = append(c.keys, right.keys...)
-			c.children = append(c.children, right.children...)
-			parent.keys = append(parent.keys[:ci], parent.keys[ci+1:]...)
-			parent.children = append(parent.children[:ci+1], parent.children[ci+2:]...)
-		}
+		left, right := parent.children[m].(*innerNode), parent.children[m+1].(*innerNode)
+		left.keys.appendRange(&parent.keys, m, m+1)
+		left.keys.appendRange(&right.keys, 0, right.keys.len())
+		left.children = append(left.children, right.children...)
 	}
+	parent.keys.remove(m)
+	parent.children = slices.Delete(parent.children, m+1, m+2)
 }
 
 // Iterator walks keys in ascending order. It is invalidated by mutation.
@@ -344,17 +392,16 @@ type Iterator struct {
 
 // Valid reports whether the iterator currently points at an entry.
 func (it *Iterator) Valid() bool {
-	if it.leaf == nil || it.idx >= len(it.leaf.keys) {
+	if it.leaf == nil || it.idx >= it.leaf.keys.len() {
 		return false
 	}
-	if it.hi != nil && bytes.Compare(it.leaf.keys[it.idx], it.hi) >= 0 {
-		return false
-	}
-	return true
+	return it.hi == nil || bytes.Compare(it.leaf.keys.at(it.idx), it.hi) < 0
 }
 
-// Key returns the current key. The caller must not modify it.
-func (it *Iterator) Key() []byte { return it.leaf.keys[it.idx] }
+// Key returns the current key: a view into the tree's node storage, valid
+// only until the tree's next Set or Delete, which may move or overwrite it.
+// The caller must not modify it, and must copy it to keep it longer.
+func (it *Iterator) Key() []byte { return it.leaf.keys.at(it.idx) }
 
 // Value returns the current value.
 func (it *Iterator) Value() int64 { return it.leaf.vals[it.idx] }
@@ -362,7 +409,7 @@ func (it *Iterator) Value() int64 { return it.leaf.vals[it.idx] }
 // Next advances the iterator.
 func (it *Iterator) Next() {
 	it.idx++
-	for it.leaf != nil && it.idx >= len(it.leaf.keys) {
+	for it.leaf != nil && it.idx >= it.leaf.keys.len() {
 		it.leaf = it.leaf.next
 		it.idx = 0
 	}
@@ -372,31 +419,20 @@ func (it *Iterator) Next() {
 // exclusively by hi (nil hi means unbounded). The iterator is a value, so a
 // scan allocates nothing.
 func (t *Tree) Scan(lo, hi []byte) Iterator {
-	n := t.root
-	for {
-		switch x := n.(type) {
-		case *innerNode:
-			if lo == nil {
-				n = x.children[0]
-			} else {
-				n = x.children[x.childIndex(lo)]
-			}
-		case *leafNode:
-			it := Iterator{leaf: x, hi: hi}
-			if lo != nil {
-				it.idx = search(x.keys, lo)
-			}
-			for it.leaf != nil && it.idx >= len(it.leaf.keys) {
-				it.leaf = it.leaf.next
-				it.idx = 0
-			}
-			return it
-		}
+	it := Iterator{leaf: t.leafFor(lo), hi: hi}
+	if lo != nil {
+		it.idx, _ = it.leaf.keys.search(lo)
 	}
+	for it.leaf != nil && it.idx >= it.leaf.keys.len() {
+		it.leaf = it.leaf.next
+		it.idx = 0
+	}
+	return it
 }
 
 // Ascend calls fn for every key/value pair in ascending order until fn
-// returns false.
+// returns false. Each key is a view, as from Iterator.Key, and fn must not
+// mutate the tree.
 func (t *Tree) Ascend(fn func(key []byte, v int64) bool) {
 	for it := t.Scan(nil, nil); it.Valid(); it.Next() {
 		if !fn(it.Key(), it.Value()) {
@@ -405,7 +441,8 @@ func (t *Tree) Ascend(fn func(key []byte, v int64) bool) {
 	}
 }
 
-// Min returns the smallest key, or nil if the tree is empty.
+// Min returns the smallest key, or nil if the tree is empty. Like
+// Iterator.Key, it is a view valid until the tree's next mutation.
 func (t *Tree) Min() []byte {
 	it := t.Scan(nil, nil)
 	if !it.Valid() {
@@ -414,7 +451,8 @@ func (t *Tree) Min() []byte {
 	return it.Key()
 }
 
-// Max returns the largest key, or nil if the tree is empty.
+// Max returns the largest key, or nil if the tree is empty. Like
+// Iterator.Key, it is a view valid until the tree's next mutation.
 func (t *Tree) Max() []byte {
 	n := t.root
 	for {
@@ -422,28 +460,98 @@ func (t *Tree) Max() []byte {
 		case *innerNode:
 			n = x.children[len(x.children)-1]
 		case *leafNode:
-			// The rightmost leaf can transiently be empty only when the tree
-			// is empty (root leaf).
-			if len(x.keys) == 0 {
+			// The rightmost leaf is empty only when it is the root of an
+			// empty tree.
+			if x.keys.len() == 0 {
 				return nil
 			}
-			return x.keys[len(x.keys)-1]
+			return x.keys.at(x.keys.len() - 1)
 		}
 	}
 }
 
-// check validates tree invariants; used by tests.
+// check validates the tree's invariants; used by tests. Every node's keys
+// are packed consistently, strictly ascending and inside the range its
+// parent's separators give it; every non-root node is at least minimally
+// full and no node over full; all leaves sit at one depth and the leaf chain
+// links them in key order; and the recorded size is the key count.
 func (t *Tree) check() error {
-	count := 0
-	var prev []byte
-	t.Ascend(func(k []byte, _ int64) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			panic(fmt.Sprintf("btree: keys out of order: %q >= %q", prev, k))
+	var leaves []*leafNode
+	depth := -1
+	var walk func(n node, lo, hi []byte, level int) error
+	walk = func(n node, lo, hi []byte, level int) error {
+		var kl *keyList
+		switch x := n.(type) {
+		case *leafNode:
+			kl = &x.keys
+		case *innerNode:
+			kl = &x.keys
 		}
-		prev = k
-		count++
-		return true
-	})
+		if len(kl.offs) == 0 || kl.offs[0] != 0 || int(kl.offs[kl.len()]) != len(kl.buf) {
+			return fmt.Errorf("btree: offsets %v do not span a %d-byte buffer", kl.offs, len(kl.buf))
+		}
+		for i := range kl.len() {
+			if kl.offs[i] > kl.offs[i+1] {
+				return fmt.Errorf("btree: key %d ends at %d, before its start %d", i, kl.offs[i+1], kl.offs[i])
+			}
+			k := kl.at(i)
+			if i > 0 && bytes.Compare(kl.at(i-1), k) >= 0 {
+				return fmt.Errorf("btree: keys out of order: %q >= %q", kl.at(i-1), k)
+			}
+			if (lo != nil && bytes.Compare(k, lo) < 0) || (hi != nil && bytes.Compare(k, hi) >= 0) {
+				return fmt.Errorf("btree: key %q outside its node's range [%q, %q)", k, lo, hi)
+			}
+		}
+		root := level == 0
+		switch x := n.(type) {
+		case *leafNode:
+			if len(x.vals) != kl.len() {
+				return fmt.Errorf("btree: leaf has %d keys and %d values", kl.len(), len(x.vals))
+			}
+			if kl.len() >= t.order || (!root && kl.len() < t.minLeafKeys()) {
+				return fmt.Errorf("btree: leaf holds %d keys at order %d", kl.len(), t.order)
+			}
+			if depth >= 0 && level != depth {
+				return fmt.Errorf("btree: leaves at depths %d and %d", depth, level)
+			}
+			depth = level
+			leaves = append(leaves, x)
+		case *innerNode:
+			if len(x.children) != kl.len()+1 {
+				return fmt.Errorf("btree: inner node has %d keys and %d children", kl.len(), len(x.children))
+			}
+			if len(x.children) > t.order || len(x.children) < 2 || (!root && len(x.children) < t.minInnerChildren()) {
+				return fmt.Errorf("btree: inner node has %d children at order %d", len(x.children), t.order)
+			}
+			for i, c := range x.children {
+				clo, chi := lo, hi
+				if i > 0 {
+					clo = kl.at(i - 1)
+				}
+				if i < kl.len() {
+					chi = kl.at(i)
+				}
+				if err := walk(c, clo, chi, level+1); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, nil, nil, 0); err != nil {
+		return err
+	}
+	count := 0
+	for i, l := range leaves {
+		var next *leafNode
+		if i+1 < len(leaves) {
+			next = leaves[i+1]
+		}
+		if l.next != next {
+			return fmt.Errorf("btree: leaf %d of %d links to the wrong successor", i, len(leaves))
+		}
+		count += l.keys.len()
+	}
 	if count != t.size {
 		return fmt.Errorf("btree: size mismatch: counted %d, recorded %d", count, t.size)
 	}

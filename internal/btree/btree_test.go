@@ -2,8 +2,11 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -268,22 +271,212 @@ func TestKeyOwnership(t *testing.T) {
 	}
 }
 
-func BenchmarkTreeLookup(b *testing.B) {
-	tr := New(DefaultOrder)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		tr.Set(key(i), int64(i))
+// varKey returns a key of 0 to 300 bytes over a four-letter alphabet that
+// includes 0x00 and 0xff, so keys share long prefixes and many are prefixes
+// of one another.
+func varKey(rng *rand.Rand) []byte {
+	const alphabet = "\x00\x01a\xff"
+	k := make([]byte, rng.Intn(301))
+	for i := range k {
+		k[i] = alphabet[rng.Intn(len(alphabet))]
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Get(key(i % n))
+	return k
+}
+
+// TestVariableLengthKeys drives an order-4 tree with keys of 0 to 300 bytes
+// (the empty key among them, and chains of keys that are prefixes of one
+// another) through interleaved Set, Delete and Scan, against a sorted
+// reference, checking every invariant after every step. The tree grows and
+// shrinks in phases, so leaves and inner nodes split, borrow from either
+// side and merge, with keys of unequal length moving between packed nodes.
+func TestVariableLengthKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pool := [][]byte{{}}
+	for len(pool) < 400 {
+		k := varKey(rng)
+		pool = append(pool, k)
+		for n := rng.Intn(4); n > 0 && len(k) > 0; n-- {
+			pool = append(pool, k[:rng.Intn(len(k))])
+		}
+	}
+	pick := func() []byte { return pool[rng.Intn(len(pool))] }
+
+	tr := New(4)
+	ref := map[string]int64{}
+	sorted := func() []string {
+		ks := make([]string, 0, len(ref))
+		for k := range ref {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	for step := 0; step < 6000; step++ {
+		grow := step/750%2 == 0 // alternate growing and shrinking phases
+		switch r := rng.Intn(10); {
+		case r < 2:
+			var lo, hi []byte
+			if rng.Intn(4) > 0 {
+				lo = pick()
+			}
+			if rng.Intn(4) > 0 {
+				hi = pick()
+			}
+			var want []string
+			for _, k := range sorted() {
+				if (lo == nil || k >= string(lo)) && (hi == nil || k < string(hi)) {
+					want = append(want, k)
+				}
+			}
+			var got []string
+			for it := tr.Scan(lo, hi); it.Valid(); it.Next() {
+				if v := ref[string(it.Key())]; it.Value() != v {
+					t.Fatalf("step %d: Scan value of %q = %d, want %d", step, it.Key(), it.Value(), v)
+				}
+				got = append(got, string(it.Key()))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: Scan(%q, %q) = %q, want %q", step, lo, hi, got, want)
+			}
+		case (grow && r < 8) || (!grow && r < 4):
+			k, v := pick(), rng.Int63()
+			_, had := ref[string(k)]
+			if tr.Set(k, v) == had {
+				t.Fatalf("step %d: Set(%q) inserted = %v with key present = %v", step, k, !had, had)
+			}
+			ref[string(k)] = v
+		default:
+			k := pick()
+			_, had := ref[string(k)]
+			if tr.Delete(k) != had {
+				t.Fatalf("step %d: Delete(%q) = %v, want %v", step, k, !had, had)
+			}
+			delete(ref, string(k))
+		}
+		if err := tr.check(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if tr.Len() != len(ref) {
+			t.Fatalf("step %d: Len() = %d, ref %d", step, tr.Len(), len(ref))
+		}
+	}
+	for _, k := range pool {
+		v, ok := tr.Get(k)
+		if rv, rok := ref[string(k)]; ok != rok || v != rv {
+			t.Fatalf("Get(%q) = %d,%v; want %d,%v", k, v, ok, rv, rok)
+		}
+	}
+	if ks := sorted(); len(ks) > 0 {
+		if string(tr.Min()) != ks[0] || string(tr.Max()) != ks[len(ks)-1] {
+			t.Fatalf("Min, Max = %q, %q; want %q, %q", tr.Min(), tr.Max(), ks[0], ks[len(ks)-1])
+		}
+	}
+	for _, k := range sorted() {
+		if !tr.Delete([]byte(k)) {
+			t.Fatalf("Delete(%q) = false", k)
+		}
+		if err := tr.check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("Len() = %d after deleting every key", tr.Len())
 	}
 }
 
-func BenchmarkTreeInsert(b *testing.B) {
+// TestTreeHoldsNoPerKeyObjects pins what keeps the engine's indexes cheap
+// for the garbage collector: a node packs its keys into one buffer, so a
+// tree of 100,000 keys adds a few objects per node, not one per key (about
+// 107,000 when every key was its own allocation).
+func TestTreeHoldsNoPerKeyObjects(t *testing.T) {
+	const n = 100000
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	var buf []byte
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	tr := New(DefaultOrder)
+	for _, i := range perm {
+		buf = fmt.Appendf(buf[:0], "key-%08d", i)
+		tr.Set(buf, int64(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	added := int64(after.HeapObjects) - int64(before.HeapObjects)
+	t.Logf("a tree of %d keys added %d heap objects", n, added)
+	if added >= 15000 {
+		t.Fatalf("a tree of %d keys added %d heap objects, want < 15000", n, added)
+	}
+}
+
+// benchKeys renders n distinct keys, shuffled, ahead of the timer, so the
+// benchmarks time the tree and not the key formatting.
+func benchKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for j, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		keys[j] = key(i)
+	}
+	return keys
+}
+
+func BenchmarkTreeLookup(b *testing.B) {
+	keys := benchKeys(100000)
+	tr := New(DefaultOrder)
+	for i, k := range keys {
+		tr.Set(k, int64(i))
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Set(key(i), int64(i))
+		tr.Get(keys[i%len(keys)])
+	}
+}
+
+// BenchmarkTreeInsert fills trees of up to 100,000 keys in shuffled order.
+func BenchmarkTreeInsert(b *testing.B) {
+	keys := benchKeys(100000)
+	var tr *Tree
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(keys)
+		if j == 0 {
+			b.StopTimer()
+			tr = New(DefaultOrder)
+			b.StartTimer()
+		}
+		tr.Set(keys[j], int64(i))
+	}
+}
+
+// BenchmarkTreeScanPrefix is the SQL engine's index equality lookup: Scan
+// from a one-column prefix and walk while keys carry it, over two-column
+// keys in the engine's integer encoding (a tag byte, then the value
+// big-endian with its sign bit flipped): 5,000 prefixes of 20 keys each.
+func BenchmarkTreeScanPrefix(b *testing.B) {
+	const prefixes, rows = 5000, 20
+	col := func(dst []byte, v int) []byte {
+		return binary.BigEndian.AppendUint64(append(dst, 0x01), uint64(v)^1<<63)
+	}
+	tr := New(DefaultOrder)
+	for pk := 0; pk < prefixes*rows; pk++ {
+		tr.Set(col(col(nil, pk%prefixes), pk), int64(pk))
+	}
+	lookups := make([][]byte, prefixes)
+	for j, p := range rand.New(rand.NewSource(1)).Perm(prefixes) {
+		lookups[j] = col(nil, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		prefix := lookups[i%prefixes]
+		for it := tr.Scan(prefix, nil); it.Valid() && bytes.HasPrefix(it.Key(), prefix); it.Next() {
+			n++
+		}
+	}
+	if n != b.N*rows {
+		b.Fatalf("scanned %d keys in %d lookups, want %d each", n, b.N, rows)
 	}
 }
