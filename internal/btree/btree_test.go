@@ -12,6 +12,101 @@ import (
 	"testing/quick"
 )
 
+// check validates the tree's invariants: every node's keys are packed
+// consistently, share its prefix, match their heads, ascend strictly and lie
+// inside the range its parent's separators give it; every non-root node is
+// at least minimally full and no node over full; all leaves sit at one depth
+// and the leaf chain links them in key order; and the recorded size is the
+// key count.
+func (t *Tree) check() error {
+	var leaves []*leafNode
+	depth := -1
+	var walk func(n node, lo, hi []byte, level int) error
+	walk = func(n node, lo, hi []byte, level int) error {
+		var kl *keyList
+		switch x := n.(type) {
+		case *leafNode:
+			kl = &x.keys
+		case *innerNode:
+			kl = &x.keys
+		}
+		if len(kl.offs) == 0 || kl.offs[0] != 0 || int(kl.offs[kl.len()]) != len(kl.buf) {
+			return fmt.Errorf("btree: offsets %v do not span a %d-byte buffer", kl.offs, len(kl.buf))
+		}
+		if len(kl.heads) != kl.len() {
+			return fmt.Errorf("btree: %d keys and %d heads", kl.len(), len(kl.heads))
+		}
+		for i := range kl.len() {
+			if kl.offs[i] > kl.offs[i+1] {
+				return fmt.Errorf("btree: key %d ends at %d, before its start %d", i, kl.offs[i+1], kl.offs[i])
+			}
+			k := kl.at(i)
+			if !bytes.HasPrefix(k, kl.buf[:kl.skip]) || kl.heads[i] != head(k[kl.skip:]) {
+				return fmt.Errorf("btree: key %q does not match its node's prefix %q and head %#x", k, kl.buf[:kl.skip], kl.heads[i])
+			}
+			if i > 0 && bytes.Compare(kl.at(i-1), k) >= 0 {
+				return fmt.Errorf("btree: keys out of order: %q >= %q", kl.at(i-1), k)
+			}
+			if (lo != nil && bytes.Compare(k, lo) < 0) || (hi != nil && bytes.Compare(k, hi) >= 0) {
+				return fmt.Errorf("btree: key %q outside its node's range [%q, %q)", k, lo, hi)
+			}
+		}
+		root := level == 0
+		switch x := n.(type) {
+		case *leafNode:
+			if len(x.vals) != kl.len() {
+				return fmt.Errorf("btree: leaf has %d keys and %d values", kl.len(), len(x.vals))
+			}
+			if kl.len() >= t.order || (!root && kl.len() < t.minLeafKeys()) {
+				return fmt.Errorf("btree: leaf holds %d keys at order %d", kl.len(), t.order)
+			}
+			if depth >= 0 && level != depth {
+				return fmt.Errorf("btree: leaves at depths %d and %d", depth, level)
+			}
+			depth = level
+			leaves = append(leaves, x)
+		case *innerNode:
+			if len(x.children) != kl.len()+1 {
+				return fmt.Errorf("btree: inner node has %d keys and %d children", kl.len(), len(x.children))
+			}
+			if len(x.children) > t.order || len(x.children) < 2 || (!root && len(x.children) < t.minInnerChildren()) {
+				return fmt.Errorf("btree: inner node has %d children at order %d", len(x.children), t.order)
+			}
+			for i, c := range x.children {
+				clo, chi := lo, hi
+				if i > 0 {
+					clo = kl.at(i - 1)
+				}
+				if i < kl.len() {
+					chi = kl.at(i)
+				}
+				if err := walk(c, clo, chi, level+1); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, nil, nil, 0); err != nil {
+		return err
+	}
+	count := 0
+	for i, l := range leaves {
+		var next *leafNode
+		if i+1 < len(leaves) {
+			next = leaves[i+1]
+		}
+		if l.next != next {
+			return fmt.Errorf("btree: leaf %d of %d links to the wrong successor", i, len(leaves))
+		}
+		count += l.keys.len()
+	}
+	if count != t.size {
+		return fmt.Errorf("btree: size mismatch: counted %d, recorded %d", count, t.size)
+	}
+	return nil
+}
+
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 
 func TestEmptyTree(t *testing.T) {
