@@ -239,11 +239,6 @@ func (kl *keyList) cut(i, j, n int) keyList {
 	return out
 }
 
-// cutVals is cut for a leaf's values.
-func cutVals(vals []int64, n int) []int64 {
-	return append(make([]int64, 0, n), vals...)
-}
-
 // leafFor returns the leaf whose range holds k; a nil k picks the leftmost.
 func (t *Tree) leafFor(k []byte) *leafNode {
 	n := t.root
@@ -307,7 +302,7 @@ func (t *Tree) insert(n node, k []byte, v int64) (node, []byte, bool) {
 		mid := x.keys.len() / 2
 		right := &leafNode{
 			keys: x.keys.cut(mid, x.keys.len(), t.order),
-			vals: cutVals(x.vals[mid:], t.order),
+			vals: append(make([]int64, 0, t.order), x.vals[mid:]...),
 			next: x.next,
 		}
 		x.keys.truncate(mid)
